@@ -25,7 +25,6 @@ from .integrator import (
     IntegratorConfig,
     Trajectory,
     integrate,
-    integrate_driven,
 )
 from .models import (
     DrivenPendulum,
@@ -35,8 +34,6 @@ from .models import (
     Pendulum,
     PhaseState,
     cell_index,
-    complex_cos,
-    complex_sin,
 )
 from .quadrature import (
     BranchInconsistency,
@@ -68,15 +65,12 @@ __all__ = [
     "Harmonic",
     "ImaginaryCubic",
     "DrivenPendulum",
-    "complex_cos",
-    "complex_sin",
     "cell_index",
     # integrator
     "IntegratorConfig",
     "EventSpec",
     "Trajectory",
     "integrate",
-    "integrate_driven",
     "CLOSED",
     "OPEN",
     "ESCAPED",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import CLOSED, EventSpec, IntegratorConfig, Trajectory, integrate, locate_return
+from .integrator import CLOSED, EventSpec, IntegratorConfig, Trajectory, _dist2, _is_dip, integrate, locate_return
 from .models import PhaseState, Pendulum
 
 __all__ = [
@@ -70,12 +70,6 @@ class EllipseFit:
     residual: float
 
 
-def _dist2(s: PhaseState, x0: complex, p0: complex) -> float:
-    dx = complex(s.x) - x0
-    dp = complex(s.p) - p0
-    return dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
-
-
 def _windings(xs) -> int:
     """Signed turns of the position samples of one closed cycle around
     their centroid, from accumulated wrapped angle increments."""
@@ -102,8 +96,8 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
     """Decide whether a trajectory is a closed orbit and measure its period.
 
     The first local minimum of the phase-space distance to the start
-    (after the trajectory has genuinely left the start's neighbourhood)
-    is refined to the exact closest approach; the orbit is closed when
+    that lies within half the orbit extent (the integrator's closure
+    rule) is refined to the exact closest approach; the orbit is closed when
     the refined miss distance is below ``tol`` times the orbit extent and
     the flow at the return runs the same way as at the start.  For
     trajectories already terminated by the integrator's closure event the
@@ -114,7 +108,7 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
         return ClosureReport(False, None, math.inf, None)
     s0 = samples[0]
     x0, p0 = complex(s0.x), complex(s0.p)
-    d2 = [_dist2(s, x0, p0) for s in samples]
+    d2 = [_dist2(s.x, s.p, x0, p0) for s in samples]
     dmax_sq = max(d2)
     if dmax_sq <= 0.0:
         return ClosureReport(False, None, math.inf, None)
@@ -129,11 +123,8 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
     k0 = field(s0.t, x0, p0) if field is not None else None
     direction = 1.0 if samples[-1].t >= s0.t else -1.0
     best = math.inf
-    seen_far = 0.0
     for i in range(1, len(samples) - 1):
-        seen_far = max(seen_far, d2[i - 1])
-        is_min = d2[i] < d2[i - 1] and d2[i] <= d2[i + 1]
-        if not (is_min and seen_far > 1e-6 and d2[i] < 0.25 * dmax_sq):
+        if not _is_dip(d2[i - 1], d2[i], d2[i + 1], dmax_sq):
             continue
         best = min(best, math.sqrt(d2[i]) / scale)
         if field is None:

@@ -34,8 +34,8 @@ import yaml
 
 from .analysis import cell_escape_summary, detect_closure, fit_ellipse, verify_pt_symmetry
 from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate
-from .models import DrivenPendulum, HamiltonianModel, Harmonic, ImaginaryCubic, PhaseState, Pendulum
-from .quadrature import contour_integral, elliptic_K, escape_time, escape_time_real_form, period_contour
+from .models import DrivenPendulum, HamiltonianModel, Harmonic, ImaginaryCubic, PhaseState, Pendulum, cell_index
+from .quadrature import _real_period, contour_integral, elliptic_K, escape_time, escape_time_real_form, period_contour
 from .turning import refine_root, turning_points
 
 __all__ = [
@@ -47,23 +47,6 @@ __all__ = [
     "list_scenarios",
     "main",
 ]
-
-_CATALOG = (
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "eq10",
-    "eq14",
-    "period-e0",
-)
 
 _ANALYSES = ("closure", "pt", "ellipse", "cells", "escape_time", "period")
 
@@ -281,14 +264,20 @@ _INTEGRATOR_KEYS = {
 }
 
 
+def _bundled_scenarios() -> dict:
+    """The bundled scenario files, by name in name order."""
+    files = (resources.files(__package__) / "scenarios").iterdir()
+    return {f.name.removesuffix(".yaml"): f for f in sorted(files, key=lambda f: f.name) if f.name.endswith(".yaml")}
+
+
 def _config_text(source) -> tuple[str, str]:
     """Return (yaml text, display name) for a path or bundled scenario name."""
     p = Path(source)
     if p.is_file():
         return p.read_text(), str(source)
-    if str(source) in _CATALOG:
-        res = resources.files(__package__) / "scenarios" / f"{source}.yaml"
-        return res.read_text(), str(source)
+    bundled = _bundled_scenarios().get(str(source))
+    if bundled is not None:
+        return bundled.read_text(), str(source)
     raise ConfigError(f"key 'config': no such file or bundled scenario: {source!r}")
 
 
@@ -401,6 +390,16 @@ def _validate_period_block(section) -> dict:
     }
 
 
+def _indexes_roots(starts, escape_block, period_block) -> bool:
+    """Whether a start or quadrature block names a turning point by its
+    index in the window's sorted roots."""
+    return (
+        any("turning_point" in s for s in starts)
+        or (escape_block is not None and isinstance(escape_block["turning_point"], int))
+        or (period_block is not None and any(isinstance(v, int) for v in period_block["pair"]))
+    )
+
+
 def load_scenario(source, overrides: dict | None = None) -> Scenario:
     """Parse and validate a scenario from a file path or bundled name.
 
@@ -471,12 +470,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     if needs_energy and energy is None:
         raise ConfigError("missing key 'energy': required by the starts or analyses")
 
-    needs_window = any("turning_point" in s for s in starts) or (
-        escape_block is not None and isinstance(escape_block["turning_point"], int)
-    ) or (
-        period_block is not None and any(isinstance(v, int) for v in period_block["pair"])
-    )
-    if needs_window and window is None:
+    if window is None and _indexes_roots(starts, escape_block, period_block):
         raise ConfigError("missing key 'window': required to index turning points")
 
     output = raw.get("output", {})
@@ -513,9 +507,14 @@ def _c2(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _resolve_roots(scn: Scenario):
-    """Window-sorted turning points, computed once per scenario."""
-    return turning_points(scn.model, scn.energy, scn.window, seed_grid=scn.seed_grid)
+def _find_roots(model, energy, window, **kw):
+    """Window-sorted turning points; an argument turning_points rejects
+    becomes a ConfigError naming it (the message starts with its name)."""
+    try:
+        return turning_points(model, energy, window, **kw)
+    except ValueError as exc:
+        arg = str(exc).split()[0]
+        raise ConfigError(f"key '{'model' if arg == 'g' else arg}': {exc}") from None
 
 
 def _resolve_starts(scn: Scenario, roots) -> list[PhaseState]:
@@ -555,7 +554,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, model: HamiltonianModel)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for s, (_, cell) in zip(traj.samples, traj.cell_history):
+        for s in traj.samples:
             e = model.energy(s)
             row = [
                 repr(float(s.t)),
@@ -567,7 +566,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, model: HamiltonianModel)
                 repr(e.imag),
             ]
             if driven:
-                row.append(str(cell))
+                row.append(str(cell_index(s.x)))
             writer.writerow(row)
 
 
@@ -664,7 +663,7 @@ def _quadrature_summary(scn: Scenario, roots) -> dict:
             entry["offset"] = block["offset"]
             raw = contour_integral(scn.model, scn.energy, pair, offset=block["offset"], tol=block["tol"])
             entry["imag_residual"] = abs(raw.imag)
-            entry["value"] = period_contour(scn.model, scn.energy, pair, offset=block["offset"], tol=block["tol"])
+            entry["value"] = _real_period(raw)
         except ConfigError:
             raise
         except Exception as exc:
@@ -684,11 +683,8 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, seed_grid=None, qu
         scn = load_scenario(source, {"out": out, "tol": tol, "horizon": horizon, "seed_grid": seed_grid})
 
         roots = None
-        needs_roots = any("turning_point" in s for s in scn.starts)
-        needs_roots = needs_roots or (scn.escape_block is not None and isinstance(scn.escape_block["turning_point"], int))
-        needs_roots = needs_roots or (scn.period_block is not None and any(isinstance(v, int) for v in scn.period_block["pair"]))
-        if needs_roots:
-            roots = _resolve_roots(scn)
+        if _indexes_roots(scn.starts, scn.escape_block, scn.period_block):
+            roots = _find_roots(scn.model, scn.energy, scn.window, seed_grid=scn.seed_grid)
         states = _resolve_starts(scn, roots)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -758,8 +754,7 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, seed_grid=None, qu
 def list_scenarios() -> list[tuple[str, str]]:
     """Print the bundled scenario catalog; return (name, description) pairs."""
     entries = []
-    for name in _CATALOG:
-        res = resources.files(__package__) / "scenarios" / f"{name}.yaml"
+    for name, res in _bundled_scenarios().items():
         doc = yaml.safe_load(res.read_text())
         entries.append((name, str(doc.get("description", ""))))
     width = max(len(n) for n, _ in entries)
@@ -784,10 +779,7 @@ def _cmd_turning_points(args) -> int:
     energy = _as_complex(args.energy, "energy")
     window = _parse_window_arg(args.window)
     tol = args.tol if args.tol is not None else 1e-12
-    try:
-        roots = turning_points(model, energy, window, seed_grid=args.seed_grid, residual_tol=tol)
-    except ValueError as exc:
-        raise ConfigError(f"key 'window': {exc}") from None
+    roots = _find_roots(model, energy, window, seed_grid=args.seed_grid, residual_tol=tol)
     for tp in roots:
         print(f"{tp.x0.real!r} {tp.x0.imag!r} cell={tp.lattice_index} branch={tp.branch_sign:+d}")
     return 0
@@ -825,7 +817,7 @@ def _cmd_period(args) -> int:
     else:
         # the adjacent pair nearest the origin
         span = 1.5 * math.pi
-        roots = turning_points(model, energy, (-span, span, -3.0, 3.0), seed_grid=args.seed_grid)
+        roots = _find_roots(model, energy, (-span, span, -3.0, 3.0), seed_grid=args.seed_grid)
         if len(roots) < 2:
             raise ConfigError("key 'pair': fewer than two turning points near the origin; pass --pair")
         ordered = sorted(roots, key=lambda tp: (abs(tp.x0), tp.x0.real, tp.x0.imag))

@@ -27,12 +27,17 @@ Integration may run backward in time by passing ``t_final`` smaller than
 the start time; samples are then ordered by decreasing t.  Optional
 ``t_checkpoints`` are landed on exactly, which makes runs comparable
 point-by-point across step-size choices.
+
+One stepper, ``_dopri``, owns the accept/reject/PI loop and the exact
+landing on checkpoints.  ``integrate`` watches the events above on its
+accepted steps; event polishing re-integrates short spans with the same
+stepper.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .models import HamiltonianModel, PhaseState, cell_index
 
@@ -46,7 +51,6 @@ __all__ = [
     "EventSpec",
     "Trajectory",
     "integrate",
-    "integrate_driven",
     "locate_return",
 ]
 
@@ -55,6 +59,14 @@ OPEN = "open"
 ESCAPED = "escaped"
 TRUNCATED = "truncated"
 BLOWUP = "blowup"
+
+# classification of a run that ends with the stepper's own stop reason
+_STOP_CLASSIFICATION = {
+    "horizon": OPEN,
+    "max_steps": TRUNCATED,
+    "step_underflow": TRUNCATED,
+    "non_finite": BLOWUP,
+}
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -149,8 +161,7 @@ class Trajectory:
     """Result of one integration run.
 
     samples are ordered along the direction of integration and start at
-    the initial state; cell_history holds (t, cell_index) for every
-    sample.  period is set exactly when classification == "closed",
+    the initial state.  period is set exactly when classification == "closed",
     escape_time exactly when classification == "escaped"; termination
     names the event that stopped the run ("closure", "escape", "horizon",
     "max_steps", "step_underflow", "overflow", "non_finite").
@@ -160,9 +171,13 @@ class Trajectory:
     classification: str
     period: float | None = None
     escape_time: float | None = None
-    cell_history: list[tuple[float, int]] = dataclass_field(default_factory=list)
     termination: str = ""
     model: HamiltonianModel | None = None
+
+    @property
+    def cell_history(self) -> list[tuple[float, int]]:
+        """(t, cell_index(x)) for every sample."""
+        return [(s.t, cell_index(s.x)) for s in self.samples]
 
     def energy_drift(self) -> float:
         """Worst relative energy error over the samples.
@@ -287,45 +302,87 @@ def _reject_h(h, err):
     return h / min(_FAC_SHRINK, err**_EXPO1 / _SAFE)
 
 
-def _advance(field, t0, x0, p0, t_target, rel_tol, abs_tol, max_step, min_step):
-    """Event-free re-integration from (t0, x0, p0) landing exactly on
-    t_target; used to polish event times.  Returns (x, p)."""
-    if t_target == t0:
-        return x0, p0
-    direction = 1.0 if t_target > t0 else -1.0
-    t, x, p = t0, x0, p0
-    k1x, k1p = field(t, x, p)
+def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf):
+    """The adaptive stepping loop shared by every integration run.
+
+    Steps from (t, x, p), with field value (k1x, k1p) there, landing
+    exactly on each time of ``stops`` in turn; the last one ends the run.
+    Yields (t, x, p, kx, kp) after every accepted step, (kx, kp) being the
+    field at the new state, and returns why it stopped: "horizon",
+    "max_steps", "step_underflow" (the controller wants steps below
+    min_step) or "non_finite" (halving a step with non-finite stages went
+    below min_step).  Callers watch for events and may stop early.
+    """
+    t_end = stops[-1]
+    direction = 1.0 if t_end > t else -1.0
     h_mag = _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_step)
-    h_mag = min(h_mag, abs(t_target - t0))
     facold = 1e-4
-    while (t_target - t) * direction > 0.0:
+    accepted = 0
+    i = 0
+    while (t_end - t) * direction > 0.0:
+        if accepted >= max_steps:
+            return "max_steps"
+        while (stops[i] - t) * direction <= 0.0:
+            i += 1
         h = direction * h_mag
-        remaining = t_target - t
+        remaining = stops[i] - t
         landed = False
         if abs(remaining) <= h_mag:
             h = remaining
             landed = True
         elif abs(remaining) < 2.0 * h_mag:
             h = 0.5 * remaining
+
         x1, p1, ex, ep, k7x, k7p = _step(field, t, x, p, h, k1x, k1p)
-        if not (_finite(x1, p1) and _finite(ex, ep)):
-            h_mag = 0.5 * abs(h)
-            if h_mag < min_step:
-                raise ArithmeticError("non-finite values while polishing an event")
-            continue
-        err = _error_norm(x, p, x1, p1, ex, ep, abs_tol, rel_tol)
+        bad = not (_finite(x1, p1) and _finite(ex, ep))
+        err = math.inf if bad else _error_norm(x, p, x1, p1, ex, ep, abs_tol, rel_tol)
         if err > 1.0:
-            h_mag = abs(_reject_h(h, err))
+            h_mag = 0.5 * abs(h) if bad else abs(_reject_h(h, err))
             if h_mag < min_step:
-                raise ArithmeticError("step underflow while polishing an event")
+                return "non_finite" if bad else "step_underflow"
             continue
-        t = t_target if landed else t + h
-        x, p = x1, p1
-        k1x, k1p = k7x, k7p
-        if not landed:
-            h_mag = min(abs(_next_h(h, err, facold)), max_step)
+
+        t = stops[i] if landed else t + h
+        x, p, k1x, k1p = x1, p1, k7x, k7p
+        yield t, x, p, k1x, k1p
+        accepted += 1
+
+        hnew = abs(_next_h(h, err, facold))
         facold = max(err, 1e-4)
+        if not (landed or abs(h) < h_mag):
+            # clipped steps say nothing about the error-optimal size
+            h_mag = min(hnew, max_step)
+            if h_mag < min_step:
+                # the controller itself wants sub-floor steps: the local
+                # timescale has collapsed (approaching a singularity)
+                return "step_underflow"
+    return "horizon"
+
+
+def _advance(field, t0, x0, p0, t_target, rel_tol, abs_tol, max_step, min_step):
+    """Event-free re-integration from (t0, x0, p0) landing exactly on
+    t_target; used to polish event times.  Returns (x, p)."""
+    t, x, p = t0, x0, p0
+    if t_target != t0:
+        k1x, k1p = field(t0, x0, p0)
+        for t, x, p, _, _ in _dopri(field, t0, x0, p0, k1x, k1p, [t_target], rel_tol, abs_tol, max_step, min_step):
+            pass
+    if t != t_target:
+        raise ArithmeticError(f"event polishing stopped at t={t!r} short of {t_target!r}")
     return x, p
+
+
+def _dist2(x, p, x0, p0) -> float:
+    """Squared phase-space distance from (x0, p0) to (x, p)."""
+    dx = x - x0
+    dp = p - p0
+    return dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
+
+
+def _is_dip(d_before: float, d: float, d_after: float, dmax_sq: float) -> bool:
+    """Whether the sampled squared distance d to the start is a candidate
+    return: a local minimum within half the orbit extent sqrt(dmax_sq)."""
+    return d < d_before and d <= d_after and d < 0.25 * dmax_sq
 
 
 def locate_return(
@@ -373,13 +430,6 @@ def locate_return(
         x, p = _advance(field, base[0], base[1], base[2], tau, rel_tol, abs_tol, max_step, min_step)
         kx, kp = field(tau, x, p)
         return x, p, kx, kp
-
-    def dist(x, p):
-        dx = x - x0
-        dp = p - p0
-        return math.sqrt(
-            dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
-        )
 
     g_lo = g_of(xa, pa, kax, kap)
     g_hi = g_of(xc, pc, kcx, kcp)
@@ -430,7 +480,7 @@ def locate_return(
     aligned = (
         kx.real * k0x.real + kx.imag * k0x.imag + kp.real * k0p.real + kp.imag * k0p.imag
     ) > 0.0
-    return t_star, x_star, p_star, dist(x_star, p_star) / scale, aligned
+    return t_star, x_star, p_star, math.sqrt(_dist2(x_star, p_star, x0, p0)) / scale, aligned
 
 
 def _locate_escape(field, ta, xa, pa, tb, radius, rel_tol, abs_tol, max_step, min_step):
@@ -491,108 +541,65 @@ def integrate(
         cps = [c for c in cps if (c - t0) * direction > 0.0 and (t_end - c) * direction > 0.0]
     else:
         cps = []
-    cp_idx = 0
 
     samples = [PhaseState(x0, p0, t0)]
-    cells = [(t0, cell_index(x0))]
 
-    k1x, k1p = field(t0, x0, p0)
-    if not _finite(complex(k1x), complex(k1p)):
+    k0x, k0p = field(t0, x0, p0)
+    if not _finite(complex(k0x), complex(k0p)):
         raise ValueError("vector field is not finite at the start state")
-    k0x, k0p = k1x, k1p
-    h_mag = _initial_step(field, t0, x0, p0, k1x, k1p, direction, cfg.abs_tol, cfg.rel_tol, cfg.max_step)
 
     # polish runs use a slightly tighter tolerance so event times are not
     # limited by the refinement itself
     pol_rel = max(cfg.rel_tol * 0.1, 1e-14)
     pol_abs = max(cfg.abs_tol * 0.1, 1e-16)
 
-    t, x, p = t0, x0, p0
-    facold = 1e-4
-    accepted = 0
     dmax_sq = 0.0
     prev2 = None
-    prev1 = (t0, x0, p0, 0.0, k1x, k1p)
-
-    classification = OPEN
-    termination = "horizon"
+    prev1 = (t0, x0, p0, 0.0, k0x, k0p)
     period = None
     escape_time = None
 
+    steps = _dopri(
+        field, t0, x0, p0, k0x, k0p, cps + [t_end],
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps,
+    )
     while True:
-        if (t_end - t) * direction <= 0.0:
-            classification, termination = OPEN, "horizon"
+        try:
+            t1, x1, p1, k1x, k1p = next(steps)
+        except StopIteration as stop:
+            termination = stop.value
+            classification = _STOP_CLASSIFICATION[termination]
             break
-        if accepted >= cfg.max_steps:
-            classification, termination = TRUNCATED, "max_steps"
-            break
-
-        # next stop: horizon or pending checkpoint
-        while cp_idx < len(cps) and (cps[cp_idx] - t) * direction <= 0.0:
-            cp_idx += 1
-        t_stop = cps[cp_idx] if cp_idx < len(cps) else t_end
-
-        h = direction * min(h_mag, cfg.max_step)
-        remaining = t_stop - t
-        landed = False
-        if abs(remaining) <= abs(h):
-            h = remaining
-            landed = True
-        elif abs(remaining) < 2.0 * abs(h):
-            h = 0.5 * remaining
-
-        x1, p1, ex, ep, k7x, k7p = _step(field, t, x, p, h, k1x, k1p)
-        bad = not (_finite(x1, p1) and _finite(ex, ep))
-        err = math.inf if bad else _error_norm(x, p, x1, p1, ex, ep, cfg.abs_tol, cfg.rel_tol)
-
-        if err > 1.0:
-            h_mag = 0.5 * abs(h) if bad else abs(_reject_h(h, err))
-            if h_mag < cfg.min_step:
-                classification, termination = (
-                    (BLOWUP, "non_finite") if bad else (TRUNCATED, "step_underflow")
-                )
-                break
-            continue
-
-        t1 = t_stop if landed else t + h
 
         if (
             max(abs(x1.real), abs(x1.imag), abs(p1.real), abs(p1.imag))
             > cfg.overflow_guard
         ):
             samples.append(PhaseState(x1, p1, t1))
-            cells.append((t1, cell_index(x1)))
             classification, termination = BLOWUP, "overflow"
             break
 
         if watch_escape and abs(x1.imag) >= cfg.escape_radius:
+            last = samples[-1]
             te, xe, pe = _locate_escape(
-                field, t, x, p, t1, cfg.escape_radius, pol_rel, pol_abs, cfg.max_step, cfg.min_step
+                field, last.t, last.x, last.p, t1, cfg.escape_radius, pol_rel, pol_abs, cfg.max_step, cfg.min_step
             )
             samples.append(PhaseState(xe, pe, te))
-            cells.append((te, cell_index(xe)))
             classification, termination = ESCAPED, "escape"
             escape_time = abs(te - t0)
             break
 
-        current = None
         if watch_closure:
-            dx = x1 - x0
-            dp = p1 - p0
-            d2 = dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
+            d2 = _dist2(x1, p1, x0, p0)
             if d2 > dmax_sq:
                 dmax_sq = d2
-            current = (t1, x1, p1, d2, k7x, k7p)
+            current = (t1, x1, p1, d2, k1x, k1p)
             if (
                 prev2 is not None
-                and prev1[3] < prev2[3]
-                and prev1[3] <= d2
-                and dmax_sq > 1e-6
-                and prev1[3] < 0.25 * dmax_sq
+                and _is_dip(prev2[3], prev1[3], d2, dmax_sq)
                 and (prev1[0] - t0) * direction >= ev.min_period
             ):
-                scale = math.sqrt(dmax_sq)
-                hit = locate_return(
+                t_star, x_star, p_star, dist_scaled, aligned = locate_return(
                     field,
                     t0,
                     x0,
@@ -602,77 +609,28 @@ def integrate(
                     prev2,
                     prev1,
                     current,
-                    scale,
+                    math.sqrt(dmax_sq),
                     pol_rel,
                     pol_abs,
                     cfg.max_step,
                     cfg.min_step,
                 )
-                if hit is not None:
-                    t_star, x_star, p_star, dist_scaled, aligned = hit
-                    if dist_scaled <= ev.closure_tol and aligned:
-                        while samples and (samples[-1].t - t_star) * direction >= 0.0:
-                            samples.pop()
-                            cells.pop()
-                        samples.append(PhaseState(x_star, p_star, t_star))
-                        cells.append((t_star, cell_index(x_star)))
-                        classification, termination = CLOSED, "closure"
-                        period = abs(t_star - t0)
-                        break
-
-        samples.append(PhaseState(x1, p1, t1))
-        cells.append((t1, cell_index(x1)))
-        accepted += 1
-        if watch_closure:
+                if dist_scaled <= ev.closure_tol and aligned:
+                    while samples and (samples[-1].t - t_star) * direction >= 0.0:
+                        samples.pop()
+                    samples.append(PhaseState(x_star, p_star, t_star))
+                    classification, termination = CLOSED, "closure"
+                    period = abs(t_star - t0)
+                    break
             prev2, prev1 = prev1, current
 
-        hnew = abs(_next_h(h, err, facold))
-        facold = max(err, 1e-4)
-        if not (landed or abs(h) < h_mag):
-            # clipped steps say nothing about the error-optimal size
-            h_mag = min(hnew, cfg.max_step)
-            if h_mag < cfg.min_step:
-                # the controller itself wants sub-floor steps: the local
-                # timescale has collapsed (approaching a singularity)
-                classification, termination = TRUNCATED, "step_underflow"
-                t, x, p = t1, x1, p1
-                break
-        k1x, k1p = k7x, k7p
-        t, x, p = t1, x1, p1
+        samples.append(PhaseState(x1, p1, t1))
 
     return Trajectory(
         samples=samples,
         classification=classification,
         period=period,
         escape_time=escape_time,
-        cell_history=cells,
         termination=termination,
         model=model,
-    )
-
-
-def integrate_driven(
-    model: HamiltonianModel,
-    start: PhaseState,
-    config: IntegratorConfig | None = None,
-    *,
-    t_final: float | None = None,
-    t_checkpoints=None,
-) -> Trajectory:
-    """Integrate a driven (non-autonomous) model.
-
-    Closure detection is switched off, since the flow has no conserved
-    energy and phase-space returns are not periodic orbits; escape and
-    blow-up guards stay active, and cell_history records the strip index
-    at every sample.
-    """
-    if model.autonomous:
-        raise ValueError("integrate_driven expects a non-autonomous model")
-    return integrate(
-        model,
-        start,
-        config,
-        EventSpec(closure=False, escape=True),
-        t_final=t_final,
-        t_checkpoints=t_checkpoints,
     )

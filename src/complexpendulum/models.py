@@ -13,14 +13,8 @@ kinds).  Four families are provided:
 * ``ImaginaryCubic``:   V(x) = i x^3
 * ``DrivenPendulum``:   pendulum plus the force eps * sin(omega * t)
 
-Complex trigonometric values are computed from the entire extensions
-
-    cos(a + ib) = cos a cosh b - i sin a sinh b
-    sin(a + ib) = sin a cosh b + i cos a sinh b
-
-so behaviour far from the real axis is explicit and library-independent.
-Models are frozen dataclasses; all methods are pure functions of their
-arguments.
+Complex trigonometric values come from ``cmath``.  Models are frozen
+dataclasses; all methods are pure functions of their arguments.
 """
 from __future__ import annotations
 
@@ -35,22 +29,8 @@ __all__ = [
     "Harmonic",
     "ImaginaryCubic",
     "DrivenPendulum",
-    "complex_cos",
-    "complex_sin",
     "cell_index",
 ]
-
-
-def complex_cos(z: complex) -> complex:
-    """Entire extension of the cosine: cos(a+ib) = cos a cosh b - i sin a sinh b."""
-    a, b = z.real, z.imag
-    return complex(math.cos(a) * math.cosh(b), -math.sin(a) * math.sinh(b))
-
-
-def complex_sin(z: complex) -> complex:
-    """Entire extension of the sine: sin(a+ib) = sin a cosh b + i cos a sinh b."""
-    a, b = z.real, z.imag
-    return complex(math.sin(a) * math.cosh(b), math.cos(a) * math.sinh(b))
 
 
 def cell_index(x: complex) -> int:
@@ -144,10 +124,10 @@ class Pendulum(HamiltonianModel):
     kind = "pendulum"
 
     def potential(self, x: complex, t: float = 0.0) -> complex:
-        return -self.g * complex_cos(x)
+        return -self.g * cmath.cos(x)
 
     def gradient(self, x: complex) -> complex:
-        return self.g * complex_sin(x)
+        return self.g * cmath.sin(x)
 
     def pt_reflection(self, x: complex) -> complex:
         """Spatial half of the PT map.

@@ -473,7 +473,12 @@ def period_contour(
     real; an imaginary part above 1e-6 signals branch-tracking failure
     and raises ``BranchInconsistency``.
     """
-    total = contour_integral(model, energy, tp_pair, offset, tol=tol, guide_points=guide_points)
+    return _real_period(contour_integral(model, energy, tp_pair, offset, tol=tol, guide_points=guide_points))
+
+
+def _real_period(total: complex) -> float:
+    """The period from a raw contour integral: its real part, once the
+    imaginary residue is checked to be negligible."""
     if abs(total.imag) > 1e-6:
         raise BranchInconsistency(f"period integral has imaginary residue {total.imag:.3e}")
     return abs(total.real)

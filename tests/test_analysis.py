@@ -177,11 +177,11 @@ class TestRealLibration:
 
 class TestCellEscapeSummary:
     def test_compression(self):
-        hist = [(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1), (4.0, 0)]
+        # x in cells 0, 0, 1, 1, 0
+        xs = [0j, 1 + 1j, 2 * PI + 0.5j, 3 * PI - 0.1, 0.5 - 2j]
         traj = Trajectory(
-            samples=[PhaseState(0j, 0j, t) for t, _ in hist],
+            samples=[PhaseState(x, 0j, float(t)) for t, x in enumerate(xs)],
             classification="open",
-            cell_history=hist,
         )
         assert cell_escape_summary(traj) == [(2.0, 0, 1), (4.0, 1, 0)]
 

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from complexpendulum.cli import (
-    _CATALOG,
     ConfigError,
+    _bundled_scenarios,
     list_scenarios,
     load_scenario,
     main,
@@ -46,10 +46,13 @@ class TestParseComplex:
             parse_complex(text)
 
 
+BUNDLED = list(_bundled_scenarios())
+
+
 class TestCatalog:
     def test_all_bundled_scenarios_load(self):
-        assert len(_CATALOG) == 14
-        for name in _CATALOG:
+        assert len(BUNDLED) == 14
+        for name in BUNDLED:
             scn = load_scenario(name, {})
             assert scn.name == name
             assert scn.starts
@@ -57,7 +60,7 @@ class TestCatalog:
     def test_listing(self, capsys):
         entries = list_scenarios()
         names = [n for n, _ in entries]
-        assert names == list(_CATALOG)
+        assert names == BUNDLED
         by_name = dict(entries)
         assert "g=i, E=sinh 1" in by_name["fig7"]
         assert "E=-cosh 1" in by_name["fig6"]
@@ -67,7 +70,7 @@ class TestCatalog:
     def test_list_subcommand(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in _CATALOG:
+        for name in BUNDLED:
             assert name in out
 
 
@@ -208,6 +211,29 @@ starts:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "turning_point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("window: [0, 2pi, -2, 2]", "window: [1, 0, -1, 1]", "key 'window'"),
+            ("  g: 1\n", "  g: 0\n", "key 'model': g "),
+        ],
+    )
+    def test_root_resolution_errors_name_the_key(self, tmp_path, capsys, old, new, key):
+        text = """\
+name: bad-roots
+description: turning-point start the roots cannot be resolved for
+model:
+  kind: pendulum
+  g: 1
+energy: 1.5430806348152437
+window: [0, 2pi, -2, 2]
+starts:
+  - turning_point: 0
+"""
+        cfg = write_scenario(tmp_path, text.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, TINY_SCENARIO)
         blocker = tmp_path / "blocker"
@@ -224,6 +250,18 @@ starts:
 
 
 class TestMathSubcommands:
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["turning-points", "pendulum", "1", "1,0,-1,1"], "key 'window'"),
+            (["turning-points", "pendulum:g=0", "1", "0,1,-1,1"], "key 'model': g "),
+            (["period", "pendulum:g=0", "1"], "key 'model': g "),
+        ],
+    )
+    def test_root_resolution_errors_name_the_key(self, capsys, argv, key):
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+
     def test_turning_points(self, capsys):
         code = main(
             ["turning-points", "pendulum:g=1", "1.5430806348152437", "-3pi,3pi,-2,2"]

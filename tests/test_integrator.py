@@ -17,6 +17,7 @@ from complexpendulum import (
     Pendulum,
     PhaseState,
     Trajectory,
+    detect_closure,
     integrate,
 )
 
@@ -78,6 +79,18 @@ class TestClosure:
         traj = integrate(model, start)
         assert traj.classification == CLOSED
         assert abs(traj.period - PERIOD_E0) < 1e-5 * PERIOD_E0
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 10.0])
+    def test_closure_is_scale_free(self, lam):
+        # harmonic flow is linear: every amplitude closes at 2 pi
+        start = PhaseState(lam * (1 + 1j), 0j)
+        cfg = IntegratorConfig(max_time=20.0)
+        traj = integrate(Harmonic(), start, cfg)
+        assert traj.classification == CLOSED
+        assert abs(traj.period - 2 * PI) < 1e-8
+        rep = detect_closure(integrate(Harmonic(), start, cfg, EventSpec(closure=False)))
+        assert rep.closed
+        assert abs(rep.period - 2 * PI) < 1e-8
 
     def test_period_recorded_only_when_closed(self):
         model, start = pendulum_start(0.2j)

@@ -1,5 +1,4 @@
 """Potentials, energies, vector fields, and momentum inversion."""
-import cmath
 import math
 
 import pytest
@@ -13,8 +12,6 @@ from complexpendulum import (
     Pendulum,
     PhaseState,
     cell_index,
-    complex_cos,
-    complex_sin,
 )
 
 PEND = Pendulum(g=1.0)
@@ -32,18 +29,35 @@ finite_complex = st.builds(
 all_models = st.sampled_from([PEND, Pendulum(g=1j), SHO, CUBIC])
 
 
+def cos_formula(z):
+    """cos(a+ib) = cos a cosh b - i sin a sinh b."""
+    a, b = z.real, z.imag
+    return complex(math.cos(a) * math.cosh(b), -math.sin(a) * math.sinh(b))
+
+
+def sin_formula(z):
+    """sin(a+ib) = sin a cosh b + i cos a sinh b."""
+    a, b = z.real, z.imag
+    return complex(math.sin(a) * math.cosh(b), math.cos(a) * math.sinh(b))
+
+
 class TestComplexTrig:
-    @given(z=finite_complex)
-    def test_cos_matches_cmath(self, z):
-        assert abs(complex_cos(z) - cmath.cos(z)) <= 1e-12 * max(1.0, abs(cmath.cos(z)))
+    """Pendulum V = -g cos x and V' = g sin x against the explicit
+    entire extensions of cos and sin."""
 
     @given(z=finite_complex)
-    def test_sin_matches_cmath(self, z):
-        assert abs(complex_sin(z) - cmath.sin(z)) <= 1e-12 * max(1.0, abs(cmath.sin(z)))
+    def test_potential_matches_cos_formula(self, z):
+        c = cos_formula(z)
+        assert abs(PEND.potential(z) + c) <= 1e-12 * max(1.0, abs(c))
+
+    @given(z=finite_complex)
+    def test_gradient_matches_sin_formula(self, z):
+        s = sin_formula(z)
+        assert abs(PEND.gradient(z) - s) <= 1e-12 * max(1.0, abs(s))
 
     @given(z=finite_complex)
     def test_pythagorean_identity(self, z):
-        s, c = complex_sin(z), complex_cos(z)
+        s, c = PEND.gradient(z), -PEND.potential(z)
         assert abs(s * s + c * c - 1.0) <= 1e-10 * max(1.0, abs(s) ** 2 + abs(c) ** 2)
 
 
