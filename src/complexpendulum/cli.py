@@ -21,7 +21,6 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -547,27 +546,19 @@ def _resolve_tp(scn: Scenario, spec, roots) -> complex:
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, model: HamiltonianModel) -> None:
+    """Stream one row per sample: t, x, p and H = p^2/2 + V(x) as the
+    repr of each real part (round-trip exact; never needs CSV quoting),
+    plus the 2*pi cell index of x for driven runs."""
     driven = not model.autonomous
-    header = ["t", "re_x", "im_x", "re_p", "im_p", "re_E", "im_E"]
-    if driven:
-        header.append("cell")
+    potential = model.potential
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        write = fh.write
+        write("t,re_x,im_x,re_p,im_p,re_E,im_E,cell\n" if driven else "t,re_x,im_x,re_p,im_p,re_E,im_E\n")
         for s in traj.samples:
-            e = model.energy(s)
-            row = [
-                repr(float(s.t)),
-                repr(complex(s.x).real),
-                repr(complex(s.x).imag),
-                repr(complex(s.p).real),
-                repr(complex(s.p).imag),
-                repr(e.real),
-                repr(e.imag),
-            ]
-            if driven:
-                row.append(str(cell_index(s.x)))
-            writer.writerow(row)
+            t, x, p = s.t, s.x, s.p
+            e = 0.5 * p * p + potential(x, t)
+            row = f"{t!r},{x.real!r},{x.imag!r},{p.real!r},{p.imag!r},{e.real!r},{e.imag!r}"
+            write(f"{row},{cell_index(x)}\n" if driven else row + "\n")
 
 
 def _trajectory_record(scn: Scenario, index: int, state: PhaseState, traj: Trajectory | None, error: str | None, fname: str | None) -> dict:
@@ -616,8 +607,11 @@ def _trajectory_record(scn: Scenario, index: int, state: PhaseState, traj: Traje
                 }
             elif analysis == "cells":
                 transitions = cell_escape_summary(traj)
+                # every cell a sample lies in is the start cell or entered by a transition
+                visited = {cell_index(s.x) for s in traj.samples[:1]}
+                visited.update(b for _, _, b in transitions)
                 rec["cells"] = {
-                    "visited": sorted({c for _, c in traj.cell_history}),
+                    "visited": sorted(visited),
                     "transitions": [[t, a, b] for t, a, b in transitions],
                 }
         except Exception as exc:  # recorded, not fatal: one bad analysis

@@ -29,9 +29,13 @@ the start time; samples are then ordered by decreasing t.  Optional
 point-by-point across step-size choices.
 
 One stepper, ``_dopri``, owns the accept/reject/PI loop and the exact
-landing on checkpoints.  ``integrate`` watches the events above on its
-accepted steps; event polishing re-integrates short spans with the same
-stepper.
+landing on checkpoints.  It is one fused sweep: the stage evaluations,
+the finiteness screen and the error norm are written out in its loop
+body, which saves CPython's per-call overhead on every step.
+The order of its complex expressions is frozen, since the bundled
+scenario outputs are reproduced byte for byte (see ``_dopri``).
+``integrate`` watches the events above on its accepted steps; event
+polishing re-integrates short spans with the same stepper.
 """
 from __future__ import annotations
 
@@ -191,11 +195,14 @@ class Trajectory:
         """
         if self.model is None:
             raise ValueError("trajectory carries no model")
+        potential = self.model.potential
         e0 = self.model.energy(self.samples[0])
         worst = 0.0
         for s in self.samples:
-            local = 0.5 * abs(s.p) ** 2 + abs(self.model.potential(s.x, s.t))
-            dev = abs(self.model.energy(s) - e0) / max(1.0, abs(e0), local)
+            # one potential evaluation for H = p^2/2 + V and the local scale
+            v = potential(s.x, s.t)
+            local = 0.5 * abs(s.p) ** 2 + abs(v)
+            dev = abs(0.5 * s.p * s.p + v - e0) / max(1.0, abs(e0), local)
             worst = max(worst, dev)
         return worst
 
@@ -207,55 +214,6 @@ def _finite(x: complex, p: complex) -> bool:
         and math.isfinite(p.real)
         and math.isfinite(p.imag)
     )
-
-
-def _step(field, t, x, p, h, k1x, k1p):
-    """One Dormand-Prince sweep from (t, x, p) with first stage (k1x, k1p).
-
-    Returns the 5th-order state, the embedded error estimate, and the
-    final stage, which equals the first stage of the next step.
-    """
-    k2x, k2p = field(t + _C2 * h, x + h * (_A21 * k1x), p + h * (_A21 * k1p))
-    k3x, k3p = field(
-        t + _C3 * h,
-        x + h * (_A31 * k1x + _A32 * k2x),
-        p + h * (_A31 * k1p + _A32 * k2p),
-    )
-    k4x, k4p = field(
-        t + _C4 * h,
-        x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-        p + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p),
-    )
-    k5x, k5p = field(
-        t + _C5 * h,
-        x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-        p + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p),
-    )
-    k6x, k6p = field(
-        t + h,
-        x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
-        p + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p),
-    )
-    x5 = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-    p5 = p + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
-    k7x, k7p = field(t + h, x5, p5)
-    ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-    ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)
-    return x5, p5, ex, ep, k7x, k7p
-
-
-def _error_norm(x0, p0, x1, p1, ex, ep, abs_tol, rel_tol):
-    s = 0.0
-    for e, a, b in (
-        (ex.real, x0.real, x1.real),
-        (ex.imag, x0.imag, x1.imag),
-        (ep.real, p0.real, p1.real),
-        (ep.imag, p0.imag, p1.imag),
-    ):
-        sc = abs_tol + rel_tol * max(abs(a), abs(b))
-        r = e / sc
-        s += r * r
-    return math.sqrt(0.25 * s)
 
 
 def _scaled_norm(x, p, xref, pref, abs_tol, rel_tol):
@@ -312,7 +270,21 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     "max_steps", "step_underflow" (the controller wants steps below
     min_step) or "non_finite" (halving a step with non-finite stages went
     below min_step).  Callers watch for events and may stop early.
+
+    One fused sweep: the seven stages, the finiteness screen and the
+    mixed-tolerance RMS error norm over the four real components are
+    written out in the loop body rather than called as helpers, which
+    saves CPython's call and tuple overhead.  The complex expressions are
+    frozen in their order: a float times a complex is a full complex
+    product, so folding ``h`` into the tableau weights or splitting into
+    real arithmetic would change rounding and signed zeros, and with them
+    the bundled outputs.  The field is called through ``field`` and step-size
+    updates through the module functions ``_next_h`` (once per accepted
+    step) and ``_reject_h`` (once per rejected step), the names the
+    benchmark's counters wrap.
     """
+    isfinite = math.isfinite
+    sqrt = math.sqrt
     t_end = stops[-1]
     direction = 1.0 if t_end > t else -1.0
     h_mag = _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_step)
@@ -333,13 +305,58 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
         elif abs(remaining) < 2.0 * h_mag:
             h = 0.5 * remaining
 
-        x1, p1, ex, ep, k7x, k7p = _step(field, t, x, p, h, k1x, k1p)
-        bad = not (_finite(x1, p1) and _finite(ex, ep))
-        err = math.inf if bad else _error_norm(x, p, x1, p1, ex, ep, abs_tol, rel_tol)
-        if err > 1.0:
-            h_mag = 0.5 * abs(h) if bad else abs(_reject_h(h, err))
+        k2x, k2p = field(t + _C2 * h, x + h * (_A21 * k1x), p + h * (_A21 * k1p))
+        k3x, k3p = field(
+            t + _C3 * h,
+            x + h * (_A31 * k1x + _A32 * k2x),
+            p + h * (_A31 * k1p + _A32 * k2p),
+        )
+        k4x, k4p = field(
+            t + _C4 * h,
+            x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
+            p + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p),
+        )
+        k5x, k5p = field(
+            t + _C5 * h,
+            x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+            p + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p),
+        )
+        k6x, k6p = field(
+            t + h,
+            x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
+            p + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p),
+        )
+        x1 = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+        p1 = p + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
+        k7x, k7p = field(t + h, x1, p1)
+        ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
+        ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)
+
+        x1r, x1i, p1r, p1i = x1.real, x1.imag, p1.real, p1.imag
+        exr, exi, epr, epi = ex.real, ex.imag, ep.real, ep.imag
+        if not (
+            isfinite(x1r) and isfinite(x1i) and isfinite(p1r) and isfinite(p1i)
+            and isfinite(exr) and isfinite(exi) and isfinite(epr) and isfinite(epi)
+        ):
+            h_mag = 0.5 * abs(h)
             if h_mag < min_step:
-                return "non_finite" if bad else "step_underflow"
+                return "non_finite"
+            continue
+        # RMS of error / (abs_tol + rel_tol * max(|old|, |new|)); every
+        # value is finite here, so the conditionals equal max()
+        a, b = abs(x.real), abs(x1r)
+        rxr = exr / (abs_tol + rel_tol * (b if b > a else a))
+        a, b = abs(x.imag), abs(x1i)
+        rxi = exi / (abs_tol + rel_tol * (b if b > a else a))
+        a, b = abs(p.real), abs(p1r)
+        rpr = epr / (abs_tol + rel_tol * (b if b > a else a))
+        a, b = abs(p.imag), abs(p1i)
+        rpi = epi / (abs_tol + rel_tol * (b if b > a else a))
+        err = sqrt(0.25 * (rxr * rxr + rxi * rxi + rpr * rpr + rpi * rpi))
+        if err > 1.0:
+            h_mag = abs(_reject_h(h, err))
+            if h_mag < min_step:
+                return "step_underflow"
             continue
 
         t = stops[i] if landed else t + h
@@ -563,6 +580,9 @@ def integrate(
         field, t0, x0, p0, k0x, k0p, cps + [t_end],
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps,
     )
+    guard = cfg.overflow_guard
+    radius = cfg.escape_radius
+    append = samples.append
     while True:
         try:
             t1, x1, p1, k1x, k1p = next(steps)
@@ -571,20 +591,17 @@ def integrate(
             classification = _STOP_CLASSIFICATION[termination]
             break
 
-        if (
-            max(abs(x1.real), abs(x1.imag), abs(p1.real), abs(p1.imag))
-            > cfg.overflow_guard
-        ):
-            samples.append(PhaseState(x1, p1, t1))
+        if abs(x1.real) > guard or abs(x1.imag) > guard or abs(p1.real) > guard or abs(p1.imag) > guard:
+            append(PhaseState(x1, p1, t1))
             classification, termination = BLOWUP, "overflow"
             break
 
-        if watch_escape and abs(x1.imag) >= cfg.escape_radius:
+        if watch_escape and abs(x1.imag) >= radius:
             last = samples[-1]
             te, xe, pe = _locate_escape(
-                field, last.t, last.x, last.p, t1, cfg.escape_radius, pol_rel, pol_abs, cfg.max_step, cfg.min_step
+                field, last.t, last.x, last.p, t1, radius, pol_rel, pol_abs, cfg.max_step, cfg.min_step
             )
-            samples.append(PhaseState(xe, pe, te))
+            append(PhaseState(xe, pe, te))
             classification, termination = ESCAPED, "escape"
             escape_time = abs(te - t0)
             break
@@ -618,13 +635,13 @@ def integrate(
                 if dist_scaled <= ev.closure_tol and aligned:
                     while samples and (samples[-1].t - t_star) * direction >= 0.0:
                         samples.pop()
-                    samples.append(PhaseState(x_star, p_star, t_star))
+                    append(PhaseState(x_star, p_star, t_star))
                     classification, termination = CLOSED, "closure"
                     period = abs(t_star - t0)
                     break
             prev2, prev1 = prev1, current
 
-        samples.append(PhaseState(x1, p1, t1))
+        append(PhaseState(x1, p1, t1))
 
     return Trajectory(
         samples=samples,

@@ -150,6 +150,24 @@ class TestRunScenario:
         header = (out / "traj_00.csv").read_text().splitlines()[0]
         assert header == "t,re_x,im_x,re_p,im_p,re_E,im_E,cell"
 
+    def test_visited_cells_are_the_cells_of_the_samples(self, tmp_path):
+        # strong drive: the run leaves cell 0, comes back and moves on,
+        # so transitions repeat cells; the CSV's cell column is the
+        # trajectory's cell_history
+        cfg = write_scenario(
+            tmp_path,
+            DRIVEN_SCENARIO.replace("epsilon: 0.2", "epsilon: 0.5")
+            .replace("omega: 0.1", "omega: 1.0")
+            .replace("horizon: 5.0", "horizon: 40.0"),
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        cells = json.loads((out / "summary.json").read_text())["trajectories"][0]["cells"]
+        rows = (out / "traj_00.csv").read_text().splitlines()[1:]
+        history = {int(row.rsplit(",", 1)[1]) for row in rows}
+        assert len(cells["transitions"]) >= len(history)  # some cell is entered twice
+        assert cells["visited"] == sorted(history)
+
     def test_autonomous_csv_has_no_cell_column(self, tmp_path):
         cfg = write_scenario(tmp_path, TINY_SCENARIO)
         out = tmp_path / "out"

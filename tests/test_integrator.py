@@ -11,6 +11,7 @@ from complexpendulum import (
     TRUNCATED,
     DrivenPendulum,
     EventSpec,
+    HamiltonianModel,
     Harmonic,
     ImaginaryCubic,
     IntegratorConfig,
@@ -147,6 +148,26 @@ class TestConservation:
         d_tight = integrate(model, start, tight, NO_EVENTS, t_final=7.0).energy_drift()
         assert d_tight < d_loose / 5.0
 
+    def test_drift_evaluates_the_potential_once_per_sample(self):
+        calls = []
+
+        class CountedHarmonic(Harmonic):
+            def potential(self, x, t=0.0):
+                calls.append(t)
+                return super().potential(x, t)
+
+        model = CountedHarmonic()
+        traj = integrate(model, PhaseState(1 + 1j, 1 - 1j), events=NO_EVENTS, t_final=3.0)
+        calls.clear()
+        drift = traj.energy_drift()
+        assert len(calls) == len(traj.samples) + 1
+        # bit for bit the value of H through model.energy
+        e0 = model.energy(traj.samples[0])
+        assert drift == max(
+            abs(model.energy(s) - e0) / max(1.0, abs(e0), 0.5 * abs(s.p) ** 2 + abs(model.potential(s.x, s.t)))
+            for s in traj.samples
+        )
+
     def test_drift_requires_model(self):
         with pytest.raises(ValueError):
             Trajectory(samples=[PhaseState(0j, 0j)], classification=OPEN).energy_drift()
@@ -210,6 +231,22 @@ class TestFailureModes:
         traj = integrate(model, start, cfg, NO_EVENTS)
         assert traj.classification == TRUNCATED
         assert traj.termination == "max_steps"
+
+    def test_non_finite_stages_end_in_blowup(self):
+        # the field is NaN beyond Re x = 1: steps into the wall are halved
+        # until they fall below min_step, leaving the run just short of it
+        class NanWall(HamiltonianModel):
+            def potential(self, x, t=0.0):
+                return 0j
+
+            def gradient(self, x):
+                return complex(math.nan, 0.0) if x.real >= 1.0 else 0j
+
+        traj = integrate(NanWall(), PhaseState(0j, 1 + 0j), IntegratorConfig(max_time=5.0), NO_EVENTS)
+        assert traj.classification == BLOWUP
+        assert traj.termination == "non_finite"
+        assert len(traj.samples) == 26
+        assert 1.0 - 1e-9 < traj.samples[-1].x.real < 1.0
 
     def test_empty_span_rejected(self):
         model, start = pendulum_start(0.2j)
