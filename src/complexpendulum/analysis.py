@@ -162,7 +162,6 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
 def verify_pt_symmetry(
     model,
     traj: Trajectory,
-    tol: float = 1e-6,
     *,
     config: IntegratorConfig | None = None,
     max_points: int = 800,
@@ -177,8 +176,7 @@ def verify_pt_symmetry(
         deviation(t) = max(|X(-t) - M(x(t))|, |P(-t) - conj(p(t))|)
 
     The report carries the maximum over up to ``max_points`` sample
-    times; ``tol`` is the deviation below which callers should consider
-    the symmetry verified (recorded for reporting, not enforced here).
+    times; judging it against a tolerance is left to the caller.
     """
     if model is None:
         raise ValueError("a model is required")

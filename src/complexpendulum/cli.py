@@ -233,7 +233,6 @@ class Scenario:
     escape_block: dict | None
     period_block: dict | None
     out_dir: Path
-    seed_grid: float
 
 
 _TOP_KEYS = {
@@ -403,7 +402,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     """Parse and validate a scenario from a file path or bundled name.
 
     ``overrides`` may carry values from command-line flags: out (directory),
-    tol (integrator rel_tol; abs_tol follows at tol/100), horizon, seed_grid.
+    tol (integrator rel_tol; abs_tol follows at tol/100), horizon.
     """
     ov = overrides or {}
     text, display = _config_text(source)
@@ -479,8 +478,6 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         raise ConfigError(f"key 'output.format': only 'csv' is supported, got {fmt!r}")
     out_dir = Path(ov["out"]) if ov.get("out") else Path(output.get("directory", Path("out") / name))
 
-    seed_grid = ov.get("seed_grid") or 0.5
-
     return Scenario(
         name=name,
         description=description,
@@ -494,7 +491,6 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         escape_block=escape_block,
         period_block=period_block,
         out_dir=out_dir,
-        seed_grid=seed_grid,
     )
 
 
@@ -666,7 +662,7 @@ def _quadrature_summary(scn: Scenario, roots) -> dict:
     return out
 
 
-def run_scenario(source, *, out=None, tol=None, horizon=None, seed_grid=None, quiet=False) -> int:
+def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> int:
     """Execute a scenario config (path or bundled name); return the exit code.
 
     0 on success, 2 on configuration errors, 3 on I/O failures.  Engine
@@ -674,11 +670,11 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, seed_grid=None, qu
     not change the exit code.
     """
     try:
-        scn = load_scenario(source, {"out": out, "tol": tol, "horizon": horizon, "seed_grid": seed_grid})
+        scn = load_scenario(source, {"out": out, "tol": tol, "horizon": horizon})
 
         roots = None
         if _indexes_roots(scn.starts, scn.escape_block, scn.period_block):
-            roots = _find_roots(scn.model, scn.energy, scn.window, seed_grid=scn.seed_grid)
+            roots = _find_roots(scn.model, scn.energy, scn.window)
         states = _resolve_starts(scn, roots)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -773,7 +769,7 @@ def _cmd_turning_points(args) -> int:
     energy = _as_complex(args.energy, "energy")
     window = _parse_window_arg(args.window)
     tol = args.tol if args.tol is not None else 1e-12
-    roots = _find_roots(model, energy, window, seed_grid=args.seed_grid, residual_tol=tol)
+    roots = _find_roots(model, energy, window, residual_tol=tol)
     for tp in roots:
         print(f"{tp.x0.real!r} {tp.x0.imag!r} cell={tp.lattice_index} branch={tp.branch_sign:+d}")
     return 0
@@ -811,7 +807,7 @@ def _cmd_period(args) -> int:
     else:
         # the adjacent pair nearest the origin
         span = 1.5 * math.pi
-        roots = _find_roots(model, energy, (-span, span, -3.0, 3.0), seed_grid=args.seed_grid)
+        roots = _find_roots(model, energy, (-span, span, -3.0, 3.0))
         if len(roots) < 2:
             raise ConfigError("key 'pair': fewer than two turning points near the origin; pass --pair")
         ordered = sorted(roots, key=lambda tp: (abs(tp.x0), tp.x0.real, tp.x0.imag))
@@ -844,7 +840,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output directory (overrides output.directory)")
     p_run.add_argument("--tol", type=float, help="integrator rel_tol (abs_tol follows at tol/100)")
     p_run.add_argument("--horizon", type=float, help="integration horizon override")
-    p_run.add_argument("--seed-grid", type=float, default=None, help="turning-point seed grid spacing")
     p_run.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     sub.add_parser("list", help="list the bundled scenarios")
@@ -853,7 +848,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tp.add_argument("model", help="pendulum | pendulum:g=i | harmonic | cubic-i | driven-pendulum:...")
     p_tp.add_argument("energy", help="complex energy, e.g. '1.5430806348152437' or 'i'")
     p_tp.add_argument("window", help="re_min,re_max,im_min,im_max (pi notation allowed)")
-    p_tp.add_argument("--seed-grid", type=float, default=0.5, help="fallback seeding grid spacing")
     p_tp.add_argument("--tol", type=float, default=None, help="residual tolerance (default 1e-12)")
     _allow_negative_values(p_tp)
 
@@ -871,7 +865,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_per.add_argument("energy")
     p_per.add_argument("--pair", help="explicit pair 'z1;z2' (default: the pair nearest the origin)")
     p_per.add_argument("--offset", type=float, default=0.5, help="contour offset from the cut")
-    p_per.add_argument("--seed-grid", type=float, default=0.5)
     p_per.add_argument("--tol", type=float, default=None, help="quadrature tolerance (default 1e-10)")
     _allow_negative_values(p_per)
 
@@ -887,7 +880,6 @@ def main(argv=None) -> int:
                 out=args.out,
                 tol=args.tol,
                 horizon=args.horizon,
-                seed_grid=args.seed_grid,
                 quiet=args.quiet,
             )
         if args.command == "list":

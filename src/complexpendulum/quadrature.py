@@ -6,13 +6,17 @@ panel first).  Inverse-square-root endpoint singularities - the generic
 behaviour of 1/p(x) at a turning point - are removed exactly by the
 substitution z = z0 + d u^2, after which the integrand is smooth.
 
-The momentum w(z) = sqrt(2 (E - V(z))) is double-valued; integrals pick a
-branch by continuation along a densely precomputed guide: w is tabulated
-along the path by nearest-neighbour sign continuation from a principal
-seed, and each quadrature evaluation then selects the square root closest
-to the guide value at the nearest tabulated point.  A full loop that
-fails to return to the seed value raises ``BranchInconsistency``, as does
-a period integral with a non-negligible imaginary part.
+Each path kind (segment, vertical ray, stadium loop) is described once,
+by ``_pieces``; the ray and stadium expressions fix the quadrature nodes,
+and so the bits of every bundled escape time and period, and are kept
+character for character.  The momentum w(z) = sqrt(2 (E - V(z))) is
+double-valued: escape times (along a ray) and periods (around a loop)
+both take its branch from one guide, ``_branch_integral``, which
+tabulates w at the parameter midpoints of each piece, continues its sign
+from a principal seed, and gives each quadrature node the root nearer to
+the entry of its own piece and parameter cell.  A loop that fails to
+return to the seed value raises ``BranchInconsistency``, as does a
+period integral with a non-negligible imaginary part.
 """
 from __future__ import annotations
 
@@ -106,6 +110,11 @@ _G31_X, _G31_W = np.polynomial.legendre.leggauss(31)
 _G15 = list(zip(_G15_X.tolist(), _G15_W.tolist()))
 _G31 = list(zip(_G31_X.tolist(), _G31_W.tolist()))
 
+# branch-guide points: all on the one piece of an escape ray, shared out
+# by arclength around a period loop
+_RAY_GUIDE_POINTS = 1024
+_LOOP_GUIDE_POINTS = 2048
+
 
 def _panel(f, a, b):
     half = 0.5 * (b - a)
@@ -170,51 +179,37 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 4
     return total
 
 
-def _segment_integral(f, z0, z1, sing_start, sing_end, tol):
+def _segment_pieces(z0, z1, sing_start, sing_end, tol):
     d = z1 - z0
     if d == 0.0:
-        return 0.0j
+        return []
     if sing_start and sing_end:
         zm = 0.5 * (z0 + z1)
-        return _segment_integral(f, z0, zm, True, False, 0.5 * tol) + _segment_integral(
-            f, zm, z1, False, True, 0.5 * tol
-        )
+        return _segment_pieces(z0, zm, True, False, 0.5 * tol) + _segment_pieces(zm, z1, False, True, 0.5 * tol)
+    length = abs(d)
+    ptol = tol / max(1.0, length)
     if sing_end:
-        return -_segment_integral(f, z1, z0, True, False, tol)
-    ptol = tol / max(1.0, abs(d))
+        # u^2 measured back from the end: z runs from z1 to z0, so the
+        # weight is -dz/du
+        return [(lambda u: z1 - d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol, length)]
     if sing_start:
-        return d * adaptive_quad(lambda u: f(z0 + d * (u * u)) * (2.0 * u), 0.0, 1.0, ptol)
-    return d * adaptive_quad(lambda s: f(z0 + d * s), 0.0, 1.0, ptol)
+        return [(lambda u: z0 + d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol, length)]
+    return [(lambda s: z0 + d * s, lambda s: d, 0.0, 1.0, ptol, length)]
 
 
-def _contour_pieces(c1: complex, c2: complex, offset: float):
-    """The four stadium pieces as (z(s), dz/ds(s), arclength), s in [0, 1],
-    ordered counterclockwise starting below the c1 -> c2 segment."""
-    chord = c2 - c1
-    u = chord / abs(chord)
-    n = 1j * u
-    edge_len = abs(chord)
-    cap_len = math.pi * offset
+def _pieces(path, tol: float):
+    """A path specification as pieces (z, dz, s0, s1, piece_tol, length).
 
-    def cap(center, phi0):
-        def z(s, center=center, phi0=phi0):
-            return center + offset * u * cmath.exp(1j * (phi0 + math.pi * s))
-
-        def dz(s, center=center, phi0=phi0):
-            return 1j * math.pi * offset * u * cmath.exp(1j * (phi0 + math.pi * s))
-
-        return z, dz, cap_len
-
-    lower = (lambda s: c1 - offset * n + chord * s, lambda s: chord, edge_len)
-    upper = (lambda s: c2 + offset * n - chord * s, lambda s: -chord, edge_len)
-    return [lower, cap(c2, -0.5 * math.pi), upper, cap(c1, 0.5 * math.pi)]
-
-
-def path_integral(f, path, tol: float = 1e-10) -> complex:
-    """Integral of f(z) dz along a path specification."""
+    The integral of f(z) dz along the path is the sum over its pieces of
+    the integral of f(z(s)) * dz(s) for s in [s0, s1], each to its own
+    error target ``piece_tol``; ``length`` is the piece's arclength.  The
+    ray and stadium expressions fix the quadrature nodes, and with them
+    the bits of every escape time and period a scenario writes: keep
+    them character for character.
+    """
     if isinstance(path, Segment):
-        return _segment_integral(
-            f, complex(path.z_start), complex(path.z_end), path.sqrt_singular_start, path.sqrt_singular_end, tol
+        return _segment_pieces(
+            complex(path.z_start), complex(path.z_end), path.sqrt_singular_start, path.sqrt_singular_end, tol
         )
     if isinstance(path, VerticalRay):
         if path.cutoff <= 0.0:
@@ -222,17 +217,100 @@ def path_integral(f, path, tol: float = 1e-10) -> complex:
         z0 = complex(path.z_start)
         sgn = 1.0 if path.direction >= 0 else -1.0
         umax = math.sqrt(path.cutoff)
-        return adaptive_quad(
-            lambda u: f(z0 + 1j * sgn * (u * u)) * (2.0j * sgn * u), 0.0, umax, tol / max(1.0, umax)
-        )
+        ptol = tol / max(1.0, umax)
+        return [(lambda u: z0 + 1j * sgn * (u * u), lambda u: 2.0j * sgn * u, 0.0, umax, ptol, path.cutoff)]
     if isinstance(path, TurningPointContour):
+        # counterclockwise, starting below the z_left -> z_right segment
         if path.offset <= 0.0:
             raise ValueError("offset must be positive")
-        total = 0.0j
-        for z, dz, length in _contour_pieces(complex(path.z_left), complex(path.z_right), path.offset):
-            total += adaptive_quad(lambda s: f(z(s)) * dz(s), 0.0, 1.0, 0.25 * tol / max(1.0, length))
-        return total
+        c1, c2, offset = complex(path.z_left), complex(path.z_right), path.offset
+        chord = c2 - c1
+        u = chord / abs(chord)
+        n = 1j * u
+        edge_len = abs(chord)
+        cap_len = math.pi * offset
+
+        def edge(start, d):
+            return (lambda s: start + d * s, lambda s: d, 0.0, 1.0, 0.25 * tol / max(1.0, edge_len), edge_len)
+
+        def cap(center, phi0):
+            return (
+                lambda s: center + offset * u * cmath.exp(1j * (phi0 + math.pi * s)),
+                lambda s: 1j * math.pi * offset * u * cmath.exp(1j * (phi0 + math.pi * s)),
+                0.0,
+                1.0,
+                0.25 * tol / max(1.0, cap_len),
+                cap_len,
+            )
+
+        return [
+            edge(c1 - offset * n, chord),
+            cap(c2, -0.5 * math.pi),
+            edge(c2 + offset * n, -chord),
+            cap(c1, 0.5 * math.pi),
+        ]
     raise TypeError(f"not a path specification: {path!r}")
+
+
+def path_integral(f, path, tol: float = 1e-10) -> complex:
+    """Integral of f(z) dz along a path specification."""
+    total = 0.0j
+    for z, dz, s0, s1, ptol, _ in _pieces(path, tol):
+        total += adaptive_quad(lambda s: f(z(s)) * dz(s), s0, s1, ptol)
+    return total
+
+
+def _branch_integral(model: HamiltonianModel, E: complex, pieces, points: int, closed: bool) -> complex:
+    """Integral of dz / w along the pieces, with w = sqrt(2 (E - V)) kept
+    on one branch by a guide.
+
+    The guide tabulates w at the parameter midpoints of each piece
+    (``points`` in all, shared by arclength, at least 8 a piece) and
+    continues its sign point to point from the principal root at the
+    seed: the rightmost point of a closed loop, the start of an open
+    path.  A loop whose continuation does not come back to the seed's
+    root raises ``BranchInconsistency``.  Each quadrature node then takes
+    the root nearer to the guide entry of its own piece and parameter
+    cell.
+    """
+    potential = model.potential
+    total_len = sum(piece[5] for piece in pieces)
+    zs: list[complex] = []
+    cells = []  # per piece: (index of its first guide entry, cell width)
+    for z, _, s0, s1, _, length in pieces:
+        n = max(8, int(round(points * length / total_len)))
+        width = s1 - s0
+        cells.append((len(zs), width / n))
+        zs += [z(s0 + (j + 0.5) * width / n) for j in range(n)]
+
+    m = len(zs)
+    seed = max(range(m), key=lambda i: zs[i].real) if closed else 0
+    walk = zs[seed:] + zs[: seed + closed]  # a loop comes back onto its seed
+    prev = cmath.sqrt(2.0 * (E - potential(walk[0])))
+    ws = [prev]
+    for z in walk[1:]:
+        r = cmath.sqrt(2.0 * (E - potential(z)))
+        if abs(-r - prev) < abs(r - prev):
+            r = -r
+        ws.append(r)
+        prev = r
+    if closed and abs(ws.pop() - ws[0]) > 0.5 * max(abs(ws[0]), 1e-300):
+        raise BranchInconsistency("branch guide does not close around the contour")
+    guide = ws[m - seed :] + ws[: m - seed]  # back in path order
+    guide.append(guide[-1])  # a node rounding onto a piece's end reads one entry on
+
+    total = 0.0j
+    for (z, dz, s0, s1, ptol, _), (first, h) in zip(pieces, cells):
+
+        def f(s):
+            r = cmath.sqrt(2.0 * (E - potential(z(s))))
+            ref = guide[first + int((s - s0) / h)]
+            if abs(-r - ref) < abs(r - ref):
+                r = -r
+            return 1.0 / r * dz(s)
+
+        total += adaptive_quad(f, s0, s1, ptol)
+    return total
 
 
 def _as_root(model: HamiltonianModel, energy: complex, tp) -> complex:
@@ -243,21 +321,38 @@ def _as_root(model: HamiltonianModel, energy: complex, tp) -> complex:
     return x0
 
 
-def _ray_clearance(model, energy, x0, sgn, cutoff):
-    """Raise when another root of E - V sits on or next to the escape ray."""
-    v_lo = min(0.0, sgn * cutoff)
-    v_hi = max(0.0, sgn * cutoff)
-    window = (x0.real - 0.25, x0.real + 0.25, x0.imag + v_lo - 0.25, x0.imag + v_hi + 0.25)
+def _roots_near_segment(model, energy, a, b, pad, ends):
+    """(root, distance to the segment a..b) for each root of E - V in the
+    segment's bounding box widened by ``pad``, skipping the roots ``ends``."""
+    window = (
+        min(a.real, b.real) - pad,
+        max(a.real, b.real) + pad,
+        min(a.imag, b.imag) - pad,
+        max(a.imag, b.imag) + pad,
+    )
+    chord = b - a
+    L = abs(chord)
+    u = chord / L
     for root in turning_points(model, energy, window):
         z = root.x0
-        if abs(z - x0) <= 1e-9:
+        if any(abs(z - end) <= 1e-9 for end in ends):
             continue
-        # distance from z to the vertical segment x0 .. x0 + 1j*sgn*cutoff
-        v = (z.imag - x0.imag) * sgn
-        v_clamped = min(max(v, 0.0), cutoff)
-        d = math.hypot(z.real - x0.real, (v - v_clamped))
-        if d < 1e-6:
-            raise PathThroughSingularity(f"root {z} lies on the escape ray from {x0}")
+        s = min(max(((z - a) / u).real, 0.0), L)
+        yield z, abs(z - (a + s * u))
+
+
+def _escape_ray(model, energy, tp, cutoff, direction):
+    """What both escape routes share: the energy, the root and the ray's
+    direction (by default away from the real axis)."""
+    E = complex(energy)
+    x0 = _as_root(model, E, tp)
+    if cutoff <= 0.0:
+        raise ValueError("cutoff must be positive")
+    if direction is None:
+        sgn = 1.0 if x0.imag >= 0.0 else -1.0
+    else:
+        sgn = 1.0 if direction >= 0 else -1.0
+    return E, x0, sgn
 
 
 def escape_time(
@@ -268,7 +363,6 @@ def escape_time(
     *,
     tol: float = 1e-10,
     direction: int | None = None,
-    guide_points: int = 1024,
 ) -> float:
     """Transit time from a turning point to |Im x| = Im(start) + cutoff
     along the vertical escape ray, by quadrature of dz / w.
@@ -277,46 +371,20 @@ def escape_time(
     satisfy the residual check, and the ray (by default pointing away
     from the real axis) must not pass another root.  The start
     singularity of 1/w is removed by the u^2 substitution, and the branch
-    of w follows a precomputed continuation guide seeded with the
-    principal root at the start.  The tail beyond the default cutoff of
-    60 is far below the quadrature tolerance for the potentials here,
-    which grow exponentially or polynomially along the ray.
+    of w follows a guide seeded with the principal root at the start.
+    The tail beyond the default cutoff of 60 is far below the quadrature
+    tolerance for the potentials here, which grow exponentially or
+    polynomially along the ray.
     """
-    E = complex(energy)
-    x0 = _as_root(model, E, tp)
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
+    E, x0, sgn = _escape_ray(model, energy, tp, cutoff, direction)
     if abs(model.gradient(x0)) < 1e-8:
         raise DomainError("degenerate turning point: V'(x0) is (close to) zero")
-    if direction is None:
-        sgn = 1.0 if x0.imag >= 0.0 else -1.0
-    else:
-        sgn = 1.0 if direction >= 0 else -1.0
-    _ray_clearance(model, E, x0, sgn, cutoff)
+    for z, d in _roots_near_segment(model, E, x0, x0 + 1j * sgn * cutoff, 0.25, (x0,)):
+        if d < 1e-6:
+            raise PathThroughSingularity(f"root {z} lies on the escape ray from {x0}")
 
-    umax = math.sqrt(cutoff)
-    du = umax / guide_points
-    guide: list[complex] = []
-    prev = None
-    for j in range(guide_points):
-        uj = (j + 0.5) * du
-        z = x0 + 1j * sgn * (uj * uj)
-        r = cmath.sqrt(2.0 * (E - model.potential(z)))
-        if prev is not None and abs(-r - prev) < abs(r - prev):
-            r = -r
-        guide.append(r)
-        prev = r
-
-    def w_of(z: complex) -> complex:
-        r = cmath.sqrt(2.0 * (E - model.potential(z)))
-        v = (z.imag - x0.imag) * sgn
-        u = math.sqrt(v) if v > 0.0 else 0.0
-        jj = min(guide_points - 1, int(u / du))
-        if abs(-r - guide[jj]) < abs(r - guide[jj]):
-            r = -r
-        return r
-
-    total = path_integral(lambda z: 1.0 / w_of(z), VerticalRay(x0, int(sgn), cutoff), tol)
+    pieces = _pieces(VerticalRay(x0, int(sgn), cutoff), tol)
+    total = _branch_integral(model, E, pieces, _RAY_GUIDE_POINTS, closed=False)
     if abs(total.imag) > 1e-6 * max(1.0, abs(total)):
         raise BranchInconsistency(f"escape integral has imaginary residue {total.imag:.3e}")
     return abs(total.real)
@@ -338,14 +406,7 @@ def escape_time_real_form(
     at all; the endpoint singularity is removed by v = u^2 as usual.
     This is an independent cross-check route for ``escape_time``.
     """
-    E = complex(energy)
-    x0 = _as_root(model, E, tp)
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
-    if direction is None:
-        sgn = 1.0 if x0.imag >= 0.0 else -1.0
-    else:
-        sgn = 1.0 if direction >= 0 else -1.0
+    E, x0, sgn = _escape_ray(model, energy, tp, cutoff, direction)
 
     def f(u: float) -> float:
         z = x0 + 1j * sgn * (u * u)
@@ -357,8 +418,7 @@ def escape_time_real_form(
         return 2.0 * u / math.sqrt(q.real)
 
     umax = math.sqrt(cutoff)
-    total = adaptive_quad(f, 0.0, umax, tol / max(1.0, umax))
-    return total.real
+    return adaptive_quad(f, 0.0, umax, tol / max(1.0, umax)).real
 
 
 def _resolve_pair(model, energy, tp_pair):
@@ -371,31 +431,6 @@ def _resolve_pair(model, energy, tp_pair):
     return c1, c2
 
 
-def _contour_clearance(model, energy, c1, c2, offset):
-    pad = offset + 0.5
-    window = (
-        min(c1.real, c2.real) - pad,
-        max(c1.real, c2.real) + pad,
-        min(c1.imag, c2.imag) - pad,
-        max(c1.imag, c2.imag) + pad,
-    )
-    chord = c2 - c1
-    L = abs(chord)
-    u = chord / L
-    for root in turning_points(model, energy, window):
-        z = root.x0
-        if abs(z - c1) <= 1e-9 or abs(z - c2) <= 1e-9:
-            continue
-        # distance from z to the segment c1..c2
-        s = ((z - c1) / u).real
-        s = min(max(s, 0.0), L)
-        d = abs(z - (c1 + s * u))
-        if d <= offset + 1e-9:
-            raise PathThroughSingularity(
-                f"root {z} lies on or inside the period contour (offset {offset})"
-            )
-
-
 def contour_integral(
     model: HamiltonianModel,
     energy: complex,
@@ -403,55 +438,16 @@ def contour_integral(
     offset: float = 0.5,
     *,
     tol: float = 1e-10,
-    guide_points: int = 2048,
 ) -> complex:
     """The raw counterclockwise contour integral of dz / w around the
     segment joining a turning-point pair; see ``period_contour``."""
     E = complex(energy)
     c1, c2 = _resolve_pair(model, E, tp_pair)
-    if offset <= 0.0:
-        raise ValueError("offset must be positive")
-    _contour_clearance(model, E, c1, c2, offset)
-
-    pieces = _contour_pieces(c1, c2, offset)
-    total_len = sum(length for _, _, length in pieces)
-
-    # tabulate the loop: arclength-uniform points in traversal order
-    zs: list[complex] = []
-    for z, _, length in pieces:
-        n = max(8, int(round(guide_points * length / total_len)))
-        for j in range(n):
-            zs.append(z((j + 0.5) / n))
-    m = len(zs)
-    z_arr = np.array(zs, dtype=complex)
-
-    # continuation around the loop, seeded with the principal root at the
-    # rightmost point
-    seed = int(np.argmax(z_arr.real))
-    guide = [0.0j] * m
-    prev = None
-    for step in range(m + 1):
-        idx = (seed + step) % m
-        r = cmath.sqrt(2.0 * (E - model.potential(zs[idx])))
-        if prev is not None and abs(-r - prev) < abs(r - prev):
-            r = -r
-        if step == m:
-            # back at the seed: the loop must close on the same branch
-            if abs(r - guide[seed]) > 0.5 * max(abs(guide[seed]), 1e-300):
-                raise BranchInconsistency("branch guide does not close around the contour")
-            break
-        guide[idx] = r
-        prev = r
-    w_arr = np.array(guide, dtype=complex)
-
-    def w_of(z: complex) -> complex:
-        r = cmath.sqrt(2.0 * (E - model.potential(z)))
-        jj = int(np.argmin(np.abs(z_arr - z)))
-        if abs(-r - w_arr[jj]) < abs(r - w_arr[jj]):
-            r = -r
-        return r
-
-    return path_integral(lambda z: 1.0 / w_of(z), TurningPointContour(c1, c2, offset), tol)
+    pieces = _pieces(TurningPointContour(c1, c2, offset), tol)
+    for z, d in _roots_near_segment(model, E, c1, c2, offset + 0.5, (c1, c2)):
+        if d <= offset + 1e-9:
+            raise PathThroughSingularity(f"root {z} lies on or inside the period contour (offset {offset})")
+    return _branch_integral(model, E, pieces, _LOOP_GUIDE_POINTS, closed=True)
 
 
 def period_contour(
@@ -461,7 +457,6 @@ def period_contour(
     offset: float = 0.5,
     *,
     tol: float = 1e-10,
-    guide_points: int = 2048,
 ) -> float:
     """Orbit period as the contour integral of dz / w around the branch
     cut joining a turning-point pair.
@@ -473,7 +468,7 @@ def period_contour(
     real; an imaginary part above 1e-6 signals branch-tracking failure
     and raises ``BranchInconsistency``.
     """
-    return _real_period(contour_integral(model, energy, tp_pair, offset, tol=tol, guide_points=guide_points))
+    return _real_period(contour_integral(model, energy, tp_pair, offset, tol=tol))
 
 
 def _real_period(total: complex) -> float:

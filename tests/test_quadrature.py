@@ -15,7 +15,9 @@ import scipy.special
 from complexpendulum import (
     BranchInconsistency,
     DomainError,
+    HamiltonianModel,
     Harmonic,
+    ImaginaryCubic,
     PathThroughSingularity,
     Pendulum,
     Segment,
@@ -31,6 +33,7 @@ from complexpendulum import (
     path_integral,
     period_contour,
     refine_root,
+    turning_points,
 )
 
 PI = math.pi
@@ -50,6 +53,24 @@ PERIOD_E0 = 7.4162987092054875
 PERIOD_FIG6 = 5.911611295076774
 
 K_HALF = 1.8540746773013717
+
+# period_contour of the E = 0 pendulum orbit at each contour offset, bit for
+# bit: the quadrature nodes are fixed, so a change to the path expressions
+# or the branch choice shows up in the last digit
+PERIOD_E0_BITS = {0.25: 7.416298709205488, 0.5: 7.4162987092054875, 1.0: 7.416298709205487}
+
+
+class PoleBetweenRoots(HamiltonianModel):
+    """V(x) = x - 1/x: at E = 0 the roots are -1 and 1, and the simple
+    pole at 0 between them puts a second branch point inside any contour
+    around the pair.  At the pole itself (a turning-point seed lands
+    there) both are infinite, so Newton gives that seed up."""
+
+    def potential(self, x, t=0.0):
+        return x - 1.0 / x if x else complex(math.inf, 0.0)
+
+    def gradient(self, x):
+        return 1.0 + 1.0 / (x * x) if x else complex(math.inf, 0.0)
 
 
 class TestAdaptiveQuad:
@@ -149,6 +170,12 @@ class TestEscapeTime:
         t = escape_time(Pendulum(g=1.0), COSH1, PI - 1j)
         assert abs(t - ESCAPE_REAL_G) < 1e-8
 
+    def test_unbundled_rays_bit_for_bit(self):
+        # the downward ray and a shorter cutoff are routes no bundled
+        # scenario takes; their values are pinned to the last bit
+        assert escape_time(Pendulum(g=1.0), COSH1, PI - 1j) == 1.975364432288618
+        assert escape_time(Pendulum(g=1j), SINH1, 1.5 * PI + 1j, 30.0) == 1.845492128821711
+
     def test_ray_through_other_root_rejected(self):
         # forcing the ray from pi - i upward runs straight into pi + i
         with pytest.raises(PathThroughSingularity):
@@ -190,6 +217,14 @@ class TestPeriodContour:
     def test_offset_invariance(self, offset):
         t = period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), offset)
         assert abs(t - PERIOD_E0) < 1e-8
+        assert t == PERIOD_E0_BITS[offset]
+
+    def test_unbundled_models_bit_for_bit(self):
+        # no bundled scenario takes a period of these models
+        r = math.sqrt(2.0)
+        assert period_contour(Harmonic(), 1.0, (-r, r)) == 6.283185307179586
+        c = math.sqrt(3.0) / 2.0
+        assert period_contour(ImaginaryCubic(), 1.0, (-c - 0.5j, c - 0.5j)) == 3.4346306845088224
 
     def test_raw_integral_is_real(self):
         v = contour_integral(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2))
@@ -203,6 +238,25 @@ class TestPeriodContour:
     def test_bad_offset(self):
         with pytest.raises(ValueError):
             period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), 0.0)
+
+
+class TestBranchInconsistency:
+    def test_guide_that_does_not_close(self):
+        # the pole at 0 is a second branch point inside the stadium, so
+        # continuing w once around the loop ends on the other sign
+        with pytest.raises(BranchInconsistency, match="does not close around the contour"):
+            contour_integral(PoleBetweenRoots(), 0.0, (-1.0, 1.0), 0.3)
+
+    def test_period_with_imaginary_residue(self):
+        # at a complex energy the first pair of the window is no real
+        # orbit: the loop closes, but the integral keeps an imaginary part
+        model = Pendulum(g=1.0)
+        energy = 0.5 + 0.5j
+        pair = [tp.x0 for tp in turning_points(model, energy, (-2.5, 2.5, -2.0, 2.0))][:2]
+        raw = contour_integral(model, energy, pair)
+        assert abs(raw - (7.96949 + 1.37614j)) < 1e-5
+        with pytest.raises(BranchInconsistency, match="imaginary residue"):
+            period_contour(model, energy, pair)
 
 
 class TestElliptic:
