@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import CLOSED, EventSpec, IntegratorConfig, Trajectory, _dist2, _is_dip, integrate, locate_return
-from .models import PhaseState, Pendulum
+from .models import PhaseState, Pendulum, cell_index
 
 __all__ = [
     "DegenerateConic",
@@ -315,15 +315,18 @@ def fit_ellipse(traj: Trajectory) -> EllipseFit:
 
 
 def cell_escape_summary(traj: Trajectory) -> list[tuple[float, int, int]]:
-    """Compress cell_history to its transitions.
+    """Compress cell_history to its transitions, in one pass over the
+    samples that computes each sample's cell once.
 
     Each entry is (t, from_cell, to_cell) with t the first sample time
     in the new cell; an empty list means the trajectory never left its
     starting 2*pi strip.
     """
     out: list[tuple[float, int, int]] = []
-    hist = traj.cell_history
-    for (_, k_prev), (t_cur, k_cur) in zip(hist, hist[1:]):
-        if k_cur != k_prev:
-            out.append((t_cur, k_prev, k_cur))
+    k_prev = None
+    for s in traj.samples:
+        k = cell_index(s.x)
+        if k != k_prev and k_prev is not None:
+            out.append((s.t, k_prev, k))
+        k_prev = k
     return out

@@ -14,7 +14,13 @@ double-valued: escape times (along a ray) and periods (around a loop)
 both take its branch from one guide, ``_branch_integral``, which
 tabulates w at the parameter midpoints of each piece, continues its sign
 from a principal seed, and gives each quadrature node the root nearer to
-the entry of its own piece and parameter cell.  A loop that fails to
+the entry of its own piece and parameter cell.  The guide is sized from
+the path: each piece starts with 8 cells and triples them only where two
+consecutive continued values are more than about 26 degrees apart.  It
+picks signs only, so the nodes and every returned bit do not depend on
+its density.  The seed fixes the sign of a raw integral: a loop is
+seeded at its start point, an escape ray at its first guide entry;
+escape times and periods take the absolute value.  A loop that fails to
 return to the seed value raises ``BranchInconsistency``, as does a
 period integral with a non-negligible imaginary part.
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -48,6 +55,8 @@ __all__ = [
     "elliptic_K",
     "agm",
 ]
+
+logger = logging.getLogger(__name__)
 
 _EPS = sys.float_info.epsilon
 
@@ -110,10 +119,12 @@ _G31_X, _G31_W = np.polynomial.legendre.leggauss(31)
 _G15 = list(zip(_G15_X.tolist(), _G15_W.tolist()))
 _G31 = list(zip(_G31_X.tolist(), _G31_W.tolist()))
 
-# branch-guide points: all on the one piece of an escape ray, shared out
-# by arclength around a period loop
-_RAY_GUIDE_POINTS = 1024
-_LOOP_GUIDE_POINTS = 2048
+# branch guide: each piece starts with this many midpoint cells and
+# triples them, up to the ceiling, while two consecutive continued values
+# of w are more than acos(_GUIDE_COS), about 26 degrees, apart
+_GUIDE_CELLS = 8
+_GUIDE_MAX_CELLS = 8 * 3**6
+_GUIDE_COS = 0.9
 
 
 def _panel(f, a, b):
@@ -186,26 +197,24 @@ def _segment_pieces(z0, z1, sing_start, sing_end, tol):
     if sing_start and sing_end:
         zm = 0.5 * (z0 + z1)
         return _segment_pieces(z0, zm, True, False, 0.5 * tol) + _segment_pieces(zm, z1, False, True, 0.5 * tol)
-    length = abs(d)
-    ptol = tol / max(1.0, length)
+    ptol = tol / max(1.0, abs(d))
     if sing_end:
         # u^2 measured back from the end: z runs from z1 to z0, so the
         # weight is -dz/du
-        return [(lambda u: z1 - d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol, length)]
+        return [(lambda u: z1 - d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol)]
     if sing_start:
-        return [(lambda u: z0 + d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol, length)]
-    return [(lambda s: z0 + d * s, lambda s: d, 0.0, 1.0, ptol, length)]
+        return [(lambda u: z0 + d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol)]
+    return [(lambda s: z0 + d * s, lambda s: d, 0.0, 1.0, ptol)]
 
 
 def _pieces(path, tol: float):
-    """A path specification as pieces (z, dz, s0, s1, piece_tol, length).
+    """A path specification as pieces (z, dz, s0, s1, piece_tol).
 
     The integral of f(z) dz along the path is the sum over its pieces of
     the integral of f(z(s)) * dz(s) for s in [s0, s1], each to its own
-    error target ``piece_tol``; ``length`` is the piece's arclength.  The
-    ray and stadium expressions fix the quadrature nodes, and with them
-    the bits of every escape time and period a scenario writes: keep
-    them character for character.
+    error target ``piece_tol``.  The ray and stadium expressions fix the
+    quadrature nodes, and with them the bits of every escape time and
+    period a scenario writes: keep them character for character.
     """
     if isinstance(path, Segment):
         return _segment_pieces(
@@ -218,7 +227,7 @@ def _pieces(path, tol: float):
         sgn = 1.0 if path.direction >= 0 else -1.0
         umax = math.sqrt(path.cutoff)
         ptol = tol / max(1.0, umax)
-        return [(lambda u: z0 + 1j * sgn * (u * u), lambda u: 2.0j * sgn * u, 0.0, umax, ptol, path.cutoff)]
+        return [(lambda u: z0 + 1j * sgn * (u * u), lambda u: 2.0j * sgn * u, 0.0, umax, ptol)]
     if isinstance(path, TurningPointContour):
         # counterclockwise, starting below the z_left -> z_right segment
         if path.offset <= 0.0:
@@ -231,7 +240,7 @@ def _pieces(path, tol: float):
         cap_len = math.pi * offset
 
         def edge(start, d):
-            return (lambda s: start + d * s, lambda s: d, 0.0, 1.0, 0.25 * tol / max(1.0, edge_len), edge_len)
+            return (lambda s: start + d * s, lambda s: d, 0.0, 1.0, 0.25 * tol / max(1.0, edge_len))
 
         def cap(center, phi0):
             return (
@@ -240,7 +249,6 @@ def _pieces(path, tol: float):
                 0.0,
                 1.0,
                 0.25 * tol / max(1.0, cap_len),
-                cap_len,
             )
 
         return [
@@ -255,52 +263,88 @@ def _pieces(path, tol: float):
 def path_integral(f, path, tol: float = 1e-10) -> complex:
     """Integral of f(z) dz along a path specification."""
     total = 0.0j
-    for z, dz, s0, s1, ptol, _ in _pieces(path, tol):
+    for z, dz, s0, s1, ptol in _pieces(path, tol):
         total += adaptive_quad(lambda s: f(z(s)) * dz(s), s0, s1, ptol)
     return total
 
 
-def _branch_integral(model: HamiltonianModel, E: complex, pieces, points: int, closed: bool) -> complex:
+def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) -> complex:
     """Integral of dz / w along the pieces, with w = sqrt(2 (E - V)) kept
     on one branch by a guide.
 
-    The guide tabulates w at the parameter midpoints of each piece
-    (``points`` in all, shared by arclength, at least 8 a piece) and
-    continues its sign point to point from the principal root at the
-    seed: the rightmost point of a closed loop, the start of an open
-    path.  A loop whose continuation does not come back to the seed's
-    root raises ``BranchInconsistency``.  Each quadrature node then takes
-    the root nearer to the guide entry of its own piece and parameter
-    cell.
+    The guide tabulates w at the midpoints of equal parameter cells of
+    each piece and continues its sign value to value along the path.  A
+    loop is seeded with the principal root at its start point, z(s0) of
+    the first piece; an open path (an escape ray) with the principal
+    root at its first guide entry.  Each piece starts with
+    ``_GUIDE_CELLS`` cells; while two consecutive continued values (two
+    in one piece, the last and first of adjacent pieces, or, on a loop,
+    the seed and its neighbours) are more than about 26 degrees apart,
+    the pieces they lie on triple their cells, keeping every value
+    already computed, up to ``_GUIDE_MAX_CELLS``; at the ceiling the
+    guide is used as it stands.  A loop whose continuation comes back
+    onto the seed with the other sign raises ``BranchInconsistency``.
+    Each quadrature node then takes the root nearer to the guide entry
+    of its own piece and parameter cell, so the guide picks signs only:
+    the nodes, and the magnitude of each term, are those of the path.
     """
     potential = model.potential
-    total_len = sum(piece[5] for piece in pieces)
-    zs: list[complex] = []
-    cells = []  # per piece: (index of its first guide entry, cell width)
-    for z, _, s0, s1, _, length in pieces:
-        n = max(8, int(round(points * length / total_len)))
-        width = s1 - s0
-        cells.append((len(zs), width / n))
-        zs += [z(s0 + (j + 0.5) * width / n) for j in range(n)]
 
-    m = len(zs)
-    seed = max(range(m), key=lambda i: zs[i].real) if closed else 0
-    walk = zs[seed:] + zs[: seed + closed]  # a loop comes back onto its seed
-    prev = cmath.sqrt(2.0 * (E - potential(walk[0])))
-    ws = [prev]
-    for z in walk[1:]:
-        r = cmath.sqrt(2.0 * (E - potential(z)))
-        if abs(-r - prev) < abs(r - prev):
-            r = -r
-        ws.append(r)
-        prev = r
-    if closed and abs(ws.pop() - ws[0]) > 0.5 * max(abs(ws[0]), 1e-300):
+    def w(z):
+        return cmath.sqrt(2.0 * (E - potential(z)))
+
+    def midpoints(z, s0, s1, n, coarse):
+        # the midpoints of n cells; with the values at n/3 cells, the
+        # middle third of each cell is one of them
+        h = (s1 - s0) / n
+        if coarse is None:
+            return [w(z(s0 + (j + 0.5) * h)) for j in range(n)]
+        out = []
+        for j, r in enumerate(coarse):
+            out += (w(z(s0 + (3 * j + 0.5) * h)), r, w(z(s0 + (3 * j + 2.5) * h)))
+        return out
+
+    def near(r, ref):
+        return -r if abs(-r - ref) < abs(r - ref) else r
+
+    def apart(a, b):
+        return (a * b.conjugate()).real < _GUIDE_COS * abs(a) * abs(b)
+
+    raw = [midpoints(z, s0, s1, _GUIDE_CELLS, None) for z, _, s0, s1, _ in pieces]
+    if closed:
+        seed = w(pieces[0][0](pieces[0][2]))
+    while True:
+        guide = []
+        coarse = set()  # pieces with two consecutive values too far apart
+        prev = seed if closed else raw[0][0]
+        for i, values in enumerate(raw):
+            for j, r in enumerate(values):
+                r = near(r, prev)
+                if apart(r, prev):
+                    coarse.update((i - 1, i) if j == 0 and i > 0 else (i,))
+                guide.append(r)
+                prev = r
+        if closed:
+            back = near(seed, prev)
+            if apart(back, prev):
+                coarse.add(len(raw) - 1)
+        refine = [i for i in sorted(coarse) if len(raw[i]) < _GUIDE_MAX_CELLS]
+        if not refine:
+            break
+        for i in refine:
+            z, _, s0, s1, _ = pieces[i]
+            raw[i] = midpoints(z, s0, s1, 3 * len(raw[i]), raw[i])
+    if closed and back != seed:
         raise BranchInconsistency("branch guide does not close around the contour")
-    guide = ws[m - seed :] + ws[: m - seed]  # back in path order
+    for i, values in enumerate(raw):
+        if len(values) > _GUIDE_CELLS:
+            logger.debug("branch guide: piece %d refined to %d cells", i, len(values))
     guide.append(guide[-1])  # a node rounding onto a piece's end reads one entry on
 
     total = 0.0j
-    for (z, dz, s0, s1, ptol, _), (first, h) in zip(pieces, cells):
+    first = 0
+    for (z, dz, s0, s1, ptol), values in zip(pieces, raw):
+        h = (s1 - s0) / len(values)
 
         def f(s):
             r = cmath.sqrt(2.0 * (E - potential(z(s))))
@@ -310,6 +354,7 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, points: int, c
             return 1.0 / r * dz(s)
 
         total += adaptive_quad(f, s0, s1, ptol)
+        first += len(values)
     return total
 
 
@@ -384,7 +429,7 @@ def escape_time(
             raise PathThroughSingularity(f"root {z} lies on the escape ray from {x0}")
 
     pieces = _pieces(VerticalRay(x0, int(sgn), cutoff), tol)
-    total = _branch_integral(model, E, pieces, _RAY_GUIDE_POINTS, closed=False)
+    total = _branch_integral(model, E, pieces, closed=False)
     if abs(total.imag) > 1e-6 * max(1.0, abs(total)):
         raise BranchInconsistency(f"escape integral has imaginary residue {total.imag:.3e}")
     return abs(total.real)
@@ -440,14 +485,21 @@ def contour_integral(
     tol: float = 1e-10,
 ) -> complex:
     """The raw counterclockwise contour integral of dz / w around the
-    segment joining a turning-point pair; see ``period_contour``."""
+    segment joining a turning-point pair; see ``period_contour``.
+
+    Its sign is a convention: w is continued from the principal root at
+    the start of the loop, the point at distance ``offset`` beside the
+    first root of the pair in (Re, Im) order, to the right of the chord
+    towards the second.  It does not depend on the guide's density;
+    ``period_contour`` takes the absolute value.
+    """
     E = complex(energy)
     c1, c2 = _resolve_pair(model, E, tp_pair)
     pieces = _pieces(TurningPointContour(c1, c2, offset), tol)
     for z, d in _roots_near_segment(model, E, c1, c2, offset + 0.5, (c1, c2)):
         if d <= offset + 1e-9:
             raise PathThroughSingularity(f"root {z} lies on or inside the period contour (offset {offset})")
-    return _branch_integral(model, E, pieces, _LOOP_GUIDE_POINTS, closed=True)
+    return _branch_integral(model, E, pieces, closed=True)
 
 
 def period_contour(

@@ -67,24 +67,29 @@ def _tag(x0: complex) -> TurningPoint:
 
 
 def _newton(model: HamiltonianModel, energy: complex, seed: complex, tol: float, max_iter: int) -> complex:
-    """Newton iteration on V(x) - E; returns the refined root or raises."""
+    """Newton iteration on V(x) - E; returns the refined root or raises
+    ``NonConvergence``, also when the model raises an ``ArithmeticError``
+    (a seed on a pole, an overflow)."""
     scale = max(1.0, abs(energy))
     z = complex(seed)
-    for _ in range(max_iter):
-        f = model.potential(z) - energy
-        if abs(f) <= tol * scale:
-            # one extra step sharpens the root without risk: near a double
-            # root f/f' is half the remaining distance, elsewhere smaller
+    try:
+        for _ in range(max_iter):
+            f = model.potential(z) - energy
+            if abs(f) <= tol * scale:
+                # one extra step sharpens the root without risk: near a double
+                # root f/f' is half the remaining distance, elsewhere smaller
+                fp = model.gradient(z)
+                if fp != 0.0:
+                    z -= f / fp
+                return z
             fp = model.gradient(z)
-            if fp != 0.0:
-                z -= f / fp
+            if abs(fp) < 1e-300 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise NonConvergence(f"derivative vanished near {z}")
+            z -= f / fp
+        if abs(model.potential(z) - energy) <= tol * scale:
             return z
-        fp = model.gradient(z)
-        if abs(fp) < 1e-300 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise NonConvergence(f"derivative vanished near {z}")
-        z -= f / fp
-    if abs(model.potential(z) - energy) <= tol * scale:
-        return z
+    except ArithmeticError as exc:
+        raise NonConvergence(f"{type(exc).__name__} from the model near {z}: {exc}") from exc
     raise NonConvergence(f"no root reached from seed {seed}")
 
 

@@ -7,6 +7,7 @@ import pytest
 from complexpendulum import (
     CLOSED,
     DegenerateConic,
+    DrivenPendulum,
     EventSpec,
     Harmonic,
     IntegratorConfig,
@@ -14,6 +15,7 @@ from complexpendulum import (
     PhaseState,
     Trajectory,
     cell_escape_summary,
+    cell_index,
     detect_closure,
     fit_ellipse,
     integrate,
@@ -188,3 +190,16 @@ class TestCellEscapeSummary:
     def test_empty_for_confined_run(self):
         traj = sho_orbit()
         assert cell_escape_summary(traj) == []
+
+    def test_matches_pairwise_history(self):
+        # a strong drive leaves cell 0, comes back and moves on; the one
+        # pass over the samples must give what pairing up cell_history
+        # with itself, shifted by one sample, gives
+        model = DrivenPendulum(g=1.0, epsilon=0.5, omega=1.0)
+        x0 = PI / 2 + 0.1
+        start = PhaseState(x0, model.momentum_from_energy(x0, 0.0, branch=1))
+        traj = integrate(model, start, events=EventSpec(escape=False), t_final=40.0)
+        hist = [(s.t, cell_index(s.x)) for s in traj.samples]
+        want = [(t, a, b) for (_, a), (t, b) in zip(hist, hist[1:]) if a != b]
+        assert len(want) > len({b for _, _, b in want})  # some cell is entered twice
+        assert cell_escape_summary(traj) == want

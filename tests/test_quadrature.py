@@ -6,12 +6,14 @@ The library itself never imports scipy; it is used here purely as an
 oracle.
 """
 import cmath
+import logging
 import math
 
 import pytest
 import scipy.integrate
 import scipy.special
 
+from complexpendulum import quadrature
 from complexpendulum import (
     BranchInconsistency,
     DomainError,
@@ -64,13 +66,13 @@ class PoleBetweenRoots(HamiltonianModel):
     """V(x) = x - 1/x: at E = 0 the roots are -1 and 1, and the simple
     pole at 0 between them puts a second branch point inside any contour
     around the pair.  At the pole itself (a turning-point seed lands
-    there) both are infinite, so Newton gives that seed up."""
+    there) the division raises ``ZeroDivisionError``."""
 
     def potential(self, x, t=0.0):
-        return x - 1.0 / x if x else complex(math.inf, 0.0)
+        return x - 1.0 / x
 
     def gradient(self, x):
-        return 1.0 + 1.0 / (x * x) if x else complex(math.inf, 0.0)
+        return 1.0 + 1.0 / (x * x)
 
 
 class TestAdaptiveQuad:
@@ -240,12 +242,61 @@ class TestPeriodContour:
             period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), 0.0)
 
 
+class TestBranchGuide:
+    @pytest.mark.parametrize("cells", [24, 72])
+    def test_denser_guide_keeps_every_pinned_bit(self, monkeypatch, cells):
+        # the guide only picks the sign of each node's root, so starting
+        # it denser must leave every returned bit where it is
+        monkeypatch.setattr(quadrature, "_GUIDE_CELLS", cells)
+        for offset, bits in PERIOD_E0_BITS.items():
+            assert period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), offset) == bits
+        r = math.sqrt(2.0)
+        assert period_contour(Harmonic(), 1.0, (-r, r)) == 6.283185307179586
+        c = math.sqrt(3.0) / 2.0
+        assert period_contour(ImaginaryCubic(), 1.0, (-c - 0.5j, c - 0.5j)) == 3.4346306845088224
+        # the eq10 and eq14 rays, and two that no scenario takes
+        assert escape_time(Pendulum(g=1.0), COSH1, PI + 1j) == 1.975364432288618
+        assert escape_time(Pendulum(g=1j), SINH1, 1.5 * PI + 1j) == 1.845492499899772
+        assert escape_time(Pendulum(g=1.0), COSH1, PI - 1j) == 1.975364432288618
+        assert escape_time(Pendulum(g=1j), SINH1, 1.5 * PI + 1j, 30.0) == 1.845492128821711
+
+    def test_refinement_is_logged_and_keeps_the_bits(self, caplog):
+        # at offset 2 the caps around the libration pair are long enough
+        # that 8 cells leave consecutive guide values too far apart; the
+        # value is the one the fixed 2048-point guide gave
+        model = Pendulum(g=1.0)
+        with caplog.at_level(logging.DEBUG, logger="complexpendulum.quadrature"):
+            assert period_contour(model, -COSH1, (-1j, 1j), 0.5) == PERIOD_FIG6
+            assert caplog.records == []
+            assert period_contour(model, -COSH1, (-1j, 1j), 2.0) == 5.911611295076775
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "branch guide: piece 1 refined to 24 cells",
+            "branch guide: piece 3 refined to 24 cells",
+        ]
+
+    def test_raw_sign_is_seeded_at_the_loop_start(self):
+        # the sign of the raw integral is that of the principal root at
+        # the start of the loop, below the left root; periods take abs
+        c = math.sqrt(3.0) / 2.0
+        raw = contour_integral(ImaginaryCubic(), 1.0, (-c - 0.5j, c - 0.5j))
+        assert raw.real == 3.4346306845088224
+
+
 class TestBranchInconsistency:
     def test_guide_that_does_not_close(self):
         # the pole at 0 is a second branch point inside the stadium, so
         # continuing w once around the loop ends on the other sign
         with pytest.raises(BranchInconsistency, match="does not close around the contour"):
             contour_integral(PoleBetweenRoots(), 0.0, (-1.0, 1.0), 0.3)
+
+    def test_seed_on_the_pole_is_skipped(self, caplog):
+        # the seed grid of this window has a seed at 0, where the model
+        # divides by zero: Newton gives that seed up and counts it
+        with caplog.at_level(logging.WARNING, logger="complexpendulum.turning"):
+            roots = turning_points(PoleBetweenRoots(), 0.0, (-1.8, 1.8, -0.8, 0.8))
+        assert [round(tp.x0.real, 12) for tp in roots] == [-1.0, 1.0]
+        assert all(abs(tp.x0.imag) < 1e-12 for tp in roots)
+        assert "seeds did not converge" in caplog.text
 
     def test_period_with_imaginary_residue(self):
         # at a complex energy the first pair of the window is no real
