@@ -36,13 +36,28 @@ The order of its complex expressions is frozen, since the bundled
 scenario outputs are reproduced byte for byte (see ``_dopri``).
 ``integrate`` watches the events above on its accepted steps; event
 polishing re-integrates short spans with the same stepper.
+
+Compiled kernel: for exact instances of the four built-in models (with
+plain int, float or complex parameters, on CPython before 3.14) ``_dopri``
+runs the same loop in C (``_dopri5.c``, loaded by ``_dopri5``), which
+mirrors CPython's complex arithmetic operation for operation and so gives
+the same steps bit for bit.  It hands over accepted steps in blocks
+through the same generator protocol, so every caller, event polishing
+included, gets it through the one stepper, and the events stay here.
+A step the kernel cannot mirror (a non-finite stage or result, a stage
+with |Im x| past 708.396..., where ``cmath.sinh`` switches formula, or an
+overflowing sine) is handed back: the Python loop below resumes from the
+state at the start of that step and redoes it.  Subclasses, models of
+the Python API, later interpreters and a failed build (logged once) use
+the Python loop throughout; it stays the reference.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from . import _dopri5
 from .models import HamiltonianModel, PhaseState, cell_index
 
 __all__ = [
@@ -103,6 +118,16 @@ _FAC_SHRINK = 5.0  # largest shrink per step: h / 5
 _FAC_GROW = 10.0  # largest growth per step: h * 10
 
 
+def _reject_nan(settings) -> None:
+    # NaN slips through every ordered-comparison check below: as a
+    # tolerance it stalls the step-size controller, as a bound it
+    # switches its check off
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError(f"{f.name} must not be NaN")
+
+
 @dataclass
 class IntegratorConfig:
     """Tolerances and guards for the adaptive stepper.
@@ -125,6 +150,10 @@ class IntegratorConfig:
     overflow_guard: float = 1e12
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
+        for name in ("rel_tol", "abs_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.min_step <= 0.0 or self.max_step < self.min_step:
@@ -154,6 +183,7 @@ class EventSpec:
     min_period: float = 0.1
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
         if self.closure_tol <= 0.0:
             raise ValueError("closure_tol must be positive")
         if self.min_period < 0.0:
@@ -281,7 +311,8 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     the bundled outputs.  The field is called through ``field`` and step-size
     updates through the module functions ``_next_h`` (once per accepted
     step) and ``_reject_h`` (once per rejected step), the names the
-    benchmark's counters wrap.
+    benchmark's counters wrap; steps taken by the compiled kernel make
+    none of these calls.
     """
     isfinite = math.isfinite
     sqrt = math.sqrt
@@ -291,6 +322,16 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     facold = 1e-4
     accepted = 0
     i = 0
+    params = _dopri5.model_params(field)
+    if params is not None:
+        stop = yield from _dopri5.steps(
+            params, t, x, p, k1x, k1p, h_mag, facold, stops, direction,
+            rel_tol, abs_tol, max_step, min_step, max_steps,
+        )
+        if isinstance(stop, str):
+            return stop
+        # the kernel handed back: the loop below redoes the next step
+        t, x, p, k1x, k1p, h_mag, facold, accepted, i = stop
     while (t_end - t) * direction > 0.0:
         if accepted >= max_steps:
             return "max_steps"
@@ -543,7 +584,11 @@ def integrate(
     p0 = complex(start.p)
     if not _finite(x0, p0):
         raise ValueError("start state must be finite")
+    if not math.isfinite(t0):
+        raise ValueError("start time must be finite")
     t_end = t0 + cfg.max_time if t_final is None else float(t_final)
+    if t_final is not None and not math.isfinite(t_end):
+        raise ValueError("t_final must be finite")
     if t_end == t0:
         raise ValueError("empty time span")
     direction = 1.0 if t_end > t0 else -1.0
@@ -555,6 +600,8 @@ def integrate(
 
     if t_checkpoints:
         cps = sorted((float(c) for c in t_checkpoints), reverse=direction < 0)
+        if not all(math.isfinite(c) for c in cps):
+            raise ValueError("t_checkpoints must be finite")
         cps = [c for c in cps if (c - t0) * direction > 0.0 and (t_end - c) * direction > 0.0]
     else:
         cps = []

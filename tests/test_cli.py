@@ -252,6 +252,32 @@ starts:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("deadline")
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("horizon: 20.0", "horizon: 20.0\n  rel_tol: .nan", "key 'integrator': rel_tol must not be NaN"),
+            ("horizon: 20.0", "horizon: 20.0\n  abs_tol: .nan", "key 'integrator': abs_tol must not be NaN"),
+            ("horizon: 20.0", "horizon: 20.0\n  rel_tol: .inf", "key 'integrator': rel_tol must be finite"),
+            ("horizon: 20.0", "horizon: .nan", "key 'integrator': max_time must not be NaN"),
+            ("horizon: 20.0", "horizon: 20.0\n  escape_radius: .nan", "key 'integrator': escape_radius must"),
+            ("horizon: 20.0", "horizon: 20.0\n  overflow_guard: .nan", "key 'integrator': overflow_guard must"),
+            ("analyses:", "events:\n  closure_tol: .nan\nanalyses:", "key 'events': closure_tol must not be NaN"),
+            ("analyses:", "events:\n  min_period: .nan\nanalyses:", "key 'events': min_period must not be NaN"),
+        ],
+    )
+    def test_nan_settings_name_the_key(self, tmp_path, capsys, old, new, key):
+        cfg = write_scenario(tmp_path, TINY_SCENARIO.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.usefixtures("deadline")
+    def test_nan_tol_override_names_the_key(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, TINY_SCENARIO)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--tol", "nan"]) == 2
+        assert "key 'integrator': rel_tol must not be NaN" in capsys.readouterr().err
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, TINY_SCENARIO)
         blocker = tmp_path / "blocker"

@@ -66,6 +66,40 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EventSpec(min_period=-1.0)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["rel_tol", "abs_tol", "max_step", "min_step", "escape_radius", "max_time", "max_steps", "overflow_guard"],
+    )
+    def test_rejects_nan(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+            IntegratorConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    def test_rejects_infinite_tolerance(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            IntegratorConfig(**{name: math.inf})
+
+    @pytest.mark.parametrize("name", ["closure_tol", "min_period"])
+    def test_event_spec_rejects_nan(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+            EventSpec(**{name: math.nan})
+
+    @pytest.mark.usefixtures("deadline")
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            ({"start": PhaseState(1 + 1j, 0.5 - 0.3j, math.nan)}, "start time must be finite"),
+            ({"start": PhaseState(1 + 1j, 0.5 - 0.3j, math.inf)}, "start time must be finite"),
+            ({"t_final": math.nan}, "t_final must be finite"),
+            ({"t_final": -math.inf}, "t_final must be finite"),
+            ({"t_checkpoints": [1.0, math.nan]}, "t_checkpoints must be finite"),
+        ],
+    )
+    def test_integrate_rejects_non_finite_times(self, kw, message):
+        kw.setdefault("start", PhaseState(1 + 1j, 0.5 - 0.3j))
+        with pytest.raises(ValueError, match=message):
+            integrate(Harmonic(), **kw)
+
 
 class TestClosure:
     def test_harmonic_orbit_closes_at_two_pi(self):
