@@ -1,4 +1,5 @@
-"""Loader of the compiled Dormand-Prince loop in ``_dopri5.c``.
+"""Loader of the compiled library: the Dormand-Prince loop in ``_dopri5.c``
+and the CSV row formatter in ``_csv.cpp``.
 
 ``integrator._dopri`` runs its accept/reject/PI/landing loop in the C
 kernel when the field is the ``field`` method of an exact ``Pendulum``,
@@ -7,13 +8,21 @@ float or complex parameters, on CPython before 3.14 (whose mixed
 float/complex arithmetic the kernel does not mirror).  Every other run
 uses the Python loop, which stays the reference.
 
-The kernel is compiled once, at the first run that can use it, with the
-system C compiler ``cc``.  The library is cached in this package's
-``__pycache__`` under a name keyed by a hash of the source, the flags
-and the interpreter version, and written by atomic rename, so that two
-processes building at once never load a half-written file.  When the
-compiler is missing, or the build or the load fails, one warning per
-process names the reason and the Python loop runs instead.
+``cli._write_trajectory_csv`` formats its rows with ``csv_rows`` when the
+interpreter's floats print in the 'short' repr style: each value is the
+shortest round-trip digits from ``std::to_chars`` laid out as ``repr``
+lays them out, so the file is the one the Python writer makes, byte for
+byte, for every model.
+
+The library is compiled once, at the first run or CSV that can use it,
+with the system C compiler ``cc`` (which needs a C++17 libstdc++ with
+floating-point ``std::to_chars``, GCC 11 or later).  It is cached in this
+package's ``__pycache__`` under a name keyed by a hash of both sources,
+the flags and the interpreter version, and written by atomic rename, so
+that two processes building at once never load a half-written file.
+When the compiler is missing, or the build or the load fails, one
+warning per process names the reason and the Python loop and the Python
+writer run instead.
 """
 from __future__ import annotations
 
@@ -34,11 +43,12 @@ from .models import DrivenPendulum, Harmonic, ImaginaryCubic, Pendulum
 
 logger = logging.getLogger(__name__)
 
-_SOURCE = Path(__file__).with_name("_dopri5.c")
+_SOURCES = (Path(__file__).with_name("_dopri5.c"), Path(__file__).with_name("_csv.cpp"))
 _CACHE = Path(__file__).with_name("__pycache__")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_ROWS = 512  # accepted steps handed over per call
+_ROWS = 512  # accepted steps handed over, or CSV rows formatted, per call
+_CSV_ROW_BYTES = 512  # bound on one CSV row's length (see _csv.cpp)
 
 _KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3}
 # status codes of dopri5_steps (see _dopri5.c)
@@ -92,7 +102,7 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
-        cmd = [_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"]
+        cmd = [_COMPILER, *_FLAGS, "-o", tmp, *map(str, _SOURCES), "-lstdc++", "-lm"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise OSError(f"{_COMPILER} failed: {proc.stderr.strip()}")
@@ -104,23 +114,32 @@ def _build(path: Path) -> None:
 
 @functools.cache
 def _library():
-    """The kernel's entry point, building the library first if needed;
-    None when it cannot be built or loaded (logged once)."""
+    """The library with its entry points declared, building it first if
+    needed; None when it cannot be built or loaded (logged once)."""
     try:
         # crc32, not hashlib: hashlib loads libcrypto, a few MB of memory
         key = zlib.crc32(
-            b"\0".join([_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), sys.version.encode(), platform.machine().encode()])
+            b"\0".join(
+                [
+                    *(source.read_bytes() for source in _SOURCES),
+                    " ".join(_FLAGS).encode(),
+                    sys.version.encode(),
+                    platform.machine().encode(),
+                ]
+            )
         )
         path = _CACHE / f"_dopri5-{key:08x}.so"
         if not path.is_file():
             _build(path)
-        fn = ctypes.CDLL(str(path)).dopri5_steps
+        lib = ctypes.CDLL(str(path))
     except OSError as exc:
-        logger.warning("compiled DOPRI5 stepper unavailable, using the Python loop: %s", exc)
+        logger.warning("compiled library unavailable, using the Python stepping loop and CSV writer: %s", exc)
         return None
-    fn.argtypes = [ctypes.POINTER(_Run), ctypes.POINTER(_State), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
-    fn.restype = ctypes.c_int
-    return fn
+    lib.dopri5_steps.argtypes = [ctypes.POINTER(_Run), ctypes.POINTER(_State), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
+    lib.dopri5_steps.restype = ctypes.c_int
+    lib.csv_rows.argtypes = [ctypes.c_long, *[ctypes.c_void_p] * 4, ctypes.c_int, ctypes.c_void_p]
+    lib.csv_rows.restype = ctypes.c_long
+    return lib
 
 
 def model_params(field):
@@ -146,7 +165,7 @@ def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
     reason, or, when a step has to be redone in Python, the state
     (t, x, p, kx, kp, h_mag, facold, accepted, i) at the start of that
     step."""
-    kernel = _library()
+    kernel = _library().dopri5_steps
     c_stops = (_c_double * len(stops))(*stops)
     run = _Run(*params, c_stops, stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
     state = _State(t, x.real, x.imag, p.real, p.imag, kx.real, kx.imag, kp.real, kp.imag, h_mag, facold, 0.0, 0, 0)
@@ -172,3 +191,31 @@ def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
             state.i,
         )
     return _STOP_REASONS[state.status]
+
+
+def csv_formatter():
+    """A function ``rows(t, x, p, e, driven)`` that formats up to ``_ROWS``
+    CSV rows from columns of floats (t) and complexes (x, p, e) and
+    returns them as a view of one fixed buffer, valid until its next
+    call; None when the library cannot be built or loaded."""
+    lib = _library()
+    if lib is None:
+        return None
+    csv_rows = lib.csv_rows
+    ts = np.empty(_ROWS)
+    zs = np.empty((3, _ROWS), dtype=complex)  # rows of x, p, e
+    out = ctypes.create_string_buffer(_ROWS * _CSV_ROW_BYTES)
+    view = memoryview(out)
+    columns = (ts.ctypes.data, *(row.ctypes.data for row in zs))
+
+    def rows(t, x, p, e, driven):
+        n = len(t)
+        if n > _ROWS:
+            raise ValueError(f"at most {_ROWS} rows per call, got {n}")
+        ts[:n] = t
+        zs[0, :n] = x
+        zs[1, :n] = p
+        zs[2, :n] = e
+        return view[: csv_rows(n, *columns, driven, ctypes.addressof(out))]
+
+    return rows

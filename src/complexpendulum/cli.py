@@ -9,6 +9,10 @@ the summary instead of aborting the run.
 
 Output is deterministic: rows carry full round-trip precision and no
 timestamps, so re-running a scenario reproduces files byte for byte.
+Each value is written as its Python ``repr``; the compiled library
+(``_dopri5``, ``_csv.cpp``) formats the rows in blocks and gives the
+same bytes as the Python writer, which runs when the library is
+unavailable.
 
 Subcommands::
 
@@ -31,6 +35,7 @@ from pathlib import Path
 
 import yaml
 
+from . import _dopri5
 from .analysis import cell_escape_summary, detect_closure, fit_ellipse, verify_pt_symmetry
 from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate
 from .models import DrivenPendulum, HamiltonianModel, Harmonic, ImaginaryCubic, PhaseState, Pendulum, cell_index
@@ -294,12 +299,19 @@ def _integrator_from(section, overrides: dict) -> IntegratorConfig:
     if overrides.get("tol") is not None:
         kw["rel_tol"] = overrides["tol"]
         kw["abs_tol"] = overrides["tol"] * 1e-2
-    if overrides.get("horizon") is not None:
-        kw["max_time"] = overrides["horizon"]
+    horizon_override = overrides.get("horizon")
+    if horizon_override is not None:
+        kw["max_time"] = horizon_override
     try:
         return IntegratorConfig(**kw)
     except ValueError as exc:
-        raise ConfigError(f"key 'integrator': {exc}") from None
+        message = str(exc)
+        # max_time is the field behind the scenario's `horizon` and `--horizon`
+        if message.startswith("max_time "):
+            if horizon_override is not None:
+                raise ConfigError(f"key '--horizon': {message.removeprefix('max_time ')}") from None
+            message = "horizon" + message.removeprefix("max_time")
+        raise ConfigError(f"key 'integrator': {message}") from None
 
 
 def _events_from(section) -> EventSpec:
@@ -542,19 +554,43 @@ def _resolve_tp(scn: Scenario, spec, roots) -> complex:
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, model: HamiltonianModel) -> None:
-    """Stream one row per sample: t, x, p and H = p^2/2 + V(x) as the
+    """Write one row per sample: t, x, p and H = p^2/2 + V(x) as the
     repr of each real part (round-trip exact; never needs CSV quoting),
-    plus the 2*pi cell index of x for driven runs."""
+    plus the 2*pi cell index of x for driven runs.
+
+    The energy column is computed here for every model; the compiled
+    library formats the rows, ``_dopri5._ROWS`` samples per call into one
+    fixed buffer.  Without the library, or where floats do not print in
+    the 'short' repr style, ``_write_rows_in_python`` writes the same
+    bytes."""
     driven = not model.autonomous
     potential = model.potential
-    with open(path, "w", newline="") as fh:
-        write = fh.write
-        write("t,re_x,im_x,re_p,im_p,re_E,im_E,cell\n" if driven else "t,re_x,im_x,re_p,im_p,re_E,im_E\n")
-        for s in traj.samples:
-            t, x, p = s.t, s.x, s.p
-            e = 0.5 * p * p + potential(x, t)
-            row = f"{t!r},{x.real!r},{x.imag!r},{p.real!r},{p.imag!r},{e.real!r},{e.imag!r}"
-            write(f"{row},{cell_index(x)}\n" if driven else row + "\n")
+    header = "t,re_x,im_x,re_p,im_p,re_E,im_E,cell\n" if driven else "t,re_x,im_x,re_p,im_p,re_E,im_E\n"
+    rows = _dopri5.csv_formatter() if sys.float_repr_style == "short" else None
+    if rows is None:
+        with open(path, "w", newline="") as fh:
+            fh.write(header)
+            _write_rows_in_python(fh, traj.samples, potential, driven)
+        return
+    samples = traj.samples
+    block = _dopri5._ROWS
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for i in range(0, len(samples), block):
+            t, x, p = zip(*[(s.t, s.x, s.p) for s in samples[i : i + block]])
+            e = [0.5 * pk * pk + potential(xk, tk) for tk, xk, pk in zip(t, x, p)]
+            fh.write(rows(t, x, p, e, driven))
+
+
+def _write_rows_in_python(fh, samples, potential, driven: bool) -> None:
+    """The CSV rows as f-strings of ``repr``s: the reference the compiled
+    formatter must match byte for byte."""
+    write = fh.write
+    for s in samples:
+        t, x, p = s.t, s.x, s.p
+        e = 0.5 * p * p + potential(x, t)
+        row = f"{t!r},{x.real!r},{x.imag!r},{p.real!r},{p.imag!r},{e.real!r},{e.imag!r}"
+        write(f"{row},{cell_index(x)}\n" if driven else row + "\n")
 
 
 def _trajectory_record(scn: Scenario, index: int, state: PhaseState, traj: Trajectory | None, error: str | None, fname: str | None) -> dict:

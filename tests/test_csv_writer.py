@@ -1,0 +1,180 @@
+"""The compiled CSV formatter writes what the Python writer writes.
+
+``_csv.cpp`` formats each float as CPython's ``repr`` (float_repr_style
+'short') from the shortest digits of ``std::to_chars``, and the driven
+cell column as ``models.cell_index``.  The formatter is checked against
+``repr`` value by value, then the whole writer against its Python loop,
+``cli._write_rows_in_python``, byte for byte on trajectories outside the
+bundled scenarios (which ``test_golden_outputs`` covers).
+"""
+import cmath
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from complexpendulum import (
+    DrivenPendulum,
+    EventSpec,
+    Harmonic,
+    HamiltonianModel,
+    IntegratorConfig,
+    Pendulum,
+    PhaseState,
+    _dopri5,
+    cli,
+    integrate,
+)
+from complexpendulum.models import cell_index
+
+DBL_MAX = sys.float_info.max
+
+
+@pytest.fixture(scope="module")
+def rows():
+    formatter = _dopri5.csv_formatter()
+    if formatter is None:
+        pytest.skip("the compiled library could not be built here")
+    return formatter
+
+
+def format_table(rows, table, driven=False):
+    """The formatter's lines for an (n, 7) array of doubles laid out as the
+    CSV columns t, re_x, im_x, re_p, im_p, re_E, im_E."""
+    lines = []
+    for i in range(0, len(table), _dopri5._ROWS):
+        block = np.ascontiguousarray(table[i : i + _dopri5._ROWS])
+        z = np.ascontiguousarray(block[:, 1:]).view(complex)  # x, p, E
+        lines += bytes(rows(block[:, 0], z[:, 0], z[:, 1], z[:, 2], driven)).decode().splitlines()
+    return lines
+
+
+def assert_formats_as_repr(rows, values):
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, np.zeros(-len(values) % 7)])
+    got = ",".join(format_table(rows, values.reshape(-1, 7))).split(",")
+    want = [repr(v) for v in values.tolist()]
+    mismatches = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want)
+    assert mismatches == []
+
+
+def test_random_bit_patterns(rows):
+    rng = np.random.default_rng(20180618)
+    values = np.frombuffer(rng.bytes(8 * 1_100_000), dtype=np.float64)
+    values = values[np.isfinite(values)][: 1 << 20]
+    assert len(values) == 1 << 20
+    assert_formats_as_repr(rows, values)
+
+
+def test_powers_of_two(rows):
+    powers = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    assert_formats_as_repr(rows, powers + [-v for v in powers])
+
+
+def test_switch_points_and_special_values(rows):
+    points = [0.0, -0.0, 5e-324, -5e-324, DBL_MAX, -DBL_MAX, 1e-4, 1e-5, 9.999999999999999e15, 1e16, 0.1, 123.0]
+    near = [math.nextafter(v, d) for v in points for d in (-math.inf, math.inf)]
+    integers = [float(10**16 + k) for k in range(-40, 41)] + [float(k) for k in range(-30, 31)]
+    nan = float("nan")
+    specials = [math.inf, -math.inf, nan, -nan, math.copysign(nan, -1.0), math.copysign(nan, 1.0)]
+    assert [math.copysign(1.0, v) for v in specials[2:]] == [1.0, -1.0, -1.0, 1.0]
+    assert_formats_as_repr(rows, points + near + integers + specials)
+
+
+def test_cell_column_is_cell_index(rows):
+    boundaries = [(2 * k + 1) * math.pi for k in range(-6, 6)]
+    re_x = boundaries + [math.nextafter(b, d) for b in boundaries for d in (-math.inf, math.inf)]
+    re_x += [0.0, -0.0, 1e18, -1e18, 1e20, -1e20, 1e300, -1e300, DBL_MAX, -DBL_MAX]
+    re_x += [2 * math.pi * c for c in (2.0**63, -(2.0**63), 2.0**64)]  # cells past the int64 range
+    re_x += np.random.default_rng(7).uniform(-1e4, 1e4, 1000).tolist()
+    table = np.zeros((len(re_x), 7))
+    table[:, 1] = re_x
+    cells = [line.rsplit(",", 1)[1] for line in format_table(rows, table, driven=True)]
+    assert cells == [str(cell_index(complex(v, 0.0))) for v in re_x]
+    assert min(int(c) for c in cells[: len(boundaries)]) < 0
+
+
+def test_longest_row_fits_the_buffer(rows):
+    table = np.full((1, 7), -2.2250738585072014e-308)
+    table[0, 1] = -DBL_MAX
+    (line,) = format_table(rows, table, driven=True)
+    assert len(line) + 1 == 485 <= _dopri5._CSV_ROW_BYTES
+
+
+class Quartic(HamiltonianModel):
+    """A model defined through the Python API: V = x^4/4."""
+
+    kind = "quartic"
+
+    def potential(self, x, t=0.0):
+        return 0.25 * x * x * x * x
+
+    def gradient(self, x):
+        return x * x * x
+
+
+def huge_harmonic():
+    # p*p overflows, so every energy is inf - inf = nan
+    return Harmonic(), integrate(
+        Harmonic(),
+        PhaseState(1e155 * (1 + 1j), 1e155 * (1 - 1j)),
+        IntegratorConfig(max_time=0.5, overflow_guard=1e300),
+        EventSpec(closure=False, escape=False),
+    )
+
+
+def pendulum_blocks():
+    model = Pendulum(g=1.0)
+    return model, integrate(model, PhaseState(0.5 + 0.2j, 0.3 - 0.1j), IntegratorConfig(max_time=120.0))
+
+
+def driven_leftwards():
+    model = DrivenPendulum(g=1.0, epsilon=0.5, omega=1.0)
+    return model, integrate(model, PhaseState(-0.5 + 0.01j, -2.5 + 0j), IntegratorConfig(max_time=40.0))
+
+
+def python_api_model():
+    model = Quartic()
+    return model, integrate(model, PhaseState(1.0 + 0.5j, 0.2j), IntegratorConfig(max_time=30.0))
+
+
+@pytest.mark.parametrize("run", [huge_harmonic, pendulum_blocks, driven_leftwards, python_api_model], ids=lambda f: f.__name__)
+def test_compiled_writer_matches_the_python_writer(monkeypatch, tmp_path, rows, run):
+    model, traj = run()
+    python_calls = []
+    write_rows_in_python = cli._write_rows_in_python
+
+    def spy(*args):
+        python_calls.append(args)
+        return write_rows_in_python(*args)
+
+    monkeypatch.setattr(cli, "_write_rows_in_python", spy)
+    cli._write_trajectory_csv(tmp_path / "compiled.csv", traj, model)
+    assert python_calls == []
+    monkeypatch.setattr(_dopri5, "csv_formatter", lambda: None)
+    cli._write_trajectory_csv(tmp_path / "python.csv", traj, model)
+    assert len(python_calls) == 1
+    compiled = (tmp_path / "compiled.csv").read_bytes()
+    assert compiled == (tmp_path / "python.csv").read_bytes()
+    assert compiled.count(b"\n") == len(traj.samples) + 1
+
+
+def test_cases_cover_what_they_are_for(rows):
+    model, huge = huge_harmonic()
+    assert len(huge.samples) > 1
+    assert all(cmath.isnan(model.energy(s)) for s in huge.samples)
+    _, long_run = pendulum_blocks()
+    assert len(long_run.samples) > 2 * _dopri5._ROWS and len(long_run.samples) % _dopri5._ROWS != 0
+    _, driven = driven_leftwards()
+    assert min(cell_index(s.x) for s in driven.samples) < -1
+
+
+def test_legacy_repr_style_uses_the_python_writer(monkeypatch, tmp_path):
+    model, traj = pendulum_blocks()
+    cli._write_trajectory_csv(tmp_path / "short.csv", traj, model)
+    monkeypatch.setattr(sys, "float_repr_style", "legacy")
+    monkeypatch.setattr(_dopri5, "csv_formatter", lambda: pytest.fail("formatter used"))
+    cli._write_trajectory_csv(tmp_path / "legacy.csv", traj, model)
+    assert (tmp_path / "legacy.csv").read_bytes() == (tmp_path / "short.csv").read_bytes()

@@ -9,6 +9,7 @@ together with the classification, termination, period and escape time.
 import hashlib
 import logging
 import math
+from pathlib import Path
 
 import pytest
 from test_golden_outputs import GOLDEN
@@ -25,7 +26,7 @@ from complexpendulum import (
     integrator,
     verify_pt_symmetry,
 )
-from complexpendulum import _dopri5
+from complexpendulum import _dopri5, cli
 from complexpendulum.cli import run_scenario
 
 COSH1 = math.cosh(1.0)
@@ -250,7 +251,16 @@ def test_subclasses_use_the_python_loop(kernel_spy):
 )
 def test_failed_build_falls_back_to_the_python_loop(monkeypatch, tmp_path, caplog, compiler, flag, reason):
     """Without a working build the run logs one record naming why and
-    still reproduces the bundled outputs, on the Python loop."""
+    still reproduces the bundled outputs, on the Python loop, with every
+    CSV written by the Python writer."""
+    python_csvs = []
+    write_rows_in_python = cli._write_rows_in_python
+
+    def spy(fh, *args):
+        python_csvs.append(Path(fh.name).name)
+        return write_rows_in_python(fh, *args)
+
+    monkeypatch.setattr(cli, "_write_rows_in_python", spy)
     if flag is None:
         compiler = str(tmp_path / compiler)
     else:
@@ -267,7 +277,17 @@ def test_failed_build_falls_back_to_the_python_loop(monkeypatch, tmp_path, caplo
                     assert hashlib.sha256(f.read_bytes()).hexdigest() == GOLDEN[f"{scenario}/{f.name}"]
     finally:
         _dopri5._library.cache_clear()
+    assert python_csvs == [f"traj_0{i}.csv" for i in range(5)] + ["traj_00.csv"]
     records = [r for r in caplog.records if r.name == "complexpendulum._dopri5"]
     assert len(records) == 1
     assert reason in records[0].getMessage()
     assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_package_data_lists_every_source():
+    """An installed package missing a source would fall back to the
+    Python loop and writer with only a warning."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    package_data = pyproject["tool"]["setuptools"]["package-data"]["complexpendulum"]
+    assert [source.name for source in _dopri5._SOURCES if source.name not in package_data] == []
