@@ -160,22 +160,23 @@ def model_params(field):
 
 
 def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
-    """The compiled loop as a generator: yields (t, x, p, kx, kp) after
-    every accepted step like ``integrator._dopri`` and returns its stop
-    reason, or, when a step has to be redone in Python, the state
+    """The compiled loop as a generator: yields the accepted steps in
+    blocks of up to ``_ROWS`` like ``integrator._dopri``, (t, z) with z's
+    rows x, p, kx, kp, each block in buffers of its own, and returns its
+    stop reason, or, when a step has to be redone in Python, the state
     (t, x, p, kx, kp, h_mag, facold, accepted, i) at the start of that
     step."""
     kernel = _library().dopri5_steps
     c_stops = (_c_double * len(stops))(*stops)
     run = _Run(*params, c_stops, stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
     state = _State(t, x.real, x.imag, p.real, p.imag, kx.real, kx.imag, kp.real, kp.imag, h_mag, facold, 0.0, 0, 0)
-    ts = np.empty(_ROWS)
-    zs = np.empty((4, _ROWS), dtype=complex)  # rows of x, p, kx, kp
-    args = (ctypes.byref(run), ctypes.byref(state), ts.ctypes.data, zs.ctypes.data, _ROWS)
+    run_ref, state_ref = ctypes.byref(run), ctypes.byref(state)
     while True:
-        n = kernel(*args)
+        ts = np.empty(_ROWS)
+        zs = np.empty((4, _ROWS), dtype=complex)
+        n = kernel(run_ref, state_ref, ts.ctypes.data, zs.ctypes.data, _ROWS)
         if n:
-            yield from zip(ts[:n].tolist(), *zs[:, :n].tolist())
+            yield ts[:n], zs[:, :n]
         if state.status != _FULL:
             break
     if state.status == _HAND_BACK:
@@ -197,25 +198,23 @@ def csv_formatter():
     """A function ``rows(t, x, p, e, driven)`` that formats up to ``_ROWS``
     CSV rows from columns of floats (t) and complexes (x, p, e) and
     returns them as a view of one fixed buffer, valid until its next
-    call; None when the library cannot be built or loaded."""
+    call; None when the library cannot be built or loaded.  Contiguous
+    float64 and complex128 columns are read in place."""
     lib = _library()
     if lib is None:
         return None
     csv_rows = lib.csv_rows
-    ts = np.empty(_ROWS)
-    zs = np.empty((3, _ROWS), dtype=complex)  # rows of x, p, e
     out = ctypes.create_string_buffer(_ROWS * _CSV_ROW_BYTES)
     view = memoryview(out)
-    columns = (ts.ctypes.data, *(row.ctypes.data for row in zs))
 
     def rows(t, x, p, e, driven):
         n = len(t)
         if n > _ROWS:
             raise ValueError(f"at most {_ROWS} rows per call, got {n}")
-        ts[:n] = t
-        zs[0, :n] = x
-        zs[1, :n] = p
-        zs[2, :n] = e
-        return view[: csv_rows(n, *columns, driven, ctypes.addressof(out))]
+        columns = [np.ascontiguousarray(t, dtype=float)]
+        columns += (np.ascontiguousarray(z, dtype=complex) for z in (x, p, e))
+        if any(len(column) != n for column in columns):
+            raise ValueError("columns of unequal length")
+        return view[: csv_rows(n, *(column.ctypes.data for column in columns), driven, ctypes.addressof(out))]
 
     return rows

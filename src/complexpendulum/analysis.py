@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import CLOSED, EventSpec, IntegratorConfig, Trajectory, _dist2, _is_dip, integrate, locate_return
-from .models import PhaseState, Pendulum, cell_index
+from .models import PhaseState, Pendulum, cell_indices
 
 __all__ = [
     "DegenerateConic",
@@ -103,40 +103,38 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
     trajectories already terminated by the integrator's closure event the
     recorded period is reported directly.
     """
-    samples = traj.samples
-    if len(samples) < 4:
+    if len(traj) < 4:
         return ClosureReport(False, None, math.inf, None)
-    s0 = samples[0]
-    x0, p0 = complex(s0.x), complex(s0.p)
-    d2 = [_dist2(s.x, s.p, x0, p0) for s in samples]
-    dmax_sq = max(d2)
+    t, x, p = traj.t, traj.x, traj.p
+    t0, x0, p0 = t[0].item(), x[0].item(), p[0].item()
+    d2 = _dist2(x, p, x0, p0)
+    # d2[0] == 0.0, so skipping NaN is what max() over the list does
+    dmax_sq = float(np.fmax.reduce(d2))
     if dmax_sq <= 0.0:
         return ClosureReport(False, None, math.inf, None)
     scale = math.sqrt(dmax_sq)
 
     if traj.classification == CLOSED and traj.period is not None:
         rd = math.sqrt(d2[-1]) / scale
-        return ClosureReport(rd <= tol, traj.period, rd, _windings([complex(s.x) for s in samples]))
+        return ClosureReport(rd <= tol, traj.period, rd, _windings(x.tolist()))
 
     model = traj.model
     field = model.field if model is not None else None
-    k0 = field(s0.t, x0, p0) if field is not None else None
-    direction = 1.0 if samples[-1].t >= s0.t else -1.0
+    k0 = field(t0, x0, p0) if field is not None else None
+    direction = 1.0 if t[-1] >= t0 else -1.0
     best = math.inf
-    for i in range(1, len(samples) - 1):
-        if not _is_dip(d2[i - 1], d2[i], d2[i + 1], dmax_sq):
-            continue
+    for i in (np.flatnonzero(_is_dip(d2[:-2], d2[1:-1], d2[2:], dmax_sq)) + 1).tolist():
         best = min(best, math.sqrt(d2[i]) / scale)
         if field is None:
             continue
         recs = []
         for j in (i - 1, i, i + 1):
-            s = samples[j]
-            kx, kp = field(s.t, complex(s.x), complex(s.p))
-            recs.append((s.t, complex(s.x), complex(s.p), d2[j], kx, kp))
+            tj, xj, pj = t[j].item(), x[j].item(), p[j].item()
+            kx, kp = field(tj, xj, pj)
+            recs.append((tj, xj, pj, d2[j].item(), kx, kp))
         hit = locate_return(
             field,
-            s0.t,
+            t0,
             x0,
             p0,
             k0[0],
@@ -153,8 +151,8 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
         t_star, _, _, dist_scaled, aligned = hit
         best = min(best, dist_scaled)
         if dist_scaled <= tol and aligned:
-            period = abs(t_star - s0.t)
-            cut = [complex(s.x) for s in samples if (s.t - t_star) * direction <= 0.0]
+            period = abs(t_star - t0)
+            cut = x[(t - t_star) * direction <= 0.0].tolist()
             return ClosureReport(True, period, dist_scaled, _windings(cut))
     return ClosureReport(False, None, best, None)
 
@@ -182,8 +180,8 @@ def verify_pt_symmetry(
         raise ValueError("a model is required")
     if not model.autonomous:
         raise ValueError("PT verification applies to autonomous models")
-    samples = traj.samples
-    if len(samples) < 2:
+    n = len(traj)
+    if n < 2:
         raise ValueError("trajectory has too few samples")
     cfg = config if config is not None else IntegratorConfig()
 
@@ -191,13 +189,13 @@ def verify_pt_symmetry(
     if isinstance(model, Pendulum) and model.g.real == 0.0 and model.g.imag != 0.0:
         map_kind = "imag-g"
 
-    t0 = samples[0].t
-    x0 = model.pt_reflection(complex(samples[0].x))
-    p0 = complex(samples[0].p).conjugate()
+    t0 = traj.t[0].item()
+    x0 = model.pt_reflection(traj.x[0].item())
+    p0 = traj.p[0].item().conjugate()
 
-    idx = np.linspace(1, len(samples) - 1, min(max_points, len(samples) - 1)).astype(int)
+    idx = np.linspace(1, n - 1, min(max_points, n - 1)).astype(int)
     idx = sorted(set(idx.tolist()))
-    taus = [samples[i].t - t0 for i in idx]
+    taus = [t - t0 for t in traj.t[idx].tolist()]
     span = taus[-1]
     back = integrate(
         model,
@@ -207,17 +205,16 @@ def verify_pt_symmetry(
         t_final=-span,
         t_checkpoints=[-tau for tau in taus],
     )
-    mirrored = {s.t: s for s in back.samples}
+    mirrored = dict(zip(back.t.tolist(), zip(back.x.tolist(), back.p.tolist())))
     dev = 0.0
     matched = 0
-    for i, tau in zip(idx, taus):
+    for x, p, tau in zip(traj.x[idx].tolist(), traj.p[idx].tolist(), taus):
         s = mirrored.get(-tau)
         if s is None:
             continue
         matched += 1
-        orig = samples[i]
-        dx = abs(complex(s.x) - model.pt_reflection(complex(orig.x)))
-        dp = abs(complex(s.p) - complex(orig.p).conjugate())
+        dx = abs(s[0] - model.pt_reflection(x))
+        dp = abs(s[1] - p.conjugate())
         dev = max(dev, dx, dp)
     if matched == 0:
         raise ValueError("backward run produced no comparable sample times")
@@ -232,7 +229,7 @@ def fit_ellipse(traj: Trajectory) -> EllipseFit:
     Raises DegenerateConic for too few, coincident, or collinear samples
     and whenever the best conic is not an ellipse.
     """
-    pts = np.array([[complex(s.x).real, complex(s.x).imag] for s in traj.samples], dtype=float)
+    pts = np.column_stack([traj.x.real, traj.x.imag])
     if len(pts) < 6:
         raise DegenerateConic("need at least 6 samples to fit an ellipse")
     centroid = pts.mean(axis=0)
@@ -315,18 +312,13 @@ def fit_ellipse(traj: Trajectory) -> EllipseFit:
 
 
 def cell_escape_summary(traj: Trajectory) -> list[tuple[float, int, int]]:
-    """Compress cell_history to its transitions, in one pass over the
-    samples that computes each sample's cell once.
+    """Compress cell_history to its transitions, computing each sample's
+    cell once.
 
     Each entry is (t, from_cell, to_cell) with t the first sample time
     in the new cell; an empty list means the trajectory never left its
     starting 2*pi strip.
     """
-    out: list[tuple[float, int, int]] = []
-    k_prev = None
-    for s in traj.samples:
-        k = cell_index(s.x)
-        if k != k_prev and k_prev is not None:
-            out.append((s.t, k_prev, k))
-        k_prev = k
-    return out
+    k = cell_indices(traj.x)
+    moves = np.flatnonzero(k[1:] != k[:-1]) + 1
+    return list(zip(traj.t[moves].tolist(), map(int, k[moves - 1].tolist()), map(int, k[moves].tolist())))

@@ -558,37 +558,33 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, model: HamiltonianModel)
     repr of each real part (round-trip exact; never needs CSV quoting),
     plus the 2*pi cell index of x for driven runs.
 
-    The energy column is computed here for every model; the compiled
-    library formats the rows, ``_dopri5._ROWS`` samples per call into one
-    fixed buffer.  Without the library, or where floats do not print in
-    the 'short' repr style, ``_write_rows_in_python`` writes the same
-    bytes."""
+    ``model`` is the trajectory's; the energy column is the trajectory's
+    ``energy``, shared with ``energy_drift``.  The compiled library
+    formats the rows from the columns, ``_dopri5._ROWS`` samples per call
+    into one fixed buffer.  Without the library, or where floats do not
+    print in the 'short' repr style, ``_write_rows_in_python`` writes the
+    same bytes."""
     driven = not model.autonomous
-    potential = model.potential
     header = "t,re_x,im_x,re_p,im_p,re_E,im_E,cell\n" if driven else "t,re_x,im_x,re_p,im_p,re_E,im_E\n"
+    columns = traj.t, traj.x, traj.p, traj.energy
     rows = _dopri5.csv_formatter() if sys.float_repr_style == "short" else None
     if rows is None:
         with open(path, "w", newline="") as fh:
             fh.write(header)
-            _write_rows_in_python(fh, traj.samples, potential, driven)
+            _write_rows_in_python(fh, *columns, driven)
         return
-    samples = traj.samples
     block = _dopri5._ROWS
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for i in range(0, len(samples), block):
-            t, x, p = zip(*[(s.t, s.x, s.p) for s in samples[i : i + block]])
-            e = [0.5 * pk * pk + potential(xk, tk) for tk, xk, pk in zip(t, x, p)]
-            fh.write(rows(t, x, p, e, driven))
+        for i in range(0, len(traj), block):
+            fh.write(rows(*(column[i : i + block] for column in columns), driven))
 
 
-def _write_rows_in_python(fh, samples, potential, driven: bool) -> None:
+def _write_rows_in_python(fh, t, x, p, e, driven: bool) -> None:
     """The CSV rows as f-strings of ``repr``s: the reference the compiled
     formatter must match byte for byte."""
     write = fh.write
-    for s in samples:
-        t, x, p = s.t, s.x, s.p
-        e = 0.5 * p * p + potential(x, t)
+    for t, x, p, e in zip(t.tolist(), x.tolist(), p.tolist(), e.tolist()):
         row = f"{t!r},{x.real!r},{x.imag!r},{p.real!r},{p.imag!r},{e.real!r},{e.imag!r}"
         write(f"{row},{cell_index(x)}\n" if driven else row + "\n")
 
@@ -604,7 +600,7 @@ def _trajectory_record(scn: Scenario, index: int, state: PhaseState, traj: Traje
         return rec
     rec["classification"] = traj.classification
     rec["termination"] = traj.termination
-    rec["samples"] = len(traj.samples)
+    rec["samples"] = len(traj)
     rec["period"] = traj.period
     rec["escape_time"] = traj.escape_time
     rec["energy_drift"] = traj.energy_drift() if scn.model.autonomous else None
@@ -640,7 +636,7 @@ def _trajectory_record(scn: Scenario, index: int, state: PhaseState, traj: Traje
             elif analysis == "cells":
                 transitions = cell_escape_summary(traj)
                 # every cell a sample lies in is the start cell or entered by a transition
-                visited = {cell_index(s.x) for s in traj.samples[:1]}
+                visited = {cell_index(traj.x[0].item())}
                 visited.update(b for _, _, b in transitions)
                 rec["cells"] = {
                     "visited": sorted(visited),

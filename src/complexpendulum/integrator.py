@@ -34,16 +34,27 @@ the finiteness screen and the error norm are written out in its loop
 body, which saves CPython's per-call overhead on every step.
 The order of its complex expressions is frozen, since the bundled
 scenario outputs are reproduced byte for byte (see ``_dopri``).
-``integrate`` watches the events above on its accepted steps; event
-polishing re-integrates short spans with the same stepper.
+It hands over its accepted steps in blocks of arrays.  ``integrate``
+scans each block for the events above with elementwise array tests (the
+overflow guard, the escape radius and the closure rule's dips, with the
+last two rows carried across blocks), takes the rows before the first
+event as they are, and visits Python only at the rows the tests flag;
+event polishing re-integrates short spans with the same stepper.
+
+Trajectories store their samples as columns (float64 t, complex128 x
+and p), which the analyses and the CSV writer read directly; the
+``PhaseState`` list ``Trajectory.samples`` is built only when asked
+for.  Each sample's potential is evaluated once, for the energy column
+that ``energy_drift`` and the CSV writer share.
 
 Compiled kernel: for exact instances of the four built-in models (with
 plain int, float or complex parameters, on CPython before 3.14) ``_dopri``
 runs the same loop in C (``_dopri5.c``, loaded by ``_dopri5``), which
 mirrors CPython's complex arithmetic operation for operation and so gives
-the same steps bit for bit.  It hands over accepted steps in blocks
-through the same generator protocol, so every caller, event polishing
-included, gets it through the one stepper, and the events stay here.
+the same steps bit for bit.  It hands over accepted steps in blocks of
+512 through the same generator protocol, so every caller, event
+polishing included, gets it through the one stepper, and the events
+stay here.
 A step the kernel cannot mirror (a non-finite stage or result, a stage
 with |Im x| past 708.396..., where ``cmath.sinh`` switches formula, or an
 overflowing sine) is handed back: the Python loop below resumes from the
@@ -53,12 +64,15 @@ the Python loop throughout; it stays the reference.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import _dopri5
-from .models import HamiltonianModel, PhaseState, cell_index
+from .models import HamiltonianModel, PhaseState, cell_indices
 
 __all__ = [
     "CLOSED",
@@ -116,6 +130,8 @@ _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
 _FAC_SHRINK = 5.0  # largest shrink per step: h / 5
 _FAC_GROW = 10.0  # largest growth per step: h * 10
+
+_BLOCK = 64  # accepted steps per block of the Python stepping loop
 
 
 def _reject_nan(settings) -> None:
@@ -190,28 +206,77 @@ class EventSpec:
             raise ValueError("min_period must be >= 0")
 
 
-@dataclass
 class Trajectory:
     """Result of one integration run.
 
-    samples are ordered along the direction of integration and start at
-    the initial state.  period is set exactly when classification == "closed",
-    escape_time exactly when classification == "escaped"; termination
-    names the event that stopped the run ("closure", "escape", "horizon",
-    "max_steps", "step_underflow", "overflow", "non_finite").
+    The samples are stored as columns: ``t`` (float64), ``x`` and ``p``
+    (complex128), ordered along the direction of integration and starting
+    at the initial state; ``len(traj)`` counts them.  ``samples`` is the
+    same data as a list of ``PhaseState``, built at first use and cached.
+    A trajectory can also be made from such a list,
+    ``Trajectory(samples=[...], classification=...)``.
+
+    period is set exactly when classification == "closed", escape_time
+    exactly when classification == "escaped"; termination names the event
+    that stopped the run ("closure", "escape", "horizon", "max_steps",
+    "step_underflow", "overflow", "non_finite").
     """
 
-    samples: list[PhaseState]
-    classification: str
-    period: float | None = None
-    escape_time: float | None = None
-    termination: str = ""
-    model: HamiltonianModel | None = None
+    def __init__(
+        self,
+        samples=None,
+        classification: str = "",
+        period: float | None = None,
+        escape_time: float | None = None,
+        termination: str = "",
+        model: HamiltonianModel | None = None,
+        *,
+        t=None,
+        x=None,
+        p=None,
+    ) -> None:
+        if samples is not None:
+            samples = list(samples)
+            t = [s.t for s in samples]
+            x = [s.x for s in samples]
+            p = [s.p for s in samples]
+        self.t = np.asarray(t, dtype=float)
+        self.x = np.asarray(x, dtype=complex)
+        self.p = np.asarray(p, dtype=complex)
+        self.classification = classification
+        self.period = period
+        self.escape_time = escape_time
+        self.termination = termination
+        self.model = model
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @functools.cached_property
+    def samples(self) -> list[PhaseState]:
+        """The samples as ``PhaseState``s of Python floats and complexes."""
+        return list(map(PhaseState, self.x.tolist(), self.p.tolist(), self.t.tolist()))
 
     @property
     def cell_history(self) -> list[tuple[float, int]]:
         """(t, cell_index(x)) for every sample."""
-        return [(s.t, cell_index(s.x)) for s in self.samples]
+        return list(zip(self.t.tolist(), map(int, cell_indices(self.x).tolist())))
+
+    @functools.cached_property
+    def _potential_and_energy(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.model is None:
+            raise ValueError("trajectory carries no model")
+        potential = self.model.potential
+        v = [potential(x, t) for t, x in zip(self.t.tolist(), self.x.tolist())]
+        # complex products stay in Python: numpy's may round differently
+        h = [0.5 * p * p + vk for p, vk in zip(self.p.tolist(), v)]
+        return np.array(v, dtype=complex), np.array(h, dtype=complex)
+
+    @property
+    def energy(self) -> np.ndarray:
+        """H = p^2/2 + V(x) at every sample (complex128), evaluated once
+        per sample and shared by ``energy_drift`` and the CSV writer."""
+        return self._potential_and_energy[1]
 
     def energy_drift(self) -> float:
         """Worst relative energy error over the samples.
@@ -223,18 +288,19 @@ class Trajectory:
         integration error rather than float cancellation.  Meaningful
         for autonomous models, where H is conserved exactly.
         """
-        if self.model is None:
-            raise ValueError("trajectory carries no model")
-        potential = self.model.potential
-        e0 = self.model.energy(self.samples[0])
-        worst = 0.0
-        for s in self.samples:
-            # one potential evaluation for H = p^2/2 + V and the local scale
-            v = potential(s.x, s.t)
-            local = 0.5 * abs(s.p) ** 2 + abs(v)
-            dev = abs(0.5 * s.p * s.p + v - e0) / max(1.0, abs(e0), local)
-            worst = max(worst, dev)
-        return worst
+        v, h = self._potential_and_energy
+        e0 = self.model.energy(PhaseState(self.x[0].item(), self.p[0].item(), self.t[0].item()))
+        # per sample, the bits of the scalar expression
+        #   abs(h - e0) / max(1.0, abs(e0), 0.5 * abs(p) ** 2 + abs(v)):
+        # np.hypot is the libm hypot of abs(complex), fmax skips a NaN as
+        # max() does when 1.0 comes first, and abs(p) ** 2 is libm's pow,
+        # which numpy's square is not
+        with np.errstate(all="ignore"):
+            abs_p = np.hypot(self.p.real, self.p.imag)
+            local = 0.5 * np.array([a**2 for a in abs_p.tolist()]) + np.hypot(v.real, v.imag)
+            dev = h - e0
+            dev = np.hypot(dev.real, dev.imag) / np.fmax(max(1.0, abs(e0)), local)
+            return float(np.fmax.reduce(dev, initial=0.0))
 
 
 def _finite(x: complex, p: complex) -> bool:
@@ -295,11 +361,14 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
 
     Steps from (t, x, p), with field value (k1x, k1p) there, landing
     exactly on each time of ``stops`` in turn; the last one ends the run.
-    Yields (t, x, p, kx, kp) after every accepted step, (kx, kp) being the
-    field at the new state, and returns why it stopped: "horizon",
-    "max_steps", "step_underflow" (the controller wants steps below
-    min_step) or "non_finite" (halving a step with non-finite stages went
-    below min_step).  Callers watch for events and may stop early.
+    Yields the accepted steps in blocks (t, z): t the float64 array of
+    their times and z the complex128 array of four rows x, p, kx, kp,
+    (kx, kp) being the field at each new state.  Returns why it stopped:
+    "horizon", "max_steps", "step_underflow" (the controller wants steps
+    below min_step) or "non_finite" (halving a step with non-finite stages
+    went below min_step).  Callers watch for events and may stop early;
+    the steps of a block past an event are then wasted, so the Python
+    loop hands over ``_BLOCK`` steps at a time, the compiled kernel 512.
 
     One fused sweep: the seven stages, the finiteness screen and the
     mixed-tolerance RMS error norm over the four real components are
@@ -322,6 +391,7 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     facold = 1e-4
     accepted = 0
     i = 0
+    times, rows = [], []
     params = _dopri5.model_params(field)
     if params is not None:
         stop = yield from _dopri5.steps(
@@ -334,7 +404,8 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
         t, x, p, k1x, k1p, h_mag, facold, accepted, i = stop
     while (t_end - t) * direction > 0.0:
         if accepted >= max_steps:
-            return "max_steps"
+            stop = "max_steps"
+            break
         while (stops[i] - t) * direction <= 0.0:
             i += 1
         h = direction * h_mag
@@ -381,7 +452,8 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
         ):
             h_mag = 0.5 * abs(h)
             if h_mag < min_step:
-                return "non_finite"
+                stop = "non_finite"
+                break
             continue
         # RMS of error / (abs_tol + rel_tol * max(|old|, |new|)); every
         # value is finite here, so the conditionals equal max()
@@ -397,12 +469,17 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
         if err > 1.0:
             h_mag = abs(_reject_h(h, err))
             if h_mag < min_step:
-                return "step_underflow"
+                stop = "step_underflow"
+                break
             continue
 
         t = stops[i] if landed else t + h
         x, p, k1x, k1p = x1, p1, k7x, k7p
-        yield t, x, p, k1x, k1p
+        times.append(t)
+        rows.append((x, p, k1x, k1p))
+        if len(times) == _BLOCK:
+            yield np.array(times), np.array(rows).T
+            times, rows = [], []
         accepted += 1
 
         hnew = abs(_next_h(h, err, facold))
@@ -413,8 +490,13 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
             if h_mag < min_step:
                 # the controller itself wants sub-floor steps: the local
                 # timescale has collapsed (approaching a singularity)
-                return "step_underflow"
-    return "horizon"
+                stop = "step_underflow"
+                break
+    else:
+        stop = "horizon"
+    if times:
+        yield np.array(times), np.array(rows).T
+    return stop
 
 
 def _advance(field, t0, x0, p0, t_target, rel_tol, abs_tol, max_step, min_step):
@@ -423,24 +505,26 @@ def _advance(field, t0, x0, p0, t_target, rel_tol, abs_tol, max_step, min_step):
     t, x, p = t0, x0, p0
     if t_target != t0:
         k1x, k1p = field(t0, x0, p0)
-        for t, x, p, _, _ in _dopri(field, t0, x0, p0, k1x, k1p, [t_target], rel_tol, abs_tol, max_step, min_step):
-            pass
+        for ts, z in _dopri(field, t0, x0, p0, k1x, k1p, [t_target], rel_tol, abs_tol, max_step, min_step):
+            t, x, p = ts[-1].item(), z[0, -1].item(), z[1, -1].item()
     if t != t_target:
         raise ArithmeticError(f"event polishing stopped at t={t!r} short of {t_target!r}")
     return x, p
 
 
-def _dist2(x, p, x0, p0) -> float:
-    """Squared phase-space distance from (x0, p0) to (x, p)."""
+def _dist2(x, p, x0, p0):
+    """Squared phase-space distance from (x0, p0) to (x, p); elementwise
+    when x and p are arrays, with the same operations in the same order."""
     dx = x - x0
     dp = p - p0
     return dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
 
 
-def _is_dip(d_before: float, d: float, d_after: float, dmax_sq: float) -> bool:
+def _is_dip(d_before, d, d_after, dmax_sq):
     """Whether the sampled squared distance d to the start is a candidate
-    return: a local minimum within half the orbit extent sqrt(dmax_sq)."""
-    return d < d_before and d <= d_after and d < 0.25 * dmax_sq
+    return: a local minimum within half the orbit extent sqrt(dmax_sq).
+    Elementwise on arrays, like ``_dist2``."""
+    return (d < d_before) & (d <= d_after) & (d < 0.25 * dmax_sq)
 
 
 def locate_return(
@@ -606,8 +690,6 @@ def integrate(
     else:
         cps = []
 
-    samples = [PhaseState(x0, p0, t0)]
-
     k0x, k0p = field(t0, x0, p0)
     if not _finite(complex(k0x), complex(k0p)):
         raise ValueError("vector field is not finite at the start state")
@@ -617,81 +699,110 @@ def integrate(
     pol_rel = max(cfg.rel_tol * 0.1, 1e-14)
     pol_abs = max(cfg.abs_tol * 0.1, 1e-16)
 
-    dmax_sq = 0.0
-    prev2 = None
-    prev1 = (t0, x0, p0, 0.0, k0x, k0p)
-    period = None
-    escape_time = None
-
     steps = _dopri(
         field, t0, x0, p0, k0x, k0p, cps + [t_end],
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps,
     )
     guard = cfg.overflow_guard
     radius = cfg.escape_radius
-    append = samples.append
-    while True:
+    # the kept samples as (t, x, p) column pieces, the start first
+    pieces = [([t0], [x0], [p0])]
+    # the last two accepted rows as (t, x, p, d2, kx, kp) records, d2 the
+    # squared distance to the start (0.0 while closure is not watched)
+    prev2 = None
+    prev1 = (t0, x0, p0, 0.0, k0x, k0p)
+    dmax_sq = 0.0
+    period = escape_time = None
+    classification = None
+    while classification is None:
         try:
-            t1, x1, p1, k1x, k1p = next(steps)
+            t, z = next(steps)
         except StopIteration as stop:
             termination = stop.value
             classification = _STOP_CLASSIFICATION[termination]
             break
+        x, p = z[0], z[1]
 
-        if abs(x1.real) > guard or abs(x1.imag) > guard or abs(p1.real) > guard or abs(p1.imag) > guard:
-            append(PhaseState(x1, p1, t1))
-            classification, termination = BLOWUP, "overflow"
-            break
-
-        if watch_escape and abs(x1.imag) >= radius:
-            last = samples[-1]
-            te, xe, pe = _locate_escape(
-                field, last.t, last.x, last.p, t1, radius, pol_rel, pol_abs, cfg.max_step, cfg.min_step
-            )
-            append(PhaseState(xe, pe, te))
-            classification, termination = ESCAPED, "escape"
-            escape_time = abs(te - t0)
-            break
-
+        # every row that may end the run, tested elementwise; the loop
+        # below visits them in order, each row's tests in the order
+        # overflow, escape, closure
+        over = (np.abs(x.real) > guard) | (np.abs(x.imag) > guard) | (np.abs(p.real) > guard) | (np.abs(p.imag) > guard)
+        out = np.abs(x.imag) >= radius if watch_escape else np.zeros(len(t), bool)
+        events = over | out
         if watch_closure:
-            d2 = _dist2(x1, p1, x0, p0)
-            if d2 > dmax_sq:
-                dmax_sq = d2
-            current = (t1, x1, p1, d2, k1x, k1p)
-            if (
-                prev2 is not None
-                and _is_dip(prev2[3], prev1[3], d2, dmax_sq)
-                and (prev1[0] - t0) * direction >= ev.min_period
-            ):
-                t_star, x_star, p_star, dist_scaled, aligned = locate_return(
-                    field,
-                    t0,
-                    x0,
-                    p0,
-                    k0x,
-                    k0p,
-                    prev2,
-                    prev1,
-                    current,
-                    math.sqrt(dmax_sq),
-                    pol_rel,
-                    pol_abs,
-                    cfg.max_step,
-                    cfg.min_step,
+            d2 = _dist2(x, p, x0, p0)
+            dmax = np.fmax.accumulate(np.concatenate(([dmax_sq], d2)))[1:]
+            # a row is a candidate when the row before it is a dip
+            # between its own predecessor and the row itself
+            d = np.concatenate(([math.nan if prev2 is None else prev2[3], prev1[3]], d2))
+            t_before = np.concatenate(([prev1[0]], t[:-1]))
+            dip = _is_dip(d[:-2], d[1:-1], d[2:], dmax) & ((t_before - t0) * direction >= ev.min_period)
+            events |= dip
+
+        def record(j):
+            # row j of this block; -1 and -2 are the rows before it
+            if j < 0:
+                return prev1 if j == -1 else prev2
+            dj = d2[j].item() if watch_closure else 0.0
+            return t[j].item(), x[j].item(), p[j].item(), dj, z[2, j].item(), z[3, j].item()
+
+        kept = len(t)
+        for r in np.flatnonzero(events).tolist():
+            if over[r]:
+                kept = r + 1
+                classification, termination = BLOWUP, "overflow"
+                break
+            if out[r]:
+                ta, xa, pa = record(r - 1)[:3]
+                te, xe, pe = _locate_escape(
+                    field, ta, xa, pa, t[r].item(), radius, pol_rel, pol_abs, cfg.max_step, cfg.min_step
                 )
-                if dist_scaled <= ev.closure_tol and aligned:
-                    while samples and (samples[-1].t - t_star) * direction >= 0.0:
-                        samples.pop()
-                    append(PhaseState(x_star, p_star, t_star))
-                    classification, termination = CLOSED, "closure"
-                    period = abs(t_star - t0)
-                    break
-            prev2, prev1 = prev1, current
+                kept = r
+                end = te, xe, pe
+                classification, termination = ESCAPED, "escape"
+                escape_time = abs(te - t0)
+                break
+            t_star, x_star, p_star, dist_scaled, aligned = locate_return(
+                field,
+                t0,
+                x0,
+                p0,
+                k0x,
+                k0p,
+                record(r - 2),
+                record(r - 1),
+                record(r),
+                math.sqrt(dmax[r]),
+                pol_rel,
+                pol_abs,
+                cfg.max_step,
+                cfg.min_step,
+            )
+            if dist_scaled <= ev.closure_tol and aligned:
+                kept = r
+                end = t_star, x_star, p_star
+                classification, termination = CLOSED, "closure"
+                period = abs(t_star - t0)
+                break
+        pieces.append((t[:kept], x[:kept], p[:kept]))
+        if classification is None:
+            prev2, prev1 = record(len(t) - 2), record(len(t) - 1)
+            if watch_closure:
+                dmax_sq = dmax[-1].item()
 
-        append(PhaseState(x1, p1, t1))
-
+    ts, xs, ps = (np.concatenate(column) for column in zip(*pieces))
+    if classification == CLOSED:
+        # the closest approach may lie before the last kept rows
+        n = len(ts)
+        while n and (ts[n - 1] - t_star) * direction >= 0.0:
+            n -= 1
+        ts, xs, ps = ts[:n], xs[:n], ps[:n]
+    if classification in (CLOSED, ESCAPED):
+        ts, xs, ps = np.append(ts, end[0]), np.append(xs, end[1]), np.append(ps, end[2])
     return Trajectory(
-        samples=samples,
+        t=ts,
+        x=xs,
+        p=ps,
         classification=classification,
         period=period,
         escape_time=escape_time,

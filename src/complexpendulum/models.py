@@ -22,6 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "PhaseState",
     "HamiltonianModel",
@@ -30,6 +32,7 @@ __all__ = [
     "ImaginaryCubic",
     "DrivenPendulum",
     "cell_index",
+    "cell_indices",
 ]
 
 
@@ -40,6 +43,12 @@ def cell_index(x: complex) -> int:
     the origin.
     """
     return math.floor((x.real + math.pi) / (2.0 * math.pi))
+
+
+def cell_indices(x: np.ndarray) -> np.ndarray:
+    """``cell_index`` of every element of a complex array, as integral
+    float64 values: the same add, divide and floor, exact elementwise."""
+    return np.floor((x.real + math.pi) / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,83 @@ def test_hand_back_at_the_cmath_sinh_switch(kernel_spy):
     assert (t, x, p) == (traj.samples[-1].t, traj.samples[-1].x, traj.samples[-1].p)
 
 
+# Events at the edges of the stepper's blocks.  The kernel hands over
+# rows 1-512 of a run (row 0 is the start) in its first block and rows
+# 513-1024 in its second; the Python loop's blocks divide 512, so these
+# edges are its edges too.
+
+
+def dip_across_blocks(max_step, events):
+    # a harmonic orbit returns at t = 2 pi after about 512 steps of max_step
+    return integrate(Harmonic(), PhaseState(1 + 1j, 0.5 - 0.3j), IntegratorConfig(max_step=max_step, max_time=10.0), events)
+
+
+def dip_rows_511_512_513(events=None):
+    return dip_across_blocks(0.01228, events)
+
+
+def dip_rows_512_513_514(events=None):
+    return dip_across_blocks(0.01226, events)
+
+
+def escape_on_row_0():
+    # |Im x| passes 26.22 between rows 512 and 513
+    model = Pendulum(g=1.0)
+    return integrate(model, start_at(model, math.pi + 1j, COSH1), IntegratorConfig(max_time=10.0, escape_radius=26.22))
+
+
+def overflow_on_row_0():
+    # the largest |component| passes 4.95e5 between rows 512 and 513
+    model = Pendulum(g=1.0)
+    return integrate(
+        model,
+        start_at(model, math.pi + 1j, COSH1),
+        IntegratorConfig(max_time=10.0, overflow_guard=4.95e5),
+        EventSpec(escape=False),
+    )
+
+
+@pytest.mark.parametrize(
+    "run", [dip_rows_511_512_513, dip_rows_512_513_514, escape_on_row_0, overflow_on_row_0], ids=lambda f: f.__name__
+)
+def test_events_at_block_edges_match_the_python_loop(monkeypatch, kernel_spy, run):
+    # a run left at its event never returns, so count the compiled runs begun
+    begun = []
+    steps = _dopri5.steps
+    monkeypatch.setattr(_dopri5, "steps", lambda *args: begun.append(args) or steps(*args))
+    fast = run()
+    assert begun, "the compiled stepper did not run"
+    slow = python_loop(monkeypatch, run)
+    assert fingerprint(fast) == fingerprint(slow)
+    # and with Python blocks whose edges fall elsewhere
+    monkeypatch.setattr(integrator, "_BLOCK", 7)
+    assert fingerprint(python_loop(monkeypatch, run)) == fingerprint(slow)
+
+
+def test_edge_cases_sit_on_the_block_edge(monkeypatch):
+    assert _dopri5._ROWS == 512 and _dopri5._ROWS % integrator._BLOCK == 0
+    dips = []
+    locate_return = integrator.locate_return
+
+    def spy(*args):
+        dips.append([record[0] for record in args[6:9]])  # times of the rows around the sampled minimum
+        return locate_return(*args)
+
+    monkeypatch.setattr(integrator, "locate_return", spy)
+    for run, rows in ((dip_rows_511_512_513, [511, 512, 513]), (dip_rows_512_513_514, [512, 513, 514])):
+        dips.clear()
+        assert run().classification == "closed"
+        (times,) = dips
+        # the same steps, run on without the closure event
+        ts = run(EventSpec(closure=False)).t.tolist()
+        assert [ts.index(t) for t in times] == rows
+    escaped = escape_on_row_0()
+    assert (escaped.classification, len(escaped)) == ("escaped", 514)  # rows 0-512 and the crossing
+    assert abs(escaped.x[-1].imag - 26.22) < 1e-9
+    blown = overflow_on_row_0()
+    assert (blown.classification, blown.termination, len(blown)) == ("blowup", "overflow", 514)
+
+
 def test_pt_backward_run_matches(monkeypatch, kernel_spy):
     model = Pendulum(g=1j)
 

@@ -334,3 +334,57 @@ class TestBackwardIntegration:
         assert traj.samples[-1].t == -3.0
         assert traj.samples[0].t == 0.0
         assert all(b.t < a.t for a, b in zip(traj.samples, traj.samples[1:]))
+
+
+class TestColumns:
+    def test_samples_view_matches_the_columns(self):
+        model, start = pendulum_start(0.6j)
+        traj = integrate(model, start, IntegratorConfig(max_time=40.0))
+        assert len(traj) == len(traj.samples) > 100
+        assert traj.samples is traj.samples  # built once
+        assert [s.t for s in traj.samples] == traj.t.tolist()
+        assert [s.x for s in traj.samples] == traj.x.tolist()
+        assert [s.p for s in traj.samples] == traj.p.tolist()
+        assert (traj.t.dtype, traj.x.dtype, traj.p.dtype) == (float, complex, complex)
+
+    def test_made_from_samples(self):
+        samples = [PhaseState(1 + 1j, 0.5j, 0.0), PhaseState(2.0, -1j, 0.5)]
+        traj = Trajectory(samples=samples, classification=OPEN)
+        assert len(traj) == 2
+        assert traj.samples == [PhaseState(1 + 1j, 0.5j, 0.0), PhaseState(2 + 0j, -1j, 0.5)]
+        assert traj.cell_history == [(0.0, 0), (0.5, 0)]
+
+    def test_integrate_builds_no_phase_state_per_step(self, monkeypatch):
+        from complexpendulum import integrator
+
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return PhaseState(*args)
+
+        monkeypatch.setattr(integrator, "PhaseState", counted)
+        model, start = pendulum_start(0.6j)
+        traj = integrate(model, start, IntegratorConfig(max_time=40.0), EventSpec(closure=False))
+        assert len(traj) > 1000
+        assert built == []
+
+    def test_the_potential_is_evaluated_once_per_written_sample(self, monkeypatch, tmp_path):
+        """fig2 writes five closed orbits: beyond one evaluation per CSV
+        row, each trajectory costs two (its start momentum and the
+        energy_drift reference H(0))."""
+        from complexpendulum.cli import run_scenario
+
+        calls = []
+        potential = Pendulum.potential
+
+        def counted(self, x, t=0.0):
+            calls.append(t)
+            return potential(self, x, t)
+
+        monkeypatch.setattr(Pendulum, "potential", counted)
+        assert run_scenario("fig2", out=tmp_path, quiet=True) == 0
+        csvs = sorted(tmp_path.glob("traj_*.csv"))
+        rows = sum(len(f.read_text().splitlines()) - 1 for f in csvs)
+        assert len(csvs) == 5 and rows > 1000
+        assert rows <= len(calls) <= rows + 2 * len(csvs)
