@@ -7,6 +7,12 @@ unless the config is invalid (exit 2) or a file cannot be written
 (exit 3); engine failures on individual trajectories are recorded in
 the summary instead of aborting the run.
 
+Two tables describe a scenario: ``_KEY_TABLE`` has one row per config
+key (and per ``run`` flag that overrides one), ``_ANALYSIS_TABLE`` one
+row per analysis.  Loading reads the document through the key table
+only, so every key is validated, defaulted and named in errors the
+same way.
+
 Output is deterministic: rows carry full round-trip precision and no
 timestamps, so re-running a scenario reproduces files byte for byte.
 Each value is written as its Python ``repr``; the compiled library
@@ -25,13 +31,16 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -51,8 +60,6 @@ __all__ = [
     "list_scenarios",
     "main",
 ]
-
-_ANALYSES = ("closure", "pt", "ellipse", "cells", "escape_time", "period")
 
 
 class ConfigError(ValueError):
@@ -119,103 +126,270 @@ def parse_complex(text: str) -> complex:
     return z
 
 
-def _as_complex(value, key: str) -> complex:
+# ---------------------------------------------------------------------------
+# value readers: each turns one YAML value into a setting or raises a
+# ValueError saying what is wrong; the caller names the key
+
+
+def _as_complex(value) -> complex:
     if isinstance(value, str):
         try:
             return parse_complex(value)
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}': {exc}") from None
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
     if isinstance(value, bool):
-        raise ConfigError(f"key '{key}': expected a number, got a boolean")
+        raise ValueError("expected a number, got a boolean")
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_as_real(value[0], key), _as_real(value[1], key))
-    raise ConfigError(f"key '{key}': cannot read {value!r} as a complex scalar")
+        return complex(_as_real(value[0]), _as_real(value[1]))
+    raise ValueError(f"cannot read {value!r} as a complex scalar")
 
 
-def _as_real(value, key: str) -> float:
-    z = _as_complex(value, key)
+def _as_real(value) -> float:
+    z = _as_complex(value)
     if z.imag != 0.0:
-        raise ConfigError(f"key '{key}': expected a real number, got {value!r}")
+        raise ValueError(f"expected a real number, got {value!r}")
     return z.real
 
 
-def _as_int(value, key: str) -> int:
+def _finite_complex(value) -> complex:
+    z = _as_complex(value)
+    if not cmath.isfinite(z):
+        raise ValueError(f"must be finite, got {value!r}")
+    return z
+
+
+def _finite_real(value) -> float:
+    return _finite_complex(_as_real(value)).real
+
+
+def _positive(value) -> float:
+    x = _as_real(value)
+    if math.isnan(x):
+        raise ValueError("must not be NaN")
+    if x <= 0.0:
+        raise ValueError("must be positive")
+    return x
+
+
+def _as_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key '{key}': expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {value!r}")
     return value
 
 
-def _as_bool(value, key: str) -> bool:
+def _as_bool(value) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"key '{key}': expected true/false, got {value!r}")
+        raise ValueError(f"expected true/false, got {value!r}")
     return value
 
 
-def _as_branch(value, key: str) -> int:
+def _as_branch(value) -> int:
     if value in (1, "+", "+1"):
         return 1
     if value in (-1, "-", "-1"):
         return -1
-    raise ConfigError(f"key '{key}': branch must be '+' or '-', got {value!r}")
+    raise ValueError(f"branch must be '+' or '-', got {value!r}")
 
 
-def _check_keys(mapping, allowed, where: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"key '{where}': expected a mapping")
-    for k in mapping:
-        if k not in allowed:
-            raise ConfigError(f"unknown key '{k}' in {where}")
+def _as_path(value) -> Path:
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"expected a path, got {value!r}")
+    return Path(value)
+
+
+def _as_csv(value) -> str:
+    if value != "csv":
+        raise ValueError(f"only 'csv' is supported, got {value!r}")
+    return value
+
+
+def _tp_spec(value) -> int | complex:
+    """A turning point: its index in the window's sorted roots, or a
+    complex seed that is polished onto a root."""
+    return value if isinstance(value, int) and not isinstance(value, bool) else _finite_complex(value)
+
+
+def _tp_pair(value) -> list:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError("expected a list of two turning points")
+    return [_tp_spec(v) for v in value]
+
+
+def _window(value) -> tuple[float, float, float, float]:
+    if not isinstance(value, list) or len(value) != 4:
+        raise ValueError("expected [re_min, re_max, im_min, im_max]")
+    return tuple(_finite_real(v) for v in value)
+
+
+_MODELS = {cls.kind: cls for cls in (Pendulum, Harmonic, ImaginaryCubic, DrivenPendulum)}
+
+
+def _model(section) -> HamiltonianModel:
+    """The model of a mapping with a ``kind``; the kind's parameters are
+    the rows of the key-table section named after it."""
+    if not isinstance(section, dict):
+        raise ValueError("expected a mapping with a 'kind'")
+    if "kind" not in section:
+        raise ConfigError("missing key 'kind' in model")
+    params = dict(section)
+    kind = str(params.pop("kind"))
+    if kind not in _MODELS:
+        raise ConfigError(f"key 'kind': unknown model kind {kind!r}")
+    return _MODELS[kind](**_read(kind, params, "model", {}))
+
+
+def _starts(items) -> list[dict]:
+    if not isinstance(items, list) or not items:
+        raise ValueError("expected a non-empty list")
+    starts = []
+    for i, item in enumerate(items):
+        where = f"starts[{i}]"
+        start = _read("starts[i]", item, where, {})
+        if "turning_point" in start:
+            if len(start) > 1:
+                raise ConfigError(f"key '{where}': 'turning_point' excludes 'x'/'p'/'branch'")
+        elif "x" not in start:
+            raise ConfigError(f"missing key 'x' in {where}")
+        elif ("p" in start) == ("branch" in start):
+            raise ConfigError(f"key '{where}': give exactly one of 'p' or 'branch'")
+        starts.append(start)
+    return starts
+
+
+def _analyses(names) -> list[str]:
+    if not isinstance(names, list):
+        raise ValueError("expected a list")
+    for name in names:
+        if not isinstance(name, str) or name not in _ANALYSIS_TABLE:
+            raise ValueError(f"unknown analysis {name!r}")
+    return list(dict.fromkeys(names))
 
 
 # ---------------------------------------------------------------------------
-# model specification (shared by config files and CLI arguments)
+# the key table
+
+_REQUIRED = object()  # default of a key that must be given
+_UNSET = object()  # default of a key whose target keeps its own default
 
 
-def _build_model(kind: str, params: dict, where: str) -> HamiltonianModel:
-    if kind == "pendulum":
-        _check_keys(params, {"g"}, where)
-        return Pendulum(g=_as_complex(params.get("g", 1.0), "g"))
-    if kind == "harmonic":
-        _check_keys(params, set(), where)
-        return Harmonic()
-    if kind == "cubic-i":
-        _check_keys(params, set(), where)
-        return ImaginaryCubic()
-    if kind == "driven-pendulum":
-        _check_keys(params, {"g", "epsilon", "omega"}, where)
-        try:
-            return DrivenPendulum(
-                g=_as_complex(params.get("g", 1.0), "g"),
-                epsilon=_as_real(params.get("epsilon", 0.2), "epsilon"),
-                omega=_as_real(params.get("omega", 0.1), "omega"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"key 'model': {exc}") from None
-    raise ConfigError(f"key 'kind': unknown model kind {kind!r}")
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its section ("" at the top level), how its value is
+    read, its default and the field it sets (the key itself unless named).
+
+    A key whose path (``section.key``) has rows of its own is a section:
+    ``read`` builds its value from the fields of those rows.  A ``--flag``
+    row takes its value from the ``run`` overrides, which replace the
+    file's.  An absent or null key takes its default, read like a given
+    value; a default of None stays None."""
+
+    section: str
+    key: str
+    read: Callable
+    default: object = _UNSET
+    field: str | None = None
 
 
-def _model_from_config(section, where: str = "model") -> HamiltonianModel:
-    if not isinstance(section, dict):
-        raise ConfigError(f"key '{where}': expected a mapping with a 'kind'")
-    if "kind" not in section:
-        raise ConfigError(f"missing key 'kind' in {where}")
-    params = {k: v for k, v in section.items() if k != "kind"}
-    return _build_model(str(section["kind"]), params, where)
+_KEY_TABLE = (
+    _Key("", "name", str, _REQUIRED),
+    _Key("", "description", str, ""),
+    _Key("", "model", _model, _REQUIRED),
+    _Key("", "energy", _finite_complex, None),
+    _Key("", "window", _window, None),
+    _Key("", "starts", _starts, _REQUIRED),
+    _Key("", "integrator", IntegratorConfig, {}, "config"),
+    _Key("", "events", EventSpec, {}),
+    _Key("", "analyses", _analyses, []),
+    _Key("", "escape_time", dict, None),
+    _Key("", "period", dict, None),
+    _Key("", "output", dict, {}),
+    _Key("pendulum", "g", _finite_complex, 1.0),
+    _Key("driven-pendulum", "g", _finite_complex, 1.0),
+    _Key("driven-pendulum", "epsilon", _finite_real),
+    _Key("driven-pendulum", "omega", _finite_real),
+    _Key("starts[i]", "x", _finite_complex),
+    _Key("starts[i]", "p", _finite_complex),
+    _Key("starts[i]", "branch", _as_branch),
+    _Key("starts[i]", "turning_point", _as_int),
+    _Key("integrator", "rel_tol", _as_real),
+    _Key("integrator", "abs_tol", _as_real),
+    _Key("integrator", "max_step", _as_real),
+    _Key("integrator", "min_step", _as_real),
+    _Key("integrator", "escape_radius", _as_real),
+    _Key("integrator", "horizon", _as_real, field="max_time"),
+    _Key("integrator", "max_steps", _as_int),
+    _Key("integrator", "overflow_guard", _as_real),
+    _Key("integrator", "--tol", _as_real, field="rel_tol"),
+    _Key("integrator", "--tol", lambda tol: _as_real(tol) * 1e-2, field="abs_tol"),
+    _Key("integrator", "--horizon", _positive, field="max_time"),
+    _Key("events", "closure", _as_bool),
+    _Key("events", "escape", _as_bool),
+    _Key("events", "closure_tol", _as_real),
+    _Key("events", "min_period", _as_real),
+    _Key("escape_time", "turning_point", _tp_spec, _REQUIRED),
+    _Key("escape_time", "cutoff", _finite_real, 60.0),
+    _Key("escape_time", "direction", _as_branch),
+    _Key("escape_time", "tol", _finite_real),
+    _Key("escape_time", "real_form", _as_bool, False),
+    _Key("escape_time", "elliptic", dict),
+    _Key("escape_time.elliptic", "prefactor", _finite_real, _REQUIRED),
+    _Key("escape_time.elliptic", "m", _finite_real, _REQUIRED),
+    _Key("period", "pair", _tp_pair, _REQUIRED),
+    _Key("period", "offset", _finite_real, 0.5),
+    _Key("period", "tol", _finite_real),
+    _Key("output", "directory", _as_path),
+    _Key("output", "format", _as_csv, "csv"),
+    _Key("output", "--out", _as_path, field="directory"),
+)
+
+_ROWS = {s: [r for r in _KEY_TABLE if r.section == s] for s in dict.fromkeys(r.section for r in _KEY_TABLE)}
 
 
-def _model_from_arg(text: str) -> HamiltonianModel:
-    """Parse "pendulum", "pendulum:g=i", "driven-pendulum:g=1,epsilon=0.2,omega=0.1"."""
-    kind, _, rest = text.partition(":")
-    params: dict = {}
-    if rest:
-        for item in rest.split(","):
-            k, sep, v = item.partition("=")
-            if not sep or not k:
-                raise ConfigError(f"key 'model': malformed parameter {item!r}")
-            params[k] = v
-    return _build_model(kind, params, "model argument")
+def _read(section: str, mapping, where: str, flags: dict) -> dict:
+    """The settings of ``section``'s rows, by field: from ``mapping`` (a
+    flag row's from ``flags``) or the defaults.  ``where`` is the
+    mapping's path in messages ("" at the top level)."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"key '{where}': expected a mapping")
+    rows = _ROWS.get(section, [])
+    known = {r.key for r in rows if not r.key.startswith("--")}
+    for k in mapping:
+        if k not in known:
+            raise ConfigError(f"unknown key '{k}' in {where or 'the scenario'}")
+    fields: dict = {}
+    for r in rows:
+        flag = r.key.startswith("--")
+        value = flags.get(r.key[2:]) if flag else mapping.get(r.key)
+        if value is None:
+            if r.default is _REQUIRED:
+                raise ConfigError(f"missing key '{r.key}' in {where or 'the scenario'}")
+            if r.default is _UNSET:
+                continue
+            value = r.default
+        name = r.key if flag or not where else f"{where}.{r.key}"
+        path = f"{section}.{r.key}" if section else r.key
+        fields[r.field or r.key] = None if value is None else _coerce(r.read, value, name, path, flags)
+    return fields
+
+
+def _coerce(read: Callable, value, name: str, path: str | None = None, flags: dict | None = None):
+    """``read(value)``, or for a section ``read(**fields)``; a bad value
+    becomes a ConfigError naming ``name``."""
+    try:
+        if path in _ROWS:
+            return read(**_read(path, value, name, flags))
+        return read(value)
+    except ConfigError:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        problem = str(exc)
+        # a section's constructor names its field; say the key that sets it
+        for sub in _ROWS.get(path, ()):
+            if sub.field and not sub.key.startswith("--") and problem.startswith(sub.field + " "):
+                problem = sub.key + problem.removeprefix(sub.field)
+        raise ConfigError(f"key '{name}': {problem}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +398,10 @@ def _model_from_arg(text: str) -> HamiltonianModel:
 
 @dataclass
 class Scenario:
-    """A validated scenario: model, energy, starts, and requested outputs."""
+    """A validated scenario: model, energy, starts, and requested outputs.
+
+    ``blocks`` holds the config block of each analysis that has one
+    (``escape_time``, ``period``), None where the block is absent."""
 
     name: str
     description: str
@@ -235,36 +412,8 @@ class Scenario:
     config: IntegratorConfig
     events: EventSpec
     analyses: list[str]
-    escape_block: dict | None
-    period_block: dict | None
+    blocks: dict
     out_dir: Path
-
-
-_TOP_KEYS = {
-    "name",
-    "description",
-    "model",
-    "energy",
-    "window",
-    "starts",
-    "integrator",
-    "events",
-    "analyses",
-    "escape_time",
-    "period",
-    "output",
-}
-
-_INTEGRATOR_KEYS = {
-    "rel_tol",
-    "abs_tol",
-    "max_step",
-    "min_step",
-    "escape_radius",
-    "horizon",
-    "max_steps",
-    "overflow_guard",
-}
 
 
 def _bundled_scenarios() -> dict:
@@ -284,130 +433,14 @@ def _config_text(source) -> tuple[str, str]:
     raise ConfigError(f"key 'config': no such file or bundled scenario: {source!r}")
 
 
-def _integrator_from(section, overrides: dict) -> IntegratorConfig:
-    _check_keys(section, _INTEGRATOR_KEYS, "integrator")
-    kw: dict = {}
-    for key in _INTEGRATOR_KEYS:
-        if key not in section:
-            continue
-        if key == "max_steps":
-            kw[key] = _as_int(section[key], key)
-        elif key == "horizon":
-            kw["max_time"] = _as_real(section[key], key)
-        else:
-            kw[key] = _as_real(section[key], key)
-    if overrides.get("tol") is not None:
-        kw["rel_tol"] = overrides["tol"]
-        kw["abs_tol"] = overrides["tol"] * 1e-2
-    horizon_override = overrides.get("horizon")
-    if horizon_override is not None:
-        kw["max_time"] = horizon_override
-    try:
-        return IntegratorConfig(**kw)
-    except ValueError as exc:
-        message = str(exc)
-        # max_time is the field behind the scenario's `horizon` and `--horizon`
-        if message.startswith("max_time "):
-            if horizon_override is not None:
-                raise ConfigError(f"key '--horizon': {message.removeprefix('max_time ')}") from None
-            message = "horizon" + message.removeprefix("max_time")
-        raise ConfigError(f"key 'integrator': {message}") from None
-
-
-def _events_from(section) -> EventSpec:
-    _check_keys(section, {"closure", "escape", "closure_tol", "min_period"}, "events")
-    kw: dict = {}
-    if "closure" in section:
-        kw["closure"] = _as_bool(section["closure"], "closure")
-    if "escape" in section:
-        kw["escape"] = _as_bool(section["escape"], "escape")
-    if "closure_tol" in section:
-        kw["closure_tol"] = _as_real(section["closure_tol"], "closure_tol")
-    if "min_period" in section:
-        kw["min_period"] = _as_real(section["min_period"], "min_period")
-    try:
-        return EventSpec(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"key 'events': {exc}") from None
-
-
-def _validate_start(item, index: int) -> dict:
-    where = f"starts[{index}]"
-    _check_keys(item, {"x", "p", "branch", "turning_point"}, where)
-    has_x = "x" in item
-    has_p = "p" in item
-    has_branch = "branch" in item
-    has_tp = "turning_point" in item
-    if has_tp:
-        if has_x or has_p or has_branch:
-            raise ConfigError(f"key '{where}': 'turning_point' excludes 'x'/'p'/'branch'")
-        return {"turning_point": _as_int(item["turning_point"], f"{where}.turning_point")}
-    if not has_x:
-        raise ConfigError(f"missing key 'x' in {where}")
-    if has_p == has_branch:
-        raise ConfigError(f"key '{where}': give exactly one of 'p' or 'branch'")
-    out = {"x": _as_complex(item["x"], f"{where}.x")}
-    if has_p:
-        out["p"] = _as_complex(item["p"], f"{where}.p")
-    else:
-        out["branch"] = _as_branch(item["branch"], f"{where}.branch")
-    return out
-
-
-def _validate_escape_block(section) -> dict:
-    _check_keys(
-        section,
-        {"turning_point", "cutoff", "direction", "tol", "real_form", "elliptic"},
-        "escape_time",
-    )
-    if "turning_point" not in section:
-        raise ConfigError("missing key 'turning_point' in escape_time")
-    block: dict = {}
-    tp = section["turning_point"]
-    block["turning_point"] = tp if isinstance(tp, int) and not isinstance(tp, bool) else _as_complex(tp, "escape_time.turning_point")
-    block["cutoff"] = _as_real(section.get("cutoff", 60.0), "escape_time.cutoff")
-    block["tol"] = _as_real(section.get("tol", 1e-10), "escape_time.tol")
-    block["direction"] = _as_branch(section["direction"], "escape_time.direction") if "direction" in section else None
-    block["real_form"] = _as_bool(section.get("real_form", False), "escape_time.real_form")
-    if "elliptic" in section:
-        ell = section["elliptic"]
-        _check_keys(ell, {"prefactor", "m"}, "escape_time.elliptic")
-        if "prefactor" not in ell or "m" not in ell:
-            raise ConfigError("escape_time.elliptic needs keys 'prefactor' and 'm'")
-        block["elliptic"] = (
-            _as_real(ell["prefactor"], "escape_time.elliptic.prefactor"),
-            _as_real(ell["m"], "escape_time.elliptic.m"),
-        )
-    else:
-        block["elliptic"] = None
-    return block
-
-
-def _validate_period_block(section) -> dict:
-    _check_keys(section, {"pair", "offset", "tol"}, "period")
-    if "pair" not in section:
-        raise ConfigError("missing key 'pair' in period")
-    pair = section["pair"]
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ConfigError("key 'period.pair': expected a list of two turning points")
-    resolved = []
-    for v in pair:
-        resolved.append(v if isinstance(v, int) and not isinstance(v, bool) else _as_complex(v, "period.pair"))
-    return {
-        "pair": resolved,
-        "offset": _as_real(section.get("offset", 0.5), "period.offset"),
-        "tol": _as_real(section.get("tol", 1e-10), "period.tol"),
-    }
-
-
-def _indexes_roots(starts, escape_block, period_block) -> bool:
-    """Whether a start or quadrature block names a turning point by its
+def _root_indices(scn: Scenario) -> list[tuple[str, int]]:
+    """(key, index) of each turning point a start or block names by its
     index in the window's sorted roots."""
-    return (
-        any("turning_point" in s for s in starts)
-        or (escape_block is not None and isinstance(escape_block["turning_point"], int))
-        or (period_block is not None and any(isinstance(v, int) for v in period_block["pair"]))
-    )
+    escape, period = scn.blocks["escape_time"], scn.blocks["period"]
+    specs = [(f"starts[{i}].turning_point", s.get("turning_point")) for i, s in enumerate(scn.starts)]
+    specs += [("escape_time.turning_point", escape["turning_point"])] if escape else []
+    specs += [("period.pair", v) for v in period["pair"]] if period else []
+    return [(name, v) for name, v in specs if isinstance(v, int)]
 
 
 def load_scenario(source, overrides: dict | None = None) -> Scenario:
@@ -416,7 +449,6 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     ``overrides`` may carry values from command-line flags: out (directory),
     tol (integrator rel_tol; abs_tol follows at tol/100), horizon.
     """
-    ov = overrides or {}
     text, display = _config_text(source)
     try:
         raw = yaml.safe_load(text)
@@ -424,86 +456,24 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         raise ConfigError(f"key 'config': cannot parse {display}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("key 'config': the document must be a mapping")
-    _check_keys(raw, _TOP_KEYS, "the scenario")
+    fields = _read("", raw, "", overrides or {})
+    blocks = {name: fields.pop(name) for name, a in _ANALYSIS_TABLE.items() if a.block}
+    output = fields.pop("output")
+    scn = Scenario(**fields, blocks=blocks, out_dir=output.get("directory", Path("out") / fields["name"]))
 
-    for key in ("name", "model", "starts"):
-        if key not in raw:
-            raise ConfigError(f"missing key '{key}' in the scenario")
-    name = str(raw["name"])
-    description = str(raw.get("description", ""))
-    model = _model_from_config(raw["model"])
-
-    energy = None
-    if raw.get("energy") is not None:
-        energy = _as_complex(raw["energy"], "energy")
-
-    window = None
-    if raw.get("window") is not None:
-        w = raw["window"]
-        if not isinstance(w, list) or len(w) != 4:
-            raise ConfigError("key 'window': expected [re_min, re_max, im_min, im_max]")
-        window = tuple(_as_real(v, "window") for v in w)
-
-    if not isinstance(raw["starts"], list) or not raw["starts"]:
-        raise ConfigError("key 'starts': expected a non-empty list")
-    starts = [_validate_start(item, i) for i, item in enumerate(raw["starts"])]
-
-    config = _integrator_from(raw.get("integrator", {}), ov)
-    events = _events_from(raw.get("events", {}))
-
-    analyses_raw = raw.get("analyses", [])
-    if not isinstance(analyses_raw, list):
-        raise ConfigError("key 'analyses': expected a list")
-    analyses: list[str] = []
-    for entry in analyses_raw:
-        if entry not in _ANALYSES:
-            raise ConfigError(f"key 'analyses': unknown analysis {entry!r}")
-        if entry not in analyses:
-            analyses.append(entry)
-    if "closure" in analyses and not model.autonomous:
-        raise ConfigError("key 'analyses': 'closure' needs an autonomous model")
-    if "pt" in analyses and not model.autonomous:
-        raise ConfigError("key 'analyses': 'pt' needs an autonomous model")
-
-    escape_block = _validate_escape_block(raw["escape_time"]) if "escape_time" in raw else None
-    period_block = _validate_period_block(raw["period"]) if "period" in raw else None
-    if "escape_time" in analyses and escape_block is None:
-        raise ConfigError("missing key 'escape_time': requested by analyses")
-    if "period" in analyses and period_block is None:
-        raise ConfigError("missing key 'period': requested by analyses")
-
-    needs_energy = (
-        escape_block is not None
-        or period_block is not None
-        or any("turning_point" in s or "branch" in s for s in starts)
-    )
-    if needs_energy and energy is None:
+    for name in scn.analyses:
+        analysis = _ANALYSIS_TABLE[name]
+        if analysis.autonomous and not scn.model.autonomous:
+            raise ConfigError(f"key 'analyses': '{name}' needs an autonomous model")
+        if analysis.block and scn.blocks[name] is None:
+            raise ConfigError(f"missing key '{name}': requested by analyses")
+    # a block, a branch start and a turning-point start all solve V(x) = E
+    needs_energy = any(b is not None for b in scn.blocks.values()) or any("p" not in s for s in scn.starts)
+    if needs_energy and scn.energy is None:
         raise ConfigError("missing key 'energy': required by the starts or analyses")
-
-    if window is None and _indexes_roots(starts, escape_block, period_block):
+    if scn.window is None and _root_indices(scn):
         raise ConfigError("missing key 'window': required to index turning points")
-
-    output = raw.get("output", {})
-    _check_keys(output, {"directory", "format"}, "output")
-    fmt = output.get("format", "csv")
-    if fmt != "csv":
-        raise ConfigError(f"key 'output.format': only 'csv' is supported, got {fmt!r}")
-    out_dir = Path(ov["out"]) if ov.get("out") else Path(output.get("directory", Path("out") / name))
-
-    return Scenario(
-        name=name,
-        description=description,
-        model=model,
-        energy=energy,
-        window=window,
-        starts=starts,
-        config=config,
-        events=events,
-        analyses=analyses,
-        escape_block=escape_block,
-        period_block=period_block,
-        out_dir=out_dir,
-    )
+    return scn
 
 
 # ---------------------------------------------------------------------------
@@ -524,33 +494,33 @@ def _find_roots(model, energy, window, **kw):
         raise ConfigError(f"key '{'model' if arg == 'g' else arg}': {exc}") from None
 
 
-def _resolve_starts(scn: Scenario, roots) -> list[PhaseState]:
+def _turning_point(scn: Scenario, spec, roots) -> complex:
+    """The root a spec names: by index into the window's sorted roots, or
+    polished from a complex seed."""
+    return roots[spec].x0 if isinstance(spec, int) else refine_root(scn.model, scn.energy, spec).x0
+
+
+def _starting_states(scn: Scenario) -> tuple[list | None, list[PhaseState]]:
+    """The window's sorted roots (None when nothing indexes them), every
+    index checked, and the start state of each of the scenario's starts."""
+    indices = _root_indices(scn)
+    roots = _find_roots(scn.model, scn.energy, scn.window) if indices else None
+    for name, index in indices:
+        if not 0 <= index < len(roots):
+            raise ConfigError(f"key '{name}': index {index} out of range ({len(roots)} roots in the window)")
     states = []
     for i, item in enumerate(scn.starts):
-        where = f"starts[{i}]"
         if "turning_point" in item:
-            idx = item["turning_point"]
-            if roots is None or not (0 <= idx < len(roots)):
-                count = 0 if roots is None else len(roots)
-                raise ConfigError(
-                    f"key '{where}.turning_point': index {idx} out of range ({count} roots in the window)"
-                )
-            states.append(PhaseState(roots[idx].x0, 0.0 + 0.0j, 0.0))
+            states.append(PhaseState(_turning_point(scn, item["turning_point"], roots), 0.0 + 0.0j, 0.0))
         elif "p" in item:
             states.append(PhaseState(item["x"], item["p"], 0.0))
         else:
-            p = scn.model.momentum_from_energy(item["x"], scn.energy, branch=item["branch"])
+            try:
+                p = scn.model.momentum_from_energy(item["x"], scn.energy, branch=item["branch"])
+            except (ArithmeticError, ValueError) as exc:
+                raise ConfigError(f"key 'starts[{i}]': no momentum from the energy: {type(exc).__name__}: {exc}") from None
             states.append(PhaseState(item["x"], p, 0.0))
-    return states
-
-
-def _resolve_tp(scn: Scenario, spec, roots) -> complex:
-    if isinstance(spec, int):
-        if roots is None or not (0 <= spec < len(roots)):
-            count = 0 if roots is None else len(roots)
-            raise ConfigError(f"key 'turning_point': index {spec} out of range ({count} roots in the window)")
-        return roots[spec].x0
-    return refine_root(scn.model, scn.energy, spec).x0
+    return roots, states
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory, model: HamiltonianModel) -> None:
@@ -589,6 +559,97 @@ def _write_rows_in_python(fh, t, x, p, e, driven: bool) -> None:
         write(f"{row},{cell_index(x)}\n" if driven else row + "\n")
 
 
+# ---------------------------------------------------------------------------
+# the analysis registry: each shaper fills the analysis's summary entry
+# from a trajectory (per-trajectory analyses) or from the window's roots
+# (per-scenario ones, which read their config block)
+
+
+def _closure(entry: dict, scn: Scenario, traj: Trajectory) -> None:
+    rep = detect_closure(traj, tol=scn.events.closure_tol)
+    entry.update(closed=rep.closed, period=rep.period, return_distance=rep.return_distance, windings=rep.windings)
+
+
+def _pt(entry: dict, scn: Scenario, traj: Trajectory) -> None:
+    rep = verify_pt_symmetry(scn.model, traj, config=scn.config)
+    entry.update(map_kind=rep.map_kind, max_deviation=rep.max_deviation, compared_points=rep.compared_points)
+
+
+def _ellipse(entry: dict, scn: Scenario, traj: Trajectory) -> None:
+    fit = fit_ellipse(traj)
+    entry.update(
+        center=_c2(fit.center),
+        semi_major=fit.semi_major,
+        semi_minor=fit.semi_minor,
+        orientation=fit.orientation,
+        residual=fit.residual,
+    )
+
+
+def _cells(entry: dict, scn: Scenario, traj: Trajectory) -> None:
+    transitions = cell_escape_summary(traj)
+    # every cell a sample lies in is the start cell or entered by a transition
+    visited = {cell_index(traj.x[0].item())}
+    visited.update(b for _, _, b in transitions)
+    entry.update(visited=sorted(visited), transitions=[[t, a, b] for t, a, b in transitions])
+
+
+def _escape_time(entry: dict, scn: Scenario, roots) -> None:
+    block = scn.blocks["escape_time"]
+    x0 = _turning_point(scn, block["turning_point"], roots)
+    entry["turning_point"] = _c2(x0)
+    entry["cutoff"] = block["cutoff"]
+    ray = {k: block[k] for k in ("cutoff", "tol") if k in block}
+    entry["value"] = escape_time(scn.model, scn.energy, x0, direction=block.get("direction"), **ray)
+    if block["real_form"]:
+        entry["real_form"] = escape_time_real_form(scn.model, scn.energy, x0, **ray)
+    if "elliptic" in block:
+        entry["elliptic_reference"] = block["elliptic"]["prefactor"] * elliptic_K(block["elliptic"]["m"])
+
+
+def _period(entry: dict, scn: Scenario, roots) -> None:
+    block = scn.blocks["period"]
+    pair = tuple(_turning_point(scn, v, roots) for v in block["pair"])
+    entry["pair"] = [_c2(pair[0]), _c2(pair[1])]
+    entry["offset"] = block["offset"]
+    raw = contour_integral(scn.model, scn.energy, pair, **{k: block[k] for k in ("offset", "tol") if k in block})
+    entry["imag_residual"] = abs(raw.imag)
+    entry["value"] = _real_period(raw)
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """One analysis: its shaper, whether it needs an autonomous model or
+    the config block of its name, and whether it runs once per scenario
+    (into ``quadrature``) rather than per trajectory."""
+
+    shape: Callable[[dict, Scenario, object], None]
+    autonomous: bool = False
+    block: bool = False
+    per_scenario: bool = False
+
+
+_ANALYSIS_TABLE = {
+    "closure": _Analysis(_closure, autonomous=True),
+    "pt": _Analysis(_pt, autonomous=True),
+    "ellipse": _Analysis(_ellipse),
+    "cells": _Analysis(_cells),
+    "escape_time": _Analysis(_escape_time, block=True, per_scenario=True),
+    "period": _Analysis(_period, block=True, per_scenario=True),
+}
+
+
+def _analysis_entry(name: str, scn: Scenario, source) -> dict:
+    """The summary entry of one analysis; an engine failure is recorded in
+    it, not fatal."""
+    entry: dict = {}
+    try:
+        _ANALYSIS_TABLE[name].shape(entry, scn, source)
+    except Exception as exc:
+        entry["error"] = f"{type(exc).__name__}: {exc}"
+    return entry
+
+
 def _trajectory_record(scn: Scenario, index: int, state: PhaseState, traj: Trajectory | None, error: str | None, fname: str | None) -> dict:
     rec: dict = {
         "index": index,
@@ -604,94 +665,10 @@ def _trajectory_record(scn: Scenario, index: int, state: PhaseState, traj: Traje
     rec["period"] = traj.period
     rec["escape_time"] = traj.escape_time
     rec["energy_drift"] = traj.energy_drift() if scn.model.autonomous else None
-
-    for analysis in scn.analyses:
-        if analysis in ("escape_time", "period"):
-            continue
-        try:
-            if analysis == "closure":
-                rep = detect_closure(traj, tol=scn.events.closure_tol)
-                rec["closure"] = {
-                    "closed": rep.closed,
-                    "period": rep.period,
-                    "return_distance": rep.return_distance,
-                    "windings": rep.windings,
-                }
-            elif analysis == "pt":
-                rep = verify_pt_symmetry(scn.model, traj, config=scn.config)
-                rec["pt"] = {
-                    "map_kind": rep.map_kind,
-                    "max_deviation": rep.max_deviation,
-                    "compared_points": rep.compared_points,
-                }
-            elif analysis == "ellipse":
-                fit = fit_ellipse(traj)
-                rec["ellipse"] = {
-                    "center": _c2(fit.center),
-                    "semi_major": fit.semi_major,
-                    "semi_minor": fit.semi_minor,
-                    "orientation": fit.orientation,
-                    "residual": fit.residual,
-                }
-            elif analysis == "cells":
-                transitions = cell_escape_summary(traj)
-                # every cell a sample lies in is the start cell or entered by a transition
-                visited = {cell_index(traj.x[0].item())}
-                visited.update(b for _, _, b in transitions)
-                rec["cells"] = {
-                    "visited": sorted(visited),
-                    "transitions": [[t, a, b] for t, a, b in transitions],
-                }
-        except Exception as exc:  # recorded, not fatal: one bad analysis
-            rec[analysis] = {"error": f"{type(exc).__name__}: {exc}"}
+    for name in scn.analyses:
+        if not _ANALYSIS_TABLE[name].per_scenario:
+            rec[name] = _analysis_entry(name, scn, traj)
     return rec
-
-
-def _quadrature_summary(scn: Scenario, roots) -> dict:
-    out: dict = {}
-    if "escape_time" in scn.analyses:
-        block = scn.escape_block
-        entry: dict = {}
-        try:
-            x0 = _resolve_tp(scn, block["turning_point"], roots)
-            entry["turning_point"] = _c2(x0)
-            entry["cutoff"] = block["cutoff"]
-            entry["value"] = escape_time(
-                scn.model,
-                scn.energy,
-                x0,
-                cutoff=block["cutoff"],
-                tol=block["tol"],
-                direction=block["direction"],
-            )
-            if block["real_form"]:
-                entry["real_form"] = escape_time_real_form(
-                    scn.model, scn.energy, x0, cutoff=block["cutoff"], tol=block["tol"]
-                )
-            if block["elliptic"] is not None:
-                prefactor, m = block["elliptic"]
-                entry["elliptic_reference"] = prefactor * elliptic_K(m)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        out["escape_time"] = entry
-    if "period" in scn.analyses:
-        block = scn.period_block
-        entry = {}
-        try:
-            pair = tuple(_resolve_tp(scn, v, roots) for v in block["pair"])
-            entry["pair"] = [_c2(pair[0]), _c2(pair[1])]
-            entry["offset"] = block["offset"]
-            raw = contour_integral(scn.model, scn.energy, pair, offset=block["offset"], tol=block["tol"])
-            entry["imag_residual"] = abs(raw.imag)
-            entry["value"] = _real_period(raw)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        out["period"] = entry
-    return out
 
 
 def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> int:
@@ -703,11 +680,7 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> in
     """
     try:
         scn = load_scenario(source, {"out": out, "tol": tol, "horizon": horizon})
-
-        roots = None
-        if _indexes_roots(scn.starts, scn.escape_block, scn.period_block):
-            roots = _find_roots(scn.model, scn.energy, scn.window)
-        states = _resolve_starts(scn, roots)
+        roots, states = _starting_states(scn)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -735,24 +708,16 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> in
                     bits.append(f"escape_time={traj.escape_time!r}")
                 print("  ".join(bits))
 
-        try:
-            quad = _quadrature_summary(scn, roots)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-
+        quad = {
+            name: _analysis_entry(name, scn, roots)
+            for name, analysis in _ANALYSIS_TABLE.items()
+            if analysis.per_scenario and name in scn.analyses
+        }
+        params = {k: _c2(v) if isinstance(v, complex) else v for k, v in vars(scn.model).items()}
         summary = {
             "scenario": scn.name,
             "description": scn.description,
-            "model": {
-                "kind": scn.model.kind,
-                **({"g": _c2(scn.model.g)} if isinstance(scn.model, Pendulum) else {}),
-                **(
-                    {"epsilon": scn.model.epsilon, "omega": scn.model.omega}
-                    if isinstance(scn.model, DrivenPendulum)
-                    else {}
-                ),
-            },
+            "model": {"kind": scn.model.kind, **params},
             "energy": _c2(scn.energy) if scn.energy is not None else None,
             "trajectories": records,
             "quadrature": quad,
@@ -789,38 +754,41 @@ def list_scenarios() -> list[tuple[str, str]]:
 # ad-hoc subcommands
 
 
-def _parse_window_arg(text: str):
-    parts = str(text).split(",")
-    if len(parts) != 4:
-        raise ConfigError("key 'window': expected re_min,re_max,im_min,im_max")
-    return tuple(_as_real(p, "window") for p in parts)
+def _given(**kw) -> dict:
+    """The options given on the command line; the others keep the
+    library's defaults."""
+    return {k: v for k, v in kw.items() if v is not None}
+
+
+def _model_from_arg(text: str) -> HamiltonianModel:
+    """Parse "pendulum", "pendulum:g=i", "driven-pendulum:g=1,epsilon=0.2,omega=0.1"."""
+    kind, _, rest = text.partition(":")
+    section = {"kind": kind}
+    if rest:
+        for item in rest.split(","):
+            k, sep, v = item.partition("=")
+            if not sep or not k:
+                raise ConfigError(f"key 'model': malformed parameter {item!r}")
+            section[k] = v
+    return _coerce(_model, section, "model")
 
 
 def _cmd_turning_points(args) -> int:
     model = _model_from_arg(args.model)
-    energy = _as_complex(args.energy, "energy")
-    window = _parse_window_arg(args.window)
-    tol = args.tol if args.tol is not None else 1e-12
-    roots = _find_roots(model, energy, window, residual_tol=tol)
-    for tp in roots:
+    energy = _coerce(_finite_complex, args.energy, "energy")
+    window = _coerce(_window, args.window.split(","), "window")
+    for tp in _find_roots(model, energy, window, **_given(residual_tol=args.tol)):
         print(f"{tp.x0.real!r} {tp.x0.imag!r} cell={tp.lattice_index} branch={tp.branch_sign:+d}")
     return 0
 
 
 def _cmd_escape_time(args) -> int:
     model = _model_from_arg(args.model)
-    energy = _as_complex(args.energy, "energy")
-    seed = _as_complex(args.tp, "tp")
+    energy = _coerce(_finite_complex, args.energy, "energy")
+    seed = _coerce(_finite_complex, args.tp, "tp")
     try:
         x0 = refine_root(model, energy, seed).x0
-        value = escape_time(
-            model,
-            energy,
-            x0,
-            cutoff=args.cutoff,
-            tol=args.tol if args.tol is not None else 1e-10,
-            direction=args.direction,
-        )
+        value = escape_time(model, energy, x0, **_given(cutoff=args.cutoff, tol=args.tol, direction=args.direction))
     except Exception as exc:
         raise ConfigError(f"key 'tp': {exc}") from None
     print(repr(value))
@@ -829,13 +797,12 @@ def _cmd_escape_time(args) -> int:
 
 def _cmd_period(args) -> int:
     model = _model_from_arg(args.model)
-    energy = _as_complex(args.energy, "energy")
-    tol = args.tol if args.tol is not None else 1e-10
+    energy = _coerce(_finite_complex, args.energy, "energy")
     if args.pair:
         seeds = args.pair.split(";")
         if len(seeds) != 2:
             raise ConfigError("key 'pair': expected 'z1;z2'")
-        pair = tuple(refine_root(model, energy, _as_complex(s, "pair")).x0 for s in seeds)
+        pair = tuple(refine_root(model, energy, _coerce(_finite_complex, s, "pair")).x0 for s in seeds)
     else:
         # the adjacent pair nearest the origin
         span = 1.5 * math.pi
@@ -845,7 +812,7 @@ def _cmd_period(args) -> int:
         ordered = sorted(roots, key=lambda tp: (abs(tp.x0), tp.x0.real, tp.x0.imag))
         pair = (ordered[0].x0, ordered[1].x0)
     try:
-        value = period_contour(model, energy, pair, offset=args.offset, tol=tol)
+        value = period_contour(model, energy, pair, **_given(offset=args.offset, tol=args.tol))
     except Exception as exc:
         raise ConfigError(f"key 'pair': {exc}") from None
     print(repr(value))
@@ -880,24 +847,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tp.add_argument("model", help="pendulum | pendulum:g=i | harmonic | cubic-i | driven-pendulum:...")
     p_tp.add_argument("energy", help="complex energy, e.g. '1.5430806348152437' or 'i'")
     p_tp.add_argument("window", help="re_min,re_max,im_min,im_max (pi notation allowed)")
-    p_tp.add_argument("--tol", type=float, default=None, help="residual tolerance (default 1e-12)")
+    p_tp.add_argument("--tol", type=float, help="residual tolerance")
     _allow_negative_values(p_tp)
 
     p_esc = sub.add_parser("escape-time", help="escape time from a turning point")
     p_esc.add_argument("model")
     p_esc.add_argument("energy")
     p_esc.add_argument("tp", help="turning point, e.g. 'pi+1i' or '3pi/2+1i'")
-    p_esc.add_argument("--cutoff", type=float, default=60.0, help="|Im x| treated as infinity")
-    p_esc.add_argument("--direction", type=int, choices=(-1, 1), default=None)
-    p_esc.add_argument("--tol", type=float, default=None, help="quadrature tolerance (default 1e-10)")
+    p_esc.add_argument("--cutoff", type=float, help="|Im x| treated as infinity")
+    p_esc.add_argument("--direction", type=int, choices=(-1, 1))
+    p_esc.add_argument("--tol", type=float, help="quadrature tolerance")
     _allow_negative_values(p_esc)
 
     p_per = sub.add_parser("period", help="period from a contour around a turning-point pair")
     p_per.add_argument("model")
     p_per.add_argument("energy")
     p_per.add_argument("--pair", help="explicit pair 'z1;z2' (default: the pair nearest the origin)")
-    p_per.add_argument("--offset", type=float, default=0.5, help="contour offset from the cut")
-    p_per.add_argument("--tol", type=float, default=None, help="quadrature tolerance (default 1e-10)")
+    p_per.add_argument("--offset", type=float, help="contour offset from the cut")
+    p_per.add_argument("--tol", type=float, help="quadrature tolerance")
     _allow_negative_values(p_per)
 
     return parser

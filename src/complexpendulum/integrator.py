@@ -297,10 +297,19 @@ class Trajectory:
         # which numpy's square is not
         with np.errstate(all="ignore"):
             abs_p = np.hypot(self.p.real, self.p.imag)
-            local = 0.5 * np.array([a**2 for a in abs_p.tolist()]) + np.hypot(v.real, v.imag)
+            local = 0.5 * np.array([_square(a) for a in abs_p.tolist()]) + np.hypot(v.real, v.imag)
             dev = h - e0
-            dev = np.hypot(dev.real, dev.imag) / np.fmax(max(1.0, abs(e0)), local)
+            dev = np.hypot(dev.real, dev.imag) / np.fmax(max(1.0, np.hypot(e0.real, e0.imag)), local)
             return float(np.fmax.reduce(dev, initial=0.0))
+
+
+def _square(a: float) -> float:
+    """a ** 2 as libm's pow; inf where the square is past the float range
+    (a float power raises there)."""
+    try:
+        return a**2
+    except OverflowError:
+        return math.inf
 
 
 def _finite(x: complex, p: complex) -> bool:

@@ -2,8 +2,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from complexpendulum import cli
 from complexpendulum.cli import (
     ConfigError,
     _bundled_scenarios,
@@ -12,8 +14,12 @@ from complexpendulum.cli import (
     main,
     parse_complex,
 )
+from complexpendulum.models import Pendulum
+from complexpendulum.quadrature import escape_time, period_contour
+from complexpendulum.turning import refine_root
 
 PI = math.pi
+COSH1 = math.cosh(1.0)
 
 
 class TestParseComplex:
@@ -286,6 +292,121 @@ starts:
         assert f"key '--horizon': {error}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("energy: 1.5430806348152437", "energy: .nan", "key 'energy'"),
+            ("  g: 1\n", "  g: .nan\n", "key 'model.g'"),
+            ("  kind: pendulum\n", "  kind: driven-pendulum\n  omega: .nan\n", "key 'model.omega'"),
+            ("window: [0, 2pi, -2, 2]", "window: [0, .inf, -2, 2]", "key 'window'"),
+            ("- turning_point: 1", "- {x: .inf, branch: '+'}", "key 'starts[0].x'"),
+            ("- turning_point: 1", "- {x: 1, p: -.inf}", "key 'starts[0].p'"),
+            ("  cutoff: 60", "  cutoff: .nan", "key 'escape_time.cutoff'"),
+            ("  cutoff: 60", "  cutoff: 60\n  tol: .inf", "key 'escape_time.tol'"),
+            ("  cutoff: 60", "  cutoff: 60\n  elliptic: {prefactor: 1, m: .nan}", "key 'escape_time.elliptic.m'"),
+            ("escape_time:", "period: {pair: [0, 1], offset: .nan}\nescape_time:", "key 'period.offset'"),
+            ("escape_time:", "period: {pair: [0, 1], tol: -.inf}\nescape_time:", "key 'period.tol'"),
+        ],
+    )
+    def test_non_finite_numbers_name_the_key(self, tmp_path, capsys, old, new, key):
+        text = """\
+name: non-finite
+description: escape-time scenario with one setting made non-finite
+model:
+  kind: pendulum
+  g: 1
+energy: 1.5430806348152437
+window: [0, 2pi, -2, 2]
+starts:
+  - turning_point: 1
+integrator:
+  horizon: 1
+analyses: [escape_time]
+escape_time:
+  turning_point: 1
+  cutoff: 60
+"""
+        assert old in text
+        cfg = write_scenario(tmp_path, text.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["[1, 2]", "5"])
+    def test_output_directory_must_be_a_path(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_scenario(tmp_path, TINY_SCENARIO + f"output:\n  directory: {value}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "key 'output.directory'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_start_without_momentum_names_the_start(self, tmp_path, capsys):
+        # cos(800i) overflows, so p = sqrt(2 (E - V(x))) has no value
+        text = """\
+name: no-momentum
+description: branch start far up the imaginary axis
+model:
+  kind: pendulum
+  g: 1
+energy: 0.5
+starts:
+  - x: "0.3"
+    branch: "+"
+  - x: "800i"
+    branch: "+"
+integrator:
+  escape_radius: 1000
+"""
+        cfg = write_scenario(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "key 'starts[1]': no momentum from the energy: OverflowError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_energy_drift_past_the_float_range_is_recorded(self, tmp_path):
+        # |p|^2 ~ 2e310 overflows a float power; the run still records the trajectory
+        text = """\
+name: huge-momentum
+description: harmonic start with |p| beyond sqrt(float max)
+model:
+  kind: harmonic
+starts:
+  - x: "1e155+1e155i"
+    p: "1e155-1e155i"
+integrator:
+  horizon: 0.5
+  overflow_guard: 1e300
+events:
+  escape: false
+"""
+        cfg = write_scenario(tmp_path, text)
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        rec = json.loads((out / "summary.json").read_text())["trajectories"][0]
+        assert rec["file"] == "traj_00.csv" and "error" not in rec
+        assert math.isfinite(rec["energy_drift"])
+
+    def test_block_index_out_of_range_fails_before_running(self, tmp_path, capsys):
+        text = """\
+name: bad-block-index
+description: escape-time block indexing past the root list
+model:
+  kind: pendulum
+  g: 1
+energy: 1.5430806348152437
+window: [0, 2pi, -2, 2]
+starts:
+  - turning_point: 1
+analyses: [escape_time]
+escape_time:
+  turning_point: 7
+"""
+        cfg = write_scenario(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "key 'escape_time.turning_point': index 7 out of range (2 roots in the window)" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, TINY_SCENARIO)
         blocker = tmp_path / "blocker"
@@ -351,6 +472,43 @@ class TestMathSubcommands:
         assert code == 0
         value = float(capsys.readouterr().out.strip().split()[-1])
         assert abs(value - 7.4162987092054875) < 1e-8
+
+    @pytest.mark.parametrize(
+        "argv,call,given",
+        [
+            (["turning-points", "pendulum", "1", "-pi,pi,-2,2"], "turning_points", {}),
+            (["turning-points", "pendulum", "1", "-pi,pi,-2,2", "--tol", "1e-9"], "turning_points", {"residual_tol": 1e-9}),
+            (["escape-time", "pendulum", "1.5430806348152437", "pi+1i"], "escape_time", {}),
+            (
+                ["escape-time", "pendulum", "1.5430806348152437", "pi+1i", "--cutoff", "40", "--tol", "1e-9"],
+                "escape_time",
+                {"cutoff": 40.0, "tol": 1e-9},
+            ),
+            (["period", "pendulum", "0", "--pair", "-pi/2;pi/2"], "period_contour", {}),
+            (["period", "pendulum", "0", "--offset", "0.25", "--tol", "1e-9"], "period_contour", {"offset": 0.25, "tol": 1e-9}),
+        ],
+    )
+    def test_only_given_options_reach_the_library(self, monkeypatch, capsys, argv, call, given):
+        seen = []
+        real = getattr(cli, call)
+
+        def spy(*args, **kw):
+            seen.append(kw)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(cli, call, spy)
+        assert main(argv) == 0
+        assert seen[-1] == given
+        capsys.readouterr()
+
+    def test_printed_values_are_the_library_defaults(self, capsys):
+        model = Pendulum(g=1.0 + 0j)
+        x0 = refine_root(model, COSH1, PI + 1j).x0
+        assert main(["escape-time", "pendulum", repr(COSH1), "pi+1i"]) == 0
+        assert capsys.readouterr().out == f"{escape_time(model, COSH1, x0)!r}\n"
+        pair = tuple(refine_root(model, 0j, z).x0 for z in (-PI / 2, PI / 2))
+        assert main(["period", "pendulum", "0", "--pair", "-pi/2;pi/2"]) == 0
+        assert capsys.readouterr().out == f"{period_contour(model, 0j, pair)!r}\n"
 
     def test_malformed_model_argument(self, capsys):
         assert main(["turning-points", "pendulum:mass=2", "0", "-1,1,-1,1"]) == 2
