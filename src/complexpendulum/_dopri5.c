@@ -149,9 +149,9 @@ static inline double ratio(const Run *run, double e, double old, double new)
 }
 
 /* Steps from st until the run stops or cap rows are written.  Row n holds
- * the accepted time in ts[n] and x, p, kx, kp in zs[n], zs[cap + n],
- * zs[2*cap + n] and zs[3*cap + n].  Returns the number of rows; the
- * reason for returning is left in st->status. */
+ * the accepted state: t in ts[n], x in zs[n] and p in zs[cap + n].  The
+ * field there stays in st for the next step.  Returns the number of rows;
+ * the reason for returning is left in st->status. */
 int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
 {
     const double dir = run->direction;
@@ -253,8 +253,6 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
         ts[n] = t;
         zs[n] = x;
         zs[cap + n] = p;
-        zs[2 * cap + n] = k1x;
-        zs[3 * cap + n] = k1p;
         n++;
         st->accepted += 1.0;
 

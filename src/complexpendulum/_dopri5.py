@@ -162,10 +162,10 @@ def model_params(field):
 def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
     """The compiled loop as a generator: yields the accepted steps in
     blocks of up to ``_ROWS`` like ``integrator._dopri``, (t, z) with z's
-    rows x, p, kx, kp, each block in buffers of its own, and returns its
-    stop reason, or, when a step has to be redone in Python, the state
+    rows x and p, each block in buffers of its own, and returns its stop
+    reason, or, when a step has to be redone in Python, the state
     (t, x, p, kx, kp, h_mag, facold, accepted, i) at the start of that
-    step."""
+    step, (kx, kp) being the field there."""
     kernel = _library().dopri5_steps
     c_stops = (_c_double * len(stops))(*stops)
     run = _Run(*params, c_stops, stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
@@ -173,7 +173,7 @@ def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
     run_ref, state_ref = ctypes.byref(run), ctypes.byref(state)
     while True:
         ts = np.empty(_ROWS)
-        zs = np.empty((4, _ROWS), dtype=complex)
+        zs = np.empty((2, _ROWS), dtype=complex)
         n = kernel(run_ref, state_ref, ts.ctypes.data, zs.ctypes.data, _ROWS)
         if n:
             yield ts[:n], zs[:, :n]

@@ -70,6 +70,11 @@ class EllipseFit:
     residual: float
 
 
+# (rel_tol, abs_tol, max_step, min_step) of the re-integrations that
+# refine a return, tighter than the integrator's defaults
+_CLOSURE_POLISH = (1e-12, 1e-14, 0.25, 1e-13)
+
+
 def _windings(xs) -> int:
     """Signed turns of the position samples of one closed cycle around
     their centroid, from accumulated wrapped angle increments."""
@@ -120,35 +125,14 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
 
     model = traj.model
     field = model.field if model is not None else None
-    k0 = field(t0, x0, p0) if field is not None else None
     direction = 1.0 if t[-1] >= t0 else -1.0
     best = math.inf
     for i in (np.flatnonzero(_is_dip(d2[:-2], d2[1:-1], d2[2:], dmax_sq)) + 1).tolist():
         best = min(best, math.sqrt(d2[i]) / scale)
         if field is None:
             continue
-        recs = []
-        for j in (i - 1, i, i + 1):
-            tj, xj, pj = t[j].item(), x[j].item(), p[j].item()
-            kx, kp = field(tj, xj, pj)
-            recs.append((tj, xj, pj, d2[j].item(), kx, kp))
-        hit = locate_return(
-            field,
-            t0,
-            x0,
-            p0,
-            k0[0],
-            k0[1],
-            recs[0],
-            recs[1],
-            recs[2],
-            scale,
-            1e-12,
-            1e-14,
-            0.25,
-            1e-13,
-        )
-        t_star, _, _, dist_scaled, aligned = hit
+        a, b, c = ((t[j].item(), x[j].item(), p[j].item(), d2[j].item()) for j in (i - 1, i, i + 1))
+        t_star, _, _, dist_scaled, aligned = locate_return(field, (t0, x0, p0), a, b, c, scale, _CLOSURE_POLISH)
         best = min(best, dist_scaled)
         if dist_scaled <= tol and aligned:
             period = abs(t_star - t0)

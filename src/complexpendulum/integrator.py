@@ -34,12 +34,15 @@ the finiteness screen and the error norm are written out in its loop
 body, which saves CPython's per-call overhead on every step.
 The order of its complex expressions is frozen, since the bundled
 scenario outputs are reproduced byte for byte (see ``_dopri``).
-It hands over its accepted steps in blocks of arrays.  ``integrate``
-scans each block for the events above with elementwise array tests (the
-overflow guard, the escape radius and the closure rule's dips, with the
-last two rows carried across blocks), takes the rows before the first
-event as they are, and visits Python only at the rows the tests flag;
-event polishing re-integrates short spans with the same stepper.
+It hands over the states (t, x, p) of its accepted steps in blocks of
+arrays.  ``integrate`` scans each block for the events above with
+elementwise array tests (the overflow guard, the escape radius and the
+closure rule's dips, with the last two rows carried across blocks),
+takes the rows before the first event as they are, and visits Python
+only at the rows the tests flag.  Event polishing (``locate_return``,
+``_locate_escape``) re-integrates short spans with the same stepper from
+state rows, under one polish record (rel_tol, abs_tol, max_step,
+min_step), and evaluates the field itself where it needs it.
 
 Trajectories store their samples as columns (float64 t, complex128 x
 and p), which the analyses and the CSV writer read directly; the
@@ -51,7 +54,7 @@ Compiled kernel: for exact instances of the four built-in models (with
 plain int, float or complex parameters, on CPython before 3.14) ``_dopri``
 runs the same loop in C (``_dopri5.c``, loaded by ``_dopri5``), which
 mirrors CPython's complex arithmetic operation for operation and so gives
-the same steps bit for bit.  It hands over accepted steps in blocks of
+the same steps bit for bit.  It hands over accepted states in blocks of
 512 through the same generator protocol, so every caller, event
 polishing included, gets it through the one stepper, and the events
 stay here.
@@ -371,8 +374,9 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     Steps from (t, x, p), with field value (k1x, k1p) there, landing
     exactly on each time of ``stops`` in turn; the last one ends the run.
     Yields the accepted steps in blocks (t, z): t the float64 array of
-    their times and z the complex128 array of four rows x, p, kx, kp,
-    (kx, kp) being the field at each new state.  Returns why it stopped:
+    their times and z the complex128 array of two rows, x and p.  The
+    field at each new state feeds the next step and is not handed over.
+    Returns why it stopped:
     "horizon", "max_steps", "step_underflow" (the controller wants steps
     below min_step) or "non_finite" (halving a step with non-finite stages
     went below min_step).  Callers watch for events and may stop early;
@@ -485,7 +489,7 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
         t = stops[i] if landed else t + h
         x, p, k1x, k1p = x1, p1, k7x, k7p
         times.append(t)
-        rows.append((x, p, k1x, k1p))
+        rows.append((x, p))
         if len(times) == _BLOCK:
             yield np.array(times), np.array(rows).T
             times, rows = [], []
@@ -508,13 +512,15 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     return stop
 
 
-def _advance(field, t0, x0, p0, t_target, rel_tol, abs_tol, max_step, min_step):
-    """Event-free re-integration from (t0, x0, p0) landing exactly on
-    t_target; used to polish event times.  Returns (x, p)."""
-    t, x, p = t0, x0, p0
-    if t_target != t0:
-        k1x, k1p = field(t0, x0, p0)
-        for ts, z in _dopri(field, t0, x0, p0, k1x, k1p, [t_target], rel_tol, abs_tol, max_step, min_step):
+def _advance(field, row, t_target, polish):
+    """Event-free re-integration from the state row (t, x, p, ...) landing
+    exactly on t_target; used to polish event times.  ``polish`` is the
+    record (rel_tol, abs_tol, max_step, min_step) of the re-integration.
+    Returns (x, p)."""
+    t, x, p = row[:3]
+    if t_target != t:
+        k1x, k1p = field(t, x, p)
+        for ts, z in _dopri(field, t, x, p, k1x, k1p, [t_target], *polish):
             t, x, p = ts[-1].item(), z[0, -1].item(), z[1, -1].item()
     if t != t_target:
         raise ArithmeticError(f"event polishing stopped at t={t!r} short of {t_target!r}")
@@ -523,10 +529,13 @@ def _advance(field, t0, x0, p0, t_target, rel_tol, abs_tol, max_step, min_step):
 
 def _dist2(x, p, x0, p0):
     """Squared phase-space distance from (x0, p0) to (x, p); elementwise
-    when x and p are arrays, with the same operations in the same order."""
-    dx = x - x0
-    dp = p - p0
-    return dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
+    when x and p are arrays, with the same operations in the same order.
+    Past the float range it is inf, as in float arithmetic, with no numpy
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x0
+        dp = p - p0
+        return dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
 
 
 def _is_dip(d_before, d, d_after, dmax_sq):
@@ -536,26 +545,15 @@ def _is_dip(d_before, d, d_after, dmax_sq):
     return (d < d_before) & (d <= d_after) & (d < 0.25 * dmax_sq)
 
 
-def locate_return(
-    field,
-    t0,
-    x0,
-    p0,
-    k0x,
-    k0p,
-    a,
-    b,
-    c,
-    scale,
-    rel_tol,
-    abs_tol,
-    max_step,
-    min_step,
-):
+def locate_return(field, start, a, b, c, scale, polish):
     """Refine a sampled local minimum of the distance to the start point.
 
-    a, b, c are consecutive (t, x, p, d2, kx, kp) records with the sampled
-    squared distance d2 minimal at b.  The closest approach solves
+    start is the state row (t0, x0, p0); a, b, c are consecutive
+    (t, x, p, d2) rows with the sampled squared distance d2 minimal at b;
+    polish is the re-integration record of ``_advance``.  The field is
+    evaluated here, at the start and at a and c: closure is watched only
+    on autonomous models, whose field ignores t, so these are the bits the
+    stepper computed there.  The closest approach solves
     g(t) = <s(t) - s0, v(t)> = 0 (the time derivative of the half squared
     distance).  g changes sign across the minimum and is nearly linear
     at a transversal return, so a bracketed false-position iteration
@@ -566,9 +564,10 @@ def locate_return(
     velocity, separating true returns from near misses on the opposite
     branch.
     """
-    ta, xa, pa, da, kax, kap = a
-    tb, xb, pb, db, kbx, kbp = b
-    tc, xc, pc, dc, kcx, kcp = c
+    t0, x0, p0 = start
+    ta, xa, pa, da = a
+    tb, _, _, db = b
+    tc, xc, pc, dc = c
 
     def g_of(x, p, kx, kp):
         dx = x - x0
@@ -578,12 +577,12 @@ def locate_return(
     def state_at(tau):
         # advance from the nearest bracketing sample for accuracy
         base = a if abs(tau - ta) <= abs(tau - tc) else c
-        x, p = _advance(field, base[0], base[1], base[2], tau, rel_tol, abs_tol, max_step, min_step)
+        x, p = _advance(field, base, tau, polish)
         kx, kp = field(tau, x, p)
         return x, p, kx, kp
 
-    g_lo = g_of(xa, pa, kax, kap)
-    g_hi = g_of(xc, pc, kcx, kcp)
+    g_lo = g_of(xa, pa, *field(ta, xa, pa))
+    g_hi = g_of(xc, pc, *field(tc, xc, pc))
     if g_lo == 0.0:
         t_star = ta
     elif g_hi == 0.0:
@@ -628,26 +627,28 @@ def locate_return(
         t_star = 0.5 * (lo + hi)
 
     x_star, p_star, kx, kp = state_at(t_star)
+    k0x, k0p = field(t0, x0, p0)
     aligned = (
         kx.real * k0x.real + kx.imag * k0x.imag + kp.real * k0p.real + kp.imag * k0p.imag
     ) > 0.0
     return t_star, x_star, p_star, math.sqrt(_dist2(x_star, p_star, x0, p0)) / scale, aligned
 
 
-def _locate_escape(field, ta, xa, pa, tb, radius, rel_tol, abs_tol, max_step, min_step):
-    """Bisect the |Im x| = radius crossing inside (ta, tb]; the left end
-    is strictly inside.  Returns (t, x, p) at the crossing."""
-    lo, hi = ta, tb
+def _locate_escape(field, a, tb, radius, polish):
+    """Bisect the |Im x| = radius crossing inside (ta, tb], ta the time of
+    the state row a, which is strictly inside; polish as for ``_advance``.
+    Returns (t, x, p) at the crossing."""
+    lo, hi = a[0], tb
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        xm, pm = _advance(field, ta, xa, pa, mid, rel_tol, abs_tol, max_step, min_step)
+        xm, pm = _advance(field, a, mid, polish)
         if abs(xm.imag) >= radius:
             hi = mid
         else:
             lo = mid
-    x, p = _advance(field, ta, xa, pa, hi, rel_tol, abs_tol, max_step, min_step)
+    x, p = _advance(field, a, hi, polish)
     return hi, x, p
 
 
@@ -705,8 +706,7 @@ def integrate(
 
     # polish runs use a slightly tighter tolerance so event times are not
     # limited by the refinement itself
-    pol_rel = max(cfg.rel_tol * 0.1, 1e-14)
-    pol_abs = max(cfg.abs_tol * 0.1, 1e-16)
+    polish = max(cfg.rel_tol * 0.1, 1e-14), max(cfg.abs_tol * 0.1, 1e-16), cfg.max_step, cfg.min_step
 
     steps = _dopri(
         field, t0, x0, p0, k0x, k0p, cps + [t_end],
@@ -716,10 +716,11 @@ def integrate(
     radius = cfg.escape_radius
     # the kept samples as (t, x, p) column pieces, the start first
     pieces = [([t0], [x0], [p0])]
-    # the last two accepted rows as (t, x, p, d2, kx, kp) records, d2 the
-    # squared distance to the start (0.0 while closure is not watched)
+    # the last two accepted rows as (t, x, p, d2), d2 the squared distance
+    # to the start (0.0 while closure is not watched)
+    origin = t0, x0, p0
     prev2 = None
-    prev1 = (t0, x0, p0, 0.0, k0x, k0p)
+    prev1 = (*origin, 0.0)
     dmax_sq = 0.0
     period = escape_time = None
     classification = None
@@ -753,7 +754,7 @@ def integrate(
             if j < 0:
                 return prev1 if j == -1 else prev2
             dj = d2[j].item() if watch_closure else 0.0
-            return t[j].item(), x[j].item(), p[j].item(), dj, z[2, j].item(), z[3, j].item()
+            return t[j].item(), x[j].item(), p[j].item(), dj
 
         kept = len(t)
         for r in np.flatnonzero(events).tolist():
@@ -762,30 +763,14 @@ def integrate(
                 classification, termination = BLOWUP, "overflow"
                 break
             if out[r]:
-                ta, xa, pa = record(r - 1)[:3]
-                te, xe, pe = _locate_escape(
-                    field, ta, xa, pa, t[r].item(), radius, pol_rel, pol_abs, cfg.max_step, cfg.min_step
-                )
+                te, xe, pe = _locate_escape(field, record(r - 1), t[r].item(), radius, polish)
                 kept = r
                 end = te, xe, pe
                 classification, termination = ESCAPED, "escape"
                 escape_time = abs(te - t0)
                 break
             t_star, x_star, p_star, dist_scaled, aligned = locate_return(
-                field,
-                t0,
-                x0,
-                p0,
-                k0x,
-                k0p,
-                record(r - 2),
-                record(r - 1),
-                record(r),
-                math.sqrt(dmax[r]),
-                pol_rel,
-                pol_abs,
-                cfg.max_step,
-                cfg.min_step,
+                field, origin, record(r - 2), record(r - 1), record(r), math.sqrt(dmax[r]), polish
             )
             if dist_scaled <= ev.closure_tol and aligned:
                 kept = r

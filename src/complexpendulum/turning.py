@@ -16,6 +16,8 @@ For anything else (or when no closed form applies) a Newton search runs
 from a rectangular grid of seeds with spacing ``seed_grid``; duplicates
 are merged within ``dedupe_tol`` and the window filter is applied after
 refinement, inclusively, so roots that polish onto the boundary are kept.
+Each seed costs a Newton solve, so a window that needs more than
+``_MAX_SEEDS`` seeds is rejected before any is made.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ __all__ = ["TurningPoint", "NonConvergence", "turning_points", "refine_root"]
 logger = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
+_MAX_SEEDS = 20_000  # per window: a pendulum window about 6e4 wide
 
 
 class NonConvergence(Exception):
@@ -105,13 +108,19 @@ def refine_root(
     return _tag(_newton(model, energy, seed, residual_tol, max_iter))
 
 
+def _check_seed_count(count: float) -> None:
+    if not count <= _MAX_SEEDS:
+        raise ValueError(f"window needs {count:.3g} seeds, more than {_MAX_SEEDS}")
+
+
 def _pendulum_seeds(model: Pendulum, energy: complex, re_lo: float, re_hi: float):
     if model.g == 0.0:
         raise ValueError("g must be nonzero for turning points of the pendulum")
     alpha = cmath.acos(-energy / model.g)
-    k_lo = math.floor((re_lo - abs(alpha.real)) / _TWO_PI) - 1
-    k_hi = math.ceil((re_hi + abs(alpha.real)) / _TWO_PI) + 1
-    for k in range(k_lo, k_hi + 1):
+    lo = (re_lo - abs(alpha.real)) / _TWO_PI
+    hi = (re_hi + abs(alpha.real)) / _TWO_PI
+    _check_seed_count(2.0 * (hi - lo + 4.0))
+    for k in range(math.floor(lo) - 1, math.ceil(hi) + 2):
         yield alpha + _TWO_PI * k
         yield -alpha + _TWO_PI * k
 
@@ -130,6 +139,23 @@ def _closed_form_seeds(model: HamiltonianModel, energy: complex, re_lo: float, r
         rot = cmath.exp(2j * math.pi / 3.0)
         return [base, base * rot, base * rot * rot]
     return None
+
+
+def _dedupe(roots: list[complex], tol: float) -> list[complex]:
+    """The roots in order, less each one within tol of a root kept before
+    it.  Roots within tol of each other sit in the same or adjacent cells
+    of a grid of side 2 tol, so each root is compared with its few
+    neighbours only."""
+    side = 2.0 * tol
+    kept: list[complex] = []
+    cells: dict[tuple[int, int], list[complex]] = {}
+    for z in roots:
+        i, j = math.floor(z.real / side), math.floor(z.imag / side)
+        near = [w for di in (-1, 0, 1) for dj in (-1, 0, 1) for w in cells.get((i + di, j + dj), ())]
+        if all(abs(z - w) > tol for w in near):
+            kept.append(z)
+            cells.setdefault((i, j), []).append(z)
+    return kept
 
 
 def turning_points(
@@ -155,10 +181,13 @@ def turning_points(
         raise ValueError("window must have positive area")
     if seed_grid <= 0.0:
         raise ValueError("seed_grid must be positive")
+    if not dedupe_tol > 0.0:
+        raise ValueError("dedupe_tol must be positive")
 
     seeds = _closed_form_seeds(model, complex(energy), re_lo, re_hi)
     if seeds is None:
         seeds = []
+        _check_seed_count(((re_hi - re_lo) / seed_grid + 2.0) * ((im_hi - im_lo) / seed_grid + 2.0))
         n_re = max(1, math.ceil((re_hi - re_lo) / seed_grid))
         n_im = max(1, math.ceil((im_hi - im_lo) / seed_grid))
         for i in range(n_re + 1):
@@ -176,11 +205,10 @@ def turning_points(
         except NonConvergence:
             skipped += 1
             continue
-        if not (re_lo - grace <= z.real <= re_hi + grace and im_lo - grace <= z.imag <= im_hi + grace):
-            continue
-        if all(abs(z - w) > dedupe_tol for w in found):
+        if re_lo - grace <= z.real <= re_hi + grace and im_lo - grace <= z.imag <= im_hi + grace:
             found.append(z)
     if skipped:
         logger.warning("turning_points: %d of %d seeds did not converge", skipped, len(seeds))
+    found = _dedupe(found, dedupe_tol)
     found.sort(key=lambda z: (z.real, z.imag))
     return [_tag(z) for z in found]

@@ -1,8 +1,8 @@
 """Command-line interface: parsing, scenario runs, determinism, exit codes."""
 import json
 import math
+import warnings
 
-import numpy as np
 import pytest
 
 from complexpendulum import cli
@@ -362,6 +362,33 @@ integrator:
         assert "key 'starts[1]': no momentum from the energy: OverflowError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_engine_failures_are_recorded_not_fatal(self, tmp_path):
+        # start 0 lies past the escape radius, and PT reflection needs a
+        # real or purely imaginary g: both are recorded, the run exits 0
+        text = """\
+name: engine-failures
+description: a start past the escape radius and a PT check the model does not define
+model:
+  kind: pendulum
+  g: 0.6+0.8i
+energy: 0.5
+starts:
+  - x: 40i
+    branch: "+"
+  - x: 0.3
+    branch: "+"
+analyses: [pt]
+"""
+        cfg = write_scenario(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["summary.json", "traj_01.csv"]
+        failed, ran = json.loads((out / "summary.json").read_text())["trajectories"]
+        assert failed["error"] == "ValueError: start lies at or beyond the escape radius"
+        assert failed["file"] is None and "classification" not in failed and "pt" not in failed
+        assert ran["file"] == "traj_01.csv" and "error" not in ran
+        assert ran["pt"]["error"].startswith("ValueError: PT reflection is defined only ")
+
     def test_energy_drift_past_the_float_range_is_recorded(self, tmp_path):
         # |p|^2 ~ 2e310 overflows a float power; the run still records the trajectory
         text = """\
@@ -377,14 +404,19 @@ integrator:
   overflow_guard: 1e300
 events:
   escape: false
+analyses: [closure]
 """
         cfg = write_scenario(tmp_path, text)
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
+        # and quietly: a squared distance to the start past the float
+        # range is no numpy warning, in the run or in the closure analysis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
         rec = json.loads((out / "summary.json").read_text())["trajectories"][0]
         assert rec["file"] == "traj_00.csv" and "error" not in rec
         assert math.isfinite(rec["energy_drift"])
+        assert rec["closure"]["closed"] is False
 
     def test_block_index_out_of_range_fails_before_running(self, tmp_path, capsys):
         text = """\
@@ -429,6 +461,7 @@ class TestMathSubcommands:
             (["turning-points", "pendulum", "1", "1,0,-1,1"], "key 'window'"),
             (["turning-points", "pendulum:g=0", "1", "0,1,-1,1"], "key 'model': g "),
             (["period", "pendulum:g=0", "1"], "key 'model': g "),
+            (["turning-points", "pendulum", "1", "-1e12,1e12,-2,2"], "key 'window': window needs"),
         ],
     )
     def test_root_resolution_errors_name_the_key(self, capsys, argv, key):

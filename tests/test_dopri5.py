@@ -197,7 +197,7 @@ def test_dips_are_polished_inside_a_suspended_run(monkeypatch, kernel_spy):
     locate_return = integrator.locate_return
 
     def spy(*args):
-        polished.append(args[7][0])  # time of the sampled minimum
+        polished.append(args[3][0])  # time of the sampled minimum
         return locate_return(*args)
 
     monkeypatch.setattr(integrator, "locate_return", spy)
@@ -277,7 +277,7 @@ def test_edge_cases_sit_on_the_block_edge(monkeypatch):
     locate_return = integrator.locate_return
 
     def spy(*args):
-        dips.append([record[0] for record in args[6:9]])  # times of the rows around the sampled minimum
+        dips.append([record[0] for record in args[2:5]])  # times of the rows around the sampled minimum
         return locate_return(*args)
 
     monkeypatch.setattr(integrator, "locate_return", spy)

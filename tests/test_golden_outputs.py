@@ -5,15 +5,18 @@ the CSVs carry full round-trip precision and ``summary.json`` only
 deterministic values, so a change to the stepper, the event logic, the
 analyses or the writers that moves a single bit shows up here.  The
 hashes are the table recorded in CHANGES.md; all 14 scenarios (59 files)
-run here, about 2 s with the compiled stepper.  fig10-12 cover the
-driven ``cell`` column, and fig9 runs event polishing inside a suspended
-main run.  The hashes hold for CPython 3.11 on x86-64 Linux; another
-libm may round ``cmath.sin``/``cos`` differently.
+run here twice: with the compiled stepper and CSV formatter (about 2 s),
+and with both patched out so that the Python stepping loop and the
+Python writer, the references, make every byte (about 4 s).  fig10-12
+cover the driven ``cell`` column, and fig9 runs event polishing inside a
+suspended main run.  The hashes hold for CPython 3.11 on x86-64 Linux;
+another libm may round ``cmath.sin``/``cos`` differently.
 """
 import hashlib
 
 import pytest
 
+from complexpendulum import _dopri5
 from complexpendulum.cli import run_scenario
 
 GOLDEN = {
@@ -81,10 +84,21 @@ GOLDEN = {
 SCENARIOS = sorted({name.split("/")[0] for name in GOLDEN})
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_outputs_match_recorded_hashes(tmp_path, scenario):
+def assert_outputs_match(tmp_path, scenario):
     out = tmp_path / scenario
     assert run_scenario(scenario, out=out, quiet=True) == 0
     got = {f"{scenario}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     want = {name: digest for name, digest in GOLDEN.items() if name.startswith(scenario + "/")}
     assert got == want
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_outputs_match_recorded_hashes(tmp_path, scenario):
+    assert_outputs_match(tmp_path, scenario)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_python_references_match_recorded_hashes(monkeypatch, tmp_path, scenario):
+    monkeypatch.setattr(_dopri5, "model_params", lambda field: None)
+    monkeypatch.setattr(_dopri5, "csv_formatter", lambda: None)
+    assert_outputs_match(tmp_path, scenario)

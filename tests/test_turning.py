@@ -1,12 +1,14 @@
 """Turning-point enumeration: root families, residuals, symmetry pairings."""
 import cmath
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complexpendulum import (
+    HamiltonianModel,
     Harmonic,
     ImaginaryCubic,
     NonConvergence,
@@ -14,6 +16,7 @@ from complexpendulum import (
     refine_root,
     turning_points,
 )
+from complexpendulum.turning import _dedupe
 
 PI = math.pi
 WIDE = (-3 * PI, 3 * PI, -2.0, 2.0)
@@ -123,6 +126,16 @@ class TestRefineRoot:
             refine_root(Harmonic(), 1.0, 0j, max_iter=3)
 
 
+class Cubic(HamiltonianModel):
+    """V(x) = x^3, with no closed-form roots here: found from a seed grid."""
+
+    def potential(self, x, t=0.0):
+        return x * x * x
+
+    def gradient(self, x):
+        return 3.0 * x * x
+
+
 class TestWindowHandling:
     def test_boundary_roots_kept(self):
         got = roots_of(Pendulum(g=1.0), COSH1, window=(-3 * PI, 3 * PI, -1.0, 1.0))
@@ -141,6 +154,46 @@ class TestWindowHandling:
         got = roots_of(Pendulum(g=1.0), COSH1)
         keys = [(z.real, z.imag) for z in got]
         assert keys == sorted(keys)
+
+    def test_wide_window_in_linear_time(self):
+        # 10186 roots; merging them pairwise took about 7 s
+        start = time.perf_counter()
+        got = roots_of(Pendulum(g=1.0), 0.3, window=(-16000.0, 16000.0, -2.0, 2.0))
+        assert time.perf_counter() - start < 2.0
+        assert len(got) == 10186
+        assert min(b.real - a.real for a, b in zip(got, got[1:])) > 1.0
+
+    @pytest.mark.parametrize(
+        "model,window,kw,message",
+        [
+            # 6e11 closed-form seeds, or 4e6 grid seeds: rejected from their
+            # count, before any is made
+            (Pendulum(g=1.0), (-1e12, 1e12, -2.0, 2.0), {}, "^window needs"),
+            (Cubic(), (-2.0, 2.0, -2.0, 2.0), {"seed_grid": 1e-3}, "^window needs"),
+            (Pendulum(g=1.0), WIDE, {"dedupe_tol": 0.0}, "^dedupe_tol"),
+        ],
+        ids=["closed-form-seeds", "grid-seeds", "dedupe-tol"],
+    )
+    def test_rejected_before_seeding(self, model, window, kw, message):
+        with pytest.raises(ValueError, match=message):
+            turning_points(model, 1.0, window, **kw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.floats(-2e-9, 2e-9), st.floats(-2e-9, 2e-9)),
+            max_size=40,
+        )
+    )
+    def test_merge_keeps_the_first_root_within_tol(self, clusters):
+        # points clustered around a few centres, closer and farther than tol
+        roots = [complex(3e-9 * i + dx, 3e-9 * j + dy) for i, j, dx, dy in clusters]
+        want = []
+        for z in roots:
+            if all(abs(z - w) > 1e-9 for w in want):
+                want.append(z)
+        assert _dedupe(roots, 1e-9) == want
+
 
 
 @st.composite
