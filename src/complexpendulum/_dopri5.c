@@ -21,6 +21,9 @@
  * formula, an overflowing sin, a non-finite new state or error) is not
  * taken: the run stops with DOPRI5_HAND_BACK and the state at the start
  * of that step, which the Python loop then redoes.
+ *
+ * energy_rows computes Trajectory's energy column the same way, and
+ * stops at the first row it cannot mirror, which Python then computes.
  */
 #include <float.h>
 #include <math.h>
@@ -283,4 +286,56 @@ out:
     st->kx = k1x;
     st->kp = k1p;
     return n;
+}
+
+/* V(x) as the model's potential computes it: -g * cmath.cos(x),
+ * 0.5 * x * x or 1j * x * x * x, each product a full complex one, with
+ * cmath.cos(x) = cosh(-Im x + i Re x).  neg_g is complex(-g), whose zero
+ * imaginary part keeps the sign Python gives it.  Returns 0 where cmath
+ * would take another path or raise. */
+static int potential(int kind, cplx neg_g, cplx x, cplx *v)
+{
+    const cplx half = {0.5, 0.0}, i1 = {0.0, 1.0};
+    if (!is_finite(x))
+        return 0;
+    switch (kind) {
+    case HARMONIC:
+        *v = mul(mul(half, x), x);
+        return 1;
+    case CUBIC_I:
+        *v = mul(mul(mul(i1, x), x), x);
+        return 1;
+    default: {
+        double cr = -x.im, ci = x.re;
+        if (fabs(cr) > LOG_LARGE_DOUBLE)
+            return 0;
+        cplx c = {cos(ci) * cosh(cr), sin(ci) * sinh(cr)};
+        if (isinf(c.re) || isinf(c.im))
+            return 0;
+        *v = mul(neg_g, c);
+        return 1;
+    }
+    }
+}
+
+/* Trajectory's energy columns for rows 0..n-1 of x and p: v = V(x),
+ * h = 0.5 * p * p + v and scale = 0.5 * abs(p) ** 2 + abs(v), the local
+ * scale of energy_drift, with abs the libm hypot.  Returns the number of
+ * rows filled, the rows before the first whose potential() is 0. */
+long energy_rows(int kind, double ngr, double ngi, long n, const cplx *x, const cplx *p, cplx *v, cplx *h,
+                 double *scale)
+{
+    const cplx neg_g = {ngr, ngi}, half = {0.5, 0.0};
+    /* volatile: gcc folds pow(a, 2.0) into a * a, which rounds otherwise */
+    volatile double two = 2.0;
+    long k;
+    for (k = 0; k < n; k++) {
+        cplx vk;
+        if (!potential(kind, neg_g, x[k], &vk))
+            break;
+        v[k] = vk;
+        h[k] = add(mul(mul(half, p[k]), p[k]), vk);
+        scale[k] = 0.5 * pow(hypot(p[k].re, p[k].im), two) + hypot(vk.re, vk.im);
+    }
+    return k;
 }

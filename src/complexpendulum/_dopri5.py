@@ -1,5 +1,5 @@
-"""Loader of the compiled library: the Dormand-Prince loop in ``_dopri5.c``
-and the CSV row formatter in ``_csv.cpp``.
+"""Loader of the compiled library: the Dormand-Prince loop and the energy
+column in ``_dopri5.c`` and the CSV row formatter in ``_csv.cpp``.
 
 ``integrator._dopri`` runs its accept/reject/PI/landing loop in the C
 kernel when the field is the ``field`` method of an exact ``Pendulum``,
@@ -7,6 +7,11 @@ kernel when the field is the ``field`` method of an exact ``Pendulum``,
 float or complex parameters, on CPython before 3.14 (whose mixed
 float/complex arithmetic the kernel does not mirror).  Every other run
 uses the Python loop, which stays the reference.
+
+``Trajectory``'s energy column (V, H and ``energy_drift``'s local scale)
+comes from ``energy_columns`` for the same models, under the same gate,
+bit for bit as its Python expressions, the reference, compute it; those
+compute every other model's column and the rows the library stops at.
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_rows`` when the
 interpreter's floats print in the 'short' repr style: each value is the
@@ -21,8 +26,8 @@ package's ``__pycache__`` under a name keyed by a hash of both sources,
 the flags and the interpreter version, and written by atomic rename, so
 that two processes building at once never load a half-written file.
 When the compiler is missing, or the build or the load fails, one
-warning per process names the reason and the Python loop and the Python
-writer run instead.
+warning per process names the reason and the Python loop, energy column
+and writer run instead.
 """
 from __future__ import annotations
 
@@ -139,6 +144,8 @@ def _library():
     lib.dopri5_steps.restype = ctypes.c_int
     lib.csv_rows.argtypes = [ctypes.c_long, *[ctypes.c_void_p] * 4, ctypes.c_int, ctypes.c_void_p]
     lib.csv_rows.restype = ctypes.c_long
+    lib.energy_rows.argtypes = [ctypes.c_int, _c_double, _c_double, ctypes.c_long, *[ctypes.c_void_p] * 5]
+    lib.energy_rows.restype = ctypes.c_long
     return lib
 
 
@@ -192,6 +199,27 @@ def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
             state.i,
         )
     return _STOP_REASONS[state.status]
+
+
+def energy_columns(model, x, p):
+    """(v, h, scale, n): V(x), H = p*p/2 + V and ``energy_drift``'s local
+    scale |p|**2/2 + |V| (complex128, complex128, float64) for the samples
+    x, p of a run of ``model``, the first n rows filled by the library as
+    ``Trajectory``'s Python expressions compute them; the other rows are
+    left to those.  n is 0 for a model the kernel does not run, and stops
+    short of a row that cmath would compute otherwise or raise on."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    p = np.ascontiguousarray(p, dtype=complex)
+    if len(x) != len(p):
+        raise ValueError("columns of unequal length")
+    v, h, scale = np.empty_like(x), np.empty_like(x), np.empty(len(x))
+    params = model_params(model.field)
+    if params is None:
+        return v, h, scale, 0
+    neg_g = complex(-getattr(model, "g", 0.0))
+    addresses = (column.ctypes.data for column in (x, p, v, h, scale))
+    n = _library().energy_rows(params[0], neg_g.real, neg_g.imag, len(x), *addresses)
+    return v, h, scale, n
 
 
 def csv_formatter():

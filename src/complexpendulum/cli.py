@@ -567,7 +567,9 @@ def _write_rows_in_python(fh, t, x, p, e, driven: bool) -> None:
 
 def _closure(entry: dict, scn: Scenario, traj: Trajectory) -> None:
     rep = detect_closure(traj, tol=scn.events.closure_tol)
-    entry.update(closed=rep.closed, period=rep.period, return_distance=rep.return_distance, windings=rep.windings)
+    # no return refined: the distance is inf, which strict JSON cannot hold
+    distance = rep.return_distance if math.isfinite(rep.return_distance) else None
+    entry.update(closed=rep.closed, period=rep.period, return_distance=distance, windings=rep.windings)
 
 
 def _pt(entry: dict, scn: Scenario, traj: Trajectory) -> None:
@@ -722,10 +724,11 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> in
             "trajectories": records,
             "quadrature": quad,
         }
+        # strict JSON: a non-finite value raises here, before the file is written
+        text = json.dumps(summary, indent=2, allow_nan=False)
         summary_path = scn.out_dir / "summary.json"
         with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         if not quiet:
             print(f"summary: {summary_path}")
     except OSError as exc:

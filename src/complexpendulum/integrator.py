@@ -48,7 +48,8 @@ Trajectories store their samples as columns (float64 t, complex128 x
 and p), which the analyses and the CSV writer read directly; the
 ``PhaseState`` list ``Trajectory.samples`` is built only when asked
 for.  Each sample's potential is evaluated once, for the energy column
-that ``energy_drift`` and the CSV writer share.
+that ``energy_drift`` and the CSV writer share, together with the local
+scale |p|^2/2 + |V| of ``energy_drift``.
 
 Compiled kernel: for exact instances of the four built-in models (with
 plain int, float or complex parameters, on CPython before 3.14) ``_dopri``
@@ -64,6 +65,13 @@ overflowing sine) is handed back: the Python loop below resumes from the
 state at the start of that step and redoes it.  Subclasses, models of
 the Python API, later interpreters and a failed build (logged once) use
 the Python loop throughout; it stays the reference.
+The same library computes the energy column of those models
+(``_dopri5.energy_columns``), mirroring ``cmath.cos``, the complex
+products and the ``pow`` of ``|p| ** 2``; the rows it cannot mirror (a
+non-finite x, |Im x| past 708.396..., where ``cmath.cosh`` switches
+formula, or an overflowing cosine) and every row of the other models
+are computed by the Python expressions of ``Trajectory``, the
+reference.
 """
 from __future__ import annotations
 
@@ -266,20 +274,32 @@ class Trajectory:
         return list(zip(self.t.tolist(), map(int, cell_indices(self.x).tolist())))
 
     @functools.cached_property
-    def _potential_and_energy(self) -> tuple[np.ndarray, np.ndarray]:
+    def _energy_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """V(x), H = p^2/2 + V(x) and ``energy_drift``'s local scale
+        |p|^2/2 + |V| at every sample.  The compiled library fills the
+        rows it can (see ``_dopri5.energy_columns``); the Python
+        expressions below, the reference, fill the rest."""
         if self.model is None:
             raise ValueError("trajectory carries no model")
+        v, h, scale, k = _dopri5.energy_columns(self.model, self.x, self.p)
         potential = self.model.potential
-        v = [potential(x, t) for t, x in zip(self.t.tolist(), self.x.tolist())]
+        rest = [potential(x, t) for t, x in zip(self.t[k:].tolist(), self.x[k:].tolist())]
+        v[k:] = rest
         # complex products stay in Python: numpy's may round differently
-        h = [0.5 * p * p + vk for p, vk in zip(self.p.tolist(), v)]
-        return np.array(v, dtype=complex), np.array(h, dtype=complex)
+        h[k:] = [0.5 * p * p + vk for p, vk in zip(self.p[k:].tolist(), rest)]
+        # per sample, the bits of 0.5 * abs(p) ** 2 + abs(v): np.hypot is
+        # the libm hypot of abs(complex), and abs(p) ** 2 is libm's pow,
+        # which numpy's square is not
+        with np.errstate(all="ignore"):
+            abs_p = np.hypot(self.p.real[k:], self.p.imag[k:])
+            scale[k:] = 0.5 * np.array([_square(a) for a in abs_p.tolist()]) + np.hypot(v.real[k:], v.imag[k:])
+        return v, h, scale
 
     @property
     def energy(self) -> np.ndarray:
         """H = p^2/2 + V(x) at every sample (complex128), evaluated once
         per sample and shared by ``energy_drift`` and the CSV writer."""
-        return self._potential_and_energy[1]
+        return self._energy_columns[1]
 
     def energy_drift(self) -> float:
         """Worst relative energy error over the samples.
@@ -291,18 +311,14 @@ class Trajectory:
         integration error rather than float cancellation.  Meaningful
         for autonomous models, where H is conserved exactly.
         """
-        v, h = self._potential_and_energy
+        _, h, scale = self._energy_columns
         e0 = self.model.energy(PhaseState(self.x[0].item(), self.p[0].item(), self.t[0].item()))
         # per sample, the bits of the scalar expression
-        #   abs(h - e0) / max(1.0, abs(e0), 0.5 * abs(p) ** 2 + abs(v)):
-        # np.hypot is the libm hypot of abs(complex), fmax skips a NaN as
-        # max() does when 1.0 comes first, and abs(p) ** 2 is libm's pow,
-        # which numpy's square is not
+        #   abs(h - e0) / max(1.0, abs(e0), scale):
+        # fmax skips a NaN as max() does when 1.0 comes first
         with np.errstate(all="ignore"):
-            abs_p = np.hypot(self.p.real, self.p.imag)
-            local = 0.5 * np.array([_square(a) for a in abs_p.tolist()]) + np.hypot(v.real, v.imag)
             dev = h - e0
-            dev = np.hypot(dev.real, dev.imag) / np.fmax(max(1.0, np.hypot(e0.real, e0.imag)), local)
+            dev = np.hypot(dev.real, dev.imag) / np.fmax(max(1.0, np.hypot(e0.real, e0.imag)), scale)
             return float(np.fmax.reduce(dev, initial=0.0))
 
 

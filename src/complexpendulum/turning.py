@@ -2,8 +2,9 @@
 
 Where the potential inverts in closed form the roots are enumerated
 analytically and then polished by a Newton step or two, so every returned
-point satisfies |V(x0) - E| <= residual_tol * max(1, |E|) regardless of
-how it was produced:
+point satisfies |V(x0) - E| <= residual_tol * max(1, |E|), or, where V
+itself rounds coarser than that, |V(x0) - E| <= |V'(x0)| |x0| 2^-52,
+regardless of how it was produced:
 
 * pendulum (any complex g, E):  cos x = -E/g, so x = +/- acos(-E/g) + 2 pi k
   with the principal complex arccosine; this covers real roots (|E/g| <= 1
@@ -33,6 +34,7 @@ __all__ = ["TurningPoint", "NonConvergence", "turning_points", "refine_root"]
 logger = logging.getLogger(__name__)
 
 _TWO_PI = 2.0 * math.pi
+_EPS = 2.0**-52  # the spacing of floats at 1
 _MAX_SEEDS = 20_000  # per window: a pendulum window about 6e4 wide
 
 
@@ -69,27 +71,34 @@ def _tag(x0: complex) -> TurningPoint:
     return TurningPoint(x0=x0, lattice_index=round(x0.real / _TWO_PI), branch_sign=sign)
 
 
+def _converged(f: complex, fp: complex, z: complex, target: float) -> bool:
+    """|f| within the target, or within the rounding of V at z, which
+    moves V by about |V'(z)| |z| ulp: past |x| ~ 1e3 a pendulum's
+    cos x rounds coarser than the 1e-12 default target."""
+    residual = abs(f)
+    return residual <= target or residual <= abs(fp) * abs(z) * _EPS < math.inf
+
+
 def _newton(model: HamiltonianModel, energy: complex, seed: complex, tol: float, max_iter: int) -> complex:
     """Newton iteration on V(x) - E; returns the refined root or raises
     ``NonConvergence``, also when the model raises an ``ArithmeticError``
     (a seed on a pole, an overflow)."""
-    scale = max(1.0, abs(energy))
+    target = tol * max(1.0, abs(energy))
     z = complex(seed)
     try:
         for _ in range(max_iter):
             f = model.potential(z) - energy
-            if abs(f) <= tol * scale:
+            fp = model.gradient(z)
+            if _converged(f, fp, z, target):
                 # one extra step sharpens the root without risk: near a double
                 # root f/f' is half the remaining distance, elsewhere smaller
-                fp = model.gradient(z)
                 if fp != 0.0:
                     z -= f / fp
                 return z
-            fp = model.gradient(z)
             if abs(fp) < 1e-300 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise NonConvergence(f"derivative vanished near {z}")
             z -= f / fp
-        if abs(model.potential(z) - energy) <= tol * scale:
+        if _converged(model.potential(z) - energy, model.gradient(z), z, target):
             return z
     except ArithmeticError as exc:
         raise NonConvergence(f"{type(exc).__name__} from the model near {z}: {exc}") from exc

@@ -14,6 +14,7 @@ from complexpendulum.cli import (
     main,
     parse_complex,
 )
+from complexpendulum.integrator import Trajectory
 from complexpendulum.models import Pendulum
 from complexpendulum.quadrature import escape_time, period_contour
 from complexpendulum.turning import refine_root
@@ -111,6 +112,15 @@ events:
   escape: false
 analyses: [cells]
 """
+
+
+def strict_json(path):
+    """The file parsed as strict JSON: NaN, Infinity and -Infinity raise."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def write_scenario(tmp_path, text, fname="scn.yaml"):
@@ -413,10 +423,41 @@ analyses: [closure]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
-        rec = json.loads((out / "summary.json").read_text())["trajectories"][0]
+        rec = strict_json(out / "summary.json")["trajectories"][0]
         assert rec["file"] == "traj_00.csv" and "error" not in rec
         assert math.isfinite(rec["energy_drift"])
         assert rec["closure"]["closed"] is False
+
+    def test_no_refined_return_is_null_in_strict_json(self, tmp_path):
+        # the start runs up the line Re x = pi, ever faster, until the step
+        # underflows: no return to refine
+        text = """\
+name: stalled-at-the-top
+description: pendulum start that never returns
+model:
+  kind: pendulum
+  g: 1
+starts:
+  - x: "3.141592653589793+0.5i"
+    p: "0"
+integrator:
+  horizon: 50
+  escape_radius: 2000
+analyses: [closure]
+"""
+        cfg = write_scenario(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        rec = strict_json(out / "summary.json")["trajectories"][0]
+        assert rec["classification"] == "truncated"
+        assert rec["closure"]["return_distance"] is None
+
+    def test_a_non_finite_summary_value_fails_loudly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(Trajectory, "energy_drift", lambda self: math.nan)
+        cfg = write_scenario(tmp_path, TINY_SCENARIO)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+        assert not (tmp_path / "o" / "summary.json").exists()
 
     def test_block_index_out_of_range_fails_before_running(self, tmp_path, capsys):
         text = """\

@@ -1,17 +1,23 @@
-"""The compiled stepper reproduces the Python loop bit for bit.
+"""The compiled stepper and energy column reproduce Python bit for bit.
 
 Every case runs twice: once as the package runs it, with the built-in
 models stepped by the C kernel, and once with the loader patched so that
 ``integrator._dopri`` falls back to its Python loop, the reference.  The
 samples are compared as ``float.hex`` strings, which tell -0.0 from 0.0,
 together with the classification, termination, period and escape time.
+The energy column (V, H and ``energy_drift``'s local scale) is compared
+the same way against the Python expressions of ``Trajectory``.
 """
 import hashlib
 import logging
 import math
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden_outputs import GOLDEN
 
 from complexpendulum import (
@@ -22,6 +28,7 @@ from complexpendulum import (
     IntegratorConfig,
     Pendulum,
     PhaseState,
+    Trajectory,
     integrate,
     integrator,
     verify_pt_symmetry,
@@ -368,3 +375,104 @@ def test_package_data_lists_every_source():
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
     package_data = pyproject["tool"]["setuptools"]["package-data"]["complexpendulum"]
     assert [source.name for source in _dopri5._SOURCES if source.name not in package_data] == []
+
+
+def test_sources_compile_without_warnings(monkeypatch, tmp_path):
+    if shutil.which(_dopri5._COMPILER) is None:
+        pytest.skip(f"no {_dopri5._COMPILER} here")
+    monkeypatch.setattr(_dopri5, "_FLAGS", (*_dopri5._FLAGS, "-Wall", "-Wextra", "-Werror"))
+    _dopri5._build(tmp_path / "lib.so")  # an OSError carries the compiler's messages
+
+
+# The energy column.  ``_dopri5.energy_columns`` fills the rows it can
+# mirror; the Python expressions of ``Trajectory._energy_columns`` fill
+# the rest, and fill all of them when ``model_params`` is patched out.
+
+
+def energy_outcome(model, x, p):
+    """V, H, local scale and energy_drift as hex strings, or the error
+    raised."""
+    traj = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=model)
+    try:
+        v, h, scale = traj._energy_columns
+        drift = traj.energy_drift()
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    parts = [v.real, v.imag, h.real, h.imag, scale]
+    return [[value.hex() for value in part.tolist()] for part in parts], drift.hex()
+
+
+def assert_column_matches_python(model, x, p):
+    fast = energy_outcome(model, x, p)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda field: None)
+        slow = energy_outcome(model, x, p)
+    assert fast == slow
+
+
+@pytest.fixture(scope="module")
+def library():
+    if _dopri5._library() is None:
+        pytest.skip("the compiled library could not be built here")
+
+
+signed = st.floats(-1e5, 1e5) | st.sampled_from([0.0, -0.0])
+g_values = (
+    st.integers(-3, 3)
+    | st.floats(-3.0, 3.0)
+    | st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0]))
+)
+built_in_models = (
+    st.builds(Pendulum, g=g_values)
+    | st.builds(DrivenPendulum, g=g_values, epsilon=st.floats(0.0, 1.0), omega=st.floats(0.01, 1.0))
+    | st.just(Harmonic())
+    | st.just(ImaginaryCubic())
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    built_in_models,
+    st.lists(
+        st.tuples(
+            st.builds(complex, signed, st.floats(-30.0, 30.0) | st.sampled_from([0.0, -0.0])),
+            st.builds(complex, signed | st.floats(-1e160, 1e160), signed),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_energy_column_matches_python(library, model, rows):
+    x, p = (np.array(column, dtype=complex) for column in zip(*rows))
+    assert_column_matches_python(model, x, p)
+    assert _dopri5.energy_columns(model, x, p)[3] == len(x)
+
+
+@pytest.mark.parametrize(
+    "x_last",
+    [0.3 + 708.5j, 2.0 - 709.0j, 0.3 + 711.0j, complex(math.inf, 0.0), complex(0.0, math.nan)],
+    ids=["cosh-switch", "cosh-switch-negative", "overflow", "inf", "nan"],
+)
+def test_rows_past_the_cmath_cosh_switch_go_to_python(library, x_last):
+    """|Im x| past 708.396... (log(DBL_MAX / 4)) takes another formula in
+    cmath.cosh, past about 710.5 cos x overflows, and a non-finite x
+    takes cmath's special values: the library stops at such a row, and
+    Python gives the same values or raises the same error."""
+    model = Pendulum(g=0.6 + 0.8j)
+    x = np.array([0.3 + 708.3j, -1.0 - 708.39j, x_last, 1.0 + 1.0j])
+    p = np.array([1.0 - 1.0j, 0.5j, 2.0, 0.0])
+    assert _dopri5.energy_columns(model, x, p)[3] == 2
+    assert_column_matches_python(model, x, p)
+
+
+# |p| values whose square as libm's pow differs from p * p
+POW_WITNESSES = [0.46918931657478585, 0.009568310563464766, 596.1161835995405, 0.5104898634061765]
+
+
+def test_drift_scale_squares_with_pow(library):
+    assert all(a**2 != a * a for a in POW_WITNESSES)
+    x = np.zeros(len(POW_WITNESSES), dtype=complex)  # V = 0: the scale is |p|^2 / 2
+    p = np.array(POW_WITNESSES, dtype=complex)
+    scale = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=Harmonic())._energy_columns[2]
+    assert scale.tolist() == [0.5 * a**2 for a in POW_WITNESSES]
+    assert_column_matches_python(Harmonic(), x, p)

@@ -372,7 +372,9 @@ class TestColumns:
     def test_the_potential_is_evaluated_once_per_written_sample(self, monkeypatch, tmp_path):
         """fig2 writes five closed orbits: beyond one evaluation per CSV
         row, each trajectory costs two (its start momentum and the
-        energy_drift reference H(0))."""
+        energy_drift reference H(0)).  The compiled library computes the
+        rows' energy column itself and calls ``potential`` for none."""
+        from complexpendulum import _dopri5
         from complexpendulum.cli import run_scenario
 
         calls = []
@@ -383,6 +385,11 @@ class TestColumns:
             return potential(self, x, t)
 
         monkeypatch.setattr(Pendulum, "potential", counted)
+        if _dopri5._library() is not None:
+            assert run_scenario("fig2", out=tmp_path / "compiled", quiet=True) == 0
+            assert len(calls) == 2 * 5
+            calls.clear()
+        monkeypatch.setattr(_dopri5, "model_params", lambda field: None)
         assert run_scenario("fig2", out=tmp_path, quiet=True) == 0
         csvs = sorted(tmp_path.glob("traj_*.csv"))
         rows = sum(len(f.read_text().splitlines()) - 1 for f in csvs)

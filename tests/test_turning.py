@@ -163,6 +163,17 @@ class TestWindowHandling:
         assert len(got) == 10186
         assert min(b.real - a.real for a, b in zip(got, got[1:])) > 1.0
 
+    def test_wide_window_finds_every_closed_form_root(self, caplog):
+        # past |x| ~ 2e4 cos x rounds coarser than the 1e-12 residual target;
+        # 2064 of these seeds used to stop short of it and lose their roots
+        alpha = cmath.acos(-0.3).real
+        want = sorted(s * alpha + 2.0 * PI * k for k in range(-3820, 3821) for s in (1.0, -1.0))
+        want = [x for x in want if abs(x) <= 24000.0]
+        got = roots_of(Pendulum(g=1.0), 0.3, window=(-24000.0, 24000.0, -2.0, 2.0))
+        assert len(got) == len(want) == 15280
+        assert max(abs(z - x) for z, x in zip(got, want)) < 1e-11
+        assert "did not converge" not in caplog.text
+
     @pytest.mark.parametrize(
         "model,window,kw,message",
         [
