@@ -75,26 +75,15 @@ class EllipseFit:
 _CLOSURE_POLISH = (1e-12, 1e-14, 0.25, 1e-13)
 
 
-def _windings(xs) -> int:
+def _windings(xs: np.ndarray) -> int:
     """Signed turns of the position samples of one closed cycle around
     their centroid, from accumulated wrapped angle increments."""
-    c = sum(xs) / len(xs)
-    total = 0.0
-    prev = None
-    for z in xs:
-        w = z - c
-        if w == 0.0:
-            continue
-        ang = math.atan2(w.imag, w.real)
-        if prev is not None:
-            d = ang - prev
-            if d > math.pi:
-                d -= 2.0 * math.pi
-            elif d < -math.pi:
-                d += 2.0 * math.pi
-            total += d
-        prev = ang
-    return round(total / (2.0 * math.pi))
+    w = xs - xs.mean()
+    w = w[w != 0.0]
+    d = np.diff(np.arctan2(w.imag, w.real))
+    d[d > math.pi] -= 2.0 * math.pi
+    d[d < -math.pi] += 2.0 * math.pi
+    return round(d.sum() / (2.0 * math.pi))
 
 
 def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
@@ -121,7 +110,7 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
 
     if traj.classification == CLOSED and traj.period is not None:
         rd = math.sqrt(d2[-1]) / scale
-        return ClosureReport(rd <= tol, traj.period, rd, _windings(x.tolist()))
+        return ClosureReport(rd <= tol, traj.period, rd, _windings(x))
 
     model = traj.model
     field = model.field if model is not None else None
@@ -136,8 +125,7 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
         best = min(best, dist_scaled)
         if dist_scaled <= tol and aligned:
             period = abs(t_star - t0)
-            cut = x[(t - t_star) * direction <= 0.0].tolist()
-            return ClosureReport(True, period, dist_scaled, _windings(cut))
+            return ClosureReport(True, period, dist_scaled, _windings(x[(t - t_star) * direction <= 0.0]))
     return ClosureReport(False, None, best, None)
 
 
@@ -177,32 +165,25 @@ def verify_pt_symmetry(
     x0 = model.pt_reflection(traj.x[0].item())
     p0 = traj.p[0].item().conjugate()
 
-    idx = np.linspace(1, n - 1, min(max_points, n - 1)).astype(int)
-    idx = sorted(set(idx.tolist()))
-    taus = [t - t0 for t in traj.t[idx].tolist()]
-    span = taus[-1]
+    idx = np.unique(np.linspace(1, n - 1, min(max_points, n - 1)).astype(int))
+    tau = traj.t[idx] - t0
     back = integrate(
         model,
         PhaseState(x0, p0, 0.0),
         cfg,
-        EventSpec(closure=False, escape=True),
-        t_final=-span,
-        t_checkpoints=[-tau for tau in taus],
+        EventSpec(closure=False, escape=False),
+        t_final=-tau[-1].item(),
+        t_checkpoints=(-tau).tolist(),
     )
-    mirrored = dict(zip(back.t.tolist(), zip(back.x.tolist(), back.p.tolist())))
-    dev = 0.0
-    matched = 0
-    for x, p, tau in zip(traj.x[idx].tolist(), traj.p[idx].tolist(), taus):
-        s = mirrored.get(-tau)
-        if s is None:
-            continue
-        matched += 1
-        dx = abs(s[0] - model.pt_reflection(x))
-        dp = abs(s[1] - p.conjugate())
-        dev = max(dev, dx, dp)
-    if matched == 0:
+    rows = idx[np.isin(-tau, back.t)]
+    if not len(rows):
         raise ValueError("backward run produced no comparable sample times")
-    return SymmetryReport(map_kind, dev, matched)
+    # both runs are monotone in time, so the matches come in order
+    back_rows = np.isin(back.t, -tau)
+    d = np.concatenate((back.x[back_rows] - model.pt_reflection(traj.x[rows]), back.p[back_rows] - traj.p[rows].conjugate()))
+    # np.hypot is the libm hypot of abs(complex); np.abs may differ by an ulp
+    dev = np.fmax.reduce(np.hypot(d.real, d.imag), initial=0.0)
+    return SymmetryReport(map_kind, float(dev), len(rows))
 
 
 def fit_ellipse(traj: Trajectory) -> EllipseFit:
@@ -210,15 +191,18 @@ def fit_ellipse(traj: Trajectory) -> EllipseFit:
     least-squares conic fit with the ellipse constraint 4AC - B^2 = 1,
     then convert to geometric parameters.
 
-    Raises DegenerateConic for too few, coincident, or collinear samples
-    and whenever the best conic is not an ellipse.
+    Raises DegenerateConic for too few, coincident, collinear, or too
+    large samples and whenever the best conic is not an ellipse.
     """
     pts = np.column_stack([traj.x.real, traj.x.imag])
     if len(pts) < 6:
         raise DegenerateConic("need at least 6 samples to fit an ellipse")
     centroid = pts.mean(axis=0)
     q = pts - centroid
-    rms = math.sqrt(float((q**2).sum(axis=1).mean()))
+    with np.errstate(over="ignore"):
+        rms = math.sqrt(float((q**2).sum(axis=1).mean()))
+    if not math.isfinite(rms):
+        raise DegenerateConic("samples too large to fit")
     if rms < 1e-12:
         raise DegenerateConic("samples coincide")
     q /= rms

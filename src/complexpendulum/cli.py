@@ -601,8 +601,8 @@ def _escape_time(entry: dict, scn: Scenario, roots) -> None:
     x0 = _turning_point(scn, block["turning_point"], roots)
     entry["turning_point"] = _c2(x0)
     entry["cutoff"] = block["cutoff"]
-    ray = {k: block[k] for k in ("cutoff", "tol") if k in block}
-    entry["value"] = escape_time(scn.model, scn.energy, x0, direction=block.get("direction"), **ray)
+    ray = {k: block[k] for k in ("cutoff", "tol", "direction") if k in block}
+    entry["value"] = escape_time(scn.model, scn.energy, x0, **ray)
     if block["real_form"]:
         entry["real_form"] = escape_time_real_form(scn.model, scn.energy, x0, **ray)
     if "elliptic" in block:

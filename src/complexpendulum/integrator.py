@@ -37,7 +37,9 @@ scenario outputs are reproduced byte for byte (see ``_dopri``).
 It hands over the states (t, x, p) of its accepted steps in blocks of
 arrays.  ``integrate`` scans each block for the events above with
 elementwise array tests (the overflow guard, the escape radius and the
-closure rule's dips, with the last two rows carried across blocks),
+closure rule's dips), with the last two rows carried across blocks: they
+head the next block, so the rows an event is refined from and its cut
+sit in one array, and rows are settled only up to the last two.  It
 takes the rows before the first event as they are, and visits Python
 only at the rows the tests flag.  Event polishing (``locate_return``,
 ``_locate_escape``) re-integrates short spans with the same stepper from
@@ -730,13 +732,12 @@ def integrate(
     )
     guard = cfg.overflow_guard
     radius = cfg.escape_radius
-    # the kept samples as (t, x, p) column pieces, the start first
-    pieces = [([t0], [x0], [p0])]
-    # the last two accepted rows as (t, x, p, d2), d2 the squared distance
-    # to the start (0.0 while closure is not watched)
     origin = t0, x0, p0
-    prev2 = None
-    prev1 = (*origin, 0.0)
+    # settled samples as (t, x, p) column pieces, and the rows that can
+    # still take part in an event: the start at first, then the last two
+    # rows of each block, joined to the head of the next block
+    pieces = []
+    carry = np.array([t0]), np.array([x0]), np.array([p0])
     dmax_sq = 0.0
     period = escape_time = None
     classification = None
@@ -746,67 +747,58 @@ def integrate(
         except StopIteration as stop:
             termination = stop.value
             classification = _STOP_CLASSIFICATION[termination]
+            pieces.append(carry)
             break
-        x, p = z[0], z[1]
+        c = len(carry[0])
+        t, x, p = (np.concatenate((a, b)) for a, b in zip(carry, (t, z[0], z[1])))
 
         # every row that may end the run, tested elementwise; the loop
         # below visits them in order, each row's tests in the order
-        # overflow, escape, closure
+        # overflow, escape, closure.  The carried rows were tested in
+        # their own block, and the start is not tested against the guard.
         over = (np.abs(x.real) > guard) | (np.abs(x.imag) > guard) | (np.abs(p.real) > guard) | (np.abs(p.imag) > guard)
         out = np.abs(x.imag) >= radius if watch_escape else np.zeros(len(t), bool)
+        over[:c] = out[:c] = False
         events = over | out
+        d2 = _dist2(x, p, x0, p0) if watch_closure else np.zeros(len(t))
         if watch_closure:
-            d2 = _dist2(x, p, x0, p0)
             dmax = np.fmax.accumulate(np.concatenate(([dmax_sq], d2)))[1:]
-            # a row is a candidate when the row before it is a dip
-            # between its own predecessor and the row itself
-            d = np.concatenate(([math.nan if prev2 is None else prev2[3], prev1[3]], d2))
-            t_before = np.concatenate(([prev1[0]], t[:-1]))
-            dip = _is_dip(d[:-2], d[1:-1], d[2:], dmax) & ((t_before - t0) * direction >= ev.min_period)
-            events |= dip
+            # row j >= 2 is a candidate when row j - 1 is a dip between
+            # its neighbours, late enough after the start
+            events[2:] |= _is_dip(d2[:-2], d2[1:-1], d2[2:], dmax[2:]) & ((t[1:-1] - t0) * direction >= ev.min_period)
 
-        def record(j):
-            # row j of this block; -1 and -2 are the rows before it
-            if j < 0:
-                return prev1 if j == -1 else prev2
-            dj = d2[j].item() if watch_closure else 0.0
-            return t[j].item(), x[j].item(), p[j].item(), dj
+        def row(j):
+            return t[j].item(), x[j].item(), p[j].item(), d2[j].item()
 
-        kept = len(t)
+        kept = len(t) - 2
         for r in np.flatnonzero(events).tolist():
             if over[r]:
                 kept = r + 1
                 classification, termination = BLOWUP, "overflow"
                 break
             if out[r]:
-                te, xe, pe = _locate_escape(field, record(r - 1), t[r].item(), radius, polish)
+                te, xe, pe = _locate_escape(field, row(r - 1), t[r].item(), radius, polish)
                 kept = r
                 end = te, xe, pe
                 classification, termination = ESCAPED, "escape"
                 escape_time = abs(te - t0)
                 break
             t_star, x_star, p_star, dist_scaled, aligned = locate_return(
-                field, origin, record(r - 2), record(r - 1), record(r), math.sqrt(dmax[r]), polish
+                field, origin, row(r - 2), row(r - 1), row(r), math.sqrt(dmax[r]), polish
             )
             if dist_scaled <= ev.closure_tol and aligned:
-                kept = r
+                # the refined return lies in [t[r - 2], t[r]]
+                kept = r - 2 + np.count_nonzero((t[r - 2 : r] - t_star) * direction < 0.0)
                 end = t_star, x_star, p_star
                 classification, termination = CLOSED, "closure"
                 period = abs(t_star - t0)
                 break
         pieces.append((t[:kept], x[:kept], p[:kept]))
-        if classification is None:
-            prev2, prev1 = record(len(t) - 2), record(len(t) - 1)
-            if watch_closure:
-                dmax_sq = dmax[-1].item()
+        carry = t[kept:], x[kept:], p[kept:]
+        if watch_closure:
+            dmax_sq = dmax[-1].item()
 
     ts, xs, ps = (np.concatenate(column) for column in zip(*pieces))
-    if classification == CLOSED:
-        # the closest approach may lie before the last kept rows
-        n = len(ts)
-        while n and (ts[n - 1] - t_star) * direction >= 0.0:
-            n -= 1
-        ts, xs, ps = ts[:n], xs[:n], ps[:n]
     if classification in (CLOSED, ESCAPED):
         ts, xs, ps = np.append(ts, end[0]), np.append(xs, end[1]), np.append(ps, end[2])
     return Trajectory(

@@ -21,6 +21,7 @@ from complexpendulum import (
     integrate,
     verify_pt_symmetry,
 )
+from complexpendulum.analysis import _windings
 
 PI = math.pi
 SINH1 = math.sinh(1.0)
@@ -45,6 +46,15 @@ class TestDetectClosure:
         # orientation of the traced ellipse
         assert detect_closure(sho_orbit(1 + 1j, -0.5 + 0.3j)).windings == 1
         assert detect_closure(sho_orbit(1 + 1j, 0.5 - 0.3j)).windings == -1
+
+    @pytest.mark.parametrize("turns", [-3, -1, 1, 2])
+    def test_windings_match_a_scalar_loop(self, turns):
+        t = np.linspace(0.0, 2 * PI, 401)
+        xs = (1.5 + np.cos(3 * t)) * np.exp(1j * turns * t) + (0.2 - 0.1j)
+        c = sum(xs.tolist()) / len(xs)
+        angles = [math.atan2((z - c).imag, (z - c).real) for z in xs.tolist()]
+        total = sum((b - a + PI) % (2 * PI) - PI for a, b in zip(angles, angles[1:]))
+        assert _windings(xs) == round(total / (2 * PI)) == turns
 
     def test_rotation_is_not_closed(self):
         # E = 2 > 1: the real pendulum rotates, Re x advances monotonically
@@ -100,6 +110,41 @@ class TestPTSymmetry:
         dev_loose = verify_pt_symmetry(model, loose_run, config=loose_cfg).max_deviation
         dev_tight = verify_pt_symmetry(model, tight_run, config=tight_cfg).max_deviation
         assert dev_tight < 0.5 * dev_loose
+
+    def test_a_backward_run_cut_short_compares_the_rows_it_reached(self):
+        # fig7's first start; the backward run stops after 30 steps, so
+        # only the first mirrored sample times are matched
+        model = Pendulum(g=1j)
+        x0 = 0.2 + 0.1j
+        traj = integrate(model, PhaseState(x0, model.momentum_from_energy(x0, SINH1)), t_final=60.0)
+        cfg = IntegratorConfig(max_steps=30)
+        rep = verify_pt_symmetry(model, traj, config=cfg)
+        # the comparison written as a scalar loop over the sampled rows
+        n = len(traj)
+        idx = sorted(set(np.linspace(1, n - 1, min(800, n - 1)).astype(int).tolist()))
+        t0 = traj.t[0].item()
+        taus = [traj.t[i].item() - t0 for i in idx]
+        start = PhaseState(model.pt_reflection(x0), traj.p[0].item().conjugate(), 0.0)
+        back = integrate(model, start, cfg, NO_EVENTS, t_final=-taus[-1], t_checkpoints=[-tau for tau in taus])
+        assert back.termination == "max_steps"
+        mirrored = {s.t: s for s in back.samples}
+        dev, matched = 0.0, 0
+        for i, tau in zip(idx, taus):
+            s = mirrored.get(-tau)
+            if s is not None:
+                matched += 1
+                x, p = traj.samples[i].x, traj.samples[i].p
+                dev = max(dev, abs(s.x - model.pt_reflection(x)), abs(s.p - p.conjugate()))
+        assert (rep.compared_points, rep.max_deviation.hex()) == (matched, dev.hex())
+        assert (matched, dev.hex()) == (12, "0x1.0bfffdeafc2bcp-40")
+
+    def test_backward_run_watches_no_escape(self):
+        # the start lies past the default escape radius: the backward
+        # run, bounded by the forward span, must not refuse it
+        traj = integrate(Harmonic(), PhaseState(40j, 1.0), events=NO_EVENTS, t_final=2.0)
+        rep = verify_pt_symmetry(Harmonic(), traj)
+        assert rep.compared_points == len(traj) - 1
+        assert rep.max_deviation < 1e-6
 
     def test_requires_autonomous_model(self):
         from complexpendulum import DrivenPendulum

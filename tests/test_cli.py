@@ -15,7 +15,7 @@ from complexpendulum.cli import (
     parse_complex,
 )
 from complexpendulum.integrator import Trajectory
-from complexpendulum.models import Pendulum
+from complexpendulum.models import ImaginaryCubic, Pendulum
 from complexpendulum.quadrature import escape_time, period_contour
 from complexpendulum.turning import refine_root
 
@@ -113,6 +113,23 @@ events:
 analyses: [cells]
 """
 
+
+# a harmonic start with |x| and |p| past sqrt(float max)
+HUGE_MOMENTUM_SCENARIO = """\
+name: huge-momentum
+description: harmonic start with |p| beyond sqrt(float max)
+model:
+  kind: harmonic
+starts:
+  - x: "1e155+1e155i"
+    p: "1e155-1e155i"
+integrator:
+  horizon: 0.5
+  overflow_guard: 1e300
+events:
+  escape: false
+analyses: [closure]
+"""
 
 def strict_json(path):
     """The file parsed as strict JSON: NaN, Infinity and -Infinity raise."""
@@ -401,22 +418,7 @@ analyses: [pt]
 
     def test_energy_drift_past_the_float_range_is_recorded(self, tmp_path):
         # |p|^2 ~ 2e310 overflows a float power; the run still records the trajectory
-        text = """\
-name: huge-momentum
-description: harmonic start with |p| beyond sqrt(float max)
-model:
-  kind: harmonic
-starts:
-  - x: "1e155+1e155i"
-    p: "1e155-1e155i"
-integrator:
-  horizon: 0.5
-  overflow_guard: 1e300
-events:
-  escape: false
-analyses: [closure]
-"""
-        cfg = write_scenario(tmp_path, text)
+        cfg = write_scenario(tmp_path, HUGE_MOMENTUM_SCENARIO)
         out = tmp_path / "o"
         # and quietly: a squared distance to the start past the float
         # range is no numpy warning, in the run or in the closure analysis
@@ -427,6 +429,46 @@ analyses: [closure]
         assert rec["file"] == "traj_00.csv" and "error" not in rec
         assert math.isfinite(rec["energy_drift"])
         assert rec["closure"]["closed"] is False
+
+    def test_pt_rerun_ignores_the_escape_radius(self, tmp_path):
+        # |Im x| = 1e155 is far past the escape radius; the backward run is
+        # bounded by the forward span and watches no escape
+        cfg = write_scenario(tmp_path, HUGE_MOMENTUM_SCENARIO.replace("[closure]", "[pt]"))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        pt = strict_json(out / "summary.json")["trajectories"][0]["pt"]
+        assert "error" not in pt and pt["compared_points"] > 0
+
+    def test_ellipse_past_the_float_range_is_a_degenerate_conic(self, tmp_path):
+        cfg = write_scenario(tmp_path, HUGE_MOMENTUM_SCENARIO.replace("[closure]", "[ellipse]"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        ellipse = strict_json(out / "summary.json")["trajectories"][0]["ellipse"]
+        assert ellipse == {"error": "DegenerateConic: samples too large to fit"}
+
+    def test_escape_time_real_form_follows_the_direction(self, tmp_path):
+        # from -i the default ray is not an escape ray; direction "+" is
+        text = """\
+name: cubic-escape-up
+description: escape time from the turning point -i along the upward ray
+model:
+  kind: cubic-i
+energy: -1
+starts:
+  - {x: "0.5", p: "1"}
+integrator:
+  horizon: 1
+analyses: [escape_time]
+escape_time: {turning_point: "-i", direction: "+", real_form: true}
+"""
+        cfg = write_scenario(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        entry = strict_json(out / "summary.json")["quadrature"]["escape_time"]
+        assert "error" not in entry
+        assert entry["real_form"] == entry["value"] == escape_time(ImaginaryCubic(), -1.0, -1j, direction=1)
 
     def test_no_refined_return_is_null_in_strict_json(self, tmp_path):
         # the start runs up the line Re x = pi, ever faster, until the step
