@@ -165,7 +165,7 @@ def verify_pt_symmetry(
     x0 = model.pt_reflection(traj.x[0].item())
     p0 = traj.p[0].item().conjugate()
 
-    idx = np.unique(np.linspace(1, n - 1, min(max_points, n - 1)).astype(int))
+    idx = np.linspace(1, n - 1, min(max_points, n - 1)).astype(int)
     tau = traj.t[idx] - t0
     back = integrate(
         model,
@@ -175,11 +175,11 @@ def verify_pt_symmetry(
         t_final=-tau[-1].item(),
         t_checkpoints=(-tau).tolist(),
     )
-    rows = idx[np.isin(-tau, back.t)]
-    if not len(rows):
+    # the sample times both runs reach, each once
+    _, mine, back_rows = np.intersect1d(-tau, back.t, return_indices=True)
+    if not len(mine):
         raise ValueError("backward run produced no comparable sample times")
-    # both runs are monotone in time, so the matches come in order
-    back_rows = np.isin(back.t, -tau)
+    rows = idx[mine]
     d = np.concatenate((back.x[back_rows] - model.pt_reflection(traj.x[rows]), back.p[back_rows] - traj.p[rows].conjugate()))
     # np.hypot is the libm hypot of abs(complex); np.abs may differ by an ulp
     dev = np.fmax.reduce(np.hypot(d.real, d.imag), initial=0.0)
