@@ -24,6 +24,8 @@
  *
  * energy_rows computes Trajectory's energy column the same way, and
  * stops at the first row it cannot mirror, which Python then computes.
+ * quad_panel computes the node sums of one quadrature panel, and hands
+ * the whole panel back to Python when one node cannot be mirrored.
  */
 #include <float.h>
 #include <math.h>
@@ -338,4 +340,184 @@ long energy_rows(int kind, double ngr, double ngi, long n, const cplx *x, const 
         scale[k] = 0.5 * pow(hypot(p[k].re, p[k].im), two) + hypot(vk.re, vk.im);
     }
     return k;
+}
+
+/* Quadrature panels.  quad_panel evaluates quadrature._panel's two
+ * Gauss-Legendre sums for the integrands of _branch_integral and
+ * escape_time_real_form, node by node as Python does, with CPython's
+ * cmath.sqrt, cmath.exp and complex division written out below. */
+
+enum { BRANCH = 0, REAL_FORM = 1 };
+enum { RAY = 0, EDGE = 1, CAP = 2 };
+
+/* One integrand on one piece of a path (see quadrature._pieces). */
+typedef struct {
+    int integrand, kind, piece;
+    cplx neg_g, energy;
+    cplx c0, c1, c2;      /* the piece's constants, see piece_at */
+    double phi0;          /* a cap's start angle */
+    const double *nodes;  /* (xi, wi) of the 15 nodes, then of the 31 */
+    const cplx *guide;    /* the branch guide, n_guide entries */
+    long first, n_guide;  /* this piece's first entry, and the count */
+    double s0, h;         /* the piece's start and guide cell width */
+} Integrand;
+
+static inline cplx sub(cplx a, cplx b)
+{
+    cplx r = {a.re - b.re, a.im - b.im};
+    return r;
+}
+
+/* cmath.exp(z) for finite z; 0 where cmath takes another path or raises */
+static int py_exp(cplx z, cplx *r)
+{
+    if (!is_finite(z) || z.re > LOG_LARGE_DOUBLE)
+        return 0;
+    double l = exp(z.re);
+    r->re = l * cos(z.im);
+    r->im = l * sin(z.im);
+    return !isinf(r->re) && !isinf(r->im);
+}
+
+/* cmath.sqrt(z); 0 for a non-finite z and where |Re z| and |Im z| are
+ * both below DBL_MIN, which cmath rescales first */
+static int py_sqrt(cplx z, cplx *r)
+{
+    double ax = fabs(z.re), ay = fabs(z.im);
+    if (!is_finite(z) || (ax < DBL_MIN && ay < DBL_MIN))
+        return 0;
+    ax /= 8.0;
+    double s = 2.0 * sqrt(ax + hypot(ax, ay / 8.0));
+    double d = ay / (2.0 * s);
+    if (z.re >= 0.0) {
+        r->re = s;
+        r->im = copysign(d, z.im);
+    } else {
+        r->re = d;
+        r->im = copysign(s, z.im);
+    }
+    return 1;
+}
+
+/* a / b as CPython 3.11's _Py_c_quot, for a finite non-zero b */
+static cplx quot(cplx a, cplx b)
+{
+    cplx r;
+    if (fabs(b.re) >= fabs(b.im)) {
+        double ratio = b.im / b.re;
+        double denom = b.re + b.im * ratio;
+        r.re = (a.re + a.im * ratio) / denom;
+        r.im = (a.im - a.re * ratio) / denom;
+    } else {
+        double ratio = b.re / b.im;
+        double denom = b.re * ratio + b.im;
+        r.re = (a.re * ratio + a.im) / denom;
+        r.im = (a.im * ratio - a.re) / denom;
+    }
+    return r;
+}
+
+/* z(s) and dz(s) of a piece, as its lambdas in _pieces compute them:
+ *   ray   z0 + 1j * sgn * (u * u), 2.0j * sgn * u: c0 = z0, c1 = 1j * sgn,
+ *         c2 = 2.0j * sgn;
+ *   edge  start + d * s, d: c0 = start, c1 = d;
+ *   cap   center + offset * u * e, 1j * math.pi * offset * u * e, with
+ *         e = cmath.exp(1j * (phi0 + math.pi * s)): c0 = center,
+ *         c1 = offset * u, c2 = 1j * math.pi * offset * u. */
+static int piece_at(const Integrand *f, double s, cplx *z, cplx *dz)
+{
+    switch (f->piece) {
+    case RAY:
+        *z = add(f->c0, scale(s * s, f->c1));
+        *dz = scale(s, f->c2);
+        return 1;
+    case EDGE:
+        *z = add(f->c0, scale(s, f->c1));
+        *dz = f->c1;
+        return 1;
+    default: {
+        const cplx i1 = {0.0, 1.0};
+        cplx e;
+        if (!py_exp(scale(f->phi0 + M_PI * s, i1), &e))
+            return 0;
+        *z = add(f->c0, mul(f->c1, e));
+        *dz = mul(f->c2, e);
+        return 1;
+    }
+    }
+}
+
+/* The branch integrand at s: w = cmath.sqrt(2.0 * (E - V(z))), turned to
+ * the root nearer its guide entry, then 1.0 / w * dz. */
+static int branch_term(const Integrand *f, double s, cplx *out)
+{
+    const cplx one = {1.0, 0.0};
+    cplx z, dz, v, r;
+    if (!piece_at(f, s, &z, &dz) || !potential(f->kind, f->neg_g, z, &v) ||
+        !py_sqrt(scale(2.0, sub(f->energy, v)), &r))
+        return 0;
+    /* guide[first + int((s - s0) / h)]; a negative index wraps in Python */
+    double cell = (s - f->s0) / f->h;
+    if (!(fabs(cell) < 1e15))
+        return 0;
+    long j = f->first + (long)cell;
+    if (j < 0 || j >= f->n_guide)
+        return 0;
+    cplx ref = f->guide[j];
+    double flipped = hypot(-r.re - ref.re, -r.im - ref.im), kept = hypot(r.re - ref.re, r.im - ref.im);
+    if (!isfinite(flipped) || !isfinite(kept))
+        return 0;
+    if (flipped < kept) {
+        r.re = -r.re;
+        r.im = -r.im;
+    }
+    *out = mul(quot(one, r), dz);
+    return is_finite(*out);
+}
+
+/* The real-form integrand at u: 2.0 * u / math.sqrt(q.real) with
+ * q = 2.0 * (V(z) - E); 0 where Python raises DomainError or overflows. */
+static int real_form_term(const Integrand *f, double u, double *out)
+{
+    cplx z, dz, v;
+    if (!piece_at(f, u, &z, &dz) || !potential(f->kind, f->neg_g, z, &v))
+        return 0;
+    cplx q = scale(2.0, sub(v, f->energy));
+    double size = hypot(q.re, q.im);
+    if (!isfinite(size) || fabs(q.im) > 1e-9 * (1.0 + size) || !(q.re > 0.0))
+        return 0;
+    *out = 2.0 * u / sqrt(q.re);
+    return isfinite(*out);
+}
+
+/* sums[0..1] and sums[2..3]: the 15- and 31-node sums of wi * f(mid +
+ * half * xi) over [a, b], each from 0j in node order.  Returns 0 when a
+ * node's value cannot be mirrored; Python then computes the panel. */
+int quad_panel(const Integrand *f, double a, double b, double *sums)
+{
+    double half = 0.5 * (b - a), mid = 0.5 * (a + b);
+    for (int rule = 0; rule < 2; rule++) {
+        const double *node = f->nodes + (rule ? 30 : 0);
+        int count = rule ? 31 : 15;
+        cplx acc = {0.0, 0.0};
+        for (int k = 0; k < count; k++) {
+            double s = mid + half * node[2 * k], wi = node[2 * k + 1];
+            if (f->integrand == REAL_FORM) {
+                /* float terms: complex + float adds 0.0 to the imaginary part */
+                double term;
+                if (!real_form_term(f, s, &term))
+                    return 0;
+                acc.re = acc.re + wi * term;
+                acc.im = acc.im + 0.0;
+            } else {
+                cplx term;
+                if (!branch_term(f, s, &term))
+                    return 0;
+                acc = add(acc, scale(wi, term));
+            }
+        }
+        sums[2 * rule] = acc.re;
+        sums[2 * rule + 1] = acc.im;
+    }
+    return 1;
 }

@@ -1,5 +1,6 @@
-"""Loader of the compiled library: the Dormand-Prince loop and the energy
-column in ``_dopri5.c`` and the CSV row formatter in ``_csv.cpp``.
+"""Loader of the compiled library: the Dormand-Prince loop, the energy
+column and the quadrature panels in ``_dopri5.c`` and the CSV row
+formatter in ``_csv.cpp``.
 
 ``integrator._dopri`` runs its accept/reject/PI/landing loop in the C
 kernel when the field is the ``field`` method of an exact ``Pendulum``,
@@ -12,6 +13,12 @@ uses the Python loop, which stays the reference.
 comes from ``energy_columns`` for the same models, under the same gate,
 bit for bit as its Python expressions, the reference, compute it; those
 compute every other model's column and the rows the library stops at.
+
+``quadrature._panel`` takes the 15- and 31-node sums of the branch
+integrand of ``_branch_integral`` and of ``escape_time_real_form``'s
+integrand from ``panel_sums`` for the same models, under the same gate;
+a panel with a node the library cannot mirror is handed back to the
+Python integrand, the reference.
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_rows`` when the
 interpreter's floats print in the 'short' repr style: each value is the
@@ -59,6 +66,9 @@ _KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3}
 # status codes of dopri5_steps (see _dopri5.c)
 _FULL, _HAND_BACK = 0, 4
 _STOP_REASONS = {1: "horizon", 2: "max_steps", 3: "step_underflow"}
+# integrands and path pieces of quad_panel
+_BRANCH, _REAL_FORM = 0, 1
+_PIECES = {"ray": 0, "edge": 1, "cap": 2}
 
 _c_double = ctypes.c_double
 
@@ -78,6 +88,22 @@ class _Run(ctypes.Structure):
         ("max_step", _c_double),
         ("min_step", _c_double),
         ("max_steps", _c_double),
+    ]
+
+
+class _Integrand(ctypes.Structure):
+    _fields_ = [
+        ("integrand", ctypes.c_int),
+        ("kind", ctypes.c_int),
+        ("piece", ctypes.c_int),
+        *((name, _c_double) for z in ("neg_g", "energy", "c0", "c1", "c2") for name in (z + "_re", z + "_im")),
+        ("phi0", _c_double),
+        ("nodes", ctypes.c_void_p),
+        ("guide", ctypes.c_void_p),
+        ("first", ctypes.c_long),
+        ("n_guide", ctypes.c_long),
+        ("s0", _c_double),
+        ("h", _c_double),
     ]
 
 
@@ -146,6 +172,8 @@ def _library():
     lib.csv_rows.restype = ctypes.c_long
     lib.energy_rows.argtypes = [ctypes.c_int, _c_double, _c_double, ctypes.c_long, *[ctypes.c_void_p] * 5]
     lib.energy_rows.restype = ctypes.c_long
+    lib.quad_panel.argtypes = [ctypes.POINTER(_Integrand), _c_double, _c_double, ctypes.c_void_p]
+    lib.quad_panel.restype = ctypes.c_int
     return lib
 
 
@@ -220,6 +248,54 @@ def energy_columns(model, x, p):
     addresses = (column.ctypes.data for column in (x, p, v, h, scale))
     n = _library().energy_rows(params[0], neg_g.real, neg_g.imag, len(x), *addresses)
     return v, h, scale, n
+
+
+def panel_sums(model, energy, piece, nodes, guide=None, first=0, s0=0.0, h=1.0):
+    """A function ``sums(a, b)`` giving the 15- and 31-node sums of
+    ``quadrature._panel`` over [a, b] as the pair of complexes Python's
+    loops accumulate, or None for a panel the library hands back; None
+    itself when the model is not one the kernel runs or ``piece`` is None.
+
+    With ``guide`` (a complex array), the integrand is
+    ``_branch_integral``'s on one piece of its path, whose entries start
+    at ``guide[first]`` in cells of width ``h`` from ``s0``; without, it
+    is ``escape_time_real_form``'s along a ray.  ``piece`` is the
+    descriptor of ``quadrature._pieces``, (kind, c0, c1, c2, phi0), and
+    ``nodes`` the 46 (xi, wi) float64 pairs, 15 nodes then 31."""
+    params = model_params(model.field)
+    if params is None or piece is None:
+        return None
+    nodes = np.ascontiguousarray(nodes, dtype=float)
+    if nodes.shape != (46, 2):
+        raise ValueError(f"expected 46 (xi, wi) pairs, got an array of shape {nodes.shape}")
+    if guide is not None:
+        guide = np.ascontiguousarray(guide, dtype=complex)
+    kind, c0, c1, c2, phi0 = piece
+    neg_g = complex(-getattr(model, "g", 0.0))
+    record = _Integrand(
+        _BRANCH if guide is not None else _REAL_FORM,
+        params[0],
+        _PIECES[kind],
+        *(part for z in (neg_g, complex(energy), c0, c1, c2) for part in (z.real, z.imag)),
+        phi0,
+        nodes.ctypes.data,
+        None if guide is None else guide.ctypes.data,
+        first,
+        0 if guide is None else len(guide),
+        s0,
+        h,
+    )
+    record.arrays = (nodes, guide)  # kept alive while the record points into them
+    record_ref = ctypes.byref(record)
+    out = (_c_double * 4)()
+    quad_panel = _library().quad_panel
+
+    def sums(a, b):
+        if not quad_panel(record_ref, a, b, out):
+            return None
+        return complex(out[0], out[1]), complex(out[2], out[3])
+
+    return sums
 
 
 def csv_formatter():

@@ -173,6 +173,13 @@ def _positive(value) -> float:
     return x
 
 
+def _positive_finite(value) -> float:
+    x = _finite_real(value)
+    if x <= 0.0:
+        raise ValueError("must be positive")
+    return x
+
+
 def _as_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
@@ -329,16 +336,16 @@ _KEY_TABLE = (
     _Key("events", "closure_tol", _as_real),
     _Key("events", "min_period", _as_real),
     _Key("escape_time", "turning_point", _tp_spec, _REQUIRED),
-    _Key("escape_time", "cutoff", _finite_real, 60.0),
+    _Key("escape_time", "cutoff", _positive_finite, 60.0),
     _Key("escape_time", "direction", _as_branch),
-    _Key("escape_time", "tol", _finite_real),
+    _Key("escape_time", "tol", _positive_finite),
     _Key("escape_time", "real_form", _as_bool, False),
     _Key("escape_time", "elliptic", dict),
     _Key("escape_time.elliptic", "prefactor", _finite_real, _REQUIRED),
     _Key("escape_time.elliptic", "m", _finite_real, _REQUIRED),
     _Key("period", "pair", _tp_pair, _REQUIRED),
-    _Key("period", "offset", _finite_real, 0.5),
-    _Key("period", "tol", _finite_real),
+    _Key("period", "offset", _positive_finite, 0.5),
+    _Key("period", "tol", _positive_finite),
     _Key("output", "directory", _as_path),
     _Key("output", "format", _as_csv, "csv"),
     _Key("output", "--out", _as_path, field="directory"),
@@ -763,6 +770,12 @@ def _given(**kw) -> dict:
     return {k: v for k, v in kw.items() if v is not None}
 
 
+def _positive_flag(value, flag: str) -> float | None:
+    """A numeric flag's value, read as positive and finite; None when the
+    flag is not given."""
+    return None if value is None else _coerce(_positive_finite, value, flag)
+
+
 def _model_from_arg(text: str) -> HamiltonianModel:
     """Parse "pendulum", "pendulum:g=i", "driven-pendulum:g=1,epsilon=0.2,omega=0.1"."""
     kind, _, rest = text.partition(":")
@@ -780,7 +793,7 @@ def _cmd_turning_points(args) -> int:
     model = _model_from_arg(args.model)
     energy = _coerce(_finite_complex, args.energy, "energy")
     window = _coerce(_window, args.window.split(","), "window")
-    for tp in _find_roots(model, energy, window, **_given(residual_tol=args.tol)):
+    for tp in _find_roots(model, energy, window, **_given(residual_tol=_positive_flag(args.tol, "--tol"))):
         print(f"{tp.x0.real!r} {tp.x0.imag!r} cell={tp.lattice_index} branch={tp.branch_sign:+d}")
     return 0
 
@@ -789,9 +802,10 @@ def _cmd_escape_time(args) -> int:
     model = _model_from_arg(args.model)
     energy = _coerce(_finite_complex, args.energy, "energy")
     seed = _coerce(_finite_complex, args.tp, "tp")
+    cutoff, tol = _positive_flag(args.cutoff, "--cutoff"), _positive_flag(args.tol, "--tol")
     try:
         x0 = refine_root(model, energy, seed).x0
-        value = escape_time(model, energy, x0, **_given(cutoff=args.cutoff, tol=args.tol, direction=args.direction))
+        value = escape_time(model, energy, x0, **_given(cutoff=cutoff, tol=tol, direction=args.direction))
     except Exception as exc:
         raise ConfigError(f"key 'tp': {exc}") from None
     print(repr(value))
@@ -801,6 +815,7 @@ def _cmd_escape_time(args) -> int:
 def _cmd_period(args) -> int:
     model = _model_from_arg(args.model)
     energy = _coerce(_finite_complex, args.energy, "energy")
+    options = _given(offset=_positive_flag(args.offset, "--offset"), tol=_positive_flag(args.tol, "--tol"))
     if args.pair:
         seeds = args.pair.split(";")
         if len(seeds) != 2:
@@ -815,7 +830,7 @@ def _cmd_period(args) -> int:
         ordered = sorted(roots, key=lambda tp: (abs(tp.x0), tp.x0.real, tp.x0.imag))
         pair = (ordered[0].x0, ordered[1].x0)
     try:
-        value = period_contour(model, energy, pair, **_given(offset=args.offset, tol=args.tol))
+        value = period_contour(model, energy, pair, **options)
     except Exception as exc:
         raise ConfigError(f"key 'pair': {exc}") from None
     print(repr(value))

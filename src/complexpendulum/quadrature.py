@@ -1,10 +1,13 @@
 """Complex-path quadrature: transit times, closed-orbit periods, elliptic K.
 
-The workhorse is a globally adaptive scheme built on an embedded pair of
-Gauss-Legendre rules (15 and 31 points, nested refinement of the worst
-panel first).  Inverse-square-root endpoint singularities - the generic
-behaviour of 1/p(x) at a turning point - are removed exactly by the
-substitution z = z0 + d u^2, after which the integrand is smooth.
+The workhorse is a globally adaptive scheme that halves the panel with
+the largest error estimate first.  A panel's value is its 31-point
+Gauss-Legendre sum and its error estimate the distance to the 15-point
+sum.  The two rules are not nested: they share only the midpoint, so a
+panel costs 46 integrand evaluations, the midpoint's twice.
+Inverse-square-root endpoint singularities - the generic behaviour of
+1/p(x) at a turning point - are removed exactly by the substitution
+z = z0 + d u^2, after which the integrand is smooth.
 
 Each path kind (segment, vertical ray, stadium loop) is described once,
 by ``_pieces``; the ray and stadium expressions fix the quadrature nodes,
@@ -23,6 +26,13 @@ seeded at its start point, an escape ray at its first guide entry;
 escape times and periods take the absolute value.  A loop that fails to
 return to the seed value raises ``BranchInconsistency``, as does a
 period integral with a non-negligible imaginary part.
+
+For the four built-in models, the node sums of a panel of the branch
+integrand, and of ``escape_time_real_form``'s, come from the compiled
+library (``_dopri5.panel_sums``), bit for bit as the Python integrands
+compute them.  A panel with a node the library cannot mirror is handed
+back, and the Python integrand, which stays the reference, computes the
+whole panel: the same bits, or the same error.
 """
 from __future__ import annotations
 
@@ -35,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _dopri5
 from .models import HamiltonianModel
 from .turning import TurningPoint, turning_points
 
@@ -118,6 +129,7 @@ _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 _G31_X, _G31_W = np.polynomial.legendre.leggauss(31)
 _G15 = list(zip(_G15_X.tolist(), _G15_W.tolist()))
 _G31 = list(zip(_G31_X.tolist(), _G31_W.tolist()))
+_NODES = np.array(_G15 + _G31)  # the (xi, wi) pairs as the compiled panel reads them
 
 # branch guide: each piece starts with this many midpoint cells and
 # triples them, up to the ceiling, while two consecutive continued values
@@ -128,14 +140,23 @@ _GUIDE_COS = 0.9
 
 
 def _panel(f, a, b):
+    """(G31 value, |G31 - G15|) over [a, b].  An integrand with a
+    ``sums`` attribute (see ``_dopri5.panel_sums``) has its node sums
+    computed by the library, bit for bit as the loops below; a panel the
+    library hands back, and every other integrand, runs the loops."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    i15 = 0.0j
-    for xi, wi in _G15:
-        i15 += wi * f(mid + half * xi)
-    i31 = 0.0j
-    for xi, wi in _G31:
-        i31 += wi * f(mid + half * xi)
+    compiled = getattr(f, "sums", None)
+    sums = compiled(a, b) if compiled is not None else None
+    if sums is not None:
+        i15, i31 = sums
+    else:
+        i15 = 0.0j
+        for xi, wi in _G15:
+            i15 += wi * f(mid + half * xi)
+        i31 = 0.0j
+        for xi, wi in _G31:
+            i31 += wi * f(mid + half * xi)
     i15 *= half
     i31 *= half
     err = abs(i31 - i15)
@@ -147,6 +168,8 @@ def _panel(f, a, b):
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 4000) -> complex:
     """Integrate a complex-valued f over the real interval [a, b] to the
     absolute error target ``tol``, refining the worst panel first."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if a == b:
         return 0.0j
     n0 = 8
@@ -201,37 +224,43 @@ def _segment_pieces(z0, z1, sing_start, sing_end, tol):
     if sing_end:
         # u^2 measured back from the end: z runs from z1 to z0, so the
         # weight is -dz/du
-        return [(lambda u: z1 - d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol)]
+        return [(lambda u: z1 - d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol, None)]
     if sing_start:
-        return [(lambda u: z0 + d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol)]
-    return [(lambda s: z0 + d * s, lambda s: d, 0.0, 1.0, ptol)]
+        return [(lambda u: z0 + d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol, None)]
+    return [(lambda s: z0 + d * s, lambda s: d, 0.0, 1.0, ptol, None)]
 
 
 def _pieces(path, tol: float):
-    """A path specification as pieces (z, dz, s0, s1, piece_tol).
+    """A path specification as pieces (z, dz, s0, s1, piece_tol, piece).
 
     The integral of f(z) dz along the path is the sum over its pieces of
     the integral of f(z(s)) * dz(s) for s in [s0, s1], each to its own
     error target ``piece_tol``.  The ray and stadium expressions fix the
     quadrature nodes, and with them the bits of every escape time and
     period a scenario writes: keep them character for character.
+
+    ``piece`` describes a ray, stadium edge or stadium cap to the
+    compiled panel as (kind, c0, c1, c2, phi0), the constants its two
+    lambdas start from (``piece_at`` in ``_dopri5.c`` says which); it is
+    None for a segment's pieces, which only ``path_integral`` uses.
     """
     if isinstance(path, Segment):
         return _segment_pieces(
             complex(path.z_start), complex(path.z_end), path.sqrt_singular_start, path.sqrt_singular_end, tol
         )
     if isinstance(path, VerticalRay):
-        if path.cutoff <= 0.0:
-            raise ValueError("cutoff must be positive")
+        if not (path.cutoff > 0.0 and math.isfinite(path.cutoff)):
+            raise ValueError("cutoff must be positive and finite")
         z0 = complex(path.z_start)
         sgn = 1.0 if path.direction >= 0 else -1.0
         umax = math.sqrt(path.cutoff)
         ptol = tol / max(1.0, umax)
-        return [(lambda u: z0 + 1j * sgn * (u * u), lambda u: 2.0j * sgn * u, 0.0, umax, ptol)]
+        piece = ("ray", z0, 1j * sgn, 2.0j * sgn, 0.0)
+        return [(lambda u: z0 + 1j * sgn * (u * u), lambda u: 2.0j * sgn * u, 0.0, umax, ptol, piece)]
     if isinstance(path, TurningPointContour):
         # counterclockwise, starting below the z_left -> z_right segment
-        if path.offset <= 0.0:
-            raise ValueError("offset must be positive")
+        if not (path.offset > 0.0 and math.isfinite(path.offset)):
+            raise ValueError("offset must be positive and finite")
         c1, c2, offset = complex(path.z_left), complex(path.z_right), path.offset
         chord = c2 - c1
         u = chord / abs(chord)
@@ -240,7 +269,8 @@ def _pieces(path, tol: float):
         cap_len = math.pi * offset
 
         def edge(start, d):
-            return (lambda s: start + d * s, lambda s: d, 0.0, 1.0, 0.25 * tol / max(1.0, edge_len))
+            piece = ("edge", start, d, 0j, 0.0)
+            return (lambda s: start + d * s, lambda s: d, 0.0, 1.0, 0.25 * tol / max(1.0, edge_len), piece)
 
         def cap(center, phi0):
             return (
@@ -249,6 +279,7 @@ def _pieces(path, tol: float):
                 0.0,
                 1.0,
                 0.25 * tol / max(1.0, cap_len),
+                ("cap", center, offset * u, 1j * math.pi * offset * u, phi0),
             )
 
         return [
@@ -263,7 +294,7 @@ def _pieces(path, tol: float):
 def path_integral(f, path, tol: float = 1e-10) -> complex:
     """Integral of f(z) dz along a path specification."""
     total = 0.0j
-    for z, dz, s0, s1, ptol in _pieces(path, tol):
+    for z, dz, s0, s1, ptol, _ in _pieces(path, tol):
         total += adaptive_quad(lambda s: f(z(s)) * dz(s), s0, s1, ptol)
     return total
 
@@ -310,7 +341,7 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
     def apart(a, b):
         return (a * b.conjugate()).real < _GUIDE_COS * abs(a) * abs(b)
 
-    raw = [midpoints(z, s0, s1, _GUIDE_CELLS, None) for z, _, s0, s1, _ in pieces]
+    raw = [midpoints(z, s0, s1, _GUIDE_CELLS, None) for z, _, s0, s1, _, _ in pieces]
     if closed:
         seed = w(pieces[0][0](pieces[0][2]))
     while True:
@@ -332,7 +363,7 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
         if not refine:
             break
         for i in refine:
-            z, _, s0, s1, _ = pieces[i]
+            z, _, s0, s1, _, _ = pieces[i]
             raw[i] = midpoints(z, s0, s1, 3 * len(raw[i]), raw[i])
     if closed and back != seed:
         raise BranchInconsistency("branch guide does not close around the contour")
@@ -341,9 +372,10 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
             logger.debug("branch guide: piece %d refined to %d cells", i, len(values))
     guide.append(guide[-1])  # a node rounding onto a piece's end reads one entry on
 
+    table = np.array(guide)  # the guide as the compiled panel reads it
     total = 0.0j
     first = 0
-    for (z, dz, s0, s1, ptol), values in zip(pieces, raw):
+    for (z, dz, s0, s1, ptol, piece), values in zip(pieces, raw):
         h = (s1 - s0) / len(values)
 
         def f(s):
@@ -353,6 +385,7 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
                 r = -r
             return 1.0 / r * dz(s)
 
+        f.sums = _dopri5.panel_sums(model, E, piece, _NODES, table, first, s0, h)
         total += adaptive_quad(f, s0, s1, ptol)
         first += len(values)
     return total
@@ -391,8 +424,8 @@ def _escape_ray(model, energy, tp, cutoff, direction):
     direction (by default away from the real axis)."""
     E = complex(energy)
     x0 = _as_root(model, E, tp)
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
+    if not (cutoff > 0.0 and math.isfinite(cutoff)):
+        raise ValueError("cutoff must be positive and finite")
     if direction is None:
         sgn = 1.0 if x0.imag >= 0.0 else -1.0
     else:
@@ -452,18 +485,18 @@ def escape_time_real_form(
     This is an independent cross-check route for ``escape_time``.
     """
     E, x0, sgn = _escape_ray(model, energy, tp, cutoff, direction)
+    [(z, _, s0, umax, ptol, piece)] = _pieces(VerticalRay(x0, int(sgn), cutoff), tol)
 
     def f(u: float) -> float:
-        z = x0 + 1j * sgn * (u * u)
-        q = 2.0 * (model.potential(z) - E)
+        q = 2.0 * (model.potential(z(u)) - E)
         if abs(q.imag) > 1e-9 * (1.0 + abs(q)):
             raise DomainError("V - E is not real along the ray; not an escape ray")
         if q.real <= 0.0:
             raise DomainError("V - E is not positive along the ray; not an escape ray")
         return 2.0 * u / math.sqrt(q.real)
 
-    umax = math.sqrt(cutoff)
-    return adaptive_quad(f, 0.0, umax, tol / max(1.0, umax)).real
+    f.sums = _dopri5.panel_sums(model, E, piece, _NODES)
+    return adaptive_quad(f, s0, umax, ptol).real
 
 
 def _resolve_pair(model, energy, tp_pair):

@@ -359,6 +359,40 @@ escape_time:
         assert f"{key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("  cutoff: 60", "  cutoff: -1", "key 'escape_time.cutoff'"),
+            ("  cutoff: 60", "  cutoff: 60\n  tol: 0", "key 'escape_time.tol'"),
+            ("  cutoff: 60", "  cutoff: 60\n  tol: -1e-10", "key 'escape_time.tol'"),
+            ("escape_time:", "period: {pair: [0, 1], offset: 0}\nescape_time:", "key 'period.offset'"),
+            ("escape_time:", "period: {pair: [0, 1], tol: -1e-10}\nescape_time:", "key 'period.tol'"),
+        ],
+    )
+    def test_quadrature_settings_must_be_positive(self, tmp_path, capsys, old, new, key):
+        text = """\
+name: not-positive
+description: escape-time scenario with one quadrature setting not positive
+model:
+  kind: pendulum
+  g: 1
+energy: 1.5430806348152437
+window: [0, 2pi, -2, 2]
+starts:
+  - turning_point: 1
+integrator:
+  horizon: 1
+analyses: [escape_time]
+escape_time:
+  turning_point: 1
+  cutoff: 60
+"""
+        assert old in text
+        cfg = write_scenario(tmp_path, text.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key}: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["[1, 2]", "5"])
     def test_output_directory_must_be_a_path(self, tmp_path, monkeypatch, capsys, value):
         monkeypatch.chdir(tmp_path)
@@ -616,6 +650,26 @@ class TestMathSubcommands:
         assert main(argv) == 0
         assert seen[-1] == given
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["turning-points", "pendulum", "1", "-pi,pi,-2,2", "--tol", "nan"], "key '--tol': must be finite"),
+            (["turning-points", "pendulum", "1", "-pi,pi,-2,2", "--tol", "0"], "key '--tol': must be positive"),
+            (["escape-time", "pendulum", "1.5430806348152437", "pi+1i", "--cutoff", "nan"], "key '--cutoff': must be finite"),
+            (["escape-time", "pendulum", "1.5430806348152437", "pi+1i", "--cutoff", "-1"], "key '--cutoff': must be positive"),
+            (["escape-time", "pendulum", "1.5430806348152437", "pi+1i", "--tol", "nan"], "key '--tol': must be finite"),
+            (["escape-time", "pendulum", "1.5430806348152437", "pi+1i", "--tol", "inf"], "key '--tol': must be finite"),
+            (["period", "pendulum", "0", "--offset", "nan"], "key '--offset': must be finite"),
+            (["period", "pendulum", "0", "--offset", "0"], "key '--offset': must be positive"),
+            (["period", "pendulum", "0", "--pair", "-pi/2;pi/2", "--tol", "-1e-10"], "key '--tol': must be positive"),
+        ],
+    )
+    def test_bad_quadrature_flags_name_the_flag(self, capsys, argv, error):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert error in out.err
+        assert out.out == ""
 
     def test_printed_values_are_the_library_defaults(self, capsys):
         model = Pendulum(g=1.0 + 0j)

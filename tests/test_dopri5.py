@@ -8,6 +8,7 @@ together with the classification, termination, period and escape time.
 The energy column (V, H and ``energy_drift``'s local scale) is compared
 the same way against the Python expressions of ``Trajectory``.
 """
+import contextlib
 import hashlib
 import logging
 import math
@@ -29,11 +30,15 @@ from complexpendulum import (
     Pendulum,
     PhaseState,
     Trajectory,
+    TurningPointContour,
+    VerticalRay,
+    escape_time,
+    escape_time_real_form,
     integrate,
     integrator,
     verify_pt_symmetry,
 )
-from complexpendulum import _dopri5, cli
+from complexpendulum import _dopri5, cli, quadrature
 from complexpendulum.cli import run_scenario
 
 COSH1 = math.cosh(1.0)
@@ -476,3 +481,167 @@ def test_drift_scale_squares_with_pow(library):
     scale = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=Harmonic())._energy_columns[2]
     assert scale.tolist() == [0.5 * a**2 for a in POW_WITNESSES]
     assert_column_matches_python(Harmonic(), x, p)
+
+
+# Quadrature panels.  ``_dopri5.panel_sums`` gives ``quadrature._panel``
+# the node sums of the branch and real-form integrands.  The spy below
+# computes each panel three times: as the package does, with the
+# library's sums, and with the integrand's ``sums`` taken off, so that
+# the Python loops, the reference, evaluate every node.
+
+
+class _Enough(Exception):
+    """Ends an integral once the spy has compared enough panels."""
+
+
+def panel_outcome(panel, f, a, b):
+    try:
+        value, err = panel(f, a, b)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return value.real.hex(), value.imag.hex(), err.hex()
+
+
+@contextlib.contextmanager
+def compared_panels(limit=24):
+    """Patches ``quadrature._panel`` with a spy that checks each panel of a
+    built-in model's integrand against the Python loops and counts the
+    panels the library computed and those it handed back; it raises
+    ``_Enough`` after ``limit`` panels, or passes the panel's error on."""
+    panel = quadrature._panel
+    seen = {"compiled": 0, "handed_back": 0}
+
+    def spy(f, a, b):
+        sums = f.sums
+        assert sums is not None, "the integrand has no compiled sums"
+        fast = panel_outcome(panel, f, a, b)
+        del f.sums
+        try:
+            slow = panel_outcome(panel, f, a, b)
+        finally:
+            f.sums = sums
+        assert fast == slow
+        seen["compiled" if sums(a, b) is not None else "handed_back"] += 1
+        if seen["compiled"] + seen["handed_back"] >= limit:
+            raise _Enough
+        return panel(f, a, b)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(quadrature, "_panel", spy)
+        yield seen
+
+
+def branch_panels(model, energy, path):
+    """Runs ``_branch_integral`` on a path until it ends or the spy has
+    seen enough panels; returns its outcome."""
+    pieces = quadrature._pieces(path, 1e-10)
+    try:
+        value = quadrature._branch_integral(model, complex(energy), pieces, isinstance(path, TurningPointContour))
+    except _Enough:
+        return "enough"
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return value.real.hex(), value.imag.hex()
+
+
+finite_complex = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+paths = st.builds(
+    VerticalRay,
+    finite_complex,
+    st.sampled_from([1, -1]),
+    st.floats(0.1, 100.0) | st.sampled_from([709.5, 720.0]),
+) | st.builds(TurningPointContour, finite_complex, finite_complex, st.floats(0.05, 2.0)).filter(
+    lambda path: path.z_left != path.z_right
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(built_in_models, finite_complex, paths)
+def test_branch_panels_match_python(library, model, energy, path):
+    with compared_panels():
+        branch_panels(model, energy, path)
+
+
+# (model, energy, path, the outcome, whether the library computes a panel)
+BRANCH_HAND_BACKS = {
+    # nodes past |Im z| = 708.4: cmath.cos takes its other formula there
+    "cosh-switch": (Pendulum(g=1.0), COSH1, VerticalRay(math.pi + 1j, 1, 709.5), "value", True),
+    # and overflows a little further on
+    "overflow": (Pendulum(g=1j), 0.5, VerticalRay(0.5 + 1j, 1, 720.0), "OverflowError", True),
+    # the midpoint u = 1 of the ray's first panel is z = 0, where V = E:
+    # Python divides by a zero root, the library hands the panel back
+    "zero-root": (ImaginaryCubic(), 0.0, VerticalRay(-1j, 1, 256.0), "ZeroDivisionError", False),
+    # there 2 (E - V) is subnormal, which cmath.sqrt rescales first
+    "subnormal-root": (Harmonic(), 1e-310, VerticalRay(-1j, 1, 256.0), "enough", True),
+}
+
+
+@pytest.mark.parametrize("case", BRANCH_HAND_BACKS.values(), ids=BRANCH_HAND_BACKS.keys())
+def test_branch_panels_the_library_hands_back(library, case):
+    model, energy, path, outcome, computes = case
+    with compared_panels(limit=100) as seen:
+        got = branch_panels(model, energy, path)
+    assert isinstance(got, tuple) if outcome == "value" else got.split(":")[0] == outcome
+    assert seen["handed_back"] > 0
+    assert (seen["compiled"] > 0) == computes
+
+
+# escape rays: (model, the real part of the turning points whose rays escape)
+ESCAPE_FAMILIES = {
+    "pendulum": (Pendulum(g=1.0), math.pi),
+    "pendulum-int-g": (Pendulum(g=2), -math.pi),
+    "pendulum-i": (Pendulum(g=1j), 1.5 * math.pi),
+    "driven-pendulum": (DrivenPendulum(g=0.5), math.pi),
+    "cubic-i": (ImaginaryCubic(), 0.0),
+}
+
+
+def real_form(model, x0, cutoff, direction):
+    try:
+        return escape_time_real_form(model, model.potential(x0), x0, cutoff, direction=direction).hex()
+    except _Enough:
+        return "enough"
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    # the harmonic rays from i y escape nowhere: V - E turns negative
+    st.sampled_from([*ESCAPE_FAMILIES.values(), (Harmonic(), 0.0)]),
+    st.floats(0.05, 3.0),
+    st.sampled_from([0.0, 0.0, 1e-3, -0.2]),
+    st.floats(0.5, 100.0),
+    st.sampled_from([None, 1, -1]),
+)
+def test_real_form_panels_match_python(library, family, height, shift, cutoff, direction):
+    model, re = family
+    with compared_panels():
+        real_form(model, complex(re + shift, height), cutoff, direction)
+
+
+@pytest.mark.parametrize("family", ESCAPE_FAMILIES.values(), ids=ESCAPE_FAMILIES.keys())
+def test_real_form_values_match_python(library, family):
+    model, re = family
+    values = [real_form(model, complex(re, y), 60.0, None) for y in (0.3, 1.0, 2.5)]
+    assert all(value.startswith("0x") for value in values)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda field: None)
+        assert [real_form(model, complex(re, y), 60.0, None) for y in (0.3, 1.0, 2.5)] == values
+
+
+def test_real_form_domain_failures_are_handed_back(library):
+    # off the escape ray V - E is complex: Python raises DomainError
+    with compared_panels() as seen:
+        assert real_form(Pendulum(g=1.0), complex(math.pi + 0.2, 1.0), 60.0, None).startswith("DomainError")
+    assert seen == {"compiled": 0, "handed_back": 1}
+
+
+def test_subclass_integrands_have_no_compiled_sums(library):
+    class Subclass(ImaginaryCubic):
+        pass
+
+    piece = quadrature._pieces(VerticalRay(1j), 1e-10)[0][5]
+    assert _dopri5.panel_sums(Subclass(), 1.0, piece, quadrature._NODES) is None
+    assert _dopri5.panel_sums(ImaginaryCubic(), 1.0, piece, quadrature._NODES) is not None
+    assert escape_time(Subclass(), 1.0, 1j) == escape_time(ImaginaryCubic(), 1.0, 1j)

@@ -94,6 +94,24 @@ class TestAdaptiveQuad:
             adaptive_quad(lambda x: 1.0 / (abs(x - 0.3) + 1e-300), 0.0, 1.0, tol=1e-10, max_panels=500)
 
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # with tol = nan, toterr > tol never held: the first 8 panels were
+        # returned unverified, 1.9377535913678672 against 1.9377541969215548
+        f = lambda s: 1.0 / math.sqrt(s + 1e-3)
+        assert adaptive_quad(f, 0.0, 1.0) == 1.9377541969215548
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            adaptive_quad(f, 0.0, 1.0, tol=tol)
+
+    def test_escape_time_and_period_reject_a_nan_tolerance(self):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            escape_time(Pendulum(g=1.0), COSH1, PI + 1j, tol=math.nan)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            escape_time_real_form(Pendulum(g=1.0), COSH1, PI + 1j, tol=math.nan)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), tol=math.nan)
+
+
 class TestPathIntegral:
     def test_constant_over_segment(self):
         got = path_integral(lambda z: 1.0, Segment(0j, 1 + 1j))
@@ -192,6 +210,13 @@ class TestEscapeTime:
         with pytest.raises(ValueError):
             escape_time(Pendulum(g=1.0), COSH1, PI + 1j, 0.0)
 
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+    def test_non_finite_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            escape_time(Pendulum(g=1.0), COSH1, PI + 1j, cutoff)
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            escape_time_real_form(Pendulum(g=1.0), COSH1, PI + 1j, cutoff)
+
     def test_non_root_rejected(self):
         with pytest.raises((DomainError, ValueError)):
             escape_time(Pendulum(g=1.0), COSH1, 1.0 + 1j)
@@ -240,6 +265,11 @@ class TestPeriodContour:
     def test_bad_offset(self):
         with pytest.raises(ValueError):
             period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), 0.0)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_non_finite_offset(self, offset):
+        with pytest.raises(ValueError, match="offset must be positive and finite"):
+            period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), offset)
 
 
 class TestBranchGuide:

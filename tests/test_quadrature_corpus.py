@@ -5,11 +5,16 @@ Each entry of ``quadrature_corpus.json`` is a ``contour_integral`` or
 (``tests/data/make_quadrature_corpus.py`` regenerates it).  Values must
 match bit for bit in |Re| and |Im|: the sign of a raw integral is the
 branch guide's seed convention, which escape times and periods discard.
-Errors must match in type and message.
+Errors must match in type and message.  The corpus is replayed twice: as
+the package runs it, with the library's panel sums for the built-in
+models, and with ``_dopri5.model_params`` patched to None, so that the
+Python integrands, the reference, evaluate every node.
 """
 import importlib.util
 import json
 from pathlib import Path
+
+from complexpendulum import _dopri5
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -21,7 +26,8 @@ def _generator():
     return module
 
 
-def test_outcomes_match_the_corpus():
+def _mismatches():
+    """(index, call, outcome) of each entry whose replay differs."""
     gen = _generator()
     entries = json.loads((DATA / "quadrature_corpus.json").read_text())["entries"]
     assert len(entries) == 100
@@ -35,4 +41,13 @@ def test_outcomes_match_the_corpus():
             same = got == {"error": entry["error"], "message": entry["message"]}
         if not same:
             mismatches.append((k, entry["call"], got))
-    assert mismatches == []
+    return mismatches
+
+
+def test_outcomes_match_the_corpus():
+    assert _mismatches() == []
+
+
+def test_python_integrands_match_the_corpus(monkeypatch):
+    monkeypatch.setattr(_dopri5, "model_params", lambda field: None)
+    assert _mismatches() == []
