@@ -22,6 +22,10 @@
  * taken: the run stops with DOPRI5_HAND_BACK and the state at the start
  * of that step, which the Python loop then redoes.
  *
+ * dopri5_advance runs one whole landing run of event polishing,
+ * integrator._advance, from _initial_step on; a run it cannot finish as
+ * Python would is redone whole in Python.
+ *
  * energy_rows computes Trajectory's energy column the same way, and
  * stops at the first row it cannot mirror, which Python then computes.
  * quad_panel computes the node sums of one quadrature panel, and hands
@@ -290,6 +294,101 @@ out:
     return n;
 }
 
+static inline cplx sub(cplx a, cplx b)
+{
+    cplx r = {a.re - b.re, a.im - b.im};
+    return r;
+}
+
+/* integrator._scaled_norm: sqrt(0.25 * sum of (v / sc) ** 2), each square
+ * as float_pow takes it, pow(|v / sc|, 2.0); 0 for a non-finite term or
+ * result, and where ** would raise OverflowError */
+static int scaled_norm(const Run *run, cplx x, cplx p, cplx xref, cplx pref, double *norm)
+{
+    const double v[4] = {x.re, x.im, p.re, p.im}, w[4] = {xref.re, xref.im, pref.re, pref.im};
+    volatile double two = 2.0;  /* see energy_rows */
+    double s = 0.0;
+    for (int k = 0; k < 4; k++) {
+        double q = fabs(v[k] / (run->abs_tol + run->rel_tol * fabs(w[k])));
+        if (!isfinite(q))
+            return 0;
+        double square = pow(q, two);
+        if (isinf(square))
+            return 0;
+        s += square;
+    }
+    *norm = sqrt(0.25 * s);
+    return isfinite(*norm);
+}
+
+/* integrator._initial_step from (t, x, p) with field (k1x, k1p) there;
+ * 0 where Python would raise or a value is not finite */
+static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1x, cplx k1p, double *h_mag)
+{
+    const double dir = run->direction;
+    volatile double fifth = 0.2;
+    double d0, d1, d2, h1;
+    cplx k2p;
+    if (!scaled_norm(run, x, p, x, p, &d0) || !scaled_norm(run, k1x, k1p, x, p, &d1))
+        return 0;
+    double h0 = d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1;
+    h0 = run->max_step < h0 ? run->max_step : h0;
+    cplx xe = add(x, scale(h0 * dir, k1x));
+    cplx pe = add(p, scale(h0 * dir, k1p));
+    /* the field there is (pe, k2p); h0 == 0 divides by zero in Python */
+    if (h0 == 0.0 || !force(run, t + h0 * dir, xe, &k2p) ||
+        !scaled_norm(run, sub(pe, k1x), sub(k2p, k1p), x, p, &d2))
+        return 0;
+    d2 = d2 / h0;
+    double dm = d2 > d1 ? d2 : d1;
+    if (dm <= 1e-15)
+        h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
+    else
+        h1 = pow(0.01 / dm, fifth);
+    double h = 100.0 * h0;
+    h = h1 < h ? h1 : h;
+    *h_mag = run->max_step < h ? run->max_step : h;
+    return isfinite(*h_mag);
+}
+
+/* integrator._advance in one call: the event-free run from (t, x, p),
+ * given in xp[0..3], landing exactly on t_target, from _initial_step to
+ * the landing, with max_steps unbounded.  On success, xp[0..7] holds the
+ * landed x and p and the field (kx, kp) there, and 1 is returned.  It
+ * returns 0, and Python redoes the whole call, where the run cannot be
+ * mirrored: a step handed back, a non-finite value, a ** that would
+ * raise, or a run that does not land (Python raises there). */
+int dopri5_advance(int kind, double gr, double gi, double epsilon, double omega, double t, double t_target,
+                   double rel_tol, double abs_tol, double max_step, double min_step, double *xp)
+{
+    const double dir = t_target > t ? 1.0 : -1.0;
+    const Run run = {kind, gr, gi, epsilon, omega, &t_target, t_target, dir,
+                     rel_tol, abs_tol, max_step, min_step, INFINITY};
+    const cplx x = {xp[0], xp[1]}, p = {xp[2], xp[3]};
+    cplx kp;
+    enum { ROWS = 64 };  /* the rows are not read: st holds the last one */
+    double h_mag, ts[ROWS];
+    cplx zs[2 * ROWS];
+    if (!force(&run, t, x, &kp) || !initial_step(&run, t, x, p, p, kp, &h_mag))
+        return 0;
+    State st = {t, x, p, p, kp, h_mag, 1e-4, 0.0, 0, DOPRI5_FULL};
+    do
+        dopri5_steps(&run, &st, ts, zs, ROWS);
+    while (st.status == DOPRI5_FULL);
+    if (st.status != DOPRI5_HORIZON || st.t != t_target)
+        return 0;
+    /* the last step's k7 is the field at t + h, which only a driven
+     * model tells from the field at t_target */
+    if (kind == DRIVEN_PENDULUM && !force(&run, t_target, st.x, &st.kp))
+        return 0;
+    const cplx landed[4] = {st.x, st.p, st.kx, st.kp};
+    for (int k = 0; k < 4; k++) {
+        xp[2 * k] = landed[k].re;
+        xp[2 * k + 1] = landed[k].im;
+    }
+    return 1;
+}
+
 /* V(x) as the model's potential computes it: -g * cmath.cos(x),
  * 0.5 * x * x or 1j * x * x * x, each product a full complex one, with
  * cmath.cos(x) = cosh(-Im x + i Re x).  neg_g is complex(-g), whose zero
@@ -361,12 +460,6 @@ typedef struct {
     long first, n_guide;  /* this piece's first entry, and the count */
     double s0, h;         /* the piece's start and guide cell width */
 } Integrand;
-
-static inline cplx sub(cplx a, cplx b)
-{
-    cplx r = {a.re - b.re, a.im - b.im};
-    return r;
-}
 
 /* cmath.exp(z) for finite z; 0 where cmath takes another path or raises */
 static int py_exp(cplx z, cplx *r)

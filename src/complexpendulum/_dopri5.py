@@ -1,13 +1,17 @@
-"""Loader of the compiled library: the Dormand-Prince loop, the energy
-column and the quadrature panels in ``_dopri5.c`` and the CSV row
-formatter in ``_csv.cpp``.
+"""Loader of the compiled library: the Dormand-Prince loop and its
+landing runs, the energy column and the quadrature panels in
+``_dopri5.c`` and the CSV row formatter in ``_csv.cpp``.
 
 ``integrator._dopri`` runs its accept/reject/PI/landing loop in the C
 kernel when the field is the ``field`` method of an exact ``Pendulum``,
 ``Harmonic``, ``ImaginaryCubic`` or ``DrivenPendulum`` with plain int,
 float or complex parameters, on CPython before 3.14 (whose mixed
 float/complex arithmetic the kernel does not mirror).  Every other run
-uses the Python loop, which stays the reference.
+uses the Python loop, which stays the reference.  For the same models,
+under the same gate, each landing run of event polishing
+(``integrator._advance``) is one call of ``advance``, its initial step
+and the field at the landed state included; a run the library cannot
+finish as Python would is redone whole by the Python path.
 
 ``Trajectory``'s energy column (V, H and ``energy_drift``'s local scale)
 comes from ``energy_columns`` for the same models, under the same gate,
@@ -168,6 +172,8 @@ def _library():
         return None
     lib.dopri5_steps.argtypes = [ctypes.POINTER(_Run), ctypes.POINTER(_State), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
     lib.dopri5_steps.restype = ctypes.c_int
+    lib.dopri5_advance.argtypes = [ctypes.c_int, *[_c_double] * 10, ctypes.c_void_p]
+    lib.dopri5_advance.restype = ctypes.c_int
     lib.csv_rows.argtypes = [ctypes.c_long, *[ctypes.c_void_p] * 4, ctypes.c_int, ctypes.c_void_p]
     lib.csv_rows.restype = ctypes.c_long
     lib.energy_rows.argtypes = [ctypes.c_int, _c_double, _c_double, ctypes.c_long, *[ctypes.c_void_p] * 5]
@@ -227,6 +233,18 @@ def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
             state.i,
         )
     return _STOP_REASONS[state.status]
+
+
+def advance(params, t, x, p, t_target, polish):
+    """``integrator._advance``'s run from (t, x, p) to t_target under the
+    polish record (rel_tol, abs_tol, max_step, min_step), in one call:
+    (x, p, (kx, kp)) at t_target, the field there included, bit for bit
+    as the Python path computes them; None when the library cannot
+    mirror the run, which Python then redoes whole."""
+    state = (_c_double * 8)(x.real, x.imag, p.real, p.imag)
+    if not _library().dopri5_advance(*params, t, t_target, *polish, state):
+        return None
+    return complex(state[0], state[1]), complex(state[2], state[3]), (complex(state[4], state[5]), complex(state[6], state[7]))
 
 
 def energy_columns(model, x, p):

@@ -450,6 +450,21 @@ def _root_indices(scn: Scenario) -> list[tuple[str, int]]:
     return [(name, v) for name, v in specs if isinstance(v, int)]
 
 
+def _parse_yaml(text: str):
+    """The document in ``text`` as ``yaml.safe_load`` gives it, parsed by
+    libyaml's ``CSafeLoader`` where PyYAML has it (several times faster).
+    A document that loader rejects is parsed again by the pure-Python
+    ``SafeLoader``, whose value or error is the outcome, so every error
+    message is the pure loader's."""
+    fast = getattr(yaml, "CSafeLoader", None)
+    if fast is not None:
+        try:
+            return yaml.load(text, Loader=fast)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
+
+
 def load_scenario(source, overrides: dict | None = None) -> Scenario:
     """Parse and validate a scenario from a file path or bundled name.
 
@@ -458,8 +473,8 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     """
     text, display = _config_text(source)
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        raw = _parse_yaml(text)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date such as 2001-02-30
         raise ConfigError(f"key 'config': cannot parse {display}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("key 'config': the document must be a mapping")
@@ -752,7 +767,7 @@ def list_scenarios() -> list[tuple[str, str]]:
     """Print the bundled scenario catalog; return (name, description) pairs."""
     entries = []
     for name, res in _bundled_scenarios().items():
-        doc = yaml.safe_load(res.read_text())
+        doc = _parse_yaml(res.read_text())
         entries.append((name, str(doc.get("description", ""))))
     width = max(len(n) for n, _ in entries)
     for name, desc in entries:

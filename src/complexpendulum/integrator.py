@@ -60,7 +60,10 @@ mirrors CPython's complex arithmetic operation for operation and so gives
 the same steps bit for bit.  It hands over accepted states in blocks of
 512 through the same generator protocol, so every caller, event
 polishing included, gets it through the one stepper, and the events
-stay here.
+stay here.  A polishing run needs only its landed state, so ``_advance``
+takes it from one library call (``_dopri5.advance``) that also computes
+``_initial_step`` and returns the field at the landed state; a run the
+library cannot finish as Python would is redone whole on this path.
 A step the kernel cannot mirror (a non-finite stage or result, a stage
 with |Im x| past 708.396..., where ``cmath.sinh`` switches formula, or an
 overflowing sine) is handed back: the Python loop below resumes from the
@@ -534,15 +537,21 @@ def _advance(field, row, t_target, polish):
     """Event-free re-integration from the state row (t, x, p, ...) landing
     exactly on t_target; used to polish event times.  ``polish`` is the
     record (rel_tol, abs_tol, max_step, min_step) of the re-integration.
-    Returns (x, p)."""
+    Returns (x, p, k), k the field (kx, kp) at t_target when the compiled
+    library ran the whole re-integration (``_dopri5.advance``), None
+    otherwise."""
     t, x, p = row[:3]
     if t_target != t:
+        params = _dopri5.model_params(field)
+        landed = None if params is None else _dopri5.advance(params, t, x, p, t_target, polish)
+        if landed is not None:
+            return landed
         k1x, k1p = field(t, x, p)
         for ts, z in _dopri(field, t, x, p, k1x, k1p, [t_target], *polish):
             t, x, p = ts[-1].item(), z[0, -1].item(), z[1, -1].item()
     if t != t_target:
         raise ArithmeticError(f"event polishing stopped at t={t!r} short of {t_target!r}")
-    return x, p
+    return x, p, None
 
 
 def _dist2(x, p, x0, p0):
@@ -569,9 +578,10 @@ def locate_return(field, start, a, b, c, scale, polish):
     start is the state row (t0, x0, p0); a, b, c are consecutive
     (t, x, p, d2) rows with the sampled squared distance d2 minimal at b;
     polish is the re-integration record of ``_advance``.  The field is
-    evaluated here, at the start and at a and c: closure is watched only
-    on autonomous models, whose field ignores t, so these are the bits the
-    stepper computed there.  The closest approach solves
+    evaluated here, at the start and at a and c, and at each refined time
+    unless ``_advance`` brought it: closure is watched only on autonomous
+    models, whose field ignores t, so these are the bits the stepper
+    computed there.  The closest approach solves
     g(t) = <s(t) - s0, v(t)> = 0 (the time derivative of the half squared
     distance).  g changes sign across the minimum and is nearly linear
     at a transversal return, so a bracketed false-position iteration
@@ -595,8 +605,8 @@ def locate_return(field, start, a, b, c, scale, polish):
     def state_at(tau):
         # advance from the nearest bracketing sample for accuracy
         base = a if abs(tau - ta) <= abs(tau - tc) else c
-        x, p = _advance(field, base, tau, polish)
-        kx, kp = field(tau, x, p)
+        x, p, k = _advance(field, base, tau, polish)
+        kx, kp = field(tau, x, p) if k is None else k
         return x, p, kx, kp
 
     g_lo = g_of(xa, pa, *field(ta, xa, pa))
@@ -661,12 +671,12 @@ def _locate_escape(field, a, tb, radius, polish):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        xm, pm = _advance(field, a, mid, polish)
+        xm, _, _ = _advance(field, a, mid, polish)
         if abs(xm.imag) >= radius:
             hi = mid
         else:
             lo = mid
-    x, p = _advance(field, a, hi, polish)
+    x, p, _ = _advance(field, a, hi, polish)
     return hi, x, p
 
 

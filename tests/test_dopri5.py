@@ -152,17 +152,19 @@ CASES = [
 
 @pytest.fixture
 def kernel_spy(monkeypatch):
-    """Records what each compiled run returned: a stop reason, or the
-    state handed back to the Python loop."""
+    """One entry per compiled run begun: what it returned, a stop reason
+    or the state handed back to the Python loop, or None while it has not
+    returned (a run left at its event never does)."""
     if _dopri5._library() is None:
         pytest.skip("the compiled stepper could not be built here")
     returns = []
     steps = _dopri5.steps
 
     def spy(*args):
-        result = yield from steps(*args)
-        returns.append(result)
-        return result
+        k = len(returns)
+        returns.append(None)
+        returns[k] = yield from steps(*args)
+        return returns[k]
 
     monkeypatch.setattr(_dopri5, "steps", spy)
     return returns
@@ -221,7 +223,7 @@ def test_dips_are_polished_inside_a_suspended_run(monkeypatch, kernel_spy):
 
 def test_hand_back_at_the_cmath_sinh_switch(kernel_spy):
     traj = past_cmath_sinh_switch()
-    handed_back = [r for r in kernel_spy if not isinstance(r, str)]
+    handed_back = [r for r in kernel_spy if isinstance(r, tuple)]
     assert len(handed_back) == 1
     t, x, p, kx, kp, h_mag, facold, accepted, i = handed_back[0]
     assert accepted == 11687
@@ -270,12 +272,8 @@ def overflow_on_row_0():
     "run", [dip_rows_511_512_513, dip_rows_512_513_514, escape_on_row_0, overflow_on_row_0], ids=lambda f: f.__name__
 )
 def test_events_at_block_edges_match_the_python_loop(monkeypatch, kernel_spy, run):
-    # a run left at its event never returns, so count the compiled runs begun
-    begun = []
-    steps = _dopri5.steps
-    monkeypatch.setattr(_dopri5, "steps", lambda *args: begun.append(args) or steps(*args))
     fast = run()
-    assert begun, "the compiled stepper did not run"
+    assert kernel_spy, "the compiled stepper did not run"
     slow = python_loop(monkeypatch, run)
     assert fingerprint(fast) == fingerprint(slow)
     # and with Python blocks whose edges fall elsewhere
@@ -481,6 +479,139 @@ def test_drift_scale_squares_with_pow(library):
     scale = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=Harmonic())._energy_columns[2]
     assert scale.tolist() == [0.5 * a**2 for a in POW_WITNESSES]
     assert_column_matches_python(Harmonic(), x, p)
+
+
+# The landing runs of event polishing.  ``integrator._advance`` runs each
+# one in the library (``_dopri5.advance``), initial step included, and
+# takes the field at the landed state from it; with ``model_params``
+# patched out, ``_dopri`` and the model's ``field`` compute them in
+# Python, the reference.
+
+POLISH = (1e-11, 1e-13, 0.25, 1e-12)  # integrate's polish record at the default tolerances
+
+
+def as_floats(values):
+    return [part for z in values for part in (z.real, z.imag)]
+
+
+def advance_outcome(model, row, t_target, polish=POLISH):
+    """x, p and the field at t_target as hex strings, or the error raised,
+    and whether the library ran the whole landing."""
+    try:
+        x, p, k = integrator._advance(model.field, row, t_target, polish)
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}", False
+    landed = k is not None
+    if k is None:
+        k = model.field(t_target, x, p)
+    return [v.hex() for v in as_floats((x, p, *k))], landed
+
+
+def assert_advance_matches_python(model, row, t_target, polish=POLISH):
+    """The outcome on both paths; returns it and whether the library
+    landed."""
+    fast, landed = advance_outcome(model, row, t_target, polish)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda field: None)
+        slow, _ = advance_outcome(model, row, t_target, polish)
+    assert fast == slow
+    return fast, landed
+
+
+def python_steps(model, row, t_target):
+    """Accepted steps of the Python loop's landing run."""
+    t, x, p = row
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda field: None)
+        blocks = integrator._dopri(model.field, t, x, p, *model.field(t, x, p), [t_target], *POLISH)
+        return sum(len(ts) for ts, _ in blocks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    built_in_models,
+    st.builds(complex, st.floats(-4.0, 4.0), st.floats(-2.0, 2.0)),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([1e-9, 1e-6, 1e-3]) | st.floats(1e-3, 25.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_landing_runs_match_python(library, model, x, p, t, span, direction):
+    assert_advance_matches_python(model, (t, x, p), t + direction * span)
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "backward"])
+@pytest.mark.parametrize(
+    "model", [Pendulum(g=0.6 + 0.8j), Harmonic(), ImaginaryCubic(), DrivenPendulum(g=1.0, epsilon=0.3, omega=0.7)], ids=repr
+)
+@pytest.mark.parametrize("span,steps", [(1e-6, (1, 1)), (20.0, (81, 10**4))], ids=["one-step", "many-steps"])
+def test_landing_runs_land_in_the_library(library, model, direction, span, steps):
+    """A landing inside one step, and one over more steps than the
+    library's row buffer of 64 holds, forward and backward."""
+    row, t_target = (0.5, 0.3 + 0.2j, 0.4 - 0.1j), 0.5 + direction * span
+    assert steps[0] <= python_steps(model, row, t_target) <= steps[1]
+    assert assert_advance_matches_python(model, row, t_target)[1]
+
+
+@pytest.mark.parametrize(
+    "model,row,t_target,polish,outcome",
+    [
+        # a stage past |Im x| = 708.396..., where cmath.sinh switches formula
+        (Pendulum(g=1e-307), (0.0, 0.3 + 708.0j, 2j), 0.3, POLISH, "landed"),
+        # the field at the start overflows in cmath.sin
+        (Pendulum(g=1.0), (0.0, 0.3 + 711.0j, 1j), 0.2, POLISH, "OverflowError: math range error"),
+        # the field at the start is finite past the switch; _initial_step's h0 underflows to 0
+        (Pendulum(g=1.0), (0.0, 0.3 + 709.0j, 1j), 0.2, POLISH, "ZeroDivisionError: float division by zero"),
+        # the controller wants steps below min_step after some accepted ones
+        (
+            Harmonic(),
+            (0.0, 1 + 0j, 0j),
+            5.0,
+            (1e-11, 1e-13, 0.25, 0.2),
+            "ArithmeticError: event polishing stopped at t=0.0011486983549970347 short of 5.0",
+        ),
+    ],
+    ids=["stage-past-cmath-switch", "start-field-overflows", "start-past-cmath-switch", "min-step-underflow"],
+)
+def test_landing_runs_the_library_hands_back(library, model, row, t_target, polish, outcome):
+    fast, landed = assert_advance_matches_python(model, row, t_target, polish)
+    assert not landed
+    if outcome == "landed":
+        assert float.fromhex(fast[1]) > 708.4  # Im x
+    else:
+        assert fast == outcome
+
+
+@pytest.mark.parametrize(
+    "row,t_target",
+    [
+        ((0.25, 0.3 + 0.2j, 0.4 - 0.1j), 7.3),
+        ((0.25, 0.3 + 0.2j, 0.4 - 0.1j), -3.1),
+        # near 0 from the other side: the last step's t + h is not t_target
+        ((-0.08790556276955472, -0.09 + 0.08j, 0.73 + 0.1j), 2.9401564334201916e-05),
+    ],
+)
+def test_the_landed_field_is_the_models(library, row, t_target):
+    """The field handed back with a landing is ``field(t_target, x, p)``,
+    for the driven model too, whose last stage is evaluated at t + h."""
+    model = DrivenPendulum(g=1.0, epsilon=0.3, omega=0.7)
+    x, p, k = _dopri5.advance(_dopri5.model_params(model.field), *row, t_target, POLISH)
+    assert [v.hex() for v in as_floats(k)] == [v.hex() for v in as_floats(model.field(t_target, x, p))]
+
+
+@pytest.mark.parametrize(
+    "model,row,t_target",
+    [
+        (Harmonic(), (3.147, -0.19 - 0.55j, 0.13 + 0.7j), 3.9),
+        (Pendulum(g=1.0), (4.4, -0.44 + 0.71j, 0.99 - 0.74j), 5.5),
+        (ImaginaryCubic(), (-1.6, -1.48 - 0.84j, -0.89 + 0.77j), 0.176),
+    ],
+    ids=repr,
+)
+def test_the_initial_step_squares_with_pow(library, model, row, t_target):
+    """Landings whose bits change when ``_initial_step``'s ``** 2`` is
+    taken as a product, which rounds otherwise now and then."""
+    assert assert_advance_matches_python(model, row, t_target)[1]
 
 
 # Quadrature panels.  ``_dopri5.panel_sums`` gives ``quadrature._panel``

@@ -152,13 +152,62 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def parsed(loader, text):
+    """repr of the document ``loader`` parses from ``text`` (repr tells
+    nan, -0.0 and True apart), or "raised"."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except (yaml.YAMLError, ValueError):
+        return "raised"
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(doc=DOCUMENTS, flags=FLAGS)
 def test_documents_load_or_fail_as_config_errors(workdir, doc, flags):
     path = workdir / "scenario.yaml"
-    path.write_text(yaml.safe_dump(doc))
+    text = yaml.safe_dump(doc)
+    path.write_text(text)
+    if hasattr(yaml, "CSafeLoader"):
+        assert parsed(yaml.CSafeLoader, text) == parsed(yaml.SafeLoader, text)
     try:
         scn = cli.load_scenario(path, flags)
         cli._starting_states(scn)
     except cli.ConfigError:
         pass
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["name: [fig, 2\n", "name: a: b\n", "model:\n  kind: pendulum\n\tg: 1\n", "name: \x07\n"],
+    ids=["unclosed-flow", "nested-colon", "tab", "control-character"],
+)
+def test_malformed_documents_give_the_pure_loaders_message(tmp_path, text):
+    """libyaml words its errors otherwise; the message is the pure
+    loader's all the same."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(yaml.YAMLError) as pure:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    with pytest.raises(cli.ConfigError) as err:
+        cli.load_scenario(path)
+    assert str(err.value) == f"key 'config': cannot parse {path}: {pure.value}"
+
+
+def test_a_date_that_does_not_exist_is_a_config_error(tmp_path):
+    path = tmp_path / "date.yaml"
+    path.write_text("name: 2001-02-30\n")
+    with pytest.raises(cli.ConfigError, match=f"^key 'config': cannot parse {re.escape(str(path))}: day is out of range"):
+        cli.load_scenario(path)
+
+
+def test_bundled_scenarios_load_without_libyaml(monkeypatch, capsys):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    pure = []
+    safe_load = yaml.safe_load
+    monkeypatch.setattr(yaml, "safe_load", lambda text: pure.append(text) or safe_load(text))
+    names = list(cli._bundled_scenarios())
+    assert len(names) == 14
+    for name in names:
+        assert cli.load_scenario(name).name
+    assert [name for name, _ in cli.list_scenarios()] == names
+    assert len(pure) == 28
