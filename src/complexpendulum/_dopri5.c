@@ -28,11 +28,13 @@
  *
  * energy_rows computes Trajectory's energy column the same way, and
  * stops at the first row it cannot mirror, which Python then computes.
- * quad_panel computes the node sums of one quadrature panel, and hands
- * the whole panel back to Python when one node cannot be mirrored.
+ * quad_integral runs one whole quadrature integral, every piece's
+ * adaptive refinement, and hands the whole integral back to Python when
+ * one panel cannot be mirrored.
  */
 #include <float.h>
 #include <math.h>
+#include <stdlib.h>
 
 enum { PENDULUM = 0, HARMONIC = 1, CUBIC_I = 2, DRIVEN_PENDULUM = 3 };
 
@@ -441,10 +443,11 @@ long energy_rows(int kind, double ngr, double ngi, long n, const cplx *x, const 
     return k;
 }
 
-/* Quadrature panels.  quad_panel evaluates quadrature._panel's two
- * Gauss-Legendre sums for the integrands of _branch_integral and
- * escape_time_real_form, node by node as Python does, with CPython's
- * cmath.sqrt, cmath.exp and complex division written out below. */
+/* Quadrature.  quad_integral runs quadrature.adaptive_quad's refinement
+ * over each piece of a path, and quad_panel evaluates quadrature._panel
+ * for the integrands of _branch_integral and escape_time_real_form, node
+ * by node as Python does, with CPython's cmath.sqrt, cmath.exp and
+ * complex division written out below. */
 
 enum { BRANCH = 0, REAL_FORM = 1 };
 enum { RAY = 0, EDGE = 1, CAP = 2 };
@@ -557,10 +560,22 @@ static int branch_term(const Integrand *f, double s, cplx *out)
     if (j < 0 || j >= f->n_guide)
         return 0;
     cplx ref = f->guide[j];
-    double flipped = hypot(-r.re - ref.re, -r.im - ref.im), kept = hypot(r.re - ref.re, r.im - ref.im);
-    if (!isfinite(flipped) || !isfinite(kept))
-        return 0;
-    if (flipped < kept) {
+    /* abs(-r - ref) < abs(r - ref), each abs a hypot.  Squared distances
+     * that are normal and differ by far more than their rounding order
+     * the two hypots alike; the hypots decide only the near ties. */
+    cplx away = {-r.re - ref.re, -r.im - ref.im}, near = {r.re - ref.re, r.im - ref.im};
+    double sa = away.re * away.re + away.im * away.im, sn = near.re * near.re + near.im * near.im;
+    int flip;
+    if (sa > 1e-270 && sn > 1e-270 && sa < 1e300 && sn < 1e300 &&
+        (sa < sn * (1.0 - 1e-12) || sn < sa * (1.0 - 1e-12))) {
+        flip = sa < sn;
+    } else {
+        double flipped = hypot(away.re, away.im), kept = hypot(near.re, near.im);
+        if (!isfinite(flipped) || !isfinite(kept))
+            return 0;
+        flip = flipped < kept;
+    }
+    if (flip) {
         r.re = -r.re;
         r.im = -r.im;
     }
@@ -583,12 +598,15 @@ static int real_form_term(const Integrand *f, double u, double *out)
     return isfinite(*out);
 }
 
-/* sums[0..1] and sums[2..3]: the 15- and 31-node sums of wi * f(mid +
- * half * xi) over [a, b], each from 0j in node order.  Returns 0 when a
- * node's value cannot be mirrored; Python then computes the panel. */
-int quad_panel(const Integrand *f, double a, double b, double *sums)
+/* quadrature._panel over [a, b]: the 31-node value and its distance to
+ * the 15-node one, each sum accumulated from 0j in node order and then
+ * multiplied by half as a complex times a float.  Returns 0 where a node
+ * cannot be mirrored and where Python raises (a non-finite value or
+ * error, an abs that overflows); Python then redoes the integral. */
+static int quad_panel(const Integrand *f, double a, double b, cplx *value, double *err)
 {
     double half = 0.5 * (b - a), mid = 0.5 * (a + b);
+    cplx sums[2];
     for (int rule = 0; rule < 2; rule++) {
         const double *node = f->nodes + (rule ? 30 : 0);
         int count = rule ? 31 : 15;
@@ -609,8 +627,160 @@ int quad_panel(const Integrand *f, double a, double b, double *sums)
                 acc = add(acc, scale(wi, term));
             }
         }
-        sums[2 * rule] = acc.re;
-        sums[2 * rule + 1] = acc.im;
+        sums[rule] = scale(half, acc);
     }
-    return 1;
+    cplx d = sub(sums[1], sums[0]);
+    *value = sums[1];
+    *err = hypot(d.re, d.im);
+    return is_finite(*value) && isfinite(*err);
+}
+
+enum {
+    QUAD_DONE = 0,
+    QUAD_HAND_BACK = 1,   /* redo the whole integral in Python */
+    QUAD_BUDGET = 2,      /* max_panels spent: out[2..4] = toterr, tol, panels */
+    QUAD_RESOLUTION = 3,  /* worst panel at float resolution: out[2..4] = lo, hi, err */
+};
+
+/* A panel on adaptive_quad's heap, ordered as its (-err, counter, ...)
+ * tuples: the largest error first, ties in the order pushed. */
+typedef struct {
+    double neg_err;
+    long counter;
+    double lo, hi;
+    cplx value;
+} Entry;
+
+static int before(const Entry *a, const Entry *b)
+{
+    return a->neg_err < b->neg_err || (a->neg_err == b->neg_err && a->counter < b->counter);
+}
+
+static void push(Entry *heap, long *n, Entry e)
+{
+    long k = (*n)++;
+    while (k > 0 && before(&e, &heap[(k - 1) / 2])) {
+        heap[k] = heap[(k - 1) / 2];
+        k = (k - 1) / 2;
+    }
+    heap[k] = e;
+}
+
+static Entry pop(Entry *heap, long *n)
+{
+    Entry top = heap[0], last = heap[--*n];
+    long k = 0, child;
+    while ((child = 2 * k + 1) < *n) {
+        if (child + 1 < *n && before(&heap[child + 1], &heap[child]))
+            child++;
+        if (!before(&heap[child], &last))
+            break;
+        heap[k] = heap[child];
+        k = child;
+    }
+    heap[k] = last;
+    return top;
+}
+
+/* quadrature.adaptive_quad of f over [a, b] to tol with room for
+ * max_panels entries on heap: 8 starting panels, then the worst panel
+ * halved until the summed error estimate is within tol.  The value goes
+ * to *value, a stop's numbers to stop[0..2]. */
+static int refine(const Integrand *f, double a, double b, double tol, long max_panels, Entry *heap,
+                  cplx *value, double *stop)
+{
+    cplx total = {0.0, 0.0};
+    double toterr = 0.0, err;
+    long n = 0, counter = 0, panels = 8;
+    if (!(tol > 0.0 && isfinite(tol)))
+        return QUAD_HAND_BACK;  /* Python raises ValueError */
+    if (a == b) {
+        *value = total;
+        return QUAD_DONE;
+    }
+    for (int i = 0; i < 8; i++) {
+        Entry e = {0.0, counter++, a + (b - a) * i / 8.0, a + (b - a) * (i + 1) / 8.0, {0.0, 0.0}};
+        if (!quad_panel(f, e.lo, e.hi, &e.value, &err))
+            return QUAD_HAND_BACK;
+        e.neg_err = -err;
+        push(heap, &n, e);
+        total = add(total, e.value);
+        toterr += err;
+    }
+    while (toterr > tol) {
+        if (panels >= max_panels) {
+            stop[0] = toterr;
+            stop[1] = tol;
+            stop[2] = (double)panels;
+            return QUAD_BUDGET;
+        }
+        Entry worst = pop(heap, &n);
+        double size = 1.0;
+        if (fabs(worst.lo) > size)
+            size = fabs(worst.lo);
+        if (fabs(worst.hi) > size)
+            size = fabs(worst.hi);
+        if (worst.hi - worst.lo <= 32.0 * DBL_EPSILON * size) {
+            stop[0] = worst.lo;
+            stop[1] = worst.hi;
+            stop[2] = -worst.neg_err;
+            return QUAD_RESOLUTION;
+        }
+        total = sub(total, worst.value);
+        toterr += worst.neg_err;
+        double mid = 0.5 * (worst.lo + worst.hi);
+        const double ends[3] = {worst.lo, mid, worst.hi};
+        for (int half = 0; half < 2; half++) {
+            Entry e = {0.0, counter++, ends[half], ends[half + 1], {0.0, 0.0}};
+            if (!quad_panel(f, e.lo, e.hi, &e.value, &err))
+                return QUAD_HAND_BACK;
+            e.neg_err = -err;
+            push(heap, &n, e);
+            total = add(total, e.value);
+            toterr += err;
+        }
+        panels++;
+    }
+    *value = total;
+    return QUAD_DONE;
+}
+
+enum { PIECE_FIELDS = 13 };
+
+/* One whole integral of the integrand (BRANCH or REAL_FORM) of a model
+ * along a path, as quadrature sums it: the adaptive_quad value of each
+ * piece added to a total from 0j, in piece order.  Each piece is a row
+ * of PIECE_FIELDS doubles: kind, c0, c1, c2 (re, im each), phi0, the
+ * parameter interval s0, s1, its error target, its first guide entry and
+ * the guide's cell width.  Returns a QUAD_ status; out[0..1] holds the
+ * total, and out[2..4] a stop's numbers. */
+int quad_integral(int integrand, int kind, double ngr, double ngi, double er, double ei, const double *nodes,
+                  const cplx *guide, long n_guide, long n_pieces, const double *pieces, long max_panels,
+                  double *out)
+{
+    Integrand f = {integrand, kind, 0, {ngr, ngi}, {er, ei}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0},
+                   0.0, nodes, guide, 0, n_guide, 0.0, 1.0};
+    cplx total = {0.0, 0.0}, value;
+    int status = QUAD_DONE;
+    Entry *heap = malloc((size_t)(max_panels > 8 ? max_panels : 8) * sizeof *heap);
+    if (heap == NULL)
+        return QUAD_HAND_BACK;
+    for (long k = 0; k < n_pieces && status == QUAD_DONE; k++) {
+        const double *row = pieces + PIECE_FIELDS * k;
+        f.piece = (int)row[0];
+        f.c0 = (cplx){row[1], row[2]};
+        f.c1 = (cplx){row[3], row[4]};
+        f.c2 = (cplx){row[5], row[6]};
+        f.phi0 = row[7];
+        f.s0 = row[8];
+        f.first = (long)row[11];
+        f.h = row[12];
+        status = refine(&f, row[8], row[9], row[10], max_panels, heap, &value, out + 2);
+        if (status == QUAD_DONE)
+            total = add(total, value);
+    }
+    free(heap);
+    out[0] = total.re;
+    out[1] = total.im;
+    return status;
 }

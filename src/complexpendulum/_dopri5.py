@@ -1,5 +1,5 @@
 """Loader of the compiled library: the Dormand-Prince loop and its
-landing runs, the energy column and the quadrature panels in
+landing runs, the energy column and the quadrature integrals in
 ``_dopri5.c`` and the CSV row formatter in ``_csv.cpp``.
 
 ``integrator._dopri`` runs its accept/reject/PI/landing loop in the C
@@ -18,11 +18,12 @@ comes from ``energy_columns`` for the same models, under the same gate,
 bit for bit as its Python expressions, the reference, compute it; those
 compute every other model's column and the rows the library stops at.
 
-``quadrature._panel`` takes the 15- and 31-node sums of the branch
-integrand of ``_branch_integral`` and of ``escape_time_real_form``'s
-integrand from ``panel_sums`` for the same models, under the same gate;
-a panel with a node the library cannot mirror is handed back to the
-Python integrand, the reference.
+For the same models, under the same gate, each quadrature integral of
+``_branch_integral`` and of ``escape_time_real_form`` is one call of
+``integral``: ``quadrature.adaptive_quad``'s whole refinement of every
+piece, each panel as ``quadrature._panel`` computes it.  An integral
+with a panel the library cannot mirror is redone whole by the Python
+integrands and ``adaptive_quad``, the reference.
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_rows`` when the
 interpreter's floats print in the 'short' repr style: each value is the
@@ -48,6 +49,7 @@ import functools
 import logging
 import os
 import platform
+import struct
 import sys
 import tempfile
 import zlib
@@ -70,9 +72,10 @@ _KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3}
 # status codes of dopri5_steps (see _dopri5.c)
 _FULL, _HAND_BACK = 0, 4
 _STOP_REASONS = {1: "horizon", 2: "max_steps", 3: "step_underflow"}
-# integrands and path pieces of quad_panel
+# integrands, path pieces and status codes of quad_integral
 _BRANCH, _REAL_FORM = 0, 1
 _PIECES = {"ray": 0, "edge": 1, "cap": 2}
+_QUAD_HAND_BACK, _QUAD_BUDGET, _QUAD_RESOLUTION = 1, 2, 3
 
 _c_double = ctypes.c_double
 
@@ -92,22 +95,6 @@ class _Run(ctypes.Structure):
         ("max_step", _c_double),
         ("min_step", _c_double),
         ("max_steps", _c_double),
-    ]
-
-
-class _Integrand(ctypes.Structure):
-    _fields_ = [
-        ("integrand", ctypes.c_int),
-        ("kind", ctypes.c_int),
-        ("piece", ctypes.c_int),
-        *((name, _c_double) for z in ("neg_g", "energy", "c0", "c1", "c2") for name in (z + "_re", z + "_im")),
-        ("phi0", _c_double),
-        ("nodes", ctypes.c_void_p),
-        ("guide", ctypes.c_void_p),
-        ("first", ctypes.c_long),
-        ("n_guide", ctypes.c_long),
-        ("s0", _c_double),
-        ("h", _c_double),
     ]
 
 
@@ -178,8 +165,11 @@ def _library():
     lib.csv_rows.restype = ctypes.c_long
     lib.energy_rows.argtypes = [ctypes.c_int, _c_double, _c_double, ctypes.c_long, *[ctypes.c_void_p] * 5]
     lib.energy_rows.restype = ctypes.c_long
-    lib.quad_panel.argtypes = [ctypes.POINTER(_Integrand), _c_double, _c_double, ctypes.c_void_p]
-    lib.quad_panel.restype = ctypes.c_int
+    lib.quad_integral.argtypes = [
+        ctypes.c_int, ctypes.c_int, *[_c_double] * 4, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+        ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p,
+    ]
+    lib.quad_integral.restype = ctypes.c_int
     return lib
 
 
@@ -268,52 +258,60 @@ def energy_columns(model, x, p):
     return v, h, scale, n
 
 
-def panel_sums(model, energy, piece, nodes, guide=None, first=0, s0=0.0, h=1.0):
-    """A function ``sums(a, b)`` giving the 15- and 31-node sums of
-    ``quadrature._panel`` over [a, b] as the pair of complexes Python's
-    loops accumulate, or None for a panel the library hands back; None
-    itself when the model is not one the kernel runs or ``piece`` is None.
+def integral(model, energy, rows, nodes, max_panels, guide=None):
+    """One quadrature integral in one call: ``quadrature.adaptive_quad``
+    over each piece with at most ``max_panels`` panels, each panel as
+    ``quadrature._panel`` computes it, the pieces' values added to a total
+    from 0j in order, bit for bit as Python computes them.
 
-    With ``guide`` (a complex array), the integrand is
-    ``_branch_integral``'s on one piece of its path, whose entries start
-    at ``guide[first]`` in cells of width ``h`` from ``s0``; without, it
-    is ``escape_time_real_form``'s along a ray.  ``piece`` is the
-    descriptor of ``quadrature._pieces``, (kind, c0, c1, c2, phi0), and
-    ``nodes`` the 46 (xi, wi) float64 pairs, 15 nodes then 31."""
+    With ``guide`` (a sequence of complexes), the integrand is
+    ``_branch_integral``'s, which reads it; without, it is
+    ``escape_time_real_form``'s.  ``rows`` gives each piece as (piece, s0,
+    s1, tol, first, h): the descriptor of ``quadrature._pieces``, (kind,
+    c0, c1, c2, phi0), the parameter interval, its error target, and its
+    first guide entry and cell width.  ``nodes`` holds the 46 (xi, wi)
+    pairs, 15 nodes then 31, as float64 bytes.
+
+    Returns (total, None), or (total, stop) where ``adaptive_quad`` raises
+    ``ToleranceNotMet``: stop is ("budget", toterr, tol, panels) or
+    ("resolution", lo, hi, err).  None when the model is not one the
+    kernel runs, a piece has no descriptor, or the library cannot mirror
+    a panel; Python then computes the whole integral."""
     params = model_params(model.field)
-    if params is None or piece is None:
+    if params is None or any(row[0] is None for row in rows):
         return None
-    nodes = np.ascontiguousarray(nodes, dtype=float)
-    if nodes.shape != (46, 2):
-        raise ValueError(f"expected 46 (xi, wi) pairs, got an array of shape {nodes.shape}")
-    if guide is not None:
-        guide = np.ascontiguousarray(guide, dtype=complex)
-    kind, c0, c1, c2, phi0 = piece
+    if len(nodes) != 46 * 2 * 8:
+        raise ValueError(f"expected 46 (xi, wi) float64 pairs, got {len(nodes)} bytes")
+    flat = []
+    for (kind, c0, c1, c2, phi0), s0, s1, tol, first, h in rows:
+        flat += (_PIECES[kind], c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, phi0, s0, s1, tol, first, h)
     neg_g = complex(-getattr(model, "g", 0.0))
-    record = _Integrand(
-        _BRANCH if guide is not None else _REAL_FORM,
+    energy = complex(energy)
+    out = (_c_double * 5)()
+    # bytes are the cheapest read-only buffers to build for ctypes
+    status = _library().quad_integral(
+        _REAL_FORM if guide is None else _BRANCH,
         params[0],
-        _PIECES[kind],
-        *(part for z in (neg_g, complex(energy), c0, c1, c2) for part in (z.real, z.imag)),
-        phi0,
-        nodes.ctypes.data,
-        None if guide is None else guide.ctypes.data,
-        first,
+        neg_g.real,
+        neg_g.imag,
+        energy.real,
+        energy.imag,
+        nodes,
+        None if guide is None else np.array(guide, dtype=complex).tobytes(),
         0 if guide is None else len(guide),
-        s0,
-        h,
+        len(rows),
+        struct.pack(f"{len(flat)}d", *flat),
+        max_panels,
+        out,
     )
-    record.arrays = (nodes, guide)  # kept alive while the record points into them
-    record_ref = ctypes.byref(record)
-    out = (_c_double * 4)()
-    quad_panel = _library().quad_panel
-
-    def sums(a, b):
-        if not quad_panel(record_ref, a, b, out):
-            return None
-        return complex(out[0], out[1]), complex(out[2], out[3])
-
-    return sums
+    if status == _QUAD_HAND_BACK:
+        return None
+    stop = None
+    if status == _QUAD_BUDGET:
+        stop = ("budget", out[2], out[3], int(out[4]))
+    elif status == _QUAD_RESOLUTION:
+        stop = ("resolution", out[2], out[3], out[4])
+    return complex(out[0], out[1]), stop
 
 
 def csv_formatter():

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -40,7 +41,8 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import yaml
 
@@ -423,10 +425,15 @@ class Scenario:
     out_dir: Path
 
 
-def _bundled_scenarios() -> dict:
-    """The bundled scenario files, by name in name order."""
+@functools.cache
+def _bundled_scenarios() -> Mapping:
+    """The bundled scenario files, by name in name order, read-only; listed
+    once per process, since the package's files do not change while it
+    runs."""
     files = (resources.files(__package__) / "scenarios").iterdir()
-    return {f.name.removesuffix(".yaml"): f for f in sorted(files, key=lambda f: f.name) if f.name.endswith(".yaml")}
+    return MappingProxyType(
+        {f.name.removesuffix(".yaml"): f for f in sorted(files, key=lambda f: f.name) if f.name.endswith(".yaml")}
+    )
 
 
 def _config_text(source) -> tuple[str, str]:

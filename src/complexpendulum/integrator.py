@@ -20,8 +20,8 @@ Terminal events:
 * blow-up  - a state component exceeds the overflow guard, or the stages
              stop being finite.
 * horizon  - the time span is exhausted (classification ``open``).
-* underflow- the controller wants a step below ``min_step`` (classification
-             ``truncated``).
+* underflow- the controller wants a step below ``min_step``, or the first
+             step underflows to 0 (classification ``truncated``).
 
 Integration may run backward in time by passing ``t_final`` smaller than
 the start time; samples are then ordered by decreasing t.  Optional
@@ -355,7 +355,8 @@ def _scaled_norm(x, p, xref, pref, abs_tol, rel_tol):
 
 def _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_step):
     """Automatic first step: trial value from state/slope norms, bounded by
-    a one-Euler-step probe of the local derivative change."""
+    a one-Euler-step probe of the local derivative change; 0.0 when the
+    slope is so large that the trial value underflows."""
     d0 = _scaled_norm(x, p, x, p, abs_tol, rel_tol)
     d1 = _scaled_norm(k1x, k1p, x, p, abs_tol, rel_tol)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -363,6 +364,8 @@ def _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_ste
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, max_step)
+    if h0 == 0.0:
+        return 0.0
     xe = x + h0 * direction * k1x
     pe = p + h0 * direction * k1p
     k2x, k2p = field(t + h0 * direction, xe, pe)
@@ -399,10 +402,11 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     field at each new state feeds the next step and is not handed over.
     Returns why it stopped:
     "horizon", "max_steps", "step_underflow" (the controller wants steps
-    below min_step) or "non_finite" (halving a step with non-finite stages
-    went below min_step).  Callers watch for events and may stop early;
-    the steps of a block past an event are then wasted, so the Python
-    loop hands over ``_BLOCK`` steps at a time, the compiled kernel 512.
+    below min_step, or the first step underflows to 0) or "non_finite"
+    (halving a step with non-finite stages went below min_step).  Callers
+    watch for events and may stop early; the steps of a block past an
+    event are then wasted, so the Python loop hands over ``_BLOCK`` steps
+    at a time, the compiled kernel 512.
 
     One fused sweep: the seven stages, the finiteness screen and the
     mixed-tolerance RMS error norm over the four real components are
@@ -422,6 +426,8 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     t_end = stops[-1]
     direction = 1.0 if t_end > t else -1.0
     h_mag = _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_step)
+    if h_mag == 0.0:
+        return "step_underflow"
     facold = 1e-4
     accepted = 0
     i = 0

@@ -27,12 +27,14 @@ escape times and periods take the absolute value.  A loop that fails to
 return to the seed value raises ``BranchInconsistency``, as does a
 period integral with a non-negligible imaginary part.
 
-For the four built-in models, the node sums of a panel of the branch
-integrand, and of ``escape_time_real_form``'s, come from the compiled
-library (``_dopri5.panel_sums``), bit for bit as the Python integrands
-compute them.  A panel with a node the library cannot mirror is handed
-back, and the Python integrand, which stays the reference, computes the
-whole panel: the same bits, or the same error.
+For the four built-in models, each integral of the branch integrand,
+and of ``escape_time_real_form``'s, is one call of the compiled library
+(``_dopri5.integral``): ``adaptive_quad``'s whole refinement of every
+piece, bit for bit as the Python integrands, ``adaptive_quad`` and
+``_panel`` compute it, the same ``ToleranceNotMet`` stops included.  An
+integral with a panel the library cannot mirror is handed back whole,
+and the Python path, which stays the reference, computes it: the same
+bits, or the same error.
 """
 from __future__ import annotations
 
@@ -129,7 +131,8 @@ _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 _G31_X, _G31_W = np.polynomial.legendre.leggauss(31)
 _G15 = list(zip(_G15_X.tolist(), _G15_W.tolist()))
 _G31 = list(zip(_G31_X.tolist(), _G31_W.tolist()))
-_NODES = np.array(_G15 + _G31)  # the (xi, wi) pairs as the compiled panel reads them
+_NODES = np.array(_G15 + _G31).tobytes()  # the (xi, wi) pairs as the compiled panels read them
+_MAX_PANELS = 4000  # adaptive_quad's panel budget
 
 # branch guide: each piece starts with this many midpoint cells and
 # triples them, up to the ceiling, while two consecutive continued values
@@ -140,23 +143,16 @@ _GUIDE_COS = 0.9
 
 
 def _panel(f, a, b):
-    """(G31 value, |G31 - G15|) over [a, b].  An integrand with a
-    ``sums`` attribute (see ``_dopri5.panel_sums``) has its node sums
-    computed by the library, bit for bit as the loops below; a panel the
-    library hands back, and every other integrand, runs the loops."""
+    """(G31 value, |G31 - G15|) over [a, b].  ``quad_panel`` in
+    ``_dopri5.c`` mirrors it for the compiled integrals."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    compiled = getattr(f, "sums", None)
-    sums = compiled(a, b) if compiled is not None else None
-    if sums is not None:
-        i15, i31 = sums
-    else:
-        i15 = 0.0j
-        for xi, wi in _G15:
-            i15 += wi * f(mid + half * xi)
-        i31 = 0.0j
-        for xi, wi in _G31:
-            i31 += wi * f(mid + half * xi)
+    i15 = 0.0j
+    for xi, wi in _G15:
+        i15 += wi * f(mid + half * xi)
+    i31 = 0.0j
+    for xi, wi in _G31:
+        i31 += wi * f(mid + half * xi)
     i15 *= half
     i31 *= half
     err = abs(i31 - i15)
@@ -165,9 +161,18 @@ def _panel(f, a, b):
     return i31, err
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 4000) -> complex:
+def _budget_spent(toterr, tol, panels):
+    return ToleranceNotMet(f"quadrature error {toterr:.3e} above target {tol:.3e} after {panels} panels")
+
+
+def _resolution_limit(lo, hi, err):
+    return ToleranceNotMet(f"panel [{lo}, {hi}] at resolution limit with error {err:.3e}")
+
+
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_panels: int = _MAX_PANELS) -> complex:
     """Integrate a complex-valued f over the real interval [a, b] to the
-    absolute error target ``tol``, refining the worst panel first."""
+    absolute error target ``tol``, refining the worst panel first.
+    ``refine`` in ``_dopri5.c`` mirrors it for the compiled integrals."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if a == b:
@@ -188,18 +193,14 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 4
     panels = n0
     while toterr > tol:
         if panels >= max_panels:
-            raise ToleranceNotMet(
-                f"quadrature error {toterr:.3e} above target {tol:.3e} after {panels} panels"
-            )
+            raise _budget_spent(toterr, tol, panels)
         neg_err, _, lo, hi, val = heapq.heappop(entries)
         if hi - lo <= 32.0 * _EPS * max(1.0, abs(lo), abs(hi)):
             # refining at float resolution while the error estimate is
             # still dominant: the integrand has structure the rule cannot
             # resolve (an undeclared singularity, typically); narrower
             # panels would make the estimates agree spuriously
-            raise ToleranceNotMet(
-                f"panel [{lo}, {hi}] at resolution limit with error {-neg_err:.3e}"
-            )
+            raise _resolution_limit(lo, hi, -neg_err)
         total -= val
         toterr += neg_err  # neg_err is negative: removes this panel's error
         mid = 0.5 * (lo + hi)
@@ -210,6 +211,28 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 4
             total += v
             toterr += e
         panels += 1
+    return total
+
+
+# the functions the compiled integrals mirror; with either rebound (a
+# spy, a counting wrapper) the library cannot, and Python runs them
+_MIRRORED = (adaptive_quad, _panel)
+
+
+def _library_integral(model: HamiltonianModel, E: complex, rows, guide=None):
+    """The integral over the pieces ``rows`` in one call of the library
+    (see ``_dopri5.integral``), branch integrand with ``guide``, real-form
+    integrand without; it raises ``adaptive_quad``'s ``ToleranceNotMet``.
+    None when the library cannot compute it as Python would."""
+    if (adaptive_quad, _panel) != _MIRRORED:
+        return None
+    result = _dopri5.integral(model, E, rows, _NODES, _MAX_PANELS, guide)
+    if result is None:
+        return None
+    total, stop = result
+    if stop is not None:
+        reason, *numbers = stop
+        raise (_budget_spent if reason == "budget" else _resolution_limit)(*numbers)
     return total
 
 
@@ -240,7 +263,7 @@ def _pieces(path, tol: float):
     period a scenario writes: keep them character for character.
 
     ``piece`` describes a ray, stadium edge or stadium cap to the
-    compiled panel as (kind, c0, c1, c2, phi0), the constants its two
+    compiled integrals as (kind, c0, c1, c2, phi0), the constants its two
     lambdas start from (``piece_at`` in ``_dopri5.c`` says which); it is
     None for a segment's pieces, which only ``path_integral`` uses.
     """
@@ -318,6 +341,8 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
     Each quadrature node then takes the root nearer to the guide entry
     of its own piece and parameter cell, so the guide picks signs only:
     the nodes, and the magnitude of each term, are those of the path.
+    For the built-in models the library integrates every piece in one
+    call; the loop at the end, the reference, runs otherwise.
     """
     potential = model.potential
 
@@ -372,11 +397,17 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
             logger.debug("branch guide: piece %d refined to %d cells", i, len(values))
     guide.append(guide[-1])  # a node rounding onto a piece's end reads one entry on
 
-    table = np.array(guide)  # the guide as the compiled panel reads it
-    total = 0.0j
+    # each piece's (descriptor, s0, s1, tol, first guide entry, cell width)
+    rows = []
     first = 0
-    for (z, dz, s0, s1, ptol, piece), values in zip(pieces, raw):
-        h = (s1 - s0) / len(values)
+    for (_, _, s0, s1, ptol, piece), values in zip(pieces, raw):
+        rows.append((piece, s0, s1, ptol, first, (s1 - s0) / len(values)))
+        first += len(values)
+    total = _library_integral(model, E, rows, guide)
+    if total is not None:
+        return total
+    total = 0.0j
+    for (z, dz, *_), (_, s0, s1, ptol, first, h) in zip(pieces, rows):
 
         def f(s):
             r = cmath.sqrt(2.0 * (E - potential(z(s))))
@@ -385,9 +416,7 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
                 r = -r
             return 1.0 / r * dz(s)
 
-        f.sums = _dopri5.panel_sums(model, E, piece, _NODES, table, first, s0, h)
         total += adaptive_quad(f, s0, s1, ptol)
-        first += len(values)
     return total
 
 
@@ -486,6 +515,9 @@ def escape_time_real_form(
     """
     E, x0, sgn = _escape_ray(model, energy, tp, cutoff, direction)
     [(z, _, s0, umax, ptol, piece)] = _pieces(VerticalRay(x0, int(sgn), cutoff), tol)
+    total = _library_integral(model, E, [(piece, s0, umax, ptol, 0, 1.0)])
+    if total is not None:
+        return total.real
 
     def f(u: float) -> float:
         q = 2.0 * (model.potential(z(u)) - E)
@@ -495,7 +527,6 @@ def escape_time_real_form(
             raise DomainError("V - E is not positive along the ray; not an escape ray")
         return 2.0 * u / math.sqrt(q.real)
 
-    f.sums = _dopri5.panel_sums(model, E, piece, _NODES)
     return adaptive_quad(f, s0, umax, ptol).real
 
 

@@ -1,4 +1,4 @@
-"""The compiled stepper and energy column reproduce Python bit for bit.
+"""The compiled stepper, energy column and quadrature reproduce Python bit for bit.
 
 Every case runs twice: once as the package runs it, with the built-in
 models stepped by the C kernel, and once with the loader patched so that
@@ -8,7 +8,7 @@ together with the classification, termination, period and escape time.
 The energy column (V, H and ``energy_drift``'s local scale) is compared
 the same way against the Python expressions of ``Trajectory``.
 """
-import contextlib
+import cmath
 import hashlib
 import logging
 import math
@@ -36,6 +36,7 @@ from complexpendulum import (
     escape_time_real_form,
     integrate,
     integrator,
+    turning_points,
     verify_pt_symmetry,
 )
 from complexpendulum import _dopri5, cli, quadrature
@@ -561,7 +562,13 @@ def test_landing_runs_land_in_the_library(library, model, direction, span, steps
         # the field at the start overflows in cmath.sin
         (Pendulum(g=1.0), (0.0, 0.3 + 711.0j, 1j), 0.2, POLISH, "OverflowError: math range error"),
         # the field at the start is finite past the switch; _initial_step's h0 underflows to 0
-        (Pendulum(g=1.0), (0.0, 0.3 + 709.0j, 1j), 0.2, POLISH, "ZeroDivisionError: float division by zero"),
+        (
+            Pendulum(g=1.0),
+            (0.0, 0.3 + 709.0j, 1j),
+            0.2,
+            POLISH,
+            "ArithmeticError: event polishing stopped at t=0.0 short of 0.2",
+        ),
         # the controller wants steps below min_step after some accepted ones
         (
             Harmonic(),
@@ -580,6 +587,17 @@ def test_landing_runs_the_library_hands_back(library, model, row, t_target, poli
         assert float.fromhex(fast[1]) > 708.4  # Im x
     else:
         assert fast == outcome
+
+
+def test_a_first_step_that_underflows_truncates_the_run(library, monkeypatch):
+    """The field at x = 0.3 + 709i is so large that _initial_step's trial
+    step underflows to 0: the run stops at its start, on both paths."""
+    run = (Pendulum(g=1.0), PhaseState(0.3 + 709.0j, 1j), IntegratorConfig(escape_radius=800.0))
+    fast = integrate(*run)
+    monkeypatch.setattr(_dopri5, "model_params", lambda field: None)
+    slow = integrate(*run)
+    for traj in (fast, slow):
+        assert (traj.classification, traj.termination, len(traj)) == ("truncated", "step_underflow", 1)
 
 
 @pytest.mark.parametrize(
@@ -614,65 +632,50 @@ def test_the_initial_step_squares_with_pow(library, model, row, t_target):
     assert assert_advance_matches_python(model, row, t_target)[1]
 
 
-# Quadrature panels.  ``_dopri5.panel_sums`` gives ``quadrature._panel``
-# the node sums of the branch and real-form integrands.  The spy below
-# computes each panel three times: as the package does, with the
-# library's sums, and with the integrand's ``sums`` taken off, so that
-# the Python loops, the reference, evaluate every node.
+# Quadrature integrals.  ``_dopri5.integral`` runs each whole integral of
+# the branch and real-form integrands in the library.  Every case runs
+# twice: as the package runs it, and with ``model_params`` patched to
+# None, so that the Python integrands, ``adaptive_quad`` and ``_panel``,
+# the reference, compute it.  The outcomes are compared as hex strings or
+# error texts, and a spy on ``_dopri5.integral`` tells whether the library
+# computed each integral, stopped it with ``ToleranceNotMet`` or handed it
+# back.
 
 
-class _Enough(Exception):
-    """Ends an integral once the spy has compared enough panels."""
-
-
-def panel_outcome(panel, f, a, b):
+def quadrature_outcome(run):
     try:
-        value, err = panel(f, a, b)
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return value.real.hex(), value.imag.hex(), err.hex()
-
-
-@contextlib.contextmanager
-def compared_panels(limit=24):
-    """Patches ``quadrature._panel`` with a spy that checks each panel of a
-    built-in model's integrand against the Python loops and counts the
-    panels the library computed and those it handed back; it raises
-    ``_Enough`` after ``limit`` panels, or passes the panel's error on."""
-    panel = quadrature._panel
-    seen = {"compiled": 0, "handed_back": 0}
-
-    def spy(f, a, b):
-        sums = f.sums
-        assert sums is not None, "the integrand has no compiled sums"
-        fast = panel_outcome(panel, f, a, b)
-        del f.sums
-        try:
-            slow = panel_outcome(panel, f, a, b)
-        finally:
-            f.sums = sums
-        assert fast == slow
-        seen["compiled" if sums(a, b) is not None else "handed_back"] += 1
-        if seen["compiled"] + seen["handed_back"] >= limit:
-            raise _Enough
-        return panel(f, a, b)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(quadrature, "_panel", spy)
-        yield seen
-
-
-def branch_panels(model, energy, path):
-    """Runs ``_branch_integral`` on a path until it ends or the spy has
-    seen enough panels; returns its outcome."""
-    pieces = quadrature._pieces(path, 1e-10)
-    try:
-        value = quadrature._branch_integral(model, complex(energy), pieces, isinstance(path, TurningPointContour))
-    except _Enough:
-        return "enough"
+        value = run()
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return value.real.hex(), value.imag.hex()
+
+
+def assert_integral_matches_python(run):
+    """The outcome of ``run()``, the same on both paths, and what the
+    library did with each integral it was given."""
+    calls = []
+    integral = _dopri5.integral
+
+    def spy(*args):
+        result = integral(*args)
+        calls.append("handed_back" if result is None else "stopped" if result[1] else "computed")
+        return result
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "integral", spy)
+        fast = quadrature_outcome(run)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda field: None)
+        slow = quadrature_outcome(run)
+    assert fast == slow
+    return fast, calls
+
+
+def branch_integral(model, energy, path):
+    """A call of ``_branch_integral`` along a path."""
+    pieces = quadrature._pieces(path, 1e-10)
+    closed = isinstance(path, TurningPointContour)
+    return lambda: quadrature._branch_integral(model, complex(energy), pieces, closed)
 
 
 finite_complex = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
@@ -689,32 +692,99 @@ paths = st.builds(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(built_in_models, finite_complex, paths)
 def test_branch_panels_match_python(library, model, energy, path):
-    with compared_panels():
-        branch_panels(model, energy, path)
+    _, calls = assert_integral_matches_python(branch_integral(model, energy, path))
+    assert len(calls) <= 1  # none when the guide fails first
 
 
-# (model, energy, path, the outcome, whether the library computes a panel)
+# (model, energy, path, the outcome); the library hands each one back
 BRANCH_HAND_BACKS = {
     # nodes past |Im z| = 708.4: cmath.cos takes its other formula there
-    "cosh-switch": (Pendulum(g=1.0), COSH1, VerticalRay(math.pi + 1j, 1, 709.5), "value", True),
+    "cosh-switch": (Pendulum(g=1.0), COSH1, VerticalRay(math.pi + 1j, 1, 709.5), "value"),
     # and overflows a little further on
-    "overflow": (Pendulum(g=1j), 0.5, VerticalRay(0.5 + 1j, 1, 720.0), "OverflowError", True),
+    "overflow": (Pendulum(g=1j), 0.5, VerticalRay(0.5 + 1j, 1, 720.0), "OverflowError"),
     # the midpoint u = 1 of the ray's first panel is z = 0, where V = E:
-    # Python divides by a zero root, the library hands the panel back
-    "zero-root": (ImaginaryCubic(), 0.0, VerticalRay(-1j, 1, 256.0), "ZeroDivisionError", False),
+    # Python divides by a zero root
+    "zero-root": (ImaginaryCubic(), 0.0, VerticalRay(-1j, 1, 256.0), "ZeroDivisionError"),
     # there 2 (E - V) is subnormal, which cmath.sqrt rescales first
-    "subnormal-root": (Harmonic(), 1e-310, VerticalRay(-1j, 1, 256.0), "enough", True),
+    "subnormal-root": (Harmonic(), 1e-310, VerticalRay(-1j, 1, 256.0), "ToleranceNotMet"),
 }
 
 
 @pytest.mark.parametrize("case", BRANCH_HAND_BACKS.values(), ids=BRANCH_HAND_BACKS.keys())
 def test_branch_panels_the_library_hands_back(library, case):
-    model, energy, path, outcome, computes = case
-    with compared_panels(limit=100) as seen:
-        got = branch_panels(model, energy, path)
+    model, energy, path, outcome = case
+    got, calls = assert_integral_matches_python(branch_integral(model, energy, path))
     assert isinstance(got, tuple) if outcome == "value" else got.split(":")[0] == outcome
-    assert seen["handed_back"] > 0
-    assert (seen["compiled"] > 0) == computes
+    assert calls == ["handed_back"]
+
+
+@pytest.mark.parametrize(
+    "model,energy,path",
+    [
+        (Pendulum(g=0.6 + 0.8j), -0.3 + 0.2j, TurningPointContour(-1.9 - 0.4j, 1.9 + 0.4j, 0.5)),
+        (DrivenPendulum(g=2), 2.0 * COSH1, VerticalRay(math.pi - 1j, -1, 60.0)),
+        (Harmonic(), 0.5, TurningPointContour(-1.0, 1.0, 0.25)),
+        (ImaginaryCubic(), 0.125, VerticalRay(0.5j, 1, 60.0)),
+    ],
+    ids=repr,
+)
+def test_the_library_computes_rays_and_loops(library, model, energy, path):
+    got, calls = assert_integral_matches_python(branch_integral(model, energy, path))
+    assert isinstance(got, tuple)
+    assert calls == ["computed"]
+
+
+# integrals that adaptive_quad stops with ToleranceNotMet
+QUADRATURE_STOPS = {
+    # a tolerance no panel reaches: the 4000 panels are spent
+    "budget": (
+        lambda: escape_time(Pendulum(g=1.0), COSH1, math.pi + 1j, tol=1e-300),
+        "quadrature error 1.206e-11 above target 1.291e-301 after 4000 panels",
+    ),
+    # a pole of 1/w on the ray at u = sqrt(2), which no node hits exactly
+    "resolution-limit": (
+        branch_integral(Harmonic(), 0.0, VerticalRay(-2j, 1, 9.0)),
+        "panel [1.414213562373094, 1.4142135623730994] at resolution limit with error 5.814e-02",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", QUADRATURE_STOPS.values(), ids=QUADRATURE_STOPS.keys())
+def test_the_library_stops_where_python_raises(library, case):
+    run, message = case
+    assert assert_integral_matches_python(run) == (f"ToleranceNotMet: {message}", ["stopped"])
+
+
+def test_sign_choice_ties_take_the_hypots(library):
+    """With a guide of zeros every node is an exact tie, |-r - 0| == |r - 0|,
+    which the library settles with the two hypots as Python does: no
+    root is turned.  The reference is ``_branch_integral``'s integrand."""
+    model, energy = Harmonic(), 0.5 + 0j
+    [(z, dz, s0, s1, tol, piece)] = quadrature._pieces(VerticalRay(2.0, 1, 1.0), 1e-10)
+    guide, h = [0j] * 9, (s1 - s0) / 8
+
+    def f(s):
+        r = cmath.sqrt(2.0 * (energy - model.potential(z(s))))
+        ref = guide[int((s - s0) / h)]
+        if abs(-r - ref) < abs(r - ref):
+            r = -r
+        return 1.0 / r * dz(s)
+
+    want = quadrature.adaptive_quad(f, s0, s1, tol)
+    got, stop = _dopri5.integral(model, energy, [(piece, s0, s1, tol, 0, h)], quadrature._NODES, 4000, guide)
+    assert stop is None
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_an_escape_ray_past_a_root_fails_alike(library):
+    """A ray that passes 0.024 from another root: the guide refines to its
+    ceiling, and both paths find the same imaginary residue."""
+    model, energy = Pendulum(g=0.6 + 0.8j), -0.753 - 0.989j
+    roots = turning_points(model, energy, (-1.0, 1.0, -1.0, 1.0))
+    root = min(roots, key=lambda tp: abs(tp.x0 - (-0.01219 - 0.68387j)))
+    got, calls = assert_integral_matches_python(lambda: escape_time(model, energy, root, direction=1))
+    assert got == "BranchInconsistency: escape integral has imaginary residue -7.918e-01"
+    assert calls == ["computed"]
 
 
 # escape rays: (model, the real part of the turning points whose rays escape)
@@ -728,12 +798,8 @@ ESCAPE_FAMILIES = {
 
 
 def real_form(model, x0, cutoff, direction):
-    try:
-        return escape_time_real_form(model, model.potential(x0), x0, cutoff, direction=direction).hex()
-    except _Enough:
-        return "enough"
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+    """A call of ``escape_time_real_form`` from the root x0."""
+    return lambda: escape_time_real_form(model, model.potential(x0), x0, cutoff, direction=direction)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -747,32 +813,50 @@ def real_form(model, x0, cutoff, direction):
 )
 def test_real_form_panels_match_python(library, family, height, shift, cutoff, direction):
     model, re = family
-    with compared_panels():
-        real_form(model, complex(re + shift, height), cutoff, direction)
+    _, calls = assert_integral_matches_python(real_form(model, complex(re + shift, height), cutoff, direction))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family", ESCAPE_FAMILIES.values(), ids=ESCAPE_FAMILIES.keys())
 def test_real_form_values_match_python(library, family):
     model, re = family
-    values = [real_form(model, complex(re, y), 60.0, None) for y in (0.3, 1.0, 2.5)]
-    assert all(value.startswith("0x") for value in values)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_dopri5, "model_params", lambda field: None)
-        assert [real_form(model, complex(re, y), 60.0, None) for y in (0.3, 1.0, 2.5)] == values
+    for y in (0.3, 1.0, 2.5):
+        got, calls = assert_integral_matches_python(real_form(model, complex(re, y), 60.0, None))
+        assert got[0].startswith("0x") and calls == ["computed"]
 
 
 def test_real_form_domain_failures_are_handed_back(library):
     # off the escape ray V - E is complex: Python raises DomainError
-    with compared_panels() as seen:
-        assert real_form(Pendulum(g=1.0), complex(math.pi + 0.2, 1.0), 60.0, None).startswith("DomainError")
-    assert seen == {"compiled": 0, "handed_back": 1}
+    got, calls = assert_integral_matches_python(real_form(Pendulum(g=1.0), complex(math.pi + 0.2, 1.0), 60.0, None))
+    assert got.startswith("DomainError")
+    assert calls == ["handed_back"]
 
 
 def test_subclass_integrands_have_no_compiled_sums(library):
+    """A subclass of a built-in model runs on the Python path."""
+
     class Subclass(ImaginaryCubic):
         pass
 
-    piece = quadrature._pieces(VerticalRay(1j), 1e-10)[0][5]
-    assert _dopri5.panel_sums(Subclass(), 1.0, piece, quadrature._NODES) is None
-    assert _dopri5.panel_sums(ImaginaryCubic(), 1.0, piece, quadrature._NODES) is not None
+    [(_, _, s0, s1, tol, piece)] = quadrature._pieces(VerticalRay(1j), 1e-10)
+    rows = [(piece, s0, s1, tol, 0, 1.0)]
+    assert _dopri5.integral(Subclass(), 1.0, rows, quadrature._NODES, 4000) is None
+    assert _dopri5.integral(ImaginaryCubic(), 1.0, rows, quadrature._NODES, 4000)[1] is None
     assert escape_time(Subclass(), 1.0, 1j) == escape_time(ImaginaryCubic(), 1.0, 1j)
+
+
+def test_a_rebound_panel_sees_every_panel(library, monkeypatch):
+    """With ``quadrature._panel`` rebound, by a counting wrapper say, the
+    library cannot mirror it: the integral runs in Python, panel by
+    panel, to the same bits."""
+    model, x0 = Pendulum(g=1.0), complex(math.pi, 1.0)
+    value = escape_time(model, model.potential(x0), x0)
+    panel, panels = quadrature._panel, []
+
+    def counting(f, a, b):
+        panels.append((a, b))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_panel", counting)
+    assert escape_time(model, model.potential(x0), x0) == value
+    assert len(panels) >= 8
