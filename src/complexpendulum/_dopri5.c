@@ -31,6 +31,10 @@
  * quad_integral runs one whole quadrature integral, every piece's
  * adaptive refinement, and hands the whole integral back to Python when
  * one panel cannot be mirrored.
+ *
+ * Every entry point reads the model from one Model record, built by
+ * _dopri5.model_params, and quad_integral reads each path piece as its
+ * one description in quadrature._pieces (see piece_at).
  */
 #include <float.h>
 #include <math.h>
@@ -48,11 +52,18 @@ enum {
 
 typedef struct { double re, im; } cplx;
 
-/* Read-only settings of one run. */
+/* One model, as _dopri5.model_params describes it: its kind, the field
+ * strength g and complex(-g), whose zero imaginary part keeps the sign
+ * Python gives it, and the drive eps * sin(omega * t). */
 typedef struct {
     int kind;
-    double gr, gi;          /* pendulum field strength g */
-    double epsilon, omega;  /* drive eps * sin(omega * t) */
+    cplx g, neg_g;
+    double epsilon, omega;
+} Model;
+
+/* Read-only settings of one run. */
+typedef struct {
+    const Model *model;
     const double *stops;    /* landing times; the last one ends the run */
     double t_end, direction;
     double rel_tol, abs_tol, max_step, min_step, max_steps;
@@ -112,13 +123,13 @@ static inline int is_finite(cplx z)
 }
 
 /* dp/dt at (t, x); returns 0 where CPython would take another path */
-static int force(const Run *run, double t, cplx x, cplx *kp)
+static int force(const Model *m, double t, cplx x, cplx *kp)
 {
     cplx grad;
     double f = 0.0;
     if (!is_finite(x))
         return 0;
-    switch (run->kind) {
+    switch (m->kind) {
     case HARMONIC:
         grad = x;
         break;
@@ -130,7 +141,7 @@ static int force(const Run *run, double t, cplx x, cplx *kp)
     default: {
         /* g * cmath.sin(x), sin(x) = -i sinh(i x) */
         double sr = -x.im, si = x.re;
-        cplx s, g = {run->gr, run->gi};
+        cplx s;
         if (fabs(sr) > LOG_LARGE_DOUBLE)
             return 0;
         s.re = cos(si) * sinh(sr);
@@ -138,12 +149,12 @@ static int force(const Run *run, double t, cplx x, cplx *kp)
         if (isinf(s.re) || isinf(s.im))
             return 0;
         cplx sin_x = {s.im, -s.re};
-        grad = mul(g, sin_x);
-        if (run->kind == DRIVEN_PENDULUM) {
-            double arg = run->omega * t;
+        grad = mul(m->g, sin_x);
+        if (m->kind == DRIVEN_PENDULUM) {
+            double arg = m->omega * t;
             if (!isfinite(arg))
                 return 0;
-            f = run->epsilon * sin(arg);
+            f = m->epsilon * sin(arg);
         }
     }
     }
@@ -195,21 +206,21 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
         cplx k2x, k2p, k3x, k3p, k4x, k4p, k5x, k5p, k6x, k6p, k7x, k7p, xs;
         k2x = add(p, scale(h, scale(A21, k1p)));
         xs = add(x, scale(h, scale(A21, k1x)));
-        if (!is_finite(k2x) || !force(run, t + C2 * h, xs, &k2p))
+        if (!is_finite(k2x) || !force(run->model, t + C2 * h, xs, &k2p))
             goto hand_back;
         k3x = add(p, scale(h, add(scale(A31, k1p), scale(A32, k2p))));
         xs = add(x, scale(h, add(scale(A31, k1x), scale(A32, k2x))));
-        if (!is_finite(k3x) || !force(run, t + C3 * h, xs, &k3p))
+        if (!is_finite(k3x) || !force(run->model, t + C3 * h, xs, &k3p))
             goto hand_back;
         k4x = add(p, scale(h, add(add(scale(A41, k1p), scale(A42, k2p)), scale(A43, k3p))));
         xs = add(x, scale(h, add(add(scale(A41, k1x), scale(A42, k2x)), scale(A43, k3x))));
-        if (!is_finite(k4x) || !force(run, t + C4 * h, xs, &k4p))
+        if (!is_finite(k4x) || !force(run->model, t + C4 * h, xs, &k4p))
             goto hand_back;
         k5x = add(p, scale(h, add(add(add(scale(A51, k1p), scale(A52, k2p)), scale(A53, k3p)),
                                   scale(A54, k4p))));
         xs = add(x, scale(h, add(add(add(scale(A51, k1x), scale(A52, k2x)), scale(A53, k3x)),
                                  scale(A54, k4x))));
-        if (!is_finite(k5x) || !force(run, t + C5 * h, xs, &k5p))
+        if (!is_finite(k5x) || !force(run->model, t + C5 * h, xs, &k5p))
             goto hand_back;
         k6x = add(p, scale(h, add(add(add(add(scale(A61, k1p), scale(A62, k2p)), scale(A63, k3p)),
                                       scale(A64, k4p)),
@@ -217,7 +228,7 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
         xs = add(x, scale(h, add(add(add(add(scale(A61, k1x), scale(A62, k2x)), scale(A63, k3x)),
                                      scale(A64, k4x)),
                                  scale(A65, k5x))));
-        if (!is_finite(k6x) || !force(run, t + h, xs, &k6p))
+        if (!is_finite(k6x) || !force(run->model, t + h, xs, &k6p))
             goto hand_back;
         cplx x1 = add(x, scale(h, add(add(add(add(scale(B1, k1x), scale(B3, k3x)), scale(B4, k4x)),
                                           scale(B5, k5x)),
@@ -226,7 +237,7 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
                                           scale(B5, k5p)),
                                       scale(B6, k6p))));
         k7x = p1;
-        if (!is_finite(x1) || !is_finite(p1) || !force(run, t + h, x1, &k7p))
+        if (!is_finite(x1) || !is_finite(p1) || !force(run->model, t + h, x1, &k7p))
             goto hand_back;
         cplx ex = scale(h, add(add(add(add(add(scale(E1, k1x), scale(E3, k3x)), scale(E4, k4x)),
                                        scale(E5, k5x)),
@@ -338,7 +349,7 @@ static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1x, cplx
     cplx xe = add(x, scale(h0 * dir, k1x));
     cplx pe = add(p, scale(h0 * dir, k1p));
     /* the field there is (pe, k2p); h0 == 0 divides by zero in Python */
-    if (h0 == 0.0 || !force(run, t + h0 * dir, xe, &k2p) ||
+    if (h0 == 0.0 || !force(run->model, t + h0 * dir, xe, &k2p) ||
         !scaled_norm(run, sub(pe, k1x), sub(k2p, k1p), x, p, &d2))
         return 0;
     d2 = d2 / h0;
@@ -360,18 +371,16 @@ static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1x, cplx
  * returns 0, and Python redoes the whole call, where the run cannot be
  * mirrored: a step handed back, a non-finite value, a ** that would
  * raise, or a run that does not land (Python raises there). */
-int dopri5_advance(int kind, double gr, double gi, double epsilon, double omega, double t, double t_target,
-                   double rel_tol, double abs_tol, double max_step, double min_step, double *xp)
+int dopri5_advance(const Model *model, double t, double t_target, const double polish[4], double *xp)
 {
     const double dir = t_target > t ? 1.0 : -1.0;
-    const Run run = {kind, gr, gi, epsilon, omega, &t_target, t_target, dir,
-                     rel_tol, abs_tol, max_step, min_step, INFINITY};
+    const Run run = {model, &t_target, t_target, dir, polish[0], polish[1], polish[2], polish[3], INFINITY};
     const cplx x = {xp[0], xp[1]}, p = {xp[2], xp[3]};
     cplx kp;
     enum { ROWS = 64 };  /* the rows are not read: st holds the last one */
     double h_mag, ts[ROWS];
     cplx zs[2 * ROWS];
-    if (!force(&run, t, x, &kp) || !initial_step(&run, t, x, p, p, kp, &h_mag))
+    if (!force(model, t, x, &kp) || !initial_step(&run, t, x, p, p, kp, &h_mag))
         return 0;
     State st = {t, x, p, p, kp, h_mag, 1e-4, 0.0, 0, DOPRI5_FULL};
     do
@@ -381,7 +390,7 @@ int dopri5_advance(int kind, double gr, double gi, double epsilon, double omega,
         return 0;
     /* the last step's k7 is the field at t + h, which only a driven
      * model tells from the field at t_target */
-    if (kind == DRIVEN_PENDULUM && !force(&run, t_target, st.x, &st.kp))
+    if (model->kind == DRIVEN_PENDULUM && !force(model, t_target, st.x, &st.kp))
         return 0;
     const cplx landed[4] = {st.x, st.p, st.kx, st.kp};
     for (int k = 0; k < 4; k++) {
@@ -391,17 +400,16 @@ int dopri5_advance(int kind, double gr, double gi, double epsilon, double omega,
     return 1;
 }
 
-/* V(x) as the model's potential computes it: -g * cmath.cos(x),
- * 0.5 * x * x or 1j * x * x * x, each product a full complex one, with
- * cmath.cos(x) = cosh(-Im x + i Re x).  neg_g is complex(-g), whose zero
- * imaginary part keeps the sign Python gives it.  Returns 0 where cmath
- * would take another path or raise. */
-static int potential(int kind, cplx neg_g, cplx x, cplx *v)
+/* V(x) as the model's potential computes it: -g * cmath.cos(x), as
+ * neg_g times the cosine, 0.5 * x * x or 1j * x * x * x, each product a
+ * full complex one, with cmath.cos(x) = cosh(-Im x + i Re x).  Returns 0
+ * where cmath would take another path or raise. */
+static int potential(const Model *m, cplx x, cplx *v)
 {
     const cplx half = {0.5, 0.0}, i1 = {0.0, 1.0};
     if (!is_finite(x))
         return 0;
-    switch (kind) {
+    switch (m->kind) {
     case HARMONIC:
         *v = mul(mul(half, x), x);
         return 1;
@@ -415,7 +423,7 @@ static int potential(int kind, cplx neg_g, cplx x, cplx *v)
         cplx c = {cos(ci) * cosh(cr), sin(ci) * sinh(cr)};
         if (isinf(c.re) || isinf(c.im))
             return 0;
-        *v = mul(neg_g, c);
+        *v = mul(m->neg_g, c);
         return 1;
     }
     }
@@ -425,16 +433,15 @@ static int potential(int kind, cplx neg_g, cplx x, cplx *v)
  * h = 0.5 * p * p + v and scale = 0.5 * abs(p) ** 2 + abs(v), the local
  * scale of energy_drift, with abs the libm hypot.  Returns the number of
  * rows filled, the rows before the first whose potential() is 0. */
-long energy_rows(int kind, double ngr, double ngi, long n, const cplx *x, const cplx *p, cplx *v, cplx *h,
-                 double *scale)
+long energy_rows(const Model *model, long n, const cplx *x, const cplx *p, cplx *v, cplx *h, double *scale)
 {
-    const cplx neg_g = {ngr, ngi}, half = {0.5, 0.0};
+    const cplx half = {0.5, 0.0};
     /* volatile: gcc folds pow(a, 2.0) into a * a, which rounds otherwise */
     volatile double two = 2.0;
     long k;
     for (k = 0; k < n; k++) {
         cplx vk;
-        if (!potential(kind, neg_g, x[k], &vk))
+        if (!potential(model, x[k], &vk))
             break;
         v[k] = vk;
         h[k] = add(mul(mul(half, p[k]), p[k]), vk);
@@ -454,8 +461,9 @@ enum { RAY = 0, EDGE = 1, CAP = 2 };
 
 /* One integrand on one piece of a path (see quadrature._pieces). */
 typedef struct {
-    int integrand, kind, piece;
-    cplx neg_g, energy;
+    int integrand, piece;
+    const Model *model;
+    cplx energy;
     cplx c0, c1, c2;      /* the piece's constants, see piece_at */
     double phi0;          /* a cap's start angle */
     const double *nodes;  /* (xi, wi) of the 15 nodes, then of the 31 */
@@ -513,13 +521,11 @@ static cplx quot(cplx a, cplx b)
     return r;
 }
 
-/* z(s) and dz(s) of a piece, as its lambdas in _pieces compute them:
- *   ray   z0 + 1j * sgn * (u * u), 2.0j * sgn * u: c0 = z0, c1 = 1j * sgn,
- *         c2 = 2.0j * sgn;
- *   edge  start + d * s, d: c0 = start, c1 = d;
- *   cap   center + offset * u * e, 1j * math.pi * offset * u * e, with
- *         e = cmath.exp(1j * (phi0 + math.pi * s)): c0 = center,
- *         c1 = offset * u, c2 = 1j * math.pi * offset * u. */
+/* z(s) and dz(s) of a piece (kind, c0, c1, c2, phi0) of quadrature._pieces,
+ * term for term as quadrature._curve computes them:
+ *   ray   c0 + c1 * (s * s), c2 * s;
+ *   edge  c0 + c1 * s, c1;
+ *   cap   c0 + c1 * e, c2 * e, with e = cmath.exp(1j * (phi0 + math.pi * s)). */
 static int piece_at(const Integrand *f, double s, cplx *z, cplx *dz)
 {
     switch (f->piece) {
@@ -549,7 +555,7 @@ static int branch_term(const Integrand *f, double s, cplx *out)
 {
     const cplx one = {1.0, 0.0};
     cplx z, dz, v, r;
-    if (!piece_at(f, s, &z, &dz) || !potential(f->kind, f->neg_g, z, &v) ||
+    if (!piece_at(f, s, &z, &dz) || !potential(f->model, z, &v) ||
         !py_sqrt(scale(2.0, sub(f->energy, v)), &r))
         return 0;
     /* guide[first + int((s - s0) / h)]; a negative index wraps in Python */
@@ -588,7 +594,7 @@ static int branch_term(const Integrand *f, double s, cplx *out)
 static int real_form_term(const Integrand *f, double u, double *out)
 {
     cplx z, dz, v;
-    if (!piece_at(f, u, &z, &dz) || !potential(f->kind, f->neg_g, z, &v))
+    if (!piece_at(f, u, &z, &dz) || !potential(f->model, z, &v))
         return 0;
     cplx q = scale(2.0, sub(v, f->energy));
     double size = hypot(q.re, q.im);
@@ -754,11 +760,10 @@ enum { PIECE_FIELDS = 13 };
  * parameter interval s0, s1, its error target, its first guide entry and
  * the guide's cell width.  Returns a QUAD_ status; out[0..1] holds the
  * total, and out[2..4] a stop's numbers. */
-int quad_integral(int integrand, int kind, double ngr, double ngi, double er, double ei, const double *nodes,
-                  const cplx *guide, long n_guide, long n_pieces, const double *pieces, long max_panels,
-                  double *out)
+int quad_integral(int integrand, const Model *model, double er, double ei, const double *nodes, const cplx *guide,
+                  long n_guide, long n_pieces, const double *pieces, long max_panels, double *out)
 {
-    Integrand f = {integrand, kind, 0, {ngr, ngi}, {er, ei}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0},
+    Integrand f = {integrand, 0, model, {er, ei}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0},
                    0.0, nodes, guide, 0, n_guide, 0.0, 1.0};
     cplx total = {0.0, 0.0}, value;
     int status = QUAD_DONE;

@@ -1,35 +1,32 @@
-"""Loader of the compiled library: the Dormand-Prince loop and its
-landing runs, the energy column and the quadrature integrals in
-``_dopri5.c`` and the CSV row formatter in ``_csv.cpp``.
+"""Loader of the compiled library, ``_dopri5.c`` and ``_csv.cpp``.
 
-``integrator._dopri`` runs its accept/reject/PI/landing loop in the C
-kernel when the field is the ``field`` method of an exact ``Pendulum``,
-``Harmonic``, ``ImaginaryCubic`` or ``DrivenPendulum`` with plain int,
-float or complex parameters, on CPython before 3.14 (whose mixed
-float/complex arithmetic the kernel does not mirror).  Every other run
-uses the Python loop, which stays the reference.  For the same models,
-under the same gate, each landing run of event polishing
-(``integrator._advance``) is one call of ``advance``, its initial step
-and the field at the landed state included; a run the library cannot
-finish as Python would is redone whole by the Python path.
+For the four built-in models the library runs, bit for bit as the Python
+code it mirrors, which stays the reference:
 
-``Trajectory``'s energy column (V, H and ``energy_drift``'s local scale)
-comes from ``energy_columns`` for the same models, under the same gate,
-bit for bit as its Python expressions, the reference, compute it; those
-compute every other model's column and the rows the library stops at.
+- ``steps``: ``integrator._dopri``'s accept/reject/PI/landing loop;
+- ``advance``: one landing run of event polishing (``integrator._advance``),
+  its initial step and the field at the landed state included;
+- ``energy_columns``: ``Trajectory``'s energy column, V, H and
+  ``energy_drift``'s local scale;
+- ``integral``: one quadrature integral of ``_branch_integral`` or
+  ``escape_time_real_form``, ``adaptive_quad``'s whole refinement of
+  every piece, each panel as ``quadrature._panel`` computes it.
 
-For the same models, under the same gate, each quadrature integral of
-``_branch_integral`` and of ``escape_time_real_form`` is one call of
-``integral``: ``quadrature.adaptive_quad``'s whole refinement of every
-piece, each panel as ``quadrature._panel`` computes it.  An integral
-with a panel the library cannot mirror is redone whole by the Python
-integrands and ``adaptive_quad``, the reference.
+Each reads the model from one record, ``model_params``'s (kind, g,
+complex(-g), epsilon, omega), built only for the ``field`` method of an
+exact ``Pendulum``, ``Harmonic``, ``ImaginaryCubic`` or ``DrivenPendulum``
+with plain int, float or complex parameters, on CPython before 3.14
+(whose mixed float/complex arithmetic the kernel does not mirror); other
+models run on the Python path.  ``integral`` reads each path piece as its
+one description in ``quadrature._pieces``, (kind, c0, c1, c2, phi0).
+What the library cannot mirror goes back to Python: a run from the first
+step the kernel cannot take, a landing run or an integral whole, and the
+energy rows from the first it cannot compute.
 
-``cli._write_trajectory_csv`` formats its rows with ``csv_rows`` when the
-interpreter's floats print in the 'short' repr style: each value is the
-shortest round-trip digits from ``std::to_chars`` laid out as ``repr``
-lays them out, so the file is the one the Python writer makes, byte for
-byte, for every model.
+``cli._write_trajectory_csv`` formats its rows with ``csv_formatter``
+where floats print in the 'short' repr style: each value is the shortest
+round-trip digits from ``std::to_chars`` laid out as ``repr`` lays them
+out, so the file is the Python writer's, byte for byte, for every model.
 
 The library is compiled once, at the first run or CSV that can use it,
 with the system C compiler ``cc`` (which needs a C++17 libstdc++ with
@@ -38,8 +35,7 @@ package's ``__pycache__`` under a name keyed by a hash of both sources,
 the flags and the interpreter version, and written by atomic rename, so
 that two processes building at once never load a half-written file.
 When the compiler is missing, or the build or the load fails, one
-warning per process names the reason and the Python loop, energy column
-and writer run instead.
+warning per process names the reason and the Python paths run instead.
 """
 from __future__ import annotations
 
@@ -80,13 +76,21 @@ _QUAD_HAND_BACK, _QUAD_BUDGET, _QUAD_RESOLUTION = 1, 2, 3
 _c_double = ctypes.c_double
 
 
-class _Run(ctypes.Structure):
+class _Model(ctypes.Structure):
     _fields_ = [
         ("kind", ctypes.c_int),
         ("gr", _c_double),
         ("gi", _c_double),
+        ("neg_gr", _c_double),
+        ("neg_gi", _c_double),
         ("epsilon", _c_double),
         ("omega", _c_double),
+    ]
+
+
+class _Run(ctypes.Structure):
+    _fields_ = [
+        ("model", ctypes.POINTER(_Model)),
         ("stops", ctypes.POINTER(_c_double)),
         ("t_end", _c_double),
         ("direction", _c_double),
@@ -159,14 +163,15 @@ def _library():
         return None
     lib.dopri5_steps.argtypes = [ctypes.POINTER(_Run), ctypes.POINTER(_State), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
     lib.dopri5_steps.restype = ctypes.c_int
-    lib.dopri5_advance.argtypes = [ctypes.c_int, *[_c_double] * 10, ctypes.c_void_p]
+    model = ctypes.POINTER(_Model)
+    lib.dopri5_advance.argtypes = [model, _c_double, _c_double, ctypes.c_void_p, ctypes.c_void_p]
     lib.dopri5_advance.restype = ctypes.c_int
     lib.csv_rows.argtypes = [ctypes.c_long, *[ctypes.c_void_p] * 4, ctypes.c_int, ctypes.c_void_p]
     lib.csv_rows.restype = ctypes.c_long
-    lib.energy_rows.argtypes = [ctypes.c_int, _c_double, _c_double, ctypes.c_long, *[ctypes.c_void_p] * 5]
+    lib.energy_rows.argtypes = [model, ctypes.c_long, *[ctypes.c_void_p] * 5]
     lib.energy_rows.restype = ctypes.c_long
     lib.quad_integral.argtypes = [
-        ctypes.c_int, ctypes.c_int, *[_c_double] * 4, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+        ctypes.c_int, model, _c_double, _c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
         ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p,
     ]
     lib.quad_integral.restype = ctypes.c_int
@@ -174,8 +179,9 @@ def _library():
 
 
 def model_params(field):
-    """(kind, g.real, g.imag, epsilon, omega) of the model whose ``field``
-    method this is, when the kernel can run it; None otherwise."""
+    """The record (kind, g, complex(-g), epsilon, omega) that every entry
+    point reads the model from, for the model whose ``field`` method this
+    is, when the kernel can run it; None otherwise."""
     model = getattr(field, "__self__", None)
     kind = _KINDS.get(type(model))
     if kind is None or sys.version_info >= (3, 14):
@@ -187,10 +193,11 @@ def model_params(field):
         return None
     if _library() is None:
         return None
-    return kind, float(g.real), float(g.imag), float(epsilon), float(omega)
+    neg_g = complex(-g)
+    return _Model(kind, g.real, g.imag, neg_g.real, neg_g.imag, epsilon, omega)
 
 
-def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
+def steps(record, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
     """The compiled loop as a generator: yields the accepted steps in
     blocks of up to ``_ROWS`` like ``integrator._dopri``, (t, z) with z's
     rows x and p, each block in buffers of its own, and returns its stop
@@ -199,7 +206,7 @@ def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
     step, (kx, kp) being the field there."""
     kernel = _library().dopri5_steps
     c_stops = (_c_double * len(stops))(*stops)
-    run = _Run(*params, c_stops, stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
+    run = _Run(ctypes.pointer(record), c_stops, stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
     state = _State(t, x.real, x.imag, p.real, p.imag, kx.real, kx.imag, kp.real, kp.imag, h_mag, facold, 0.0, 0, 0)
     run_ref, state_ref = ctypes.byref(run), ctypes.byref(state)
     while True:
@@ -225,14 +232,14 @@ def steps(params, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
     return _STOP_REASONS[state.status]
 
 
-def advance(params, t, x, p, t_target, polish):
+def advance(record, t, x, p, t_target, polish):
     """``integrator._advance``'s run from (t, x, p) to t_target under the
     polish record (rel_tol, abs_tol, max_step, min_step), in one call:
     (x, p, (kx, kp)) at t_target, the field there included, bit for bit
     as the Python path computes them; None when the library cannot
     mirror the run, which Python then redoes whole."""
     state = (_c_double * 8)(x.real, x.imag, p.real, p.imag)
-    if not _library().dopri5_advance(*params, t, t_target, *polish, state):
+    if not _library().dopri5_advance(record, t, t_target, (_c_double * 4)(*polish), state):
         return None
     return complex(state[0], state[1]), complex(state[2], state[3]), (complex(state[4], state[5]), complex(state[6], state[7]))
 
@@ -249,13 +256,11 @@ def energy_columns(model, x, p):
     if len(x) != len(p):
         raise ValueError("columns of unequal length")
     v, h, scale = np.empty_like(x), np.empty_like(x), np.empty(len(x))
-    params = model_params(model.field)
-    if params is None:
+    record = model_params(model.field)
+    if record is None:
         return v, h, scale, 0
-    neg_g = complex(-getattr(model, "g", 0.0))
     addresses = (column.ctypes.data for column in (x, p, v, h, scale))
-    n = _library().energy_rows(params[0], neg_g.real, neg_g.imag, len(x), *addresses)
-    return v, h, scale, n
+    return v, h, scale, _library().energy_rows(record, len(x), *addresses)
 
 
 def integral(model, energy, rows, nodes, max_panels, guide=None):
@@ -275,25 +280,22 @@ def integral(model, energy, rows, nodes, max_panels, guide=None):
     Returns (total, None), or (total, stop) where ``adaptive_quad`` raises
     ``ToleranceNotMet``: stop is ("budget", toterr, tol, panels) or
     ("resolution", lo, hi, err).  None when the model is not one the
-    kernel runs, a piece has no descriptor, or the library cannot mirror
-    a panel; Python then computes the whole integral."""
-    params = model_params(model.field)
-    if params is None or any(row[0] is None for row in rows):
+    kernel runs or the library cannot mirror a panel; Python then
+    computes the whole integral."""
+    record = model_params(model.field)
+    if record is None:
         return None
     if len(nodes) != 46 * 2 * 8:
         raise ValueError(f"expected 46 (xi, wi) float64 pairs, got {len(nodes)} bytes")
     flat = []
     for (kind, c0, c1, c2, phi0), s0, s1, tol, first, h in rows:
         flat += (_PIECES[kind], c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, phi0, s0, s1, tol, first, h)
-    neg_g = complex(-getattr(model, "g", 0.0))
     energy = complex(energy)
     out = (_c_double * 5)()
     # bytes are the cheapest read-only buffers to build for ctypes
     status = _library().quad_integral(
         _REAL_FORM if guide is None else _BRANCH,
-        params[0],
-        neg_g.real,
-        neg_g.imag,
+        record,
         energy.real,
         energy.imag,
         nodes,
@@ -315,12 +317,13 @@ def integral(model, energy, rows, nodes, max_panels, guide=None):
 
 
 def csv_formatter():
-    """A function ``rows(t, x, p, e, driven)`` that formats up to ``_ROWS``
-    CSV rows from columns of floats (t) and complexes (x, p, e) and
-    returns them as a view of one fixed buffer, valid until its next
-    call; None when the library cannot be built or loaded.  Contiguous
-    float64 and complex128 columns are read in place."""
-    lib = _library()
+    """A generator ``rows(t, x, p, e, driven)`` of the CSV rows of whole
+    columns of floats (t) and complexes (x, p, e), in blocks of up to
+    ``_ROWS`` rows, each a view of one buffer that the next overwrites;
+    None without the library, or where floats do not print in the
+    'short' repr style the formatter mirrors.  Contiguous float64 and
+    complex128 columns are read in place."""
+    lib = _library() if sys.float_repr_style == "short" else None
     if lib is None:
         return None
     csv_rows = lib.csv_rows
@@ -328,13 +331,12 @@ def csv_formatter():
     view = memoryview(out)
 
     def rows(t, x, p, e, driven):
-        n = len(t)
-        if n > _ROWS:
-            raise ValueError(f"at most {_ROWS} rows per call, got {n}")
         columns = [np.ascontiguousarray(t, dtype=float)]
         columns += (np.ascontiguousarray(z, dtype=complex) for z in (x, p, e))
-        if any(len(column) != n for column in columns):
+        if any(len(column) != len(t) for column in columns):
             raise ValueError("columns of unequal length")
-        return view[: csv_rows(n, *(column.ctypes.data for column in columns), driven, ctypes.addressof(out))]
+        for i in range(0, len(t), _ROWS):
+            block = [column[i : i + _ROWS] for column in columns]
+            yield view[: csv_rows(len(block[0]), *(c.ctypes.data for c in block), driven, ctypes.addressof(out))]
 
     return rows

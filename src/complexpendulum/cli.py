@@ -559,24 +559,20 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, model: HamiltonianModel)
 
     ``model`` is the trajectory's; the energy column is the trajectory's
     ``energy``, shared with ``energy_drift``.  The compiled library
-    formats the rows from the columns, ``_dopri5._ROWS`` samples per call
-    into one fixed buffer.  Without the library, or where floats do not
-    print in the 'short' repr style, ``_write_rows_in_python`` writes the
-    same bytes."""
+    formats the rows from the columns (``_dopri5.csv_formatter``).
+    Where it cannot, ``_write_rows_in_python`` writes the same bytes."""
     driven = not model.autonomous
     header = "t,re_x,im_x,re_p,im_p,re_E,im_E,cell\n" if driven else "t,re_x,im_x,re_p,im_p,re_E,im_E\n"
     columns = traj.t, traj.x, traj.p, traj.energy
-    rows = _dopri5.csv_formatter() if sys.float_repr_style == "short" else None
+    rows = _dopri5.csv_formatter()
     if rows is None:
         with open(path, "w", newline="") as fh:
             fh.write(header)
             _write_rows_in_python(fh, *columns, driven)
         return
-    block = _dopri5._ROWS
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for i in range(0, len(traj), block):
-            fh.write(rows(*(column[i : i + block] for column in columns), driven))
+        fh.writelines(rows(*columns, driven))
 
 
 def _write_rows_in_python(fh, t, x, p, e, driven: bool) -> None:

@@ -432,10 +432,10 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     accepted = 0
     i = 0
     times, rows = [], []
-    params = _dopri5.model_params(field)
-    if params is not None:
+    record = _dopri5.model_params(field)
+    if record is not None:
         stop = yield from _dopri5.steps(
-            params, t, x, p, k1x, k1p, h_mag, facold, stops, direction,
+            record, t, x, p, k1x, k1p, h_mag, facold, stops, direction,
             rel_tol, abs_tol, max_step, min_step, max_steps,
         )
         if isinstance(stop, str):
@@ -548,8 +548,8 @@ def _advance(field, row, t_target, polish):
     otherwise."""
     t, x, p = row[:3]
     if t_target != t:
-        params = _dopri5.model_params(field)
-        landed = None if params is None else _dopri5.advance(params, t, x, p, t_target, polish)
+        record = _dopri5.model_params(field)
+        landed = None if record is None else _dopri5.advance(record, t, x, p, t_target, polish)
         if landed is not None:
             return landed
         k1x, k1p = field(t, x, p)

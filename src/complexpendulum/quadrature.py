@@ -10,9 +10,11 @@ Inverse-square-root endpoint singularities - the generic behaviour of
 z = z0 + d u^2, after which the integrand is smooth.
 
 Each path kind (segment, vertical ray, stadium loop) is described once,
-by ``_pieces``; the ray and stadium expressions fix the quadrature nodes,
-and so the bits of every bundled escape time and period, and are kept
-character for character.  The momentum w(z) = sqrt(2 (E - V(z))) is
+by ``_pieces``, as pieces (kind, c0, c1, c2, phi0): ``_curve`` builds
+z(s) and dz(s) from them for the Python integrands, and ``piece_at`` in
+``_dopri5.c`` term for term for the compiled ones.  The ray and stadium
+constants fix the quadrature nodes, and so the bits of every bundled
+escape time and period.  The momentum w(z) = sqrt(2 (E - V(z))) is
 double-valued: escape times (along a ray) and periods (around a loop)
 both take its branch from one guide, ``_branch_integral``, which
 tabulates w at the parameter midpoints of each piece, continues its sign
@@ -27,14 +29,14 @@ escape times and periods take the absolute value.  A loop that fails to
 return to the seed value raises ``BranchInconsistency``, as does a
 period integral with a non-negligible imaginary part.
 
-For the four built-in models, each integral of the branch integrand,
-and of ``escape_time_real_form``'s, is one call of the compiled library
-(``_dopri5.integral``): ``adaptive_quad``'s whole refinement of every
-piece, bit for bit as the Python integrands, ``adaptive_quad`` and
-``_panel`` compute it, the same ``ToleranceNotMet`` stops included.  An
-integral with a panel the library cannot mirror is handed back whole,
-and the Python path, which stays the reference, computes it: the same
-bits, or the same error.
+For the four built-in models, each integral of the branch integrand on
+any path, and of ``escape_time_real_form``'s, is one call of the
+compiled library (``_dopri5.integral``): ``adaptive_quad``'s whole
+refinement of every piece, bit for bit as the Python integrands,
+``adaptive_quad`` and ``_panel`` compute it, the same ``ToleranceNotMet``
+stops included.  An integral with a panel the library cannot mirror is
+handed back whole, and the Python path, which stays the reference,
+computes it: the same bits, or the same error.
 """
 from __future__ import annotations
 
@@ -236,50 +238,42 @@ def _library_integral(model: HamiltonianModel, E: complex, rows, guide=None):
     return total
 
 
-def _segment_pieces(z0, z1, sing_start, sing_end, tol):
-    d = z1 - z0
-    if d == 0.0:
-        return []
-    if sing_start and sing_end:
-        zm = 0.5 * (z0 + z1)
-        return _segment_pieces(z0, zm, True, False, 0.5 * tol) + _segment_pieces(zm, z1, False, True, 0.5 * tol)
-    ptol = tol / max(1.0, abs(d))
-    if sing_end:
-        # u^2 measured back from the end: z runs from z1 to z0, so the
-        # weight is -dz/du
-        return [(lambda u: z1 - d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol, None)]
-    if sing_start:
-        return [(lambda u: z0 + d * (u * u), lambda u: d * (2.0 * u), 0.0, 1.0, ptol, None)]
-    return [(lambda s: z0 + d * s, lambda s: d, 0.0, 1.0, ptol, None)]
-
-
 def _pieces(path, tol: float):
-    """A path specification as pieces (z, dz, s0, s1, piece_tol, piece).
+    """A path specification as pieces (piece, s0, s1, piece_tol).
 
     The integral of f(z) dz along the path is the sum over its pieces of
     the integral of f(z(s)) * dz(s) for s in [s0, s1], each to its own
-    error target ``piece_tol``.  The ray and stadium expressions fix the
-    quadrature nodes, and with them the bits of every escape time and
-    period a scenario writes: keep them character for character.
-
-    ``piece`` describes a ray, stadium edge or stadium cap to the
-    compiled integrals as (kind, c0, c1, c2, phi0), the constants its two
-    lambdas start from (``piece_at`` in ``_dopri5.c`` says which); it is
-    None for a segment's pieces, which only ``path_integral`` uses.
+    error target ``piece_tol``.  ``piece`` is the one description of z(s)
+    and dz(s), (kind, c0, c1, c2, phi0), which ``_curve`` and ``piece_at``
+    in ``_dopri5.c`` both read: a ``ray`` is c0 + c1 * s**2, an ``edge``
+    c0 + c1 * s and a ``cap`` an arc from the angle phi0.  The ray and
+    stadium constants fix the quadrature nodes, and with them the bits of
+    every escape time and period a scenario writes: keep them character
+    for character.
     """
     if isinstance(path, Segment):
-        return _segment_pieces(
-            complex(path.z_start), complex(path.z_end), path.sqrt_singular_start, path.sqrt_singular_end, tol
-        )
+        z0, z1 = complex(path.z_start), complex(path.z_end)
+        d = z1 - z0
+        if d == 0.0:
+            return []
+        if path.sqrt_singular_start and path.sqrt_singular_end:
+            zm = 0.5 * (z0 + z1)
+            return _pieces(Segment(z0, zm, True), 0.5 * tol) + _pieces(Segment(zm, z1, False, True), 0.5 * tol)
+        ptol = tol / max(1.0, abs(d))
+        if path.sqrt_singular_end:
+            # u^2 measured back from the end: z runs from z1 to z0, so the
+            # weight is -dz/du
+            return [(("ray", z1, -d, 2.0 * d, 0.0), 0.0, 1.0, ptol)]
+        if path.sqrt_singular_start:
+            return [(("ray", z0, d, 2.0 * d, 0.0), 0.0, 1.0, ptol)]
+        return [(("edge", z0, d, 0j, 0.0), 0.0, 1.0, ptol)]
     if isinstance(path, VerticalRay):
         if not (path.cutoff > 0.0 and math.isfinite(path.cutoff)):
             raise ValueError("cutoff must be positive and finite")
         z0 = complex(path.z_start)
         sgn = 1.0 if path.direction >= 0 else -1.0
         umax = math.sqrt(path.cutoff)
-        ptol = tol / max(1.0, umax)
-        piece = ("ray", z0, 1j * sgn, 2.0j * sgn, 0.0)
-        return [(lambda u: z0 + 1j * sgn * (u * u), lambda u: 2.0j * sgn * u, 0.0, umax, ptol, piece)]
+        return [(("ray", z0, 1j * sgn, 2.0j * sgn, 0.0), 0.0, umax, tol / max(1.0, umax))]
     if isinstance(path, TurningPointContour):
         # counterclockwise, starting below the z_left -> z_right segment
         if not (path.offset > 0.0 and math.isfinite(path.offset)):
@@ -288,36 +282,35 @@ def _pieces(path, tol: float):
         chord = c2 - c1
         u = chord / abs(chord)
         n = 1j * u
-        edge_len = abs(chord)
-        cap_len = math.pi * offset
-
-        def edge(start, d):
-            piece = ("edge", start, d, 0j, 0.0)
-            return (lambda s: start + d * s, lambda s: d, 0.0, 1.0, 0.25 * tol / max(1.0, edge_len), piece)
-
-        def cap(center, phi0):
-            return (
-                lambda s: center + offset * u * cmath.exp(1j * (phi0 + math.pi * s)),
-                lambda s: 1j * math.pi * offset * u * cmath.exp(1j * (phi0 + math.pi * s)),
-                0.0,
-                1.0,
-                0.25 * tol / max(1.0, cap_len),
-                ("cap", center, offset * u, 1j * math.pi * offset * u, phi0),
-            )
-
+        edge_tol = 0.25 * tol / max(1.0, abs(chord))
+        cap_tol = 0.25 * tol / max(1.0, math.pi * offset)
+        arm, turn = offset * u, 1j * math.pi * offset * u  # each cap's c1 and c2
         return [
-            edge(c1 - offset * n, chord),
-            cap(c2, -0.5 * math.pi),
-            edge(c2 + offset * n, -chord),
-            cap(c1, 0.5 * math.pi),
+            (("edge", c1 - offset * n, chord, 0j, 0.0), 0.0, 1.0, edge_tol),
+            (("cap", c2, arm, turn, -0.5 * math.pi), 0.0, 1.0, cap_tol),
+            (("edge", c2 + offset * n, -chord, 0j, 0.0), 0.0, 1.0, edge_tol),
+            (("cap", c1, arm, turn, 0.5 * math.pi), 0.0, 1.0, cap_tol),
         ]
     raise TypeError(f"not a path specification: {path!r}")
+
+
+def _curve(piece):
+    """(z, dz): the functions z(s) and dz(s) of a piece of ``_pieces``,
+    term for term as ``piece_at`` in ``_dopri5.c`` computes them."""
+    kind, c0, c1, c2, phi0 = piece
+    if kind == "ray":
+        return (lambda s: c0 + c1 * (s * s)), (lambda s: c2 * s)
+    if kind == "edge":
+        return (lambda s: c0 + c1 * s), (lambda s: c1)
+    arc = lambda s: cmath.exp(1j * (phi0 + math.pi * s))
+    return (lambda s: c0 + c1 * arc(s)), (lambda s: c2 * arc(s))
 
 
 def path_integral(f, path, tol: float = 1e-10) -> complex:
     """Integral of f(z) dz along a path specification."""
     total = 0.0j
-    for z, dz, s0, s1, ptol, _ in _pieces(path, tol):
+    for piece, s0, s1, ptol in _pieces(path, tol):
+        z, dz = _curve(piece)
         total += adaptive_quad(lambda s: f(z(s)) * dz(s), s0, s1, ptol)
     return total
 
@@ -329,8 +322,8 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
     The guide tabulates w at the midpoints of equal parameter cells of
     each piece and continues its sign value to value along the path.  A
     loop is seeded with the principal root at its start point, z(s0) of
-    the first piece; an open path (an escape ray) with the principal
-    root at its first guide entry.  Each piece starts with
+    the first piece; an open path (an escape ray, a segment) with the
+    principal root at its first guide entry.  Each piece starts with
     ``_GUIDE_CELLS`` cells; while two consecutive continued values (two
     in one piece, the last and first of adjacent pieces, or, on a loop,
     the seed and its neighbours) are more than about 26 degrees apart,
@@ -366,9 +359,10 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
     def apart(a, b):
         return (a * b.conjugate()).real < _GUIDE_COS * abs(a) * abs(b)
 
-    raw = [midpoints(z, s0, s1, _GUIDE_CELLS, None) for z, _, s0, s1, _, _ in pieces]
+    curves = [_curve(piece) for piece, *_ in pieces]
+    raw = [midpoints(z, s0, s1, _GUIDE_CELLS, None) for (z, _), (_, s0, s1, _) in zip(curves, pieces)]
     if closed:
-        seed = w(pieces[0][0](pieces[0][2]))
+        seed = w(curves[0][0](pieces[0][1]))
     while True:
         guide = []
         coarse = set()  # pieces with two consecutive values too far apart
@@ -388,8 +382,8 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
         if not refine:
             break
         for i in refine:
-            z, _, s0, s1, _, _ = pieces[i]
-            raw[i] = midpoints(z, s0, s1, 3 * len(raw[i]), raw[i])
+            _, s0, s1, _ = pieces[i]
+            raw[i] = midpoints(curves[i][0], s0, s1, 3 * len(raw[i]), raw[i])
     if closed and back != seed:
         raise BranchInconsistency("branch guide does not close around the contour")
     for i, values in enumerate(raw):
@@ -400,21 +394,17 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
     # each piece's (descriptor, s0, s1, tol, first guide entry, cell width)
     rows = []
     first = 0
-    for (_, _, s0, s1, ptol, piece), values in zip(pieces, raw):
+    for (piece, s0, s1, ptol), values in zip(pieces, raw):
         rows.append((piece, s0, s1, ptol, first, (s1 - s0) / len(values)))
         first += len(values)
     total = _library_integral(model, E, rows, guide)
     if total is not None:
         return total
     total = 0.0j
-    for (z, dz, *_), (_, s0, s1, ptol, first, h) in zip(pieces, rows):
+    for (z, dz), (_, s0, s1, ptol, first, h) in zip(curves, rows):
 
         def f(s):
-            r = cmath.sqrt(2.0 * (E - potential(z(s))))
-            ref = guide[first + int((s - s0) / h)]
-            if abs(-r - ref) < abs(r - ref):
-                r = -r
-            return 1.0 / r * dz(s)
+            return 1.0 / near(w(z(s)), guide[first + int((s - s0) / h)]) * dz(s)
 
         total += adaptive_quad(f, s0, s1, ptol)
     return total
@@ -514,18 +504,22 @@ def escape_time_real_form(
     This is an independent cross-check route for ``escape_time``.
     """
     E, x0, sgn = _escape_ray(model, energy, tp, cutoff, direction)
-    [(z, _, s0, umax, ptol, piece)] = _pieces(VerticalRay(x0, int(sgn), cutoff), tol)
+    [(piece, s0, umax, ptol)] = _pieces(VerticalRay(x0, int(sgn), cutoff), tol)
     total = _library_integral(model, E, [(piece, s0, umax, ptol, 0, 1.0)])
     if total is not None:
         return total.real
+    z, _ = _curve(piece)
 
     def f(u: float) -> float:
-        q = 2.0 * (model.potential(z(u)) - E)
-        if abs(q.imag) > 1e-9 * (1.0 + abs(q)):
-            raise DomainError("V - E is not real along the ray; not an escape ray")
-        if q.real <= 0.0:
-            raise DomainError("V - E is not positive along the ray; not an escape ray")
-        return 2.0 * u / math.sqrt(q.real)
+        v = model.potential(z(u))
+        q = 2.0 * (v - E)
+        real = abs(q.imag) <= 1e-9 * (1.0 + abs(q))
+        if real and q.real > 0.0:
+            return 2.0 * u / math.sqrt(q.real)
+        if abs(q) <= 8.0 * _EPS * (abs(v) + abs(E)):
+            lost = f"V - E = {0.5 * q} at u = {u!r} is lost in the rounding of V and E"
+            raise ToleranceNotMet(f"{lost}: tol {tol:.3e} is below the integrand's rounding floor")
+        raise DomainError(f"V - E is not {'positive' if real else 'real'} along the ray; not an escape ray")
 
     return adaptive_quad(f, s0, umax, ptol).real
 

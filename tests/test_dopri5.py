@@ -29,6 +29,7 @@ from complexpendulum import (
     IntegratorConfig,
     Pendulum,
     PhaseState,
+    Segment,
     Trajectory,
     TurningPointContour,
     VerticalRay,
@@ -686,6 +687,8 @@ paths = st.builds(
     st.floats(0.1, 100.0) | st.sampled_from([709.5, 720.0]),
 ) | st.builds(TurningPointContour, finite_complex, finite_complex, st.floats(0.05, 2.0)).filter(
     lambda path: path.z_left != path.z_right
+) | st.builds(Segment, finite_complex, finite_complex, st.booleans(), st.booleans()).filter(
+    lambda path: path.z_start != path.z_end
 )
 
 
@@ -734,6 +737,15 @@ def test_the_library_computes_rays_and_loops(library, model, energy, path):
     assert calls == ["computed"]
 
 
+def test_the_library_computes_the_rotation_period_over_a_segment(library):
+    """omega_rot of the pendulum at E = cosh 1: dz / w over one period
+    0 -> 2 pi of the real axis.  A segment's pieces are described like a
+    ray's and a loop's, so the library computes it."""
+    got, calls = assert_integral_matches_python(branch_integral(Pendulum(g=1.0), COSH1, Segment(0.0, 2.0 * math.pi)))
+    assert got == ((3.9507288645777314).hex(), (0.0).hex())
+    assert calls == ["computed"]
+
+
 # integrals that adaptive_quad stops with ToleranceNotMet
 QUADRATURE_STOPS = {
     # a tolerance no panel reaches: the 4000 panels are spent
@@ -760,7 +772,8 @@ def test_sign_choice_ties_take_the_hypots(library):
     which the library settles with the two hypots as Python does: no
     root is turned.  The reference is ``_branch_integral``'s integrand."""
     model, energy = Harmonic(), 0.5 + 0j
-    [(z, dz, s0, s1, tol, piece)] = quadrature._pieces(VerticalRay(2.0, 1, 1.0), 1e-10)
+    [(piece, s0, s1, tol)] = quadrature._pieces(VerticalRay(2.0, 1, 1.0), 1e-10)
+    z, dz = quadrature._curve(piece)
     guide, h = [0j] * 9, (s1 - s0) / 8
 
     def f(s):
@@ -825,6 +838,19 @@ def test_real_form_values_match_python(library, family):
         assert got[0].startswith("0x") and calls == ["computed"]
 
 
+@pytest.mark.parametrize("tol", [1e-14, 1e-16])
+def test_real_form_tolerances_below_the_rounding_floor(library, tol):
+    """On a genuine escape ray, a tol this tight asks for a node so near
+    the root that V - E is lost in the rounding of V and E: both paths
+    raise ToleranceNotMet there, not DomainError."""
+    model = Pendulum(g=1.0)
+    got, calls = assert_integral_matches_python(lambda: escape_time_real_form(model, COSH1, math.pi + 1j, tol=tol))
+    assert got.startswith("ToleranceNotMet: V - E = ")
+    assert got.endswith(f"lost in the rounding of V and E: tol {tol:.3e} is below the integrand's rounding floor")
+    assert calls == ["handed_back"]
+    assert escape_time_real_form(model, COSH1, math.pi + 1j, tol=1e-12) == 1.97536443228845
+
+
 def test_real_form_domain_failures_are_handed_back(library):
     # off the escape ray V - E is complex: Python raises DomainError
     got, calls = assert_integral_matches_python(real_form(Pendulum(g=1.0), complex(math.pi + 0.2, 1.0), 60.0, None))
@@ -838,7 +864,7 @@ def test_subclass_integrands_have_no_compiled_sums(library):
     class Subclass(ImaginaryCubic):
         pass
 
-    [(_, _, s0, s1, tol, piece)] = quadrature._pieces(VerticalRay(1j), 1e-10)
+    [(piece, s0, s1, tol)] = quadrature._pieces(VerticalRay(1j), 1e-10)
     rows = [(piece, s0, s1, tol, 0, 1.0)]
     assert _dopri5.integral(Subclass(), 1.0, rows, quadrature._NODES, 4000) is None
     assert _dopri5.integral(ImaginaryCubic(), 1.0, rows, quadrature._NODES, 4000)[1] is None

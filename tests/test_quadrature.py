@@ -12,6 +12,8 @@ import math
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexpendulum import quadrature
 from complexpendulum import (
@@ -126,6 +128,15 @@ class TestPathIntegral:
             lambda z: 1.0 / cmath.sqrt(z), Segment(0j, 1 + 0j, sqrt_singular_start=True)
         )
         assert abs(got - 2.0) < 1e-12
+
+    def test_declared_sqrt_singularity_at_the_end(self):
+        got = path_integral(lambda z: 1.0 / cmath.sqrt(1.0 - z), Segment(0j, 1 + 0j, sqrt_singular_end=True))
+        assert abs(got - 2.0) < 1e-12
+
+    def test_declared_sqrt_singularities_at_both_ends(self):
+        # split at the midpoint, each half substituted from its singular end
+        got = path_integral(lambda z: 1.0 / cmath.sqrt(1.0 - z * z), Segment(-1 + 0j, 1 + 0j, True, True))
+        assert abs(got - PI) < 1e-12
 
     def test_vertical_ray_geometry(self):
         # integrating 1 along the ray measures its (directed) length
@@ -270,6 +281,27 @@ class TestPeriodContour:
     def test_non_finite_offset(self, offset):
         with pytest.raises(ValueError, match="offset must be positive and finite"):
             period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), offset)
+
+
+class TestExactSymmetries:
+    """Metamorphic checks built on exact symmetries of the models."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.floats(0.25, 4.0))
+    def test_cubic_i_period_scales_as_the_inverse_square_root(self, lam):
+        # x -> lam x takes V = i x^3 to lam^3 V, so E -> lam^3 E and
+        # T -> T / sqrt(lam), with the contour scaled along
+        c = math.sqrt(3.0) / 2.0
+        pair = (-c - 0.5j, c - 0.5j)
+        period = period_contour(ImaginaryCubic(), 1.0, pair, offset=0.3)
+        scaled = period_contour(ImaginaryCubic(), lam**3, (lam * pair[0], lam * pair[1]), offset=lam * 0.3)
+        assert scaled * math.sqrt(lam) == pytest.approx(period, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=7, deadline=None, derandomize=True)
+    @given(st.integers(-3, 3))
+    def test_pendulum_escape_time_is_two_pi_periodic(self, k):
+        want = escape_time(Pendulum(g=1.0), COSH1, PI + 1j)
+        assert escape_time(Pendulum(g=1.0), COSH1, PI + 1j + 2.0 * PI * k) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBranchGuide:

@@ -1,12 +1,20 @@
-"""The compiled quadrature under AddressSanitizer and UBSan.
+"""The compiled library under AddressSanitizer and UBSan.
 
-``quad_integral`` in ``_dopri5.c`` keeps each integral's panels on a heap
-of its own.  This test builds the library with
-``-fsanitize=address,undefined`` into a temporary directory and replays
-the quadrature corpus in a fresh interpreter with the ASan runtime
-preloaded, together with an integral that spends its whole panel budget
-and one that stops at the resolution limit.  A bad heap access or
-undefined behaviour aborts the replay.  The test is skipped where the
+This test builds the library with ``-fsanitize=address,undefined`` into a
+temporary directory and replays, in a fresh interpreter with the ASan
+runtime preloaded:
+
+- the 14 bundled scenarios through ``run_scenario``, each output file
+  checked against ``test_golden_outputs.GOLDEN``, which runs every entry
+  point: ``dopri5_steps``, ``dopri5_advance``, ``energy_rows``,
+  ``csv_rows`` and ``quad_integral``, each reading the model record;
+- the quadrature corpus;
+- an integral that spends its whole panel budget and one that stops at
+  the resolution limit, which ``quad_integral``'s heap of panels serves.
+
+A bad memory access, a record laid out otherwise in Python and in C, or
+undefined behaviour fails the replay.  The interpreter allocates with
+the system ``malloc``, so ASan also catches a read past a ctypes record.  The test is skipped where the
 compiler or the ASan runtime is missing.
 """
 import os
@@ -22,17 +30,25 @@ from complexpendulum import _dopri5
 TESTS = Path(__file__).resolve().parent
 
 REPLAY = """
-import math, sys
+import hashlib, math, sys
 from pathlib import Path
 
 sys.path.insert(0, sys.argv[2])
 from complexpendulum import Harmonic, Pendulum, VerticalRay, _dopri5, escape_time, quadrature
+from complexpendulum.cli import run_scenario
 
 _dopri5._CACHE = Path(sys.argv[1])
 _dopri5._FLAGS = (*_dopri5._FLAGS, "-fsanitize=address,undefined", "-fno-omit-frame-pointer")
 assert _dopri5._library() is not None, "the sanitized library did not build"
 
+import test_golden_outputs
 import test_quadrature_corpus
+
+out = Path(sys.argv[1]) / "out"
+for scenario in test_golden_outputs.SCENARIOS:
+    assert run_scenario(scenario, out=out / scenario, quiet=True) == 0, scenario
+got = {f"{f.parent.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest() for f in out.glob("*/*")}
+assert got == test_golden_outputs.GOLDEN, sorted(k for k in got if got[k] != test_golden_outputs.GOLDEN.get(k))
 
 assert test_quadrature_corpus._mismatches() == []
 
@@ -74,6 +90,9 @@ def test_quadrature_runs_clean_under_asan(tmp_path):
         "ASAN_OPTIONS": "detect_leaks=0",
         "UBSAN_OPTIONS": "halt_on_error=1:print_stacktrace=1",
         "PYTHONPATH": str(TESTS),
+        # the system allocator, not pymalloc's arenas, so that ASan sees
+        # each ctypes record and array as an allocation of its own
+        "PYTHONMALLOC": "malloc",
     }
     src = str(Path(_dopri5.__file__).resolve().parents[1])
     proc = subprocess.run(
