@@ -69,11 +69,11 @@ typedef struct {
     double rel_tol, abs_tol, max_step, min_step, max_steps;
 } Run;
 
-/* The loop's state between calls: the current point and the field there,
- * the controller's memory and the index of the next stop. */
+/* The loop's state between calls: the current point and dp/dt there (dx/dt
+ * is p itself), the controller's memory and the index of the next stop. */
 typedef struct {
     double t;
-    cplx x, p, kx, kp;
+    cplx x, p, kp;
     double h_mag, facold, accepted;
     long i;
     int status;
@@ -172,13 +172,14 @@ static inline double ratio(const Run *run, double e, double old, double new)
 
 /* Steps from st until the run stops or cap rows are written.  Row n holds
  * the accepted state: t in ts[n], x in zs[n] and p in zs[cap + n].  The
- * field there stays in st for the next step.  Returns the number of rows;
- * the reason for returning is left in st->status. */
+ * field there stays in st for the next step.  Each stage's x-slope is that
+ * stage's p, so the Python loop's k1x and k7x are p and p1 here.  Returns
+ * the number of rows; the reason for returning is left in st->status. */
 int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
 {
     const double dir = run->direction;
     const double *stops = run->stops;
-    cplx x = st->x, p = st->p, k1x = st->kx, k1p = st->kp;
+    cplx x = st->x, p = st->p, k1p = st->kp;
     double t = st->t;
     int n = 0;
 
@@ -203,46 +204,45 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
             h = 0.5 * remaining;
         }
 
-        cplx k2x, k2p, k3x, k3p, k4x, k4p, k5x, k5p, k6x, k6p, k7x, k7p, xs;
+        cplx k2x, k2p, k3x, k3p, k4x, k4p, k5x, k5p, k6x, k6p, k7p, xs;
         k2x = add(p, scale(h, scale(A21, k1p)));
-        xs = add(x, scale(h, scale(A21, k1x)));
+        xs = add(x, scale(h, scale(A21, p)));
         if (!is_finite(k2x) || !force(run->model, t + C2 * h, xs, &k2p))
             goto hand_back;
         k3x = add(p, scale(h, add(scale(A31, k1p), scale(A32, k2p))));
-        xs = add(x, scale(h, add(scale(A31, k1x), scale(A32, k2x))));
+        xs = add(x, scale(h, add(scale(A31, p), scale(A32, k2x))));
         if (!is_finite(k3x) || !force(run->model, t + C3 * h, xs, &k3p))
             goto hand_back;
         k4x = add(p, scale(h, add(add(scale(A41, k1p), scale(A42, k2p)), scale(A43, k3p))));
-        xs = add(x, scale(h, add(add(scale(A41, k1x), scale(A42, k2x)), scale(A43, k3x))));
+        xs = add(x, scale(h, add(add(scale(A41, p), scale(A42, k2x)), scale(A43, k3x))));
         if (!is_finite(k4x) || !force(run->model, t + C4 * h, xs, &k4p))
             goto hand_back;
         k5x = add(p, scale(h, add(add(add(scale(A51, k1p), scale(A52, k2p)), scale(A53, k3p)),
                                   scale(A54, k4p))));
-        xs = add(x, scale(h, add(add(add(scale(A51, k1x), scale(A52, k2x)), scale(A53, k3x)),
+        xs = add(x, scale(h, add(add(add(scale(A51, p), scale(A52, k2x)), scale(A53, k3x)),
                                  scale(A54, k4x))));
         if (!is_finite(k5x) || !force(run->model, t + C5 * h, xs, &k5p))
             goto hand_back;
         k6x = add(p, scale(h, add(add(add(add(scale(A61, k1p), scale(A62, k2p)), scale(A63, k3p)),
                                       scale(A64, k4p)),
                                   scale(A65, k5p))));
-        xs = add(x, scale(h, add(add(add(add(scale(A61, k1x), scale(A62, k2x)), scale(A63, k3x)),
+        xs = add(x, scale(h, add(add(add(add(scale(A61, p), scale(A62, k2x)), scale(A63, k3x)),
                                      scale(A64, k4x)),
                                  scale(A65, k5x))));
         if (!is_finite(k6x) || !force(run->model, t + h, xs, &k6p))
             goto hand_back;
-        cplx x1 = add(x, scale(h, add(add(add(add(scale(B1, k1x), scale(B3, k3x)), scale(B4, k4x)),
+        cplx x1 = add(x, scale(h, add(add(add(add(scale(B1, p), scale(B3, k3x)), scale(B4, k4x)),
                                           scale(B5, k5x)),
                                       scale(B6, k6x))));
         cplx p1 = add(p, scale(h, add(add(add(add(scale(B1, k1p), scale(B3, k3p)), scale(B4, k4p)),
                                           scale(B5, k5p)),
                                       scale(B6, k6p))));
-        k7x = p1;
         if (!is_finite(x1) || !is_finite(p1) || !force(run->model, t + h, x1, &k7p))
             goto hand_back;
-        cplx ex = scale(h, add(add(add(add(add(scale(E1, k1x), scale(E3, k3x)), scale(E4, k4x)),
+        cplx ex = scale(h, add(add(add(add(add(scale(E1, p), scale(E3, k3x)), scale(E4, k4x)),
                                        scale(E5, k5x)),
                                    scale(E6, k6x)),
-                               scale(E7, k7x)));
+                               scale(E7, p1)));
         cplx ep = scale(h, add(add(add(add(add(scale(E1, k1p), scale(E3, k3p)), scale(E4, k4p)),
                                        scale(E5, k5p)),
                                    scale(E6, k6p)),
@@ -270,7 +270,6 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
         t = landed ? stops[st->i] : t + h;
         x = x1;
         p = p1;
-        k1x = k7x;
         k1p = k7p;
         ts[n] = t;
         zs[n] = x;
@@ -302,7 +301,6 @@ out:
     st->t = t;
     st->x = x;
     st->p = p;
-    st->kx = k1x;
     st->kp = k1p;
     return n;
 }
@@ -334,23 +332,23 @@ static int scaled_norm(const Run *run, cplx x, cplx p, cplx xref, cplx pref, dou
     return isfinite(*norm);
 }
 
-/* integrator._initial_step from (t, x, p) with field (k1x, k1p) there;
+/* integrator._initial_step from (t, x, p) with field (p, k1p) there;
  * 0 where Python would raise or a value is not finite */
-static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1x, cplx k1p, double *h_mag)
+static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1p, double *h_mag)
 {
     const double dir = run->direction;
     volatile double fifth = 0.2;
     double d0, d1, d2, h1;
     cplx k2p;
-    if (!scaled_norm(run, x, p, x, p, &d0) || !scaled_norm(run, k1x, k1p, x, p, &d1))
+    if (!scaled_norm(run, x, p, x, p, &d0) || !scaled_norm(run, p, k1p, x, p, &d1))
         return 0;
     double h0 = d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1;
     h0 = run->max_step < h0 ? run->max_step : h0;
-    cplx xe = add(x, scale(h0 * dir, k1x));
+    cplx xe = add(x, scale(h0 * dir, p));
     cplx pe = add(p, scale(h0 * dir, k1p));
     /* the field there is (pe, k2p); h0 == 0 divides by zero in Python */
     if (h0 == 0.0 || !force(run->model, t + h0 * dir, xe, &k2p) ||
-        !scaled_norm(run, sub(pe, k1x), sub(k2p, k1p), x, p, &d2))
+        !scaled_norm(run, sub(pe, p), sub(k2p, k1p), x, p, &d2))
         return 0;
     d2 = d2 / h0;
     double dm = d2 > d1 ? d2 : d1;
@@ -366,11 +364,11 @@ static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1x, cplx
 
 /* integrator._advance in one call: the event-free run from (t, x, p),
  * given in xp[0..3], landing exactly on t_target, from _initial_step to
- * the landing, with max_steps unbounded.  On success, xp[0..7] holds the
- * landed x and p and the field (kx, kp) there, and 1 is returned.  It
- * returns 0, and Python redoes the whole call, where the run cannot be
- * mirrored: a step handed back, a non-finite value, a ** that would
- * raise, or a run that does not land (Python raises there). */
+ * the landing, with max_steps unbounded.  On success, xp[0..5] holds the
+ * landed x and p and dp/dt there, and 1 is returned.  It returns 0, and
+ * Python redoes the whole call, where the run cannot be mirrored: a step
+ * handed back, a non-finite value, a ** that would raise, or a run that
+ * does not land (Python raises there). */
 int dopri5_advance(const Model *model, double t, double t_target, const double polish[4], double *xp)
 {
     const double dir = t_target > t ? 1.0 : -1.0;
@@ -380,9 +378,9 @@ int dopri5_advance(const Model *model, double t, double t_target, const double p
     enum { ROWS = 64 };  /* the rows are not read: st holds the last one */
     double h_mag, ts[ROWS];
     cplx zs[2 * ROWS];
-    if (!force(model, t, x, &kp) || !initial_step(&run, t, x, p, p, kp, &h_mag))
+    if (!force(model, t, x, &kp) || !initial_step(&run, t, x, p, kp, &h_mag))
         return 0;
-    State st = {t, x, p, p, kp, h_mag, 1e-4, 0.0, 0, DOPRI5_FULL};
+    State st = {t, x, p, kp, h_mag, 1e-4, 0.0, 0, DOPRI5_FULL};
     do
         dopri5_steps(&run, &st, ts, zs, ROWS);
     while (st.status == DOPRI5_FULL);
@@ -392,8 +390,8 @@ int dopri5_advance(const Model *model, double t, double t_target, const double p
      * model tells from the field at t_target */
     if (model->kind == DRIVEN_PENDULUM && !force(model, t_target, st.x, &st.kp))
         return 0;
-    const cplx landed[4] = {st.x, st.p, st.kx, st.kp};
-    for (int k = 0; k < 4; k++) {
+    const cplx landed[3] = {st.x, st.p, st.kp};
+    for (int k = 0; k < 3; k++) {
         xp[2 * k] = landed[k].re;
         xp[2 * k + 1] = landed[k].im;
     }

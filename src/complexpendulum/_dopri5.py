@@ -22,6 +22,9 @@ one description in ``quadrature._pieces``, (kind, c0, c1, c2, phi0).
 What the library cannot mirror goes back to Python: a run from the first
 step the kernel cannot take, a landing run or an integral whole, and the
 energy rows from the first it cannot compute.
+The kernel keeps only dp/dt of the field: for these models dx/dt is p
+itself, so ``steps`` hands back, and ``advance`` returns, the field as
+(p, kp).
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_formatter``
 where floats print in the 'short' repr style: each value is the shortest
@@ -109,8 +112,6 @@ class _State(ctypes.Structure):
         ("xi", _c_double),
         ("pr", _c_double),
         ("pi", _c_double),
-        ("kxr", _c_double),
-        ("kxi", _c_double),
         ("kpr", _c_double),
         ("kpi", _c_double),
         ("h_mag", _c_double),
@@ -197,17 +198,17 @@ def model_params(field):
     return _Model(kind, g.real, g.imag, neg_g.real, neg_g.imag, epsilon, omega)
 
 
-def steps(record, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
+def steps(record, t, x, p, kp, h_mag, facold, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
     """The compiled loop as a generator: yields the accepted steps in
     blocks of up to ``_ROWS`` like ``integrator._dopri``, (t, z) with z's
     rows x and p, each block in buffers of its own, and returns its stop
     reason, or, when a step has to be redone in Python, the state
-    (t, x, p, kx, kp, h_mag, facold, accepted, i) at the start of that
-    step, (kx, kp) being the field there."""
+    (t, x, p, kp, h_mag, facold, accepted, i) at the start of that step,
+    (p, kp) being the field there: dx/dt is p itself."""
     kernel = _library().dopri5_steps
     c_stops = (_c_double * len(stops))(*stops)
     run = _Run(ctypes.pointer(record), c_stops, stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
-    state = _State(t, x.real, x.imag, p.real, p.imag, kx.real, kx.imag, kp.real, kp.imag, h_mag, facold, 0.0, 0, 0)
+    state = _State(t, x.real, x.imag, p.real, p.imag, kp.real, kp.imag, h_mag, facold, 0.0, 0, 0)
     run_ref, state_ref = ctypes.byref(run), ctypes.byref(state)
     while True:
         ts = np.empty(_ROWS)
@@ -222,7 +223,6 @@ def steps(record, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
             state.t,
             complex(state.xr, state.xi),
             complex(state.pr, state.pi),
-            complex(state.kxr, state.kxi),
             complex(state.kpr, state.kpi),
             state.h_mag,
             state.facold,
@@ -235,13 +235,14 @@ def steps(record, t, x, p, kx, kp, h_mag, facold, stops, direction, rel_tol, abs
 def advance(record, t, x, p, t_target, polish):
     """``integrator._advance``'s run from (t, x, p) to t_target under the
     polish record (rel_tol, abs_tol, max_step, min_step), in one call:
-    (x, p, (kx, kp)) at t_target, the field there included, bit for bit
+    (x, p, (p, kp)) at t_target, the field there included, bit for bit
     as the Python path computes them; None when the library cannot
     mirror the run, which Python then redoes whole."""
-    state = (_c_double * 8)(x.real, x.imag, p.real, p.imag)
+    state = (_c_double * 6)(x.real, x.imag, p.real, p.imag)
     if not _library().dopri5_advance(record, t, t_target, (_c_double * 4)(*polish), state):
         return None
-    return complex(state[0], state[1]), complex(state[2], state[3]), (complex(state[4], state[5]), complex(state[6], state[7]))
+    p = complex(state[2], state[3])
+    return complex(state[0], state[1]), p, (p, complex(state[4], state[5]))
 
 
 def energy_columns(model, x, p):

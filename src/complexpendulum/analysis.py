@@ -73,6 +73,7 @@ class EllipseFit:
 # (rel_tol, abs_tol, max_step, min_step) of the re-integrations that
 # refine a return, tighter than the integrator's defaults
 _CLOSURE_POLISH = (1e-12, 1e-14, 0.25, 1e-13)
+_PT_POINTS = 800  # most sample times verify_pt_symmetry compares
 
 
 def _windings(xs: np.ndarray) -> int:
@@ -129,27 +130,23 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
     return ClosureReport(False, None, best, None)
 
 
-def verify_pt_symmetry(
-    model,
-    traj: Trajectory,
-    *,
-    config: IntegratorConfig | None = None,
-    max_points: int = 800,
-) -> SymmetryReport:
+def verify_pt_symmetry(traj: Trajectory, *, config: IntegratorConfig | None = None) -> SymmetryReport:
     """Check the trajectory against its PT image by backward integration.
 
-    The PT operation maps a solution x(t) to M(x(-t)) with M the model's
-    spatial reflection and momenta conjugated.  Starting a fresh run at
-    (M(x0), conj(p0)) and integrating backward while landing exactly on
-    the mirrored sample times makes the comparison pointwise:
+    The PT operation maps a solution x(t) to M(x(-t)) with M the spatial
+    reflection of the trajectory's model and momenta conjugated.  Starting
+    a fresh run at (M(x0), conj(p0)) and integrating backward while
+    landing exactly on the mirrored sample times makes the comparison
+    pointwise:
 
         deviation(t) = max(|X(-t) - M(x(t))|, |P(-t) - conj(p(t))|)
 
-    The report carries the maximum over up to ``max_points`` sample
+    The report carries the maximum over up to ``_PT_POINTS`` sample
     times; judging it against a tolerance is left to the caller.
     """
+    model = traj.model
     if model is None:
-        raise ValueError("a model is required")
+        raise ValueError("trajectory carries no model")
     if not model.autonomous:
         raise ValueError("PT verification applies to autonomous models")
     n = len(traj)
@@ -165,7 +162,7 @@ def verify_pt_symmetry(
     x0 = model.pt_reflection(traj.x[0].item())
     p0 = traj.p[0].item().conjugate()
 
-    idx = np.linspace(1, n - 1, min(max_points, n - 1)).astype(int)
+    idx = np.linspace(1, n - 1, min(_PT_POINTS, n - 1)).astype(int)
     tau = traj.t[idx] - t0
     back = integrate(
         model,
@@ -280,8 +277,8 @@ def fit_ellipse(traj: Trajectory) -> EllipseFit:
 
 
 def cell_escape_summary(traj: Trajectory) -> list[tuple[float, int, int]]:
-    """Compress cell_history to its transitions, computing each sample's
-    cell once.
+    """The moves of x between 2*pi cells, computing each sample's cell
+    once.
 
     Each entry is (t, from_cell, to_cell) with t the first sample time
     in the new cell; an empty list means the trajectory never left its

@@ -50,7 +50,7 @@ from . import _dopri5
 from .analysis import cell_escape_summary, detect_closure, fit_ellipse, verify_pt_symmetry
 from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate
 from .models import DrivenPendulum, HamiltonianModel, Harmonic, ImaginaryCubic, PhaseState, Pendulum, cell_index
-from .quadrature import _real_period, contour_integral, elliptic_K, escape_time, escape_time_real_form, period_contour
+from .quadrature import _real_part, contour_integral, elliptic_K, escape_time, escape_time_real_form, period_contour
 from .turning import refine_root, turning_points
 
 __all__ = [
@@ -208,12 +208,6 @@ def _as_path(value) -> Path:
     return Path(value)
 
 
-def _as_csv(value) -> str:
-    if value != "csv":
-        raise ValueError(f"only 'csv' is supported, got {value!r}")
-    return value
-
-
 def _tp_spec(value) -> int | complex:
     """A turning point: its index in the window's sorted roots, or a
     complex seed that is polished onto a root."""
@@ -349,7 +343,6 @@ _KEY_TABLE = (
     _Key("period", "offset", _positive_finite, 0.5),
     _Key("period", "tol", _positive_finite),
     _Key("output", "directory", _as_path),
-    _Key("output", "format", _as_csv, "csv"),
     _Key("output", "--out", _as_path, field="directory"),
 )
 
@@ -486,7 +479,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError("key 'config': the document must be a mapping")
     fields = _read("", raw, "", overrides or {})
-    blocks = {name: fields.pop(name) for name, a in _ANALYSIS_TABLE.items() if a.block}
+    blocks = {name: fields.pop(name) for name, a in _ANALYSIS_TABLE.items() if a.per_scenario}
     output = fields.pop("output")
     scn = Scenario(**fields, blocks=blocks, out_dir=output.get("directory", Path("out") / fields["name"]))
 
@@ -494,7 +487,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         analysis = _ANALYSIS_TABLE[name]
         if analysis.autonomous and not scn.model.autonomous:
             raise ConfigError(f"key 'analyses': '{name}' needs an autonomous model")
-        if analysis.block and scn.blocks[name] is None:
+        if analysis.per_scenario and scn.blocks[name] is None:
             raise ConfigError(f"missing key '{name}': requested by analyses")
     # a block, a branch start and a turning-point start all solve V(x) = E
     needs_energy = any(b is not None for b in scn.blocks.values()) or any("p" not in s for s in scn.starts)
@@ -552,16 +545,16 @@ def _starting_states(scn: Scenario) -> tuple[list | None, list[PhaseState]]:
     return roots, states
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory, model: HamiltonianModel) -> None:
+def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Write one row per sample: t, x, p and H = p^2/2 + V(x) as the
     repr of each real part (round-trip exact; never needs CSV quoting),
-    plus the 2*pi cell index of x for driven runs.
+    plus the 2*pi cell index of x for runs of a driven model.
 
-    ``model`` is the trajectory's; the energy column is the trajectory's
-    ``energy``, shared with ``energy_drift``.  The compiled library
-    formats the rows from the columns (``_dopri5.csv_formatter``).
-    Where it cannot, ``_write_rows_in_python`` writes the same bytes."""
-    driven = not model.autonomous
+    The energy column is the trajectory's ``energy``, shared with
+    ``energy_drift``.  The compiled library formats the rows from the
+    columns (``_dopri5.csv_formatter``).  Where it cannot,
+    ``_write_rows_in_python`` writes the same bytes."""
+    driven = not traj.model.autonomous
     header = "t,re_x,im_x,re_p,im_p,re_E,im_E,cell\n" if driven else "t,re_x,im_x,re_p,im_p,re_E,im_E\n"
     columns = traj.t, traj.x, traj.p, traj.energy
     rows = _dopri5.csv_formatter()
@@ -598,7 +591,7 @@ def _closure(entry: dict, scn: Scenario, traj: Trajectory) -> None:
 
 
 def _pt(entry: dict, scn: Scenario, traj: Trajectory) -> None:
-    rep = verify_pt_symmetry(scn.model, traj, config=scn.config)
+    rep = verify_pt_symmetry(traj, config=scn.config)
     entry.update(map_kind=rep.map_kind, max_deviation=rep.max_deviation, compared_points=rep.compared_points)
 
 
@@ -641,18 +634,17 @@ def _period(entry: dict, scn: Scenario, roots) -> None:
     entry["offset"] = block["offset"]
     raw = contour_integral(scn.model, scn.energy, pair, **{k: block[k] for k in ("offset", "tol") if k in block})
     entry["imag_residual"] = abs(raw.imag)
-    entry["value"] = _real_period(raw)
+    entry["value"] = _real_part(raw, "period")
 
 
 @dataclass(frozen=True)
 class _Analysis:
-    """One analysis: its shaper, whether it needs an autonomous model or
-    the config block of its name, and whether it runs once per scenario
-    (into ``quadrature``) rather than per trajectory."""
+    """One analysis: its shaper, whether it needs an autonomous model, and
+    whether it runs once per scenario (into ``quadrature``), reading the
+    config block of its name, rather than per trajectory."""
 
     shape: Callable[[dict, Scenario, object], None]
     autonomous: bool = False
-    block: bool = False
     per_scenario: bool = False
 
 
@@ -661,8 +653,8 @@ _ANALYSIS_TABLE = {
     "pt": _Analysis(_pt, autonomous=True),
     "ellipse": _Analysis(_ellipse),
     "cells": _Analysis(_cells),
-    "escape_time": _Analysis(_escape_time, block=True, per_scenario=True),
-    "period": _Analysis(_period, block=True, per_scenario=True),
+    "escape_time": _Analysis(_escape_time, per_scenario=True),
+    "period": _Analysis(_period, per_scenario=True),
 }
 
 
@@ -725,7 +717,7 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> in
             except Exception as exc:
                 records.append(_trajectory_record(scn, i, state, None, f"{type(exc).__name__}: {exc}", None))
                 continue
-            _write_trajectory_csv(scn.out_dir / fname, traj, scn.model)
+            _write_trajectory_csv(scn.out_dir / fname, traj)
             records.append(_trajectory_record(scn, i, state, traj, None, fname))
             if not quiet:
                 bits = [f"{fname}: {traj.classification}"]

@@ -88,7 +88,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _dopri5
-from .models import HamiltonianModel, PhaseState, cell_indices
+from .models import HamiltonianModel, PhaseState
 
 __all__ = [
     "CLOSED",
@@ -229,8 +229,6 @@ class Trajectory:
     (complex128), ordered along the direction of integration and starting
     at the initial state; ``len(traj)`` counts them.  ``samples`` is the
     same data as a list of ``PhaseState``, built at first use and cached.
-    A trajectory can also be made from such a list,
-    ``Trajectory(samples=[...], classification=...)``.
 
     period is set exactly when classification == "closed", escape_time
     exactly when classification == "escaped"; termination names the event
@@ -240,22 +238,15 @@ class Trajectory:
 
     def __init__(
         self,
-        samples=None,
+        t,
+        x,
+        p,
         classification: str = "",
         period: float | None = None,
         escape_time: float | None = None,
         termination: str = "",
         model: HamiltonianModel | None = None,
-        *,
-        t=None,
-        x=None,
-        p=None,
     ) -> None:
-        if samples is not None:
-            samples = list(samples)
-            t = [s.t for s in samples]
-            x = [s.x for s in samples]
-            p = [s.p for s in samples]
         self.t = np.asarray(t, dtype=float)
         self.x = np.asarray(x, dtype=complex)
         self.p = np.asarray(p, dtype=complex)
@@ -273,11 +264,6 @@ class Trajectory:
         """The samples as ``PhaseState``s of Python floats and complexes."""
         return list(map(PhaseState, self.x.tolist(), self.p.tolist(), self.t.tolist()))
 
-    @property
-    def cell_history(self) -> list[tuple[float, int]]:
-        """(t, cell_index(x)) for every sample."""
-        return list(zip(self.t.tolist(), map(int, cell_indices(self.x).tolist())))
-
     @functools.cached_property
     def _energy_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """V(x), H = p^2/2 + V(x) and ``energy_drift``'s local scale
@@ -287,8 +273,7 @@ class Trajectory:
         if self.model is None:
             raise ValueError("trajectory carries no model")
         v, h, scale, k = _dopri5.energy_columns(self.model, self.x, self.p)
-        potential = self.model.potential
-        rest = [potential(x, t) for t, x in zip(self.t[k:].tolist(), self.x[k:].tolist())]
+        rest = list(map(self.model.potential, self.x[k:].tolist()))
         v[k:] = rest
         # complex products stay in Python: numpy's may round differently
         h[k:] = [0.5 * p * p + vk for p, vk in zip(self.p[k:].tolist(), rest)]
@@ -435,13 +420,15 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     record = _dopri5.model_params(field)
     if record is not None:
         stop = yield from _dopri5.steps(
-            record, t, x, p, k1x, k1p, h_mag, facold, stops, direction,
+            record, t, x, p, k1p, h_mag, facold, stops, direction,
             rel_tol, abs_tol, max_step, min_step, max_steps,
         )
         if isinstance(stop, str):
             return stop
-        # the kernel handed back: the loop below redoes the next step
-        t, x, p, k1x, k1p, h_mag, facold, accepted, i = stop
+        # the kernel handed back: the loop below redoes the next step; a
+        # built-in model's field returns p itself as dx/dt
+        t, x, p, k1p, h_mag, facold, accepted, i = stop
+        k1x = p
     while (t_end - t) * direction > 0.0:
         if accepted >= max_steps:
             stop = "max_steps"

@@ -14,7 +14,9 @@ kinds).  Four families are provided:
 * ``DrivenPendulum``:   pendulum plus the force eps * sin(omega * t)
 
 Complex trigonometric values come from ``cmath``.  Models are frozen
-dataclasses; all methods are pure functions of their arguments.
+dataclasses; all methods are pure functions of their arguments.  The
+potential is a function of x alone: the drive enters only through
+``drive_force``.
 """
 from __future__ import annotations
 
@@ -64,16 +66,15 @@ class HamiltonianModel:
     """Base class of the model families.
 
     Concrete kinds supply ``potential`` and ``gradient``; everything else
-    (energy, vector field, momentum reconstruction) is shared.  ``kind``
-    is a stable string tag used by configuration files.
+    (energy, the vector field ``field``, momentum reconstruction) is
+    shared.  ``kind`` is a stable string tag used by configuration files.
     """
 
     kind: str = ""
     autonomous: bool = True
 
-    def potential(self, x: complex, t: float = 0.0) -> complex:
-        """V(x).  The t argument is accepted for interface uniformity but
-        unused: driving enters as a force, never as a potential term."""
+    def potential(self, x: complex) -> complex:
+        """V(x)."""
         raise NotImplementedError
 
     def gradient(self, x: complex) -> complex:
@@ -88,17 +89,13 @@ class HamiltonianModel:
         """Right-hand side (dx/dt, dp/dt) at time t."""
         return p, -self.gradient(x) + self.drive_force(t)
 
-    def vector_field(self, state: PhaseState) -> tuple[complex, complex]:
-        """Right-hand side evaluated at a phase-space point."""
-        return self.field(state.t, state.x, state.p)
-
     def energy(self, state: PhaseState) -> complex:
         """H = p^2/2 + V(x).
 
         Conserved along trajectories of the autonomous kinds; for the
         driven kind this is the instantaneous undriven energy and drifts.
         """
-        return 0.5 * state.p * state.p + self.potential(state.x, state.t)
+        return 0.5 * state.p * state.p + self.potential(state.x)
 
     def momentum_from_energy(self, x: complex, energy: complex, branch: int = 1) -> complex:
         """Invert the energy relation: p = branch * sqrt(2 (E - V(x))).
@@ -132,7 +129,7 @@ class Pendulum(HamiltonianModel):
 
     kind = "pendulum"
 
-    def potential(self, x: complex, t: float = 0.0) -> complex:
+    def potential(self, x: complex) -> complex:
         return -self.g * cmath.cos(x)
 
     def gradient(self, x: complex) -> complex:
@@ -158,7 +155,7 @@ class Harmonic(HamiltonianModel):
 
     kind = "harmonic"
 
-    def potential(self, x: complex, t: float = 0.0) -> complex:
+    def potential(self, x: complex) -> complex:
         return 0.5 * x * x
 
     def gradient(self, x: complex) -> complex:
@@ -171,7 +168,7 @@ class ImaginaryCubic(HamiltonianModel):
 
     kind = "cubic-i"
 
-    def potential(self, x: complex, t: float = 0.0) -> complex:
+    def potential(self, x: complex) -> complex:
         return 1j * x * x * x
 
     def gradient(self, x: complex) -> complex:

@@ -26,8 +26,9 @@ picks signs only, so the nodes and every returned bit do not depend on
 its density.  The seed fixes the sign of a raw integral: a loop is
 seeded at its start point, an escape ray at its first guide entry;
 escape times and periods take the absolute value.  A loop that fails to
-return to the seed value raises ``BranchInconsistency``, as does a
-period integral with a non-negligible imaginary part.
+return to the seed value raises ``BranchInconsistency``, as does an
+escape or period integral whose imaginary part is not negligible next to
+the integral itself.
 
 For the four built-in models, each integral of the branch integrand on
 any path, and of ``escape_time_real_form``'s, is one call of the
@@ -117,6 +118,10 @@ class VerticalRay:
     direction: int = 1
     cutoff: float = 60.0
 
+    def __post_init__(self) -> None:
+        if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
+            raise ValueError("cutoff must be positive and finite")
+
 
 @dataclass(frozen=True)
 class TurningPointContour:
@@ -127,6 +132,10 @@ class TurningPointContour:
     z_left: complex
     z_right: complex
     offset: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not (self.offset > 0.0 and math.isfinite(self.offset)):
+            raise ValueError("offset must be positive and finite")
 
 
 _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
@@ -171,10 +180,11 @@ def _resolution_limit(lo, hi, err):
     return ToleranceNotMet(f"panel [{lo}, {hi}] at resolution limit with error {err:.3e}")
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_panels: int = _MAX_PANELS) -> complex:
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> complex:
     """Integrate a complex-valued f over the real interval [a, b] to the
-    absolute error target ``tol``, refining the worst panel first.
-    ``refine`` in ``_dopri5.c`` mirrors it for the compiled integrals."""
+    absolute error target ``tol``, refining the worst panel first, with
+    at most ``_MAX_PANELS`` panels.  ``refine`` in ``_dopri5.c`` mirrors
+    it for the compiled integrals."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if a == b:
@@ -194,7 +204,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_panels: int = _
         toterr += err
     panels = n0
     while toterr > tol:
-        if panels >= max_panels:
+        if panels >= _MAX_PANELS:
             raise _budget_spent(toterr, tol, panels)
         neg_err, _, lo, hi, val = heapq.heappop(entries)
         if hi - lo <= 32.0 * _EPS * max(1.0, abs(lo), abs(hi)):
@@ -268,16 +278,12 @@ def _pieces(path, tol: float):
             return [(("ray", z0, d, 2.0 * d, 0.0), 0.0, 1.0, ptol)]
         return [(("edge", z0, d, 0j, 0.0), 0.0, 1.0, ptol)]
     if isinstance(path, VerticalRay):
-        if not (path.cutoff > 0.0 and math.isfinite(path.cutoff)):
-            raise ValueError("cutoff must be positive and finite")
         z0 = complex(path.z_start)
         sgn = 1.0 if path.direction >= 0 else -1.0
         umax = math.sqrt(path.cutoff)
         return [(("ray", z0, 1j * sgn, 2.0j * sgn, 0.0), 0.0, umax, tol / max(1.0, umax))]
     if isinstance(path, TurningPointContour):
         # counterclockwise, starting below the z_left -> z_right segment
-        if not (path.offset > 0.0 and math.isfinite(path.offset)):
-            raise ValueError("offset must be positive and finite")
         c1, c2, offset = complex(path.z_left), complex(path.z_right), path.offset
         chord = c2 - c1
         u = chord / abs(chord)
@@ -335,8 +341,11 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
     of its own piece and parameter cell, so the guide picks signs only:
     the nodes, and the magnitude of each term, are those of the path.
     For the built-in models the library integrates every piece in one
-    call; the loop at the end, the reference, runs otherwise.
+    call; the loop at the end, the reference, runs otherwise.  A path
+    with no pieces (a segment of zero length) gives 0j.
     """
+    if not pieces:
+        return 0.0j
     potential = model.potential
 
     def w(z):
@@ -439,17 +448,12 @@ def _roots_near_segment(model, energy, a, b, pad, ends):
 
 
 def _escape_ray(model, energy, tp, cutoff, direction):
-    """What both escape routes share: the energy, the root and the ray's
-    direction (by default away from the real axis)."""
+    """What both escape routes share: the energy and the ray from the
+    root, by default pointing away from the real axis."""
     E = complex(energy)
     x0 = _as_root(model, E, tp)
-    if not (cutoff > 0.0 and math.isfinite(cutoff)):
-        raise ValueError("cutoff must be positive and finite")
-    if direction is None:
-        sgn = 1.0 if x0.imag >= 0.0 else -1.0
-    else:
-        sgn = 1.0 if direction >= 0 else -1.0
-    return E, x0, sgn
+    up = x0.imag >= 0.0 if direction is None else direction >= 0
+    return E, VerticalRay(x0, 1 if up else -1, cutoff)
 
 
 def escape_time(
@@ -473,18 +477,14 @@ def escape_time(
     tolerance for the potentials here, which grow exponentially or
     polynomially along the ray.
     """
-    E, x0, sgn = _escape_ray(model, energy, tp, cutoff, direction)
+    E, ray = _escape_ray(model, energy, tp, cutoff, direction)
+    x0 = ray.z_start
     if abs(model.gradient(x0)) < 1e-8:
         raise DomainError("degenerate turning point: V'(x0) is (close to) zero")
-    for z, d in _roots_near_segment(model, E, x0, x0 + 1j * sgn * cutoff, 0.25, (x0,)):
+    for z, d in _roots_near_segment(model, E, x0, x0 + 1j * ray.direction * ray.cutoff, 0.25, (x0,)):
         if d < 1e-6:
             raise PathThroughSingularity(f"root {z} lies on the escape ray from {x0}")
-
-    pieces = _pieces(VerticalRay(x0, int(sgn), cutoff), tol)
-    total = _branch_integral(model, E, pieces, closed=False)
-    if abs(total.imag) > 1e-6 * max(1.0, abs(total)):
-        raise BranchInconsistency(f"escape integral has imaginary residue {total.imag:.3e}")
-    return abs(total.real)
+    return _real_part(_branch_integral(model, E, _pieces(ray, tol), closed=False), "escape")
 
 
 def escape_time_real_form(
@@ -503,8 +503,8 @@ def escape_time_real_form(
     at all; the endpoint singularity is removed by v = u^2 as usual.
     This is an independent cross-check route for ``escape_time``.
     """
-    E, x0, sgn = _escape_ray(model, energy, tp, cutoff, direction)
-    [(piece, s0, umax, ptol)] = _pieces(VerticalRay(x0, int(sgn), cutoff), tol)
+    E, ray = _escape_ray(model, energy, tp, cutoff, direction)
+    [(piece, s0, umax, ptol)] = _pieces(ray, tol)
     total = _library_integral(model, E, [(piece, s0, umax, ptol, 0, 1.0)])
     if total is not None:
         return total.real
@@ -575,17 +575,18 @@ def period_contour(
     by deformation invariance the value does not depend on the offset as
     long as no other root is enclosed (checked, raising
     ``PathThroughSingularity``).  The integral of a genuine period is
-    real; an imaginary part above 1e-6 signals branch-tracking failure
-    and raises ``BranchInconsistency``.
+    real; an imaginary part above 1e-6 max(1, |integral|) signals
+    branch-tracking failure and raises ``BranchInconsistency``.
     """
-    return _real_period(contour_integral(model, energy, tp_pair, offset, tol=tol))
+    return _real_part(contour_integral(model, energy, tp_pair, offset, tol=tol), "period")
 
 
-def _real_period(total: complex) -> float:
-    """The period from a raw contour integral: its real part, once the
-    imaginary residue is checked to be negligible."""
-    if abs(total.imag) > 1e-6:
-        raise BranchInconsistency(f"period integral has imaginary residue {total.imag:.3e}")
+def _real_part(total: complex, name: str) -> float:
+    """|Re total| for an escape or period integral, once its imaginary
+    residue is checked to be negligible on the integral's own scale:
+    at most 1e-6 max(1, |total|)."""
+    if abs(total.imag) > 1e-6 * max(1.0, abs(total)):
+        raise BranchInconsistency(f"{name} integral has imaginary residue {total.imag:.3e}")
     return abs(total.real)
 
 

@@ -2,9 +2,10 @@
 
 Where the potential inverts in closed form the roots are enumerated
 analytically and then polished by a Newton step or two, so every returned
-point satisfies |V(x0) - E| <= residual_tol * max(1, |E|), or, where V
-itself rounds coarser than that, |V(x0) - E| <= |V'(x0)| |x0| 2^-52,
-regardless of how it was produced:
+point satisfies |V(x0) - E| <= residual_tol * max(1, |E|) (1e-12 unless
+``turning_points`` is given another), or, where V itself rounds coarser
+than that, |V(x0) - E| <= |V'(x0)| |x0| 2^-52, regardless of how it was
+produced:
 
 * pendulum (any complex g, E):  cos x = -E/g, so x = +/- acos(-E/g) + 2 pi k
   with the principal complex arccosine; this covers real roots (|E/g| <= 1
@@ -14,9 +15,9 @@ regardless of how it was produced:
 * imaginary cubic:              x^3 = -i E, the three cube roots
 
 For anything else (or when no closed form applies) a Newton search runs
-from a rectangular grid of seeds with spacing ``seed_grid``; duplicates
-are merged within ``dedupe_tol`` and the window filter is applied after
-refinement, inclusively, so roots that polish onto the boundary are kept.
+from a rectangular grid of seeds with spacing 0.5; duplicates are merged
+within 1e-9 and the window filter is applied after refinement,
+inclusively, so roots that polish onto the boundary are kept.
 Each seed costs a Newton solve, so a window that needs more than
 ``_MAX_SEEDS`` seeds is rejected before any is made.
 """
@@ -36,6 +37,10 @@ logger = logging.getLogger(__name__)
 _TWO_PI = 2.0 * math.pi
 _EPS = 2.0**-52  # the spacing of floats at 1
 _MAX_SEEDS = 20_000  # per window: a pendulum window about 6e4 wide
+_SEED_GRID = 0.5  # spacing of the seed grid of models with no closed form
+_DEDUPE_TOL = 1e-9  # roots closer than this are one root
+_RESIDUAL_TOL = 1e-12  # relative residual target of the Newton polish
+_MAX_ITER = 50  # Newton steps per seed
 
 
 class NonConvergence(Exception):
@@ -46,7 +51,7 @@ class NonConvergence(Exception):
 class TurningPoint:
     """A root x0 of V(x0) = E.
 
-    a and b are Re x0 and Im x0.  lattice_index = round(Re x0 / 2 pi)
+    lattice_index = round(Re x0 / 2 pi)
     tags the containing 2 pi cell; branch_sign is the sign of Im x0
     (0 when the root sits on the real axis).  Tags are informational;
     roots are identified by their value.
@@ -55,14 +60,6 @@ class TurningPoint:
     x0: complex
     lattice_index: int
     branch_sign: int
-
-    @property
-    def a(self) -> float:
-        return self.x0.real
-
-    @property
-    def b(self) -> float:
-        return self.x0.imag
 
 
 def _tag(x0: complex) -> TurningPoint:
@@ -79,14 +76,14 @@ def _converged(f: complex, fp: complex, z: complex, target: float) -> bool:
     return residual <= target or residual <= abs(fp) * abs(z) * _EPS < math.inf
 
 
-def _newton(model: HamiltonianModel, energy: complex, seed: complex, tol: float, max_iter: int) -> complex:
+def _newton(model: HamiltonianModel, energy: complex, seed: complex, tol: float) -> complex:
     """Newton iteration on V(x) - E; returns the refined root or raises
     ``NonConvergence``, also when the model raises an ``ArithmeticError``
     (a seed on a pole, an overflow)."""
     target = tol * max(1.0, abs(energy))
     z = complex(seed)
     try:
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             f = model.potential(z) - energy
             fp = model.gradient(z)
             if _converged(f, fp, z, target):
@@ -105,16 +102,9 @@ def _newton(model: HamiltonianModel, energy: complex, seed: complex, tol: float,
     raise NonConvergence(f"no root reached from seed {seed}")
 
 
-def refine_root(
-    model: HamiltonianModel,
-    energy: complex,
-    seed: complex,
-    *,
-    residual_tol: float = 1e-12,
-    max_iter: int = 50,
-) -> TurningPoint:
+def refine_root(model: HamiltonianModel, energy: complex, seed: complex) -> TurningPoint:
     """Polish a single root of V(x) = E from ``seed`` by Newton iteration."""
-    return _tag(_newton(model, energy, seed, residual_tol, max_iter))
+    return _tag(_newton(model, energy, seed, _RESIDUAL_TOL))
 
 
 def _check_seed_count(count: float) -> None:
@@ -172,10 +162,7 @@ def turning_points(
     energy: complex,
     window: tuple[float, float, float, float],
     *,
-    seed_grid: float = 0.5,
-    dedupe_tol: float = 1e-9,
-    residual_tol: float = 1e-12,
-    max_iter: int = 50,
+    residual_tol: float = _RESIDUAL_TOL,
 ) -> list[TurningPoint]:
     """All turning points inside a closed rectangle of the complex plane.
 
@@ -183,22 +170,18 @@ def turning_points(
     area.  Every root is Newton-polished to the residual target; the
     window filter runs after refinement (inclusive, with a one-nanounit
     grace so boundary roots survive rounding), and near-coincident roots
-    merge within ``dedupe_tol``.  The result is sorted by (Re, Im).
+    merge within 1e-9.  The result is sorted by (Re, Im).
     """
     re_lo, re_hi, im_lo, im_hi = (float(v) for v in window)
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("window must have positive area")
-    if seed_grid <= 0.0:
-        raise ValueError("seed_grid must be positive")
-    if not dedupe_tol > 0.0:
-        raise ValueError("dedupe_tol must be positive")
 
     seeds = _closed_form_seeds(model, complex(energy), re_lo, re_hi)
     if seeds is None:
         seeds = []
-        _check_seed_count(((re_hi - re_lo) / seed_grid + 2.0) * ((im_hi - im_lo) / seed_grid + 2.0))
-        n_re = max(1, math.ceil((re_hi - re_lo) / seed_grid))
-        n_im = max(1, math.ceil((im_hi - im_lo) / seed_grid))
+        _check_seed_count(((re_hi - re_lo) / _SEED_GRID + 2.0) * ((im_hi - im_lo) / _SEED_GRID + 2.0))
+        n_re = max(1, math.ceil((re_hi - re_lo) / _SEED_GRID))
+        n_im = max(1, math.ceil((im_hi - im_lo) / _SEED_GRID))
         for i in range(n_re + 1):
             sr = re_lo + (re_hi - re_lo) * i / n_re
             for j in range(n_im + 1):
@@ -210,7 +193,7 @@ def turning_points(
     skipped = 0
     for seed in seeds:
         try:
-            z = _newton(model, complex(energy), seed, residual_tol, max_iter)
+            z = _newton(model, complex(energy), seed, residual_tol)
         except NonConvergence:
             skipped += 1
             continue
@@ -218,6 +201,6 @@ def turning_points(
             found.append(z)
     if skipped:
         logger.warning("turning_points: %d of %d seeds did not converge", skipped, len(seeds))
-    found = _dedupe(found, dedupe_tol)
+    found = _dedupe(found, _DEDUPE_TOL)
     found.sort(key=lambda z: (z.real, z.imag))
     return [_tag(z) for z in found]

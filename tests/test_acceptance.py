@@ -220,11 +220,11 @@ def test_criterion_08_pt_symmetry(capsys):
     for x0 in (0.6j, 1 + 0.5j):
         p0 = model.momentum_from_energy(complex(x0), 0.0)
         traj = integrate(model, PhaseState(complex(x0), p0), events=EventSpec(escape=False, closure=False), t_final=6.0)
-        cases.append(verify_pt_symmetry(model, traj).max_deviation)
+        cases.append(verify_pt_symmetry(traj).max_deviation)
     model_i = Pendulum(g=1j)
     p0 = model_i.momentum_from_energy(0.2 + 0.1j, SINH1)
     traj = integrate(model_i, PhaseState(0.2 + 0.1j, p0), events=EventSpec(escape=False, closure=False), t_final=6.0)
-    cases.append(verify_pt_symmetry(model_i, traj).max_deviation)
+    cases.append(verify_pt_symmetry(traj).max_deviation)
     worst = max(cases)
     ok = worst < 1e-6
     emit(

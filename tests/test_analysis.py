@@ -87,7 +87,7 @@ class TestPTSymmetry:
         model = Pendulum(g=1.0)
         p0 = model.momentum_from_energy(complex(x0), 0.0)
         traj = integrate(model, PhaseState(complex(x0), p0), events=NO_EVENTS, t_final=6.0)
-        rep = verify_pt_symmetry(model, traj)
+        rep = verify_pt_symmetry(traj)
         assert rep.map_kind == "real-g"
         assert rep.max_deviation < 1e-6
         assert rep.compared_points > 10
@@ -96,7 +96,7 @@ class TestPTSymmetry:
         model = Pendulum(g=1j)
         p0 = model.momentum_from_energy(0.2 + 0.1j, SINH1)
         traj = integrate(model, PhaseState(0.2 + 0.1j, p0), events=NO_EVENTS, t_final=6.0)
-        rep = verify_pt_symmetry(model, traj)
+        rep = verify_pt_symmetry(traj)
         assert rep.map_kind == "imag-g"
         assert rep.max_deviation < 1e-6
 
@@ -107,8 +107,8 @@ class TestPTSymmetry:
         tight_cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
         loose_run = integrate(model, PhaseState(0.6j, p0), loose_cfg, NO_EVENTS, t_final=6.0)
         tight_run = integrate(model, PhaseState(0.6j, p0), tight_cfg, NO_EVENTS, t_final=6.0)
-        dev_loose = verify_pt_symmetry(model, loose_run, config=loose_cfg).max_deviation
-        dev_tight = verify_pt_symmetry(model, tight_run, config=tight_cfg).max_deviation
+        dev_loose = verify_pt_symmetry(loose_run, config=loose_cfg).max_deviation
+        dev_tight = verify_pt_symmetry(tight_run, config=tight_cfg).max_deviation
         assert dev_tight < 0.5 * dev_loose
 
     def test_a_backward_run_cut_short_compares_the_rows_it_reached(self):
@@ -118,7 +118,7 @@ class TestPTSymmetry:
         x0 = 0.2 + 0.1j
         traj = integrate(model, PhaseState(x0, model.momentum_from_energy(x0, SINH1)), t_final=60.0)
         cfg = IntegratorConfig(max_steps=30)
-        rep = verify_pt_symmetry(model, traj, config=cfg)
+        rep = verify_pt_symmetry(traj, config=cfg)
         # the comparison written as a scalar loop over the sampled rows
         n = len(traj)
         idx = sorted(set(np.linspace(1, n - 1, min(800, n - 1)).astype(int).tolist()))
@@ -142,7 +142,7 @@ class TestPTSymmetry:
         # the start lies past the default escape radius: the backward
         # run, bounded by the forward span, must not refuse it
         traj = integrate(Harmonic(), PhaseState(40j, 1.0), events=NO_EVENTS, t_final=2.0)
-        rep = verify_pt_symmetry(Harmonic(), traj)
+        rep = verify_pt_symmetry(traj)
         assert rep.compared_points == len(traj) - 1
         assert rep.max_deviation < 1e-6
 
@@ -152,14 +152,11 @@ class TestPTSymmetry:
         model = DrivenPendulum(g=1.0, epsilon=0.2, omega=0.1)
         traj = integrate(model, PhaseState(PI / 2 + 0.1 + 0j, 0.4j), events=NO_EVENTS, t_final=2.0)
         with pytest.raises(ValueError):
-            verify_pt_symmetry(model, traj)
+            verify_pt_symmetry(traj)
 
     def test_requires_samples(self):
         with pytest.raises(ValueError):
-            verify_pt_symmetry(
-                Pendulum(g=1.0),
-                Trajectory(samples=[PhaseState(0.6j, 0j)], classification="open"),
-            )
+            verify_pt_symmetry(Trajectory([0.0], [0.6j], [0j], "open", model=Pendulum(g=1.0)))
 
 
 class TestEllipseFit:
@@ -185,7 +182,7 @@ class TestEllipseFit:
 
     def test_too_few_samples(self):
         with pytest.raises(DegenerateConic):
-            fit_ellipse(Trajectory(samples=[PhaseState(1j, 0j)] * 5, classification="open"))
+            fit_ellipse(Trajectory([0.0] * 5, [1j] * 5, [0j] * 5, "open"))
 
     def test_harmonic_fit_survives_high_aspect_ratio(self):
         # nearly collinear position/momentum vectors trace a needle of
@@ -226,10 +223,7 @@ class TestCellEscapeSummary:
     def test_compression(self):
         # x in cells 0, 0, 1, 1, 0
         xs = [0j, 1 + 1j, 2 * PI + 0.5j, 3 * PI - 0.1, 0.5 - 2j]
-        traj = Trajectory(
-            samples=[PhaseState(x, 0j, float(t)) for t, x in enumerate(xs)],
-            classification="open",
-        )
+        traj = Trajectory([0.0, 1.0, 2.0, 3.0, 4.0], xs, [0j] * 5, "open")
         assert cell_escape_summary(traj) == [(2.0, 0, 1), (4.0, 1, 0)]
 
     def test_empty_for_confined_run(self):
@@ -238,8 +232,8 @@ class TestCellEscapeSummary:
 
     def test_matches_pairwise_history(self):
         # a strong drive leaves cell 0, comes back and moves on; the one
-        # pass over the samples must give what pairing up cell_history
-        # with itself, shifted by one sample, gives
+        # pass over the samples must give what pairing up the samples'
+        # (t, cell) with themselves, shifted by one sample, gives
         model = DrivenPendulum(g=1.0, epsilon=0.5, omega=1.0)
         x0 = PI / 2 + 0.1
         start = PhaseState(x0, model.momentum_from_energy(x0, 0.0, branch=1))

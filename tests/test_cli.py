@@ -185,8 +185,8 @@ class TestRunScenario:
 
     def test_visited_cells_are_the_cells_of_the_samples(self, tmp_path):
         # strong drive: the run leaves cell 0, comes back and moves on,
-        # so transitions repeat cells; the CSV's cell column is the
-        # trajectory's cell_history
+        # so transitions repeat cells; the CSV's cell column holds the
+        # cell of every sample
         cfg = write_scenario(
             tmp_path,
             DRIVEN_SCENARIO.replace("epsilon: 0.2", "epsilon: 0.5")

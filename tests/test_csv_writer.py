@@ -106,7 +106,7 @@ class Quartic(HamiltonianModel):
 
     kind = "quartic"
 
-    def potential(self, x, t=0.0):
+    def potential(self, x):
         return 0.25 * x * x * x * x
 
     def gradient(self, x):
@@ -149,10 +149,10 @@ def test_compiled_writer_matches_the_python_writer(monkeypatch, tmp_path, rows, 
         return write_rows_in_python(*args)
 
     monkeypatch.setattr(cli, "_write_rows_in_python", spy)
-    cli._write_trajectory_csv(tmp_path / "compiled.csv", traj, model)
+    cli._write_trajectory_csv(tmp_path / "compiled.csv", traj)
     assert python_calls == []
     monkeypatch.setattr(_dopri5, "csv_formatter", lambda: None)
-    cli._write_trajectory_csv(tmp_path / "python.csv", traj, model)
+    cli._write_trajectory_csv(tmp_path / "python.csv", traj)
     assert len(python_calls) == 1
     compiled = (tmp_path / "compiled.csv").read_bytes()
     assert compiled == (tmp_path / "python.csv").read_bytes()
@@ -171,8 +171,8 @@ def test_cases_cover_what_they_are_for(rows):
 
 def test_legacy_repr_style_uses_the_python_writer(monkeypatch, tmp_path):
     model, traj = pendulum_blocks()
-    cli._write_trajectory_csv(tmp_path / "short.csv", traj, model)
+    cli._write_trajectory_csv(tmp_path / "short.csv", traj)
     monkeypatch.setattr(sys, "float_repr_style", "legacy")
     assert _dopri5.csv_formatter() is None
-    cli._write_trajectory_csv(tmp_path / "legacy.csv", traj, model)
+    cli._write_trajectory_csv(tmp_path / "legacy.csv", traj)
     assert (tmp_path / "legacy.csv").read_bytes() == (tmp_path / "short.csv").read_bytes()

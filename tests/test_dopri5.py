@@ -37,6 +37,7 @@ from complexpendulum import (
     escape_time_real_form,
     integrate,
     integrator,
+    path_integral,
     turning_points,
     verify_pt_symmetry,
 )
@@ -227,7 +228,7 @@ def test_hand_back_at_the_cmath_sinh_switch(kernel_spy):
     traj = past_cmath_sinh_switch()
     handed_back = [r for r in kernel_spy if isinstance(r, tuple)]
     assert len(handed_back) == 1
-    t, x, p, kx, kp, h_mag, facold, accepted, i = handed_back[0]
+    t, x, p, kp, h_mag, facold, accepted, i = handed_back[0]
     assert accepted == 11687
     assert len(traj.samples) == accepted + 1
     assert 708.0 < x.imag < 708.3964185322641
@@ -312,7 +313,7 @@ def test_pt_backward_run_matches(monkeypatch, kernel_spy):
 
     def run():
         traj = integrate(model, start_at(model, 0.3 + 0.2j, 0.4), IntegratorConfig(max_time=15.0))
-        return verify_pt_symmetry(model, traj)
+        return verify_pt_symmetry(traj)
 
     fast = run()
     slow = python_loop(monkeypatch, run)
@@ -687,9 +688,7 @@ paths = st.builds(
     st.floats(0.1, 100.0) | st.sampled_from([709.5, 720.0]),
 ) | st.builds(TurningPointContour, finite_complex, finite_complex, st.floats(0.05, 2.0)).filter(
     lambda path: path.z_left != path.z_right
-) | st.builds(Segment, finite_complex, finite_complex, st.booleans(), st.booleans()).filter(
-    lambda path: path.z_start != path.z_end
-)
+) | st.builds(Segment, finite_complex, finite_complex, st.booleans(), st.booleans())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -735,6 +734,15 @@ def test_the_library_computes_rays_and_loops(library, model, energy, path):
     got, calls = assert_integral_matches_python(branch_integral(model, energy, path))
     assert isinstance(got, tuple)
     assert calls == ["computed"]
+
+
+def test_an_empty_path_integrates_to_zero(library):
+    """A segment of zero length has no pieces: its branch integral is 0j
+    on both paths, with no library call, as ``path_integral``'s is."""
+    empty = Segment(1 + 1j, 1 + 1j, True, True)
+    got, calls = assert_integral_matches_python(branch_integral(Pendulum(g=1.0), COSH1, empty))
+    assert (got, calls) == (((0.0).hex(), (0.0).hex()), [])
+    assert path_integral(lambda z: 1.0, empty) == 0j
 
 
 def test_the_library_computes_the_rotation_period_over_a_segment(library):

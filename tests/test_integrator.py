@@ -186,9 +186,9 @@ class TestConservation:
         calls = []
 
         class CountedHarmonic(Harmonic):
-            def potential(self, x, t=0.0):
-                calls.append(t)
-                return super().potential(x, t)
+            def potential(self, x):
+                calls.append(x)
+                return super().potential(x)
 
         model = CountedHarmonic()
         traj = integrate(model, PhaseState(1 + 1j, 1 - 1j), events=NO_EVENTS, t_final=3.0)
@@ -198,13 +198,13 @@ class TestConservation:
         # bit for bit the value of H through model.energy
         e0 = model.energy(traj.samples[0])
         assert drift == max(
-            abs(model.energy(s) - e0) / max(1.0, abs(e0), 0.5 * abs(s.p) ** 2 + abs(model.potential(s.x, s.t)))
+            abs(model.energy(s) - e0) / max(1.0, abs(e0), 0.5 * abs(s.p) ** 2 + abs(model.potential(s.x)))
             for s in traj.samples
         )
 
     def test_drift_requires_model(self):
         with pytest.raises(ValueError):
-            Trajectory(samples=[PhaseState(0j, 0j)], classification=OPEN).energy_drift()
+            Trajectory([0.0], [0j], [0j], OPEN).energy_drift()
 
 
 class TestReversibility:
@@ -270,7 +270,7 @@ class TestFailureModes:
         # the field is NaN beyond Re x = 1: steps into the wall are halved
         # until they fall below min_step, leaving the run just short of it
         class NanWall(HamiltonianModel):
-            def potential(self, x, t=0.0):
+            def potential(self, x):
                 return 0j
 
             def gradient(self, x):
@@ -320,12 +320,6 @@ class TestDrivenConsistency:
         assert traj.classification == OPEN
         assert traj.termination == "horizon"
 
-    def test_cell_history_parallels_samples(self):
-        model, start = pendulum_start(0.2j)
-        traj = integrate(model, start, events=NO_EVENTS, t_final=5.0)
-        assert len(traj.cell_history) == len(traj.samples)
-        assert traj.cell_history[0] == (0.0, 0)
-
 
 class TestBackwardIntegration:
     def test_negative_span(self):
@@ -348,11 +342,10 @@ class TestColumns:
         assert (traj.t.dtype, traj.x.dtype, traj.p.dtype) == (float, complex, complex)
 
     def test_made_from_samples(self):
-        samples = [PhaseState(1 + 1j, 0.5j, 0.0), PhaseState(2.0, -1j, 0.5)]
-        traj = Trajectory(samples=samples, classification=OPEN)
+        # columns of plain lists are read as float64 and complex128
+        traj = Trajectory([0.0, 0.5], [1 + 1j, 2.0], [0.5j, -1j], OPEN)
         assert len(traj) == 2
         assert traj.samples == [PhaseState(1 + 1j, 0.5j, 0.0), PhaseState(2 + 0j, -1j, 0.5)]
-        assert traj.cell_history == [(0.0, 0), (0.5, 0)]
 
     def test_integrate_builds_no_phase_state_per_step(self, monkeypatch):
         from complexpendulum import integrator
@@ -380,9 +373,9 @@ class TestColumns:
         calls = []
         potential = Pendulum.potential
 
-        def counted(self, x, t=0.0):
-            calls.append(t)
-            return potential(self, x, t)
+        def counted(self, x):
+            calls.append(x)
+            return potential(self, x)
 
         monkeypatch.setattr(Pendulum, "potential", counted)
         if _dopri5._library() is not None:

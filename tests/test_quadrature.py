@@ -70,7 +70,7 @@ class PoleBetweenRoots(HamiltonianModel):
     around the pair.  At the pole itself (a turning-point seed lands
     there) the division raises ``ZeroDivisionError``."""
 
-    def potential(self, x, t=0.0):
+    def potential(self, x):
         return x - 1.0 / x
 
     def gradient(self, x):
@@ -93,7 +93,7 @@ class TestAdaptiveQuad:
 
     def test_undeclared_singularity_fails_loudly(self):
         with pytest.raises(ToleranceNotMet):
-            adaptive_quad(lambda x: 1.0 / (abs(x - 0.3) + 1e-300), 0.0, 1.0, tol=1e-10, max_panels=500)
+            adaptive_quad(lambda x: 1.0 / (abs(x - 0.3) + 1e-300), 0.0, 1.0, tol=1e-10)
 
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
@@ -227,6 +227,8 @@ class TestEscapeTime:
             escape_time(Pendulum(g=1.0), COSH1, PI + 1j, cutoff)
         with pytest.raises(ValueError, match="cutoff must be positive and finite"):
             escape_time_real_form(Pendulum(g=1.0), COSH1, PI + 1j, cutoff)
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            VerticalRay(PI + 1j, 1, cutoff)
 
     def test_non_root_rejected(self):
         with pytest.raises((DomainError, ValueError)):
@@ -281,6 +283,8 @@ class TestPeriodContour:
     def test_non_finite_offset(self, offset):
         with pytest.raises(ValueError, match="offset must be positive and finite"):
             period_contour(Pendulum(g=1.0), 0.0, (-PI / 2, PI / 2), offset)
+        with pytest.raises(ValueError, match="offset must be positive and finite"):
+            TurningPointContour(-PI / 2, PI / 2, offset)
 
 
 class TestExactSymmetries:
@@ -370,6 +374,17 @@ class TestBranchInconsistency:
         assert abs(raw - (7.96949 + 1.37614j)) < 1e-5
         with pytest.raises(BranchInconsistency, match="imaginary residue"):
             period_contour(model, energy, pair)
+
+    def test_a_residue_small_on_the_period_scale_is_accepted(self):
+        # at E = 0.5 + 1e-6 i the residue 3.6e-6 lies above 1e-6 but
+        # below 1e-6 |T| = 8.6e-6: the residue rule is relative to the
+        # integral, as for escape times
+        model = Pendulum(g=1.0)
+        energy = 0.5 + 1e-6j
+        pair = [tp.x0 for tp in turning_points(model, energy, (-2.5, 2.5, -2.0, 2.0))][:2]
+        raw = contour_integral(model, energy, pair)
+        assert 1e-6 < raw.imag < 1e-6 * abs(raw)
+        assert period_contour(model, energy, pair) == abs(raw.real)
 
 
 class TestElliptic:

@@ -10,7 +10,12 @@ runtime preloaded:
   ``csv_rows`` and ``quad_integral``, each reading the model record;
 - the quadrature corpus;
 - an integral that spends its whole panel budget and one that stops at
-  the resolution limit, which ``quad_integral``'s heap of panels serves.
+  the resolution limit, which ``quad_integral``'s heap of panels serves;
+- three runs of ``test_dopri5`` that leave the kernel's plain path: the
+  run the kernel hands back at cmath.sinh's switch, whose ``State``
+  record Python reads back, a landing run the library hands back, and a
+  landing run whose start field overflows, each compared with the
+  Python loop and checked to have been handed back.
 
 A bad memory access, a record laid out otherwise in Python and in C, or
 undefined behaviour fails the replay.  The interpreter allocates with
@@ -73,6 +78,36 @@ try:
 except quadrature.ToleranceNotMet:
     pass
 assert stops == ["budget", "resolution"], stops
+
+import test_dopri5
+
+returns = []
+steps = _dopri5.steps
+
+
+def steps_spy(*args):
+    stop = yield from steps(*args)
+    returns.append(stop)
+    return stop
+
+
+def on_both_paths(run):
+    fast = run()
+    params, _dopri5.model_params = _dopri5.model_params, lambda field: None
+    try:
+        assert run() == fast
+    finally:
+        _dopri5.model_params = params
+    return fast
+
+
+_dopri5.steps = steps_spy
+on_both_paths(lambda: test_dopri5.fingerprint(test_dopri5.past_cmath_sinh_switch()))
+assert len(returns) == 1 and len(returns[0]) == 8, returns
+landing = (Pendulum(g=1e-307), (0.0, 0.3 + 708.0j, 2j), 0.3)
+assert on_both_paths(lambda: test_dopri5.advance_outcome(*landing))[1] is False
+overflow = (Pendulum(g=1.0), (0.0, 0.3 + 711.0j, 1j), 0.2)
+assert on_both_paths(lambda: test_dopri5.advance_outcome(*overflow)) == ("OverflowError: math range error", False)
 print("replayed")
 """
 

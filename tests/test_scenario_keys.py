@@ -71,7 +71,6 @@ PLAUSIBLE = {
     "closure": st.booleans(),
     "escape": st.booleans(),
     "real_form": st.booleans(),
-    "format": st.sampled_from(["csv", "json"]),
     "directory": st.sampled_from(["out/fuzz", "", 5]),
     "name": st.text(max_size=4),
     "description": st.text(max_size=4),
