@@ -13,11 +13,11 @@ code it mirrors, which stays the reference:
   every piece, each panel as ``quadrature._panel`` computes it.
 
 Each reads the model from one record, ``model_params``'s (kind, g,
-complex(-g), epsilon, omega), built only for the ``field`` method of an
-exact ``Pendulum``, ``Harmonic``, ``ImaginaryCubic`` or ``DrivenPendulum``
-with plain int, float or complex parameters, on CPython before 3.14
-(whose mixed float/complex arithmetic the kernel does not mirror); other
-models run on the Python path.  ``integral`` reads each path piece as its
+complex(-g), epsilon, omega), built from the model itself, and only for
+an exact ``Pendulum``, ``Harmonic``, ``ImaginaryCubic`` or
+``DrivenPendulum`` with plain int, float or complex parameters, on
+CPython before 3.14 (whose mixed float/complex arithmetic the kernel
+does not mirror); other models run on the Python path.  ``integral`` reads each path piece as its
 one description in ``quadrature._pieces``, (kind, c0, c1, c2, phi0).
 What the library cannot mirror goes back to Python: a run from the first
 step the kernel cannot take, a landing run or an integral whole, and the
@@ -179,11 +179,10 @@ def _library():
     return lib
 
 
-def model_params(field):
+def model_params(model):
     """The record (kind, g, complex(-g), epsilon, omega) that every entry
-    point reads the model from, for the model whose ``field`` method this
-    is, when the kernel can run it; None otherwise."""
-    model = getattr(field, "__self__", None)
+    point reads ``model`` from, when the kernel can run it; None
+    otherwise."""
     kind = _KINDS.get(type(model))
     if kind is None or sys.version_info >= (3, 14):
         return None
@@ -257,7 +256,7 @@ def energy_columns(model, x, p):
     if len(x) != len(p):
         raise ValueError("columns of unequal length")
     v, h, scale = np.empty_like(x), np.empty_like(x), np.empty(len(x))
-    record = model_params(model.field)
+    record = model_params(model)
     if record is None:
         return v, h, scale, 0
     addresses = (column.ctypes.data for column in (x, p, v, h, scale))
@@ -283,7 +282,7 @@ def integral(model, energy, rows, nodes, max_panels, guide=None):
     ("resolution", lo, hi, err).  None when the model is not one the
     kernel runs or the library cannot mirror a panel; Python then
     computes the whole integral."""
-    record = model_params(model.field)
+    record = model_params(model)
     if record is None:
         return None
     if len(nodes) != 46 * 2 * 8:

@@ -1,7 +1,10 @@
 """Trajectory diagnostics: closure, PT symmetry, ellipse fits, cell moves.
 
 These run on ``Trajectory`` objects after the fact and do not change how
-the integration itself was performed.
+the integration itself was performed.  ``detect_closure`` takes the
+period of a run that ended at the integrator's closure event from its
+termination; it refines returns itself only for other runs.  Each report
+is a frozen dataclass, which the CLI writes as its fields in order.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import CLOSED, EventSpec, IntegratorConfig, Trajectory, _dist2, _is_dip, integrate, locate_return
+from .integrator import EventSpec, IntegratorConfig, Trajectory, _dist2, _is_dip, integrate, locate_return
 from .models import PhaseState, Pendulum, cell_indices
 
 __all__ = [
@@ -96,7 +99,7 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
     the refined miss distance is below ``tol`` times the orbit extent and
     the flow at the return runs the same way as at the start.  For
     trajectories already terminated by the integrator's closure event the
-    recorded period is reported directly.
+    period read from that termination is reported directly.
     """
     if len(traj) < 4:
         return ClosureReport(False, None, math.inf, None)
@@ -109,20 +112,19 @@ def detect_closure(traj: Trajectory, tol: float = 1e-7) -> ClosureReport:
         return ClosureReport(False, None, math.inf, None)
     scale = math.sqrt(dmax_sq)
 
-    if traj.classification == CLOSED and traj.period is not None:
+    if traj.termination == "closure":
         rd = math.sqrt(d2[-1]) / scale
         return ClosureReport(rd <= tol, traj.period, rd, _windings(x))
 
     model = traj.model
-    field = model.field if model is not None else None
     direction = 1.0 if t[-1] >= t0 else -1.0
     best = math.inf
     for i in (np.flatnonzero(_is_dip(d2[:-2], d2[1:-1], d2[2:], dmax_sq)) + 1).tolist():
         best = min(best, math.sqrt(d2[i]) / scale)
-        if field is None:
+        if model is None:
             continue
         a, b, c = ((t[j].item(), x[j].item(), p[j].item(), d2[j].item()) for j in (i - 1, i, i + 1))
-        t_star, _, _, dist_scaled, aligned = locate_return(field, (t0, x0, p0), a, b, c, scale, _CLOSURE_POLISH)
+        t_star, _, _, dist_scaled, aligned = locate_return(model, (t0, x0, p0), a, b, c, scale, _CLOSURE_POLISH)
         best = min(best, dist_scaled)
         if dist_scaled <= tol and aligned:
             period = abs(t_star - t0)

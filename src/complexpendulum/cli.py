@@ -502,8 +502,13 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
 # scenario execution
 
 
-def _c2(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _json_form(value) -> list[float]:
+    """The summary's form of the one value type ``json`` cannot write
+    itself: a complex z becomes [z.real, z.imag].  Tuples are written as
+    lists already."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _find_roots(model, energy, window, **kw):
@@ -584,26 +589,18 @@ def _write_rows_in_python(fh, t, x, p, e, driven: bool) -> None:
 
 
 def _closure(entry: dict, scn: Scenario, traj: Trajectory) -> None:
-    rep = detect_closure(traj, tol=scn.events.closure_tol)
-    # no return refined: the distance is inf, which strict JSON cannot hold
-    distance = rep.return_distance if math.isfinite(rep.return_distance) else None
-    entry.update(closed=rep.closed, period=rep.period, return_distance=distance, windings=rep.windings)
+    entry.update(vars(detect_closure(traj, tol=scn.events.closure_tol)))
+    if not math.isfinite(entry["return_distance"]):
+        # no return refined: the distance is inf, which strict JSON cannot hold
+        entry["return_distance"] = None
 
 
 def _pt(entry: dict, scn: Scenario, traj: Trajectory) -> None:
-    rep = verify_pt_symmetry(traj, config=scn.config)
-    entry.update(map_kind=rep.map_kind, max_deviation=rep.max_deviation, compared_points=rep.compared_points)
+    entry.update(vars(verify_pt_symmetry(traj, config=scn.config)))
 
 
 def _ellipse(entry: dict, scn: Scenario, traj: Trajectory) -> None:
-    fit = fit_ellipse(traj)
-    entry.update(
-        center=_c2(fit.center),
-        semi_major=fit.semi_major,
-        semi_minor=fit.semi_minor,
-        orientation=fit.orientation,
-        residual=fit.residual,
-    )
+    entry.update(vars(fit_ellipse(traj)))
 
 
 def _cells(entry: dict, scn: Scenario, traj: Trajectory) -> None:
@@ -611,13 +608,13 @@ def _cells(entry: dict, scn: Scenario, traj: Trajectory) -> None:
     # every cell a sample lies in is the start cell or entered by a transition
     visited = {cell_index(traj.x[0].item())}
     visited.update(b for _, _, b in transitions)
-    entry.update(visited=sorted(visited), transitions=[[t, a, b] for t, a, b in transitions])
+    entry.update(visited=sorted(visited), transitions=transitions)
 
 
 def _escape_time(entry: dict, scn: Scenario, roots) -> None:
     block = scn.blocks["escape_time"]
     x0 = _turning_point(scn, block["turning_point"], roots)
-    entry["turning_point"] = _c2(x0)
+    entry["turning_point"] = x0
     entry["cutoff"] = block["cutoff"]
     ray = {k: block[k] for k in ("cutoff", "tol", "direction") if k in block}
     entry["value"] = escape_time(scn.model, scn.energy, x0, **ray)
@@ -630,7 +627,7 @@ def _escape_time(entry: dict, scn: Scenario, roots) -> None:
 def _period(entry: dict, scn: Scenario, roots) -> None:
     block = scn.blocks["period"]
     pair = tuple(_turning_point(scn, v, roots) for v in block["pair"])
-    entry["pair"] = [_c2(pair[0]), _c2(pair[1])]
+    entry["pair"] = pair
     entry["offset"] = block["offset"]
     raw = contour_integral(scn.model, scn.energy, pair, **{k: block[k] for k in ("offset", "tol") if k in block})
     entry["imag_residual"] = abs(raw.imag)
@@ -673,7 +670,7 @@ def _trajectory_record(scn: Scenario, index: int, state: PhaseState, traj: Traje
     rec: dict = {
         "index": index,
         "file": fname,
-        "start": {"x": _c2(complex(state.x)), "p": _c2(complex(state.p))},
+        "start": {"x": state.x, "p": state.p},
     }
     if error is not None:
         rec["error"] = error
@@ -732,17 +729,16 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> in
             for name, analysis in _ANALYSIS_TABLE.items()
             if analysis.per_scenario and name in scn.analyses
         }
-        params = {k: _c2(v) if isinstance(v, complex) else v for k, v in vars(scn.model).items()}
         summary = {
             "scenario": scn.name,
             "description": scn.description,
-            "model": {"kind": scn.model.kind, **params},
-            "energy": _c2(scn.energy) if scn.energy is not None else None,
+            "model": {"kind": scn.model.kind, **vars(scn.model)},
+            "energy": scn.energy,
             "trajectories": records,
             "quadrature": quad,
         }
         # strict JSON: a non-finite value raises here, before the file is written
-        text = json.dumps(summary, indent=2, allow_nan=False)
+        text = json.dumps(summary, indent=2, allow_nan=False, default=_json_form)
         summary_path = scn.out_dir / "summary.json"
         with open(summary_path, "w") as fh:
             fh.write(text + "\n")

@@ -49,9 +49,12 @@ min_step), and evaluates the field itself where it needs it.
 Trajectories store their samples as columns (float64 t, complex128 x
 and p), which the analyses and the CSV writer read directly; the
 ``PhaseState`` list ``Trajectory.samples`` is built only when asked
-for.  Each sample's potential is evaluated once, for the energy column
-that ``energy_drift`` and the CSV writer share, together with the local
-scale |p|^2/2 + |V| of ``energy_drift``.
+for.  How a run ended is stored once, as its ``termination``; the
+classification comes from one table, and ``period`` or ``escape_time``
+is the time to the last sample, the refined return or crossing.  Each
+sample's potential is evaluated once, for the energy column that
+``energy_drift`` (its reference H(0) included) and the CSV writer
+share, together with the local scale |p|^2/2 + |V| of ``energy_drift``.
 
 Compiled kernel: for exact instances of the four built-in models (with
 plain int, float or complex parameters, on CPython before 3.14) ``_dopri``
@@ -100,7 +103,6 @@ __all__ = [
     "EventSpec",
     "Trajectory",
     "integrate",
-    "locate_return",
 ]
 
 CLOSED = "closed"
@@ -109,11 +111,14 @@ ESCAPED = "escaped"
 TRUNCATED = "truncated"
 BLOWUP = "blowup"
 
-# classification of a run that ends with the stepper's own stop reason
-_STOP_CLASSIFICATION = {
+# the classification of each termination, the event that stopped a run
+_CLASSIFICATION = {
+    "closure": CLOSED,
+    "escape": ESCAPED,
     "horizon": OPEN,
     "max_steps": TRUNCATED,
     "step_underflow": TRUNCATED,
+    "overflow": BLOWUP,
     "non_finite": BLOWUP,
 }
 
@@ -230,34 +235,41 @@ class Trajectory:
     at the initial state; ``len(traj)`` counts them.  ``samples`` is the
     same data as a list of ``PhaseState``, built at first use and cached.
 
-    period is set exactly when classification == "closed", escape_time
-    exactly when classification == "escaped"; termination names the event
-    that stopped the run ("closure", "escape", "horizon", "max_steps",
-    "step_underflow", "overflow", "non_finite").
+    termination names the event that stopped the run ("closure",
+    "escape", "horizon", "max_steps", "step_underflow", "overflow",
+    "non_finite"; "" for samples that no run produced), and everything
+    else about the ending is read from it: ``classification``, and
+    ``period`` or ``escape_time``, the time from the first sample to the
+    last (the refined return or crossing), set exactly when the run
+    closed or escaped.
     """
 
-    def __init__(
-        self,
-        t,
-        x,
-        p,
-        classification: str = "",
-        period: float | None = None,
-        escape_time: float | None = None,
-        termination: str = "",
-        model: HamiltonianModel | None = None,
-    ) -> None:
+    def __init__(self, t, x, p, termination: str = "", model: HamiltonianModel | None = None) -> None:
+        if termination and termination not in _CLASSIFICATION:
+            raise ValueError(f"unknown termination {termination!r}")
         self.t = np.asarray(t, dtype=float)
         self.x = np.asarray(x, dtype=complex)
         self.p = np.asarray(p, dtype=complex)
-        self.classification = classification
-        self.period = period
-        self.escape_time = escape_time
         self.termination = termination
         self.model = model
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def classification(self) -> str:
+        return _CLASSIFICATION.get(self.termination, "")
+
+    @property
+    def period(self) -> float | None:
+        return self._duration() if self.termination == "closure" else None
+
+    @property
+    def escape_time(self) -> float | None:
+        return self._duration() if self.termination == "escape" else None
+
+    def _duration(self) -> float:
+        return abs(self.t[-1].item() - self.t[0].item())
 
     @functools.cached_property
     def samples(self) -> list[PhaseState]:
@@ -302,7 +314,7 @@ class Trajectory:
         for autonomous models, where H is conserved exactly.
         """
         _, h, scale = self._energy_columns
-        e0 = self.model.energy(PhaseState(self.x[0].item(), self.p[0].item(), self.t[0].item()))
+        e0 = h[0].item()
         # per sample, the bits of the scalar expression
         #   abs(h - e0) / max(1.0, abs(e0), scale):
         # fmax skips a NaN as max() does when 1.0 comes first
@@ -377,11 +389,12 @@ def _reject_h(h, err):
     return h / min(_FAC_SHRINK, err**_EXPO1 / _SAFE)
 
 
-def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf):
+def _dopri(model, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf):
     """The adaptive stepping loop shared by every integration run.
 
-    Steps from (t, x, p), with field value (k1x, k1p) there, landing
-    exactly on each time of ``stops`` in turn; the last one ends the run.
+    Steps the flow of ``model`` from (t, x, p), with field value
+    (k1x, k1p) there, landing exactly on each time of ``stops`` in turn;
+    the last one ends the run.
     Yields the accepted steps in blocks (t, z): t the float64 array of
     their times and z the complex128 array of two rows, x and p.  The
     field at each new state feeds the next step and is not handed over.
@@ -400,12 +413,13 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     frozen in their order: a float times a complex is a full complex
     product, so folding ``h`` into the tableau weights or splitting into
     real arithmetic would change rounding and signed zeros, and with them
-    the bundled outputs.  The field is called through ``field`` and step-size
-    updates through the module functions ``_next_h`` (once per accepted
-    step) and ``_reject_h`` (once per rejected step), the names the
-    benchmark's counters wrap; steps taken by the compiled kernel make
+    the bundled outputs.  The field is called through ``model.field`` and
+    step-size updates through the module functions ``_next_h`` (once per
+    accepted step) and ``_reject_h`` (once per rejected step), the names
+    the benchmark's counters wrap; steps taken by the compiled kernel make
     none of these calls.
     """
+    field = model.field
     isfinite = math.isfinite
     sqrt = math.sqrt
     t_end = stops[-1]
@@ -417,7 +431,7 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     accepted = 0
     i = 0
     times, rows = [], []
-    record = _dopri5.model_params(field)
+    record = _dopri5.model_params(model)
     if record is not None:
         stop = yield from _dopri5.steps(
             record, t, x, p, k1p, h_mag, facold, stops, direction,
@@ -526,7 +540,7 @@ def _dopri(field, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     return stop
 
 
-def _advance(field, row, t_target, polish):
+def _advance(model, row, t_target, polish):
     """Event-free re-integration from the state row (t, x, p, ...) landing
     exactly on t_target; used to polish event times.  ``polish`` is the
     record (rel_tol, abs_tol, max_step, min_step) of the re-integration.
@@ -535,12 +549,12 @@ def _advance(field, row, t_target, polish):
     otherwise."""
     t, x, p = row[:3]
     if t_target != t:
-        record = _dopri5.model_params(field)
+        record = _dopri5.model_params(model)
         landed = None if record is None else _dopri5.advance(record, t, x, p, t_target, polish)
         if landed is not None:
             return landed
-        k1x, k1p = field(t, x, p)
-        for ts, z in _dopri(field, t, x, p, k1x, k1p, [t_target], *polish):
+        k1x, k1p = model.field(t, x, p)
+        for ts, z in _dopri(model, t, x, p, k1x, k1p, [t_target], *polish):
             t, x, p = ts[-1].item(), z[0, -1].item(), z[1, -1].item()
     if t != t_target:
         raise ArithmeticError(f"event polishing stopped at t={t!r} short of {t_target!r}")
@@ -565,7 +579,7 @@ def _is_dip(d_before, d, d_after, dmax_sq):
     return (d < d_before) & (d <= d_after) & (d < 0.25 * dmax_sq)
 
 
-def locate_return(field, start, a, b, c, scale, polish):
+def locate_return(model, start, a, b, c, scale, polish):
     """Refine a sampled local minimum of the distance to the start point.
 
     start is the state row (t0, x0, p0); a, b, c are consecutive
@@ -585,6 +599,7 @@ def locate_return(field, start, a, b, c, scale, polish):
     velocity, separating true returns from near misses on the opposite
     branch.
     """
+    field = model.field
     t0, x0, p0 = start
     ta, xa, pa, da = a
     tb, _, _, db = b
@@ -598,7 +613,7 @@ def locate_return(field, start, a, b, c, scale, polish):
     def state_at(tau):
         # advance from the nearest bracketing sample for accuracy
         base = a if abs(tau - ta) <= abs(tau - tc) else c
-        x, p, k = _advance(field, base, tau, polish)
+        x, p, k = _advance(model, base, tau, polish)
         kx, kp = field(tau, x, p) if k is None else k
         return x, p, kx, kp
 
@@ -655,7 +670,7 @@ def locate_return(field, start, a, b, c, scale, polish):
     return t_star, x_star, p_star, math.sqrt(_dist2(x_star, p_star, x0, p0)) / scale, aligned
 
 
-def _locate_escape(field, a, tb, radius, polish):
+def _locate_escape(model, a, tb, radius, polish):
     """Bisect the |Im x| = radius crossing inside (ta, tb], ta the time of
     the state row a, which is strictly inside; polish as for ``_advance``.
     Returns (t, x, p) at the crossing."""
@@ -664,12 +679,12 @@ def _locate_escape(field, a, tb, radius, polish):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        xm, _, _ = _advance(field, a, mid, polish)
+        xm, _, _ = _advance(model, a, mid, polish)
         if abs(xm.imag) >= radius:
             hi = mid
         else:
             lo = mid
-    x, p, _ = _advance(field, a, hi, polish)
+    x, p, _ = _advance(model, a, hi, polish)
     return hi, x, p
 
 
@@ -692,7 +707,6 @@ def integrate(
     """
     cfg = config if config is not None else IntegratorConfig()
     ev = events if events is not None else EventSpec()
-    field = model.field
 
     t0 = float(start.t)
     x0 = complex(start.x)
@@ -721,7 +735,7 @@ def integrate(
     else:
         cps = []
 
-    k0x, k0p = field(t0, x0, p0)
+    k0x, k0p = model.field(t0, x0, p0)
     if not _finite(complex(k0x), complex(k0p)):
         raise ValueError("vector field is not finite at the start state")
 
@@ -730,7 +744,7 @@ def integrate(
     polish = max(cfg.rel_tol * 0.1, 1e-14), max(cfg.abs_tol * 0.1, 1e-16), cfg.max_step, cfg.min_step
 
     steps = _dopri(
-        field, t0, x0, p0, k0x, k0p, cps + [t_end],
+        model, t0, x0, p0, k0x, k0p, cps + [t_end],
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps,
     )
     guard = cfg.overflow_guard
@@ -742,14 +756,13 @@ def integrate(
     pieces = []
     carry = np.array([t0]), np.array([x0]), np.array([p0])
     dmax_sq = 0.0
-    period = escape_time = None
-    classification = None
-    while classification is None:
+    end = ()  # the refined (t, x, p) of an escape or a return, the last row
+    termination = None
+    while termination is None:
         try:
             t, z = next(steps)
         except StopIteration as stop:
             termination = stop.value
-            classification = _STOP_CLASSIFICATION[termination]
             pieces.append(carry)
             break
         c = len(carry[0])
@@ -777,40 +790,28 @@ def integrate(
         for r in np.flatnonzero(events).tolist():
             if over[r]:
                 kept = r + 1
-                classification, termination = BLOWUP, "overflow"
+                termination = "overflow"
                 break
             if out[r]:
-                te, xe, pe = _locate_escape(field, row(r - 1), t[r].item(), radius, polish)
+                end = _locate_escape(model, row(r - 1), t[r].item(), radius, polish)
                 kept = r
-                end = te, xe, pe
-                classification, termination = ESCAPED, "escape"
-                escape_time = abs(te - t0)
+                termination = "escape"
                 break
             t_star, x_star, p_star, dist_scaled, aligned = locate_return(
-                field, origin, row(r - 2), row(r - 1), row(r), math.sqrt(dmax[r]), polish
+                model, origin, row(r - 2), row(r - 1), row(r), math.sqrt(dmax[r]), polish
             )
             if dist_scaled <= ev.closure_tol and aligned:
                 # the refined return lies in [t[r - 2], t[r]]
                 kept = r - 2 + np.count_nonzero((t[r - 2 : r] - t_star) * direction < 0.0)
                 end = t_star, x_star, p_star
-                classification, termination = CLOSED, "closure"
-                period = abs(t_star - t0)
+                termination = "closure"
                 break
         pieces.append((t[:kept], x[:kept], p[:kept]))
         carry = t[kept:], x[kept:], p[kept:]
         if watch_closure:
             dmax_sq = dmax[-1].item()
 
+    if end:
+        pieces.append([[v] for v in end])
     ts, xs, ps = (np.concatenate(column) for column in zip(*pieces))
-    if classification in (CLOSED, ESCAPED):
-        ts, xs, ps = np.append(ts, end[0]), np.append(xs, end[1]), np.append(ps, end[2])
-    return Trajectory(
-        t=ts,
-        x=xs,
-        p=ps,
-        classification=classification,
-        period=period,
-        escape_time=escape_time,
-        termination=termination,
-        model=model,
-    )
+    return Trajectory(ts, xs, ps, termination, model)

@@ -34,7 +34,6 @@ __all__ = [
     "ImaginaryCubic",
     "DrivenPendulum",
     "cell_index",
-    "cell_indices",
 ]
 
 

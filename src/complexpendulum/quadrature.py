@@ -52,7 +52,7 @@ import numpy as np
 
 from . import _dopri5
 from .models import HamiltonianModel
-from .turning import TurningPoint, turning_points
+from .turning import TurningPoint, _converged, turning_points
 
 __all__ = [
     "DomainError",
@@ -420,10 +420,12 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
 
 
 def _as_root(model: HamiltonianModel, energy: complex, tp) -> complex:
+    """The root x0 of ``tp``, checked by the rule of the root search:
+    |V(x0) - E| within 1e-8 max(1, |E|), or within the rounding of V."""
     x0 = tp.x0 if isinstance(tp, TurningPoint) else complex(tp)
-    resid = abs(model.potential(x0) - energy)
-    if resid > 1e-8 * max(1.0, abs(energy)):
-        raise ValueError(f"{x0} is not a turning point at this energy (residual {resid:.2e})")
+    f = model.potential(x0) - energy
+    if not _converged(f, model.gradient(x0), x0, 1e-8 * max(1.0, abs(energy))):
+        raise ValueError(f"{x0} is not a turning point at this energy (residual {abs(f):.2e})")
     return x0
 
 

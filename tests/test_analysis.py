@@ -156,7 +156,7 @@ class TestPTSymmetry:
 
     def test_requires_samples(self):
         with pytest.raises(ValueError):
-            verify_pt_symmetry(Trajectory([0.0], [0.6j], [0j], "open", model=Pendulum(g=1.0)))
+            verify_pt_symmetry(Trajectory([0.0], [0.6j], [0j], "horizon", model=Pendulum(g=1.0)))
 
 
 class TestEllipseFit:
@@ -182,7 +182,7 @@ class TestEllipseFit:
 
     def test_too_few_samples(self):
         with pytest.raises(DegenerateConic):
-            fit_ellipse(Trajectory([0.0] * 5, [1j] * 5, [0j] * 5, "open"))
+            fit_ellipse(Trajectory([0.0] * 5, [1j] * 5, [0j] * 5, "horizon"))
 
     def test_harmonic_fit_survives_high_aspect_ratio(self):
         # nearly collinear position/momentum vectors trace a needle of
@@ -223,7 +223,7 @@ class TestCellEscapeSummary:
     def test_compression(self):
         # x in cells 0, 0, 1, 1, 0
         xs = [0j, 1 + 1j, 2 * PI + 0.5j, 3 * PI - 0.1, 0.5 - 2j]
-        traj = Trajectory([0.0, 1.0, 2.0, 3.0, 4.0], xs, [0j] * 5, "open")
+        traj = Trajectory([0.0, 1.0, 2.0, 3.0, 4.0], xs, [0j] * 5, "horizon")
         assert cell_escape_summary(traj) == [(2.0, 0, 1), (4.0, 1, 0)]
 
     def test_empty_for_confined_run(self):

@@ -175,7 +175,7 @@ def kernel_spy(monkeypatch):
 
 def python_loop(monkeypatch, run):
     with monkeypatch.context() as m:
-        m.setattr(_dopri5, "model_params", lambda field: None)
+        m.setattr(_dopri5, "model_params", lambda model: None)
         return run()
 
 
@@ -411,7 +411,7 @@ def energy_outcome(model, x, p):
 def assert_column_matches_python(model, x, p):
     fast = energy_outcome(model, x, p)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_dopri5, "model_params", lambda field: None)
+        m.setattr(_dopri5, "model_params", lambda model: None)
         slow = energy_outcome(model, x, p)
     assert fast == slow
 
@@ -501,7 +501,7 @@ def advance_outcome(model, row, t_target, polish=POLISH):
     """x, p and the field at t_target as hex strings, or the error raised,
     and whether the library ran the whole landing."""
     try:
-        x, p, k = integrator._advance(model.field, row, t_target, polish)
+        x, p, k = integrator._advance(model, row, t_target, polish)
     except ArithmeticError as exc:
         return f"{type(exc).__name__}: {exc}", False
     landed = k is not None
@@ -515,7 +515,7 @@ def assert_advance_matches_python(model, row, t_target, polish=POLISH):
     landed."""
     fast, landed = advance_outcome(model, row, t_target, polish)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_dopri5, "model_params", lambda field: None)
+        m.setattr(_dopri5, "model_params", lambda model: None)
         slow, _ = advance_outcome(model, row, t_target, polish)
     assert fast == slow
     return fast, landed
@@ -525,8 +525,8 @@ def python_steps(model, row, t_target):
     """Accepted steps of the Python loop's landing run."""
     t, x, p = row
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_dopri5, "model_params", lambda field: None)
-        blocks = integrator._dopri(model.field, t, x, p, *model.field(t, x, p), [t_target], *POLISH)
+        m.setattr(_dopri5, "model_params", lambda model: None)
+        blocks = integrator._dopri(model, t, x, p, *model.field(t, x, p), [t_target], *POLISH)
         return sum(len(ts) for ts, _ in blocks)
 
 
@@ -596,7 +596,7 @@ def test_a_first_step_that_underflows_truncates_the_run(library, monkeypatch):
     step underflows to 0: the run stops at its start, on both paths."""
     run = (Pendulum(g=1.0), PhaseState(0.3 + 709.0j, 1j), IntegratorConfig(escape_radius=800.0))
     fast = integrate(*run)
-    monkeypatch.setattr(_dopri5, "model_params", lambda field: None)
+    monkeypatch.setattr(_dopri5, "model_params", lambda model: None)
     slow = integrate(*run)
     for traj in (fast, slow):
         assert (traj.classification, traj.termination, len(traj)) == ("truncated", "step_underflow", 1)
@@ -615,7 +615,7 @@ def test_the_landed_field_is_the_models(library, row, t_target):
     """The field handed back with a landing is ``field(t_target, x, p)``,
     for the driven model too, whose last stage is evaluated at t + h."""
     model = DrivenPendulum(g=1.0, epsilon=0.3, omega=0.7)
-    x, p, k = _dopri5.advance(_dopri5.model_params(model.field), *row, t_target, POLISH)
+    x, p, k = _dopri5.advance(_dopri5.model_params(model), *row, t_target, POLISH)
     assert [v.hex() for v in as_floats(k)] == [v.hex() for v in as_floats(model.field(t_target, x, p))]
 
 
@@ -667,7 +667,7 @@ def assert_integral_matches_python(run):
         m.setattr(_dopri5, "integral", spy)
         fast = quadrature_outcome(run)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_dopri5, "model_params", lambda field: None)
+        m.setattr(_dopri5, "model_params", lambda model: None)
         slow = quadrature_outcome(run)
     assert fast == slow
     return fast, calls

@@ -14,12 +14,18 @@ every byte (about 4 s).  fig10-12
 cover the driven ``cell`` column, and fig9 runs event polishing inside a
 suspended main run.  The hashes hold for CPython 3.11 on x86-64 Linux;
 another libm may round ``cmath.sin``/``cos`` differently.
+
+The hashes cannot tell which path wrote the bytes, so the default-path
+run also watches every way back to Python: with the library built, no
+scenario may leave a step, a landing run, an integral or an energy row to
+the Python code.
 """
+import collections
 import hashlib
 
 import pytest
 
-from complexpendulum import _dopri5
+from complexpendulum import _dopri5, integrator
 from complexpendulum.cli import run_scenario
 
 GOLDEN = {
@@ -95,13 +101,68 @@ def assert_outputs_match(tmp_path, scenario):
     assert got == want
 
 
+def watch_fallbacks(monkeypatch):
+    """Counts of the library's calls and of the work it left to Python:
+    hand-backs of ``_dopri5.steps``, steps of the Python loop (its
+    ``_next_h`` and ``_reject_h``), None from ``_dopri5.advance`` or
+    ``_dopri5.integral``, and energy rows ``_dopri5.energy_columns`` did
+    not fill."""
+    calls, fallbacks = collections.Counter(), collections.Counter()
+    steps, energy_columns = _dopri5.steps, _dopri5.energy_columns
+
+    def steps_spy(*args):
+        calls["steps"] += 1
+        stop = yield from steps(*args)
+        if not isinstance(stop, str):
+            fallbacks["steps hand-back"] += 1
+        return stop
+
+    def energy_spy(model, x, p):
+        calls["energy_columns"] += 1
+        v, h, scale, n = energy_columns(model, x, p)
+        fallbacks["energy rows"] += len(x) - n
+        return v, h, scale, n
+
+    def declined(name):
+        original = getattr(_dopri5, name)
+
+        def spy(*args):
+            calls[name] += 1
+            result = original(*args)
+            fallbacks[name] += result is None
+            return result
+
+        return spy
+
+    def python_step(name):
+        original = getattr(integrator, name)
+
+        def spy(*args):
+            fallbacks[name] += 1
+            return original(*args)
+
+        return spy
+
+    monkeypatch.setattr(_dopri5, "steps", steps_spy)
+    monkeypatch.setattr(_dopri5, "energy_columns", energy_spy)
+    for name in ("advance", "integral"):
+        monkeypatch.setattr(_dopri5, name, declined(name))
+    for name in ("_next_h", "_reject_h"):
+        monkeypatch.setattr(integrator, name, python_step(name))
+    return calls, fallbacks
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_outputs_match_recorded_hashes(tmp_path, scenario):
+def test_outputs_match_recorded_hashes(monkeypatch, tmp_path, scenario):
+    calls, fallbacks = watch_fallbacks(monkeypatch)
     assert_outputs_match(tmp_path, scenario)
+    if _dopri5._library() is not None:
+        assert calls["steps"] > 0 and calls["energy_columns"] > 0
+        assert +fallbacks == {}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_python_references_match_recorded_hashes(monkeypatch, tmp_path, scenario):
-    monkeypatch.setattr(_dopri5, "model_params", lambda field: None)
+    monkeypatch.setattr(_dopri5, "model_params", lambda model: None)
     monkeypatch.setattr(_dopri5, "csv_formatter", lambda: None)
     assert_outputs_match(tmp_path, scenario)

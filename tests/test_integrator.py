@@ -194,7 +194,8 @@ class TestConservation:
         traj = integrate(model, PhaseState(1 + 1j, 1 - 1j), events=NO_EVENTS, t_final=3.0)
         calls.clear()
         drift = traj.energy_drift()
-        assert len(calls) == len(traj.samples) + 1
+        # H(0) too is read from the energy column
+        assert len(calls) == len(traj.samples)
         # bit for bit the value of H through model.energy
         e0 = model.energy(traj.samples[0])
         assert drift == max(
@@ -204,7 +205,7 @@ class TestConservation:
 
     def test_drift_requires_model(self):
         with pytest.raises(ValueError):
-            Trajectory([0.0], [0j], [0j], OPEN).energy_drift()
+            Trajectory([0.0], [0j], [0j], "horizon").energy_drift()
 
 
 class TestReversibility:
@@ -343,9 +344,20 @@ class TestColumns:
 
     def test_made_from_samples(self):
         # columns of plain lists are read as float64 and complex128
-        traj = Trajectory([0.0, 0.5], [1 + 1j, 2.0], [0.5j, -1j], OPEN)
+        traj = Trajectory([0.0, 0.5], [1 + 1j, 2.0], [0.5j, -1j], "horizon")
         assert len(traj) == 2
         assert traj.samples == [PhaseState(1 + 1j, 0.5j, 0.0), PhaseState(2 + 0j, -1j, 0.5)]
+
+    def test_the_ending_is_read_from_the_termination(self):
+        t, x, p = [0.5, 1.0, 2.75], [1j, 2j, 3j], [0j] * 3
+        closed = Trajectory(t, x, p, "closure")
+        assert (closed.classification, closed.period, closed.escape_time) == (CLOSED, 2.25, None)
+        escaped = Trajectory(t, x, p, "escape")
+        assert (escaped.classification, escaped.period, escaped.escape_time) == (ESCAPED, None, 2.25)
+        unfinished = Trajectory(t, x, p)
+        assert (unfinished.classification, unfinished.period, unfinished.escape_time) == ("", None, None)
+        with pytest.raises(ValueError, match="unknown termination 'open'"):
+            Trajectory(t, x, p, "open")
 
     def test_integrate_builds_no_phase_state_per_step(self, monkeypatch):
         from complexpendulum import integrator
@@ -364,9 +376,10 @@ class TestColumns:
 
     def test_the_potential_is_evaluated_once_per_written_sample(self, monkeypatch, tmp_path):
         """fig2 writes five closed orbits: beyond one evaluation per CSV
-        row, each trajectory costs two (its start momentum and the
-        energy_drift reference H(0)).  The compiled library computes the
-        rows' energy column itself and calls ``potential`` for none."""
+        row, each trajectory costs one, its start momentum (the
+        energy_drift reference H(0) is the column's first row).  The
+        compiled library computes the rows' energy column itself and
+        calls ``potential`` for none."""
         from complexpendulum import _dopri5
         from complexpendulum.cli import run_scenario
 
@@ -380,11 +393,11 @@ class TestColumns:
         monkeypatch.setattr(Pendulum, "potential", counted)
         if _dopri5._library() is not None:
             assert run_scenario("fig2", out=tmp_path / "compiled", quiet=True) == 0
-            assert len(calls) == 2 * 5
+            assert len(calls) == 5
             calls.clear()
-        monkeypatch.setattr(_dopri5, "model_params", lambda field: None)
+        monkeypatch.setattr(_dopri5, "model_params", lambda model: None)
         assert run_scenario("fig2", out=tmp_path, quiet=True) == 0
         csvs = sorted(tmp_path.glob("traj_*.csv"))
         rows = sum(len(f.read_text().splitlines()) - 1 for f in csvs)
         assert len(csvs) == 5 and rows > 1000
-        assert rows <= len(calls) <= rows + 2 * len(csvs)
+        assert rows <= len(calls) <= rows + len(csvs)

@@ -234,6 +234,22 @@ class TestEscapeTime:
         with pytest.raises((DomainError, ValueError)):
             escape_time(Pendulum(g=1.0), COSH1, 1.0 + 1j)
 
+    def test_a_root_is_accepted_by_the_root_searchs_rule(self):
+        """Near Re x = 1e9, cos x rounds by about 1e-7, coarser than the
+        1e-8 residual target: the root turning_points returns there is
+        a root by its rounding floor, and the quadrature accepts it as
+        one.  A point 1e-6 off is still rejected."""
+        model = Pendulum(g=1.0)
+        k = round(1e9 / (2.0 * PI))
+        roots = turning_points(model, COSH1, (2.0 * PI * k, 2.0 * PI * (k + 1), -2.0, 2.0))
+        x0 = roots[-1].x0
+        assert x0 == 1000000002.5641972 + 0.9999999999999986j
+        assert abs(model.potential(x0) - COSH1) > 1e-8 * COSH1
+        assert quadrature._as_root(model, COSH1, x0) == x0
+        for off in (1e-6, 1e-6j):
+            with pytest.raises(ValueError, match="is not a turning point at this energy"):
+                quadrature._as_root(model, COSH1, x0 + off)
+
 
 class TestPeriodContour:
     def test_zero_energy_period(self):

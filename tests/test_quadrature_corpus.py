@@ -49,5 +49,5 @@ def test_outcomes_match_the_corpus():
 
 
 def test_python_integrands_match_the_corpus(monkeypatch):
-    monkeypatch.setattr(_dopri5, "model_params", lambda field: None)
+    monkeypatch.setattr(_dopri5, "model_params", lambda model: None)
     assert _mismatches() == []

@@ -93,7 +93,7 @@ def steps_spy(*args):
 
 def on_both_paths(run):
     fast = run()
-    params, _dopri5.model_params = _dopri5.model_params, lambda field: None
+    params, _dopri5.model_params = _dopri5.model_params, lambda model: None
     try:
         assert run() == fast
     finally:

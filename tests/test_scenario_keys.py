@@ -1,9 +1,12 @@
 """The scenario key table: the README documents exactly its keys, and any
 document built from them loads into a Scenario or fails with a
-ConfigError, never with another exception."""
+ConfigError, never with another exception; run end to end, it exits
+with a documented code and writes a strict-JSON summary."""
 import copy
+import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -173,6 +176,29 @@ def test_documents_load_or_fail_as_config_errors(workdir, doc, flags):
         cli._starting_states(scn)
     except cli.ConfigError:
         pass
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.usefixtures("deadline")
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(doc=DOCUMENTS)
+def test_documents_run_end_to_end(workdir, doc):
+    path = workdir / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = workdir / "run"
+    shutil.rmtree(out, ignore_errors=True)
+    code = cli.run_scenario(path, out=str(out), horizon=0.5, quiet=True)
+    assert code in (0, 2, 3)
+    if code == 0:
+        summary = strict_json((out / "summary.json").read_text())
+        files = [rec["file"] for rec in summary["trajectories"] if rec["file"] is not None]
+        assert all((out / name).is_file() for name in files)
 
 
 @pytest.mark.parametrize(
