@@ -28,9 +28,13 @@
  *
  * energy_rows computes Trajectory's energy column the same way, and
  * stops at the first row it cannot mirror, which Python then computes.
- * quad_integral runs one whole quadrature integral, every piece's
- * adaptive refinement, and hands the whole integral back to Python when
- * one panel cannot be mirrored.
+ * quad_integral runs one whole quadrature integral: the branch guide,
+ * built by the rule of quadrature._guide, then every piece's adaptive
+ * refinement, each panel's midpoint evaluated once for both rules.  It
+ * hands the whole integral back to Python when one guide value or panel
+ * cannot be mirrored.  Its potential evaluations keep the last trig pair
+ * of Re x and of Im x (see Trig): the same double in gives the same libm
+ * result out, so reusing them is exact.
  *
  * Every entry point reads the model from one Model record, built by
  * _dopri5.model_params, and quad_integral reads each path piece as its
@@ -38,7 +42,9 @@
  */
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { PENDULUM = 0, HARMONIC = 1, CUBIC_I = 2, DRIVEN_PENDULUM = 3 };
 
@@ -398,11 +404,32 @@ int dopri5_advance(const Model *model, double t, double t_target, const double p
     return 1;
 }
 
+/* The last arguments and results of potential()'s two trig pairs, keyed
+ * on the exact double, -0.0 apart from 0.0: the bits of Re x for cos and
+ * sin, of -Im x for cosh and sinh.  The same double in gives the same libm
+ * result out, so a pair is computed only when its argument changes: along
+ * a vertical ray Re x stays put, along a horizontal edge Im x does. */
+typedef struct {
+    uint64_t re, im;
+    double cos_re, sin_re, cosh_im, sinh_im;
+} Trig;
+
+/* an empty key: the bits of a NaN, which potential() never takes */
+#define NO_KEY UINT64_C(0x7ff8000000000001)
+#define EMPTY_TRIG {NO_KEY, NO_KEY, 0.0, 0.0, 0.0, 0.0}
+
+static inline uint64_t bits(double v)
+{
+    uint64_t b;
+    memcpy(&b, &v, sizeof b);
+    return b;
+}
+
 /* V(x) as the model's potential computes it: -g * cmath.cos(x), as
  * neg_g times the cosine, 0.5 * x * x or 1j * x * x * x, each product a
  * full complex one, with cmath.cos(x) = cosh(-Im x + i Re x).  Returns 0
  * where cmath would take another path or raise. */
-static int potential(const Model *m, cplx x, cplx *v)
+static int potential(const Model *m, cplx x, cplx *v, Trig *trig)
 {
     const cplx half = {0.5, 0.0}, i1 = {0.0, 1.0};
     if (!is_finite(x))
@@ -418,7 +445,17 @@ static int potential(const Model *m, cplx x, cplx *v)
         double cr = -x.im, ci = x.re;
         if (fabs(cr) > LOG_LARGE_DOUBLE)
             return 0;
-        cplx c = {cos(ci) * cosh(cr), sin(ci) * sinh(cr)};
+        if (bits(ci) != trig->re) {
+            trig->re = bits(ci);
+            trig->cos_re = cos(ci);
+            trig->sin_re = sin(ci);
+        }
+        if (bits(cr) != trig->im) {
+            trig->im = bits(cr);
+            trig->cosh_im = cosh(cr);
+            trig->sinh_im = sinh(cr);
+        }
+        cplx c = {trig->cos_re * trig->cosh_im, trig->sin_re * trig->sinh_im};
         if (isinf(c.re) || isinf(c.im))
             return 0;
         *v = mul(m->neg_g, c);
@@ -436,10 +473,11 @@ long energy_rows(const Model *model, long n, const cplx *x, const cplx *p, cplx 
     const cplx half = {0.5, 0.0};
     /* volatile: gcc folds pow(a, 2.0) into a * a, which rounds otherwise */
     volatile double two = 2.0;
+    Trig trig = EMPTY_TRIG;
     long k;
     for (k = 0; k < n; k++) {
         cplx vk;
-        if (!potential(model, x[k], &vk))
+        if (!potential(model, x[k], &vk, &trig))
             break;
         v[k] = vk;
         h[k] = add(mul(mul(half, p[k]), p[k]), vk);
@@ -448,26 +486,39 @@ long energy_rows(const Model *model, long n, const cplx *x, const cplx *p, cplx 
     return k;
 }
 
-/* Quadrature.  quad_integral runs quadrature.adaptive_quad's refinement
- * over each piece of a path, and quad_panel evaluates quadrature._panel
- * for the integrands of _branch_integral and escape_time_real_form, node
- * by node as Python does, with CPython's cmath.sqrt, cmath.exp and
- * complex division written out below. */
+/* Quadrature.  quad_integral runs one whole integral: for the branch
+ * integrand it first builds quadrature._guide's branch guide, then it runs
+ * quadrature.adaptive_quad's refinement over each piece of the path, and
+ * quad_panel evaluates quadrature._panel for the integrands of
+ * _branch_integral and escape_time_real_form, node by node as Python
+ * does, with CPython's cmath.sqrt, cmath.exp and complex division written
+ * out below. */
 
 enum { BRANCH = 0, REAL_FORM = 1 };
 enum { RAY = 0, EDGE = 1, CAP = 2 };
 
-/* One integrand on one piece of a path (see quadrature._pieces). */
+/* One piece of a path (see quadrature._pieces) and its part of the
+ * branch guide. */
 typedef struct {
-    int integrand, piece;
+    int kind;
+    cplx c0, c1, c2;     /* the piece's constants, see piece_at */
+    double phi0;         /* a cap's start angle */
+    double s0, s1, tol;  /* the parameter interval and its error target */
+    long cells, first;   /* the guide's cells here, and the first one's entry */
+    double h;            /* their width */
+    cplx *roots;         /* the principal roots at their midpoints */
+} Piece;
+
+/* One integrand on a path. */
+typedef struct {
+    int integrand;
     const Model *model;
     cplx energy;
-    cplx c0, c1, c2;      /* the piece's constants, see piece_at */
-    double phi0;          /* a cap's start angle */
     const double *nodes;  /* (xi, wi) of the 15 nodes, then of the 31 */
-    const cplx *guide;    /* the branch guide, n_guide entries */
-    long first, n_guide;  /* this piece's first entry, and the count */
-    double s0, h;         /* the piece's start and guide cell width */
+    const Piece *piece;   /* the piece being integrated */
+    const cplx *guide;    /* the continued branch guide, n_guide entries */
+    long n_guide;
+    Trig trig;
 } Integrand;
 
 /* cmath.exp(z) for finite z; 0 where cmath takes another path or raises */
@@ -524,75 +575,87 @@ static cplx quot(cplx a, cplx b)
  *   ray   c0 + c1 * (s * s), c2 * s;
  *   edge  c0 + c1 * s, c1;
  *   cap   c0 + c1 * e, c2 * e, with e = cmath.exp(1j * (phi0 + math.pi * s)). */
-static int piece_at(const Integrand *f, double s, cplx *z, cplx *dz)
+static int piece_at(const Piece *p, double s, cplx *z, cplx *dz)
 {
-    switch (f->piece) {
+    switch (p->kind) {
     case RAY:
-        *z = add(f->c0, scale(s * s, f->c1));
-        *dz = scale(s, f->c2);
+        *z = add(p->c0, scale(s * s, p->c1));
+        *dz = scale(s, p->c2);
         return 1;
     case EDGE:
-        *z = add(f->c0, scale(s, f->c1));
-        *dz = f->c1;
+        *z = add(p->c0, scale(s, p->c1));
+        *dz = p->c1;
         return 1;
     default: {
         const cplx i1 = {0.0, 1.0};
         cplx e;
-        if (!py_exp(scale(f->phi0 + M_PI * s, i1), &e))
+        if (!py_exp(scale(p->phi0 + M_PI * s, i1), &e))
             return 0;
-        *z = add(f->c0, mul(f->c1, e));
-        *dz = mul(f->c2, e);
+        *z = add(p->c0, mul(p->c1, e));
+        *dz = mul(p->c2, e);
         return 1;
     }
     }
 }
 
-/* The branch integrand at s: w = cmath.sqrt(2.0 * (E - V(z))), turned to
- * the root nearer its guide entry, then 1.0 / w * dz. */
-static int branch_term(const Integrand *f, double s, cplx *out)
+/* quadrature._root: w = cmath.sqrt(2.0 * (E - V(z))) at z(s) of a piece,
+ * and dz(s) there */
+static int root_at(Integrand *f, const Piece *p, double s, cplx *w, cplx *dz)
+{
+    cplx z, v;
+    return piece_at(p, s, &z, dz) && potential(f->model, z, &v, &f->trig) &&
+           py_sqrt(scale(2.0, sub(f->energy, v)), w);
+}
+
+/* quadrature._near: r turned to the root nearer ref, -r where
+ * abs(-r - ref) < abs(r - ref), each abs a hypot.  Squared distances that
+ * are normal and differ by far more than their rounding order the two
+ * hypots alike; the hypots decide only the near ties. */
+static int near(cplx r, cplx ref, cplx *out)
+{
+    cplx away = {-r.re - ref.re, -r.im - ref.im}, kept = {r.re - ref.re, r.im - ref.im};
+    double sa = away.re * away.re + away.im * away.im, sk = kept.re * kept.re + kept.im * kept.im;
+    int flip;
+    if (sa > 1e-270 && sk > 1e-270 && sa < 1e300 && sk < 1e300 &&
+        (sa < sk * (1.0 - 1e-12) || sk < sa * (1.0 - 1e-12))) {
+        flip = sa < sk;
+    } else {
+        double da = hypot(away.re, away.im), dk = hypot(kept.re, kept.im);
+        if (!isfinite(da) || !isfinite(dk))
+            return 0;
+        flip = da < dk;
+    }
+    out->re = flip ? -r.re : r.re;
+    out->im = flip ? -r.im : r.im;
+    return 1;
+}
+
+/* The branch integrand at s: w turned to the root nearer its entry
+ * guide[first + int((s - s0) / h)], then 1.0 / w * dz. */
+static int branch_term(Integrand *f, double s, cplx *out)
 {
     const cplx one = {1.0, 0.0};
-    cplx z, dz, v, r;
-    if (!piece_at(f, s, &z, &dz) || !potential(f->model, z, &v) ||
-        !py_sqrt(scale(2.0, sub(f->energy, v)), &r))
+    const Piece *p = f->piece;
+    cplx dz, r;
+    if (!root_at(f, p, s, &r, &dz))
         return 0;
-    /* guide[first + int((s - s0) / h)]; a negative index wraps in Python */
-    double cell = (s - f->s0) / f->h;
+    /* a negative index wraps in Python */
+    double cell = (s - p->s0) / p->h;
     if (!(fabs(cell) < 1e15))
         return 0;
-    long j = f->first + (long)cell;
-    if (j < 0 || j >= f->n_guide)
+    long j = p->first + (long)cell;
+    if (j < 0 || j >= f->n_guide || !near(r, f->guide[j], &r))
         return 0;
-    cplx ref = f->guide[j];
-    /* abs(-r - ref) < abs(r - ref), each abs a hypot.  Squared distances
-     * that are normal and differ by far more than their rounding order
-     * the two hypots alike; the hypots decide only the near ties. */
-    cplx away = {-r.re - ref.re, -r.im - ref.im}, near = {r.re - ref.re, r.im - ref.im};
-    double sa = away.re * away.re + away.im * away.im, sn = near.re * near.re + near.im * near.im;
-    int flip;
-    if (sa > 1e-270 && sn > 1e-270 && sa < 1e300 && sn < 1e300 &&
-        (sa < sn * (1.0 - 1e-12) || sn < sa * (1.0 - 1e-12))) {
-        flip = sa < sn;
-    } else {
-        double flipped = hypot(away.re, away.im), kept = hypot(near.re, near.im);
-        if (!isfinite(flipped) || !isfinite(kept))
-            return 0;
-        flip = flipped < kept;
-    }
-    if (flip) {
-        r.re = -r.re;
-        r.im = -r.im;
-    }
     *out = mul(quot(one, r), dz);
     return is_finite(*out);
 }
 
 /* The real-form integrand at u: 2.0 * u / math.sqrt(q.real) with
  * q = 2.0 * (V(z) - E); 0 where Python raises DomainError or overflows. */
-static int real_form_term(const Integrand *f, double u, double *out)
+static int real_form_term(Integrand *f, double u, double *out)
 {
     cplx z, dz, v;
-    if (!piece_at(f, u, &z, &dz) || !potential(f->model, z, &v))
+    if (!piece_at(f->piece, u, &z, &dz) || !potential(f->model, z, &v, &f->trig))
         return 0;
     cplx q = scale(2.0, sub(v, f->energy));
     double size = hypot(q.re, q.im);
@@ -604,30 +667,37 @@ static int real_form_term(const Integrand *f, double u, double *out)
 
 /* quadrature._panel over [a, b]: the 31-node value and its distance to
  * the 15-node one, each sum accumulated from 0j in node order and then
- * multiplied by half as a complex times a float.  Returns 0 where a node
- * cannot be mirrored and where Python raises (a non-finite value or
- * error, an abs that overflows); Python then redoes the integral. */
-static int quad_panel(const Integrand *f, double a, double b, cplx *value, double *err)
+ * multiplied by half as a complex times a float.  The middle node of
+ * each rule is the same s (both have the node 0.0), and its term is
+ * computed once.  Returns 0 where a node cannot be mirrored and where
+ * Python raises (a non-finite value or error, an abs that overflows);
+ * Python then redoes the integral. */
+static int quad_panel(Integrand *f, double a, double b, cplx *value, double *err)
 {
     double half = 0.5 * (b - a), mid = 0.5 * (a + b);
-    cplx sums[2];
+    uint64_t shared_at = NO_KEY;
+    cplx sums[2], shared = {0.0, 0.0};
     for (int rule = 0; rule < 2; rule++) {
         const double *node = f->nodes + (rule ? 30 : 0);
         int count = rule ? 31 : 15;
         cplx acc = {0.0, 0.0};
         for (int k = 0; k < count; k++) {
             double s = mid + half * node[2 * k], wi = node[2 * k + 1];
+            cplx term = shared;
+            if (bits(s) != shared_at) {
+                term.im = 0.0;
+                if (f->integrand == REAL_FORM ? !real_form_term(f, s, &term.re) : !branch_term(f, s, &term))
+                    return 0;
+                if (k == count / 2) {
+                    shared = term;
+                    shared_at = bits(s);
+                }
+            }
             if (f->integrand == REAL_FORM) {
                 /* float terms: complex + float adds 0.0 to the imaginary part */
-                double term;
-                if (!real_form_term(f, s, &term))
-                    return 0;
-                acc.re = acc.re + wi * term;
+                acc.re = acc.re + wi * term.re;
                 acc.im = acc.im + 0.0;
             } else {
-                cplx term;
-                if (!branch_term(f, s, &term))
-                    return 0;
                 acc = add(acc, scale(wi, term));
             }
         }
@@ -644,7 +714,137 @@ enum {
     QUAD_HAND_BACK = 1,   /* redo the whole integral in Python */
     QUAD_BUDGET = 2,      /* max_panels spent: out[2..4] = toterr, tol, panels */
     QUAD_RESOLUTION = 3,  /* worst panel at float resolution: out[2..4] = lo, hi, err */
+    QUAD_UNCLOSED = 4,    /* the branch guide does not close around the loop */
 };
+
+/* the guide's test of two consecutive values, quadrature._apart:
+ * (a * b.conjugate()).real < cosine * abs(a) * abs(b).  Each is a
+ * square root, below sqrt(DBL_MAX), so no abs overflows. */
+static int apart(cplx a, cplx b, double cosine)
+{
+    const cplx conj_b = {b.re, -b.im};
+    return mul(a, conj_b).re < cosine * hypot(a.re, a.im) * hypot(b.re, b.im);
+}
+
+/* The principal roots at the midpoints of a piece's n cells into out;
+ * with the roots at its n / 3 cells, coarse, each of those is the middle
+ * third of a cell, and kept.  0 where a root cannot be mirrored. */
+static int midpoints(Integrand *f, const Piece *p, long n, const cplx *coarse, cplx *out)
+{
+    double h = (p->s1 - p->s0) / (double)n;
+    cplx dz;
+    if (coarse == NULL) {
+        for (long j = 0; j < n; j++)
+            if (!root_at(f, p, p->s0 + ((double)j + 0.5) * h, &out[j], &dz))
+                return 0;
+        return 1;
+    }
+    for (long j = 0; j < n / 3; j++) {
+        if (!root_at(f, p, p->s0 + ((double)(3 * j) + 0.5) * h, &out[3 * j], &dz) ||
+            !root_at(f, p, p->s0 + ((double)(3 * j) + 2.5) * h, &out[3 * j + 2], &dz))
+            return 0;
+        out[3 * j + 1] = coarse[j];
+    }
+    return 1;
+}
+
+/* quadrature._guide: the branch guide of the n pieces, continued from the
+ * principal root at the start of a closed loop, or at the first midpoint,
+ * each piece starting with `cells` cells and tripling them, up to
+ * max_cells, while two consecutive continued values are apart.  It sets
+ * each piece's cells, first entry and cell width, and returns the guide,
+ * with its last entry repeated, in *guide: QUAD_DONE, QUAD_UNCLOSED for a
+ * loop that comes back onto the seed with the other sign, or
+ * QUAD_HAND_BACK.  The caller frees the pieces' roots and the guide. */
+static int build_guide(Integrand *f, Piece *pieces, long n, int closed, long cells, long max_cells,
+                       double cosine, cplx **guide)
+{
+    cplx seed = {0.0, 0.0}, back = seed, dz;
+    long total = 0;
+    int status = QUAD_HAND_BACK;
+    char *coarse;
+    /* bounds that keep every count and byte size in range */
+    if (n < 1 || cells < 1 || max_cells < 0)
+        return status;
+    coarse = calloc((size_t)n, 1);
+    if (coarse == NULL)
+        goto out;
+    for (long i = 0; i < n; i++) {
+        Piece *p = &pieces[i];
+        p->cells = cells;
+        p->roots = malloc((size_t)cells * sizeof *p->roots);
+        if (p->roots == NULL || !midpoints(f, p, cells, NULL, p->roots))
+            goto out;
+    }
+    if (closed && !root_at(f, &pieces[0], pieces[0].s0, &seed, &dz))
+        goto out;
+    for (;;) {
+        total = 0;
+        for (long i = 0; i < n; i++)
+            total += pieces[i].cells;
+        cplx *grown = realloc(*guide, (size_t)(total + 1) * sizeof *grown);
+        if (grown == NULL)
+            goto out;
+        *guide = grown;
+        memset(coarse, 0, (size_t)n);
+        cplx prev = closed ? seed : pieces[0].roots[0];
+        long k = 0;
+        for (long i = 0; i < n; i++) {
+            for (long j = 0; j < pieces[i].cells; j++) {
+                cplx r;
+                if (!near(pieces[i].roots[j], prev, &r))
+                    goto out;
+                if (apart(r, prev, cosine)) {
+                    coarse[i] = 1;
+                    if (j == 0 && i > 0)
+                        coarse[i - 1] = 1;
+                }
+                grown[k++] = prev = r;
+            }
+        }
+        if (closed) {
+            if (!near(seed, prev, &back))
+                goto out;
+            if (apart(back, prev, cosine))
+                coarse[n - 1] = 1;
+        }
+        int refined = 0;
+        for (long i = 0; i < n; i++) {
+            Piece *p = &pieces[i];
+            if (!coarse[i] || p->cells >= max_cells)
+                continue;
+            cplx *finer = malloc((size_t)(3 * p->cells) * sizeof *finer);
+            if (finer == NULL)
+                goto out;
+            int ok = midpoints(f, p, 3 * p->cells, p->roots, finer);
+            free(p->roots);
+            p->roots = finer;
+            p->cells *= 3;
+            if (!ok)
+                goto out;
+            refined = 1;
+        }
+        if (!refined)
+            break;
+    }
+    if (closed && (back.re != seed.re || back.im != seed.im)) {
+        status = QUAD_UNCLOSED;
+        goto out;
+    }
+    /* a node rounding onto a piece's end reads one entry on */
+    (*guide)[total] = (*guide)[total - 1];
+    for (long i = 0, first = 0; i < n; i++) {
+        pieces[i].first = first;
+        pieces[i].h = (pieces[i].s1 - pieces[i].s0) / (double)pieces[i].cells;
+        first += pieces[i].cells;
+    }
+    f->guide = *guide;
+    f->n_guide = total + 1;
+    status = QUAD_DONE;
+out:
+    free(coarse);
+    return status;
+}
 
 /* A panel on adaptive_quad's heap, ordered as its (-err, counter, ...)
  * tuples: the largest error first, ties in the order pushed. */
@@ -690,8 +890,8 @@ static Entry pop(Entry *heap, long *n)
  * max_panels entries on heap: 8 starting panels, then the worst panel
  * halved until the summed error estimate is within tol.  The value goes
  * to *value, a stop's numbers to stop[0..2]. */
-static int refine(const Integrand *f, double a, double b, double tol, long max_panels, Entry *heap,
-                  cplx *value, double *stop)
+static int refine(Integrand *f, double a, double b, double tol, long max_panels, Entry *heap, cplx *value,
+                  double *stop)
 {
     cplx total = {0.0, 0.0};
     double toterr = 0.0, err;
@@ -749,39 +949,70 @@ static int refine(const Integrand *f, double a, double b, double tol, long max_p
     return QUAD_DONE;
 }
 
-enum { PIECE_FIELDS = 13 };
+/* The call record of quad_integral, doubles as _dopri5.integral packs
+ * them: the integrand (BRANCH or REAL_FORM), the branch guide's rule
+ * (closed, cells, max_cells, cosine) of quadrature._guide, the energy,
+ * the panel budget and the piece count, then PIECE_FIELDS doubles per
+ * piece: kind, c0, c1, c2 (re, im each), phi0, and the parameter
+ * interval s0, s1 with its error target. */
+enum { INTEGRAND, CLOSED, CELLS, MAX_CELLS, COSINE, ENERGY_RE, ENERGY_IM, MAX_PANELS, N_PIECES, CALL_FIELDS };
+enum { PIECE_FIELDS = 11 };
 
-/* One whole integral of the integrand (BRANCH or REAL_FORM) of a model
- * along a path, as quadrature sums it: the adaptive_quad value of each
- * piece added to a total from 0j, in piece order.  Each piece is a row
- * of PIECE_FIELDS doubles: kind, c0, c1, c2 (re, im each), phi0, the
- * parameter interval s0, s1, its error target, its first guide entry and
- * the guide's cell width.  Returns a QUAD_ status; out[0..1] holds the
- * total, and out[2..4] a stop's numbers. */
-int quad_integral(int integrand, const Model *model, double er, double ei, const double *nodes, const cplx *guide,
-                  long n_guide, long n_pieces, const double *pieces, long max_panels, double *out)
+/* a count of the call record, or -1 when it is not one in [0, 2^24] */
+static long count(double v)
 {
-    Integrand f = {integrand, 0, model, {er, ei}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0},
-                   0.0, nodes, guide, 0, n_guide, 0.0, 1.0};
-    cplx total = {0.0, 0.0}, value;
-    int status = QUAD_DONE;
-    Entry *heap = malloc((size_t)(max_panels > 8 ? max_panels : 8) * sizeof *heap);
-    if (heap == NULL)
-        return QUAD_HAND_BACK;
+    return v >= 0.0 && v <= (double)(1L << 24) && v == floor(v) ? (long)v : -1;
+}
+
+/* One whole integral of a model along a path, as quadrature sums it: the
+ * adaptive_quad value of each piece added to a total from 0j, in piece
+ * order.  The branch integrand first builds its guide, around a loop if
+ * closed.  Returns a QUAD_ status; out[0..1] holds the total, out[2..4]
+ * a stop's numbers and out[5..] each piece's guide cells. */
+int quad_integral(const Model *model, const double *nodes, const double *call, double *out)
+{
+    const long n_pieces = count(call[N_PIECES]), max_panels = count(call[MAX_PANELS]);
+    const long cells = count(call[CELLS]), max_cells = count(call[MAX_CELLS]);
+    Integrand f = {(int)count(call[INTEGRAND]), model, {call[ENERGY_RE], call[ENERGY_IM]}, nodes, NULL, NULL, 0,
+                   EMPTY_TRIG};
+    cplx total = {0.0, 0.0}, value, *guide = NULL;
+    int status = QUAD_HAND_BACK;
+    Entry *heap = NULL;
+    Piece *pieces = NULL;
+    if (n_pieces < 0 || max_panels < 8)
+        goto out;
+    heap = malloc((size_t)max_panels * sizeof *heap);
+    pieces = calloc((size_t)(n_pieces > 1 ? n_pieces : 1), sizeof *pieces);
+    if (heap == NULL || pieces == NULL)
+        goto out;
+    for (long k = 0; k < n_pieces; k++) {
+        const double *row = call + CALL_FIELDS + PIECE_FIELDS * k;
+        Piece *p = &pieces[k];
+        p->kind = (int)count(row[0]);
+        p->c0 = (cplx){row[1], row[2]};
+        p->c1 = (cplx){row[3], row[4]};
+        p->c2 = (cplx){row[5], row[6]};
+        p->phi0 = row[7];
+        p->s0 = row[8];
+        p->s1 = row[9];
+        p->tol = row[10];
+    }
+    if (f.integrand == BRANCH)
+        status = build_guide(&f, pieces, n_pieces, call[CLOSED] != 0.0, cells, max_cells, call[COSINE], &guide);
+    else
+        status = f.integrand == REAL_FORM ? QUAD_DONE : QUAD_HAND_BACK;
     for (long k = 0; k < n_pieces && status == QUAD_DONE; k++) {
-        const double *row = pieces + PIECE_FIELDS * k;
-        f.piece = (int)row[0];
-        f.c0 = (cplx){row[1], row[2]};
-        f.c1 = (cplx){row[3], row[4]};
-        f.c2 = (cplx){row[5], row[6]};
-        f.phi0 = row[7];
-        f.s0 = row[8];
-        f.first = (long)row[11];
-        f.h = row[12];
-        status = refine(&f, row[8], row[9], row[10], max_panels, heap, &value, out + 2);
+        f.piece = &pieces[k];
+        out[5 + k] = (double)pieces[k].cells;
+        status = refine(&f, pieces[k].s0, pieces[k].s1, pieces[k].tol, max_panels, heap, &value, out + 2);
         if (status == QUAD_DONE)
             total = add(total, value);
     }
+out:
+    for (long k = 0; pieces != NULL && k < n_pieces; k++)
+        free(pieces[k].roots);
+    free(pieces);
+    free(guide);
     free(heap);
     out[0] = total.re;
     out[1] = total.im;

@@ -9,8 +9,10 @@ code it mirrors, which stays the reference:
 - ``energy_columns``: ``Trajectory``'s energy column, V, H and
   ``energy_drift``'s local scale;
 - ``integral``: one quadrature integral of ``_branch_integral`` or
-  ``escape_time_real_form``, ``adaptive_quad``'s whole refinement of
-  every piece, each panel as ``quadrature._panel`` computes it.
+  ``escape_time_real_form``: the branch guide as ``quadrature._guide``
+  builds it, by the rule Python passes, then ``adaptive_quad``'s whole
+  refinement of every piece, each panel as ``quadrature._panel``
+  computes it.
 
 Each reads the model from one record, ``model_params``'s (kind, g,
 complex(-g), epsilon, omega), built from the model itself, and only for
@@ -74,7 +76,7 @@ _STOP_REASONS = {1: "horizon", 2: "max_steps", 3: "step_underflow"}
 # integrands, path pieces and status codes of quad_integral
 _BRANCH, _REAL_FORM = 0, 1
 _PIECES = {"ray": 0, "edge": 1, "cap": 2}
-_QUAD_HAND_BACK, _QUAD_BUDGET, _QUAD_RESOLUTION = 1, 2, 3
+_QUAD_HAND_BACK, _QUAD_BUDGET, _QUAD_RESOLUTION, _QUAD_UNCLOSED = 1, 2, 3, 4
 
 _c_double = ctypes.c_double
 
@@ -171,10 +173,7 @@ def _library():
     lib.csv_rows.restype = ctypes.c_long
     lib.energy_rows.argtypes = [model, ctypes.c_long, *[ctypes.c_void_p] * 5]
     lib.energy_rows.restype = ctypes.c_long
-    lib.quad_integral.argtypes = [
-        ctypes.c_int, model, _c_double, _c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p,
-    ]
+    lib.quad_integral.argtypes = [model, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     lib.quad_integral.restype = ctypes.c_int
     return lib
 
@@ -263,49 +262,41 @@ def energy_columns(model, x, p):
     return v, h, scale, _library().energy_rows(record, len(x), *addresses)
 
 
-def integral(model, energy, rows, nodes, max_panels, guide=None):
+def integral(model, energy, pieces, nodes, max_panels, branch=None):
     """One quadrature integral in one call: ``quadrature.adaptive_quad``
     over each piece with at most ``max_panels`` panels, each panel as
     ``quadrature._panel`` computes it, the pieces' values added to a total
     from 0j in order, bit for bit as Python computes them.
 
-    With ``guide`` (a sequence of complexes), the integrand is
-    ``_branch_integral``'s, which reads it; without, it is
-    ``escape_time_real_form``'s.  ``rows`` gives each piece as (piece, s0,
-    s1, tol, first, h): the descriptor of ``quadrature._pieces``, (kind,
-    c0, c1, c2, phi0), the parameter interval, its error target, and its
-    first guide entry and cell width.  ``nodes`` holds the 46 (xi, wi)
-    pairs, 15 nodes then 31, as float64 bytes.
+    ``pieces`` are ``quadrature._pieces``'s, (piece, s0, s1, tol): the
+    descriptor (kind, c0, c1, c2, phi0), the parameter interval and its
+    error target.  ``nodes`` holds the 46 (xi, wi) pairs, 15 nodes then
+    31, as float64 bytes.  Without ``branch`` the integrand is
+    ``escape_time_real_form``'s.  With ``branch``, (closed, cells,
+    max_cells, cos), it is ``_branch_integral``'s: the library first
+    builds ``quadrature._guide``'s branch guide by that rule, along a
+    loop if ``closed``.
 
-    Returns (total, None), or (total, stop) where ``adaptive_quad`` raises
-    ``ToleranceNotMet``: stop is ("budget", toterr, tol, panels) or
-    ("resolution", lo, hi, err).  None when the model is not one the
-    kernel runs or the library cannot mirror a panel; Python then
-    computes the whole integral."""
+    Returns (total, stop, cells): cells lists each piece's guide cells
+    (0 for the real form), and stop is None, or where Python raises,
+    ("unclosed",) for a guide that does not close around the loop, and
+    for ``adaptive_quad``'s ``ToleranceNotMet`` ("budget", toterr, tol,
+    panels) or ("resolution", lo, hi, err).  None when the model is not
+    one the kernel runs or the library cannot mirror a guide value or a
+    panel; Python then computes the whole integral."""
     record = model_params(model)
     if record is None:
         return None
     if len(nodes) != 46 * 2 * 8:
         raise ValueError(f"expected 46 (xi, wi) float64 pairs, got {len(nodes)} bytes")
-    flat = []
-    for (kind, c0, c1, c2, phi0), s0, s1, tol, first, h in rows:
-        flat += (_PIECES[kind], c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, phi0, s0, s1, tol, first, h)
     energy = complex(energy)
-    out = (_c_double * 5)()
-    # bytes are the cheapest read-only buffers to build for ctypes
-    status = _library().quad_integral(
-        _REAL_FORM if guide is None else _BRANCH,
-        record,
-        energy.real,
-        energy.imag,
-        nodes,
-        None if guide is None else np.array(guide, dtype=complex).tobytes(),
-        0 if guide is None else len(guide),
-        len(rows),
-        struct.pack(f"{len(flat)}d", *flat),
-        max_panels,
-        out,
-    )
+    integrand, rule = (_REAL_FORM, (0, 0, 0, 0.0)) if branch is None else (_BRANCH, branch)
+    call = [integrand, *rule, energy.real, energy.imag, max_panels, len(pieces)]
+    for (kind, c0, c1, c2, phi0), s0, s1, tol in pieces:
+        call += (_PIECES[kind], c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, phi0, s0, s1, tol)
+    out = (_c_double * (5 + len(pieces)))()
+    # one call record, as bytes: the fewest and cheapest arguments to convert
+    status = _library().quad_integral(record, nodes, struct.pack(f"{len(call)}d", *call), out)
     if status == _QUAD_HAND_BACK:
         return None
     stop = None
@@ -313,7 +304,9 @@ def integral(model, energy, rows, nodes, max_panels, guide=None):
         stop = ("budget", out[2], out[3], int(out[4]))
     elif status == _QUAD_RESOLUTION:
         stop = ("resolution", out[2], out[3], out[4])
-    return complex(out[0], out[1]), stop
+    elif status == _QUAD_UNCLOSED:
+        stop = ("unclosed",)
+    return complex(out[0], out[1]), stop, list(map(int, out[5:]))
 
 
 def csv_formatter():

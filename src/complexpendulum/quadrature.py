@@ -3,8 +3,9 @@
 The workhorse is a globally adaptive scheme that halves the panel with
 the largest error estimate first.  A panel's value is its 31-point
 Gauss-Legendre sum and its error estimate the distance to the 15-point
-sum.  The two rules are not nested: they share only the midpoint, so a
-panel costs 46 integrand evaluations, the midpoint's twice.
+sum.  The two rules are not nested: they share only the midpoint, the
+node 0.0, so a panel costs 45 integrand evaluations, or 46 in ``_panel``,
+which evaluates the midpoint in each rule.
 Inverse-square-root endpoint singularities - the generic behaviour of
 1/p(x) at a turning point - are removed exactly by the substitution
 z = z0 + d u^2, after which the integrand is smooth.
@@ -16,7 +17,7 @@ z(s) and dz(s) from them for the Python integrands, and ``piece_at`` in
 constants fix the quadrature nodes, and so the bits of every bundled
 escape time and period.  The momentum w(z) = sqrt(2 (E - V(z))) is
 double-valued: escape times (along a ray) and periods (around a loop)
-both take its branch from one guide, ``_branch_integral``, which
+both take its branch from one guide, built by ``_guide``, which
 tabulates w at the parameter midpoints of each piece, continues its sign
 from a principal seed, and gives each quadrature node the root nearer to
 the entry of its own piece and parameter cell.  The guide is sized from
@@ -32,12 +33,14 @@ the integral itself.
 
 For the four built-in models, each integral of the branch integrand on
 any path, and of ``escape_time_real_form``'s, is one call of the
-compiled library (``_dopri5.integral``): ``adaptive_quad``'s whole
-refinement of every piece, bit for bit as the Python integrands,
-``adaptive_quad`` and ``_panel`` compute it, the same ``ToleranceNotMet``
-stops included.  An integral with a panel the library cannot mirror is
-handed back whole, and the Python path, which stays the reference,
-computes it: the same bits, or the same error.
+compiled library (``_dopri5.integral``): the branch guide, built by the
+rule of ``_guide`` from the constants below, then ``adaptive_quad``'s
+whole refinement of every piece, bit for bit as ``_guide``, the Python
+integrands, ``adaptive_quad`` and ``_panel`` compute them, the same
+``BranchInconsistency`` and ``ToleranceNotMet`` stops and the same
+refinement log included.  An integral with a guide value or a panel the
+library cannot mirror is handed back whole, and the Python path, which
+stays the reference, computes it: the same bits, or the same error.
 """
 from __future__ import annotations
 
@@ -147,7 +150,8 @@ _MAX_PANELS = 4000  # adaptive_quad's panel budget
 
 # branch guide: each piece starts with this many midpoint cells and
 # triples them, up to the ceiling, while two consecutive continued values
-# of w are more than acos(_GUIDE_COS), about 26 degrees, apart
+# of w are more than acos(_GUIDE_COS), about 26 degrees, apart; the
+# library's guide reads them at each call
 _GUIDE_CELLS = 8
 _GUIDE_MAX_CELLS = 8 * 3**6
 _GUIDE_COS = 0.9
@@ -231,17 +235,23 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> complex:
 _MIRRORED = (adaptive_quad, _panel)
 
 
-def _library_integral(model: HamiltonianModel, E: complex, rows, guide=None):
-    """The integral over the pieces ``rows`` in one call of the library
-    (see ``_dopri5.integral``), branch integrand with ``guide``, real-form
-    integrand without; it raises ``adaptive_quad``'s ``ToleranceNotMet``.
-    None when the library cannot compute it as Python would."""
+def _library_integral(model: HamiltonianModel, E: complex, pieces, closed=None):
+    """The integral over ``pieces`` in one call of the library (see
+    ``_dopri5.integral``): the branch integrand, with the library building
+    ``_guide``'s guide along a loop if ``closed``, or the real-form
+    integrand when ``closed`` is None.  It raises as the Python path
+    does, and logs the guide's refinement as ``_guide`` does; None when
+    the library cannot compute the integral as Python would."""
     if (adaptive_quad, _panel) != _MIRRORED:
         return None
-    result = _dopri5.integral(model, E, rows, _NODES, _MAX_PANELS, guide)
+    branch = None if closed is None else (closed, _GUIDE_CELLS, _GUIDE_MAX_CELLS, _GUIDE_COS)
+    result = _dopri5.integral(model, E, pieces, _NODES, _MAX_PANELS, branch)
     if result is None:
         return None
-    total, stop = result
+    total, stop, cells = result
+    if stop == ("unclosed",):
+        raise _unclosed()
+    _log_refined(cells)
     if stop is not None:
         reason, *numbers = stop
         raise (_budget_spent if reason == "budget" else _resolution_limit)(*numbers)
@@ -321,35 +331,40 @@ def path_integral(f, path, tol: float = 1e-10) -> complex:
     return total
 
 
-def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) -> complex:
-    """Integral of dz / w along the pieces, with w = sqrt(2 (E - V)) kept
-    on one branch by a guide.
-
-    The guide tabulates w at the midpoints of equal parameter cells of
-    each piece and continues its sign value to value along the path.  A
-    loop is seeded with the principal root at its start point, z(s0) of
-    the first piece; an open path (an escape ray, a segment) with the
-    principal root at its first guide entry.  Each piece starts with
-    ``_GUIDE_CELLS`` cells; while two consecutive continued values (two
-    in one piece, the last and first of adjacent pieces, or, on a loop,
-    the seed and its neighbours) are more than about 26 degrees apart,
-    the pieces they lie on triple their cells, keeping every value
-    already computed, up to ``_GUIDE_MAX_CELLS``; at the ceiling the
-    guide is used as it stands.  A loop whose continuation comes back
-    onto the seed with the other sign raises ``BranchInconsistency``.
-    Each quadrature node then takes the root nearer to the guide entry
-    of its own piece and parameter cell, so the guide picks signs only:
-    the nodes, and the magnitude of each term, are those of the path.
-    For the built-in models the library integrates every piece in one
-    call; the loop at the end, the reference, runs otherwise.  A path
-    with no pieces (a segment of zero length) gives 0j.
-    """
-    if not pieces:
-        return 0.0j
+def _root(model: HamiltonianModel, E: complex):
+    """w(z) = sqrt(2 (E - V(z))), the principal root."""
     potential = model.potential
+    return lambda z: cmath.sqrt(2.0 * (E - potential(z)))
 
-    def w(z):
-        return cmath.sqrt(2.0 * (E - potential(z)))
+
+def _near(r, ref):
+    """The root, r or -r, nearer ref."""
+    return -r if abs(-r - ref) < abs(r - ref) else r
+
+
+def _apart(a, b):
+    """Whether two consecutive guide values are more than acos(_GUIDE_COS)
+    apart."""
+    return (a * b.conjugate()).real < _GUIDE_COS * abs(a) * abs(b)
+
+
+def _unclosed():
+    return BranchInconsistency("branch guide does not close around the contour")
+
+
+def _log_refined(cells):
+    for i, n in enumerate(cells):
+        if n > _GUIDE_CELLS:
+            logger.debug("branch guide: piece %d refined to %d cells", i, n)
+
+
+def _guide(model: HamiltonianModel, E: complex, pieces, closed: bool):
+    """(guide, cells): the branch guide of ``_branch_integral`` along the
+    pieces, the continued values of w at the midpoints of each piece's
+    cells followed by the last one again, and each piece's cell count.
+    ``quad_integral`` in ``_dopri5.c`` builds it bit for bit for the
+    compiled integrals."""
+    w = _root(model, E)
 
     def midpoints(z, s0, s1, n, coarse):
         # the midpoints of n cells; with the values at n/3 cells, the
@@ -362,60 +377,81 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
             out += (w(z(s0 + (3 * j + 0.5) * h)), r, w(z(s0 + (3 * j + 2.5) * h)))
         return out
 
-    def near(r, ref):
-        return -r if abs(-r - ref) < abs(r - ref) else r
-
-    def apart(a, b):
-        return (a * b.conjugate()).real < _GUIDE_COS * abs(a) * abs(b)
-
-    curves = [_curve(piece) for piece, *_ in pieces]
-    raw = [midpoints(z, s0, s1, _GUIDE_CELLS, None) for (z, _), (_, s0, s1, _) in zip(curves, pieces)]
+    curves = [_curve(piece)[0] for piece, *_ in pieces]
+    raw = [midpoints(z, s0, s1, _GUIDE_CELLS, None) for z, (_, s0, s1, _) in zip(curves, pieces)]
     if closed:
-        seed = w(curves[0][0](pieces[0][1]))
+        seed = w(curves[0](pieces[0][1]))
     while True:
         guide = []
         coarse = set()  # pieces with two consecutive values too far apart
         prev = seed if closed else raw[0][0]
         for i, values in enumerate(raw):
             for j, r in enumerate(values):
-                r = near(r, prev)
-                if apart(r, prev):
+                r = _near(r, prev)
+                if _apart(r, prev):
                     coarse.update((i - 1, i) if j == 0 and i > 0 else (i,))
                 guide.append(r)
                 prev = r
         if closed:
-            back = near(seed, prev)
-            if apart(back, prev):
+            back = _near(seed, prev)
+            if _apart(back, prev):
                 coarse.add(len(raw) - 1)
         refine = [i for i in sorted(coarse) if len(raw[i]) < _GUIDE_MAX_CELLS]
         if not refine:
             break
         for i in refine:
             _, s0, s1, _ = pieces[i]
-            raw[i] = midpoints(curves[i][0], s0, s1, 3 * len(raw[i]), raw[i])
+            raw[i] = midpoints(curves[i], s0, s1, 3 * len(raw[i]), raw[i])
     if closed and back != seed:
-        raise BranchInconsistency("branch guide does not close around the contour")
-    for i, values in enumerate(raw):
-        if len(values) > _GUIDE_CELLS:
-            logger.debug("branch guide: piece %d refined to %d cells", i, len(values))
+        raise _unclosed()
+    cells = [len(values) for values in raw]
+    _log_refined(cells)
     guide.append(guide[-1])  # a node rounding onto a piece's end reads one entry on
+    return guide, cells
 
-    # each piece's (descriptor, s0, s1, tol, first guide entry, cell width)
-    rows = []
-    first = 0
-    for (piece, s0, s1, ptol), values in zip(pieces, raw):
-        rows.append((piece, s0, s1, ptol, first, (s1 - s0) / len(values)))
-        first += len(values)
-    total = _library_integral(model, E, rows, guide)
+
+def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) -> complex:
+    """Integral of dz / w along the pieces, with w = sqrt(2 (E - V)) kept
+    on one branch by a guide.
+
+    The guide (``_guide``) tabulates w at the midpoints of equal
+    parameter cells of each piece and continues its sign value to value
+    along the path.  A loop is seeded with the principal root at its
+    start point, z(s0) of the first piece; an open path (an escape ray, a
+    segment) with the principal root at its first guide entry.  Each
+    piece starts with ``_GUIDE_CELLS`` cells; while two consecutive
+    continued values (two in one piece, the last and first of adjacent
+    pieces, or, on a loop, the seed and its neighbours) are more than
+    about 26 degrees apart, the pieces they lie on triple their cells,
+    keeping every value already computed, up to ``_GUIDE_MAX_CELLS``; at
+    the ceiling the guide is used as it stands.  A loop whose
+    continuation comes back onto the seed with the other sign raises
+    ``BranchInconsistency``.  Each quadrature node then takes the root
+    nearer to the guide entry of its own piece and parameter cell, so the
+    guide picks signs only: the nodes, and the magnitude of each term,
+    are those of the path.  For the built-in models the library builds
+    the guide and integrates every piece in one call; ``_guide`` and the
+    loop at the end, the reference, run otherwise.  A path with no pieces
+    (a segment of zero length) gives 0j.
+    """
+    if not pieces:
+        return 0.0j
+    total = _library_integral(model, E, pieces, closed)
     if total is not None:
         return total
+    guide, cells = _guide(model, E, pieces, closed)
+    w = _root(model, E)
     total = 0.0j
-    for (z, dz), (_, s0, s1, ptol, first, h) in zip(curves, rows):
+    first = 0
+    for (piece, s0, s1, ptol), n in zip(pieces, cells):
+        z, dz = _curve(piece)
+        h = (s1 - s0) / n
 
         def f(s):
-            return 1.0 / near(w(z(s)), guide[first + int((s - s0) / h)]) * dz(s)
+            return 1.0 / _near(w(z(s)), guide[first + int((s - s0) / h)]) * dz(s)
 
         total += adaptive_quad(f, s0, s1, ptol)
+        first += n
     return total
 
 
@@ -507,7 +543,7 @@ def escape_time_real_form(
     """
     E, ray = _escape_ray(model, energy, tp, cutoff, direction)
     [(piece, s0, umax, ptol)] = _pieces(ray, tol)
-    total = _library_integral(model, E, [(piece, s0, umax, ptol, 0, 1.0)])
+    total = _library_integral(model, E, [(piece, s0, umax, ptol)])
     if total is not None:
         return total.real
     z, _ = _curve(piece)

@@ -11,6 +11,9 @@ produced:
   with the principal complex arccosine; this covers real roots (|E/g| <= 1
   real), the conjugate pairs off the real axis, and the staggered
   single-root-per-column pattern of purely imaginary g in one formula.
+  Only the seeds within pi of the window in both coordinates are
+  polished: pi is half the lattice period, and each seed sits on its
+  root to within the conditioning of acos.
 * harmonic:                     x = +/- sqrt(2 E)
 * imaginary cubic:              x^3 = -i E, the three cube roots
 
@@ -41,6 +44,10 @@ _SEED_GRID = 0.5  # spacing of the seed grid of models with no closed form
 _DEDUPE_TOL = 1e-9  # roots closer than this are one root
 _RESIDUAL_TOL = 1e-12  # relative residual target of the Newton polish
 _MAX_ITER = 50  # Newton steps per seed
+# a pendulum seed further than this outside the window is not polished:
+# half the period of the root lattice, while a closed-form seed sits on
+# its root to within the conditioning of acos
+_SEED_REACH = math.pi
 
 
 class NonConvergence(Exception):
@@ -112,22 +119,27 @@ def _check_seed_count(count: float) -> None:
         raise ValueError(f"window needs {count:.3g} seeds, more than {_MAX_SEEDS}")
 
 
-def _pendulum_seeds(model: Pendulum, energy: complex, re_lo: float, re_hi: float):
+def _pendulum_seeds(model: Pendulum, energy: complex, window):
+    """+/- acos(-E/g) + 2 pi k for the k that cover the window, less the
+    seeds more than ``_SEED_REACH`` outside it in either coordinate."""
     if model.g == 0.0:
         raise ValueError("g must be nonzero for turning points of the pendulum")
+    re_lo, re_hi, im_lo, im_hi = window
     alpha = cmath.acos(-energy / model.g)
     lo = (re_lo - abs(alpha.real)) / _TWO_PI
     hi = (re_hi + abs(alpha.real)) / _TWO_PI
     _check_seed_count(2.0 * (hi - lo + 4.0))
+    x_lo, x_hi, y_lo, y_hi = re_lo - _SEED_REACH, re_hi + _SEED_REACH, im_lo - _SEED_REACH, im_hi + _SEED_REACH
     for k in range(math.floor(lo) - 1, math.ceil(hi) + 2):
-        yield alpha + _TWO_PI * k
-        yield -alpha + _TWO_PI * k
+        for seed in (alpha + _TWO_PI * k, -alpha + _TWO_PI * k):
+            if not (seed.real < x_lo or seed.real > x_hi or seed.imag < y_lo or seed.imag > y_hi):
+                yield seed
 
 
-def _closed_form_seeds(model: HamiltonianModel, energy: complex, re_lo: float, re_hi: float):
-    """Analytic root candidates covering [re_lo, re_hi], or None."""
+def _closed_form_seeds(model: HamiltonianModel, energy: complex, window):
+    """Analytic root candidates covering the window, or None."""
     if isinstance(model, Pendulum):  # includes the driven kind: same potential
-        return list(_pendulum_seeds(model, energy, re_lo, re_hi))
+        return list(_pendulum_seeds(model, energy, window))
     if isinstance(model, Harmonic):
         r = cmath.sqrt(2.0 * energy)
         return [r, -r]
@@ -176,7 +188,7 @@ def turning_points(
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("window must have positive area")
 
-    seeds = _closed_form_seeds(model, complex(energy), re_lo, re_hi)
+    seeds = _closed_form_seeds(model, complex(energy), (re_lo, re_hi, im_lo, im_hi))
     if seeds is None:
         seeds = []
         _check_seed_count(((re_hi - re_lo) / _SEED_GRID + 2.0) * ((im_hi - im_lo) / _SEED_GRID + 2.0))

@@ -776,36 +776,133 @@ def test_the_library_stops_where_python_raises(library, case):
 
 
 def test_sign_choice_ties_take_the_hypots(library):
-    """With a guide of zeros every node is an exact tie, |-r - 0| == |r - 0|,
-    which the library settles with the two hypots as Python does: no
-    root is turned.  The reference is ``_branch_integral``'s integrand."""
+    """On the real axis the harmonic root w = sqrt(1 - x^2) at E = 1/2 is
+    real before x = 1 and imaginary past it, so a node past the root in a
+    guide cell whose entry lies before it is an exact tie,
+    |-r - ref| == |r - ref|, which the library settles with the two hypots
+    as Python does: no root is turned.  The reference is
+    ``_branch_integral``'s integrand, which counts the ties."""
     model, energy = Harmonic(), 0.5 + 0j
-    [(piece, s0, s1, tol)] = quadrature._pieces(VerticalRay(2.0, 1, 1.0), 1e-10)
+    pieces = quadrature._pieces(Segment(0.0, 1.7), 1e-6)
+    [(piece, s0, s1, tol)] = pieces
+    guide, [cells] = quadrature._guide(model, energy, pieces, False)
     z, dz = quadrature._curve(piece)
-    guide, h = [0j] * 9, (s1 - s0) / 8
+    h, ties = (s1 - s0) / cells, []
 
     def f(s):
         r = cmath.sqrt(2.0 * (energy - model.potential(z(s))))
         ref = guide[int((s - s0) / h)]
+        ties.append(abs(-r - ref) == abs(r - ref))
         if abs(-r - ref) < abs(r - ref):
             r = -r
         return 1.0 / r * dz(s)
 
     want = quadrature.adaptive_quad(f, s0, s1, tol)
-    got, stop = _dopri5.integral(model, energy, [(piece, s0, s1, tol, 0, h)], quadrature._NODES, 4000, guide)
-    assert stop is None
-    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert sum(ties) > 100
+    got, calls = assert_integral_matches_python(lambda: quadrature._branch_integral(model, energy, pieces, False))
+    assert (got, calls) == ((want.real.hex(), want.imag.hex()), ["computed"])
 
 
 def test_an_escape_ray_past_a_root_fails_alike(library):
-    """A ray that passes 0.024 from another root: the guide refines to its
-    ceiling, and both paths find the same imaginary residue."""
+    """A ray that passes 0.024 from another root: the guide refines to
+    1944 cells, and both paths find the same imaginary residue."""
     model, energy = Pendulum(g=0.6 + 0.8j), -0.753 - 0.989j
     roots = turning_points(model, energy, (-1.0, 1.0, -1.0, 1.0))
     root = min(roots, key=lambda tp: abs(tp.x0 - (-0.01219 - 0.68387j)))
     got, calls = assert_integral_matches_python(lambda: escape_time(model, energy, root, direction=1))
     assert got == "BranchInconsistency: escape integral has imaginary residue -7.918e-01"
     assert calls == ["computed"]
+
+
+# The branch guide.  The library builds ``quadrature._guide``'s guide in
+# the call that integrates against it.  The two guides are compared
+# through all that the guide decides: the integral's bits, or its error,
+# and the cells of each piece.
+
+
+def guide_outcome(model, energy, pieces, closed):
+    """(outcome, cells) of ``_branch_integral`` along the pieces, the same
+    with the guide built by the library and by ``_guide``, the reference;
+    cells lists each guide's cell counts per piece, [] for a loop that
+    does not close."""
+    results = []
+    for python in (False, True):
+        cells = []
+        with pytest.MonkeyPatch.context() as m:
+            if python:
+                m.setattr(_dopri5, "model_params", lambda model: None)
+                guide = quadrature._guide
+
+                def spy(*args):
+                    built = guide(*args)
+                    cells.append(built[1])
+                    return built
+
+                m.setattr(quadrature, "_guide", spy)
+            else:
+                integral = _dopri5.integral
+
+                def spy(*args):
+                    result = integral(*args)
+                    assert result is not None, "the library handed the integral back"
+                    if result[1] != ("unclosed",):
+                        cells.append(result[2])
+                    return result
+
+                m.setattr(_dopri5, "integral", spy)
+            outcome = quadrature_outcome(lambda: quadrature._branch_integral(model, complex(energy), pieces, closed))
+        results.append((outcome, cells))
+    assert results[0] == results[1]
+    return results[0]
+
+
+corpus_models = st.sampled_from([Pendulum(g=1.0), Pendulum(g=1j), Pendulum(g=0.6 + 0.8j), Harmonic(), ImaginaryCubic()])
+guided_paths = st.builds(VerticalRay, finite_complex, st.sampled_from([1, -1]), st.floats(0.1, 100.0)) | paths.filter(
+    lambda path: not isinstance(path, VerticalRay)
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(corpus_models, finite_complex, guided_paths)
+def test_the_library_builds_the_python_guide(library, model, energy, path):
+    pieces = quadrature._pieces(path, 1e-10)
+    guide_outcome(model, energy, pieces, isinstance(path, TurningPointContour))
+
+
+@pytest.mark.parametrize(
+    "model,energy,path,cells",
+    [
+        # the ray 0.024 from another root of the escape test below
+        (Pendulum(g=0.6 + 0.8j), -0.753 - 0.989j, VerticalRay(-0.0121883258436098 - 0.6838652959389361j), 1944),
+        # a segment through a root, where w turns by 90 degrees at any density
+        (Harmonic(), 0.5, Segment(0.0, 1.7), quadrature._GUIDE_MAX_CELLS),
+    ],
+    ids=["ray-past-a-root", "segment-through-a-root"],
+)
+def test_refined_guides_agree(library, model, energy, path, cells):
+    assert guide_outcome(model, energy, quadrature._pieces(path, 1e-6), False)[1] == [[cells]]
+
+
+def test_a_loop_around_one_root_does_not_close_on_either_path(library):
+    r = math.sqrt(2.0)
+    pieces = quadrature._pieces(TurningPointContour(-r, 0.0, 0.5), 1e-10)
+    got = guide_outcome(Harmonic(), 1.0, pieces, True)
+    assert got == ("BranchInconsistency: branch guide does not close around the contour", [])
+
+
+def test_the_library_logs_its_guide_refinement(library, caplog):
+    # the caps of the fig6 libration pair at offset 2 refine to 24 cells
+    pieces = quadrature._pieces(TurningPointContour(-1j, 1j, 2.0), 1e-10)
+    with caplog.at_level(logging.DEBUG, logger="complexpendulum.quadrature"):
+        got, calls = assert_integral_matches_python(
+            lambda: quadrature._branch_integral(Pendulum(g=1.0), complex(-COSH1), pieces, True)
+        )
+    assert calls == ["computed"]
+    # logged once by the library's call, once by the Python path's guide
+    assert [rec.getMessage() for rec in caplog.records] == 2 * [
+        "branch guide: piece 1 refined to 24 cells",
+        "branch guide: piece 3 refined to 24 cells",
+    ]
 
 
 # escape rays: (model, the real part of the turning points whose rays escape)
@@ -872,10 +969,9 @@ def test_subclass_integrands_have_no_compiled_sums(library):
     class Subclass(ImaginaryCubic):
         pass
 
-    [(piece, s0, s1, tol)] = quadrature._pieces(VerticalRay(1j), 1e-10)
-    rows = [(piece, s0, s1, tol, 0, 1.0)]
-    assert _dopri5.integral(Subclass(), 1.0, rows, quadrature._NODES, 4000) is None
-    assert _dopri5.integral(ImaginaryCubic(), 1.0, rows, quadrature._NODES, 4000)[1] is None
+    pieces = quadrature._pieces(VerticalRay(1j), 1e-10)
+    assert _dopri5.integral(Subclass(), 1.0, pieces, quadrature._NODES, 4000) is None
+    assert _dopri5.integral(ImaginaryCubic(), 1.0, pieces, quadrature._NODES, 4000)[1] is None
     assert escape_time(Subclass(), 1.0, 1j) == escape_time(ImaginaryCubic(), 1.0, 1j)
 
 

@@ -17,15 +17,15 @@ another libm may round ``cmath.sin``/``cos`` differently.
 
 The hashes cannot tell which path wrote the bytes, so the default-path
 run also watches every way back to Python: with the library built, no
-scenario may leave a step, a landing run, an integral or an energy row to
-the Python code.
+scenario may leave a step, a landing run, an integral, a branch guide or
+an energy row to the Python code.
 """
 import collections
 import hashlib
 
 import pytest
 
-from complexpendulum import _dopri5, integrator
+from complexpendulum import _dopri5, integrator, quadrature
 from complexpendulum.cli import run_scenario
 
 GOLDEN = {
@@ -91,6 +91,8 @@ GOLDEN = {
 }
 
 SCENARIOS = sorted({name.split("/")[0] for name in GOLDEN})
+# the scenarios whose analyses include a quadrature integral
+QUADRATURE_SCENARIOS = {"eq10", "eq14", "period-e0", "fig6"}
 
 
 def assert_outputs_match(tmp_path, scenario):
@@ -105,8 +107,9 @@ def watch_fallbacks(monkeypatch):
     """Counts of the library's calls and of the work it left to Python:
     hand-backs of ``_dopri5.steps``, steps of the Python loop (its
     ``_next_h`` and ``_reject_h``), None from ``_dopri5.advance`` or
-    ``_dopri5.integral``, and energy rows ``_dopri5.energy_columns`` did
-    not fill."""
+    ``_dopri5.integral``, branch guides built in Python
+    (``quadrature._guide``), and energy rows ``_dopri5.energy_columns``
+    did not fill."""
     calls, fallbacks = collections.Counter(), collections.Counter()
     steps, energy_columns = _dopri5.steps, _dopri5.energy_columns
 
@@ -134,8 +137,8 @@ def watch_fallbacks(monkeypatch):
 
         return spy
 
-    def python_step(name):
-        original = getattr(integrator, name)
+    def in_python(module, name):
+        original = getattr(module, name)
 
         def spy(*args):
             fallbacks[name] += 1
@@ -147,8 +150,8 @@ def watch_fallbacks(monkeypatch):
     monkeypatch.setattr(_dopri5, "energy_columns", energy_spy)
     for name in ("advance", "integral"):
         monkeypatch.setattr(_dopri5, name, declined(name))
-    for name in ("_next_h", "_reject_h"):
-        monkeypatch.setattr(integrator, name, python_step(name))
+    for module, name in ((integrator, "_next_h"), (integrator, "_reject_h"), (quadrature, "_guide")):
+        monkeypatch.setattr(module, name, in_python(module, name))
     return calls, fallbacks
 
 
@@ -158,6 +161,7 @@ def test_outputs_match_recorded_hashes(monkeypatch, tmp_path, scenario):
     assert_outputs_match(tmp_path, scenario)
     if _dopri5._library() is not None:
         assert calls["steps"] > 0 and calls["energy_columns"] > 0
+        assert (calls["integral"] > 0) == (scenario in QUADRATURE_SCENARIOS)
         assert +fallbacks == {}
 
 

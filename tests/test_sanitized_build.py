@@ -10,7 +10,10 @@ runtime preloaded:
   ``csv_rows`` and ``quad_integral``, each reading the model record;
 - the quadrature corpus;
 - an integral that spends its whole panel budget and one that stops at
-  the resolution limit, which ``quad_integral``'s heap of panels serves;
+  the resolution limit, which ``quad_integral``'s heap of panels serves,
+  an integral whose branch guide the library refines to its ceiling,
+  growing the guide's buffers cell count by cell count, and a loop whose
+  guide does not close;
 - three runs of ``test_dopri5`` that leave the kernel's plain path: the
   run the kernel hands back at cmath.sinh's switch, whose ``State``
   record Python reads back, a landing run the library hands back, and a
@@ -39,7 +42,7 @@ import hashlib, math, sys
 from pathlib import Path
 
 sys.path.insert(0, sys.argv[2])
-from complexpendulum import Harmonic, Pendulum, VerticalRay, _dopri5, escape_time, quadrature
+from complexpendulum import Harmonic, Pendulum, Segment, TurningPointContour, VerticalRay, _dopri5, escape_time, quadrature
 from complexpendulum.cli import run_scenario
 
 _dopri5._CACHE = Path(sys.argv[1])
@@ -57,13 +60,13 @@ assert got == test_golden_outputs.GOLDEN, sorted(k for k in got if got[k] != tes
 
 assert test_quadrature_corpus._mismatches() == []
 
-stops = []
+seen = []
 integral = _dopri5.integral
 
 
 def spy(*args):
     result = integral(*args)
-    stops.append(None if result is None else result[1] and result[1][0])
+    seen.append(result and (result[1] and result[1][0], result[2]))
     return result
 
 
@@ -77,7 +80,14 @@ try:
     quadrature._branch_integral(Harmonic(), 0j, pieces, False)
 except quadrature.ToleranceNotMet:
     pass
-assert stops == ["budget", "resolution"], stops
+quadrature._branch_integral(Harmonic(), 0.5 + 0j, quadrature._pieces(Segment(0.0, 1.7), 1e-6), False)
+loop = quadrature._pieces(TurningPointContour(-math.sqrt(2.0), 0.0), 1e-10)
+try:
+    quadrature._branch_integral(Harmonic(), 1 + 0j, loop, True)
+except quadrature.BranchInconsistency:
+    pass
+ceiling = quadrature._GUIDE_MAX_CELLS
+assert seen == [("budget", [8]), ("resolution", [8]), (None, [ceiling]), ("unclosed", [0] * 4)], seen
 
 import test_dopri5
 

@@ -16,6 +16,7 @@ from complexpendulum import (
     refine_root,
     turning_points,
 )
+from complexpendulum import turning
 from complexpendulum.turning import _dedupe
 
 PI = math.pi
@@ -199,6 +200,48 @@ class TestWindowHandling:
                 want.append(z)
         assert _dedupe(roots, 1e-9) == want
 
+
+
+@st.composite
+def pendulum_windows(draw):
+    """(g, energy, window) for the pendulum; half the windows have one
+    edge on a closed-form root's coordinate, clipping it."""
+    g = draw(st.sampled_from([1.0, 1j, 0.6 + 0.8j]))
+    energy = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    window = [draw(st.floats(-12.0, 12.0)), 0.0, draw(st.floats(-4.0, 4.0)), 0.0]
+    window[1] = window[0] + draw(st.floats(0.1, 14.0))
+    window[3] = window[2] + draw(st.floats(0.1, 8.0))
+    if draw(st.booleans()):
+        alpha = cmath.acos(-energy / g)
+        root = draw(st.sampled_from([1.0, -1.0])) * alpha + 2.0 * PI * draw(st.integers(-2, 2))
+        edge = draw(st.integers(0, 3))
+        at = root.real if edge < 2 else root.imag
+        span = window[edge ^ 1] - window[edge]  # signed: the far edge stays on its side
+        window[edge], window[edge ^ 1] = at, at + span
+    return g, energy, tuple(window)
+
+
+class TestSeedReach:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pendulum_windows())
+    def test_skipped_seeds_change_no_root(self, case):
+        # polishing only the seeds within pi of the window finds the roots
+        # that polishing every seed finds, bit for bit
+        g, energy, window = case
+        got = turning_points(Pendulum(g=g), energy, window)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(turning, "_SEED_REACH", math.inf)
+            want = turning_points(Pendulum(g=g), energy, window)
+        assert [(tp.x0.real.hex(), tp.x0.imag.hex()) for tp in got] == [
+            (tp.x0.real.hex(), tp.x0.imag.hex()) for tp in want
+        ]
+
+    def test_only_seeds_near_the_window_are_polished(self):
+        # of the ten seeds +/- acos(-0.3) + 2 pi k, k = -2..2, only k = 0's
+        # lie within pi of the window
+        seeds = list(turning._pendulum_seeds(Pendulum(g=1.0), 0.3 + 0j, (-1.0, 1.0, -1.0, 1.0)))
+        alpha = cmath.acos(-0.3)
+        assert seeds == [alpha, -alpha]
 
 
 @st.composite
