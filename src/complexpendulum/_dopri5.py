@@ -27,6 +27,11 @@ energy rows from the first it cannot compute.
 The kernel keeps only dp/dt of the field: for these models dx/dt is p
 itself, so ``steps`` hands back, and ``advance`` returns, the field as
 (p, kp).
+The ctypes array types of the calls' buffers are held by this module
+(``_DOUBLES_4``, ``_DOUBLES_6`` and ``_doubles``), because ctypes holds
+the types it builds only weakly and each sits in a reference cycle: a
+type built per call dies at every cyclic collection, and building it
+again takes about as long as the C work of a short integral.
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_formatter``
 where floats print in the 'short' repr style: each value is the shortest
@@ -79,6 +84,14 @@ _PIECES = {"ray": 0, "edge": 1, "cap": 2}
 _QUAD_HAND_BACK, _QUAD_BUDGET, _QUAD_RESOLUTION, _QUAD_UNCLOSED = 1, 2, 3, 4
 
 _c_double = ctypes.c_double
+_DOUBLES_4, _DOUBLES_6 = _c_double * 4, _c_double * 6
+
+
+@functools.lru_cache(maxsize=32)
+def _doubles(n):
+    """The ctypes type of an array of n doubles.  Only the lengths used
+    last are held: runs in a sweep may each have another number of stops."""
+    return _c_double * n
 
 
 class _Model(ctypes.Structure):
@@ -204,7 +217,7 @@ def steps(record, t, x, p, kp, h_mag, facold, stops, direction, rel_tol, abs_tol
     (t, x, p, kp, h_mag, facold, accepted, i) at the start of that step,
     (p, kp) being the field there: dx/dt is p itself."""
     kernel = _library().dopri5_steps
-    c_stops = (_c_double * len(stops))(*stops)
+    c_stops = _doubles(len(stops))(*stops)
     run = _Run(ctypes.pointer(record), c_stops, stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
     state = _State(t, x.real, x.imag, p.real, p.imag, kp.real, kp.imag, h_mag, facold, 0.0, 0, 0)
     run_ref, state_ref = ctypes.byref(run), ctypes.byref(state)
@@ -236,8 +249,8 @@ def advance(record, t, x, p, t_target, polish):
     (x, p, (p, kp)) at t_target, the field there included, bit for bit
     as the Python path computes them; None when the library cannot
     mirror the run, which Python then redoes whole."""
-    state = (_c_double * 6)(x.real, x.imag, p.real, p.imag)
-    if not _library().dopri5_advance(record, t, t_target, (_c_double * 4)(*polish), state):
+    state = _DOUBLES_6(x.real, x.imag, p.real, p.imag)
+    if not _library().dopri5_advance(record, t, t_target, _DOUBLES_4(*polish), state):
         return None
     p = complex(state[2], state[3])
     return complex(state[0], state[1]), p, (p, complex(state[4], state[5]))
@@ -294,7 +307,7 @@ def integral(model, energy, pieces, nodes, max_panels, branch=None):
     call = [integrand, *rule, energy.real, energy.imag, max_panels, len(pieces)]
     for (kind, c0, c1, c2, phi0), s0, s1, tol in pieces:
         call += (_PIECES[kind], c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, phi0, s0, s1, tol)
-    out = (_c_double * (5 + len(pieces)))()
+    out = _doubles(5 + len(pieces))()
     # one call record, as bytes: the fewest and cheapest arguments to convert
     status = _library().quad_integral(record, nodes, struct.pack(f"{len(call)}d", *call), out)
     if status == _QUAD_HAND_BACK:
@@ -320,8 +333,9 @@ def csv_formatter():
     if lib is None:
         return None
     csv_rows = lib.csv_rows
-    out = ctypes.create_string_buffer(_ROWS * _CSV_ROW_BYTES)
-    view = memoryview(out)
+    # not zero-filled: csv_rows writes each block before it is read
+    out = np.empty(_ROWS * _CSV_ROW_BYTES, dtype=np.uint8)
+    view, address = memoryview(out), out.ctypes.data
 
     def rows(t, x, p, e, driven):
         columns = [np.ascontiguousarray(t, dtype=float)]
@@ -330,6 +344,6 @@ def csv_formatter():
             raise ValueError("columns of unequal length")
         for i in range(0, len(t), _ROWS):
             block = [column[i : i + _ROWS] for column in columns]
-            yield view[: csv_rows(len(block[0]), *(c.ctypes.data for c in block), driven, ctypes.addressof(out))]
+            yield view[: csv_rows(len(block[0]), *(c.ctypes.data for c in block), driven, address)]
 
     return rows

@@ -9,6 +9,8 @@ The energy column (V, H and ``energy_drift``'s local scale) is compared
 the same way against the Python expressions of ``Trajectory``.
 """
 import cmath
+import ctypes
+import gc
 import hashlib
 import logging
 import math
@@ -38,6 +40,7 @@ from complexpendulum import (
     integrate,
     integrator,
     path_integral,
+    period_contour,
     turning_points,
     verify_pt_symmetry,
 )
@@ -990,3 +993,44 @@ def test_a_rebound_panel_sees_every_panel(library, monkeypatch):
     monkeypatch.setattr(quadrature, "_panel", counting)
     assert escape_time(model, model.potential(x0), x0) == value
     assert len(panels) >= 8
+
+
+# ctypes holds the array types it builds only weakly, and each sits in a
+# reference cycle, so a cyclic collection frees a type built for one call
+# and the next call builds it again.  Every entry point uses the types
+# ``_dopri5`` holds: after a first round, no call builds one.
+
+ARRAY_TYPE = type(ctypes.Array)  # the type of every array type; not of ctypes' weak proxies to them
+
+
+def array_types():
+    return [o for o in gc.get_objects() if type(o) is ARRAY_TYPE]
+
+
+def write_trajectory_csv(tmp_path):
+    model = DrivenPendulum(g=1.0, epsilon=0.2, omega=0.1)
+    traj = integrate(model, start_at(model, 0.5, 0.3), IntegratorConfig(max_time=5.0))
+    cli._write_trajectory_csv(tmp_path / "traj.csv", traj)
+
+
+LIBRARY_CALLS = {
+    "real-form-escape-time": lambda _: escape_time_real_form(Pendulum(g=1.0), COSH1, math.pi + 1j),
+    "period-contour": lambda _: period_contour(Pendulum(g=1.0), 0.0, (-math.pi / 2, math.pi / 2)),
+    "landing-run": lambda _: integrator._advance(Pendulum(g=0.6 + 0.8j), (0.5, 0.3 + 0.2j, 0.4 - 0.1j), 2.0, POLISH),
+    "kernel-run": lambda _: pendulum_i_backward(),
+    "csv-write": write_trajectory_csv,
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS.values(), ids=LIBRARY_CALLS.keys())
+def test_calls_after_a_collection_build_no_array_type(library, tmp_path, call):
+    call(tmp_path)
+    gc.collect()
+    known = {id(t) for t in array_types()}
+    gc.disable()  # a collection inside the call would free a type built there before it is seen
+    try:
+        call(tmp_path)
+        built = [t for t in array_types() if id(t) not in known]
+    finally:
+        gc.enable()
+    assert built == []
