@@ -38,7 +38,10 @@
  *
  * Every entry point reads the model from one Model record, built by
  * _dopri5.model_params, and quad_integral reads each path piece as its
- * one description in quadrature._pieces (see piece_at).
+ * one description in quadrature._pieces (see piece_at).  Every record
+ * the library reads (Model, Run, the stops, the polish record and the
+ * call record) arrives const, packed by _dopri5.py, and it writes only
+ * into numpy arrays the caller owns: State, the row buffers, xp and out.
  */
 #include <float.h>
 #include <math.h>
@@ -67,16 +70,15 @@ typedef struct {
     double epsilon, omega;
 } Model;
 
-/* Read-only settings of one run. */
+/* Read-only settings of one run: t_end is the last of its stops. */
 typedef struct {
-    const Model *model;
-    const double *stops;    /* landing times; the last one ends the run */
     double t_end, direction;
     double rel_tol, abs_tol, max_step, min_step, max_steps;
 } Run;
 
-/* The loop's state between calls: the current point and dp/dt there (dx/dt
- * is p itself), the controller's memory and the index of the next stop. */
+/* The loop's state between calls, one numpy record (_dopri5._STATE): the
+ * current point and dp/dt there (dx/dt is p itself), the controller's
+ * memory and the index of the next stop. */
 typedef struct {
     double t;
     cplx x, p, kp;
@@ -176,15 +178,15 @@ static inline double ratio(const Run *run, double e, double old, double new)
     return e / (run->abs_tol + run->rel_tol * (b > a ? b : a));
 }
 
-/* Steps from st until the run stops or cap rows are written.  Row n holds
+/* Steps from st, landing on each of the stops (the last is run->t_end),
+ * until the run stops or cap rows are written.  Row n holds
  * the accepted state: t in ts[n], x in zs[n] and p in zs[cap + n].  The
  * field there stays in st for the next step.  Each stage's x-slope is that
  * stage's p, so the Python loop's k1x and k7x are p and p1 here.  Returns
  * the number of rows; the reason for returning is left in st->status. */
-int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
+int dopri5_steps(const Model *model, const Run *run, const double *stops, State *st, double *ts, cplx *zs, int cap)
 {
     const double dir = run->direction;
-    const double *stops = run->stops;
     cplx x = st->x, p = st->p, k1p = st->kp;
     double t = st->t;
     int n = 0;
@@ -213,21 +215,21 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
         cplx k2x, k2p, k3x, k3p, k4x, k4p, k5x, k5p, k6x, k6p, k7p, xs;
         k2x = add(p, scale(h, scale(A21, k1p)));
         xs = add(x, scale(h, scale(A21, p)));
-        if (!is_finite(k2x) || !force(run->model, t + C2 * h, xs, &k2p))
+        if (!is_finite(k2x) || !force(model, t + C2 * h, xs, &k2p))
             goto hand_back;
         k3x = add(p, scale(h, add(scale(A31, k1p), scale(A32, k2p))));
         xs = add(x, scale(h, add(scale(A31, p), scale(A32, k2x))));
-        if (!is_finite(k3x) || !force(run->model, t + C3 * h, xs, &k3p))
+        if (!is_finite(k3x) || !force(model, t + C3 * h, xs, &k3p))
             goto hand_back;
         k4x = add(p, scale(h, add(add(scale(A41, k1p), scale(A42, k2p)), scale(A43, k3p))));
         xs = add(x, scale(h, add(add(scale(A41, p), scale(A42, k2x)), scale(A43, k3x))));
-        if (!is_finite(k4x) || !force(run->model, t + C4 * h, xs, &k4p))
+        if (!is_finite(k4x) || !force(model, t + C4 * h, xs, &k4p))
             goto hand_back;
         k5x = add(p, scale(h, add(add(add(scale(A51, k1p), scale(A52, k2p)), scale(A53, k3p)),
                                   scale(A54, k4p))));
         xs = add(x, scale(h, add(add(add(scale(A51, p), scale(A52, k2x)), scale(A53, k3x)),
                                  scale(A54, k4x))));
-        if (!is_finite(k5x) || !force(run->model, t + C5 * h, xs, &k5p))
+        if (!is_finite(k5x) || !force(model, t + C5 * h, xs, &k5p))
             goto hand_back;
         k6x = add(p, scale(h, add(add(add(add(scale(A61, k1p), scale(A62, k2p)), scale(A63, k3p)),
                                       scale(A64, k4p)),
@@ -235,7 +237,7 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
         xs = add(x, scale(h, add(add(add(add(scale(A61, p), scale(A62, k2x)), scale(A63, k3x)),
                                      scale(A64, k4x)),
                                  scale(A65, k5x))));
-        if (!is_finite(k6x) || !force(run->model, t + h, xs, &k6p))
+        if (!is_finite(k6x) || !force(model, t + h, xs, &k6p))
             goto hand_back;
         cplx x1 = add(x, scale(h, add(add(add(add(scale(B1, p), scale(B3, k3x)), scale(B4, k4x)),
                                           scale(B5, k5x)),
@@ -243,7 +245,7 @@ int dopri5_steps(const Run *run, State *st, double *ts, cplx *zs, int cap)
         cplx p1 = add(p, scale(h, add(add(add(add(scale(B1, k1p), scale(B3, k3p)), scale(B4, k4p)),
                                           scale(B5, k5p)),
                                       scale(B6, k6p))));
-        if (!is_finite(x1) || !is_finite(p1) || !force(run->model, t + h, x1, &k7p))
+        if (!is_finite(x1) || !is_finite(p1) || !force(model, t + h, x1, &k7p))
             goto hand_back;
         cplx ex = scale(h, add(add(add(add(add(scale(E1, p), scale(E3, k3x)), scale(E4, k4x)),
                                        scale(E5, k5x)),
@@ -340,7 +342,7 @@ static int scaled_norm(const Run *run, cplx x, cplx p, cplx xref, cplx pref, dou
 
 /* integrator._initial_step from (t, x, p) with field (p, k1p) there;
  * 0 where Python would raise or a value is not finite */
-static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1p, double *h_mag)
+static int initial_step(const Model *model, const Run *run, double t, cplx x, cplx p, cplx k1p, double *h_mag)
 {
     const double dir = run->direction;
     volatile double fifth = 0.2;
@@ -353,7 +355,7 @@ static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1p, doub
     cplx xe = add(x, scale(h0 * dir, p));
     cplx pe = add(p, scale(h0 * dir, k1p));
     /* the field there is (pe, k2p); h0 == 0 divides by zero in Python */
-    if (h0 == 0.0 || !force(run->model, t + h0 * dir, xe, &k2p) ||
+    if (h0 == 0.0 || !force(model, t + h0 * dir, xe, &k2p) ||
         !scaled_norm(run, sub(pe, p), sub(k2p, k1p), x, p, &d2))
         return 0;
     d2 = d2 / h0;
@@ -369,26 +371,26 @@ static int initial_step(const Run *run, double t, cplx x, cplx p, cplx k1p, doub
 }
 
 /* integrator._advance in one call: the event-free run from (t, x, p),
- * given in xp[0..3], landing exactly on t_target, from _initial_step to
- * the landing, with max_steps unbounded.  On success, xp[0..5] holds the
+ * given in xp[0..1], landing exactly on t_target, from _initial_step to
+ * the landing, with max_steps unbounded.  On success, xp[0..2] holds the
  * landed x and p and dp/dt there, and 1 is returned.  It returns 0, and
  * Python redoes the whole call, where the run cannot be mirrored: a step
  * handed back, a non-finite value, a ** that would raise, or a run that
  * does not land (Python raises there). */
-int dopri5_advance(const Model *model, double t, double t_target, const double polish[4], double *xp)
+int dopri5_advance(const Model *model, double t, double t_target, const double polish[4], cplx xp[3])
 {
     const double dir = t_target > t ? 1.0 : -1.0;
-    const Run run = {model, &t_target, t_target, dir, polish[0], polish[1], polish[2], polish[3], INFINITY};
-    const cplx x = {xp[0], xp[1]}, p = {xp[2], xp[3]};
+    const Run run = {t_target, dir, polish[0], polish[1], polish[2], polish[3], INFINITY};
+    const cplx x = xp[0], p = xp[1];
     cplx kp;
     enum { ROWS = 64 };  /* the rows are not read: st holds the last one */
     double h_mag, ts[ROWS];
     cplx zs[2 * ROWS];
-    if (!force(model, t, x, &kp) || !initial_step(&run, t, x, p, kp, &h_mag))
+    if (!force(model, t, x, &kp) || !initial_step(model, &run, t, x, p, kp, &h_mag))
         return 0;
     State st = {t, x, p, kp, h_mag, 1e-4, 0.0, 0, DOPRI5_FULL};
     do
-        dopri5_steps(&run, &st, ts, zs, ROWS);
+        dopri5_steps(model, &run, &t_target, &st, ts, zs, ROWS);
     while (st.status == DOPRI5_FULL);
     if (st.status != DOPRI5_HORIZON || st.t != t_target)
         return 0;
@@ -396,11 +398,9 @@ int dopri5_advance(const Model *model, double t, double t_target, const double p
      * model tells from the field at t_target */
     if (model->kind == DRIVEN_PENDULUM && !force(model, t_target, st.x, &st.kp))
         return 0;
-    const cplx landed[3] = {st.x, st.p, st.kp};
-    for (int k = 0; k < 3; k++) {
-        xp[2 * k] = landed[k].re;
-        xp[2 * k + 1] = landed[k].im;
-    }
+    xp[0] = st.x;
+    xp[1] = st.p;
+    xp[2] = st.kp;
     return 1;
 }
 

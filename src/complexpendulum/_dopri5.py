@@ -27,11 +27,13 @@ energy rows from the first it cannot compute.
 The kernel keeps only dp/dt of the field: for these models dx/dt is p
 itself, so ``steps`` hands back, and ``advance`` returns, the field as
 (p, kp).
-The ctypes array types of the calls' buffers are held by this module
-(``_DOUBLES_4``, ``_DOUBLES_6`` and ``_doubles``), because ctypes holds
-the types it builds only weakly and each sits in a reference cycle: a
-type built per call dies at every cyclic collection, and building it
-again takes about as long as the C work of a short integral.
+
+Every call crosses into the library one way: each record it reads (the
+model, a run's settings, the polish record, an integral's call record)
+goes in as ``struct``-packed bytes laid out as its C struct, and each
+buffer it reads or writes (stops, run state, rows, columns, results) is
+a numpy array passed by address.  No ctypes type is used, so no call
+builds one.
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_formatter``
 where floats print in the 'short' repr style: each value is the shortest
@@ -83,58 +85,15 @@ _BRANCH, _REAL_FORM = 0, 1
 _PIECES = {"ray": 0, "edge": 1, "cap": 2}
 _QUAD_HAND_BACK, _QUAD_BUDGET, _QUAD_RESOLUTION, _QUAD_UNCLOSED = 1, 2, 3, 4
 
-_c_double = ctypes.c_double
-_DOUBLES_4, _DOUBLES_6 = _c_double * 4, _c_double * 6
-
-
-@functools.lru_cache(maxsize=32)
-def _doubles(n):
-    """The ctypes type of an array of n doubles.  Only the lengths used
-    last are held: runs in a sweep may each have another number of stops."""
-    return _c_double * n
-
-
-class _Model(ctypes.Structure):
-    _fields_ = [
-        ("kind", ctypes.c_int),
-        ("gr", _c_double),
-        ("gi", _c_double),
-        ("neg_gr", _c_double),
-        ("neg_gi", _c_double),
-        ("epsilon", _c_double),
-        ("omega", _c_double),
-    ]
-
-
-class _Run(ctypes.Structure):
-    _fields_ = [
-        ("model", ctypes.POINTER(_Model)),
-        ("stops", ctypes.POINTER(_c_double)),
-        ("t_end", _c_double),
-        ("direction", _c_double),
-        ("rel_tol", _c_double),
-        ("abs_tol", _c_double),
-        ("max_step", _c_double),
-        ("min_step", _c_double),
-        ("max_steps", _c_double),
-    ]
-
-
-class _State(ctypes.Structure):
-    _fields_ = [
-        ("t", _c_double),
-        ("xr", _c_double),
-        ("xi", _c_double),
-        ("pr", _c_double),
-        ("pi", _c_double),
-        ("kpr", _c_double),
-        ("kpi", _c_double),
-        ("h_mag", _c_double),
-        ("facold", _c_double),
-        ("accepted", _c_double),
-        ("i", ctypes.c_long),
-        ("status", ctypes.c_int),
-    ]
+# the C structs: Model (kind, g, complex(-g), epsilon, omega), Run
+# (t_end, direction, rel_tol, abs_tol, max_step, min_step, max_steps), the
+# polish record (rel_tol, abs_tol, max_step, min_step) and State
+_MODEL, _RUN, _POLISH = struct.Struct("i6d"), struct.Struct("7d"), struct.Struct("4d")
+_STATE = np.dtype(
+    [("t", "f8"), ("x", "c16"), ("p", "c16"), ("kp", "c16"), ("h_mag", "f8"), ("facold", "f8"),
+     ("accepted", "f8"), ("i", "l"), ("status", "i")],
+    align=True,
+)
 
 
 def _build(path: Path) -> None:
@@ -177,24 +136,25 @@ def _library():
     except OSError as exc:
         logger.warning("compiled library unavailable, using the Python stepping loop and CSV writer: %s", exc)
         return None
-    lib.dopri5_steps.argtypes = [ctypes.POINTER(_Run), ctypes.POINTER(_State), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int]
-    lib.dopri5_steps.restype = ctypes.c_int
-    model = ctypes.POINTER(_Model)
-    lib.dopri5_advance.argtypes = [model, _c_double, _c_double, ctypes.c_void_p, ctypes.c_void_p]
-    lib.dopri5_advance.restype = ctypes.c_int
-    lib.csv_rows.argtypes = [ctypes.c_long, *[ctypes.c_void_p] * 4, ctypes.c_int, ctypes.c_void_p]
-    lib.csv_rows.restype = ctypes.c_long
-    lib.energy_rows.argtypes = [model, ctypes.c_long, *[ctypes.c_void_p] * 5]
-    lib.energy_rows.restype = ctypes.c_long
-    lib.quad_integral.argtypes = [model, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-    lib.quad_integral.restype = ctypes.c_int
+    # every pointer is a bytes record or a numpy array's address
+    ptr, c_int, c_long = ctypes.c_void_p, ctypes.c_int, ctypes.c_long
+    lib.dopri5_steps.argtypes = [*[ptr] * 6, c_int]
+    lib.dopri5_steps.restype = c_int
+    lib.dopri5_advance.argtypes = [ptr, ctypes.c_double, ctypes.c_double, ptr, ptr]
+    lib.dopri5_advance.restype = c_int
+    lib.csv_rows.argtypes = [c_long, *[ptr] * 4, c_int, ptr]
+    lib.csv_rows.restype = c_long
+    lib.energy_rows.argtypes = [ptr, c_long, *[ptr] * 5]
+    lib.energy_rows.restype = c_long
+    lib.quad_integral.argtypes = [ptr] * 4
+    lib.quad_integral.restype = c_int
     return lib
 
 
 def model_params(model):
-    """The record (kind, g, complex(-g), epsilon, omega) that every entry
-    point reads ``model`` from, when the kernel can run it; None
-    otherwise."""
+    """The C ``Model`` record, (kind, g, complex(-g), epsilon, omega) as
+    bytes, that every entry point reads ``model`` from, when the kernel
+    can run it; None otherwise."""
     kind = _KINDS.get(type(model))
     if kind is None or sys.version_info >= (3, 14):
         return None
@@ -206,7 +166,7 @@ def model_params(model):
     if _library() is None:
         return None
     neg_g = complex(-g)
-    return _Model(kind, g.real, g.imag, neg_g.real, neg_g.imag, epsilon, omega)
+    return _MODEL.pack(kind, g.real, g.imag, neg_g.real, neg_g.imag, epsilon, omega)
 
 
 def steps(record, t, x, p, kp, h_mag, facold, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
@@ -217,30 +177,22 @@ def steps(record, t, x, p, kp, h_mag, facold, stops, direction, rel_tol, abs_tol
     (t, x, p, kp, h_mag, facold, accepted, i) at the start of that step,
     (p, kp) being the field there: dx/dt is p itself."""
     kernel = _library().dopri5_steps
-    c_stops = _doubles(len(stops))(*stops)
-    run = _Run(ctypes.pointer(record), c_stops, stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
-    state = _State(t, x.real, x.imag, p.real, p.imag, kp.real, kp.imag, h_mag, facold, 0.0, 0, 0)
-    run_ref, state_ref = ctypes.byref(run), ctypes.byref(state)
+    stops = np.array(stops, dtype=float)
+    run = _RUN.pack(stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
+    state = np.array([(t, x, p, kp, h_mag, facold, 0.0, 0, _FULL)], dtype=_STATE)
+    status, addresses = state["status"], (stops.ctypes.data, state.ctypes.data)
     while True:
         ts = np.empty(_ROWS)
         zs = np.empty((2, _ROWS), dtype=complex)
-        n = kernel(run_ref, state_ref, ts.ctypes.data, zs.ctypes.data, _ROWS)
+        n = kernel(record, run, *addresses, ts.ctypes.data, zs.ctypes.data, _ROWS)
         if n:
             yield ts[:n], zs[:, :n]
-        if state.status != _FULL:
+        if status[0] != _FULL:
             break
-    if state.status == _HAND_BACK:
-        return (
-            state.t,
-            complex(state.xr, state.xi),
-            complex(state.pr, state.pi),
-            complex(state.kpr, state.kpi),
-            state.h_mag,
-            state.facold,
-            int(state.accepted),
-            state.i,
-        )
-    return _STOP_REASONS[state.status]
+    t, x, p, kp, h_mag, facold, accepted, i, stop = state.item()
+    if stop == _HAND_BACK:
+        return t, x, p, kp, h_mag, facold, int(accepted), i
+    return _STOP_REASONS[stop]
 
 
 def advance(record, t, x, p, t_target, polish):
@@ -249,11 +201,11 @@ def advance(record, t, x, p, t_target, polish):
     (x, p, (p, kp)) at t_target, the field there included, bit for bit
     as the Python path computes them; None when the library cannot
     mirror the run, which Python then redoes whole."""
-    state = _DOUBLES_6(x.real, x.imag, p.real, p.imag)
-    if not _library().dopri5_advance(record, t, t_target, _DOUBLES_4(*polish), state):
+    xp = np.array([x, p, 0.0], dtype=complex)
+    if not _library().dopri5_advance(record, t, t_target, _POLISH.pack(*polish), xp.ctypes.data):
         return None
-    p = complex(state[2], state[3])
-    return complex(state[0], state[1]), p, (p, complex(state[4], state[5]))
+    x, p, kp = xp.tolist()
+    return x, p, (p, kp)
 
 
 def energy_columns(model, x, p):
@@ -307,19 +259,20 @@ def integral(model, energy, pieces, nodes, max_panels, branch=None):
     call = [integrand, *rule, energy.real, energy.imag, max_panels, len(pieces)]
     for (kind, c0, c1, c2, phi0), s0, s1, tol in pieces:
         call += (_PIECES[kind], c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, phi0, s0, s1, tol)
-    out = _doubles(5 + len(pieces))()
-    # one call record, as bytes: the fewest and cheapest arguments to convert
-    status = _library().quad_integral(record, nodes, struct.pack(f"{len(call)}d", *call), out)
+    # zero-filled: a stop leaves the cells of the pieces after it unwritten
+    out = np.zeros(5 + len(pieces))
+    status = _library().quad_integral(record, nodes, struct.pack(f"{len(call)}d", *call), out.ctypes.data)
     if status == _QUAD_HAND_BACK:
         return None
+    re, im, a, b, c, *cells = out.tolist()
     stop = None
     if status == _QUAD_BUDGET:
-        stop = ("budget", out[2], out[3], int(out[4]))
+        stop = ("budget", a, b, int(c))
     elif status == _QUAD_RESOLUTION:
-        stop = ("resolution", out[2], out[3], out[4])
+        stop = ("resolution", a, b, c)
     elif status == _QUAD_UNCLOSED:
         stop = ("unclosed",)
-    return complex(out[0], out[1]), stop, list(map(int, out[5:]))
+    return complex(re, im), stop, list(map(int, cells))
 
 
 def csv_formatter():

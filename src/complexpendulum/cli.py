@@ -167,12 +167,10 @@ def _finite_real(value) -> float:
 
 
 def _positive(value) -> float:
-    x = _as_real(value)
-    if math.isnan(x):
+    """``_positive_finite``, with NaN named as such."""
+    if math.isnan(_as_real(value)):
         raise ValueError("must not be NaN")
-    if x <= 0.0:
-        raise ValueError("must be positive")
-    return x
+    return _positive_finite(value)
 
 
 def _positive_finite(value) -> float:

@@ -188,7 +188,7 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         _reject_nan(self)
-        for name in ("rel_tol", "abs_tol"):
+        for name in ("rel_tol", "abs_tol", "max_time"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dopri5
-from .models import HamiltonianModel
-from .turning import TurningPoint, _converged, turning_points
+from .models import HamiltonianModel, Pendulum
+from .turning import _TWO_PI, TurningPoint, _converged, refine_root, turning_points
 
 __all__ = [
     "DomainError",
@@ -487,10 +487,16 @@ def _roots_near_segment(model, energy, a, b, pad, ends):
 
 def _escape_ray(model, energy, tp, cutoff, direction):
     """What both escape routes share: the energy and the ray from the
-    root, by default pointing away from the real axis."""
+    root, by default pointing away from the real axis.  A pendulum root in
+    cell k != 0 is moved to cell 0, x0 - 2 pi k polished there, since V is
+    2 pi periodic and cos x rounds by |x| ulp: at |Re x0| ~ 6e5 the branch
+    integrand no longer tells the branches apart."""
     E = complex(energy)
     x0 = _as_root(model, E, tp)
     up = x0.imag >= 0.0 if direction is None else direction >= 0
+    k = round(x0.real / _TWO_PI) if isinstance(model, Pendulum) else 0
+    if k:
+        x0 = refine_root(model, E, x0 - _TWO_PI * k).x0
     return E, VerticalRay(x0, 1 if up else -1, cutoff)
 
 
@@ -513,7 +519,8 @@ def escape_time(
     of w follows a guide seeded with the principal root at the start.
     The tail beyond the default cutoff of 60 is far below the quadrature
     tolerance for the potentials here, which grow exponentially or
-    polynomially along the ray.
+    polynomially along the ray.  A pendulum root in another 2 pi cell
+    escapes from its image in cell 0.
     """
     E, ray = _escape_ray(model, energy, tp, cutoff, direction)
     x0 = ray.z_start

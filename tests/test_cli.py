@@ -294,6 +294,7 @@ starts:
             ("horizon: 20.0", "horizon: 20.0\n  rel_tol: .inf", "key 'integrator': rel_tol must be finite"),
             ("horizon: 20.0", "horizon: .nan", "key 'integrator': horizon must not be NaN"),
             ("horizon: 20.0", "horizon: 0", "key 'integrator': horizon must be positive"),
+            ("horizon: 20.0", "horizon: .inf", "key 'integrator': horizon must be finite"),
             ("horizon: 20.0", "horizon: 20.0\n  escape_radius: .nan", "key 'integrator': escape_radius must"),
             ("horizon: 20.0", "horizon: 20.0\n  overflow_guard: .nan", "key 'integrator': overflow_guard must"),
             ("analyses:", "events:\n  closure_tol: .nan\nanalyses:", "key 'events': closure_tol must not be NaN"),
@@ -312,7 +313,9 @@ starts:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--tol", "nan"]) == 2
         assert "key 'integrator': rel_tol must not be NaN" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value,error", [("nan", "must not be NaN"), ("0", "must be positive")])
+    @pytest.mark.parametrize(
+        "value,error", [("nan", "must not be NaN"), ("0", "must be positive"), ("inf", "must be finite")]
+    )
     def test_bad_horizon_override_names_the_flag(self, tmp_path, capsys, value, error):
         cfg = write_scenario(tmp_path, TINY_SCENARIO)
         assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--horizon", value]) == 2

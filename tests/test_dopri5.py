@@ -389,7 +389,7 @@ def test_package_data_lists_every_source():
 def test_sources_compile_without_warnings(monkeypatch, tmp_path):
     if shutil.which(_dopri5._COMPILER) is None:
         pytest.skip(f"no {_dopri5._COMPILER} here")
-    monkeypatch.setattr(_dopri5, "_FLAGS", (*_dopri5._FLAGS, "-Wall", "-Wextra", "-Werror"))
+    monkeypatch.setattr(_dopri5, "_FLAGS", (*_dopri5._FLAGS, "-Wall", "-Wextra", "-Wcast-qual", "-Werror"))
     _dopri5._build(tmp_path / "lib.so")  # an OSError carries the compiler's messages
 
 
@@ -485,6 +485,52 @@ def test_drift_scale_squares_with_pow(library):
     scale = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=Harmonic())._energy_columns[2]
     assert scale.tolist() == [0.5 * a**2 for a in POW_WITNESSES]
     assert_column_matches_python(Harmonic(), x, p)
+
+
+# Whole runs drawn at random: every built-in model from a random start,
+# forward or backward, with random checkpoints, tolerance and step cap,
+# as ``integrate`` runs it and on the Python loop, bit for bit.
+
+
+def run_outcome(run):
+    try:
+        return fingerprint(run())
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    built_in_models,
+    st.builds(complex, st.floats(-4.0, 4.0), st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])),
+    st.floats(-5.0, 5.0),
+    st.floats(0.1, 40.0) | st.floats(-40.0, -0.1),
+    st.lists(st.floats(0.0, 1.0), max_size=4),
+    st.sampled_from([1e-6, 1e-8, 1e-10]),
+    st.sampled_from([1_000_000, 40]),
+)
+def test_random_runs_match_the_python_loop(library, model, x, p, t0, span, fractions, tol, max_steps):
+    config = IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2, max_steps=max_steps)
+    checkpoints = [t0 + span * f for f in fractions]
+
+    def run():
+        return integrate(model, PhaseState(x, p, t0), config, t_final=t0 + span, t_checkpoints=checkpoints)
+
+    started = []
+    steps = _dopri5.steps
+
+    def spy(*args):
+        started.append(args)
+        return (yield from steps(*args))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "steps", spy)
+        fast = run_outcome(run)
+    assert started, "the compiled stepper did not run"
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda model: None)
+        assert run_outcome(run) == fast
 
 
 # The landing runs of event polishing.  ``integrator._advance`` runs each
@@ -995,16 +1041,18 @@ def test_a_rebound_panel_sees_every_panel(library, monkeypatch):
     assert len(panels) >= 8
 
 
-# ctypes holds the array types it builds only weakly, and each sits in a
-# reference cycle, so a cyclic collection frees a type built for one call
-# and the next call builds it again.  Every entry point uses the types
-# ``_dopri5`` holds: after a first round, no call builds one.
+# ctypes holds the types it builds only weakly, and each sits in a
+# reference cycle, so a type built for one call would die at the next
+# cyclic collection and the call after it would build it again.  No entry
+# point uses one: records go in as packed bytes and buffers as numpy
+# arrays, so after a collection no call builds an array, structure,
+# union or pointer type.
 
-ARRAY_TYPE = type(ctypes.Array)  # the type of every array type; not of ctypes' weak proxies to them
+CTYPES_METATYPES = {type(ctypes.Array), type(ctypes.Structure), type(ctypes.Union), type(ctypes._Pointer)}
 
 
-def array_types():
-    return [o for o in gc.get_objects() if type(o) is ARRAY_TYPE]
+def ctypes_types():
+    return [o for o in gc.get_objects() if type(o) in CTYPES_METATYPES]
 
 
 def write_trajectory_csv(tmp_path):
@@ -1026,11 +1074,11 @@ LIBRARY_CALLS = {
 def test_calls_after_a_collection_build_no_array_type(library, tmp_path, call):
     call(tmp_path)
     gc.collect()
-    known = {id(t) for t in array_types()}
+    known = {id(t) for t in ctypes_types()}
     gc.disable()  # a collection inside the call would free a type built there before it is seen
     try:
         call(tmp_path)
-        built = [t for t in array_types() if id(t) not in known]
+        built = [t for t in ctypes_types() if id(t) not in known]
     finally:
         gc.enable()
     assert built == []

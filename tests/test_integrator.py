@@ -74,7 +74,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
             IntegratorConfig(**{name: math.nan})
 
-    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_time"])
     def test_rejects_infinite_tolerance(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             IntegratorConfig(**{name: math.inf})

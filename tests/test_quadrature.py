@@ -15,7 +15,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexpendulum import quadrature
+from complexpendulum import _dopri5, quadrature
 from complexpendulum import (
     BranchInconsistency,
     DomainError,
@@ -249,6 +249,27 @@ class TestEscapeTime:
         for off in (1e-6, 1e-6j):
             with pytest.raises(ValueError, match="is not a turning point at this energy"):
                 quadrature._as_root(model, COSH1, x0 + off)
+
+    @pytest.mark.parametrize("path", ["library", "python"])
+    @pytest.mark.parametrize(
+        "g,energy,seed,k",
+        [(1.0, COSH1, PI + 1j, k) for k in (-3, 160, 1000, 100_000)]
+        + [(1j, SINH1, 0.5 * PI - 1j, k) for k in (1, 500)],
+    )
+    def test_a_root_in_another_cell_escapes_as_in_cell_0(self, path, g, energy, seed, k):
+        """V is 2 pi periodic, so the pendulum root moved to cell k escapes
+        in the cell-0 time, to the last bit on both routes and both paths:
+        the ray starts from the root moved back to cell 0.  From the root
+        as given, cos x rounds by |x| ulp and the branch form drifted
+        (-1e-7 relative at k = 160) or raised (k = 1e5)."""
+        model = Pendulum(g=g)
+        x0 = refine_root(model, energy, seed + 2.0 * PI * k).x0
+        root = refine_root(model, energy, seed).x0
+        with pytest.MonkeyPatch.context() as m:
+            if path == "python":
+                m.setattr(_dopri5, "model_params", lambda model: None)
+            for route in (escape_time, escape_time_real_form):
+                assert route(model, energy, x0) == route(model, energy, root)
 
 
 class TestPeriodContour:

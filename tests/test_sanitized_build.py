@@ -16,14 +16,16 @@ runtime preloaded:
   guide does not close;
 - three runs of ``test_dopri5`` that leave the kernel's plain path: the
   run the kernel hands back at cmath.sinh's switch, whose ``State``
-  record Python reads back, a landing run the library hands back, and a
-  landing run whose start field overflows, each compared with the
-  Python loop and checked to have been handed back.
+  record Python reads back from its numpy buffer, a landing run the
+  library hands back, and a landing run whose start field overflows,
+  each compared with the Python loop and checked to have been handed
+  back.
 
 A bad memory access, a record laid out otherwise in Python and in C, or
 undefined behaviour fails the replay.  The interpreter allocates with
-the system ``malloc``, so ASan also catches a read past a ctypes record.  The test is skipped where the
-compiler or the ASan runtime is missing.
+the system ``malloc``, so ASan also catches a read past a packed
+record.  The test is skipped where the compiler or the ASan runtime is
+missing.
 """
 import os
 import shutil
@@ -136,7 +138,7 @@ def test_quadrature_runs_clean_under_asan(tmp_path):
         "UBSAN_OPTIONS": "halt_on_error=1:print_stacktrace=1",
         "PYTHONPATH": str(TESTS),
         # the system allocator, not pymalloc's arenas, so that ASan sees
-        # each ctypes record and array as an allocation of its own
+        # each packed record and numpy buffer as an allocation of its own
         "PYTHONMALLOC": "malloc",
     }
     src = str(Path(_dopri5.__file__).resolve().parents[1])
