@@ -36,11 +36,20 @@
  * of Re x and of Im x (see Trig): the same double in gives the same libm
  * result out, so reusing them is exact.
  *
+ * quad_op runs one public entry point of turning or quadrature whole:
+ * turning_points' search (closed-form seeds, turning._newton's polish,
+ * the window filter, the merge and the sort), refine_root, and the
+ * escape and period integrals from their root checks to the integral,
+ * with cmath.acos written out from CPython's own square root.  It runs
+ * Python's success path only, and hands the whole operation back
+ * wherever Python would raise, warn or take a path not mirrored here.
+ *
  * Every entry point reads the model from one Model record, built by
  * _dopri5.model_params, and quad_integral reads each path piece as its
- * one description in quadrature._pieces (see piece_at).  Every record
- * the library reads (Model, Run, the stops, the polish record and the
- * call record) arrives const, packed by _dopri5.py, and it writes only
+ * one description in quadrature._pieces (see piece_at), which quad_op
+ * builds the same way.  Every record the library reads (Model, Run, the
+ * stops, the polish record and the call records, quad_op's after its
+ * Model in one) arrives const, packed by _dopri5.py, and it writes only
  * into numpy arrays the caller owns: State, the row buffers, xp and out.
  */
 #include <float.h>
@@ -949,6 +958,52 @@ static int refine(Integrand *f, double a, double b, double tol, long max_panels,
     return QUAD_DONE;
 }
 
+/* a count of a call record, or -1 when it is not one in [0, 2^24] */
+static long count(double v)
+{
+    return v >= 0.0 && v <= (double)(1L << 24) && v == floor(v) ? (long)v : -1;
+}
+
+/* One whole integral over the n pieces, as quadrature sums it: the
+ * adaptive_quad value of each piece added to a total from 0j, in piece
+ * order.  The branch integrand first builds its guide by the rule
+ * (closed, cells, max_cells, cosine), around a loop if closed.  Returns a
+ * QUAD_ status, the total in *total, a stop's numbers in stop[0..2] and
+ * each piece's guide cells in cells[], all written once the guide is
+ * built, as quadrature._guide logs them before any piece is refined.
+ * It frees the pieces' guide roots. */
+static int integrate_path(Integrand *f, Piece *pieces, long n, const double rule[4], long max_panels, cplx *total,
+                          double *stop, double *cells)
+{
+    cplx value, *guide = NULL;
+    int status = QUAD_HAND_BACK;
+    Entry *heap = NULL;
+    total->re = total->im = 0.0;
+    if (n < 0 || max_panels < 8)
+        goto out;
+    heap = malloc((size_t)max_panels * sizeof *heap);
+    if (heap == NULL)
+        goto out;
+    if (f->integrand == BRANCH)
+        status = build_guide(f, pieces, n, rule[0] != 0.0, count(rule[1]), count(rule[2]), rule[3], &guide);
+    else
+        status = f->integrand == REAL_FORM ? QUAD_DONE : QUAD_HAND_BACK;
+    for (long k = 0; k < n && status == QUAD_DONE; k++)
+        cells[k] = (double)pieces[k].cells;
+    for (long k = 0; k < n && status == QUAD_DONE; k++) {
+        f->piece = &pieces[k];
+        status = refine(f, pieces[k].s0, pieces[k].s1, pieces[k].tol, max_panels, heap, &value, stop);
+        if (status == QUAD_DONE)
+            *total = add(*total, value);
+    }
+out:
+    for (long k = 0; k < n; k++)
+        free(pieces[k].roots);
+    free(guide);
+    free(heap);
+    return status;
+}
+
 /* The call record of quad_integral, doubles as _dopri5.integral packs
  * them: the integrand (BRANCH or REAL_FORM), the branch guide's rule
  * (closed, cells, max_cells, cosine) of quadrature._guide, the energy,
@@ -958,63 +1013,501 @@ static int refine(Integrand *f, double a, double b, double tol, long max_panels,
 enum { INTEGRAND, CLOSED, CELLS, MAX_CELLS, COSINE, ENERGY_RE, ENERGY_IM, MAX_PANELS, N_PIECES, CALL_FIELDS };
 enum { PIECE_FIELDS = 11 };
 
-/* a count of the call record, or -1 when it is not one in [0, 2^24] */
-static long count(double v)
-{
-    return v >= 0.0 && v <= (double)(1L << 24) && v == floor(v) ? (long)v : -1;
-}
-
-/* One whole integral of a model along a path, as quadrature sums it: the
- * adaptive_quad value of each piece added to a total from 0j, in piece
- * order.  The branch integrand first builds its guide, around a loop if
- * closed.  Returns a QUAD_ status; out[0..1] holds the total, out[2..4]
- * a stop's numbers and out[5..] each piece's guide cells. */
+/* One whole integral of a model along a path (see integrate_path).
+ * Returns a QUAD_ status; out[0..1] holds the total, out[2..4] a stop's
+ * numbers and out[5..] each piece's guide cells. */
 int quad_integral(const Model *model, const double *nodes, const double *call, double *out)
 {
-    const long n_pieces = count(call[N_PIECES]), max_panels = count(call[MAX_PANELS]);
-    const long cells = count(call[CELLS]), max_cells = count(call[MAX_CELLS]);
+    const long n_pieces = count(call[N_PIECES]);
     Integrand f = {(int)count(call[INTEGRAND]), model, {call[ENERGY_RE], call[ENERGY_IM]}, nodes, NULL, NULL, 0,
                    EMPTY_TRIG};
-    cplx total = {0.0, 0.0}, value, *guide = NULL;
+    cplx total = {0.0, 0.0};
     int status = QUAD_HAND_BACK;
-    Entry *heap = NULL;
-    Piece *pieces = NULL;
-    if (n_pieces < 0 || max_panels < 8)
-        goto out;
-    heap = malloc((size_t)max_panels * sizeof *heap);
-    pieces = calloc((size_t)(n_pieces > 1 ? n_pieces : 1), sizeof *pieces);
-    if (heap == NULL || pieces == NULL)
-        goto out;
-    for (long k = 0; k < n_pieces; k++) {
-        const double *row = call + CALL_FIELDS + PIECE_FIELDS * k;
-        Piece *p = &pieces[k];
-        p->kind = (int)count(row[0]);
-        p->c0 = (cplx){row[1], row[2]};
-        p->c1 = (cplx){row[3], row[4]};
-        p->c2 = (cplx){row[5], row[6]};
-        p->phi0 = row[7];
-        p->s0 = row[8];
-        p->s1 = row[9];
-        p->tol = row[10];
+    Piece *pieces = n_pieces < 0 ? NULL : calloc((size_t)(n_pieces > 1 ? n_pieces : 1), sizeof *pieces);
+    if (pieces != NULL) {
+        for (long k = 0; k < n_pieces; k++) {
+            const double *row = call + CALL_FIELDS + PIECE_FIELDS * k;
+            Piece *p = &pieces[k];
+            p->kind = (int)count(row[0]);
+            p->c0 = (cplx){row[1], row[2]};
+            p->c1 = (cplx){row[3], row[4]};
+            p->c2 = (cplx){row[5], row[6]};
+            p->phi0 = row[7];
+            p->s0 = row[8];
+            p->s1 = row[9];
+            p->tol = row[10];
+        }
+        status = integrate_path(&f, pieces, n_pieces, call + CLOSED, count(call[MAX_PANELS]), &total, out + 2, out + 5);
     }
-    if (f.integrand == BRANCH)
-        status = build_guide(&f, pieces, n_pieces, call[CLOSED] != 0.0, cells, max_cells, call[COSINE], &guide);
-    else
-        status = f.integrand == REAL_FORM ? QUAD_DONE : QUAD_HAND_BACK;
-    for (long k = 0; k < n_pieces && status == QUAD_DONE; k++) {
-        f.piece = &pieces[k];
-        out[5 + k] = (double)pieces[k].cells;
-        status = refine(&f, pieces[k].s0, pieces[k].s1, pieces[k].tol, max_panels, heap, &value, out + 2);
-        if (status == QUAD_DONE)
-            total = add(total, value);
-    }
-out:
-    for (long k = 0; pieces != NULL && k < n_pieces; k++)
-        free(pieces[k].roots);
     free(pieces);
-    free(guide);
-    free(heap);
     out[0] = total.re;
     out[1] = total.im;
     return status;
+}
+
+/* Turning points and whole quadrature operations.  quad_op runs one
+ * public entry point of turning and quadrature in one call, for the
+ * pendulum kinds and the harmonic model (refine_root for all four):
+ * turning_points' search, refine_root's Newton polish, and the escape
+ * and period integrals from their root checks to the integral, each
+ * check and each root search as Python makes it.  It runs the success
+ * path only: wherever Python would raise, warn or take a path not
+ * mirrored here, it hands the whole operation back. */
+
+static const double TWO_PI = 2.0 * M_PI;  /* turning._TWO_PI */
+
+/* the rules of turning_points' search: the Newton residual target, the
+ * seed budget, how far outside the window a seed is still polished, the
+ * merge distance and the Newton steps per seed */
+typedef struct {
+    double residual_tol, max_seeds, reach, dedupe_tol;
+    long max_iter;
+} Rules;
+
+/* V(x) and V'(x) as the model's potential and gradient compute them:
+ * for the pendulum kinds -g * cmath.cos(x) and g * cmath.sin(x), from
+ * the one set of cos, sin, cosh and sinh factors both take.  Returns 0
+ * where cmath would take another path or raise. */
+static int vgrad(const Model *m, cplx x, cplx *v, cplx *grad)
+{
+    const cplx half = {0.5, 0.0}, i1 = {0.0, 1.0}, three_i = {0.0, 3.0};
+    if (!is_finite(x))
+        return 0;
+    switch (m->kind) {
+    case HARMONIC:
+        *v = mul(mul(half, x), x);
+        *grad = x;
+        return 1;
+    case CUBIC_I:
+        *v = mul(mul(mul(i1, x), x), x);
+        *grad = mul(mul(three_i, x), x);
+        return 1;
+    default: {
+        /* cmath.cos(x) = cosh(-Im x + i Re x), cmath.sin(x) = -i sinh(...) */
+        double w = -x.im;
+        if (fabs(w) > LOG_LARGE_DOUBLE)
+            return 0;
+        double c = cos(x.re), s = sin(x.re), ch = cosh(w), sh = sinh(w);
+        cplx cos_x = {c * ch, s * sh}, sinh_iw = {c * sh, s * ch};
+        if (isinf(cos_x.re) || isinf(cos_x.im) || isinf(sinh_iw.re) || isinf(sinh_iw.im))
+            return 0;
+        cplx sin_x = {sinh_iw.im, -sinh_iw.re};
+        *v = mul(m->neg_g, cos_x);
+        *grad = mul(m->g, sin_x);
+        return 1;
+    }
+    }
+}
+
+/* turning._converged: |f| within the target, or within the rounding of V
+ * at z; -1 where an abs overflows, which raises in Python */
+static int converged(cplx f, cplx fp, cplx z, double target)
+{
+    double residual = hypot(f.re, f.im);
+    if (!isfinite(residual))
+        return -1;
+    if (residual <= target)
+        return 1;
+    double a = hypot(fp.re, fp.im), b = hypot(z.re, z.im);
+    if (!isfinite(a) || !isfinite(b))
+        return -1;
+    double rounding = a * b * DBL_EPSILON;
+    return residual <= rounding && rounding < INFINITY;
+}
+
+/* turning._newton from seed to the target residual_tol * max(1, |E|):
+ * 1 with the root in *root, 0 where Python raises NonConvergence or
+ * anything else, or where a value leaves the finite numbers. */
+static int newton(const Model *m, cplx energy, cplx seed, const Rules *rules, cplx *root)
+{
+    double size = hypot(energy.re, energy.im);
+    cplx z = seed, v, fp;
+    if (!isfinite(size))
+        return 0;
+    double target = rules->residual_tol * (size > 1.0 ? size : 1.0);
+    for (long it = 0; it < rules->max_iter; it++) {
+        if (!vgrad(m, z, &v, &fp))
+            return 0;
+        cplx f = sub(v, energy);
+        int done = converged(f, fp, z, target);
+        if (done < 0)
+            return 0;
+        if (done) {
+            /* one extra step, where f' is not zero */
+            if (fp.re != 0.0 || fp.im != 0.0)
+                z = sub(z, quot(f, fp));
+            *root = z;
+            return is_finite(z);
+        }
+        double slope = hypot(fp.re, fp.im);
+        if (!isfinite(slope) || slope < 1e-300)
+            return 0;
+        z = sub(z, quot(f, fp));
+    }
+    if (!vgrad(m, z, &v, &fp) || converged(sub(v, energy), fp, z, target) != 1)
+        return 0;
+    *root = z;
+    return 1;
+}
+
+/* cmath.acos(z) for finite z within CPython's CM_LARGE_DOUBLE, from its
+ * own square roots: 2 atan2(Re s1, Re s2) + i asinh(Re s2 Im s1 -
+ * Im s2 Re s1), s1 = sqrt(1 - z), s2 = sqrt(1 + z); 0 elsewhere */
+static int py_acos(cplx z, cplx *r)
+{
+    cplx s1, s2;
+    if (!is_finite(z) || fabs(z.re) > DBL_MAX / 4.0 || fabs(z.im) > DBL_MAX / 4.0)
+        return 0;
+    if (!py_sqrt((cplx){1.0 - z.re, -z.im}, &s1) || !py_sqrt((cplx){1.0 + z.re, z.im}, &s2))
+        return 0;
+    r->re = 2.0 * atan2(s1.re, s2.re);
+    r->im = asinh(s2.re * s1.im - s2.im * s1.re);
+    return 1;
+}
+
+/* a bound on the seeds of one search, beyond any seed budget Python sets */
+#define MAX_SEARCH_SEEDS (1L << 24)
+
+/* turning._pendulum_seeds: +/- acos(-E/g) + 2 pi k for the k that cover
+ * the window, less those more than the reach outside it; their number,
+ * in *seeds (the caller frees it), or -1 */
+static long pendulum_seeds(const Model *m, cplx energy, const double win[4], const Rules *rules, cplx **seeds)
+{
+    const cplx neg_e = {-energy.re, -energy.im};
+    cplx alpha;
+    if (!is_finite(m->g) || (m->g.re == 0.0 && m->g.im == 0.0) || !py_acos(quot(neg_e, m->g), &alpha))
+        return -1;
+    const double a = fabs(alpha.re);
+    const double lo = (win[0] - a) / TWO_PI, hi = (win[1] + a) / TWO_PI;
+    const double seed_count = 2.0 * (hi - lo + 4.0);
+    if (!(seed_count <= rules->max_seeds) || !(seed_count <= (double)MAX_SEARCH_SEEDS) ||
+        !(fabs(lo) < 0x1p52 && fabs(hi) < 0x1p52))
+        return -1;
+    const long k0 = (long)floor(lo) - 1, k1 = (long)ceil(hi) + 2;
+    const double x_lo = win[0] - rules->reach, x_hi = win[1] + rules->reach;
+    const double y_lo = win[2] - rules->reach, y_hi = win[3] + rules->reach;
+    cplx *out = malloc((size_t)(2 * (k1 - k0)) * sizeof *out);
+    long n = 0;
+    if (out == NULL)
+        return -1;
+    for (long k = k0; k < k1; k++) {
+        const double t = TWO_PI * (double)k;
+        const cplx pair[2] = {{alpha.re + t, alpha.im + 0.0}, {-alpha.re + t, -alpha.im + 0.0}};
+        for (int j = 0; j < 2; j++)
+            if (!(pair[j].re < x_lo || pair[j].re > x_hi || pair[j].im < y_lo || pair[j].im > y_hi))
+                out[n++] = pair[j];
+    }
+    *seeds = out;
+    return n;
+}
+
+/* a polished root and its place among the polished roots */
+typedef struct {
+    cplx z;
+    long i;
+} Found;
+
+/* (Re, Im) order, as Python sorts the roots, then polishing order */
+static int by_position(const void *a, const void *b)
+{
+    const Found *x = a, *y = b;
+    if (x->z.re != y->z.re)
+        return x->z.re < y->z.re ? -1 : 1;
+    if (x->z.im != y->z.im)
+        return x->z.im < y->z.im ? -1 : 1;
+    return (x->i > y->i) - (x->i < y->i);
+}
+
+/* turning.turning_points in the window win = (re_lo, re_hi, im_lo, im_hi)
+ * for the pendulum kinds and the harmonic model: each closed-form seed
+ * polished by newton, the roots in the window with its 1e-9 grace,
+ * less each within the merge distance of one kept before it (as
+ * turning._dedupe keeps them), sorted by (Re, Im).  Returns their number,
+ * in *roots (the caller frees it), or -1. */
+static long search(const Model *m, cplx energy, const double win[4], const Rules *rules, cplx **roots)
+{
+    const double grace = 1e-9, merge = rules->dedupe_tol;
+    cplx *seeds = NULL;
+    Found *found = NULL;
+    long *place = NULL, n_seeds = -1, n = 0, kept = -1;
+    char *keep = NULL;
+    *roots = NULL;
+    if (!(win[0] < win[1] && win[2] < win[3]) || !is_finite(energy))
+        return -1;
+    if (m->kind == HARMONIC) {
+        cplx r;
+        seeds = malloc(2 * sizeof *seeds);
+        if (seeds != NULL && py_sqrt(scale(2.0, energy), &r)) {
+            seeds[0] = r;
+            seeds[1] = (cplx){-r.re, -r.im};
+            n_seeds = 2;
+        }
+    } else if (m->kind == PENDULUM || m->kind == DRIVEN_PENDULUM) {
+        n_seeds = pendulum_seeds(m, energy, win, rules, &seeds);
+    }
+    if (n_seeds < 0)
+        goto out;
+    found = malloc((size_t)(n_seeds + 1) * sizeof *found);
+    place = malloc((size_t)(n_seeds + 1) * sizeof *place);
+    keep = calloc((size_t)(n_seeds + 1), 1);  /* only roots already merged are kept */
+    if (found == NULL || place == NULL || keep == NULL)
+        goto out;
+    for (long j = 0; j < n_seeds; j++) {
+        cplx z;
+        if (!newton(m, energy, seeds[j], rules, &z))
+            goto out;
+        if (win[0] - grace <= z.re && z.re <= win[1] + grace && win[2] - grace <= z.im && z.im <= win[3] + grace) {
+            found[n].z = z;
+            found[n].i = n;
+            n++;
+        }
+    }
+    /* a root within the merge distance of another is within it in Re:
+     * each root is compared with its neighbours in Re order only */
+    qsort(found, (size_t)n, sizeof *found, by_position);
+    for (long p = 0; p < n; p++)
+        place[found[p].i] = p;
+    kept = 0;
+    for (long i = 0; i < n; i++) {
+        const long p = place[i];
+        const cplx z = found[p].z;
+        int near = 0;
+        for (long q = p - 1; !near && q >= 0 && z.re - found[q].z.re <= 2.0 * merge; q--)
+            near = keep[q] && !(hypot(z.re - found[q].z.re, z.im - found[q].z.im) > merge);
+        for (long q = p + 1; !near && q < n && found[q].z.re - z.re <= 2.0 * merge; q++)
+            near = keep[q] && !(hypot(z.re - found[q].z.re, z.im - found[q].z.im) > merge);
+        keep[p] = !near;
+        kept += !near;
+    }
+    *roots = malloc((size_t)(kept + 1) * sizeof **roots);
+    if (*roots == NULL) {
+        kept = -1;
+        goto out;
+    }
+    for (long p = 0, k = 0; p < n; p++)
+        if (keep[p])
+            (*roots)[k++] = found[p].z;
+out:
+    free(seeds);
+    free(found);
+    free(place);
+    free(keep);
+    return kept;
+}
+
+/* quadrature._as_root's check of x0: |V(x0) - E| within 1e-8 max(1, |E|)
+ * or within the rounding of V */
+static int as_root(const Model *m, cplx energy, cplx x0)
+{
+    cplx v, grad;
+    double size = hypot(energy.re, energy.im);
+    if (!isfinite(size) || !vgrad(m, x0, &v, &grad))
+        return 0;
+    return converged(sub(v, energy), grad, x0, 1e-8 * (size > 1.0 ? size : 1.0)) == 1;
+}
+
+/* quadrature._roots_near_segment and its caller's clearance: 1 when each
+ * root of E - V in the bounding box of the segment a..b widened by pad,
+ * but the ends, lies more than limit from the segment (or, with
+ * or_equal, lies at least limit from it); 0 where Python raises
+ * PathThroughSingularity or anything else */
+static int segment_clear(const Model *m, cplx energy, const Rules *rules, cplx a, cplx b, double pad,
+                         const cplx *ends, int n_ends, double limit, int or_equal)
+{
+    /* Python's min and max keep the first argument on ties */
+    const double win[4] = {
+        (b.re < a.re ? b.re : a.re) - pad,
+        (b.re > a.re ? b.re : a.re) + pad,
+        (b.im < a.im ? b.im : a.im) - pad,
+        (b.im > a.im ? b.im : a.im) + pad,
+    };
+    const cplx chord = sub(b, a);
+    const double length = hypot(chord.re, chord.im);
+    cplx *roots;
+    if (!(length > 0.0 && isfinite(length)))
+        return 0;
+    const cplx u = quot(chord, (cplx){length, 0.0});
+    const long n = search(m, energy, win, rules, &roots);
+    int clear = n >= 0;
+    for (long j = 0; clear && j < n; j++) {
+        const cplx z = roots[j];
+        int end = 0;
+        for (int e = 0; !end && e < n_ends; e++)
+            end = hypot(z.re - ends[e].re, z.im - ends[e].im) <= 1e-9;
+        if (end)
+            continue;
+        double s = quot(sub(z, a), u).re;
+        s = 0.0 > s ? 0.0 : s;
+        s = length < s ? length : s;
+        const cplx off = sub(z, add(a, scale(s, u)));
+        const double d = hypot(off.re, off.im);
+        clear = isfinite(d) && (or_equal ? !(d <= limit) : !(d < limit));
+    }
+    free(roots);
+    return clear;
+}
+
+/* The call record of quad_op after its Model: the operation, the energy
+ * and the rules of the root search, then, for the integrals, the panel
+ * budget and the branch guide's (cells, max_cells, cosine), then the
+ * operation's own numbers:
+ *   OP_TURNING   the window (re_lo, re_hi, im_lo, im_hi);
+ *   OP_REFINE    the seed (re, im);
+ *   OP_REAL_FORM, OP_ESCAPE   the root x0 (re, im), the ray's direction
+ *                (+1 up, -1 down), its cutoff and the error target;
+ *   OP_CONTOUR   the roots c1 and c2 (re, im each), the offset and the
+ *                error target. */
+enum { OP_TURNING, OP_REFINE, OP_REAL_FORM, OP_ESCAPE, OP_CONTOUR };
+enum { OPERATION, OP_ENERGY_RE, OP_ENERGY_IM, RESIDUAL_TOL, MAX_SEEDS, SEED_REACH, DEDUPE_TOL, MAX_ITER,
+       SEARCH_FIELDS };
+enum { PANEL_BUDGET = SEARCH_FIELDS, GUIDE_CELLS, GUIDE_MAX_CELLS, GUIDE_COSINE, INTEGRAL_FIELDS };
+
+static const cplx I1 = {0.0, 1.0};
+
+/* the integral of an operation along its pieces, with the branch
+ * integrand's guide around a loop if closed; the total and each piece's
+ * guide cells into out, or QUAD_HAND_BACK for any stop */
+static long integral_op(const Model *m, const double *nodes, int integrand, int closed, cplx energy,
+                        const double *call, Piece *pieces, long n, double *out)
+{
+    const double rule[4] = {closed, call[GUIDE_CELLS], call[GUIDE_MAX_CELLS], call[GUIDE_COSINE]};
+    Integrand f = {integrand, m, energy, nodes, NULL, NULL, 0, EMPTY_TRIG};
+    double stop[3];
+    cplx total;
+    if (integrate_path(&f, pieces, n, rule, count(call[PANEL_BUDGET]), &total, stop, out + 2) != QUAD_DONE)
+        return -1;
+    out[0] = total.re;
+    out[1] = total.im;
+    return 2 + n;
+}
+
+/* quadrature.escape_time (OP_ESCAPE) and escape_time_real_form
+ * (OP_REAL_FORM): the root check, a pendulum root in cell k != 0 moved
+ * to cell 0 and polished there, for escape_time the degenerate-root
+ * check and the ray's clearance, then the integral along the ray */
+static long escape_op(int op, const Model *m, const double *nodes, cplx energy, const Rules *rules,
+                      const double *call, double *out)
+{
+    const double *args = call + INTEGRAL_FIELDS;
+    const double direction = args[2], cutoff = args[3], tol = args[4];
+    cplx x0 = {args[0], args[1]}, v, grad;
+    if (!as_root(m, energy, x0))
+        return -1;
+    if (m->kind == PENDULUM || m->kind == DRIVEN_PENDULUM) {
+        /* round() rounds half to even, as rint does */
+        const double k = rint(x0.re / TWO_PI);
+        if (!(fabs(k) < 0x1p52))
+            return -1;
+        if (k != 0.0 && !newton(m, energy, (cplx){x0.re - TWO_PI * k, x0.im - 0.0}, rules, &x0))
+            return -1;
+    }
+    const cplx sign = {direction, 0.0}, two_i = {0.0, 2.0};
+    const double umax = sqrt(cutoff);
+    Piece ray = {.kind = RAY, .c0 = x0, .c1 = mul(I1, sign), .c2 = mul(two_i, sign), .phi0 = 0.0, .s0 = 0.0,
+                 .s1 = umax, .tol = tol / (umax > 1.0 ? umax : 1.0)};
+    if (op == OP_REAL_FORM)
+        return integral_op(m, nodes, REAL_FORM, 0, energy, call, &ray, 1, out);
+    if (!vgrad(m, x0, &v, &grad))
+        return -1;
+    const double slope = hypot(grad.re, grad.im);
+    if (!isfinite(slope) || slope < 1e-8)
+        return -1;
+    const cplx end = add(x0, mul(mul(I1, sign), (cplx){cutoff, 0.0}));
+    if (!segment_clear(m, energy, rules, x0, end, 0.25, &x0, 1, 1e-6, 0))
+        return -1;
+    return integral_op(m, nodes, BRANCH, 0, energy, call, &ray, 1, out);
+}
+
+/* quadrature.contour_integral: both roots checked, apart and in (Re, Im)
+ * order, the stadium of quadrature._pieces around them, no other root
+ * on or inside it, then the branch integral around it */
+static long contour_op(const Model *m, const double *nodes, cplx energy, const Rules *rules, const double *call,
+                       double *out)
+{
+    const double *args = call + INTEGRAL_FIELDS;
+    const double offset = args[4], tol = args[5];
+    cplx c1 = {args[0], args[1]}, c2 = {args[2], args[3]};
+    if (!as_root(m, energy, c1) || !as_root(m, energy, c2))
+        return -1;
+    const cplx gap = sub(c2, c1);
+    const double apart = hypot(gap.re, gap.im);
+    if (!isfinite(apart) || apart < 1e-9)
+        return -1;
+    if (c2.re < c1.re || (c2.re == c1.re && c2.im < c1.im)) {
+        const cplx t = c1;
+        c1 = c2;
+        c2 = t;
+    }
+    const cplx chord = sub(c2, c1), zero = {0.0, 0.0};
+    const double length = hypot(chord.re, chord.im), arc = M_PI * offset;
+    const cplx u = quot(chord, (cplx){length, 0.0});
+    const cplx n = mul(I1, u);
+    const double edge_tol = 0.25 * tol / (length > 1.0 ? length : 1.0);
+    const double cap_tol = 0.25 * tol / (arc > 1.0 ? arc : 1.0);
+    const cplx arm = scale(offset, u);
+    const cplx turn = mul(mul(mul(I1, (cplx){M_PI, 0.0}), (cplx){offset, 0.0}), u);
+    Piece pieces[4] = {
+        {.kind = EDGE, .c0 = sub(c1, scale(offset, n)), .c1 = chord, .c2 = zero, .phi0 = 0.0, .s1 = 1.0,
+         .tol = edge_tol},
+        {.kind = CAP, .c0 = c2, .c1 = arm, .c2 = turn, .phi0 = -0.5 * M_PI, .s1 = 1.0, .tol = cap_tol},
+        {.kind = EDGE, .c0 = add(c2, scale(offset, n)), .c1 = {-chord.re, -chord.im}, .c2 = zero, .phi0 = 0.0,
+         .s1 = 1.0, .tol = edge_tol},
+        {.kind = CAP, .c0 = c1, .c1 = arm, .c2 = turn, .phi0 = 0.5 * M_PI, .s1 = 1.0, .tol = cap_tol},
+    };
+    const cplx ends[2] = {c1, c2};
+    if (!segment_clear(m, energy, rules, c1, c2, offset + 0.5, ends, 2, offset + 1e-9, 1))
+        return -1;
+    return integral_op(m, nodes, BRANCH, 1, energy, call, pieces, 4, out);
+}
+
+/* turning_points' roots in the window into out, 2 doubles each */
+static long turning_op(const Model *m, cplx energy, const Rules *rules, const double *args, long cap, double *out)
+{
+    cplx *roots;
+    const long n = search(m, energy, args, rules, &roots);
+    for (long k = 0; k < n && 2 * n <= cap; k++) {
+        out[2 * k] = roots[k].re;
+        out[2 * k + 1] = roots[k].im;
+    }
+    free(roots);
+    return n < 0 ? -1 : 2 * n;
+}
+
+/* One operation of turning or quadrature in one call, read from record:
+ * a Model, then the call record above.  Returns the number of doubles of
+ * its result, written to out when they fit in its cap doubles: the
+ * roots of OP_TURNING and OP_REFINE as (re, im) pairs, or an integral as
+ * (re, im) and each piece's guide cells.  Returns -1, and Python runs the
+ * operation, where Python raises, warns or takes a path not mirrored. */
+long quad_op(const void *record, const double *nodes, long cap, double *out)
+{
+    const Model *m = record;
+    const double *call = (const double *)((const char *)record + sizeof(Model));
+    const cplx energy = {call[OP_ENERGY_RE], call[OP_ENERGY_IM]};
+    const Rules rules = {call[RESIDUAL_TOL], call[MAX_SEEDS], call[SEED_REACH], call[DEDUPE_TOL], count(call[MAX_ITER])};
+    const double *args = call + SEARCH_FIELDS;
+    double result[6];
+    long n = -1;
+    cplx root;
+    switch (count(call[OPERATION])) {
+    case OP_TURNING:
+        return turning_op(m, energy, &rules, args, cap, out);
+    case OP_REFINE:
+        if (newton(m, energy, (cplx){args[0], args[1]}, &rules, &root)) {
+            result[0] = root.re;
+            result[1] = root.im;
+            n = 2;
+        }
+        break;
+    case OP_REAL_FORM:
+    case OP_ESCAPE:
+        n = escape_op((int)count(call[OPERATION]), m, nodes, energy, &rules, call, result);
+        break;
+    case OP_CONTOUR:
+        n = contour_op(m, nodes, energy, &rules, call, result);
+        break;
+    }
+    if (n > 0 && n <= cap)
+        memcpy(out, result, (size_t)n * sizeof *out);
+    return n;
 }

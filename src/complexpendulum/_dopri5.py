@@ -12,18 +12,24 @@ code it mirrors, which stays the reference:
   ``escape_time_real_form``: the branch guide as ``quadrature._guide``
   builds it, by the rule Python passes, then ``adaptive_quad``'s whole
   refinement of every piece, each panel as ``quadrature._panel``
-  computes it.
+  computes it;
+- ``operation``: one public entry point of ``turning`` or
+  ``quadrature`` whole, for the pendulum kinds and the harmonic model:
+  ``turning_points``' search, ``refine_root``'s polish, and the escape
+  and period integrals from their root checks to the integral, as
+  Python runs their success path; anything else is handed back whole.
 
 Each reads the model from one record, ``model_params``'s (kind, g,
 complex(-g), epsilon, omega), built from the model itself, and only for
 an exact ``Pendulum``, ``Harmonic``, ``ImaginaryCubic`` or
 ``DrivenPendulum`` with plain int, float or complex parameters, on
 CPython before 3.14 (whose mixed float/complex arithmetic the kernel
-does not mirror); other models run on the Python path.  ``integral`` reads each path piece as its
-one description in ``quadrature._pieces``, (kind, c0, c1, c2, phi0).
+does not mirror); other models run on the Python path.  ``integral``
+reads each path piece as its one description in ``quadrature._pieces``,
+(kind, c0, c1, c2, phi0), and ``operation`` builds the same pieces.
 What the library cannot mirror goes back to Python: a run from the first
-step the kernel cannot take, a landing run or an integral whole, and the
-energy rows from the first it cannot compute.
+step the kernel cannot take, a landing run, an integral or an operation
+whole, and the energy rows from the first it cannot compute.
 The kernel keeps only dp/dt of the field: for these models dx/dt is p
 itself, so ``steps`` hands back, and ``advance`` returns, the field as
 (p, kp).
@@ -32,7 +38,9 @@ Every call crosses into the library one way: each record it reads (the
 model, a run's settings, the polish record, an integral's call record)
 goes in as ``struct``-packed bytes laid out as its C struct, and each
 buffer it reads or writes (stops, run state, rows, columns, results) is
-a numpy array passed by address.  No ctypes type is used, so no call
+a numpy array passed by address.  An operation sends its model record
+and its call record as one, and reads its result from a reused buffer
+whose address is taken once.  No ctypes type is used, so no call
 builds one.
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_formatter``
@@ -76,7 +84,9 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _ROWS = 512  # accepted steps handed over, or CSV rows formatted, per call
 _CSV_ROW_BYTES = 512  # bound on one CSV row's length (see _csv.cpp)
 
-_KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3}
+# the models the kernel runs, by exact type: none on CPython 3.14 or
+# later, whose mixed float/complex arithmetic the kernel does not mirror
+_KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3} if sys.version_info < (3, 14) else {}
 # status codes of dopri5_steps (see _dopri5.c)
 _FULL, _HAND_BACK = 0, 4
 _STOP_REASONS = {1: "horizon", 2: "max_steps", 3: "step_underflow"}
@@ -84,6 +94,12 @@ _STOP_REASONS = {1: "horizon", 2: "max_steps", 3: "step_underflow"}
 _BRANCH, _REAL_FORM = 0, 1
 _PIECES = {"ray": 0, "edge": 1, "cap": 2}
 _QUAD_HAND_BACK, _QUAD_BUDGET, _QUAD_RESOLUTION, _QUAD_UNCLOSED = 1, 2, 3, 4
+# operations of quad_op
+OP_TURNING, OP_REFINE, OP_REAL_FORM, OP_ESCAPE, OP_CONTOUR = range(5)
+_OP_RESULTS = 128  # doubles of a reused quad_op result buffer: 64 roots
+# reused quad_op result buffers, each (array, address, view): taking an
+# array's address costs more than the compiled work of a short operation
+_op_buffers = []
 
 # the C structs: Model (kind, g, complex(-g), epsilon, omega), Run
 # (t_end, direction, rel_tol, abs_tol, max_step, min_step, max_steps), the
@@ -148,6 +164,8 @@ def _library():
     lib.energy_rows.restype = c_long
     lib.quad_integral.argtypes = [ptr] * 4
     lib.quad_integral.restype = c_int
+    lib.quad_op.argtypes = [ptr, ptr, c_long, ptr]
+    lib.quad_op.restype = c_long
     return lib
 
 
@@ -156,11 +174,12 @@ def model_params(model):
     bytes, that every entry point reads ``model`` from, when the kernel
     can run it; None otherwise."""
     kind = _KINDS.get(type(model))
-    if kind is None or sys.version_info >= (3, 14):
+    if kind is None:
         return None
-    g = getattr(model, "g", 0.0)
-    epsilon = getattr(model, "epsilon", 0.0)
-    omega = getattr(model, "omega", 0.0)
+    fields = vars(model)  # the dataclass fields of an exact built-in model
+    g = fields.get("g", 0.0)
+    epsilon = fields.get("epsilon", 0.0)
+    omega = fields.get("omega", 0.0)
     if type(g) not in (int, float, complex) or type(epsilon) not in (int, float) or type(omega) not in (int, float):
         return None
     if _library() is None:
@@ -259,7 +278,7 @@ def integral(model, energy, pieces, nodes, max_panels, branch=None):
     call = [integrand, *rule, energy.real, energy.imag, max_panels, len(pieces)]
     for (kind, c0, c1, c2, phi0), s0, s1, tol in pieces:
         call += (_PIECES[kind], c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, phi0, s0, s1, tol)
-    # zero-filled: a stop leaves the cells of the pieces after it unwritten
+    # zero-filled: a guide that cannot be built leaves the cells unwritten
     out = np.zeros(5 + len(pieces))
     status = _library().quad_integral(record, nodes, struct.pack(f"{len(call)}d", *call), out.ctypes.data)
     if status == _QUAD_HAND_BACK:
@@ -273,6 +292,43 @@ def integral(model, energy, pieces, nodes, max_panels, branch=None):
     elif status == _QUAD_UNCLOSED:
         stop = ("unclosed",)
     return complex(re, im), stop, list(map(int, cells))
+
+
+@functools.cache
+def _call_record(n):
+    return struct.Struct(f"{n}d")
+
+
+def operation(model, call, nodes=None):
+    """One operation of ``turning`` or ``quadrature`` in one call of
+    ``quad_op``: ``call`` is its call record after the model's (the
+    operation, the energy, the root search's rules, then its own numbers;
+    see ``_dopri5.c``), packed with the model record into one, and
+    ``nodes`` the quadrature's (xi, wi) bytes for an integral.  Returns
+    the doubles of its result as a list: roots as (re, im) pairs, or an
+    integral's (re, im) and each piece's guide cells.  None where the
+    model is not one the kernel runs or the library hands the operation
+    back, which Python then runs whole."""
+    record = model_params(model)
+    if record is None:
+        return None
+    record += _call_record(len(call)).pack(*call)
+    kernel = _library().quad_op
+    try:
+        buffer = _op_buffers.pop()
+    except IndexError:
+        out = np.empty(_OP_RESULTS)
+        buffer = out, out.ctypes.data, memoryview(out)
+    try:
+        n = kernel(record, nodes, _OP_RESULTS, buffer[1])
+        if n <= _OP_RESULTS:
+            return None if n < 0 else buffer[2][:n].tolist()
+    finally:
+        _op_buffers.append(buffer)
+    # more roots than a reused buffer holds
+    out = np.empty(n)
+    kernel(record, nodes, n, out.ctypes.data)
+    return out.tolist()
 
 
 def csv_formatter():

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import _dopri5
 from .models import HamiltonianModel, Pendulum
-from .turning import _TWO_PI, TurningPoint, _converged, refine_root, turning_points
+from .turning import _TWO_PI, TurningPoint, _converged, _search_call, refine_root, turning_points
 
 __all__ = [
     "DomainError",
@@ -230,9 +230,10 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> complex:
     return total
 
 
-# the functions the compiled integrals mirror; with either rebound (a
-# spy, a counting wrapper) the library cannot, and Python runs them
-_MIRRORED = (adaptive_quad, _panel)
+# the functions the compiled integrals and operations mirror; with any
+# rebound (a spy, a tracer's wrapper) the library cannot, and Python runs
+# them
+_MIRRORED = (adaptive_quad, _panel, turning_points, refine_root)
 
 
 def _library_integral(model: HamiltonianModel, E: complex, pieces, closed=None):
@@ -242,7 +243,7 @@ def _library_integral(model: HamiltonianModel, E: complex, pieces, closed=None):
     integrand when ``closed`` is None.  It raises as the Python path
     does, and logs the guide's refinement as ``_guide`` does; None when
     the library cannot compute the integral as Python would."""
-    if (adaptive_quad, _panel) != _MIRRORED:
+    if (adaptive_quad, _panel, turning_points, refine_root) != _MIRRORED:
         return None
     branch = None if closed is None else (closed, _GUIDE_CELLS, _GUIDE_MAX_CELLS, _GUIDE_COS)
     result = _dopri5.integral(model, E, pieces, _NODES, _MAX_PANELS, branch)
@@ -465,6 +466,48 @@ def _as_root(model: HamiltonianModel, energy: complex, tp) -> complex:
     return x0
 
 
+_PLAIN = (int, float)  # the numbers the library operations take as given
+
+
+def _point(tp):
+    """The root a TurningPoint or a plain number gives, as ``_as_root``
+    reads it; None for anything else, which only Python reads."""
+    if isinstance(tp, TurningPoint):
+        return tp.x0 if type(tp.x0) is complex else None
+    return complex(tp) if type(tp) in (complex, float, int) else None
+
+
+def _library_op(model, op: int, E: complex, numbers):
+    """An escape or period integral in one library operation (see
+    ``_dopri5.operation``): from the root checks to the integral, with
+    the quadrature's rules as this module holds them at the call, and
+    the guide's refinement logged as ``_guide`` logs it.  None where the
+    library hands it back, which Python then computes."""
+    if (adaptive_quad, _panel, turning_points, refine_root) != _MIRRORED:
+        return None
+    call = _search_call(op, E, (_MAX_PANELS, _GUIDE_CELLS, _GUIDE_MAX_CELLS, _GUIDE_COS, *numbers))
+    result = _dopri5.operation(model, call, _NODES)
+    if result is None:
+        return None
+    _log_refined(result[2:])
+    return complex(result[0], result[1])
+
+
+def _library_escape(model, op: int, energy, tp, cutoff, tol, direction):
+    """An escape integral, ``escape_time``'s (``op`` OP_ESCAPE) or
+    ``escape_time_real_form``'s (OP_REAL_FORM), in one library operation
+    when the root, cutoff, tolerance and direction are plain numbers and
+    the cutoff is valid; None otherwise."""
+    E = complex(energy)
+    x0 = _point(tp)
+    if x0 is None or type(cutoff) not in _PLAIN or type(tol) not in _PLAIN:
+        return None
+    if not (direction is None or type(direction) in _PLAIN) or not (cutoff > 0.0 and math.isfinite(cutoff)):
+        return None
+    up = x0.imag >= 0.0 if direction is None else direction >= 0
+    return _library_op(model, op, E, (x0.real, x0.imag, 1.0 if up else -1.0, cutoff, tol))
+
+
 def _roots_near_segment(model, energy, a, b, pad, ends):
     """(root, distance to the segment a..b) for each root of E - V in the
     segment's bounding box widened by ``pad``, skipping the roots ``ends``."""
@@ -520,8 +563,13 @@ def escape_time(
     The tail beyond the default cutoff of 60 is far below the quadrature
     tolerance for the potentials here, which grow exponentially or
     polynomially along the ray.  A pendulum root in another 2 pi cell
-    escapes from its image in cell 0.
+    escapes from its image in cell 0.  For the pendulum kinds and the
+    harmonic model the whole call is one library operation, bit for bit
+    as the code below, which runs where the library hands it back.
     """
+    total = _library_escape(model, _dopri5.OP_ESCAPE, energy, tp, cutoff, tol, direction)
+    if total is not None:
+        return _real_part(total, "escape")
     E, ray = _escape_ray(model, energy, tp, cutoff, direction)
     x0 = ray.z_start
     if abs(model.gradient(x0)) < 1e-8:
@@ -548,6 +596,9 @@ def escape_time_real_form(
     at all; the endpoint singularity is removed by v = u^2 as usual.
     This is an independent cross-check route for ``escape_time``.
     """
+    total = _library_escape(model, _dopri5.OP_REAL_FORM, energy, tp, cutoff, tol, direction)
+    if total is not None:
+        return total.real
     E, ray = _escape_ray(model, energy, tp, cutoff, direction)
     [(piece, s0, umax, ptol)] = _pieces(ray, tol)
     total = _library_integral(model, E, [(piece, s0, umax, ptol)])
@@ -594,9 +645,18 @@ def contour_integral(
     the start of the loop, the point at distance ``offset`` beside the
     first root of the pair in (Re, Im) order, to the right of the chord
     towards the second.  It does not depend on the guide's density;
-    ``period_contour`` takes the absolute value.
+    ``period_contour`` takes the absolute value.  For the pendulum kinds
+    and the harmonic model the whole call is one library operation, bit
+    for bit as the code below, which runs where the library hands it back.
     """
     E = complex(energy)
+    if type(tp_pair) in (tuple, list) and len(tp_pair) >= 2 and type(offset) in _PLAIN and type(tol) in _PLAIN:
+        c1, c2 = _point(tp_pair[0]), _point(tp_pair[1])
+        if c1 is not None and c2 is not None and offset > 0.0 and math.isfinite(offset):
+            numbers = (c1.real, c1.imag, c2.real, c2.imag, offset, tol)
+            total = _library_op(model, _dopri5.OP_CONTOUR, E, numbers)
+            if total is not None:
+                return total
     c1, c2 = _resolve_pair(model, E, tp_pair)
     pieces = _pieces(TurningPointContour(c1, c2, offset), tol)
     for z, d in _roots_near_segment(model, E, c1, c2, offset + 0.5, (c1, c2)):

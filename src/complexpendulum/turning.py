@@ -23,6 +23,15 @@ within 1e-9 and the window filter is applied after refinement,
 inclusively, so roots that polish onto the boundary are kept.
 Each seed costs a Newton solve, so a window that needs more than
 ``_MAX_SEEDS`` seeds is rejected before any is made.
+
+For the pendulum kinds and the harmonic model, ``turning_points`` and
+``refine_root`` are one call of the compiled library each
+(``_dopri5.operation``): the seeds, the polish by ``_newton``'s rule,
+the window filter, the merge and the sort, bit for bit as the code
+here, which stays the reference and runs wherever the library hands a
+call back, as it does wherever this code would raise or warn.  Neither
+takes that path while either function is rebound (a spy, a tracer's
+wrapper).
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ import logging
 import math
 from dataclasses import dataclass
 
+from . import _dopri5
 from .models import HamiltonianModel, Harmonic, ImaginaryCubic, Pendulum
 
 __all__ = ["TurningPoint", "NonConvergence", "turning_points", "refine_root"]
@@ -109,8 +119,25 @@ def _newton(model: HamiltonianModel, energy: complex, seed: complex, tol: float)
     raise NonConvergence(f"no root reached from seed {seed}")
 
 
+def _search_call(op: int, energy: complex, numbers, residual_tol: float | None = None):
+    """The call record of library operation ``op`` (see
+    ``_dopri5.operation``): the energy, the rules of the root search as
+    this module holds them at the call, the residual target
+    ``_RESIDUAL_TOL`` unless given, then ``numbers``."""
+    tol = _RESIDUAL_TOL if residual_tol is None else residual_tol
+    return (op, energy.real, energy.imag, tol, _MAX_SEEDS, _SEED_REACH, _DEDUPE_TOL, _MAX_ITER, *numbers)
+
+
 def refine_root(model: HamiltonianModel, energy: complex, seed: complex) -> TurningPoint:
-    """Polish a single root of V(x) = E from ``seed`` by Newton iteration."""
+    """Polish a single root of V(x) = E from a finite ``seed`` by Newton
+    iteration."""
+    z = complex(seed)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"seed {seed!r} is not finite")
+    if (turning_points, refine_root) == _MIRRORED and type(energy) in (complex, float, int):
+        root = _dopri5.operation(model, _search_call(_dopri5.OP_REFINE, complex(energy), (z.real, z.imag)))
+        if root is not None:
+            return _tag(complex(*root))
     return _tag(_newton(model, energy, seed, _RESIDUAL_TOL))
 
 
@@ -179,16 +206,27 @@ def turning_points(
     """All turning points inside a closed rectangle of the complex plane.
 
     ``window`` is (re_min, re_max, im_min, im_max) and must have positive
-    area.  Every root is Newton-polished to the residual target; the
-    window filter runs after refinement (inclusive, with a one-nanounit
-    grace so boundary roots survive rounding), and near-coincident roots
-    merge within 1e-9.  The result is sorted by (Re, Im).
+    area, and the energy must be finite.  Every root is Newton-polished
+    to the residual target; the window filter runs after refinement
+    (inclusive, with a one-nanounit grace so boundary roots survive
+    rounding), and near-coincident roots merge within 1e-9.  The result
+    is sorted by (Re, Im).  For the pendulum kinds and the harmonic
+    model the whole search is one call of the compiled library, bit for
+    bit as the code below, which runs where the library hands it back.
     """
-    re_lo, re_hi, im_lo, im_hi = (float(v) for v in window)
+    re_lo, re_hi, im_lo, im_hi = map(float, window)
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("window must have positive area")
+    energy = complex(energy)
+    if not (math.isfinite(energy.real) and math.isfinite(energy.imag)):
+        raise ValueError("energy must be finite")
+    if (turning_points, refine_root) == _MIRRORED and type(residual_tol) in (float, int):
+        window = (re_lo, re_hi, im_lo, im_hi)
+        found = _dopri5.operation(model, _search_call(_dopri5.OP_TURNING, energy, window, residual_tol))
+        if found is not None:
+            return [_tag(complex(re, im)) for re, im in zip(found[::2], found[1::2])]
 
-    seeds = _closed_form_seeds(model, complex(energy), (re_lo, re_hi, im_lo, im_hi))
+    seeds = _closed_form_seeds(model, energy, (re_lo, re_hi, im_lo, im_hi))
     if seeds is None:
         seeds = []
         _check_seed_count(((re_hi - re_lo) / _SEED_GRID + 2.0) * ((im_hi - im_lo) / _SEED_GRID + 2.0))
@@ -205,7 +243,7 @@ def turning_points(
     skipped = 0
     for seed in seeds:
         try:
-            z = _newton(model, complex(energy), seed, residual_tol)
+            z = _newton(model, energy, seed, residual_tol)
         except NonConvergence:
             skipped += 1
             continue
@@ -216,3 +254,8 @@ def turning_points(
     found = _dedupe(found, _DEDUPE_TOL)
     found.sort(key=lambda z: (z.real, z.imag))
     return [_tag(z) for z in found]
+
+
+# the functions the compiled search and polish stand for; with either
+# rebound (a spy, a tracer's wrapper) Python runs them
+_MIRRORED = (turning_points, refine_root)

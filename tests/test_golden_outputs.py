@@ -25,7 +25,7 @@ import hashlib
 
 import pytest
 
-from complexpendulum import _dopri5, integrator, quadrature
+from complexpendulum import ImaginaryCubic, _dopri5, integrator, quadrature
 from complexpendulum.cli import run_scenario
 
 GOLDEN = {
@@ -106,8 +106,8 @@ def assert_outputs_match(tmp_path, scenario):
 def watch_fallbacks(monkeypatch):
     """Counts of the library's calls and of the work it left to Python:
     hand-backs of ``_dopri5.steps``, steps of the Python loop (its
-    ``_next_h`` and ``_reject_h``), None from ``_dopri5.advance`` or
-    ``_dopri5.integral``, branch guides built in Python
+    ``_next_h`` and ``_reject_h``), None from ``_dopri5.advance``,
+    ``_dopri5.integral`` or ``_dopri5.operation``, branch guides built in Python
     (``quadrature._guide``), and energy rows ``_dopri5.energy_columns``
     did not fill."""
     calls, fallbacks = collections.Counter(), collections.Counter()
@@ -146,6 +146,16 @@ def watch_fallbacks(monkeypatch):
 
         return spy
 
+    def operation_spy(model, call, nodes=None):
+        calls["integral operation"] += call[0] in (_dopri5.OP_REAL_FORM, _dopri5.OP_ESCAPE, _dopri5.OP_CONTOUR)
+        result = operation(model, call, nodes)
+        # the imaginary cubic's turning points keep their Python search
+        cubic_search = call[0] == _dopri5.OP_TURNING and isinstance(model, ImaginaryCubic)
+        fallbacks["operation"] += result is None and not cubic_search
+        return result
+
+    operation = _dopri5.operation
+    monkeypatch.setattr(_dopri5, "operation", operation_spy)
     monkeypatch.setattr(_dopri5, "steps", steps_spy)
     monkeypatch.setattr(_dopri5, "energy_columns", energy_spy)
     for name in ("advance", "integral"):
@@ -161,7 +171,7 @@ def test_outputs_match_recorded_hashes(monkeypatch, tmp_path, scenario):
     assert_outputs_match(tmp_path, scenario)
     if _dopri5._library() is not None:
         assert calls["steps"] > 0 and calls["energy_columns"] > 0
-        assert (calls["integral"] > 0) == (scenario in QUADRATURE_SCENARIOS)
+        assert (calls["integral"] + calls["integral operation"] > 0) == (scenario in QUADRATURE_SCENARIOS)
         assert +fallbacks == {}
 
 

@@ -7,8 +7,14 @@ runtime preloaded:
 - the 14 bundled scenarios through ``run_scenario``, each output file
   checked against ``test_golden_outputs.GOLDEN``, which runs every entry
   point: ``dopri5_steps``, ``dopri5_advance``, ``energy_rows``,
-  ``csv_rows`` and ``quad_integral``, each reading the model record;
-- the quadrature corpus;
+  ``csv_rows``, ``quad_integral`` and ``quad_op``, each reading the
+  model record;
+- the quadrature corpus and the turning-point corpus, each on the
+  library's path and on the Python path;
+- one operation of ``quad_op`` handed back per kind, each past the
+  allocations its success path makes, and a pendulum window at the
+  seed budget ``_MAX_SEEDS``, whose roots outgrow the reused result
+  buffer, with the window just past it;
 - an integral that spends its whole panel budget and one that stops at
   the resolution limit, which ``quad_integral``'s heap of panels serves,
   an integral whose branch guide the library refines to its ceiling,
@@ -45,6 +51,7 @@ from pathlib import Path
 
 sys.path.insert(0, sys.argv[2])
 from complexpendulum import Harmonic, Pendulum, Segment, TurningPointContour, VerticalRay, _dopri5, escape_time, quadrature
+from complexpendulum import escape_time_real_form, period_contour, refine_root, turning, turning_points
 from complexpendulum.cli import run_scenario
 
 _dopri5._CACHE = Path(sys.argv[1])
@@ -60,7 +67,47 @@ for scenario in test_golden_outputs.SCENARIOS:
 got = {f"{f.parent.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest() for f in out.glob("*/*")}
 assert got == test_golden_outputs.GOLDEN, sorted(k for k in got if got[k] != test_golden_outputs.GOLDEN.get(k))
 
-assert test_quadrature_corpus._mismatches() == []
+import test_turning_corpus
+
+for corpus in (test_quadrature_corpus, test_turning_corpus):
+    assert corpus._mismatches() == []
+    params, _dopri5.model_params = _dopri5.model_params, lambda model: None
+    try:
+        assert corpus._mismatches() == []
+    finally:
+        _dopri5.model_params = params
+
+made = []
+operation = _dopri5.operation
+
+
+def operation_spy(model, call, nodes=None):
+    result = operation(model, call, nodes)
+    made.append((call[0], result is not None))
+    return result
+
+
+_dopri5.operation = operation_spy
+handed_back = [
+    (lambda: turning_points(Pendulum(g=1.0), 0.3, (-31402.0, 31402.0, -2.0, 2.0)), ValueError),
+    (lambda: refine_root(Harmonic(), 1.0, 0j), turning.NonConvergence),
+    (lambda: escape_time_real_form(Harmonic(), 0.5, 1.0), quadrature.DomainError),
+    (lambda: escape_time(Pendulum(g=1.0), math.cosh(1.0), math.pi + 1j, tol=1e-300), quadrature.ToleranceNotMet),
+    (lambda: period_contour(Pendulum(g=1.0), math.cosh(1.0), (math.pi - 1j, math.pi + 1j), 6.5),
+     quadrature.PathThroughSingularity),
+]
+for call, error in handed_back:
+    try:
+        call()
+    except error:
+        pass
+    else:
+        raise AssertionError(f"no {error.__name__}")
+assert {op for op, ok in made if not ok} == set(range(5)), made
+made.clear()
+assert len(turning_points(Pendulum(g=1.0), 0.3, (-31401.0, 31401.0, -2.0, 2.0))) == 19990
+assert made == [(_dopri5.OP_TURNING, True)], made
+_dopri5.operation = operation
 
 seen = []
 integral = _dopri5.integral

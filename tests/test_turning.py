@@ -16,7 +16,7 @@ from complexpendulum import (
     refine_root,
     turning_points,
 )
-from complexpendulum import turning
+from complexpendulum import _dopri5, turning
 from complexpendulum.turning import _dedupe
 
 PI = math.pi
@@ -120,6 +120,12 @@ class TestRefineRoot:
         assert tp.lattice_index == 2  # round(3 pi / 2 pi) = round(1.5) = 2
         assert tp.branch_sign == 1
 
+    @pytest.mark.parametrize("seed", [complex(math.inf, 0.0), complex(0.0, math.nan), -math.inf])
+    def test_non_finite_seed_rejected(self, seed):
+        # cmath used to raise an untyped "math domain error" for it
+        with pytest.raises(ValueError, match=r"^seed .* is not finite$"):
+            refine_root(Pendulum(g=1.0), 0.0, seed)
+
     def test_raises_when_stuck(self):
         # seed at the potential maximum of the harmonic well with wrong energy
         with pytest.raises(NonConvergence):
@@ -145,6 +151,16 @@ class TestWindowHandling:
     def test_empty_window_area_rejected(self):
         with pytest.raises(ValueError):
             turning_points(Pendulum(g=1.0), 0.0, (1.0, 1.0, -1.0, 1.0))
+
+    @pytest.mark.parametrize("path", ["library", "python"])
+    @pytest.mark.parametrize("energy", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf)])
+    def test_non_finite_energy_rejected(self, monkeypatch, path, energy):
+        # the window check used to ask for nan seeds
+        if path == "python":
+            monkeypatch.setattr(_dopri5, "model_params", lambda model: None)
+        for model in (Pendulum(g=1.0), Harmonic()):
+            with pytest.raises(ValueError, match="^energy must be finite$"):
+                turning_points(model, energy, (-1.0, 1.0, -1.0, 1.0))
 
     def test_sorted_output(self):
         got = roots_of(Pendulum(g=1.0), COSH1)
