@@ -36,21 +36,23 @@
  * of Re x and of Im x (see Trig): the same double in gives the same libm
  * result out, so reusing them is exact.
  *
- * quad_op runs one public entry point of turning or quadrature whole:
- * turning_points' search (closed-form seeds, turning._newton's polish,
- * the window filter, the merge and the sort), refine_root, and the
- * escape and period integrals from their root checks to the integral,
- * with cmath.acos written out from CPython's own square root.  It runs
- * Python's success path only, and hands the whole operation back
- * wherever Python would raise, warn or take a path not mirrored here.
+ * quad_op runs one public entry point of turning or quadrature whole,
+ * for the pendulum kinds and the harmonic model: turning_points' search
+ * (closed-form seeds, turning._newton's polish, the window filter, the
+ * merge and the sort), refine_root, and the escape and period integrals
+ * from their root checks to the integral, with cmath.acos written out
+ * from CPython's own square root.  It runs Python's success path only,
+ * and hands the whole operation back wherever Python would raise, warn
+ * or take a path not mirrored here.
  *
  * Every entry point reads the model from one Model record, built by
  * _dopri5.model_params, and quad_integral reads each path piece as its
  * one description in quadrature._pieces (see piece_at), which quad_op
- * builds the same way.  Every record the library reads (Model, Run, the
- * stops, the polish record and the call records, quad_op's after its
- * Model in one) arrives const, packed by _dopri5.py, and it writes only
- * into numpy arrays the caller owns: State, the row buffers, xp and out.
+ * builds the same way for its ray and stadium (see escape_op).  Every
+ * record the library reads (Model, Run, the stops, the polish record and
+ * the call records, quad_op's after its Model in one) arrives const,
+ * packed by _dopri5.py, and it writes only into numpy arrays the caller
+ * owns: State, the row buffers, xp and out.
  */
 #include <float.h>
 #include <math.h>
@@ -139,24 +141,25 @@ static inline int is_finite(cplx z)
     return isfinite(z.re) && isfinite(z.im);
 }
 
-/* dp/dt at (t, x); returns 0 where CPython would take another path */
-static int force(const Model *m, double t, cplx x, cplx *kp)
+/* V'(x) as the model's gradient computes it: x, 3j * x * x or, for the
+ * pendulum kinds, g * cmath.sin(x) with sin(x) = -i sinh(i x); returns 0
+ * where CPython would take another path.  inline: force() is the
+ * stepping loop's inner call, and with this out of line the loop ran
+ * 10-15% slower (gcc 12, -O2). */
+static inline int gradient(const Model *m, cplx x, cplx *grad)
 {
-    cplx grad;
-    double f = 0.0;
     if (!is_finite(x))
         return 0;
     switch (m->kind) {
     case HARMONIC:
-        grad = x;
-        break;
+        *grad = x;
+        return 1;
     case CUBIC_I: {
-        cplx three_i = {0.0, 3.0};
-        grad = mul(mul(three_i, x), x);
-        break;
+        const cplx three_i = {0.0, 3.0};
+        *grad = mul(mul(three_i, x), x);
+        return 1;
     }
     default: {
-        /* g * cmath.sin(x), sin(x) = -i sinh(i x) */
         double sr = -x.im, si = x.re;
         cplx s;
         if (fabs(sr) > LOG_LARGE_DOUBLE)
@@ -166,14 +169,25 @@ static int force(const Model *m, double t, cplx x, cplx *kp)
         if (isinf(s.re) || isinf(s.im))
             return 0;
         cplx sin_x = {s.im, -s.re};
-        grad = mul(m->g, sin_x);
-        if (m->kind == DRIVEN_PENDULUM) {
-            double arg = m->omega * t;
-            if (!isfinite(arg))
-                return 0;
-            f = m->epsilon * sin(arg);
-        }
+        *grad = mul(m->g, sin_x);
+        return 1;
     }
+    }
+}
+
+/* dp/dt at (t, x): -V'(x), plus the drive for the driven pendulum;
+ * returns 0 where CPython would take another path */
+static int force(const Model *m, double t, cplx x, cplx *kp)
+{
+    cplx grad;
+    double f = 0.0;
+    if (!gradient(m, x, &grad))
+        return 0;
+    if (m->kind == DRIVEN_PENDULUM) {
+        double arg = m->omega * t;
+        if (!isfinite(arg))
+            return 0;
+        f = m->epsilon * sin(arg);
     }
     kp->re = -grad.re + f;
     kp->im = -grad.im + 0.0;
@@ -1047,12 +1061,13 @@ int quad_integral(const Model *model, const double *nodes, const double *call, d
 
 /* Turning points and whole quadrature operations.  quad_op runs one
  * public entry point of turning and quadrature in one call, for the
- * pendulum kinds and the harmonic model (refine_root for all four):
- * turning_points' search, refine_root's Newton polish, and the escape
- * and period integrals from their root checks to the integral, each
- * check and each root search as Python makes it.  It runs the success
- * path only: wherever Python would raise, warn or take a path not
- * mirrored here, it hands the whole operation back. */
+ * pendulum kinds and the harmonic model (the imaginary cubic has no
+ * compiled root search, and Python sends it none): turning_points'
+ * search, refine_root's Newton polish, and the escape and period
+ * integrals from their root checks to the integral, each check and each
+ * root search as Python makes it.  It runs the success path only:
+ * wherever Python would raise, warn or take a path not mirrored here, it
+ * hands the whole operation back. */
 
 static const double TWO_PI = 2.0 * M_PI;  /* turning._TWO_PI */
 
@@ -1064,39 +1079,12 @@ typedef struct {
     long max_iter;
 } Rules;
 
-/* V(x) and V'(x) as the model's potential and gradient compute them:
- * for the pendulum kinds -g * cmath.cos(x) and g * cmath.sin(x), from
- * the one set of cos, sin, cosh and sinh factors both take.  Returns 0
- * where cmath would take another path or raise. */
+/* V(x) and V'(x) as the model's potential and gradient compute them;
+ * 0 where cmath would take another path or raise */
 static int vgrad(const Model *m, cplx x, cplx *v, cplx *grad)
 {
-    const cplx half = {0.5, 0.0}, i1 = {0.0, 1.0}, three_i = {0.0, 3.0};
-    if (!is_finite(x))
-        return 0;
-    switch (m->kind) {
-    case HARMONIC:
-        *v = mul(mul(half, x), x);
-        *grad = x;
-        return 1;
-    case CUBIC_I:
-        *v = mul(mul(mul(i1, x), x), x);
-        *grad = mul(mul(three_i, x), x);
-        return 1;
-    default: {
-        /* cmath.cos(x) = cosh(-Im x + i Re x), cmath.sin(x) = -i sinh(...) */
-        double w = -x.im;
-        if (fabs(w) > LOG_LARGE_DOUBLE)
-            return 0;
-        double c = cos(x.re), s = sin(x.re), ch = cosh(w), sh = sinh(w);
-        cplx cos_x = {c * ch, s * sh}, sinh_iw = {c * sh, s * ch};
-        if (isinf(cos_x.re) || isinf(cos_x.im) || isinf(sinh_iw.re) || isinf(sinh_iw.im))
-            return 0;
-        cplx sin_x = {sinh_iw.im, -sinh_iw.re};
-        *v = mul(m->neg_g, cos_x);
-        *grad = mul(m->g, sin_x);
-        return 1;
-    }
-    }
+    Trig trig = EMPTY_TRIG;
+    return potential(m, x, v, &trig) && gradient(m, x, grad);
 }
 
 /* turning._converged: |f| within the target, or within the rounding of V
@@ -1384,7 +1372,12 @@ static long integral_op(const Model *m, const double *nodes, int integrand, int 
 /* quadrature.escape_time (OP_ESCAPE) and escape_time_real_form
  * (OP_REAL_FORM): the root check, a pendulum root in cell k != 0 moved
  * to cell 0 and polished there, for escape_time the degenerate-root
- * check and the ray's clearance, then the integral along the ray */
+ * check and the ray's clearance, then the integral along the ray.
+ * The ray here and contour_op's stadium are quadrature._pieces' term for
+ * term, built here because the ray starts at the root this operation
+ * polishes, and because building them in Python cost each operation
+ * more than the rest of its Python side; test_library_operations checks
+ * every integral against the Python path bit for bit. */
 static long escape_op(int op, const Model *m, const double *nodes, cplx energy, const Rules *rules,
                       const double *call, double *out)
 {
@@ -1474,11 +1467,12 @@ static long turning_op(const Model *m, cplx energy, const Rules *rules, const do
 }
 
 /* One operation of turning or quadrature in one call, read from record:
- * a Model, then the call record above.  Returns the number of doubles of
- * its result, written to out when they fit in its cap doubles: the
- * roots of OP_TURNING and OP_REFINE as (re, im) pairs, or an integral as
- * (re, im) and each piece's guide cells.  Returns -1, and Python runs the
- * operation, where Python raises, warns or takes a path not mirrored. */
+ * a Model of a pendulum kind or the harmonic model, then the call record
+ * above.  Returns the number of doubles of its result, written to out
+ * when they fit in its cap doubles: the roots of OP_TURNING and
+ * OP_REFINE as (re, im) pairs, or an integral as (re, im) and each
+ * piece's guide cells.  Returns -1, and Python runs the operation, where
+ * Python raises, warns or takes a path not mirrored. */
 long quad_op(const void *record, const double *nodes, long cap, double *out)
 {
     const Model *m = record;
@@ -1489,6 +1483,8 @@ long quad_op(const void *record, const double *nodes, long cap, double *out)
     double result[6];
     long n = -1;
     cplx root;
+    if (m->kind == CUBIC_I)  /* no compiled root search */
+        return -1;
     switch (count(call[OPERATION])) {
     case OP_TURNING:
         return turning_op(m, energy, &rules, args, cap, out);

@@ -296,6 +296,10 @@ def integral(model, energy, pieces, nodes, max_panels, branch=None):
 
 @functools.cache
 def _call_record(n):
+    """The ``struct`` format of a call record of n doubles.  Held here: after
+    a ``gc.collect()`` an operation packing with ``struct.pack(f"{n}d")``
+    took 4-5 us longer (median over the benchmark's four operation kinds,
+    same interpreter, alternating)."""
     return struct.Struct(f"{n}d")
 
 
@@ -307,9 +311,11 @@ def operation(model, call, nodes=None):
     ``nodes`` the quadrature's (xi, wi) bytes for an integral.  Returns
     the doubles of its result as a list: roots as (re, im) pairs, or an
     integral's (re, im) and each piece's guide cells.  None where the
-    model is not one the kernel runs or the library hands the operation
-    back, which Python then runs whole."""
-    record = model_params(model)
+    model is not a pendulum kind or the harmonic model, or the library
+    hands the operation back, which Python then runs whole."""
+    # the imaginary cubic has no compiled root search: Python runs its
+    # operations, with no library call to be handed back
+    record = None if type(model) is ImaginaryCubic else model_params(model)
     if record is None:
         return None
     record += _call_record(len(call)).pack(*call)

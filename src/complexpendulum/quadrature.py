@@ -270,7 +270,10 @@ def _pieces(path, tol: float):
     c0 + c1 * s and a ``cap`` an arc from the angle phi0.  The ray and
     stadium constants fix the quadrature nodes, and with them the bits of
     every escape time and period a scenario writes: keep them character
-    for character.
+    for character, here and in ``escape_op`` and ``contour_op`` in
+    ``_dopri5.c``, which build the same ray and stadium for the library
+    operations (``test_library_operations`` compares their integrals
+    with this path's bit for bit).
     """
     if isinstance(path, Segment):
         z0, z1 = complex(path.z_start), complex(path.z_end)

@@ -702,11 +702,12 @@ def quadrature_outcome(run):
 
 
 def assert_integral_matches_python(run):
-    """The outcome of ``run()``, the same on both paths, and what the
-    library did with each integral it was given.  The one-call operations
-    of the public entry points (``_dopri5.operation``) hand every call
-    back here, so that each integral goes through ``_dopri5.integral``;
-    ``test_library_operations`` checks the operations."""
+    """The outcome of ``run()``, the same on three paths: as the package
+    runs it, with the one-call operations of the public entry points
+    (``_dopri5.operation``) handing every call back, so that each
+    integral goes through ``_dopri5.integral``, and on the Python path.
+    Returns it with what the library did with each integral it was given
+    on the second path."""
     calls = []
     integral = _dopri5.integral
 
@@ -715,6 +716,7 @@ def assert_integral_matches_python(run):
         calls.append("handed_back" if result is None else "stopped" if result[1] else "computed")
         return result
 
+    whole = quadrature_outcome(run)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_dopri5, "integral", spy)
         m.setattr(_dopri5, "operation", lambda *args: None)
@@ -722,7 +724,7 @@ def assert_integral_matches_python(run):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_dopri5, "model_params", lambda model: None)
         slow = quadrature_outcome(run)
-    assert fast == slow
+    assert whole == fast == slow
     return fast, calls
 
 
@@ -951,8 +953,9 @@ def test_the_library_logs_its_guide_refinement(library, caplog):
             lambda: quadrature._branch_integral(Pendulum(g=1.0), complex(-COSH1), pieces, True)
         )
     assert calls == ["computed"]
-    # logged once by the library's call, once by the Python path's guide
-    assert [rec.getMessage() for rec in caplog.records] == 2 * [
+    # logged by each run: the package's, the library integral's and the
+    # Python path's guide
+    assert [rec.getMessage() for rec in caplog.records] == 3 * [
         "branch guide: piece 1 refined to 24 cells",
         "branch guide: piece 3 refined to 24 cells",
     ]

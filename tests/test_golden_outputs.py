@@ -149,9 +149,8 @@ def watch_fallbacks(monkeypatch):
     def operation_spy(model, call, nodes=None):
         calls["integral operation"] += call[0] in (_dopri5.OP_REAL_FORM, _dopri5.OP_ESCAPE, _dopri5.OP_CONTOUR)
         result = operation(model, call, nodes)
-        # the imaginary cubic's turning points keep their Python search
-        cubic_search = call[0] == _dopri5.OP_TURNING and isinstance(model, ImaginaryCubic)
-        fallbacks["operation"] += result is None and not cubic_search
+        # the imaginary cubic's operations run in Python, with no call
+        fallbacks["operation"] += result is None and not isinstance(model, ImaginaryCubic)
         return result
 
     operation = _dopri5.operation

@@ -13,7 +13,8 @@ which stays the reference:
 - that every typed error keeps its type and message, and the warning and
   the debug log read as before, the library handing the call back;
 - that a benchmark operation is one library call, and a ``turning`` one
-  evaluates no Python potential;
+  evaluates no Python potential, while the imaginary cubic, which has no
+  compiled root search, makes no operation call;
 - that rebinding any of the functions the operations mirror, as the
   benchmark's tracer does, sends the whole call down the Python path.
 
@@ -34,6 +35,7 @@ from complexpendulum import (
     DomainError,
     DrivenPendulum,
     Harmonic,
+    ImaginaryCubic,
     PathThroughSingularity,
     Pendulum,
     ToleranceNotMet,
@@ -347,6 +349,29 @@ def test_each_benchmark_operation_is_one_library_call(monkeypatch, kind, call):
     assert library.calls == ["quad_op"]
     if kind == "turning":
         assert potentials == []
+
+
+def cubic_calls():
+    """A call of each entry point on the imaginary cubic, whose roots
+    x^3 = -i E lie at i, e^(-i pi/6) and e^(-5i pi/6) for E = 1, with the
+    library calls it makes: one ``quad_integral`` per integral."""
+    model, root = ImaginaryCubic(), cmath.exp(-1j * PI / 6.0)
+    yield lambda: turning_points(model, 1.0, (-2.0, 2.0, -2.0, 2.0)), []
+    yield lambda: refine_root(model, 1.0, 0.9 - 0.4j), []
+    yield lambda: escape_time(model, 1.0, root), ["quad_integral"]
+    yield lambda: escape_time_real_form(model, 1.0, 1j), ["quad_integral"]
+    yield lambda: contour_integral(model, 1.0, (root, -root.conjugate())), ["quad_integral"]
+
+
+@pytest.mark.parametrize("call,calls", list(cubic_calls()))
+def test_the_imaginary_cubic_makes_no_operation_call(monkeypatch, call, calls):
+    """The cubic has no compiled root search: each entry point runs in
+    Python, its integrals through ``quad_integral``, as the Python path
+    computes them."""
+    library = CountingLibrary(_dopri5._library())
+    monkeypatch.setattr(_dopri5, "_library", lambda: library)
+    on_both_paths(call)
+    assert library.calls == calls
 
 
 @pytest.mark.parametrize(
