@@ -6,8 +6,9 @@ code it mirrors, which stays the reference:
 - ``steps``: ``integrator._dopri``'s accept/reject/PI/landing loop;
 - ``advance``: one landing run of event polishing (``integrator._advance``),
   its initial step and the field at the landed state included;
-- ``energy_columns``: ``Trajectory``'s energy column, V, H and
-  ``energy_drift``'s local scale;
+- ``energy_columns``: ``Trajectory``'s energy columns, H and
+  ``energy_drift``'s local scale, with V(x) a per-row local, not a
+  column;
 - ``integral``: one quadrature integral of ``_branch_integral`` or
   ``escape_time_real_form``: the branch guide as ``quadrature._guide``
   builds it, by the rule Python passes, then ``adaptive_quad``'s whole
@@ -160,7 +161,7 @@ def _library():
     lib.dopri5_advance.restype = c_int
     lib.csv_rows.argtypes = [c_long, *[ptr] * 4, c_int, ptr]
     lib.csv_rows.restype = c_long
-    lib.energy_rows.argtypes = [ptr, c_long, *[ptr] * 5]
+    lib.energy_rows.argtypes = [ptr, c_long, *[ptr] * 4]
     lib.energy_rows.restype = c_long
     lib.quad_integral.argtypes = [ptr] * 4
     lib.quad_integral.restype = c_int
@@ -228,22 +229,22 @@ def advance(record, t, x, p, t_target, polish):
 
 
 def energy_columns(model, x, p):
-    """(v, h, scale, n): V(x), H = p*p/2 + V and ``energy_drift``'s local
-    scale |p|**2/2 + |V| (complex128, complex128, float64) for the samples
-    x, p of a run of ``model``, the first n rows filled by the library as
-    ``Trajectory``'s Python expressions compute them; the other rows are
-    left to those.  n is 0 for a model the kernel does not run, and stops
-    short of a row that cmath would compute otherwise or raise on."""
+    """(h, scale, n): H = p*p/2 + V(x) and ``energy_drift``'s local scale
+    |p|**2/2 + |V| (complex128, float64) for the samples x, p of a run of
+    ``model``, the first n rows filled by the library as ``Trajectory``'s
+    Python expressions compute them; the other rows are left to those.
+    n is 0 for a model the kernel does not run, and stops short of a row
+    that cmath would compute otherwise or raise on."""
     x = np.ascontiguousarray(x, dtype=complex)
     p = np.ascontiguousarray(p, dtype=complex)
     if len(x) != len(p):
         raise ValueError("columns of unequal length")
-    v, h, scale = np.empty_like(x), np.empty_like(x), np.empty(len(x))
+    h, scale = np.empty_like(x), np.empty(len(x))
     record = model_params(model)
     if record is None:
-        return v, h, scale, 0
-    addresses = (column.ctypes.data for column in (x, p, v, h, scale))
-    return v, h, scale, _library().energy_rows(record, len(x), *addresses)
+        return h, scale, 0
+    addresses = (column.ctypes.data for column in (x, p, h, scale))
+    return h, scale, _library().energy_rows(record, len(x), *addresses)
 
 
 def integral(model, energy, pieces, nodes, max_panels, branch=None):

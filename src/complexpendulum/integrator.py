@@ -49,12 +49,15 @@ min_step), and evaluates the field itself where it needs it.
 Trajectories store their samples as columns (float64 t, complex128 x
 and p), which the analyses and the CSV writer read directly; the
 ``PhaseState`` list ``Trajectory.samples`` is built only when asked
-for.  How a run ended is stored once, as its ``termination``; the
-classification comes from one table, and ``period`` or ``escape_time``
-is the time to the last sample, the refined return or crossing.  Each
-sample's potential is evaluated once, for the energy column that
+for.  ``integrate`` copies the settled block pieces into the columns
+one column at a time, so a run never holds all its rows twice.  How a
+run ended is stored once, as its ``termination``; the classification
+comes from one table, and ``period`` or ``escape_time`` is the time to
+the last sample, the refined return or crossing.  Each sample's
+potential is evaluated once, for the energy column H that
 ``energy_drift`` (its reference H(0) included) and the CSV writer
-share, together with the local scale |p|^2/2 + |V| of ``energy_drift``.
+share, and the column of ``energy_drift``'s local scale |p|^2/2 + |V|;
+no column of V is kept.
 
 Compiled kernel: for exact instances of the four built-in models (with
 plain int, float or complex parameters, on CPython before 3.14) ``_dopri``
@@ -73,13 +76,13 @@ overflowing sine) is handed back: the Python loop below resumes from the
 state at the start of that step and redoes it.  Subclasses, models of
 the Python API, later interpreters and a failed build (logged once) use
 the Python loop throughout; it stays the reference.
-The same library computes the energy column of those models
-(``_dopri5.energy_columns``), mirroring ``cmath.cos``, the complex
-products and the ``pow`` of ``|p| ** 2``; the rows it cannot mirror (a
-non-finite x, |Im x| past 708.396..., where ``cmath.cosh`` switches
-formula, or an overflowing cosine) and every row of the other models
-are computed by the Python expressions of ``Trajectory``, the
-reference.
+The same library computes the energy columns, H and the local scale,
+of those models (``_dopri5.energy_columns``), mirroring ``cmath.cos``,
+the complex products and the ``pow`` of ``|p| ** 2``; the rows it
+cannot mirror (a non-finite x, |Im x| past 708.396..., where
+``cmath.cosh`` switches formula, or an overflowing cosine) and every
+row of the other models are computed by the Python expressions of
+``Trajectory``, the reference.
 """
 from __future__ import annotations
 
@@ -234,6 +237,9 @@ class Trajectory:
     (complex128), ordered along the direction of integration and starting
     at the initial state; ``len(traj)`` counts them.  ``samples`` is the
     same data as a list of ``PhaseState``, built at first use and cached.
+    ``energy`` is the column of H, computed at first use together with
+    ``energy_drift``'s local scale |p|^2/2 + |V| and cached; V is not
+    kept.
 
     termination names the event that stopped the run ("closure",
     "escape", "horizon", "max_steps", "step_underflow", "overflow",
@@ -277,31 +283,32 @@ class Trajectory:
         return list(map(PhaseState, self.x.tolist(), self.p.tolist(), self.t.tolist()))
 
     @functools.cached_property
-    def _energy_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """V(x), H = p^2/2 + V(x) and ``energy_drift``'s local scale
-        |p|^2/2 + |V| at every sample.  The compiled library fills the
-        rows it can (see ``_dopri5.energy_columns``); the Python
-        expressions below, the reference, fill the rest."""
+    def _energy_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """H = p^2/2 + V(x) and ``energy_drift``'s local scale
+        |p|^2/2 + |V| at every sample; V itself is not kept.  The
+        compiled library fills the rows it can (see
+        ``_dopri5.energy_columns``); the Python expressions below, the
+        reference, fill the rest, evaluating V for those rows only."""
         if self.model is None:
             raise ValueError("trajectory carries no model")
-        v, h, scale, k = _dopri5.energy_columns(self.model, self.x, self.p)
-        rest = list(map(self.model.potential, self.x[k:].tolist()))
-        v[k:] = rest
+        h, scale, k = _dopri5.energy_columns(self.model, self.x, self.p)
+        v = list(map(self.model.potential, self.x[k:].tolist()))
         # complex products stay in Python: numpy's may round differently
-        h[k:] = [0.5 * p * p + vk for p, vk in zip(self.p[k:].tolist(), rest)]
+        h[k:] = [0.5 * p * p + vk for p, vk in zip(self.p[k:].tolist(), v)]
+        v = np.array(v, dtype=complex)
         # per sample, the bits of 0.5 * abs(p) ** 2 + abs(v): np.hypot is
         # the libm hypot of abs(complex), and abs(p) ** 2 is libm's pow,
         # which numpy's square is not
         with np.errstate(all="ignore"):
             abs_p = np.hypot(self.p.real[k:], self.p.imag[k:])
-            scale[k:] = 0.5 * np.array([_square(a) for a in abs_p.tolist()]) + np.hypot(v.real[k:], v.imag[k:])
-        return v, h, scale
+            scale[k:] = 0.5 * np.array([_square(a) for a in abs_p.tolist()]) + np.hypot(v.real, v.imag)
+        return h, scale
 
     @property
     def energy(self) -> np.ndarray:
         """H = p^2/2 + V(x) at every sample (complex128), evaluated once
         per sample and shared by ``energy_drift`` and the CSV writer."""
-        return self._energy_columns[1]
+        return self._energy_columns[0]
 
     def energy_drift(self) -> float:
         """Worst relative energy error over the samples.
@@ -313,14 +320,16 @@ class Trajectory:
         integration error rather than float cancellation.  Meaningful
         for autonomous models, where H is conserved exactly.
         """
-        _, h, scale = self._energy_columns
+        h, scale = self._energy_columns
         e0 = h[0].item()
         # per sample, the bits of the scalar expression
         #   abs(h - e0) / max(1.0, abs(e0), scale):
-        # fmax skips a NaN as max() does when 1.0 comes first
+        # fmax skips a NaN as max() does when 1.0 comes first.  The ratio
+        # is formed in place, so at most 24 bytes a row are alive at once.
         with np.errstate(all="ignore"):
             dev = h - e0
-            dev = np.hypot(dev.real, dev.imag) / np.fmax(max(1.0, np.hypot(e0.real, e0.imag)), scale)
+            dev = np.hypot(dev.real, dev.imag)
+            np.divide(dev, np.fmax(max(1.0, np.hypot(e0.real, e0.imag)), scale), out=dev)
             return float(np.fmax.reduce(dev, initial=0.0))
 
 
@@ -813,5 +822,11 @@ def integrate(
 
     if end:
         pieces.append([[v] for v in end])
-    ts, xs, ps = (np.concatenate(column) for column in zip(*pieces))
-    return Trajectory(ts, xs, ps, termination, model)
+    # one column at a time, each column's pieces dropped once copied, so
+    # that the run never holds its rows twice
+    t, x, p = zip(*pieces)
+    del pieces
+    t = np.concatenate(t)
+    x = np.concatenate(x)
+    p = np.concatenate(p)
+    return Trajectory(t, x, p, termination, model)

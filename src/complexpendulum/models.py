@@ -48,8 +48,11 @@ def cell_index(x: complex) -> int:
 
 def cell_indices(x: np.ndarray) -> np.ndarray:
     """``cell_index`` of every element of a complex array, as integral
-    float64 values: the same add, divide and floor, exact elementwise."""
-    return np.floor((x.real + math.pi) / (2.0 * math.pi))
+    float64 values: the same add, divide and floor, exact elementwise,
+    computed in place in one float64 array."""
+    k = x.real + math.pi
+    np.divide(k, 2.0 * math.pi, out=k)
+    return np.floor(k, out=k)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ models stepped by the C kernel, and once with the loader patched so that
 ``integrator._dopri`` falls back to its Python loop, the reference.  The
 samples are compared as ``float.hex`` strings, which tell -0.0 from 0.0,
 together with the classification, termination, period and escape time.
-The energy column (V, H and ``energy_drift``'s local scale) is compared
-the same way against the Python expressions of ``Trajectory``.
+The energy columns (H and ``energy_drift``'s local scale) are compared
+the same way against the Python expressions of ``Trajectory``; rows with
+p = 0, where H is V(x), compare the library's potential itself.
 """
 import cmath
 import ctypes
@@ -393,21 +394,21 @@ def test_sources_compile_without_warnings(monkeypatch, tmp_path):
     _dopri5._build(tmp_path / "lib.so")  # an OSError carries the compiler's messages
 
 
-# The energy column.  ``_dopri5.energy_columns`` fills the rows it can
+# The energy columns.  ``_dopri5.energy_columns`` fills the rows it can
 # mirror; the Python expressions of ``Trajectory._energy_columns`` fill
 # the rest, and fill all of them when ``model_params`` is patched out.
 
 
 def energy_outcome(model, x, p):
-    """V, H, local scale and energy_drift as hex strings, or the error
+    """H, local scale and energy_drift as hex strings, or the error
     raised."""
     traj = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=model)
     try:
-        v, h, scale = traj._energy_columns
+        h, scale = traj._energy_columns
         drift = traj.energy_drift()
     except (ArithmeticError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    parts = [v.real, v.imag, h.real, h.imag, scale]
+    parts = [h.real, h.imag, scale]
     return [[value.hex() for value in part.tolist()] for part in parts], drift.hex()
 
 
@@ -445,7 +446,8 @@ built_in_models = (
     st.lists(
         st.tuples(
             st.builds(complex, signed, st.floats(-30.0, 30.0) | st.sampled_from([0.0, -0.0])),
-            st.builds(complex, signed | st.floats(-1e160, 1e160), signed),
+            # p = 0 makes H the potential itself, compared bit for bit
+            st.builds(complex, signed | st.floats(-1e160, 1e160), signed) | st.just(0j),
         ),
         min_size=1,
         max_size=8,
@@ -454,7 +456,10 @@ built_in_models = (
 def test_energy_column_matches_python(library, model, rows):
     x, p = (np.array(column, dtype=complex) for column in zip(*rows))
     assert_column_matches_python(model, x, p)
-    assert _dopri5.energy_columns(model, x, p)[3] == len(x)
+    h, _, n = _dopri5.energy_columns(model, x, p)
+    assert n == len(x)
+    at_rest = p == 0
+    assert h[at_rest].tolist() == [model.potential(z) for z in x[at_rest].tolist()]
 
 
 @pytest.mark.parametrize(
@@ -470,7 +475,7 @@ def test_rows_past_the_cmath_cosh_switch_go_to_python(library, x_last):
     model = Pendulum(g=0.6 + 0.8j)
     x = np.array([0.3 + 708.3j, -1.0 - 708.39j, x_last, 1.0 + 1.0j])
     p = np.array([1.0 - 1.0j, 0.5j, 2.0, 0.0])
-    assert _dopri5.energy_columns(model, x, p)[3] == 2
+    assert _dopri5.energy_columns(model, x, p)[2] == 2
     assert_column_matches_python(model, x, p)
 
 
@@ -482,7 +487,7 @@ def test_drift_scale_squares_with_pow(library):
     assert all(a**2 != a * a for a in POW_WITNESSES)
     x = np.zeros(len(POW_WITNESSES), dtype=complex)  # V = 0: the scale is |p|^2 / 2
     p = np.array(POW_WITNESSES, dtype=complex)
-    scale = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=Harmonic())._energy_columns[2]
+    scale = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=Harmonic())._energy_columns[1]
     assert scale.tolist() == [0.5 * a**2 for a in POW_WITNESSES]
     assert_column_matches_python(Harmonic(), x, p)
 

@@ -122,9 +122,9 @@ def watch_fallbacks(monkeypatch):
 
     def energy_spy(model, x, p):
         calls["energy_columns"] += 1
-        v, h, scale, n = energy_columns(model, x, p)
+        h, scale, n = energy_columns(model, x, p)
         fallbacks["energy rows"] += len(x) - n
-        return v, h, scale, n
+        return h, scale, n
 
     def declined(name):
         original = getattr(_dopri5, name)
