@@ -26,9 +26,9 @@
  * integrator._advance, from _initial_step on; a run it cannot finish as
  * Python would is redone whole in Python.
  *
- * energy_rows computes Trajectory's energy columns, H and energy_drift's
- * local scale, the same way, each row's V(x) a local, and stops at the
- * first row it cannot mirror, which Python then computes.
+ * energy_rows computes Trajectory's energy columns, H and (where asked)
+ * energy_drift's local scale, the same way, each row's V(x) a local, and
+ * stops at the first row it cannot mirror, which Python then computes.
  * quad_integral runs one whole quadrature integral: the branch guide,
  * built by the rule of quadrature._guide, then every piece's adaptive
  * refinement, each panel's midpoint evaluated once for both rules.  It
@@ -489,10 +489,10 @@ static int potential(const Model *m, cplx x, cplx *v, Trig *trig)
 }
 
 /* Trajectory's energy columns for rows 0..n-1 of x and p: h = 0.5 * p * p
- * + v and scale = 0.5 * abs(p) ** 2 + abs(v), the local scale of
- * energy_drift, with v = V(x) and abs the libm hypot.  v is a row's
- * local: no column of it is kept.  Returns the number of rows filled, the
- * rows before the first whose potential() is 0. */
+ * + v and, unless scale is NULL, scale = 0.5 * abs(p) ** 2 + abs(v), the
+ * local scale of energy_drift, with v = V(x) and abs the libm hypot.  v
+ * is a row's local: no column of it is kept.  Returns the number of rows
+ * filled, the rows before the first whose potential() is 0. */
 long energy_rows(const Model *model, long n, const cplx *x, const cplx *p, cplx *h, double *scale)
 {
     const cplx half = {0.5, 0.0};
@@ -505,7 +505,8 @@ long energy_rows(const Model *model, long n, const cplx *x, const cplx *p, cplx 
         if (!potential(model, x[k], &vk, &trig))
             break;
         h[k] = add(mul(mul(half, p[k]), p[k]), vk);
-        scale[k] = 0.5 * pow(hypot(p[k].re, p[k].im), two) + hypot(vk.re, vk.im);
+        if (scale)
+            scale[k] = 0.5 * pow(hypot(p[k].re, p[k].im), two) + hypot(vk.re, vk.im);
     }
     return k;
 }

@@ -1,4 +1,4 @@
-"""Loader of the compiled library, ``_dopri5.c`` and ``_csv.cpp``.
+"""Loader of the compiled library, ``_dopri5.c`` and ``_csv.c``.
 
 For the four built-in models the library runs, bit for bit as the Python
 code it mirrors, which stays the reference:
@@ -46,15 +46,17 @@ builds one.
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_formatter``
 where floats print in the 'short' repr style: each value is the shortest
-round-trip digits from ``std::to_chars`` laid out as ``repr`` lays them
-out, so the file is the Python writer's, byte for byte, for every model.
+round-trip digits, found by ``_csv.c``'s own Schubfach conversion and
+laid out as ``repr`` lays them out, so the file is the Python writer's,
+byte for byte, for every model.
 
 The library is compiled once, at the first run or CSV that can use it,
-with the system C compiler ``cc`` (which needs a C++17 libstdc++ with
-floating-point ``std::to_chars``, GCC 11 or later).  It is cached in this
-package's ``__pycache__`` under a name keyed by a hash of both sources,
-the flags and the interpreter version, and written by atomic rename, so
-that two processes building at once never load a half-written file.
+from C sources alone, with the system C compiler ``cc``, which must
+provide ``unsigned __int128`` (GCC or Clang on a 64-bit target).  It is
+cached in this package's ``__pycache__`` under a name keyed by a hash of
+both sources, the flags and the interpreter version, and written by
+atomic rename, so that two processes building at once never load a
+half-written file.
 When the compiler is missing, or the build or the load fails, one
 warning per process names the reason and the Python paths run instead.
 """
@@ -78,12 +80,12 @@ from .models import DrivenPendulum, Harmonic, ImaginaryCubic, Pendulum
 
 logger = logging.getLogger(__name__)
 
-_SOURCES = (Path(__file__).with_name("_dopri5.c"), Path(__file__).with_name("_csv.cpp"))
+_SOURCES = (Path(__file__).with_name("_dopri5.c"), Path(__file__).with_name("_csv.c"))
 _CACHE = Path(__file__).with_name("__pycache__")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _ROWS = 512  # accepted steps handed over, or CSV rows formatted, per call
-_CSV_ROW_BYTES = 512  # bound on one CSV row's length (see _csv.cpp)
+_CSV_ROW_BYTES = 512  # bound on one CSV row's length (see _csv.c)
 
 # the models the kernel runs, by exact type: none on CPython 3.14 or
 # later, whose mixed float/complex arithmetic the kernel does not mirror
@@ -120,7 +122,7 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
-        cmd = [_COMPILER, *_FLAGS, "-o", tmp, *map(str, _SOURCES), "-lstdc++", "-lm"]
+        cmd = [_COMPILER, *_FLAGS, "-o", tmp, *map(str, _SOURCES), "-lm"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise OSError(f"{_COMPILER} failed: {proc.stderr.strip()}")
@@ -228,22 +230,23 @@ def advance(record, t, x, p, t_target, polish):
     return x, p, (p, kp)
 
 
-def energy_columns(model, x, p):
-    """(h, scale, n): H = p*p/2 + V(x) and ``energy_drift``'s local scale
-    |p|**2/2 + |V| (complex128, float64) for the samples x, p of a run of
-    ``model``, the first n rows filled by the library as ``Trajectory``'s
-    Python expressions compute them; the other rows are left to those.
-    n is 0 for a model the kernel does not run, and stops short of a row
-    that cmath would compute otherwise or raise on."""
+def energy_columns(model, x, p, with_scale=True):
+    """(h, scale, n): H = p*p/2 + V(x) and, if ``with_scale`` (else None),
+    ``energy_drift``'s local scale |p|**2/2 + |V| (complex128, float64)
+    for the samples x, p of a run of ``model``, the first n rows filled by
+    the library as ``Trajectory``'s Python expressions compute them; the
+    other rows are left to those.  n is 0 for a model the kernel does not
+    run, and stops short of a row that cmath would compute otherwise or
+    raise on."""
     x = np.ascontiguousarray(x, dtype=complex)
     p = np.ascontiguousarray(p, dtype=complex)
     if len(x) != len(p):
         raise ValueError("columns of unequal length")
-    h, scale = np.empty_like(x), np.empty(len(x))
+    h, scale = np.empty_like(x), np.empty(len(x)) if with_scale else None
     record = model_params(model)
     if record is None:
         return h, scale, 0
-    addresses = (column.ctypes.data for column in (x, p, h, scale))
+    addresses = (None if column is None else column.ctypes.data for column in (x, p, h, scale))
     return h, scale, _library().energy_rows(record, len(x), *addresses)
 
 
@@ -358,8 +361,10 @@ def csv_formatter():
         columns += (np.ascontiguousarray(z, dtype=complex) for z in (x, p, e))
         if any(len(column) != len(t) for column in columns):
             raise ValueError("columns of unequal length")
+        # each column's address is taken once, not once a block
+        starts = [(column.ctypes.data, column.itemsize) for column in columns]
         for i in range(0, len(t), _ROWS):
-            block = [column[i : i + _ROWS] for column in columns]
-            yield view[: csv_rows(len(block[0]), *(c.ctypes.data for c in block), driven, address)]
+            n = min(_ROWS, len(t) - i)
+            yield view[: csv_rows(n, *(start + i * size for start, size in starts), driven, address)]
 
     return rows

@@ -16,7 +16,7 @@ same way.
 Output is deterministic: rows carry full round-trip precision and no
 timestamps, so re-running a scenario reproduces files byte for byte.
 Each value is written as its Python ``repr``; the compiled library
-(``_dopri5``, ``_csv.cpp``) formats the rows in blocks and gives the
+(``_dopri5``, ``_csv.c``) formats the rows in blocks and gives the
 same bytes as the Python writer, which runs when the library is
 unavailable.
 
@@ -572,12 +572,15 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 
 def _write_rows_in_python(fh, t, x, p, e, driven: bool) -> None:
-    """The CSV rows as f-strings of ``repr``s: the reference the compiled
+    """The CSV rows as f-strings of ``repr``s, a block of
+    ``_dopri5._ROWS`` rows at a time: the reference the compiled
     formatter must match byte for byte."""
     write = fh.write
-    for t, x, p, e in zip(t.tolist(), x.tolist(), p.tolist(), e.tolist()):
-        row = f"{t!r},{x.real!r},{x.imag!r},{p.real!r},{p.imag!r},{e.real!r},{e.imag!r}"
-        write(f"{row},{cell_index(x)}\n" if driven else row + "\n")
+    for i in range(0, len(t), _dopri5._ROWS):
+        block = (column[i : i + _dopri5._ROWS].tolist() for column in (t, x, p, e))
+        for tk, xk, pk, ek in zip(*block):
+            row = f"{tk!r},{xk.real!r},{xk.imag!r},{pk.real!r},{pk.imag!r},{ek.real!r},{ek.imag!r}"
+            write(f"{row},{cell_index(xk)}\n" if driven else row + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ comes from one table, and ``period`` or ``escape_time`` is the time to
 the last sample, the refined return or crossing.  Each sample's
 potential is evaluated once, for the energy column H that
 ``energy_drift`` (its reference H(0) included) and the CSV writer
-share, and the column of ``energy_drift``'s local scale |p|^2/2 + |V|;
-no column of V is kept.
+share, and, for an autonomous model, the column of ``energy_drift``'s
+local scale |p|^2/2 + |V|; no column of V is kept.
 
 Compiled kernel: for exact instances of the four built-in models (with
 plain int, float or complex parameters, on CPython before 3.14) ``_dopri``
@@ -238,8 +238,8 @@ class Trajectory:
     at the initial state; ``len(traj)`` counts them.  ``samples`` is the
     same data as a list of ``PhaseState``, built at first use and cached.
     ``energy`` is the column of H, computed at first use together with
-    ``energy_drift``'s local scale |p|^2/2 + |V| and cached; V is not
-    kept.
+    ``energy_drift``'s local scale |p|^2/2 + |V| (for an autonomous model
+    only) and cached; V is not kept.
 
     termination names the event that stopped the run ("closure",
     "escape", "horizon", "max_steps", "step_underflow", "overflow",
@@ -283,25 +283,37 @@ class Trajectory:
         return list(map(PhaseState, self.x.tolist(), self.p.tolist(), self.t.tolist()))
 
     @functools.cached_property
-    def _energy_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """H = p^2/2 + V(x) and ``energy_drift``'s local scale
-        |p|^2/2 + |V| at every sample; V itself is not kept.  The
-        compiled library fills the rows it can (see
-        ``_dopri5.energy_columns``); the Python expressions below, the
-        reference, fill the rest, evaluating V for those rows only."""
+    def _energy_columns(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """H = p^2/2 + V(x) and, for an autonomous model (else None),
+        ``energy_drift``'s local scale |p|^2/2 + |V| at every sample; V
+        itself is not kept.  ``energy_drift`` alone reads the scale, and
+        the CLI calls it for autonomous models only; for a driven model
+        it builds the scale for that call."""
         if self.model is None:
             raise ValueError("trajectory carries no model")
-        h, scale, k = _dopri5.energy_columns(self.model, self.x, self.p)
-        v = list(map(self.model.potential, self.x[k:].tolist()))
-        # complex products stay in Python: numpy's may round differently
-        h[k:] = [0.5 * p * p + vk for p, vk in zip(self.p[k:].tolist(), v)]
-        v = np.array(v, dtype=complex)
-        # per sample, the bits of 0.5 * abs(p) ** 2 + abs(v): np.hypot is
-        # the libm hypot of abs(complex), and abs(p) ** 2 is libm's pow,
-        # which numpy's square is not
-        with np.errstate(all="ignore"):
-            abs_p = np.hypot(self.p.real[k:], self.p.imag[k:])
-            scale[k:] = 0.5 * np.array([_square(a) for a in abs_p.tolist()]) + np.hypot(v.real, v.imag)
+        return self._columns(self.model.autonomous)
+
+    def _columns(self, with_scale: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """H and, if ``with_scale`` (else None), the local scale.  The
+        compiled library fills the rows it can (see
+        ``_dopri5.energy_columns``); the Python expressions below, the
+        reference, fill the rest block by block, evaluating V for those
+        rows only."""
+        h, scale, k = _dopri5.energy_columns(self.model, self.x, self.p, with_scale)
+        for i in range(k, len(h), _dopri5._ROWS):
+            rows = slice(i, i + _dopri5._ROWS)
+            v = list(map(self.model.potential, self.x[rows].tolist()))
+            # complex products stay in Python: numpy's may round differently
+            h[rows] = [0.5 * p * p + vk for p, vk in zip(self.p[rows].tolist(), v)]
+            if scale is None:
+                continue
+            v = np.array(v, dtype=complex)
+            # per sample, the bits of 0.5 * abs(p) ** 2 + abs(v): np.hypot
+            # is the libm hypot of abs(complex), and abs(p) ** 2 is libm's
+            # pow, which numpy's square is not
+            with np.errstate(all="ignore"):
+                abs_p = np.hypot(self.p.real[rows], self.p.imag[rows])
+                scale[rows] = 0.5 * np.array([_square(a) for a in abs_p.tolist()]) + np.hypot(v.real, v.imag)
         return h, scale
 
     @property
@@ -321,6 +333,9 @@ class Trajectory:
         for autonomous models, where H is conserved exactly.
         """
         h, scale = self._energy_columns
+        if scale is None:
+            # a driven model's: built for this call, not kept
+            scale = self._columns(True)[1]
         e0 = h[0].item()
         # per sample, the bits of the scalar expression
         #   abs(h - e0) / max(1.0, abs(e0), scale):

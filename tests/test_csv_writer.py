@@ -1,15 +1,22 @@
 """The compiled CSV formatter writes what the Python writer writes.
 
-``_csv.cpp`` formats each float as CPython's ``repr`` (float_repr_style
-'short') from the shortest digits of ``std::to_chars``, and the driven
-cell column as ``models.cell_index``.  The formatter is checked against
-``repr`` value by value, then the whole writer against its Python loop,
-``cli._write_rows_in_python``, byte for byte on trajectories outside the
-bundled scenarios (which ``test_golden_outputs`` covers).
+``_csv.c`` formats each float as CPython's ``repr`` (float_repr_style
+'short') from the shortest round-trip digits, which it finds itself
+(Schubfach, one table of 128-bit powers of ten), and the driven cell
+column as ``models.cell_index``.  The table is recomputed here from
+Python integers, and the formatter is checked against ``repr`` value by
+value: random bit patterns, every binary exponent's extreme significands,
+the subnormals, the powers of ten and the switch points of ``repr``'s
+layout, each with its neighbours.  Then the whole writer is checked
+against its Python loop, ``cli._write_rows_in_python``, byte for byte on
+trajectories outside the bundled scenarios (which ``test_golden_outputs``
+covers).
 """
 import cmath
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +73,56 @@ def test_random_bit_patterns(rows):
     assert_formats_as_repr(rows, values)
 
 
+def test_power_of_ten_table_is_recomputed_from_integers():
+    """Each entry of ``_csv.c``'s table G is g(e) = floor(10**e * 2**-r) + 1
+    with r = floor(log2(10**e)) - 127, for e = -292..324: the powers that
+    the doubles' exponents need."""
+    source = Path(_dopri5.__file__).with_name("_csv.c").read_text()
+    table = re.search(r"static const uint64_t G\[[^]]*\]\[2\] = \{(.*?)\};", source, re.S).group(1)
+    pairs = re.findall(r"\{0x([0-9a-f]{16}), 0x([0-9a-f]{16})\}", table)
+    entries = [int(hi, 16) << 64 | int(lo, 16) for hi, lo in pairs]
+    want = []
+    for e in range(-292, 325):
+        if e >= 0:
+            shift = 127 - (10**e).bit_length() + 1  # -r
+            g = 10**e << shift if shift >= 0 else 10**e >> -shift
+        else:
+            # 2**(L-1) < 10**-e < 2**L, so floor(log2(10**e)) = -L
+            g = (1 << ((10**-e).bit_length() + 127)) // 10**-e
+        want.append(g + 1)
+    assert entries == want
+    assert all(1 << 127 < g < 1 << 128 for g in entries)
+
+
+def test_every_binary_exponent(rows):
+    """Significands 0, 1, 2**51 and 2**52 - 1 at each of the 2047 finite
+    exponents, both signs: the zeros, the subnormals' extremes, and each
+    binade's first value, whose lower neighbour is closer."""
+    fields = [(b << 52) | f for b in range(2047) for f in (0, 1, 1 << 51, (1 << 52) - 1)]
+    bits = np.array(fields + [(1 << 63) | v for v in fields], dtype=np.uint64)
+    assert_formats_as_repr(rows, bits.view(np.float64))
+
+
+def test_subnormals(rows):
+    rng = np.random.default_rng(4940656458412)
+    fields = np.concatenate([np.arange(1, 5000), rng.integers(1, 1 << 52, 20000)]).astype(np.uint64)
+    values = fields.view(np.float64)
+    assert_formats_as_repr(rows, np.concatenate([values, -values]))
+
+
+def test_powers_of_ten(rows):
+    """10**k from 1e-323 to 1e308 with the doubles on either side."""
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    assert_formats_as_repr(rows, powers + [math.nextafter(v, d) for v in powers for d in (-math.inf, math.inf)])
+
+
+def test_integers_around_two_to_the_53(rows):
+    """Below 2**53 every integer is a double and writes as itself; above,
+    the doubles step by 2 and 4 and the shortest digits round."""
+    integers = [float(2**53 + k) for k in range(-3000, 3001)]
+    assert_formats_as_repr(rows, integers + [-v for v in integers])
+
+
 def test_powers_of_two(rows):
     powers = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
     assert_formats_as_repr(rows, powers + [-v for v in powers])
@@ -99,6 +156,33 @@ def test_longest_row_fits_the_buffer(rows):
     table[0, 1] = -DBL_MAX
     (line,) = format_table(rows, table, driven=True)
     assert len(line) + 1 == 485 <= _dopri5._CSV_ROW_BYTES
+
+
+def longest_rows():
+    """One (7,) row of each float layout at its longest, and rows of the
+    longest cells, which end the row after the digits' wide copies."""
+    layouts = [-1.2345678901234567e-300, -1234567890123456.7, -0.0012345678901234567, -1e16, -5e-324, -9e15]
+    layouts += [-1.2345678901234567e16, -0.1, -1.0, -0.00012345678901234567]
+    table = np.array([[v] * 7 for v in layouts])
+    cells = np.full((4, 7), -2.2250738585072014e-308)
+    cells[:, 1] = [-DBL_MAX, DBL_MAX, -(2.0**63) * 2 * math.pi, -(2.0**62) * 2 * math.pi]
+    return np.concatenate([table, cells])
+
+
+def test_no_copy_writes_past_a_row(rows):
+    """The digits go out in fixed-width copies that may reach past the
+    end of a value: never past the row's 512 bytes."""
+    csv_rows = _dopri5._library().csv_rows
+    for row in longest_rows():
+        for driven in (0, 1):
+            t, z = np.ascontiguousarray(row[:1]), np.ascontiguousarray(row[1:]).view(complex)
+            out = np.full(_dopri5._CSV_ROW_BYTES + 64, 0xA5, dtype=np.uint8)
+            n = csv_rows(1, t.ctypes.data, *(z[i:].ctypes.data for i in range(3)), driven, out.ctypes.data)
+            line = ",".join(map(repr, row.tolist()))
+            if driven:
+                line += f",{cell_index(complex(row[1], row[2]))}"
+            assert bytes(out[:n]) == (line + "\n").encode()
+            assert (out[_dopri5._CSV_ROW_BYTES :] == 0xA5).all()
 
 
 class Quartic(HamiltonianModel):

@@ -16,6 +16,7 @@ import hashlib
 import logging
 import math
 import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,25 @@ def test_sources_compile_without_warnings(monkeypatch, tmp_path):
     _dopri5._build(tmp_path / "lib.so")  # an OSError carries the compiler's messages
 
 
+def test_the_library_is_built_from_c_alone(monkeypatch, tmp_path):
+    """C sources and a C compiler alone: no C++ runtime is linked."""
+    if shutil.which(_dopri5._COMPILER) is None:
+        pytest.skip(f"no {_dopri5._COMPILER} here")
+    assert {source.suffix for source in _dopri5._SOURCES} == {".c"}
+    commands = []
+    run = subprocess.run
+
+    def spy(cmd, **kwargs):
+        commands.append(cmd)
+        return run(cmd, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    _dopri5._build(tmp_path / "lib.so")
+    (cmd,) = commands
+    assert [arg for arg in cmd if "stdc++" in arg] == []
+    assert b"libstdc++" not in (tmp_path / "lib.so").read_bytes()  # no such DT_NEEDED entry
+
+
 # The energy columns.  ``_dopri5.energy_columns`` fills the rows it can
 # mirror; the Python expressions of ``Trajectory._energy_columns`` fill
 # the rest, and fill all of them when ``model_params`` is patched out.
@@ -401,11 +421,15 @@ def test_sources_compile_without_warnings(monkeypatch, tmp_path):
 
 def energy_outcome(model, x, p):
     """H, local scale and energy_drift as hex strings, or the error
-    raised."""
+    raised.  The scale is the one ``energy_drift`` reads: kept with H for
+    an autonomous model, built for the call for a driven one."""
     traj = Trajectory(t=np.zeros(len(x)), x=x, p=p, model=model)
     try:
         h, scale = traj._energy_columns
+        assert (scale is None) == (not model.autonomous)
         drift = traj.energy_drift()
+        if scale is None:
+            scale = traj._columns(True)[1]
     except (ArithmeticError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
     parts = [h.real, h.imag, scale]
@@ -477,6 +501,31 @@ def test_rows_past_the_cmath_cosh_switch_go_to_python(library, x_last):
     p = np.array([1.0 - 1.0j, 0.5j, 2.0, 0.0])
     assert _dopri5.energy_columns(model, x, p)[2] == 2
     assert_column_matches_python(model, x, p)
+
+
+def test_driven_runs_keep_no_scale_column(library):
+    """Only ``energy_drift`` reads the scale, and ``cli`` calls it for
+    autonomous models only: a driven run keeps H alone, the library
+    skipping the scale's rows, and ``energy_drift`` still reads the
+    Python path's bits."""
+    model = DrivenPendulum(g=1.0, epsilon=0.5, omega=1.0)
+    traj = integrate(model, PhaseState(0.5 + 0.1j, 0.2 - 0.1j), IntegratorConfig(max_time=30.0))
+    h, scale = traj._energy_columns
+    assert scale is None and len(h) == len(traj) > _dopri5._ROWS
+    h_with_scale, scale, n = _dopri5.energy_columns(model, traj.x, traj.p)
+    assert n == len(traj) and h.tolist() == h_with_scale.tolist()
+    drift = traj.energy_drift()
+    assert traj._energy_columns[1] is None
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda model: None)
+        in_python = Trajectory(traj.t, traj.x, traj.p, traj.termination, model)
+        assert in_python._energy_columns[1] is None
+        assert in_python.energy_drift().hex() == drift.hex()
+        assert in_python.energy.tolist() == h.tolist()
+    model = Pendulum(g=1.0)
+    autonomous = integrate(model, PhaseState(0.5 + 0.1j, 0.2 - 0.1j), IntegratorConfig(max_time=30.0))
+    _, scale = autonomous._energy_columns
+    assert scale.tolist() == _dopri5.energy_columns(model, autonomous.x, autonomous.p)[1].tolist()
 
 
 # |p| values whose square as libm's pow differs from p * p

@@ -120,9 +120,9 @@ def watch_fallbacks(monkeypatch):
             fallbacks["steps hand-back"] += 1
         return stop
 
-    def energy_spy(model, x, p):
+    def energy_spy(model, x, p, *with_scale):
         calls["energy_columns"] += 1
-        h, scale, n = energy_columns(model, x, p)
+        h, scale, n = energy_columns(model, x, p, *with_scale)
         fallbacks["energy rows"] += len(x) - n
         return h, scale, n
 

@@ -6,9 +6,12 @@ runtime preloaded:
 
 - the 14 bundled scenarios through ``run_scenario``, each output file
   checked against ``test_golden_outputs.GOLDEN``, which runs every entry
-  point: ``dopri5_steps``, ``dopri5_advance``, ``energy_rows``,
-  ``csv_rows``, ``quad_integral`` and ``quad_op``, each reading the
-  model record;
+  point: ``dopri5_steps``, ``dopri5_advance``, ``energy_rows`` (with and
+  without the scale column), ``csv_rows``, ``quad_integral`` and
+  ``quad_op``, each reading the model record;
+- ``csv_rows`` writing each of ``test_csv_writer.longest_rows()`` into
+  an allocation of exactly one row's 512 bytes, so that a fixed-width
+  copy of the digits reaching past the row fails;
 - the quadrature corpus and the turning-point corpus, each on the
   library's path and on the Python path;
 - one operation of ``quad_op`` handed back per kind, each past the
@@ -66,6 +69,17 @@ for scenario in test_golden_outputs.SCENARIOS:
     assert run_scenario(scenario, out=out / scenario, quiet=True) == 0, scenario
 got = {f"{f.parent.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest() for f in out.glob("*/*")}
 assert got == test_golden_outputs.GOLDEN, sorted(k for k in got if got[k] != test_golden_outputs.GOLDEN.get(k))
+
+import numpy as np
+import test_csv_writer
+
+csv_rows = _dopri5._library().csv_rows
+for row in test_csv_writer.longest_rows():
+    t, z = np.ascontiguousarray(row[:1]), np.ascontiguousarray(row[1:]).view(complex)
+    for driven in (0, 1):
+        # an allocation of exactly one row's bytes
+        out = np.empty(_dopri5._CSV_ROW_BYTES, dtype=np.uint8)
+        assert csv_rows(1, t.ctypes.data, *(z[i:].ctypes.data for i in range(3)), driven, out.ctypes.data) > 0
 
 import test_turning_corpus
 
