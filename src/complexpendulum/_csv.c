@@ -527,11 +527,15 @@ static char *put_cell(char *out, double re_x)
  * 485 bytes: 7 floats of at most 24 characters ("-2.2250738585072014e-308"),
  * the separators, and a cell of at most 309 characters (the floor of
  * -DBL_MAX / (2 pi)); _dopri5.py gives each row 512, and no copy writes
- * past a row's 512 bytes.  Returns the number of bytes written. */
+ * past a row's 512 bytes.  Returns the number of bytes written, or, at a
+ * driven row whose Re x is not finite, which has no cell (math.floor
+ * raises), ~ the bytes of the rows before it. */
 long csv_rows(long n, const double *t, const double *x, const double *p, const double *e, int driven, char *out)
 {
     char *const start = out;
     for (long i = 0; i < n; ++i) {
+        if (driven && !isfinite(x[2 * i]))
+            return ~(out - start);
         out = put_float(out, t[i]);
         const double row[6] = {x[2 * i], x[2 * i + 1], p[2 * i], p[2 * i + 1], e[2 * i], e[2 * i + 1]};
         for (int k = 0; k < 6; ++k) {

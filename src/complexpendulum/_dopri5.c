@@ -29,31 +29,28 @@
  * energy_rows computes Trajectory's energy columns, H and (where asked)
  * energy_drift's local scale, the same way, each row's V(x) a local, and
  * stops at the first row it cannot mirror, which Python then computes.
- * quad_integral runs one whole quadrature integral: the branch guide,
- * built by the rule of quadrature._guide, then every piece's adaptive
- * refinement, each panel's midpoint evaluated once for both rules.  It
- * hands the whole integral back to Python when one guide value or panel
- * cannot be mirrored.  Its potential evaluations keep the last trig pair
- * of Re x and of Im x (see Trig): the same double in gives the same libm
- * result out, so reusing them is exact.
  *
  * quad_op runs one public entry point of turning or quadrature whole,
- * for the pendulum kinds and the harmonic model: turning_points' search
- * (closed-form seeds, turning._newton's polish, the window filter, the
- * merge and the sort), refine_root, and the escape and period integrals
- * from their root checks to the integral, with cmath.acos written out
- * from CPython's own square root.  It runs Python's success path only,
- * and hands the whole operation back wherever Python would raise, warn
- * or take a path not mirrored here.
+ * for the built-in models: turning_points' search (closed-form seeds,
+ * turning._newton's polish, the window filter, the merge and the sort),
+ * refine_root, and the escape and period integrals from their root
+ * checks to the integral: the branch guide, built by the rule of
+ * quadrature._guide, then every piece's adaptive refinement, each
+ * panel's midpoint evaluated once for both rules.  cmath.acos, cmath.log,
+ * cmath.exp and cmath.sqrt are written out as CPython computes them.  It
+ * runs Python's success path only, and hands the whole operation back
+ * wherever Python would raise, warn or take a path not mirrored here.
+ * Its integrals' potential evaluations keep the last trig pair of Re x
+ * and of Im x (see Trig): the same double in gives the same libm result
+ * out, so reusing them is exact.
  *
  * Every entry point reads the model from one Model record, built by
- * _dopri5.model_params, and quad_integral reads each path piece as its
- * one description in quadrature._pieces (see piece_at), which quad_op
- * builds the same way for its ray and stadium (see escape_op).  Every
- * record the library reads (Model, Run, the stops, the polish record and
- * the call records, quad_op's after its Model in one) arrives const,
- * packed by _dopri5.py, and it writes only into numpy arrays the caller
- * owns: State, the row buffers, xp and out.
+ * _dopri5.model_params, and quad_op builds each path piece of its ray
+ * and stadium as its one description in quadrature._pieces (see piece_at
+ * and escape_op).  Every record the library reads (Model, Run, the
+ * stops, the polish record and quad_op's call record after its Model in
+ * one) arrives const, packed by _dopri5.py, and it writes only into numpy
+ * arrays the caller owns: State, the row buffers, xp and out.
  */
 #include <float.h>
 #include <math.h>
@@ -511,13 +508,13 @@ long energy_rows(const Model *model, long n, const cplx *x, const cplx *p, cplx 
     return k;
 }
 
-/* Quadrature.  quad_integral runs one whole integral: for the branch
- * integrand it first builds quadrature._guide's branch guide, then it runs
- * quadrature.adaptive_quad's refinement over each piece of the path, and
- * quad_panel evaluates quadrature._panel for the integrands of
- * _branch_integral and escape_time_real_form, node by node as Python
- * does, with CPython's cmath.sqrt, cmath.exp and complex division written
- * out below. */
+/* Quadrature.  integral_op runs one whole integral of an operation: for
+ * the branch integrand it first builds quadrature._guide's branch guide,
+ * then it runs quadrature.adaptive_quad's refinement over each piece of
+ * the path, and quad_panel evaluates quadrature._panel for the
+ * integrands of _branch_integral and escape_time_real_form, node by node
+ * as Python does, with CPython's cmath.sqrt, cmath.exp and complex
+ * division written out below. */
 
 enum { BRANCH = 0, REAL_FORM = 1 };
 enum { RAY = 0, EDGE = 1, CAP = 2 };
@@ -574,6 +571,27 @@ static int py_sqrt(cplx z, cplx *r)
         r->re = d;
         r->im = copysign(s, z.im);
     }
+    return 1;
+}
+
+/* cmath.log(z) as CPython 3.11's c_log computes it: log1p((am - 1)(am + 1)
+ * + an^2) / 2, am and an the larger and smaller of |Re z| and |Im z|, for
+ * 0.71 <= |z| <= 1.73, log |z| otherwise, and atan2 for the imaginary
+ * part; 0 for a non-finite z and where c_log rescales z first: |Re z| or
+ * |Im z| above DBL_MAX / 4, or both below DBL_MIN */
+static int py_log(cplx z, cplx *r)
+{
+    double ax = fabs(z.re), ay = fabs(z.im);
+    if (!is_finite(z) || ax > DBL_MAX / 4.0 || ay > DBL_MAX / 4.0 || (ax < DBL_MIN && ay < DBL_MIN))
+        return 0;
+    double h = hypot(ax, ay);
+    if (0.71 <= h && h <= 1.73) {
+        double am = ax > ay ? ax : ay, an = ax > ay ? ay : ax;
+        r->re = log1p((am - 1.0) * (am + 1.0) + an * an) / 2.0;
+    } else {
+        r->re = log(h);
+    }
+    r->im = atan2(z.im, z.re);
     return 1;
 }
 
@@ -734,14 +752,6 @@ static int quad_panel(Integrand *f, double a, double b, cplx *value, double *err
     return is_finite(*value) && isfinite(*err);
 }
 
-enum {
-    QUAD_DONE = 0,
-    QUAD_HAND_BACK = 1,   /* redo the whole integral in Python */
-    QUAD_BUDGET = 2,      /* max_panels spent: out[2..4] = toterr, tol, panels */
-    QUAD_RESOLUTION = 3,  /* worst panel at float resolution: out[2..4] = lo, hi, err */
-    QUAD_UNCLOSED = 4,    /* the branch guide does not close around the loop */
-};
-
 /* the guide's test of two consecutive values, quadrature._apart:
  * (a * b.conjugate()).real < cosine * abs(a) * abs(b).  Each is a
  * square root, below sqrt(DBL_MAX), so no abs overflows. */
@@ -778,19 +788,20 @@ static int midpoints(Integrand *f, const Piece *p, long n, const cplx *coarse, c
  * each piece starting with `cells` cells and tripling them, up to
  * max_cells, while two consecutive continued values are apart.  It sets
  * each piece's cells, first entry and cell width, and returns the guide,
- * with its last entry repeated, in *guide: QUAD_DONE, QUAD_UNCLOSED for a
- * loop that comes back onto the seed with the other sign, or
- * QUAD_HAND_BACK.  The caller frees the pieces' roots and the guide. */
+ * with its last entry repeated, in *guide: 1, or 0 for a loop that comes
+ * back onto the seed with the other sign (Python raises
+ * BranchInconsistency) and where a root cannot be mirrored.  The caller
+ * frees the pieces' roots and the guide. */
 static int build_guide(Integrand *f, Piece *pieces, long n, int closed, long cells, long max_cells,
                        double cosine, cplx **guide)
 {
     cplx seed = {0.0, 0.0}, back = seed, dz;
     long total = 0;
-    int status = QUAD_HAND_BACK;
+    int built = 0;
     char *coarse;
     /* bounds that keep every count and byte size in range */
     if (n < 1 || cells < 1 || max_cells < 0)
-        return status;
+        return 0;
     coarse = calloc((size_t)n, 1);
     if (coarse == NULL)
         goto out;
@@ -852,10 +863,8 @@ static int build_guide(Integrand *f, Piece *pieces, long n, int closed, long cel
         if (!refined)
             break;
     }
-    if (closed && (back.re != seed.re || back.im != seed.im)) {
-        status = QUAD_UNCLOSED;
+    if (closed && (back.re != seed.re || back.im != seed.im))
         goto out;
-    }
     /* a node rounding onto a piece's end reads one entry on */
     (*guide)[total] = (*guide)[total - 1];
     for (long i = 0, first = 0; i < n; i++) {
@@ -865,10 +874,10 @@ static int build_guide(Integrand *f, Piece *pieces, long n, int closed, long cel
     }
     f->guide = *guide;
     f->n_guide = total + 1;
-    status = QUAD_DONE;
+    built = 1;
 out:
     free(coarse);
-    return status;
+    return built;
 }
 
 /* A panel on adaptive_quad's heap, ordered as its (-err, counter, ...)
@@ -913,48 +922,40 @@ static Entry pop(Entry *heap, long *n)
 
 /* quadrature.adaptive_quad of f over [a, b] to tol with room for
  * max_panels entries on heap: 8 starting panels, then the worst panel
- * halved until the summed error estimate is within tol.  The value goes
- * to *value, a stop's numbers to stop[0..2]. */
-static int refine(Integrand *f, double a, double b, double tol, long max_panels, Entry *heap, cplx *value,
-                  double *stop)
+ * halved until the summed error estimate is within tol.  1 with the value
+ * in *value; 0 where Python raises: ToleranceNotMet for the panel budget
+ * spent or the worst panel at float resolution, or anything else. */
+static int refine(Integrand *f, double a, double b, double tol, long max_panels, Entry *heap, cplx *value)
 {
     cplx total = {0.0, 0.0};
     double toterr = 0.0, err;
     long n = 0, counter = 0, panels = 8;
     if (!(tol > 0.0 && isfinite(tol)))
-        return QUAD_HAND_BACK;  /* Python raises ValueError */
+        return 0;  /* Python raises ValueError */
     if (a == b) {
         *value = total;
-        return QUAD_DONE;
+        return 1;
     }
     for (int i = 0; i < 8; i++) {
         Entry e = {0.0, counter++, a + (b - a) * i / 8.0, a + (b - a) * (i + 1) / 8.0, {0.0, 0.0}};
         if (!quad_panel(f, e.lo, e.hi, &e.value, &err))
-            return QUAD_HAND_BACK;
+            return 0;
         e.neg_err = -err;
         push(heap, &n, e);
         total = add(total, e.value);
         toterr += err;
     }
     while (toterr > tol) {
-        if (panels >= max_panels) {
-            stop[0] = toterr;
-            stop[1] = tol;
-            stop[2] = (double)panels;
-            return QUAD_BUDGET;
-        }
+        if (panels >= max_panels)
+            return 0;
         Entry worst = pop(heap, &n);
         double size = 1.0;
         if (fabs(worst.lo) > size)
             size = fabs(worst.lo);
         if (fabs(worst.hi) > size)
             size = fabs(worst.hi);
-        if (worst.hi - worst.lo <= 32.0 * DBL_EPSILON * size) {
-            stop[0] = worst.lo;
-            stop[1] = worst.hi;
-            stop[2] = -worst.neg_err;
-            return QUAD_RESOLUTION;
-        }
+        if (worst.hi - worst.lo <= 32.0 * DBL_EPSILON * size)
+            return 0;
         total = sub(total, worst.value);
         toterr += worst.neg_err;
         double mid = 0.5 * (worst.lo + worst.hi);
@@ -962,7 +963,7 @@ static int refine(Integrand *f, double a, double b, double tol, long max_panels,
         for (int half = 0; half < 2; half++) {
             Entry e = {0.0, counter++, ends[half], ends[half + 1], {0.0, 0.0}};
             if (!quad_panel(f, e.lo, e.hi, &e.value, &err))
-                return QUAD_HAND_BACK;
+                return 0;
             e.neg_err = -err;
             push(heap, &n, e);
             total = add(total, e.value);
@@ -971,7 +972,7 @@ static int refine(Integrand *f, double a, double b, double tol, long max_panels,
         panels++;
     }
     *value = total;
-    return QUAD_DONE;
+    return 1;
 }
 
 /* a count of a call record, or -1 when it is not one in [0, 2^24] */
@@ -980,96 +981,13 @@ static long count(double v)
     return v >= 0.0 && v <= (double)(1L << 24) && v == floor(v) ? (long)v : -1;
 }
 
-/* One whole integral over the n pieces, as quadrature sums it: the
- * adaptive_quad value of each piece added to a total from 0j, in piece
- * order.  The branch integrand first builds its guide by the rule
- * (closed, cells, max_cells, cosine), around a loop if closed.  Returns a
- * QUAD_ status, the total in *total, a stop's numbers in stop[0..2] and
- * each piece's guide cells in cells[], all written once the guide is
- * built, as quadrature._guide logs them before any piece is refined.
- * It frees the pieces' guide roots. */
-static int integrate_path(Integrand *f, Piece *pieces, long n, const double rule[4], long max_panels, cplx *total,
-                          double *stop, double *cells)
-{
-    cplx value, *guide = NULL;
-    int status = QUAD_HAND_BACK;
-    Entry *heap = NULL;
-    total->re = total->im = 0.0;
-    if (n < 0 || max_panels < 8)
-        goto out;
-    heap = malloc((size_t)max_panels * sizeof *heap);
-    if (heap == NULL)
-        goto out;
-    if (f->integrand == BRANCH)
-        status = build_guide(f, pieces, n, rule[0] != 0.0, count(rule[1]), count(rule[2]), rule[3], &guide);
-    else
-        status = f->integrand == REAL_FORM ? QUAD_DONE : QUAD_HAND_BACK;
-    for (long k = 0; k < n && status == QUAD_DONE; k++)
-        cells[k] = (double)pieces[k].cells;
-    for (long k = 0; k < n && status == QUAD_DONE; k++) {
-        f->piece = &pieces[k];
-        status = refine(f, pieces[k].s0, pieces[k].s1, pieces[k].tol, max_panels, heap, &value, stop);
-        if (status == QUAD_DONE)
-            *total = add(*total, value);
-    }
-out:
-    for (long k = 0; k < n; k++)
-        free(pieces[k].roots);
-    free(guide);
-    free(heap);
-    return status;
-}
-
-/* The call record of quad_integral, doubles as _dopri5.integral packs
- * them: the integrand (BRANCH or REAL_FORM), the branch guide's rule
- * (closed, cells, max_cells, cosine) of quadrature._guide, the energy,
- * the panel budget and the piece count, then PIECE_FIELDS doubles per
- * piece: kind, c0, c1, c2 (re, im each), phi0, and the parameter
- * interval s0, s1 with its error target. */
-enum { INTEGRAND, CLOSED, CELLS, MAX_CELLS, COSINE, ENERGY_RE, ENERGY_IM, MAX_PANELS, N_PIECES, CALL_FIELDS };
-enum { PIECE_FIELDS = 11 };
-
-/* One whole integral of a model along a path (see integrate_path).
- * Returns a QUAD_ status; out[0..1] holds the total, out[2..4] a stop's
- * numbers and out[5..] each piece's guide cells. */
-int quad_integral(const Model *model, const double *nodes, const double *call, double *out)
-{
-    const long n_pieces = count(call[N_PIECES]);
-    Integrand f = {(int)count(call[INTEGRAND]), model, {call[ENERGY_RE], call[ENERGY_IM]}, nodes, NULL, NULL, 0,
-                   EMPTY_TRIG};
-    cplx total = {0.0, 0.0};
-    int status = QUAD_HAND_BACK;
-    Piece *pieces = n_pieces < 0 ? NULL : calloc((size_t)(n_pieces > 1 ? n_pieces : 1), sizeof *pieces);
-    if (pieces != NULL) {
-        for (long k = 0; k < n_pieces; k++) {
-            const double *row = call + CALL_FIELDS + PIECE_FIELDS * k;
-            Piece *p = &pieces[k];
-            p->kind = (int)count(row[0]);
-            p->c0 = (cplx){row[1], row[2]};
-            p->c1 = (cplx){row[3], row[4]};
-            p->c2 = (cplx){row[5], row[6]};
-            p->phi0 = row[7];
-            p->s0 = row[8];
-            p->s1 = row[9];
-            p->tol = row[10];
-        }
-        status = integrate_path(&f, pieces, n_pieces, call + CLOSED, count(call[MAX_PANELS]), &total, out + 2, out + 5);
-    }
-    free(pieces);
-    out[0] = total.re;
-    out[1] = total.im;
-    return status;
-}
-
 /* Turning points and whole quadrature operations.  quad_op runs one
  * public entry point of turning and quadrature in one call, for the
- * pendulum kinds and the harmonic model (the imaginary cubic has no
- * compiled root search, and Python sends it none): turning_points'
- * search, refine_root's Newton polish, and the escape and period
- * integrals from their root checks to the integral, each check and each
- * root search as Python makes it.  It runs the success path only:
- * wherever Python would raise, warn or take a path not mirrored here, it
- * hands the whole operation back. */
+ * built-in models: turning_points' search, refine_root's Newton polish,
+ * and the escape and period integrals from their root checks to the
+ * integral, each check and each root search as Python makes it.  It runs
+ * the success path only: wherever Python would raise, warn or take a
+ * path not mirrored here, it hands the whole operation back. */
 
 static const double TWO_PI = 2.0 * M_PI;  /* turning._TWO_PI */
 
@@ -1155,6 +1073,27 @@ static int py_acos(cplx z, cplx *r)
     return 1;
 }
 
+/* turning._closed_form_seeds of the imaginary cubic into seeds: [0j] at
+ * E = 0, else b, b r and b r r with b = cmath.exp(cmath.log(-1j * E) / 3.0)
+ * and r = cmath.exp(2j * math.pi / 3.0), each product a full complex one
+ * and each division _Py_c_quot's; their number, or -1 */
+static long cubic_seeds(cplx energy, cplx seeds[3])
+{
+    const cplx neg_i = {-0.0, -1.0}, two_i = {0.0, 2.0}, pi = {M_PI, 0.0}, three = {3.0, 0.0};
+    cplx log_e, base, rot;
+    if (energy.re == 0.0 && energy.im == 0.0) {
+        seeds[0] = (cplx){0.0, 0.0};
+        return 1;
+    }
+    if (!py_log(mul(neg_i, energy), &log_e) || !py_exp(quot(log_e, three), &base) ||
+        !py_exp(quot(mul(two_i, pi), three), &rot))
+        return -1;
+    seeds[0] = base;
+    seeds[1] = mul(base, rot);
+    seeds[2] = mul(seeds[1], rot);
+    return 3;
+}
+
 /* a bound on the seeds of one search, beyond any seed budget Python sets */
 #define MAX_SEARCH_SEEDS (1L << 24)
 
@@ -1209,11 +1148,11 @@ static int by_position(const void *a, const void *b)
 }
 
 /* turning.turning_points in the window win = (re_lo, re_hi, im_lo, im_hi)
- * for the pendulum kinds and the harmonic model: each closed-form seed
- * polished by newton, the roots in the window with its 1e-9 grace,
- * less each within the merge distance of one kept before it (as
- * turning._dedupe keeps them), sorted by (Re, Im).  Returns their number,
- * in *roots (the caller frees it), or -1. */
+ * for the built-in models: each closed-form seed polished by newton, the
+ * roots in the window with its 1e-9 grace, less each within the merge
+ * distance of one kept before it (as turning._dedupe keeps them), sorted
+ * by (Re, Im).  Returns their number, in *roots (the caller frees it),
+ * or -1. */
 static long search(const Model *m, cplx energy, const double win[4], const Rules *rules, cplx **roots)
 {
     const double grace = 1e-9, merge = rules->dedupe_tol;
@@ -1232,6 +1171,10 @@ static long search(const Model *m, cplx energy, const double win[4], const Rules
             seeds[1] = (cplx){-r.re, -r.im};
             n_seeds = 2;
         }
+    } else if (m->kind == CUBIC_I) {
+        seeds = malloc(3 * sizeof *seeds);
+        if (seeds != NULL)
+            n_seeds = cubic_seeds(energy, seeds);
     } else if (m->kind == PENDULUM || m->kind == DRIVEN_PENDULUM) {
         n_seeds = pendulum_seeds(m, energy, win, rules, &seeds);
     }
@@ -1354,21 +1297,41 @@ enum { PANEL_BUDGET = SEARCH_FIELDS, GUIDE_CELLS, GUIDE_MAX_CELLS, GUIDE_COSINE,
 
 static const cplx I1 = {0.0, 1.0};
 
-/* the integral of an operation along its pieces, with the branch
- * integrand's guide around a loop if closed; the total and each piece's
- * guide cells into out, or QUAD_HAND_BACK for any stop */
+/* The integral of an operation along its n pieces, as quadrature sums it:
+ * for the branch integrand the guide first, built by the call's rule
+ * (around a loop if closed), then the adaptive_quad value of each piece
+ * added to a total from 0j, in piece order.  The total and each piece's
+ * guide cells go to out; -1 for any stop, which Python then raises.  It
+ * frees the pieces' guide roots. */
 static long integral_op(const Model *m, const double *nodes, int integrand, int closed, cplx energy,
                         const double *call, Piece *pieces, long n, double *out)
 {
-    const double rule[4] = {closed, call[GUIDE_CELLS], call[GUIDE_MAX_CELLS], call[GUIDE_COSINE]};
     Integrand f = {integrand, m, energy, nodes, NULL, NULL, 0, EMPTY_TRIG};
-    double stop[3];
-    cplx total;
-    if (integrate_path(&f, pieces, n, rule, count(call[PANEL_BUDGET]), &total, stop, out + 2) != QUAD_DONE)
-        return -1;
+    const long max_panels = count(call[PANEL_BUDGET]);
+    cplx total = {0.0, 0.0}, value, *guide = NULL;
+    Entry *heap = max_panels < 8 ? NULL : malloc((size_t)max_panels * sizeof *heap);
+    long size = -1;
+    if (heap == NULL)
+        goto out;
+    if (integrand == BRANCH && !build_guide(&f, pieces, n, closed, count(call[GUIDE_CELLS]),
+                                            count(call[GUIDE_MAX_CELLS]), call[GUIDE_COSINE], &guide))
+        goto out;
+    for (long k = 0; k < n; k++) {
+        out[2 + k] = (double)pieces[k].cells;
+        f.piece = &pieces[k];
+        if (!refine(&f, pieces[k].s0, pieces[k].s1, pieces[k].tol, max_panels, heap, &value))
+            goto out;
+        total = add(total, value);
+    }
     out[0] = total.re;
     out[1] = total.im;
-    return 2 + n;
+    size = 2 + n;
+out:
+    for (long k = 0; k < n; k++)
+        free(pieces[k].roots);
+    free(guide);
+    free(heap);
+    return size;
 }
 
 /* quadrature.escape_time (OP_ESCAPE) and escape_time_real_form
@@ -1469,12 +1432,12 @@ static long turning_op(const Model *m, cplx energy, const Rules *rules, const do
 }
 
 /* One operation of turning or quadrature in one call, read from record:
- * a Model of a pendulum kind or the harmonic model, then the call record
- * above.  Returns the number of doubles of its result, written to out
- * when they fit in its cap doubles: the roots of OP_TURNING and
- * OP_REFINE as (re, im) pairs, or an integral as (re, im) and each
- * piece's guide cells.  Returns -1, and Python runs the operation, where
- * Python raises, warns or takes a path not mirrored. */
+ * the Model of a built-in model, then the call record above.  Returns
+ * the number of doubles of its result, written to out when they fit in
+ * its cap doubles: the roots of OP_TURNING and OP_REFINE as (re, im)
+ * pairs, or an integral as (re, im) and each piece's guide cells.
+ * Returns -1, and Python runs the operation, where Python raises, warns
+ * or takes a path not mirrored. */
 long quad_op(const void *record, const double *nodes, long cap, double *out)
 {
     const Model *m = record;
@@ -1485,8 +1448,6 @@ long quad_op(const void *record, const double *nodes, long cap, double *out)
     double result[6];
     long n = -1;
     cplx root;
-    if (m->kind == CUBIC_I)  /* no compiled root search */
-        return -1;
     switch (count(call[OPERATION])) {
     case OP_TURNING:
         return turning_op(m, energy, &rules, args, cap, out);

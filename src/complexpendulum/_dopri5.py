@@ -9,34 +9,32 @@ code it mirrors, which stays the reference:
 - ``energy_columns``: ``Trajectory``'s energy columns, H and
   ``energy_drift``'s local scale, with V(x) a per-row local, not a
   column;
-- ``integral``: one quadrature integral of ``_branch_integral`` or
-  ``escape_time_real_form``: the branch guide as ``quadrature._guide``
-  builds it, by the rule Python passes, then ``adaptive_quad``'s whole
-  refinement of every piece, each panel as ``quadrature._panel``
-  computes it;
 - ``operation``: one public entry point of ``turning`` or
-  ``quadrature`` whole, for the pendulum kinds and the harmonic model:
-  ``turning_points``' search, ``refine_root``'s polish, and the escape
-  and period integrals from their root checks to the integral, as
-  Python runs their success path; anything else is handed back whole.
+  ``quadrature`` whole, for the built-in models: ``turning_points``'
+  search, ``refine_root``'s polish, and the escape and period integrals
+  from their root checks to the integral (the branch guide as
+  ``quadrature._guide`` builds it, then ``adaptive_quad``'s whole
+  refinement of every piece, each panel as ``quadrature._panel``
+  computes it), as Python runs their success path; anything else is
+  handed back whole.
 
 Each reads the model from one record, ``model_params``'s (kind, g,
 complex(-g), epsilon, omega), built from the model itself, and only for
 an exact ``Pendulum``, ``Harmonic``, ``ImaginaryCubic`` or
 ``DrivenPendulum`` with plain int, float or complex parameters, on
 CPython before 3.14 (whose mixed float/complex arithmetic the kernel
-does not mirror); other models run on the Python path.  ``integral``
-reads each path piece as its one description in ``quadrature._pieces``,
-(kind, c0, c1, c2, phi0), and ``operation`` builds the same pieces.
-What the library cannot mirror goes back to Python: a run from the first
-step the kernel cannot take, a landing run, an integral or an operation
-whole, and the energy rows from the first it cannot compute.
+does not mirror); other models run on the Python path.  The library
+builds each path piece of an ``operation`` as its one description in
+``quadrature._pieces``, (kind, c0, c1, c2, phi0).  What the library
+cannot mirror goes back to Python: a run from the first step the kernel
+cannot take, a landing run or an operation whole, and the energy rows
+from the first it cannot compute.
 The kernel keeps only dp/dt of the field: for these models dx/dt is p
 itself, so ``steps`` hands back, and ``advance`` returns, the field as
 (p, kp).
 
 Every call crosses into the library one way: each record it reads (the
-model, a run's settings, the polish record, an integral's call record)
+model, a run's settings, the polish record, an operation's call record)
 goes in as ``struct``-packed bytes laid out as its C struct, and each
 buffer it reads or writes (stops, run state, rows, columns, results) is
 a numpy array passed by address.  An operation sends its model record
@@ -76,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import DrivenPendulum, Harmonic, ImaginaryCubic, Pendulum
+from .models import DrivenPendulum, Harmonic, ImaginaryCubic, Pendulum, cell_index
 
 logger = logging.getLogger(__name__)
 
@@ -93,10 +91,6 @@ _KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3} if sys
 # status codes of dopri5_steps (see _dopri5.c)
 _FULL, _HAND_BACK = 0, 4
 _STOP_REASONS = {1: "horizon", 2: "max_steps", 3: "step_underflow"}
-# integrands, path pieces and status codes of quad_integral
-_BRANCH, _REAL_FORM = 0, 1
-_PIECES = {"ray": 0, "edge": 1, "cap": 2}
-_QUAD_HAND_BACK, _QUAD_BUDGET, _QUAD_RESOLUTION, _QUAD_UNCLOSED = 1, 2, 3, 4
 # operations of quad_op
 OP_TURNING, OP_REFINE, OP_REAL_FORM, OP_ESCAPE, OP_CONTOUR = range(5)
 _OP_RESULTS = 128  # doubles of a reused quad_op result buffer: 64 roots
@@ -165,8 +159,6 @@ def _library():
     lib.csv_rows.restype = c_long
     lib.energy_rows.argtypes = [ptr, c_long, *[ptr] * 4]
     lib.energy_rows.restype = c_long
-    lib.quad_integral.argtypes = [ptr] * 4
-    lib.quad_integral.restype = c_int
     lib.quad_op.argtypes = [ptr, ptr, c_long, ptr]
     lib.quad_op.restype = c_long
     return lib
@@ -250,54 +242,6 @@ def energy_columns(model, x, p, with_scale=True):
     return h, scale, _library().energy_rows(record, len(x), *addresses)
 
 
-def integral(model, energy, pieces, nodes, max_panels, branch=None):
-    """One quadrature integral in one call: ``quadrature.adaptive_quad``
-    over each piece with at most ``max_panels`` panels, each panel as
-    ``quadrature._panel`` computes it, the pieces' values added to a total
-    from 0j in order, bit for bit as Python computes them.
-
-    ``pieces`` are ``quadrature._pieces``'s, (piece, s0, s1, tol): the
-    descriptor (kind, c0, c1, c2, phi0), the parameter interval and its
-    error target.  ``nodes`` holds the 46 (xi, wi) pairs, 15 nodes then
-    31, as float64 bytes.  Without ``branch`` the integrand is
-    ``escape_time_real_form``'s.  With ``branch``, (closed, cells,
-    max_cells, cos), it is ``_branch_integral``'s: the library first
-    builds ``quadrature._guide``'s branch guide by that rule, along a
-    loop if ``closed``.
-
-    Returns (total, stop, cells): cells lists each piece's guide cells
-    (0 for the real form), and stop is None, or where Python raises,
-    ("unclosed",) for a guide that does not close around the loop, and
-    for ``adaptive_quad``'s ``ToleranceNotMet`` ("budget", toterr, tol,
-    panels) or ("resolution", lo, hi, err).  None when the model is not
-    one the kernel runs or the library cannot mirror a guide value or a
-    panel; Python then computes the whole integral."""
-    record = model_params(model)
-    if record is None:
-        return None
-    if len(nodes) != 46 * 2 * 8:
-        raise ValueError(f"expected 46 (xi, wi) float64 pairs, got {len(nodes)} bytes")
-    energy = complex(energy)
-    integrand, rule = (_REAL_FORM, (0, 0, 0, 0.0)) if branch is None else (_BRANCH, branch)
-    call = [integrand, *rule, energy.real, energy.imag, max_panels, len(pieces)]
-    for (kind, c0, c1, c2, phi0), s0, s1, tol in pieces:
-        call += (_PIECES[kind], c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, phi0, s0, s1, tol)
-    # zero-filled: a guide that cannot be built leaves the cells unwritten
-    out = np.zeros(5 + len(pieces))
-    status = _library().quad_integral(record, nodes, struct.pack(f"{len(call)}d", *call), out.ctypes.data)
-    if status == _QUAD_HAND_BACK:
-        return None
-    re, im, a, b, c, *cells = out.tolist()
-    stop = None
-    if status == _QUAD_BUDGET:
-        stop = ("budget", a, b, int(c))
-    elif status == _QUAD_RESOLUTION:
-        stop = ("resolution", a, b, c)
-    elif status == _QUAD_UNCLOSED:
-        stop = ("unclosed",)
-    return complex(re, im), stop, list(map(int, cells))
-
-
 @functools.cache
 def _call_record(n):
     """The ``struct`` format of a call record of n doubles.  Held here: after
@@ -315,11 +259,9 @@ def operation(model, call, nodes=None):
     ``nodes`` the quadrature's (xi, wi) bytes for an integral.  Returns
     the doubles of its result as a list: roots as (re, im) pairs, or an
     integral's (re, im) and each piece's guide cells.  None where the
-    model is not a pendulum kind or the harmonic model, or the library
-    hands the operation back, which Python then runs whole."""
-    # the imaginary cubic has no compiled root search: Python runs its
-    # operations, with no library call to be handed back
-    record = None if type(model) is ImaginaryCubic else model_params(model)
+    model is not one the kernel runs, or the library hands the operation
+    back, which Python then runs whole."""
+    record = model_params(model)
     if record is None:
         return None
     record += _call_record(len(call)).pack(*call)
@@ -347,7 +289,9 @@ def csv_formatter():
     ``_ROWS`` rows, each a view of one buffer that the next overwrites;
     None without the library, or where floats do not print in the
     'short' repr style the formatter mirrors.  Contiguous float64 and
-    complex128 columns are read in place."""
+    complex128 columns are read in place.  A driven row whose Re x is not
+    finite is handed back after the rows before it: ``cell_index`` raises
+    on it, as in the Python writer."""
     lib = _library() if sys.float_repr_style == "short" else None
     if lib is None:
         return None
@@ -365,6 +309,10 @@ def csv_formatter():
         starts = [(column.ctypes.data, column.itemsize) for column in columns]
         for i in range(0, len(t), _ROWS):
             n = min(_ROWS, len(t) - i)
-            yield view[: csv_rows(n, *(start + i * size for start, size in starts), driven, address)]
+            written = csv_rows(n, *(start + i * size for start, size in starts), driven, address)
+            if written < 0:  # the next row has no cell: cell_index raises on it
+                yield view[:~written]
+                cell_index(complex(columns[1][i + bytes(view[:~written]).count(b"\n")]))
+            yield view[:written]
 
     return rows

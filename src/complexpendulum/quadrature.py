@@ -31,16 +31,17 @@ return to the seed value raises ``BranchInconsistency``, as does an
 escape or period integral whose imaginary part is not negligible next to
 the integral itself.
 
-For the four built-in models, each integral of the branch integrand on
-any path, and of ``escape_time_real_form``'s, is one call of the
-compiled library (``_dopri5.integral``): the branch guide, built by the
-rule of ``_guide`` from the constants below, then ``adaptive_quad``'s
-whole refinement of every piece, bit for bit as ``_guide``, the Python
-integrands, ``adaptive_quad`` and ``_panel`` compute them, the same
-``BranchInconsistency`` and ``ToleranceNotMet`` stops and the same
-refinement log included.  An integral with a guide value or a panel the
-library cannot mirror is handed back whole, and the Python path, which
-stays the reference, computes it: the same bits, or the same error.
+For the built-in models, ``escape_time``, ``escape_time_real_form`` and
+``contour_integral`` are each one call of the compiled library
+(``_dopri5.operation``), from the root checks to the integral: the
+branch guide, built by the rule of ``_guide`` from the constants below,
+then ``adaptive_quad``'s whole refinement of every piece, bit for bit as
+``_guide``, the Python integrands, ``adaptive_quad`` and ``_panel``
+compute them, the refinement log included.  The library runs the
+success path only: a call that would raise, or has a guide value or a
+panel the library cannot mirror, is handed back whole, and the Python
+path, which stays the reference, computes it: the same bits, or the
+same error.
 """
 from __future__ import annotations
 
@@ -176,14 +177,6 @@ def _panel(f, a, b):
     return i31, err
 
 
-def _budget_spent(toterr, tol, panels):
-    return ToleranceNotMet(f"quadrature error {toterr:.3e} above target {tol:.3e} after {panels} panels")
-
-
-def _resolution_limit(lo, hi, err):
-    return ToleranceNotMet(f"panel [{lo}, {hi}] at resolution limit with error {err:.3e}")
-
-
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> complex:
     """Integrate a complex-valued f over the real interval [a, b] to the
     absolute error target ``tol``, refining the worst panel first, with
@@ -209,14 +202,14 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> complex:
     panels = n0
     while toterr > tol:
         if panels >= _MAX_PANELS:
-            raise _budget_spent(toterr, tol, panels)
+            raise ToleranceNotMet(f"quadrature error {toterr:.3e} above target {tol:.3e} after {panels} panels")
         neg_err, _, lo, hi, val = heapq.heappop(entries)
         if hi - lo <= 32.0 * _EPS * max(1.0, abs(lo), abs(hi)):
             # refining at float resolution while the error estimate is
             # still dominant: the integrand has structure the rule cannot
             # resolve (an undeclared singularity, typically); narrower
             # panels would make the estimates agree spuriously
-            raise _resolution_limit(lo, hi, -neg_err)
+            raise ToleranceNotMet(f"panel [{lo}, {hi}] at resolution limit with error {-neg_err:.3e}")
         total -= val
         toterr += neg_err  # neg_err is negative: removes this panel's error
         mid = 0.5 * (lo + hi)
@@ -230,33 +223,9 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> complex:
     return total
 
 
-# the functions the compiled integrals and operations mirror; with any
-# rebound (a spy, a tracer's wrapper) the library cannot, and Python runs
-# them
+# the functions the compiled operations mirror; with any rebound (a spy,
+# a tracer's wrapper) the library cannot, and Python runs them
 _MIRRORED = (adaptive_quad, _panel, turning_points, refine_root)
-
-
-def _library_integral(model: HamiltonianModel, E: complex, pieces, closed=None):
-    """The integral over ``pieces`` in one call of the library (see
-    ``_dopri5.integral``): the branch integrand, with the library building
-    ``_guide``'s guide along a loop if ``closed``, or the real-form
-    integrand when ``closed`` is None.  It raises as the Python path
-    does, and logs the guide's refinement as ``_guide`` does; None when
-    the library cannot compute the integral as Python would."""
-    if (adaptive_quad, _panel, turning_points, refine_root) != _MIRRORED:
-        return None
-    branch = None if closed is None else (closed, _GUIDE_CELLS, _GUIDE_MAX_CELLS, _GUIDE_COS)
-    result = _dopri5.integral(model, E, pieces, _NODES, _MAX_PANELS, branch)
-    if result is None:
-        return None
-    total, stop, cells = result
-    if stop == ("unclosed",):
-        raise _unclosed()
-    _log_refined(cells)
-    if stop is not None:
-        reason, *numbers = stop
-        raise (_budget_spent if reason == "budget" else _resolution_limit)(*numbers)
-    return total
 
 
 def _pieces(path, tol: float):
@@ -352,10 +321,6 @@ def _apart(a, b):
     return (a * b.conjugate()).real < _GUIDE_COS * abs(a) * abs(b)
 
 
-def _unclosed():
-    return BranchInconsistency("branch guide does not close around the contour")
-
-
 def _log_refined(cells):
     for i, n in enumerate(cells):
         if n > _GUIDE_CELLS:
@@ -366,7 +331,7 @@ def _guide(model: HamiltonianModel, E: complex, pieces, closed: bool):
     """(guide, cells): the branch guide of ``_branch_integral`` along the
     pieces, the continued values of w at the midpoints of each piece's
     cells followed by the last one again, and each piece's cell count.
-    ``quad_integral`` in ``_dopri5.c`` builds it bit for bit for the
+    ``build_guide`` in ``_dopri5.c`` builds it bit for bit for the
     compiled integrals."""
     w = _root(model, E)
 
@@ -407,7 +372,7 @@ def _guide(model: HamiltonianModel, E: complex, pieces, closed: bool):
             _, s0, s1, _ = pieces[i]
             raw[i] = midpoints(curves[i], s0, s1, 3 * len(raw[i]), raw[i])
     if closed and back != seed:
-        raise _unclosed()
+        raise BranchInconsistency("branch guide does not close around the contour")
     cells = [len(values) for values in raw]
     _log_refined(cells)
     guide.append(guide[-1])  # a node rounding onto a piece's end reads one entry on
@@ -433,16 +398,11 @@ def _branch_integral(model: HamiltonianModel, E: complex, pieces, closed: bool) 
     ``BranchInconsistency``.  Each quadrature node then takes the root
     nearer to the guide entry of its own piece and parameter cell, so the
     guide picks signs only: the nodes, and the magnitude of each term,
-    are those of the path.  For the built-in models the library builds
-    the guide and integrates every piece in one call; ``_guide`` and the
-    loop at the end, the reference, run otherwise.  A path with no pieces
-    (a segment of zero length) gives 0j.
+    are those of the path.  A path with no pieces (a segment of zero
+    length) gives 0j.
     """
     if not pieces:
         return 0.0j
-    total = _library_integral(model, E, pieces, closed)
-    if total is not None:
-        return total
     guide, cells = _guide(model, E, pieces, closed)
     w = _root(model, E)
     total = 0.0j
@@ -566,9 +526,9 @@ def escape_time(
     The tail beyond the default cutoff of 60 is far below the quadrature
     tolerance for the potentials here, which grow exponentially or
     polynomially along the ray.  A pendulum root in another 2 pi cell
-    escapes from its image in cell 0.  For the pendulum kinds and the
-    harmonic model the whole call is one library operation, bit for bit
-    as the code below, which runs where the library hands it back.
+    escapes from its image in cell 0.  For the built-in models the whole
+    call is one library operation, bit for bit as the code below, which
+    runs where the library hands it back.
     """
     total = _library_escape(model, _dopri5.OP_ESCAPE, energy, tp, cutoff, tol, direction)
     if total is not None:
@@ -604,9 +564,6 @@ def escape_time_real_form(
         return total.real
     E, ray = _escape_ray(model, energy, tp, cutoff, direction)
     [(piece, s0, umax, ptol)] = _pieces(ray, tol)
-    total = _library_integral(model, E, [(piece, s0, umax, ptol)])
-    if total is not None:
-        return total.real
     z, _ = _curve(piece)
 
     def f(u: float) -> float:
@@ -648,9 +605,9 @@ def contour_integral(
     the start of the loop, the point at distance ``offset`` beside the
     first root of the pair in (Re, Im) order, to the right of the chord
     towards the second.  It does not depend on the guide's density;
-    ``period_contour`` takes the absolute value.  For the pendulum kinds
-    and the harmonic model the whole call is one library operation, bit
-    for bit as the code below, which runs where the library hands it back.
+    ``period_contour`` takes the absolute value.  For the built-in models
+    the whole call is one library operation, bit for bit as the code
+    below, which runs where the library hands it back.
     """
     E = complex(energy)
     if type(tp_pair) in (tuple, list) and len(tp_pair) >= 2 and type(offset) in _PLAIN and type(tol) in _PLAIN:

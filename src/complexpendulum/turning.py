@@ -24,14 +24,13 @@ inclusively, so roots that polish onto the boundary are kept.
 Each seed costs a Newton solve, so a window that needs more than
 ``_MAX_SEEDS`` seeds is rejected before any is made.
 
-For the pendulum kinds and the harmonic model, ``turning_points`` and
-``refine_root`` are one call of the compiled library each
-(``_dopri5.operation``): the seeds, the polish by ``_newton``'s rule,
-the window filter, the merge and the sort, bit for bit as the code
-here, which stays the reference and runs wherever the library hands a
-call back, as it does wherever this code would raise or warn.  Neither
-takes that path while either function is rebound (a spy, a tracer's
-wrapper).
+For the built-in models, ``turning_points`` and ``refine_root`` are
+one call of the compiled library each (``_dopri5.operation``): the
+seeds, the polish by ``_newton``'s rule, the window filter, the merge
+and the sort, bit for bit as the code here, which stays the reference
+and runs wherever the library hands a call back, as it does wherever
+this code would raise or warn.  Neither takes that path while either
+function is rebound (a spy, a tracer's wrapper).
 """
 from __future__ import annotations
 
@@ -210,9 +209,9 @@ def turning_points(
     to the residual target; the window filter runs after refinement
     (inclusive, with a one-nanounit grace so boundary roots survive
     rounding), and near-coincident roots merge within 1e-9.  The result
-    is sorted by (Re, Im).  For the pendulum kinds and the harmonic
-    model the whole search is one call of the compiled library, bit for
-    bit as the code below, which runs where the library hands it back.
+    is sorted by (Re, Im).  For the built-in models the whole search is
+    one call of the compiled library, bit for bit as the code below,
+    which runs where the library hands it back.
     """
     re_lo, re_hi, im_lo, im_hi = map(float, window)
     if not (re_lo < re_hi and im_lo < im_hi):

@@ -13,6 +13,7 @@ trajectories outside the bundled scenarios (which ``test_golden_outputs``
 covers).
 """
 import cmath
+import io
 import math
 import re
 import sys
@@ -260,3 +261,26 @@ def test_legacy_repr_style_uses_the_python_writer(monkeypatch, tmp_path):
     assert _dopri5.csv_formatter() is None
     cli._write_trajectory_csv(tmp_path / "legacy.csv", traj)
     assert (tmp_path / "legacy.csv").read_bytes() == (tmp_path / "short.csv").read_bytes()
+
+
+@pytest.mark.parametrize("at", [0, 600], ids=["first-row", "second-block"])
+@pytest.mark.parametrize("re_x", [math.nan, -math.nan, math.inf, -math.inf], ids=["nan", "-nan", "inf", "-inf"])
+def test_a_row_with_no_cell_raises_alike_in_both_writers(rows, re_x, at):
+    """A driven row whose Re x is not finite has no cell: the compiled
+    writer hands it back, and ``cell_index`` raises the Python writer's
+    error on it, after the same rows.  Only hand-built columns have such
+    a row: ``integrate`` stores no non-finite state, and a trajectory's
+    energy column raises first at an infinite Re x."""
+    t, x = np.arange(700.0), np.full(700, 0.5 + 0.1j)
+    x[at] = complex(re_x, 0.2)
+    p, e = np.full(700, 0.3 - 0.2j), np.full(700, -0.2 + 0.1j)
+    compiled, python = io.BytesIO(), io.StringIO()
+    with pytest.raises((ValueError, OverflowError)) as raised:
+        for block in rows(t, x, p, e, True):
+            compiled.write(bytes(block))
+    with pytest.raises((ValueError, OverflowError)) as want:
+        cli._write_rows_in_python(python, t, x, p, e, True)
+    assert (type(raised.value), str(raised.value)) == (type(want.value), str(want.value))
+    assert type(want.value) is (ValueError if math.isnan(re_x) else OverflowError)
+    assert compiled.getvalue() == python.getvalue().encode()
+    assert compiled.getvalue().count(b"\n") == at

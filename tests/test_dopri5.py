@@ -1,4 +1,4 @@
-"""The compiled stepper, energy column and quadrature reproduce Python bit for bit.
+"""The compiled stepper and energy column reproduce Python bit for bit.
 
 Every case runs twice: once as the package runs it, with the built-in
 models stepped by the C kernel, and once with the loader patched so that
@@ -9,7 +9,6 @@ The energy columns (H and ``energy_drift``'s local scale) are compared
 the same way against the Python expressions of ``Trajectory``; rows with
 p = 0, where H is V(x), compare the library's potential itself.
 """
-import cmath
 import ctypes
 import gc
 import hashlib
@@ -33,17 +32,12 @@ from complexpendulum import (
     IntegratorConfig,
     Pendulum,
     PhaseState,
-    Segment,
     Trajectory,
-    TurningPointContour,
-    VerticalRay,
     escape_time,
     escape_time_real_form,
     integrate,
     integrator,
-    path_integral,
     period_contour,
-    turning_points,
     verify_pt_symmetry,
 )
 from complexpendulum import _dopri5, cli, quadrature
@@ -735,354 +729,6 @@ def test_the_initial_step_squares_with_pow(library, model, row, t_target):
     """Landings whose bits change when ``_initial_step``'s ``** 2`` is
     taken as a product, which rounds otherwise now and then."""
     assert assert_advance_matches_python(model, row, t_target)[1]
-
-
-# Quadrature integrals.  ``_dopri5.integral`` runs each whole integral of
-# the branch and real-form integrands in the library.  Every case runs
-# twice: as the package runs it, and with ``model_params`` patched to
-# None, so that the Python integrands, ``adaptive_quad`` and ``_panel``,
-# the reference, compute it.  The outcomes are compared as hex strings or
-# error texts, and a spy on ``_dopri5.integral`` tells whether the library
-# computed each integral, stopped it with ``ToleranceNotMet`` or handed it
-# back.
-
-
-def quadrature_outcome(run):
-    try:
-        value = run()
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return value.real.hex(), value.imag.hex()
-
-
-def assert_integral_matches_python(run):
-    """The outcome of ``run()``, the same on three paths: as the package
-    runs it, with the one-call operations of the public entry points
-    (``_dopri5.operation``) handing every call back, so that each
-    integral goes through ``_dopri5.integral``, and on the Python path.
-    Returns it with what the library did with each integral it was given
-    on the second path."""
-    calls = []
-    integral = _dopri5.integral
-
-    def spy(*args):
-        result = integral(*args)
-        calls.append("handed_back" if result is None else "stopped" if result[1] else "computed")
-        return result
-
-    whole = quadrature_outcome(run)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_dopri5, "integral", spy)
-        m.setattr(_dopri5, "operation", lambda *args: None)
-        fast = quadrature_outcome(run)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_dopri5, "model_params", lambda model: None)
-        slow = quadrature_outcome(run)
-    assert whole == fast == slow
-    return fast, calls
-
-
-def branch_integral(model, energy, path):
-    """A call of ``_branch_integral`` along a path."""
-    pieces = quadrature._pieces(path, 1e-10)
-    closed = isinstance(path, TurningPointContour)
-    return lambda: quadrature._branch_integral(model, complex(energy), pieces, closed)
-
-
-finite_complex = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
-paths = st.builds(
-    VerticalRay,
-    finite_complex,
-    st.sampled_from([1, -1]),
-    st.floats(0.1, 100.0) | st.sampled_from([709.5, 720.0]),
-) | st.builds(TurningPointContour, finite_complex, finite_complex, st.floats(0.05, 2.0)).filter(
-    lambda path: path.z_left != path.z_right
-) | st.builds(Segment, finite_complex, finite_complex, st.booleans(), st.booleans())
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(built_in_models, finite_complex, paths)
-def test_branch_panels_match_python(library, model, energy, path):
-    _, calls = assert_integral_matches_python(branch_integral(model, energy, path))
-    assert len(calls) <= 1  # none when the guide fails first
-
-
-# (model, energy, path, the outcome); the library hands each one back
-BRANCH_HAND_BACKS = {
-    # nodes past |Im z| = 708.4: cmath.cos takes its other formula there
-    "cosh-switch": (Pendulum(g=1.0), COSH1, VerticalRay(math.pi + 1j, 1, 709.5), "value"),
-    # and overflows a little further on
-    "overflow": (Pendulum(g=1j), 0.5, VerticalRay(0.5 + 1j, 1, 720.0), "OverflowError"),
-    # the midpoint u = 1 of the ray's first panel is z = 0, where V = E:
-    # Python divides by a zero root
-    "zero-root": (ImaginaryCubic(), 0.0, VerticalRay(-1j, 1, 256.0), "ZeroDivisionError"),
-    # there 2 (E - V) is subnormal, which cmath.sqrt rescales first
-    "subnormal-root": (Harmonic(), 1e-310, VerticalRay(-1j, 1, 256.0), "ToleranceNotMet"),
-}
-
-
-@pytest.mark.parametrize("case", BRANCH_HAND_BACKS.values(), ids=BRANCH_HAND_BACKS.keys())
-def test_branch_panels_the_library_hands_back(library, case):
-    model, energy, path, outcome = case
-    got, calls = assert_integral_matches_python(branch_integral(model, energy, path))
-    assert isinstance(got, tuple) if outcome == "value" else got.split(":")[0] == outcome
-    assert calls == ["handed_back"]
-
-
-@pytest.mark.parametrize(
-    "model,energy,path",
-    [
-        (Pendulum(g=0.6 + 0.8j), -0.3 + 0.2j, TurningPointContour(-1.9 - 0.4j, 1.9 + 0.4j, 0.5)),
-        (DrivenPendulum(g=2), 2.0 * COSH1, VerticalRay(math.pi - 1j, -1, 60.0)),
-        (Harmonic(), 0.5, TurningPointContour(-1.0, 1.0, 0.25)),
-        (ImaginaryCubic(), 0.125, VerticalRay(0.5j, 1, 60.0)),
-    ],
-    ids=repr,
-)
-def test_the_library_computes_rays_and_loops(library, model, energy, path):
-    got, calls = assert_integral_matches_python(branch_integral(model, energy, path))
-    assert isinstance(got, tuple)
-    assert calls == ["computed"]
-
-
-def test_an_empty_path_integrates_to_zero(library):
-    """A segment of zero length has no pieces: its branch integral is 0j
-    on both paths, with no library call, as ``path_integral``'s is."""
-    empty = Segment(1 + 1j, 1 + 1j, True, True)
-    got, calls = assert_integral_matches_python(branch_integral(Pendulum(g=1.0), COSH1, empty))
-    assert (got, calls) == (((0.0).hex(), (0.0).hex()), [])
-    assert path_integral(lambda z: 1.0, empty) == 0j
-
-
-def test_the_library_computes_the_rotation_period_over_a_segment(library):
-    """omega_rot of the pendulum at E = cosh 1: dz / w over one period
-    0 -> 2 pi of the real axis.  A segment's pieces are described like a
-    ray's and a loop's, so the library computes it."""
-    got, calls = assert_integral_matches_python(branch_integral(Pendulum(g=1.0), COSH1, Segment(0.0, 2.0 * math.pi)))
-    assert got == ((3.9507288645777314).hex(), (0.0).hex())
-    assert calls == ["computed"]
-
-
-# integrals that adaptive_quad stops with ToleranceNotMet
-QUADRATURE_STOPS = {
-    # a tolerance no panel reaches: the 4000 panels are spent
-    "budget": (
-        lambda: escape_time(Pendulum(g=1.0), COSH1, math.pi + 1j, tol=1e-300),
-        "quadrature error 1.206e-11 above target 1.291e-301 after 4000 panels",
-    ),
-    # a pole of 1/w on the ray at u = sqrt(2), which no node hits exactly
-    "resolution-limit": (
-        branch_integral(Harmonic(), 0.0, VerticalRay(-2j, 1, 9.0)),
-        "panel [1.414213562373094, 1.4142135623730994] at resolution limit with error 5.814e-02",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", QUADRATURE_STOPS.values(), ids=QUADRATURE_STOPS.keys())
-def test_the_library_stops_where_python_raises(library, case):
-    run, message = case
-    assert assert_integral_matches_python(run) == (f"ToleranceNotMet: {message}", ["stopped"])
-
-
-def test_sign_choice_ties_take_the_hypots(library):
-    """On the real axis the harmonic root w = sqrt(1 - x^2) at E = 1/2 is
-    real before x = 1 and imaginary past it, so a node past the root in a
-    guide cell whose entry lies before it is an exact tie,
-    |-r - ref| == |r - ref|, which the library settles with the two hypots
-    as Python does: no root is turned.  The reference is
-    ``_branch_integral``'s integrand, which counts the ties."""
-    model, energy = Harmonic(), 0.5 + 0j
-    pieces = quadrature._pieces(Segment(0.0, 1.7), 1e-6)
-    [(piece, s0, s1, tol)] = pieces
-    guide, [cells] = quadrature._guide(model, energy, pieces, False)
-    z, dz = quadrature._curve(piece)
-    h, ties = (s1 - s0) / cells, []
-
-    def f(s):
-        r = cmath.sqrt(2.0 * (energy - model.potential(z(s))))
-        ref = guide[int((s - s0) / h)]
-        ties.append(abs(-r - ref) == abs(r - ref))
-        if abs(-r - ref) < abs(r - ref):
-            r = -r
-        return 1.0 / r * dz(s)
-
-    want = quadrature.adaptive_quad(f, s0, s1, tol)
-    assert sum(ties) > 100
-    got, calls = assert_integral_matches_python(lambda: quadrature._branch_integral(model, energy, pieces, False))
-    assert (got, calls) == ((want.real.hex(), want.imag.hex()), ["computed"])
-
-
-def test_an_escape_ray_past_a_root_fails_alike(library):
-    """A ray that passes 0.024 from another root: the guide refines to
-    1944 cells, and both paths find the same imaginary residue."""
-    model, energy = Pendulum(g=0.6 + 0.8j), -0.753 - 0.989j
-    roots = turning_points(model, energy, (-1.0, 1.0, -1.0, 1.0))
-    root = min(roots, key=lambda tp: abs(tp.x0 - (-0.01219 - 0.68387j)))
-    got, calls = assert_integral_matches_python(lambda: escape_time(model, energy, root, direction=1))
-    assert got == "BranchInconsistency: escape integral has imaginary residue -7.918e-01"
-    assert calls == ["computed"]
-
-
-# The branch guide.  The library builds ``quadrature._guide``'s guide in
-# the call that integrates against it.  The two guides are compared
-# through all that the guide decides: the integral's bits, or its error,
-# and the cells of each piece.
-
-
-def guide_outcome(model, energy, pieces, closed):
-    """(outcome, cells) of ``_branch_integral`` along the pieces, the same
-    with the guide built by the library and by ``_guide``, the reference;
-    cells lists each guide's cell counts per piece, [] for a loop that
-    does not close."""
-    results = []
-    for python in (False, True):
-        cells = []
-        with pytest.MonkeyPatch.context() as m:
-            if python:
-                m.setattr(_dopri5, "model_params", lambda model: None)
-                guide = quadrature._guide
-
-                def spy(*args):
-                    built = guide(*args)
-                    cells.append(built[1])
-                    return built
-
-                m.setattr(quadrature, "_guide", spy)
-            else:
-                integral = _dopri5.integral
-
-                def spy(*args):
-                    result = integral(*args)
-                    assert result is not None, "the library handed the integral back"
-                    if result[1] != ("unclosed",):
-                        cells.append(result[2])
-                    return result
-
-                m.setattr(_dopri5, "integral", spy)
-            outcome = quadrature_outcome(lambda: quadrature._branch_integral(model, complex(energy), pieces, closed))
-        results.append((outcome, cells))
-    assert results[0] == results[1]
-    return results[0]
-
-
-corpus_models = st.sampled_from([Pendulum(g=1.0), Pendulum(g=1j), Pendulum(g=0.6 + 0.8j), Harmonic(), ImaginaryCubic()])
-guided_paths = st.builds(VerticalRay, finite_complex, st.sampled_from([1, -1]), st.floats(0.1, 100.0)) | paths.filter(
-    lambda path: not isinstance(path, VerticalRay)
-)
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(corpus_models, finite_complex, guided_paths)
-def test_the_library_builds_the_python_guide(library, model, energy, path):
-    pieces = quadrature._pieces(path, 1e-10)
-    guide_outcome(model, energy, pieces, isinstance(path, TurningPointContour))
-
-
-@pytest.mark.parametrize(
-    "model,energy,path,cells",
-    [
-        # the ray 0.024 from another root of the escape test below
-        (Pendulum(g=0.6 + 0.8j), -0.753 - 0.989j, VerticalRay(-0.0121883258436098 - 0.6838652959389361j), 1944),
-        # a segment through a root, where w turns by 90 degrees at any density
-        (Harmonic(), 0.5, Segment(0.0, 1.7), quadrature._GUIDE_MAX_CELLS),
-    ],
-    ids=["ray-past-a-root", "segment-through-a-root"],
-)
-def test_refined_guides_agree(library, model, energy, path, cells):
-    assert guide_outcome(model, energy, quadrature._pieces(path, 1e-6), False)[1] == [[cells]]
-
-
-def test_a_loop_around_one_root_does_not_close_on_either_path(library):
-    r = math.sqrt(2.0)
-    pieces = quadrature._pieces(TurningPointContour(-r, 0.0, 0.5), 1e-10)
-    got = guide_outcome(Harmonic(), 1.0, pieces, True)
-    assert got == ("BranchInconsistency: branch guide does not close around the contour", [])
-
-
-def test_the_library_logs_its_guide_refinement(library, caplog):
-    # the caps of the fig6 libration pair at offset 2 refine to 24 cells
-    pieces = quadrature._pieces(TurningPointContour(-1j, 1j, 2.0), 1e-10)
-    with caplog.at_level(logging.DEBUG, logger="complexpendulum.quadrature"):
-        got, calls = assert_integral_matches_python(
-            lambda: quadrature._branch_integral(Pendulum(g=1.0), complex(-COSH1), pieces, True)
-        )
-    assert calls == ["computed"]
-    # logged by each run: the package's, the library integral's and the
-    # Python path's guide
-    assert [rec.getMessage() for rec in caplog.records] == 3 * [
-        "branch guide: piece 1 refined to 24 cells",
-        "branch guide: piece 3 refined to 24 cells",
-    ]
-
-
-# escape rays: (model, the real part of the turning points whose rays escape)
-ESCAPE_FAMILIES = {
-    "pendulum": (Pendulum(g=1.0), math.pi),
-    "pendulum-int-g": (Pendulum(g=2), -math.pi),
-    "pendulum-i": (Pendulum(g=1j), 1.5 * math.pi),
-    "driven-pendulum": (DrivenPendulum(g=0.5), math.pi),
-    "cubic-i": (ImaginaryCubic(), 0.0),
-}
-
-
-def real_form(model, x0, cutoff, direction):
-    """A call of ``escape_time_real_form`` from the root x0."""
-    return lambda: escape_time_real_form(model, model.potential(x0), x0, cutoff, direction=direction)
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(
-    # the harmonic rays from i y escape nowhere: V - E turns negative
-    st.sampled_from([*ESCAPE_FAMILIES.values(), (Harmonic(), 0.0)]),
-    st.floats(0.05, 3.0),
-    st.sampled_from([0.0, 0.0, 1e-3, -0.2]),
-    st.floats(0.5, 100.0),
-    st.sampled_from([None, 1, -1]),
-)
-def test_real_form_panels_match_python(library, family, height, shift, cutoff, direction):
-    model, re = family
-    _, calls = assert_integral_matches_python(real_form(model, complex(re + shift, height), cutoff, direction))
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("family", ESCAPE_FAMILIES.values(), ids=ESCAPE_FAMILIES.keys())
-def test_real_form_values_match_python(library, family):
-    model, re = family
-    for y in (0.3, 1.0, 2.5):
-        got, calls = assert_integral_matches_python(real_form(model, complex(re, y), 60.0, None))
-        assert got[0].startswith("0x") and calls == ["computed"]
-
-
-@pytest.mark.parametrize("tol", [1e-14, 1e-16])
-def test_real_form_tolerances_below_the_rounding_floor(library, tol):
-    """On a genuine escape ray, a tol this tight asks for a node so near
-    the root that V - E is lost in the rounding of V and E: both paths
-    raise ToleranceNotMet there, not DomainError."""
-    model = Pendulum(g=1.0)
-    got, calls = assert_integral_matches_python(lambda: escape_time_real_form(model, COSH1, math.pi + 1j, tol=tol))
-    assert got.startswith("ToleranceNotMet: V - E = ")
-    assert got.endswith(f"lost in the rounding of V and E: tol {tol:.3e} is below the integrand's rounding floor")
-    assert calls == ["handed_back"]
-    assert escape_time_real_form(model, COSH1, math.pi + 1j, tol=1e-12) == 1.97536443228845
-
-
-def test_real_form_domain_failures_are_handed_back(library):
-    # off the escape ray V - E is complex: Python raises DomainError
-    got, calls = assert_integral_matches_python(real_form(Pendulum(g=1.0), complex(math.pi + 0.2, 1.0), 60.0, None))
-    assert got.startswith("DomainError")
-    assert calls == ["handed_back"]
-
-
-def test_subclass_integrands_have_no_compiled_sums(library):
-    """A subclass of a built-in model runs on the Python path."""
-
-    class Subclass(ImaginaryCubic):
-        pass
-
-    pieces = quadrature._pieces(VerticalRay(1j), 1e-10)
-    assert _dopri5.integral(Subclass(), 1.0, pieces, quadrature._NODES, 4000) is None
-    assert _dopri5.integral(ImaginaryCubic(), 1.0, pieces, quadrature._NODES, 4000)[1] is None
-    assert escape_time(Subclass(), 1.0, 1j) == escape_time(ImaginaryCubic(), 1.0, 1j)
 
 
 def test_a_rebound_panel_sees_every_panel(library, monkeypatch):

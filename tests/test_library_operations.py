@@ -1,20 +1,23 @@
 """Turning points and quadrature as one library operation per call.
 
-For the pendulum kinds and the harmonic model, ``turning_points``,
-``refine_root``, ``escape_time``, ``escape_time_real_form`` and
-``contour_integral`` each make one call of the compiled library
-(``_dopri5.operation``).  These tests check, against the Python path,
-which stays the reference:
+For the built-in models, ``turning_points``, ``refine_root``,
+``escape_time``, ``escape_time_real_form`` and ``contour_integral`` each
+make one call of the compiled library (``_dopri5.operation``).  These
+tests check, against the Python path, which stays the reference:
 
 - the roots, their order and count, and every integral bit for bit,
   with g an int, a float or a complex with signed zeros, roots in other
-  2 pi cells, harmonic energies, windows with a root on an edge and
-  roots closer than the merge distance;
+  2 pi cells, harmonic and cubic energies, windows with a root on an
+  edge and roots closer than the merge distance;
+- the imaginary cubic's closed-form seeds, where the sign of a zero in
+  -iE picks the conjugate seed set;
 - that every typed error keeps its type and message, and the warning and
-  the debug log read as before, the library handing the call back;
+  the debug log read as before, the library handing the call back, also
+  from inside an integral: the panel budget, the resolution limit, a
+  node on a root and a loop whose guide does not close;
 - that a benchmark operation is one library call, and a ``turning`` one
-  evaluates no Python potential, while the imaginary cubic, which has no
-  compiled root search, makes no operation call;
+  evaluates no Python potential, and that each entry point on the
+  imaginary cubic is one library call;
 - that rebinding any of the functions the operations mirror, as the
   benchmark's tracer does, sends the whole call down the Python path.
 
@@ -142,23 +145,30 @@ field_strengths = st.one_of(
 
 @st.composite
 def models(draw):
-    kind = draw(st.sampled_from(["pendulum", "pendulum", "driven", "harmonic"]))
+    kind = draw(st.sampled_from(["pendulum", "pendulum", "driven", "harmonic", "cubic"]))
     if kind == "harmonic":
         return Harmonic()
+    if kind == "cubic":
+        return ImaginaryCubic()
     g = draw(field_strengths)
     return Pendulum(g=g) if kind == "pendulum" else DrivenPendulum(g=g)
 
 
 @st.composite
 def energies(draw, model):
-    """A complex energy; some next to a double root, where two roots lie
-    within the merge distance of each other."""
+    """A complex energy; some next to a double (or the cubic's triple)
+    root, where two roots lie within the merge distance of each other."""
     if draw(st.integers(0, 4)) == 0:
         tiny = draw(st.sampled_from([1e-20, -1e-20, 1e-19]))
         if isinstance(model, Harmonic):
             return complex(tiny, draw(st.sampled_from([0.0, -0.0, tiny])))
+        if isinstance(model, ImaginaryCubic):
+            return complex(draw(st.sampled_from([0.0, -0.0, tiny])), tiny * 1e-10)
         return -complex(model.g) * complex(1.0, tiny)
-    return complex(draw(st.floats(-3.0, 3.0)), draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))))
+    re = st.floats(-3.0, 3.0)
+    if isinstance(model, ImaginaryCubic):
+        re |= st.sampled_from([0.0, -0.0])  # -iE on the real axis
+    return complex(draw(re), draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))))
 
 
 @st.composite
@@ -195,35 +205,94 @@ def test_refine_root_matches_the_python_polish(model, data):
     on_both_paths(lambda: refine_root(model, energy, seed))
 
 
+# Energies that pin the cubic's seeds, -iE's cmath.log mirrored in the
+# library: on the imaginary axis -iE is real with a signed zero imaginary
+# part, so atan2 gives +pi or -pi and picks one of two conjugate seed sets
+# (-1j * E and E / 1j part on many of these); |E| inside [0.71, 1.73],
+# where c_log takes log1p (three of these polish to other roots from
+# log(hypot)'s seeds), and outside it; E = 0, whose one seed is 0j; and
+# real energies with each sign of a zero imaginary part.
+CUBIC_ENERGIES = [
+    complex(0.0, 4.582214023841306),
+    complex(-0.0, 4.582214023841306),
+    complex(0.0, -4.397975275541559),
+    complex(-0.0, -4.397975275541559),
+    complex(0.0, 1.2),
+    complex(0.0, -1.2),
+    complex(-0.0, -1.2),
+    complex(0.0, 1.0),
+    complex(0.0, -0.75),
+    complex(0.0, -0.3),
+    complex(0.0, 2.5),
+    complex(-0.033, 0.91),
+    complex(0.743, -0.03),
+    complex(0.433, -0.676),
+    complex(0.0, 0.0),
+    complex(-0.0, 0.0),
+    complex(0.0, -0.0),
+    complex(-0.0, -0.0),
+    complex(0.5, 0.0),
+    complex(0.5, -0.0),
+    complex(-0.5, 0.0),
+    complex(-1.2, -0.0),
+    complex(3.0, -0.0),
+]
+
+
+@pytest.mark.parametrize("energy", CUBIC_ENERGIES, ids=repr)
+def test_cubic_roots_follow_the_sign_of_a_zero(energy):
+    model = ImaginaryCubic()
+    calls = [
+        (lambda: turning_points(model, energy, (-3.0, 3.0, -3.0, 3.0)), _dopri5.OP_TURNING),
+        (lambda: refine_root(model, energy, 1.0 - 0.5j), _dopri5.OP_REFINE),
+    ]
+    for call, op in calls:
+        _, made = on_both_paths(call)
+        assert made == [(op, True)]
+
+
+@pytest.mark.parametrize("energy", [complex(0.0, 1e-320), complex(0.0, 5e307)], ids=["subnormal", "huge"])
+def test_a_cubic_energy_cmath_log_rescales_is_handed_back(energy):
+    # -iE with both parts below DBL_MIN, or one above DBL_MAX / 4
+    _, made = on_both_paths(lambda: turning_points(ImaginaryCubic(), energy, (-3.0, 3.0, -3.0, 3.0)))
+    assert made == [(_dopri5.OP_TURNING, False)]
+
+
 def escape_family(model, c):
-    """(energy, root) whose upward vertical ray is a genuine escape ray, a
-    real one of the real-form integrand: V = |g| cosh y along Re x = pi
-    (g > 0) or 0 (g < 0) for real g, V = |g| sinh y along Re x = 3 pi/2
-    or pi/2 for imaginary g; None for other g."""
+    """(energy, [root, another root]) where the first root's upward
+    vertical ray is a genuine escape ray, a real one of the real-form
+    integrand: V = |g| cosh y along Re x = pi (g > 0) or 0 (g < 0) for
+    real g, V = |g| sinh y along Re x = 3 pi/2 or pi/2 for imaginary g,
+    V = y^3 along Re x = 0 for the cubic; None for other models."""
+    if isinstance(model, ImaginaryCubic):
+        return c**3, [complex(0.0, c), c * cmath.exp(-1j * PI / 6.0)]
+    if not isinstance(model, Pendulum):
+        return None
     g = complex(model.g)
     if g.imag == 0.0:
-        return abs(g.real) * math.cosh(c), complex(PI if g.real > 0.0 else 0.0, c)
-    if g.real == 0.0:
-        return abs(g.imag) * math.sinh(c), complex(1.5 * PI if g.imag > 0.0 else 0.5 * PI, c)
-    return None
+        energy, root = abs(g.real) * math.cosh(c), complex(PI if g.real > 0.0 else 0.0, c)
+    elif g.real == 0.0:
+        energy, root = abs(g.imag) * math.sinh(c), complex(1.5 * PI if g.imag > 0.0 else 0.5 * PI, c)
+    else:
+        return None
+    return energy, [root, root.conjugate()]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(models(), st.data())
 def test_integrals_match_the_python_path(model, data):
-    # a root of the escape family two times in three, or else roots of a
+    # roots of the escape family two times in three, or else roots of a
     # window around the origin;
     # on the pendulum, moved to another cell of the lattice one time in three
-    family = escape_family(model, data.draw(st.floats(0.3, 2.0))) if isinstance(model, Pendulum) else None
+    family = escape_family(model, data.draw(st.floats(0.3, 2.0)))
     if family is not None and data.draw(st.integers(0, 2)) > 0:
-        energy, root = family
-        roots = [root, root.conjugate()]
+        energy, (first, second) = family
     else:
         energy = data.draw(energies(model))
         roots = [tp.x0 for tp in turning_points(model, energy, (-8.0, 8.0, -3.0, 3.0))]
-    if len(roots) < 2:
-        roots += [complex(data.draw(st.floats(-3.0, 3.0)), 1.0)] * 2
-    first, second = roots[:2] if family is not None and roots[0] == family[1] else data.draw(st.permutations(roots))[:2]
+        if len(roots) < 2:
+            roots += [complex(data.draw(st.floats(-3.0, 3.0)), 1.0)] * 2
+        first, second = data.draw(st.permutations(roots))[:2]
     if isinstance(model, Pendulum) and data.draw(st.integers(0, 2)) == 0:
         k = data.draw(st.integers(-200, 200))
         first, second = first + 2.0 * PI * k, second + 2.0 * PI * k
@@ -246,43 +315,102 @@ def residue_pair():
     return [tp.x0 for tp in turning_points(Pendulum(g=1.0), 0.5 + 0.5j, (-2.5, 2.5, -2.0, 2.0))][:2]
 
 
+def ray_past_a_root():
+    """A ray that passes 0.024 from another root: the guide refines to
+    1944 cells, and the integral keeps an imaginary residue."""
+    model, energy = Pendulum(g=0.6 + 0.8j), -0.753 - 0.989j
+    roots = turning_points(model, energy, (-1.0, 1.0, -1.0, 1.0))
+    root = min(roots, key=lambda tp: abs(tp.x0 - (-0.01219 - 0.68387j)))
+    return escape_time(model, energy, root, direction=1)
+
+
+# 2^-32 below the harmonic root 1 at E = 1/2: a root by the check's
+# 1e-8, whose ray up passes through the root itself, 1e-9 or less from
+# its start, where the clearance does not look
+BELOW_ONE = 1.0 - 2.0**-32 * 1j
+# the cubic's roots at E = 1, e^(-5i pi/6) and e^(-i pi/6)
+CUBIC_PAIR = (cmath.exp(-5j * PI / 6.0), cmath.exp(-1j * PI / 6.0))
+
 # calls that end in each typed error: (call, error type, a piece of its
-# message, the library operation that hands the call back)
+# message, the library operation made and whether the library ran it);
+# the library hands back each call on which Python raises, but runs those
+# that Python rejects only once it has the integral
 ERRORS = [
-    (lambda: escape_time(Pendulum(g=1.0), COSH1, PI + 1.1j), ValueError, "not a turning point", _dopri5.OP_ESCAPE),
+    (lambda: escape_time(Pendulum(g=1.0), COSH1, PI + 1.1j), ValueError, "not a turning point",
+     (_dopri5.OP_ESCAPE, False)),
     (lambda: escape_time_real_form(Pendulum(g=1.0), COSH1, 1.0 + 1j), ValueError, "not a turning point",
-     _dopri5.OP_REAL_FORM),
+     (_dopri5.OP_REAL_FORM, False)),
     (lambda: period_contour(Pendulum(g=1.0), 0.3, (0.0, PI / 2)), ValueError, "not a turning point",
-     _dopri5.OP_CONTOUR),
+     (_dopri5.OP_CONTOUR, False)),
+    (lambda: escape_time(ImaginaryCubic(), 1.0, 1.1j), ValueError, "not a turning point", (_dopri5.OP_ESCAPE, False)),
     (lambda: escape_time(Pendulum(g=1.0), COSH1, PI - 1j, direction=1), PathThroughSingularity, "escape ray",
-     _dopri5.OP_ESCAPE),
+     (_dopri5.OP_ESCAPE, False)),
     (lambda: period_contour(Pendulum(g=1.0), COSH1, (PI - 1j, PI + 1j), 6.5), PathThroughSingularity,
-     "period contour", _dopri5.OP_CONTOUR),
+     "period contour", (_dopri5.OP_CONTOUR, False)),
+    (lambda: period_contour(ImaginaryCubic(), 1.0, CUBIC_PAIR, 1.6), PathThroughSingularity, "period contour",
+     (_dopri5.OP_CONTOUR, False)),
     (lambda: period_contour(Pendulum(g=1.0), 0.5 + 0.5j, residue_pair()), BranchInconsistency, "imaginary residue",
-     None),
-    (lambda: escape_time(Pendulum(g=1j), 1j, PI + 0j), DomainError, "degenerate", _dopri5.OP_ESCAPE),
-    (lambda: escape_time_real_form(Harmonic(), 0.5, 1.0), DomainError, "not an escape ray", _dopri5.OP_REAL_FORM),
+     (_dopri5.OP_CONTOUR, True)),
+    (ray_past_a_root, BranchInconsistency, "imaginary residue -7.918e-01", (_dopri5.OP_ESCAPE, True)),
+    # a loop around one root: the other end is no branch point, but a root
+    # by the check, 1e-9 from V = E
+    (lambda: contour_integral(Harmonic(), 1e-9, (0j, math.sqrt(2e-9)), 1e-5), BranchInconsistency,
+     "does not close", (_dopri5.OP_CONTOUR, False)),
+    (lambda: contour_integral(ImaginaryCubic(), 1e-9, (0j, 1e-3j), 1e-4), BranchInconsistency, "does not close",
+     (_dopri5.OP_CONTOUR, False)),
+    (lambda: escape_time(Pendulum(g=1j), 1j, PI + 0j), DomainError, "degenerate", (_dopri5.OP_ESCAPE, False)),
+    (lambda: escape_time_real_form(Harmonic(), 0.5, 1.0), DomainError, "not an escape ray",
+     (_dopri5.OP_REAL_FORM, False)),
+    # off the escape ray V - E is complex
+    (lambda: escape_time_real_form(Pendulum(g=1.0), cmath.cos(0.2 + 1j), PI + 0.2 + 1j), DomainError, "not real",
+     (_dopri5.OP_REAL_FORM, False)),
     (lambda: escape_time(Pendulum(g=1.0), COSH1, PI + 1j, tol=1e-300), ToleranceNotMet, "after 4000 panels",
-     _dopri5.OP_ESCAPE),
+     (_dopri5.OP_ESCAPE, False)),
     (lambda: escape_time_real_form(Pendulum(g=1.0), COSH1, PI + 1j, tol=1e-300), ToleranceNotMet, "rounding floor",
-     _dopri5.OP_REAL_FORM),
+     (_dopri5.OP_REAL_FORM, False)),
+    # a node so near the root that V - E is lost in the rounding of V and E
+    (lambda: escape_time_real_form(Pendulum(g=1.0), COSH1, PI + 1j, tol=1e-14), ToleranceNotMet, "rounding floor",
+     (_dopri5.OP_REAL_FORM, False)),
+    (lambda: escape_time_real_form(Pendulum(g=1.0), COSH1, PI + 1j, tol=1e-16), ToleranceNotMet, "rounding floor",
+     (_dopri5.OP_REAL_FORM, False)),
     (lambda: contour_integral(Pendulum(g=1.0), -COSH1, (-1j, 1j), 2.0, tol=1e-300), ToleranceNotMet,
-     "after 4000 panels", _dopri5.OP_CONTOUR),
-    (lambda: refine_root(Harmonic(), 1.0, 0j), turning.NonConvergence, "derivative vanished", _dopri5.OP_REFINE),
+     "after 4000 panels", (_dopri5.OP_CONTOUR, False)),
+    (lambda: contour_integral(ImaginaryCubic(), 1.0, CUBIC_PAIR, tol=1e-300), ToleranceNotMet, "after 4000 panels",
+     (_dopri5.OP_CONTOUR, False)),
+    # the root 1 on the ray: an inverse square root singularity at u = 2^-16
+    (lambda: escape_time(Harmonic(), 0.5, BELOW_ONE, direction=1), ToleranceNotMet, "at resolution limit",
+     (_dopri5.OP_ESCAPE, False)),
+    # the midpoint of the first guide cell, u = 2^-16, is the root 1: Python
+    # divides by a zero root
+    (lambda: escape_time(Harmonic(), 0.5, BELOW_ONE, 2.0**-24, direction=1), ZeroDivisionError, "division by zero",
+     (_dopri5.OP_ESCAPE, False)),
+    # nodes past |Im x| = 710.5, where cmath.cos overflows
+    (lambda: escape_time(Pendulum(g=1j), SINH1, 0.5 * PI - 1j, 720.0), OverflowError, "math range error",
+     (_dopri5.OP_ESCAPE, False)),
+    (lambda: refine_root(Harmonic(), 1.0, 0j), turning.NonConvergence, "derivative vanished",
+     (_dopri5.OP_REFINE, False)),
+    (lambda: refine_root(ImaginaryCubic(), 1.0, 0j), turning.NonConvergence, "derivative vanished",
+     (_dopri5.OP_REFINE, False)),
     (lambda: turning_points(Pendulum(g=1.0), 1.0, (-1e12, 1e12, -2.0, 2.0)), ValueError, "window needs",
-     _dopri5.OP_TURNING),
+     (_dopri5.OP_TURNING, False)),
 ]
 
 
-@pytest.mark.parametrize("call,error,message,operation", ERRORS)
-def test_each_error_keeps_its_type_and_message(call, error, message, operation):
-    """The library hands each of these back, and Python raises; a period
-    whose integral keeps an imaginary residue is computed by the library
-    and rejected in Python, as on the Python path."""
+@pytest.mark.parametrize("call,error,message,made_by", ERRORS)
+def test_each_error_keeps_its_type_and_message(call, error, message, made_by):
+    """The library hands each of these back, and Python raises; an escape
+    time or a period whose integral keeps an imaginary residue is computed
+    by the library and rejected in Python, as on the Python path."""
     ((name, text), _), made = on_both_paths(call)
     assert name == error.__name__ and message in text
-    if operation is not None:
-        assert (operation, False) in made
+    assert made_by in made
+
+
+def test_a_ray_past_the_cosh_switch_is_handed_back():
+    # nodes past |Im x| = 708.4, where cmath.cos takes its other formula
+    (value, _), made = on_both_paths(lambda: escape_time(Pendulum(g=1.0), COSH1, PI + 1j, 709.5))
+    assert value == (1.9753644322888315).hex()
+    assert made[0] == (_dopri5.OP_ESCAPE, False)
 
 
 def test_the_unconverged_seed_warning_reads_as_before(monkeypatch):
@@ -302,6 +430,15 @@ def test_the_guide_refinement_is_logged_by_the_library_operation():
         "branch guide: piece 1 refined to 24 cells",
         "branch guide: piece 3 refined to 24 cells",
     ]
+    assert made == [(_dopri5.OP_CONTOUR, True)]
+
+
+def test_a_guide_refined_to_its_ceiling_is_used_as_it_stands():
+    # the stadium's upper edge passes 1e-4 below the cubic's third root i
+    call = lambda: contour_integral(ImaginaryCubic(), 1.0, CUBIC_PAIR, 1.5 - 1e-4)
+    (value, lines), made = on_both_paths(call)
+    assert value == ((3.4346306845088206).hex(), (5.551115123125783e-17).hex())
+    assert [line[2] for line in lines] == [f"branch guide: piece 2 refined to {quadrature._GUIDE_MAX_CELLS} cells"]
     assert made == [(_dopri5.OP_CONTOUR, True)]
 
 
@@ -353,25 +490,36 @@ def test_each_benchmark_operation_is_one_library_call(monkeypatch, kind, call):
 
 def cubic_calls():
     """A call of each entry point on the imaginary cubic, whose roots
-    x^3 = -i E lie at i, e^(-i pi/6) and e^(-5i pi/6) for E = 1, with the
-    library calls it makes: one ``quad_integral`` per integral."""
+    x^3 = -i E lie at i, e^(-i pi/6) and e^(-5i pi/6) for E = 1."""
     model, root = ImaginaryCubic(), cmath.exp(-1j * PI / 6.0)
-    yield lambda: turning_points(model, 1.0, (-2.0, 2.0, -2.0, 2.0)), []
-    yield lambda: refine_root(model, 1.0, 0.9 - 0.4j), []
-    yield lambda: escape_time(model, 1.0, root), ["quad_integral"]
-    yield lambda: escape_time_real_form(model, 1.0, 1j), ["quad_integral"]
-    yield lambda: contour_integral(model, 1.0, (root, -root.conjugate())), ["quad_integral"]
+    yield lambda: turning_points(model, 1.0, (-2.0, 2.0, -2.0, 2.0))
+    yield lambda: refine_root(model, 1.0, 0.9 - 0.4j)
+    yield lambda: escape_time(model, 1.0, 1j)
+    yield lambda: escape_time_real_form(model, 1.0, 1j)
+    yield lambda: contour_integral(model, 1.0, (root, -root.conjugate()))
 
 
-@pytest.mark.parametrize("call,calls", list(cubic_calls()))
-def test_the_imaginary_cubic_makes_no_operation_call(monkeypatch, call, calls):
-    """The cubic has no compiled root search: each entry point runs in
-    Python, its integrals through ``quad_integral``, as the Python path
-    computes them."""
+@pytest.mark.parametrize("call", list(cubic_calls()))
+def test_each_cubic_entry_point_is_one_library_call(monkeypatch, call):
+    """The library runs each entry point on the cubic whole, in one
+    ``quad_op`` call that evaluates no Python potential, as the Python
+    path computes it."""
     library = CountingLibrary(_dopri5._library())
+    potentials = []
+    potential = ImaginaryCubic.potential
+
+    def counted(self, x):
+        potentials.append(x)
+        return potential(self, x)
+
     monkeypatch.setattr(_dopri5, "_library", lambda: library)
-    on_both_paths(call)
-    assert library.calls == calls
+    monkeypatch.setattr(ImaginaryCubic, "potential", counted)
+    with operations() as made:
+        fast = outcome(call)
+    assert library.calls == ["quad_op"] and potentials == []
+    assert len(made) == 1 and made[0][1]
+    with python_path():
+        assert outcome(call) == fast
 
 
 @pytest.mark.parametrize(

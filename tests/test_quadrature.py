@@ -377,6 +377,50 @@ class TestBranchGuide:
             "branch guide: piece 3 refined to 24 cells",
         ]
 
+    def test_an_empty_path_integrates_to_zero(self):
+        # a segment of zero length has no pieces
+        empty = Segment(1 + 1j, 1 + 1j, True, True)
+        assert quadrature._branch_integral(Pendulum(g=1.0), COSH1, quadrature._pieces(empty, 1e-10), False) == 0j
+        assert path_integral(lambda z: 1.0, empty) == 0j
+
+    def test_the_rotation_period_over_a_segment(self):
+        # omega_rot of the pendulum at E = cosh 1: dz / w over one period
+        # 0 -> 2 pi of the real axis
+        pieces = quadrature._pieces(Segment(0.0, 2.0 * PI), 1e-10)
+        got = quadrature._branch_integral(Pendulum(g=1.0), COSH1 + 0j, pieces, False)
+        assert (got.real.hex(), got.imag.hex()) == ((3.9507288645777314).hex(), (0.0).hex())
+
+    def test_a_segment_through_a_root_refines_to_the_ceiling(self):
+        # w turns by 90 degrees at the root at any density
+        pieces = quadrature._pieces(Segment(0.0, 1.7), 1e-6)
+        assert quadrature._guide(Harmonic(), 0.5 + 0j, pieces, False)[1] == [quadrature._GUIDE_MAX_CELLS]
+
+    def test_sign_choice_ties_keep_the_root(self):
+        """On the real axis the harmonic root w = sqrt(1 - x^2) at E = 1/2 is
+        real before x = 1 and imaginary past it, so a node past the root in a
+        guide cell whose entry lies before it is an exact tie,
+        |-r - ref| == |r - ref|, where no root is turned.  The reference
+        integrand counts the ties."""
+        model, energy = Harmonic(), 0.5 + 0j
+        pieces = quadrature._pieces(Segment(0.0, 1.7), 1e-6)
+        [(piece, s0, s1, tol)] = pieces
+        guide, [cells] = quadrature._guide(model, energy, pieces, False)
+        z, dz = quadrature._curve(piece)
+        h, ties = (s1 - s0) / cells, []
+
+        def f(s):
+            r = cmath.sqrt(2.0 * (energy - model.potential(z(s))))
+            ref = guide[int((s - s0) / h)]
+            ties.append(abs(-r - ref) == abs(r - ref))
+            if abs(-r - ref) < abs(r - ref):
+                r = -r
+            return 1.0 / r * dz(s)
+
+        want = adaptive_quad(f, s0, s1, tol)
+        assert sum(ties) > 100
+        got = quadrature._branch_integral(model, energy, pieces, False)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     def test_raw_sign_is_seeded_at_the_loop_start(self):
         # the sign of the raw integral is that of the principal root at
         # the start of the loop, below the left root; periods take abs

@@ -7,8 +7,8 @@ runtime preloaded:
 - the 14 bundled scenarios through ``run_scenario``, each output file
   checked against ``test_golden_outputs.GOLDEN``, which runs every entry
   point: ``dopri5_steps``, ``dopri5_advance``, ``energy_rows`` (with and
-  without the scale column), ``csv_rows``, ``quad_integral`` and
-  ``quad_op``, each reading the model record;
+  without the scale column), ``csv_rows`` and ``quad_op``, each reading
+  the model record;
 - ``csv_rows`` writing each of ``test_csv_writer.longest_rows()`` into
   an allocation of exactly one row's 512 bytes, so that a fixed-width
   copy of the digits reaching past the row fails;
@@ -18,11 +18,13 @@ runtime preloaded:
   allocations its success path makes, and a pendulum window at the
   seed budget ``_MAX_SEEDS``, whose roots outgrow the reused result
   buffer, with the window just past it;
-- an integral that spends its whole panel budget and one that stops at
-  the resolution limit, which ``quad_integral``'s heap of panels serves,
-  an integral whose branch guide the library refines to its ceiling,
-  growing the guide's buffers cell count by cell count, and a loop whose
-  guide does not close;
+- operations that integrate before they hand back: an escape time that
+  spends its whole panel budget and one that stops at the resolution
+  limit, both on the operation's heap of panels, and a loop whose guide
+  does not close; and a period whose branch guide the library refines
+  to its ceiling, growing the guide's buffers cell count by cell count;
+- the imaginary cubic's ``turning_points``, ``escape_time`` and
+  ``contour_integral``, each one ``quad_op`` call the library runs;
 - three runs of ``test_dopri5`` that leave the kernel's plain path: the
   run the kernel hands back at cmath.sinh's switch, whose ``State``
   record Python reads back from its numpy buffer, a landing run the
@@ -49,11 +51,11 @@ from complexpendulum import _dopri5
 TESTS = Path(__file__).resolve().parent
 
 REPLAY = """
-import hashlib, math, sys
+import cmath, hashlib, math, sys
 from pathlib import Path
 
 sys.path.insert(0, sys.argv[2])
-from complexpendulum import Harmonic, Pendulum, Segment, TurningPointContour, VerticalRay, _dopri5, escape_time, quadrature
+from complexpendulum import Harmonic, ImaginaryCubic, Pendulum, _dopri5, contour_integral, escape_time, quadrature
 from complexpendulum import escape_time_real_form, period_contour, refine_root, turning, turning_points
 from complexpendulum.cli import run_scenario
 
@@ -91,13 +93,15 @@ for corpus in (test_quadrature_corpus, test_turning_corpus):
     finally:
         _dopri5.model_params = params
 
-made = []
+made, cells = [], []
 operation = _dopri5.operation
 
 
 def operation_spy(model, call, nodes=None):
     result = operation(model, call, nodes)
     made.append((call[0], result is not None))
+    if result is not None and call[0] == _dopri5.OP_CONTOUR:
+        cells.append(result[2:])
     return result
 
 
@@ -109,6 +113,10 @@ handed_back = [
     (lambda: escape_time(Pendulum(g=1.0), math.cosh(1.0), math.pi + 1j, tol=1e-300), quadrature.ToleranceNotMet),
     (lambda: period_contour(Pendulum(g=1.0), math.cosh(1.0), (math.pi - 1j, math.pi + 1j), 6.5),
      quadrature.PathThroughSingularity),
+    # the root 1 on the ray, 2^-32 above its start
+    (lambda: escape_time(Harmonic(), 0.5, 1.0 - 2.0**-32 * 1j, direction=1), quadrature.ToleranceNotMet),
+    # a loop around one root
+    (lambda: contour_integral(Harmonic(), 1e-9, (0j, math.sqrt(2e-9)), 1e-5), quadrature.BranchInconsistency),
 ]
 for call, error in handed_back:
     try:
@@ -121,36 +129,18 @@ assert {op for op, ok in made if not ok} == set(range(5)), made
 made.clear()
 assert len(turning_points(Pendulum(g=1.0), 0.3, (-31401.0, 31401.0, -2.0, 2.0))) == 19990
 assert made == [(_dopri5.OP_TURNING, True)], made
+
+made.clear()
+pair = (cmath.exp(-5j * math.pi / 6.0), cmath.exp(-1j * math.pi / 6.0))
+assert len(turning_points(ImaginaryCubic(), 1.0, (-2.0, 2.0, -2.0, 2.0))) == 3
+escape_time(ImaginaryCubic(), 1.0, 1j)
+contour_integral(ImaginaryCubic(), 1.0, pair)
+# the stadium's upper edge 1e-4 below the third root
+contour_integral(ImaginaryCubic(), 1.0, pair, 1.5 - 1e-4)
+ops = (_dopri5.OP_TURNING, _dopri5.OP_ESCAPE, _dopri5.OP_CONTOUR, _dopri5.OP_CONTOUR)
+assert made == [(op, True) for op in ops], made
+assert cells[-1] == [8, 8, quadrature._GUIDE_MAX_CELLS, 8], cells
 _dopri5.operation = operation
-
-seen = []
-integral = _dopri5.integral
-
-
-def spy(*args):
-    result = integral(*args)
-    seen.append(result and (result[1] and result[1][0], result[2]))
-    return result
-
-
-_dopri5.integral = spy
-try:
-    escape_time(Pendulum(g=1.0), math.cosh(1.0), math.pi + 1j, tol=1e-300)
-except quadrature.ToleranceNotMet:
-    pass
-pieces = quadrature._pieces(VerticalRay(-2j, 1, 9.0), 1e-10)
-try:
-    quadrature._branch_integral(Harmonic(), 0j, pieces, False)
-except quadrature.ToleranceNotMet:
-    pass
-quadrature._branch_integral(Harmonic(), 0.5 + 0j, quadrature._pieces(Segment(0.0, 1.7), 1e-6), False)
-loop = quadrature._pieces(TurningPointContour(-math.sqrt(2.0), 0.0), 1e-10)
-try:
-    quadrature._branch_integral(Harmonic(), 1 + 0j, loop, True)
-except quadrature.BranchInconsistency:
-    pass
-ceiling = quadrature._GUIDE_MAX_CELLS
-assert seen == [("budget", [8]), ("resolution", [8]), (None, [ceiling]), ("unclosed", [0] * 4)], seen
 
 import test_dopri5
 
