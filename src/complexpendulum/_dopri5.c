@@ -22,9 +22,10 @@
  * taken: the run stops with DOPRI5_HAND_BACK and the state at the start
  * of that step, which the Python loop then redoes.
  *
- * dopri5_advance runs one whole landing run of event polishing,
- * integrator._advance, from _initial_step on; a run it cannot finish as
- * Python would is redone whole in Python.
+ * dopri5_steps is the one stepping entry point.  It starts a run itself,
+ * the field and _initial_step at its start included, and a call without
+ * row buffers runs to the run's end keeping no rows: one landing run of
+ * event polishing, integrator._advance, whose only stop is t_end.
  *
  * energy_rows computes Trajectory's energy columns, H and (where asked)
  * energy_drift's local scale, the same way, each row's V(x) a local, and
@@ -48,9 +49,9 @@
  * _dopri5.model_params, and quad_op builds each path piece of its ray
  * and stadium as its one description in quadrature._pieces (see piece_at
  * and escape_op).  Every record the library reads (Model, Run, the
- * stops, the polish record and quad_op's call record after its Model in
- * one) arrives const, packed by _dopri5.py, and it writes only into numpy
- * arrays the caller owns: State, the row buffers, xp and out.
+ * stops and quad_op's call record after its Model in one) arrives const,
+ * packed by _dopri5.py, and it writes only into numpy arrays the caller
+ * owns: State, the row buffers and out.
  */
 #include <float.h>
 #include <math.h>
@@ -87,7 +88,8 @@ typedef struct {
 
 /* The loop's state between calls, one numpy record (_dopri5._STATE): the
  * current point and dp/dt there (dx/dt is p itself), the controller's
- * memory and the index of the next stop. */
+ * memory and the index of the next stop.  h_mag == 0 marks a run not yet
+ * started, whose kp and facold the kernel sets. */
 typedef struct {
     double t;
     cplx x, p, kp;
@@ -199,12 +201,74 @@ static inline double ratio(const Run *run, double e, double old, double new)
     return e / (run->abs_tol + run->rel_tol * (b > a ? b : a));
 }
 
+static inline cplx sub(cplx a, cplx b)
+{
+    cplx r = {a.re - b.re, a.im - b.im};
+    return r;
+}
+
+/* integrator._scaled_norm: sqrt(0.25 * sum of (v / sc) ** 2), each square
+ * as float_pow takes it, pow(|v / sc|, 2.0); 0 for a non-finite term or
+ * result, and where ** would raise OverflowError */
+static int scaled_norm(const Run *run, cplx x, cplx p, cplx xref, cplx pref, double *norm)
+{
+    const double v[4] = {x.re, x.im, p.re, p.im}, w[4] = {xref.re, xref.im, pref.re, pref.im};
+    volatile double two = 2.0;  /* see energy_rows */
+    double s = 0.0;
+    for (int k = 0; k < 4; k++) {
+        double q = fabs(v[k] / (run->abs_tol + run->rel_tol * fabs(w[k])));
+        if (!isfinite(q))
+            return 0;
+        double square = pow(q, two);
+        if (isinf(square))
+            return 0;
+        s += square;
+    }
+    *norm = sqrt(0.25 * s);
+    return isfinite(*norm);
+}
+
+/* integrator._initial_step from (t, x, p) with field (p, k1p) there; 0
+ * where Python returns 0 or raises, or a value is not finite */
+static double initial_step(const Model *model, const Run *run, double t, cplx x, cplx p, cplx k1p)
+{
+    const double dir = run->direction;
+    volatile double fifth = 0.2;
+    double d0, d1, d2, h1;
+    cplx k2p;
+    if (!scaled_norm(run, x, p, x, p, &d0) || !scaled_norm(run, p, k1p, x, p, &d1))
+        return 0.0;
+    double h0 = d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1;
+    h0 = run->max_step < h0 ? run->max_step : h0;
+    cplx xe = add(x, scale(h0 * dir, p));
+    cplx pe = add(p, scale(h0 * dir, k1p));
+    /* the field there is (pe, k2p); Python returns 0 where h0 == 0 */
+    if (h0 == 0.0 || !force(model, t + h0 * dir, xe, &k2p) ||
+        !scaled_norm(run, sub(pe, p), sub(k2p, k1p), x, p, &d2))
+        return 0.0;
+    d2 = d2 / h0;
+    double dm = d2 > d1 ? d2 : d1;
+    if (dm <= 1e-15)
+        h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
+    else
+        h1 = pow(0.01 / dm, fifth);
+    double h = 100.0 * h0;
+    h = h1 < h ? h1 : h;
+    h = run->max_step < h ? run->max_step : h;
+    return isfinite(h) ? h : 0.0;
+}
+
 /* Steps from st, landing on each of the stops (the last is run->t_end),
  * until the run stops or cap rows are written.  Row n holds
  * the accepted state: t in ts[n], x in zs[n] and p in zs[cap + n].  The
  * field there stays in st for the next step.  Each stage's x-slope is that
- * stage's p, so the Python loop's k1x and k7x are p and p1 here.  Returns
- * the number of rows; the reason for returning is left in st->status. */
+ * stage's p, so the Python loop's k1x and k7x are p and p1 here.  A st
+ * with h_mag == 0 starts the run: the field, _initial_step and facold at
+ * its start, as _dopri sets them, or a hand-back with h_mag still 0 where
+ * they cannot be mirrored.  With ts NULL the call keeps no rows and runs
+ * on to the run's end, and with stops NULL its only stop is t_end.
+ * Returns the number of rows; the reason for returning is left in
+ * st->status. */
 int dopri5_steps(const Model *model, const Run *run, const double *stops, State *st, double *ts, cplx *zs, int cap)
 {
     const double dir = run->direction;
@@ -212,8 +276,18 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
     double t = st->t;
     int n = 0;
 
+    if (stops == NULL)
+        stops = &run->t_end;
+    if (st->h_mag == 0.0) {
+        if (!force(model, t, x, &k1p))
+            goto hand_back;
+        st->h_mag = initial_step(model, run, t, x, p, k1p);
+        if (st->h_mag == 0.0)
+            goto hand_back;
+        st->facold = 1e-4;
+    }
     while ((run->t_end - t) * dir > 0.0) {
-        if (n == cap) {
+        if (ts != NULL && n == cap) {
             st->status = DOPRI5_FULL;
             goto out;
         }
@@ -300,10 +374,12 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
         x = x1;
         p = p1;
         k1p = k7p;
-        ts[n] = t;
-        zs[n] = x;
-        zs[cap + n] = p;
-        n++;
+        if (ts != NULL) {
+            ts[n] = t;
+            zs[n] = x;
+            zs[cap + n] = p;
+            n++;
+        }
         st->accepted += 1.0;
 
         /* _next_h, then facold = max(err, 1e-4) */
@@ -332,97 +408,6 @@ out:
     st->p = p;
     st->kp = k1p;
     return n;
-}
-
-static inline cplx sub(cplx a, cplx b)
-{
-    cplx r = {a.re - b.re, a.im - b.im};
-    return r;
-}
-
-/* integrator._scaled_norm: sqrt(0.25 * sum of (v / sc) ** 2), each square
- * as float_pow takes it, pow(|v / sc|, 2.0); 0 for a non-finite term or
- * result, and where ** would raise OverflowError */
-static int scaled_norm(const Run *run, cplx x, cplx p, cplx xref, cplx pref, double *norm)
-{
-    const double v[4] = {x.re, x.im, p.re, p.im}, w[4] = {xref.re, xref.im, pref.re, pref.im};
-    volatile double two = 2.0;  /* see energy_rows */
-    double s = 0.0;
-    for (int k = 0; k < 4; k++) {
-        double q = fabs(v[k] / (run->abs_tol + run->rel_tol * fabs(w[k])));
-        if (!isfinite(q))
-            return 0;
-        double square = pow(q, two);
-        if (isinf(square))
-            return 0;
-        s += square;
-    }
-    *norm = sqrt(0.25 * s);
-    return isfinite(*norm);
-}
-
-/* integrator._initial_step from (t, x, p) with field (p, k1p) there;
- * 0 where Python would raise or a value is not finite */
-static int initial_step(const Model *model, const Run *run, double t, cplx x, cplx p, cplx k1p, double *h_mag)
-{
-    const double dir = run->direction;
-    volatile double fifth = 0.2;
-    double d0, d1, d2, h1;
-    cplx k2p;
-    if (!scaled_norm(run, x, p, x, p, &d0) || !scaled_norm(run, p, k1p, x, p, &d1))
-        return 0;
-    double h0 = d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1;
-    h0 = run->max_step < h0 ? run->max_step : h0;
-    cplx xe = add(x, scale(h0 * dir, p));
-    cplx pe = add(p, scale(h0 * dir, k1p));
-    /* the field there is (pe, k2p); h0 == 0 divides by zero in Python */
-    if (h0 == 0.0 || !force(model, t + h0 * dir, xe, &k2p) ||
-        !scaled_norm(run, sub(pe, p), sub(k2p, k1p), x, p, &d2))
-        return 0;
-    d2 = d2 / h0;
-    double dm = d2 > d1 ? d2 : d1;
-    if (dm <= 1e-15)
-        h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
-    else
-        h1 = pow(0.01 / dm, fifth);
-    double h = 100.0 * h0;
-    h = h1 < h ? h1 : h;
-    *h_mag = run->max_step < h ? run->max_step : h;
-    return isfinite(*h_mag);
-}
-
-/* integrator._advance in one call: the event-free run from (t, x, p),
- * given in xp[0..1], landing exactly on t_target, from _initial_step to
- * the landing, with max_steps unbounded.  On success, xp[0..2] holds the
- * landed x and p and dp/dt there, and 1 is returned.  It returns 0, and
- * Python redoes the whole call, where the run cannot be mirrored: a step
- * handed back, a non-finite value, a ** that would raise, or a run that
- * does not land (Python raises there). */
-int dopri5_advance(const Model *model, double t, double t_target, const double polish[4], cplx xp[3])
-{
-    const double dir = t_target > t ? 1.0 : -1.0;
-    const Run run = {t_target, dir, polish[0], polish[1], polish[2], polish[3], INFINITY};
-    const cplx x = xp[0], p = xp[1];
-    cplx kp;
-    enum { ROWS = 64 };  /* the rows are not read: st holds the last one */
-    double h_mag, ts[ROWS];
-    cplx zs[2 * ROWS];
-    if (!force(model, t, x, &kp) || !initial_step(model, &run, t, x, p, kp, &h_mag))
-        return 0;
-    State st = {t, x, p, kp, h_mag, 1e-4, 0.0, 0, DOPRI5_FULL};
-    do
-        dopri5_steps(model, &run, &t_target, &st, ts, zs, ROWS);
-    while (st.status == DOPRI5_FULL);
-    if (st.status != DOPRI5_HORIZON || st.t != t_target)
-        return 0;
-    /* the last step's k7 is the field at t + h, which only a driven
-     * model tells from the field at t_target */
-    if (model->kind == DRIVEN_PENDULUM && !force(model, t_target, st.x, &st.kp))
-        return 0;
-    xp[0] = st.x;
-    xp[1] = st.p;
-    xp[2] = st.kp;
-    return 1;
 }
 
 /* The last arguments and results of potential()'s two trig pairs, keyed

@@ -3,9 +3,10 @@
 For the four built-in models the library runs, bit for bit as the Python
 code it mirrors, which stays the reference:
 
-- ``steps``: ``integrator._dopri``'s accept/reject/PI/landing loop;
-- ``advance``: one landing run of event polishing (``integrator._advance``),
-  its initial step and the field at the landed state included;
+- ``steps``: ``integrator._dopri``'s accept/reject/PI/landing loop, the
+  field and ``_initial_step`` at the run's start included;
+- ``land``: one landing run of event polishing (``integrator._advance``),
+  one call of the same entry point, ``dopri5_steps``, that keeps no rows;
 - ``energy_columns``: ``Trajectory``'s energy columns, H and
   ``energy_drift``'s local scale, with V(x) a per-row local, not a
   column;
@@ -27,20 +28,18 @@ does not mirror); other models run on the Python path.  The library
 builds each path piece of an ``operation`` as its one description in
 ``quadrature._pieces``, (kind, c0, c1, c2, phi0).  What the library
 cannot mirror goes back to Python: a run from the first step the kernel
-cannot take, a landing run or an operation whole, and the energy rows
-from the first it cannot compute.
+cannot take, or from its start, a landing run or an operation whole,
+and the energy rows from the first it cannot compute.
 The kernel keeps only dp/dt of the field: for these models dx/dt is p
-itself, so ``steps`` hands back, and ``advance`` returns, the field as
-(p, kp).
+itself, so ``steps`` hands the field back as (p, kp).
 
 Every call crosses into the library one way: each record it reads (the
-model, a run's settings, the polish record, an operation's call record)
-goes in as ``struct``-packed bytes laid out as its C struct, and each
-buffer it reads or writes (stops, run state, rows, columns, results) is
-a numpy array passed by address.  An operation sends its model record
-and its call record as one, and reads its result from a reused buffer
-whose address is taken once.  No ctypes type is used, so no call
-builds one.
+model, a run's settings, an operation's call record) goes in as
+``struct``-packed bytes laid out as its C struct, and each buffer it
+reads or writes (stops, run state, rows, columns, results) is a numpy
+array passed by address.  An operation sends its model record and its
+call record as one, and reads its result from a reused buffer whose
+address is taken once.  No ctypes type is used, so no call builds one.
 
 ``cli._write_trajectory_csv`` formats its rows with ``csv_formatter``
 where floats print in the 'short' repr style: each value is the shortest
@@ -64,6 +63,7 @@ import contextlib
 import ctypes
 import functools
 import logging
+import math
 import os
 import platform
 import struct
@@ -89,19 +89,20 @@ _CSV_ROW_BYTES = 512  # bound on one CSV row's length (see _csv.c)
 # later, whose mixed float/complex arithmetic the kernel does not mirror
 _KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3} if sys.version_info < (3, 14) else {}
 # status codes of dopri5_steps (see _dopri5.c)
-_FULL, _HAND_BACK = 0, 4
-_STOP_REASONS = {1: "horizon", 2: "max_steps", 3: "step_underflow"}
+_FULL, _HORIZON, _HAND_BACK = 0, 1, 4
+_STOP_REASONS = {_HORIZON: "horizon", 2: "max_steps", 3: "step_underflow"}
 # operations of quad_op
 OP_TURNING, OP_REFINE, OP_REAL_FORM, OP_ESCAPE, OP_CONTOUR = range(5)
 _OP_RESULTS = 128  # doubles of a reused quad_op result buffer: 64 roots
-# reused quad_op result buffers, each (array, address, view): taking an
-# array's address costs more than the compiled work of a short operation
-_op_buffers = []
+# reused quad_op result buffers, each (array, address, view), and State
+# records of landing runs, each (array, address): taking an array's
+# address costs more than the compiled work of a short operation
+_op_buffers, _land_states = [], []
 
 # the C structs: Model (kind, g, complex(-g), epsilon, omega), Run
-# (t_end, direction, rel_tol, abs_tol, max_step, min_step, max_steps), the
-# polish record (rel_tol, abs_tol, max_step, min_step) and State
-_MODEL, _RUN, _POLISH = struct.Struct("i6d"), struct.Struct("7d"), struct.Struct("4d")
+# (t_end, direction, rel_tol, abs_tol, max_step, min_step, max_steps) and
+# State, whose h_mag of 0 starts a run
+_MODEL, _RUN = struct.Struct("i6d"), struct.Struct("7d")
 _STATE = np.dtype(
     [("t", "f8"), ("x", "c16"), ("p", "c16"), ("kp", "c16"), ("h_mag", "f8"), ("facold", "f8"),
      ("accepted", "f8"), ("i", "l"), ("status", "i")],
@@ -153,8 +154,6 @@ def _library():
     ptr, c_int, c_long = ctypes.c_void_p, ctypes.c_int, ctypes.c_long
     lib.dopri5_steps.argtypes = [*[ptr] * 6, c_int]
     lib.dopri5_steps.restype = c_int
-    lib.dopri5_advance.argtypes = [ptr, ctypes.c_double, ctypes.c_double, ptr, ptr]
-    lib.dopri5_advance.restype = c_int
     lib.csv_rows.argtypes = [c_long, *[ptr] * 4, c_int, ptr]
     lib.csv_rows.restype = c_long
     lib.energy_rows.argtypes = [ptr, c_long, *[ptr] * 4]
@@ -183,17 +182,24 @@ def model_params(model):
     return _MODEL.pack(kind, g.real, g.imag, neg_g.real, neg_g.imag, epsilon, omega)
 
 
-def steps(record, t, x, p, kp, h_mag, facold, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
-    """The compiled loop as a generator: yields the accepted steps in
-    blocks of up to ``_ROWS`` like ``integrator._dopri``, (t, z) with z's
-    rows x and p, each block in buffers of its own, and returns its stop
-    reason, or, when a step has to be redone in Python, the state
-    (t, x, p, kp, h_mag, facold, accepted, i) at the start of that step,
-    (p, kp) being the field there: dx/dt is p itself."""
+def _start(t, x, p):
+    """The fields of the ``State`` of a run that starts at (t, x, p)."""
+    return t, x, p, 0j, 0.0, 0.0, 0.0, 0, _FULL
+
+
+def steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
+    """The compiled loop as a generator, from the start (t, x, p): yields
+    the accepted steps in blocks of up to ``_ROWS`` like
+    ``integrator._dopri``, (t, z) with z's rows x and p, each block in
+    buffers of its own, and returns its stop reason, or, when a step has
+    to be redone in Python, the state (t, x, p, kp, h_mag, facold,
+    accepted, i) at the start of that step, (p, kp) being the field
+    there: dx/dt is p itself; h_mag is 0 at a run handed back at its
+    start."""
     kernel = _library().dopri5_steps
     stops = np.array(stops, dtype=float)
     run = _RUN.pack(stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
-    state = np.array([(t, x, p, kp, h_mag, facold, 0.0, 0, _FULL)], dtype=_STATE)
+    state = np.array([_start(t, x, p)], dtype=_STATE)
     status, addresses = state["status"], (stops.ctypes.data, state.ctypes.data)
     while True:
         ts = np.empty(_ROWS)
@@ -209,17 +215,23 @@ def steps(record, t, x, p, kp, h_mag, facold, stops, direction, rel_tol, abs_tol
     return _STOP_REASONS[stop]
 
 
-def advance(record, t, x, p, t_target, polish):
+def land(record, t, x, p, t_target, polish):
     """``integrator._advance``'s run from (t, x, p) to t_target under the
-    polish record (rel_tol, abs_tol, max_step, min_step), in one call:
-    (x, p, (p, kp)) at t_target, the field there included, bit for bit
-    as the Python path computes them; None when the library cannot
+    polish record (rel_tol, abs_tol, max_step, min_step), in one
+    ``dopri5_steps`` call that keeps no rows: (x, p) at t_target, bit for
+    bit as the Python path computes them; None when the library cannot
     mirror the run, which Python then redoes whole."""
-    xp = np.array([x, p, 0.0], dtype=complex)
-    if not _library().dopri5_advance(record, t, t_target, _POLISH.pack(*polish), xp.ctypes.data):
-        return None
-    x, p, kp = xp.tolist()
-    return x, p, (p, kp)
+    run = _RUN.pack(t_target, 1.0 if t_target > t else -1.0, *polish, math.inf)
+    try:
+        state, address = _land_states.pop()
+    except IndexError:
+        state = np.empty(1, dtype=_STATE)
+        address = state.ctypes.data
+    state[0] = _start(t, x, p)
+    _library().dopri5_steps(record, run, None, address, None, None, 0)
+    _, x, p, *_, stop = state.item()
+    _land_states.append((state, address))
+    return (x, p) if stop == _HORIZON else None
 
 
 def energy_columns(model, x, p, with_scale=True):

@@ -120,7 +120,10 @@ def parse_complex(text: str) -> complex:
             if m.group("pi"):
                 v *= math.pi
             if m.group("den"):
-                v /= float(m.group("den"))
+                den = float(m.group("den"))
+                if den == 0.0:
+                    raise ConfigError(f"division by zero in complex literal: {text!r}")
+                v /= den
             z += sign * (complex(0.0, v) if m.group("imag") else complex(v, 0.0))
             sign = 1.0
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

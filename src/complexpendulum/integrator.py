@@ -44,7 +44,8 @@ takes the rows before the first event as they are, and visits Python
 only at the rows the tests flag.  Event polishing (``locate_return``,
 ``_locate_escape``) re-integrates short spans with the same stepper from
 state rows, under one polish record (rel_tol, abs_tol, max_step,
-min_step), and evaluates the field itself where it needs it.
+min_step); a landing run returns only its landed x and p, and
+``locate_return`` evaluates the field itself where it needs it.
 
 Trajectories store their samples as columns (float64 t, complex128 x
 and p), which the analyses and the CSV writer read directly; the
@@ -63,19 +64,21 @@ Compiled kernel: for exact instances of the four built-in models (with
 plain int, float or complex parameters, on CPython before 3.14) ``_dopri``
 runs the same loop in C (``_dopri5.c``, loaded by ``_dopri5``), which
 mirrors CPython's complex arithmetic operation for operation and so gives
-the same steps bit for bit.  It hands over accepted states in blocks of
-512 through the same generator protocol, so every caller, event
-polishing included, gets it through the one stepper, and the events
-stay here.  A polishing run needs only its landed state, so ``_advance``
-takes it from one library call (``_dopri5.advance``) that also computes
-``_initial_step`` and returns the field at the landed state; a run the
+the same steps bit for bit.  The kernel has one stepping entry point,
+and it starts each run itself: the field and ``_initial_step`` at the
+start are computed there.  It hands over accepted states in blocks of
+512 through the same generator protocol, and the events stay here.  A
+polishing run needs only its landed state, so ``_advance`` takes it
+from one kernel call that keeps no rows (``_dopri5.land``); a run the
 library cannot finish as Python would is redone whole on this path.
 A step the kernel cannot mirror (a non-finite stage or result, a stage
 with |Im x| past 708.396..., where ``cmath.sinh`` switches formula, or an
 overflowing sine) is handed back: the Python loop below resumes from the
-state at the start of that step and redoes it.  Subclasses, models of
-the Python API, later interpreters and a failed build (logged once) use
-the Python loop throughout; it stays the reference.
+state at the start of that step and redoes it; a run handed back at its
+start gets its field and ``_initial_step`` there from Python.
+Subclasses, models of the Python API, later interpreters and a failed
+build (logged once) use the Python loop throughout; it stays the
+reference.
 The same library computes the energy columns, H and the local scale,
 of those models (``_dopri5.energy_columns``), mirroring ``cmath.cos``,
 the complex products and the ``pow`` of ``|p| ** 2``; the rows it
@@ -413,12 +416,13 @@ def _reject_h(h, err):
     return h / min(_FAC_SHRINK, err**_EXPO1 / _SAFE)
 
 
-def _dopri(model, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf):
+def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf):
     """The adaptive stepping loop shared by every integration run.
 
-    Steps the flow of ``model`` from (t, x, p), with field value
-    (k1x, k1p) there, landing exactly on each time of ``stops`` in turn;
-    the last one ends the run.
+    Steps the flow of ``model`` from (t, x, p), landing exactly on each
+    time of ``stops`` in turn; the last one ends the run.  The compiled
+    kernel starts its runs itself: the field and ``_initial_step`` at the
+    start are computed here only where it does not run or hands back there.
     Yields the accepted steps in blocks (t, z): t the float64 array of
     their times and z the complex128 array of two rows, x and p.  The
     field at each new state feeds the next step and is not handed over.
@@ -440,26 +444,22 @@ def _dopri(model, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
     the bundled outputs.  The field is called through ``model.field`` and
     step-size updates through the module functions ``_next_h`` (once per
     accepted step) and ``_reject_h`` (once per rejected step), the names
-    the benchmark's counters wrap; steps taken by the compiled kernel make
-    none of these calls.
+    the benchmark's counters wrap; runs the compiled kernel starts and
+    steps make none of these calls, nor one of ``_initial_step``.
     """
     field = model.field
     isfinite = math.isfinite
     sqrt = math.sqrt
     t_end = stops[-1]
     direction = 1.0 if t_end > t else -1.0
-    h_mag = _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_step)
-    if h_mag == 0.0:
-        return "step_underflow"
-    facold = 1e-4
+    h_mag = 0.0  # 0 until the run has started
     accepted = 0
     i = 0
     times, rows = [], []
     record = _dopri5.model_params(model)
     if record is not None:
         stop = yield from _dopri5.steps(
-            record, t, x, p, k1p, h_mag, facold, stops, direction,
-            rel_tol, abs_tol, max_step, min_step, max_steps,
+            record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps
         )
         if isinstance(stop, str):
             return stop
@@ -467,6 +467,12 @@ def _dopri(model, t, x, p, k1x, k1p, stops, rel_tol, abs_tol, max_step, min_step
         # built-in model's field returns p itself as dx/dt
         t, x, p, k1p, h_mag, facold, accepted, i = stop
         k1x = p
+    if h_mag == 0.0:
+        k1x, k1p = field(t, x, p)
+        h_mag = _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_step)
+        if h_mag == 0.0:
+            return "step_underflow"
+        facold = 1e-4
     while (t_end - t) * direction > 0.0:
         if accepted >= max_steps:
             stop = "max_steps"
@@ -568,21 +574,20 @@ def _advance(model, row, t_target, polish):
     """Event-free re-integration from the state row (t, x, p, ...) landing
     exactly on t_target; used to polish event times.  ``polish`` is the
     record (rel_tol, abs_tol, max_step, min_step) of the re-integration.
-    Returns (x, p, k), k the field (kx, kp) at t_target when the compiled
-    library ran the whole re-integration (``_dopri5.advance``), None
-    otherwise."""
+    Returns (x, p) at t_target, from one kernel call that keeps no rows
+    (``_dopri5.land``) where the library runs the whole re-integration,
+    else from ``_dopri``."""
     t, x, p = row[:3]
     if t_target != t:
         record = _dopri5.model_params(model)
-        landed = None if record is None else _dopri5.advance(record, t, x, p, t_target, polish)
+        landed = None if record is None else _dopri5.land(record, t, x, p, t_target, polish)
         if landed is not None:
             return landed
-        k1x, k1p = model.field(t, x, p)
-        for ts, z in _dopri(model, t, x, p, k1x, k1p, [t_target], *polish):
+        for ts, z in _dopri(model, t, x, p, [t_target], *polish):
             t, x, p = ts[-1].item(), z[0, -1].item(), z[1, -1].item()
     if t != t_target:
         raise ArithmeticError(f"event polishing stopped at t={t!r} short of {t_target!r}")
-    return x, p, None
+    return x, p
 
 
 def _dist2(x, p, x0, p0):
@@ -609,10 +614,8 @@ def locate_return(model, start, a, b, c, scale, polish):
     start is the state row (t0, x0, p0); a, b, c are consecutive
     (t, x, p, d2) rows with the sampled squared distance d2 minimal at b;
     polish is the re-integration record of ``_advance``.  The field is
-    evaluated here, at the start and at a and c, and at each refined time
-    unless ``_advance`` brought it: closure is watched only on autonomous
-    models, whose field ignores t, so these are the bits the stepper
-    computed there.  The closest approach solves
+    evaluated here, at the start, at a and c, and at each refined state,
+    which ``_advance`` returns without it.  The closest approach solves
     g(t) = <s(t) - s0, v(t)> = 0 (the time derivative of the half squared
     distance).  g changes sign across the minimum and is nearly linear
     at a transversal return, so a bracketed false-position iteration
@@ -637,9 +640,8 @@ def locate_return(model, start, a, b, c, scale, polish):
     def state_at(tau):
         # advance from the nearest bracketing sample for accuracy
         base = a if abs(tau - ta) <= abs(tau - tc) else c
-        x, p, k = _advance(model, base, tau, polish)
-        kx, kp = field(tau, x, p) if k is None else k
-        return x, p, kx, kp
+        x, p = _advance(model, base, tau, polish)
+        return x, p, *field(tau, x, p)
 
     g_lo = g_of(xa, pa, *field(ta, xa, pa))
     g_hi = g_of(xc, pc, *field(tc, xc, pc))
@@ -703,12 +705,12 @@ def _locate_escape(model, a, tb, radius, polish):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        xm, _, _ = _advance(model, a, mid, polish)
+        xm, _ = _advance(model, a, mid, polish)
         if abs(xm.imag) >= radius:
             hi = mid
         else:
             lo = mid
-    x, p, _ = _advance(model, a, hi, polish)
+    x, p = _advance(model, a, hi, polish)
     return hi, x, p
 
 
@@ -726,8 +728,9 @@ def integrate(
     The run ends at the first terminal event (see the module docstring)
     or at ``t_final`` (default: start time plus ``config.max_time``;
     values before the start time integrate backward).  ``t_checkpoints``
-    lists times the stepper must land on exactly; they appear among the
-    samples, making runs comparable across step-size settings.
+    is any iterable of times (a list, a numpy array) the stepper must
+    land on exactly; they appear among the samples, making runs
+    comparable across step-size settings.
     """
     cfg = config if config is not None else IntegratorConfig()
     ev = events if events is not None else EventSpec()
@@ -751,16 +754,12 @@ def integrate(
         raise ValueError("start lies at or beyond the escape radius")
     watch_closure = ev.closure and model.autonomous
 
-    if t_checkpoints:
-        cps = sorted((float(c) for c in t_checkpoints), reverse=direction < 0)
-        if not all(math.isfinite(c) for c in cps):
-            raise ValueError("t_checkpoints must be finite")
-        cps = [c for c in cps if (c - t0) * direction > 0.0 and (t_end - c) * direction > 0.0]
-    else:
-        cps = []
+    cps = [] if t_checkpoints is None else sorted(map(float, t_checkpoints), reverse=direction < 0)
+    if not all(map(math.isfinite, cps)):
+        raise ValueError("t_checkpoints must be finite")
+    cps = [c for c in cps if (c - t0) * direction > 0.0 and (t_end - c) * direction > 0.0]
 
-    k0x, k0p = model.field(t0, x0, p0)
-    if not _finite(complex(k0x), complex(k0p)):
+    if not _finite(*map(complex, model.field(t0, x0, p0))):
         raise ValueError("vector field is not finite at the start state")
 
     # polish runs use a slightly tighter tolerance so event times are not
@@ -768,8 +767,7 @@ def integrate(
     polish = max(cfg.rel_tol * 0.1, 1e-14), max(cfg.abs_tol * 0.1, 1e-16), cfg.max_step, cfg.min_step
 
     steps = _dopri(
-        model, t0, x0, p0, k0x, k0p, cps + [t_end],
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps,
+        model, t0, x0, p0, cps + [t_end], cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps
     )
     guard = cfg.overflow_guard
     radius = cfg.escape_radius

@@ -47,7 +47,7 @@ class TestParseComplex:
     def test_valid(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["", "zz", "1+", "pi+", "++1", "1i2", "nan", "inf", "1..2"])
+    @pytest.mark.parametrize("text", ["", "zz", "1+", "pi+", "++1", "1i2", "nan", "inf", "1..2", "pi/0", "1/0.0i"])
     def test_invalid(self, text):
         with pytest.raises(ConfigError):
             parse_complex(text)

@@ -14,8 +14,11 @@ import gc
 import hashlib
 import logging
 import math
+import re
 import shutil
 import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +447,30 @@ def library():
         pytest.skip("the compiled library could not be built here")
 
 
+# The library's entry points: what ``_dopri5._library()`` declares is
+# what the sources define without ``static`` and what the built library
+# exports, so that an entry point left behind by a change fails here.
+ENTRY_POINTS = {"csv_rows", "dopri5_steps", "energy_rows", "quad_op"}
+DEFINITION = re.compile(r"^(?!static\b)[A-Za-z_][\w\s*]*?\b([A-Za-z_]\w*)\(", re.M)
+
+
+def test_the_library_exports_only_its_declared_entry_points(library):
+    lib = _dopri5._library()
+    declared = {name for name, value in vars(lib).items() if isinstance(value, ctypes._CFuncPtr)}
+    assert declared == ENTRY_POINTS
+    defined = {name for source in _dopri5._SOURCES for name in DEFINITION.findall(source.read_text())}
+    assert defined == ENTRY_POINTS
+    nm = shutil.which("nm")
+    if nm is None:
+        return  # the sources' definitions stand for the exports
+    listing = subprocess.run([nm, "-D", "--defined-only", lib._name], capture_output=True, text=True)
+    if listing.returncode != 0:
+        return
+    # "address type name", less the toolchain's own underscored symbols
+    exported = {line.split()[-1] for line in listing.stdout.splitlines() if not line.split()[-1].startswith("_")}
+    assert exported == ENTRY_POINTS
+
+
 signed = st.floats(-1e5, 1e5) | st.sampled_from([0.0, -0.0])
 g_values = (
     st.integers(-3, 3)
@@ -582,10 +609,11 @@ def test_random_runs_match_the_python_loop(library, model, x, p, t0, span, fract
 
 
 # The landing runs of event polishing.  ``integrator._advance`` runs each
-# one in the library (``_dopri5.advance``), initial step included, and
-# takes the field at the landed state from it; with ``model_params``
-# patched out, ``_dopri`` and the model's ``field`` compute them in
-# Python, the reference.
+# one in the library as one ``dopri5_steps`` call that keeps no rows
+# (``_dopri5.land``), initial step included; with ``model_params``
+# patched out, ``_dopri`` computes it in Python, the reference.  Each
+# outcome carries the model's field at the landed state, which
+# ``locate_return`` evaluates there.
 
 POLISH = (1e-11, 1e-13, 0.25, 1e-12)  # integrate's polish record at the default tolerances
 
@@ -595,16 +623,23 @@ def as_floats(values):
 
 
 def advance_outcome(model, row, t_target, polish=POLISH):
-    """x, p and the field at t_target as hex strings, or the error raised,
-    and whether the library ran the whole landing."""
-    try:
-        x, p, k = integrator._advance(model, row, t_target, polish)
-    except ArithmeticError as exc:
-        return f"{type(exc).__name__}: {exc}", False
-    landed = k is not None
-    if k is None:
-        k = model.field(t_target, x, p)
-    return [v.hex() for v in as_floats((x, p, *k))], landed
+    """x, p and the model's field at t_target as hex strings, or the
+    error raised, and whether the library's rowless call landed the run."""
+    landings = []
+    land = _dopri5.land
+
+    def spy(*args):
+        landed = land(*args)
+        landings.append(landed is not None)
+        return landed
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "land", spy)
+        try:
+            x, p = integrator._advance(model, row, t_target, polish)
+        except ArithmeticError as exc:
+            return f"{type(exc).__name__}: {exc}", False
+    return [v.hex() for v in as_floats((x, p, *model.field(t_target, x, p)))], landings == [True]
 
 
 def assert_advance_matches_python(model, row, t_target, polish=POLISH):
@@ -623,7 +658,7 @@ def python_steps(model, row, t_target):
     t, x, p = row
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_dopri5, "model_params", lambda model: None)
-        blocks = integrator._dopri(model, t, x, p, *model.field(t, x, p), [t_target], *POLISH)
+        blocks = integrator._dopri(model, t, x, p, [t_target], *POLISH)
         return sum(len(ts) for ts, _ in blocks)
 
 
@@ -646,11 +681,37 @@ def test_landing_runs_match_python(library, model, x, p, t, span, direction):
 )
 @pytest.mark.parametrize("span,steps", [(1e-6, (1, 1)), (20.0, (81, 10**4))], ids=["one-step", "many-steps"])
 def test_landing_runs_land_in_the_library(library, model, direction, span, steps):
-    """A landing inside one step, and one over more steps than the
-    library's row buffer of 64 holds, forward and backward."""
+    """A landing inside one step, and one over many steps, forward and
+    backward, each in one call that keeps no rows."""
     row, t_target = (0.5, 0.3 + 0.2j, 0.4 - 0.1j), 0.5 + direction * span
     assert steps[0] <= python_steps(model, row, t_target) <= steps[1]
     assert assert_advance_matches_python(model, row, t_target)[1]
+
+
+def test_concurrent_landing_runs_keep_their_own_state(library):
+    """Landing runs in six threads at once, each library call made without
+    the interpreter lock, land where they land alone: no ``State`` record
+    of ``_dopri5.land`` serves two calls at a time."""
+    model, row = Pendulum(g=0.6 + 0.8j), (0.5, 0.3 + 0.2j, 0.4 - 0.1j)
+    targets = [0.5 + 0.01 * k for k in range(1, 201)]
+    want = [integrator._advance(model, row, t, POLISH) for t in targets]
+    got = {}
+
+    def land_all(k):
+        got[k] = [integrator._advance(model, row, t, POLISH) for t in targets]
+
+    threads = [threading.Thread(target=land_all, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {k: want for k in range(6)}
 
 
 @pytest.mark.parametrize(
@@ -688,32 +749,17 @@ def test_landing_runs_the_library_hands_back(library, model, row, t_target, poli
         assert fast == outcome
 
 
-def test_a_first_step_that_underflows_truncates_the_run(library, monkeypatch):
+def test_a_first_step_that_underflows_truncates_the_run(monkeypatch, kernel_spy):
     """The field at x = 0.3 + 709i is so large that _initial_step's trial
-    step underflows to 0: the run stops at its start, on both paths."""
+    step underflows to 0: the kernel hands the run back at its start, with
+    h_mag still 0, and the run stops there, on both paths."""
     run = (Pendulum(g=1.0), PhaseState(0.3 + 709.0j, 1j), IntegratorConfig(escape_radius=800.0))
     fast = integrate(*run)
+    assert [(t, h_mag, accepted) for t, _, _, _, h_mag, _, accepted, _ in kernel_spy] == [(0.0, 0.0, 0)]
     monkeypatch.setattr(_dopri5, "model_params", lambda model: None)
     slow = integrate(*run)
     for traj in (fast, slow):
         assert (traj.classification, traj.termination, len(traj)) == ("truncated", "step_underflow", 1)
-
-
-@pytest.mark.parametrize(
-    "row,t_target",
-    [
-        ((0.25, 0.3 + 0.2j, 0.4 - 0.1j), 7.3),
-        ((0.25, 0.3 + 0.2j, 0.4 - 0.1j), -3.1),
-        # near 0 from the other side: the last step's t + h is not t_target
-        ((-0.08790556276955472, -0.09 + 0.08j, 0.73 + 0.1j), 2.9401564334201916e-05),
-    ],
-)
-def test_the_landed_field_is_the_models(library, row, t_target):
-    """The field handed back with a landing is ``field(t_target, x, p)``,
-    for the driven model too, whose last stage is evaluated at t + h."""
-    model = DrivenPendulum(g=1.0, epsilon=0.3, omega=0.7)
-    x, p, k = _dopri5.advance(_dopri5.model_params(model), *row, t_target, POLISH)
-    assert [v.hex() for v in as_floats(k)] == [v.hex() for v in as_floats(model.field(t_target, x, p))]
 
 
 @pytest.mark.parametrize(

@@ -105,9 +105,10 @@ def assert_outputs_match(tmp_path, scenario):
 
 def watch_fallbacks(monkeypatch):
     """Counts of the library's calls and of the work it left to Python:
-    hand-backs of ``_dopri5.steps``, steps of the Python loop (its
-    ``_next_h`` and ``_reject_h``), None from ``_dopri5.advance`` or
-    ``_dopri5.operation``, branch guides built in Python
+    hand-backs of ``_dopri5.steps``, runs started in Python (its
+    ``_initial_step``) and steps of the Python loop (its ``_next_h`` and
+    ``_reject_h``), None from the rowless landing call ``_dopri5.land``
+    or from ``_dopri5.operation``, branch guides built in Python
     (``quadrature._guide``), and energy rows ``_dopri5.energy_columns``
     did not fill."""
     calls, fallbacks = collections.Counter(), collections.Counter()
@@ -156,8 +157,9 @@ def watch_fallbacks(monkeypatch):
     monkeypatch.setattr(_dopri5, "operation", operation_spy)
     monkeypatch.setattr(_dopri5, "steps", steps_spy)
     monkeypatch.setattr(_dopri5, "energy_columns", energy_spy)
-    monkeypatch.setattr(_dopri5, "advance", declined("advance"))
-    for module, name in ((integrator, "_next_h"), (integrator, "_reject_h"), (quadrature, "_guide")):
+    monkeypatch.setattr(_dopri5, "land", declined("land"))
+    python_loop = [(integrator, name) for name in ("_initial_step", "_next_h", "_reject_h")]
+    for module, name in [*python_loop, (quadrature, "_guide")]:
         monkeypatch.setattr(module, name, in_python(module, name))
     return calls, fallbacks
 

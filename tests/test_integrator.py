@@ -1,6 +1,7 @@
 """Adaptive integration: closure, escape, conservation, reversibility."""
 import math
 
+import numpy as np
 import pytest
 
 from complexpendulum import (
@@ -240,6 +241,25 @@ class TestCheckpoints:
             b = next(s for s in fine.samples if s.t == c)
             assert abs(a.x - b.x) < 1e-8
             assert abs(a.p - b.p) < 1e-8
+
+    @pytest.mark.parametrize(
+        "cps,same",
+        [
+            (np.array([1.0, 2.5, 4.0]), [1.0, 2.5, 4.0]),
+            (np.array([]), []),
+            ((4.0, 1.0, 2.5), [4.0, 1.0, 2.5]),
+            (iter([1.0, 2.5, 4.0]), [1.0, 2.5, 4.0]),
+        ],
+        ids=["array", "empty-array", "tuple", "iterator"],
+    )
+    def test_any_iterable_of_times(self, cps, same):
+        """A numpy array, a tuple or an iterator of checkpoints gives the
+        same list's trajectory bit for bit."""
+        model, start = pendulum_start(0.2j)
+        want = integrate(model, start, events=NO_EVENTS, t_final=5.0, t_checkpoints=same)
+        got = integrate(model, start, events=NO_EVENTS, t_final=5.0, t_checkpoints=cps)
+        for column in ("t", "x", "p"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
 
 class TestFailureModes:

@@ -6,9 +6,10 @@ runtime preloaded:
 
 - the 14 bundled scenarios through ``run_scenario``, each output file
   checked against ``test_golden_outputs.GOLDEN``, which runs every entry
-  point: ``dopri5_steps``, ``dopri5_advance``, ``energy_rows`` (with and
-  without the scale column), ``csv_rows`` and ``quad_op``, each reading
-  the model record;
+  point: ``dopri5_steps`` (main runs, which it starts itself, and
+  landing runs that keep no rows), ``energy_rows`` (with and without the
+  scale column), ``csv_rows`` and ``quad_op``, each reading the model
+  record;
 - ``csv_rows`` writing each of ``test_csv_writer.longest_rows()`` into
   an allocation of exactly one row's 512 bytes, so that a fixed-width
   copy of the digits reaching past the row fails;
@@ -25,12 +26,13 @@ runtime preloaded:
   to its ceiling, growing the guide's buffers cell count by cell count;
 - the imaginary cubic's ``turning_points``, ``escape_time`` and
   ``contour_integral``, each one ``quad_op`` call the library runs;
-- three runs of ``test_dopri5`` that leave the kernel's plain path: the
+- runs of ``test_dopri5`` at the edges of the kernel's plain path: the
   run the kernel hands back at cmath.sinh's switch, whose ``State``
-  record Python reads back from its numpy buffer, a landing run the
-  library hands back, and a landing run whose start field overflows,
-  each compared with the Python loop and checked to have been handed
-  back.
+  record Python reads back from its numpy buffer, a run handed back
+  before its first step, whose trial step underflows, a landing run the
+  rowless call lands, one it hands back, and one whose start field
+  overflows, each compared with the Python loop, and each hand-back
+  checked.
 
 A bad memory access, a record laid out otherwise in Python and in C, or
 undefined behaviour fails the replay.  The interpreter allocates with
@@ -55,7 +57,8 @@ import cmath, hashlib, math, sys
 from pathlib import Path
 
 sys.path.insert(0, sys.argv[2])
-from complexpendulum import Harmonic, ImaginaryCubic, Pendulum, _dopri5, contour_integral, escape_time, quadrature
+from complexpendulum import Harmonic, ImaginaryCubic, IntegratorConfig, Pendulum, PhaseState, _dopri5, integrate
+from complexpendulum import contour_integral, escape_time, quadrature
 from complexpendulum import escape_time_real_form, period_contour, refine_root, turning, turning_points
 from complexpendulum.cli import run_scenario
 
@@ -167,6 +170,13 @@ def on_both_paths(run):
 _dopri5.steps = steps_spy
 on_both_paths(lambda: test_dopri5.fingerprint(test_dopri5.past_cmath_sinh_switch()))
 assert len(returns) == 1 and len(returns[0]) == 8, returns
+returns.clear()
+truncated = (Pendulum(g=1.0), PhaseState(0.3 + 709.0j, 1j), IntegratorConfig(escape_radius=800.0))
+on_both_paths(lambda: test_dopri5.fingerprint(integrate(*truncated)))
+assert len(returns) == 1 and returns[0][4] == 0.0, returns  # h_mag: handed back at its start
+landing = (Pendulum(g=0.6 + 0.8j), (0.5, 0.3 + 0.2j, 0.4 - 0.1j), 2.0)
+landed, in_library = test_dopri5.advance_outcome(*landing)
+assert in_library and on_both_paths(lambda: test_dopri5.advance_outcome(*landing)[0]) == landed
 landing = (Pendulum(g=1e-307), (0.0, 0.3 + 708.0j, 2j), 0.3)
 assert on_both_paths(lambda: test_dopri5.advance_outcome(*landing))[1] is False
 overflow = (Pendulum(g=1.0), (0.0, 0.3 + 711.0j, 1j), 0.2)
