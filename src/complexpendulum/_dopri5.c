@@ -27,6 +27,20 @@
  * row buffers runs to the run's end keeping no rows: one landing run of
  * event polishing, integrator._advance, whose only stop is t_end.
  *
+ * A main run of integrator.integrate watches each accepted row for the
+ * run's events with integrate's tests in integrate's order: the overflow
+ * guard, the escape radius, then the closure rule's dip of the squared
+ * distance to the start against its running maximum.  Where one fires the
+ * run stops there and is polished here, as integrator._locate_escape and
+ * integrator.locate_return do it, each landing run a direct call of
+ * dopri5_steps; a closure the acceptance test rejects runs on.  The last
+ * two rows stay pending in the State, unwritten, because a closure cuts
+ * the rows after its refined return, and an escape or a closure writes
+ * its refined end as the run's last row: the rows written are the rows
+ * kept.  A polish the kernel cannot mirror, or one the Python side asks
+ * for, is left to Python: the run stops at the event's row, the last one
+ * written, and can go on from there.
+ *
  * energy_rows computes Trajectory's energy columns, H and (where asked)
  * energy_drift's local scale, the same way, each row's V(x) a local, and
  * stops at the first row it cannot mirror, which Python then computes.
@@ -51,7 +65,8 @@
  * and escape_op).  Every record the library reads (Model, Run, the
  * stops and quad_op's call record after its Model in one) arrives const,
  * packed by _dopri5.py, and it writes only into numpy arrays the caller
- * owns: State, the row buffers and out.
+ * owns: State, the row buffers and out, and into the stack records of
+ * its own landing runs.
  */
 #include <float.h>
 #include <math.h>
@@ -67,6 +82,20 @@ enum {
     DOPRI5_MAX_STEPS = 2,
     DOPRI5_STEP_UNDERFLOW = 3,
     DOPRI5_HAND_BACK = 4,  /* redo the next step in the Python loop */
+    DOPRI5_OVERFLOW = 5,   /* the events that end a watched run */
+    DOPRI5_ESCAPE = 6,
+    DOPRI5_CLOSURE = 7,
+    /* a flag: the last row written is an event left to Python, and the
+     * other bits tell how the run goes on, DOPRI5_FULL to call again */
+    DOPRI5_AT_EVENT = 8,
+};
+
+/* Run.watch: what a main run watches (none, 0, for a landing run) */
+enum {
+    WATCH_OVERFLOW = 1,
+    WATCH_ESCAPE = 2,
+    WATCH_CLOSURE = 4,
+    WATCH_POLISH = 8,  /* escapes and closures are polished here */
 };
 
 typedef struct { double re, im; } cplx;
@@ -80,22 +109,40 @@ typedef struct {
     double epsilon, omega;
 } Model;
 
-/* Read-only settings of one run: t_end is the last of its stops. */
+/* Read-only settings of one run: t_end is the last of its stops.  A
+ * watched run also carries integrate's event settings, its start (t0, x0,
+ * p0) and the (rel_tol, abs_tol, max_step, min_step) of its polishing. */
 typedef struct {
     double t_end, direction;
     double rel_tol, abs_tol, max_step, min_step, max_steps;
+    int watch;
+    double guard, radius, closure_tol, min_period;
+    double t0;
+    cplx x0, p0;
+    double polish[4];
 } Run;
+
+/* A row of a run, with d2, its squared distance to the start. */
+typedef struct {
+    double t;
+    cplx x, p;
+    double d2;
+} Row;
 
 /* The loop's state between calls, one numpy record (_dopri5._STATE): the
  * current point and dp/dt there (dx/dt is p itself), the controller's
  * memory and the index of the next stop.  h_mag == 0 marks a run not yet
- * started, whose kp and facold the kernel sets. */
+ * started, whose kp and facold the kernel sets.  The watch's memory is
+ * the running maximum of d2 and the last two rows, the newest last, of
+ * which the newest `pending` are not yet written. */
 typedef struct {
     double t;
     cplx x, p, kp;
     double h_mag, facold, accepted;
     long i;
-    int status;
+    int status, pending;
+    double dmax;
+    Row rows[2];
 } State;
 
 /* CPython's CM_LOG_LARGE_DOUBLE: past it cmath's sinh uses another formula */
@@ -258,17 +305,244 @@ static double initial_step(const Model *model, const Run *run, double t, cplx x,
     return isfinite(h) ? h : 0.0;
 }
 
+int dopri5_steps(const Model *model, const Run *run, const double *stops, State *st, double *ts, cplx *zs, int cap);
+
+/* integrator._advance from row to target under the run's polish record:
+ * (x, p) at target from one rowless run, as _dopri5.land runs it, or the
+ * row itself where target is its time; 0 where that run does not land,
+ * which Python then redoes. */
+static int advance(const Model *model, const Run *run, const Row *row, double target, cplx *x, cplx *p)
+{
+    if (target == row->t) {
+        *x = row->x;
+        *p = row->p;
+        return 1;
+    }
+    const Run landing = {.t_end = target, .direction = target > row->t ? 1.0 : -1.0, .rel_tol = run->polish[0],
+                         .abs_tol = run->polish[1], .max_step = run->polish[2], .min_step = run->polish[3],
+                         .max_steps = INFINITY};
+    State s = {.t = row->t, .x = row->x, .p = row->p};
+    dopri5_steps(model, &landing, NULL, &s, NULL, NULL, 0);
+    *x = s.x;
+    *p = s.p;
+    return s.status == DOPRI5_HORIZON;
+}
+
+/* integrator._locate_escape: bisects the |Im x| = radius crossing in
+ * (a->t, tb], then lands on it; end is the crossing.  0 where a landing
+ * is not mirrored. */
+static int locate_escape(const Model *model, const Run *run, const Row *a, double tb, Row *end)
+{
+    double lo = a->t, hi = tb;
+    for (int k = 0; k < 80; k++) {
+        double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi)
+            break;
+        if (!advance(model, run, a, mid, &end->x, &end->p))
+            return 0;
+        if (fabs(end->x.im) >= run->radius)
+            hi = mid;
+        else
+            lo = mid;
+    }
+    end->t = hi;
+    return advance(model, run, a, hi, &end->x, &end->p);
+}
+
+/* locate_return's g = <s - s0, f(s)>, with the field f = (p, kp) */
+static double g_of(const Run *run, cplx x, cplx p, cplx kp)
+{
+    cplx dx = sub(x, run->x0), dp = sub(p, run->p0);
+    return dx.re * p.re + dx.im * p.im + dp.re * kp.re + dp.im * kp.im;
+}
+
+/* locate_return's state_at: (x, p) and dp/dt at tau, landed from a or c,
+ * whichever is nearer */
+static int state_at(const Model *model, const Run *run, const Row *a, const Row *c, double tau, cplx *x, cplx *p,
+                    cplx *kp)
+{
+    const Row *base = fabs(tau - a->t) <= fabs(tau - c->t) ? a : c;
+    return advance(model, run, base, tau, x, p) && force(model, tau, *x, kp);
+}
+
+/* v ** 2 for a float v, as float_pow takes it: pow(|v|, 2.0); 0 where
+ * Python raises OverflowError */
+static int py_square(double v, double *square)
+{
+    volatile double two = 2.0;  /* see energy_rows */
+    *square = pow(fabs(v), two);
+    return !(isinf(*square) && isfinite(v));
+}
+
+/* integrator.locate_return from the rows a, b, c around a sampled dip at
+ * b: end is the refined return, dist its distance to the start over
+ * scale, and aligned whether the flow there runs along the flow at the
+ * start.  0 where Python would raise or a landing is not mirrored. */
+static int locate_return(const Model *model, const Run *run, const Row *a, const Row *b, const Row *c, double scale,
+                         Row *end, double *dist, int *aligned)
+{
+    cplx ka, kc, kp, k0p;
+    double t_star;
+    if (!force(model, a->t, a->x, &ka) || !force(model, c->t, c->x, &kc))
+        return 0;
+    double g_lo = g_of(run, a->x, a->p, ka), g_hi = g_of(run, c->x, c->p, kc);
+    if (g_lo == 0.0) {
+        t_star = a->t;
+    } else if (g_hi == 0.0) {
+        t_star = c->t;
+    } else if ((g_lo < 0.0) == (g_hi < 0.0)) {
+        /* the parabolic vertex through the three squared distances */
+        double sa, sc;
+        if (!py_square(b->t - a->t, &sa) || !py_square(b->t - c->t, &sc))
+            return 0;
+        double num = sa * (b->d2 - c->d2) - sc * (b->d2 - a->d2);
+        double den = (b->t - a->t) * (b->d2 - c->d2) - (b->t - c->t) * (b->d2 - a->d2);
+        double t_hat = den == 0.0 ? b->t : b->t - 0.5 * num / den;
+        double lo_t = a->t < c->t ? a->t : c->t, hi_t = a->t < c->t ? c->t : a->t;
+        t_star = lo_t > t_hat ? lo_t : t_hat;
+        t_star = hi_t < t_star ? hi_t : t_star;
+    } else {
+        /* Illinois false position on the sign change of g */
+        double lo = a->t, g_a = g_lo, hi = c->t, g_b = g_hi, widest = 1.0;
+        int side = 0;
+        if (fabs(a->t) > widest)
+            widest = fabs(a->t);
+        if (fabs(c->t) > widest)
+            widest = fabs(c->t);
+        double t_res = 4.0 * DBL_EPSILON * widest;
+        for (int k = 0; k < 60; k++) {
+            if (fabs(hi - lo) <= t_res)
+                break;
+            double den = g_b - g_a;
+            double mid = den == 0.0 ? 0.5 * (lo + hi) : (lo * g_b - hi * g_a) / den;
+            if (!((hi < lo ? hi : lo) < mid && mid < (hi > lo ? hi : lo)))
+                mid = 0.5 * (lo + hi);
+            if (mid == lo || mid == hi)
+                break;
+            cplx xm, pm;
+            if (!state_at(model, run, a, c, mid, &xm, &pm, &kp))
+                return 0;
+            double gm = g_of(run, xm, pm, kp);
+            if (gm == 0.0) {
+                lo = hi = mid;
+                break;
+            }
+            if ((gm < 0.0) == (g_a < 0.0)) {
+                lo = mid;
+                g_a = gm;
+                if (side == -1)
+                    g_b *= 0.5;
+                side = -1;
+            } else {
+                hi = mid;
+                g_b = gm;
+                if (side == 1)
+                    g_a *= 0.5;
+                side = 1;
+            }
+        }
+        t_star = 0.5 * (lo + hi);
+    }
+    if (!state_at(model, run, a, c, t_star, &end->x, &end->p, &kp) || !force(model, run->t0, run->x0, &k0p))
+        return 0;
+    end->t = t_star;
+    *aligned = end->p.re * run->p0.re + end->p.im * run->p0.im + kp.re * k0p.re + kp.im * k0p.im > 0.0;
+    cplx dx = sub(end->x, run->x0), dp = sub(end->p, run->p0);
+    *dist = sqrt(dx.re * dx.re + dx.im * dx.im + dp.re * dp.re + dp.im * dp.im) / scale;
+    return 1;
+}
+
+static void put(const Row *row, double *ts, cplx *zs, int cap, int *n)
+{
+    ts[*n] = row->t;
+    zs[*n] = row->x;
+    zs[cap + *n] = row->p;
+    ++*n;
+}
+
+/* writes the pending rows, oldest first */
+static void flush(State *st, double *ts, cplx *zs, int cap, int *n)
+{
+    for (int k = 2 - st->pending; k < 2; k++)
+        put(&st->rows[k], ts, zs, cap, n);
+    st->pending = 0;
+}
+
+/* The accepted row of a main run: integrate's tests of it, in its order,
+ * the overflow guard, the escape radius, then a dip at the row before it
+ * (_is_dip against the running maximum of d2, min_period after the start),
+ * and the event's polish.  Returns 0 where the run goes on, with the row
+ * pending and the oldest pending row written once two are, else the
+ * status the run stops with, its kept rows and refined end written. */
+static int watch_row(const Model *model, const Run *run, State *st, Row *row, double *ts, cplx *zs, int cap, int *n)
+{
+    const Row *a = &st->rows[0], *b = &st->rows[1];
+    const double guard = run->guard;
+    double dmax = st->dmax;
+    int event = 0;
+    if (run->watch & WATCH_CLOSURE) {
+        cplx dx = sub(row->x, run->x0), dp = sub(row->p, run->p0);
+        row->d2 = dx.re * dx.re + dx.im * dx.im + dp.re * dp.re + dp.im * dp.im;
+        dmax = fmax(dmax, row->d2);
+    }
+    if ((run->watch & WATCH_OVERFLOW) && (fabs(row->x.re) > guard || fabs(row->x.im) > guard ||
+                                          fabs(row->p.re) > guard || fabs(row->p.im) > guard)) {
+        flush(st, ts, zs, cap, n);
+        put(row, ts, zs, cap, n);
+        return DOPRI5_OVERFLOW;
+    }
+    if ((run->watch & WATCH_ESCAPE) && fabs(row->x.im) >= run->radius) {
+        Row end;
+        if ((run->watch & WATCH_POLISH) && locate_escape(model, run, b, row->t, &end)) {
+            flush(st, ts, zs, cap, n);
+            put(&end, ts, zs, cap, n);
+            return DOPRI5_ESCAPE;
+        }
+        event = 1;
+    } else if ((run->watch & WATCH_CLOSURE) && b->d2 < a->d2 && b->d2 <= row->d2 && b->d2 < 0.25 * dmax &&
+               (b->t - run->t0) * run->direction >= run->min_period) {
+        Row end;
+        double dist = 0.0;
+        int aligned = 0;
+        /* a cut may drop either row before this one: both must be pending */
+        event = !(run->watch & WATCH_POLISH) || st->pending != 2 ||
+                !locate_return(model, run, a, b, row, sqrt(dmax), &end, &dist, &aligned);
+        if (!event && dist <= run->closure_tol && aligned) {
+            /* the rows before the refined return stay */
+            int before = ((a->t - end.t) * run->direction < 0.0) + ((b->t - end.t) * run->direction < 0.0);
+            for (int k = 0; k < before; k++)
+                put(&st->rows[k], ts, zs, cap, n);
+            put(&end, ts, zs, cap, n);
+            st->pending = 0;
+            return DOPRI5_CLOSURE;
+        }
+    }
+    if (event)  /* left to Python: the rows up to this one are written */
+        flush(st, ts, zs, cap, n);
+    else if (st->pending == 2)
+        put(a, ts, zs, cap, n);
+    st->rows[0] = st->rows[1];
+    st->rows[1] = *row;
+    st->pending = event ? 0 : st->pending < 2 ? st->pending + 1 : 2;
+    st->dmax = dmax;
+    if (event)
+        put(row, ts, zs, cap, n);
+    return event ? DOPRI5_AT_EVENT : 0;
+}
+
 /* Steps from st, landing on each of the stops (the last is run->t_end),
- * until the run stops or cap rows are written.  Row n holds
- * the accepted state: t in ts[n], x in zs[n] and p in zs[cap + n].  The
- * field there stays in st for the next step.  Each stage's x-slope is that
- * stage's p, so the Python loop's k1x and k7x are p and p1 here.  A st
- * with h_mag == 0 starts the run: the field, _initial_step and facold at
- * its start, as _dopri sets them, or a hand-back with h_mag still 0 where
- * they cannot be mirrored.  With ts NULL the call keeps no rows and runs
- * on to the run's end, and with stops NULL its only stop is t_end.
- * Returns the number of rows; the reason for returning is left in
- * st->status. */
+ * until the run stops or the row buffers fill.  Row n holds a settled
+ * state: t in ts[n], x in zs[n] and p in zs[cap + n].  The field at the
+ * current state stays in st for the next step.  Each stage's x-slope is
+ * that stage's p, so the Python loop's k1x and k7x are p and p1 here.  A
+ * st with h_mag == 0 starts the run: the field, _initial_step and facold
+ * at its start, as _dopri sets them, or a hand-back with h_mag still 0
+ * where they cannot be mirrored.  The last two accepted rows stay pending
+ * (see watch_row) until the run stops, and a call returns with room for
+ * three rows, the most one step writes, left.  With ts NULL the call
+ * keeps no rows and runs on to the run's end, and with stops NULL its
+ * only stop is t_end.  Returns the number of rows written; the reason for
+ * returning is left in st->status. */
 int dopri5_steps(const Model *model, const Run *run, const double *stops, State *st, double *ts, cplx *zs, int cap)
 {
     const double dir = run->direction;
@@ -279,6 +553,10 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
     if (stops == NULL)
         stops = &run->t_end;
     if (st->h_mag == 0.0) {
+        const Row start = {t, x, p, 0.0};
+        st->rows[0] = st->rows[1] = start;
+        st->pending = 0;
+        st->dmax = 0.0;
         if (!force(model, t, x, &k1p))
             goto hand_back;
         st->h_mag = initial_step(model, run, t, x, p, k1p);
@@ -287,7 +565,7 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
         st->facold = 1e-4;
     }
     while ((run->t_end - t) * dir > 0.0) {
-        if (ts != NULL && n == cap) {
+        if (ts != NULL && n > cap - 3) {
             st->status = DOPRI5_FULL;
             goto out;
         }
@@ -374,12 +652,6 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
         x = x1;
         p = p1;
         k1p = k7p;
-        if (ts != NULL) {
-            ts[n] = t;
-            zs[n] = x;
-            zs[cap + n] = p;
-            n++;
-        }
         st->accepted += 1.0;
 
         /* _next_h, then facold = max(err, 1e-4) */
@@ -389,12 +661,27 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
         fac = fac > 1.0 / FAC_GROW ? fac : 1.0 / FAC_GROW;
         double hnew = fabs(h / fac);
         st->facold = 1e-4 > err ? 1e-4 : err;
+        /* the controller itself wants sub-floor steps: the local timescale
+         * has collapsed (approaching a singularity); clipped steps say
+         * nothing about the error-optimal size */
+        int underflow = 0;
         if (!(landed || fabs(h) < st->h_mag)) {
             st->h_mag = run->max_step < hnew ? run->max_step : hnew;
-            if (st->h_mag < run->min_step) {
-                st->status = DOPRI5_STEP_UNDERFLOW;
+            underflow = st->h_mag < run->min_step;
+        }
+        if (ts != NULL) {
+            Row row = {t, x, p, 0.0};
+            int event = watch_row(model, run, st, &row, ts, zs, cap, &n);
+            if (event == DOPRI5_AT_EVENT)
+                event |= underflow ? DOPRI5_STEP_UNDERFLOW : DOPRI5_FULL;
+            if (event) {
+                st->status = event;
                 goto out;
             }
+        }
+        if (underflow) {
+            st->status = DOPRI5_STEP_UNDERFLOW;
+            goto out;
         }
     }
     st->status = DOPRI5_HORIZON;
@@ -403,6 +690,8 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
 hand_back:
     st->status = DOPRI5_HAND_BACK;
 out:
+    if (ts != NULL && st->status != DOPRI5_FULL)
+        flush(st, ts, zs, cap, &n);
     st->t = t;
     st->x = x;
     st->p = p;

@@ -4,7 +4,10 @@ For the four built-in models the library runs, bit for bit as the Python
 code it mirrors, which stays the reference:
 
 - ``steps``: ``integrator._dopri``'s accept/reject/PI/landing loop, the
-  field and ``_initial_step`` at the run's start included;
+  field and ``_initial_step`` at the run's start included, and for a
+  main run of ``integrator.integrate`` its events: each row's tests, the
+  polish of an escape or a return (``_locate_escape``, ``locate_return``)
+  and the rows the trajectory keeps, so that the run stops at its event;
 - ``land``: one landing run of event polishing (``integrator._advance``),
   one call of the same entry point, ``dopri5_steps``, that keeps no rows;
 - ``energy_columns``: ``Trajectory``'s energy columns, H and
@@ -28,8 +31,9 @@ does not mirror); other models run on the Python path.  The library
 builds each path piece of an ``operation`` as its one description in
 ``quadrature._pieces``, (kind, c0, c1, c2, phi0).  What the library
 cannot mirror goes back to Python: a run from the first step the kernel
-cannot take, or from its start, a landing run or an operation whole,
-and the energy rows from the first it cannot compute.
+cannot take, or from its start, an event from its flagged row, a
+landing run or an operation whole, and the energy rows from the first
+it cannot compute.
 The kernel keeps only dp/dt of the field: for these models dx/dt is p
 itself, so ``steps`` hands the field back as (p, kp).
 
@@ -88,26 +92,37 @@ _CSV_ROW_BYTES = 512  # bound on one CSV row's length (see _csv.c)
 # the models the kernel runs, by exact type: none on CPython 3.14 or
 # later, whose mixed float/complex arithmetic the kernel does not mirror
 _KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3} if sys.version_info < (3, 14) else {}
-# status codes of dopri5_steps (see _dopri5.c)
-_FULL, _HORIZON, _HAND_BACK = 0, 1, 4
-_STOP_REASONS = {_HORIZON: "horizon", 2: "max_steps", 3: "step_underflow"}
+# status codes of dopri5_steps (see _dopri5.c), and the flag of a row
+# left to the caller's event tests
+_FULL, _HORIZON, _HAND_BACK, _AT_EVENT = 0, 1, 4, 8
+_STOP_REASONS = {_HORIZON: "horizon", 2: "max_steps", 3: "step_underflow", 5: "overflow", 6: "escape", 7: "closure"}
+# the bits of Run.watch: the events a main run watches, and whether the
+# kernel polishes escapes and closures itself
+WATCH_OVERFLOW, WATCH_ESCAPE, WATCH_CLOSURE, WATCH_POLISH = 1, 2, 4, 8
 # operations of quad_op
 OP_TURNING, OP_REFINE, OP_REAL_FORM, OP_ESCAPE, OP_CONTOUR = range(5)
 _OP_RESULTS = 128  # doubles of a reused quad_op result buffer: 64 roots
-# reused quad_op result buffers, each (array, address, view), and State
-# records of landing runs, each (array, address): taking an array's
-# address costs more than the compiled work of a short operation
-_op_buffers, _land_states = [], []
+# reused quad_op result buffers, each (array, address, view), State
+# records of landing runs, each (array, address), and the State record and
+# row buffer of main runs, with their addresses: taking an array's address
+# costs more than the compiled work of a short operation or run
+_op_buffers, _land_states, _runs = [], [], []
 
-# the C structs: Model (kind, g, complex(-g), epsilon, omega), Run
-# (t_end, direction, rel_tol, abs_tol, max_step, min_step, max_steps) and
-# State, whose h_mag of 0 starts a run
-_MODEL, _RUN = struct.Struct("i6d"), struct.Struct("7d")
+# the C structs: Model (kind, g, complex(-g), epsilon, omega); Run (t_end,
+# direction, rel_tol, abs_tol, max_step, min_step, max_steps, then the
+# watch: its bits, guard, radius, closure_tol, min_period, the start (t0,
+# x0, p0) and the polish record (rel_tol, abs_tol, max_step, min_step));
+# and State, whose h_mag of 0 starts a run, with the watch's memory: the
+# number of rows pending, the running maximum of d2 and the last two rows
+_MODEL, _RUN = struct.Struct("i6d"), struct.Struct("7di13d")
+_NO_WATCH = (0, *[0.0] * 13)
+_ROW = np.dtype([("t", "f8"), ("x", "c16"), ("p", "c16"), ("d2", "f8")])
 _STATE = np.dtype(
     [("t", "f8"), ("x", "c16"), ("p", "c16"), ("kp", "c16"), ("h_mag", "f8"), ("facold", "f8"),
-     ("accepted", "f8"), ("i", "l"), ("status", "i")],
+     ("accepted", "f8"), ("i", "l"), ("status", "i"), ("pending", "i"), ("dmax", "f8"), ("rows", _ROW, (2,))],
     align=True,
 )
+_NO_ROWS = [(0.0, 0j, 0j, 0.0)] * 2  # a list: numpy reads a tuple as one record
 
 
 def _build(path: Path) -> None:
@@ -184,34 +199,58 @@ def model_params(model):
 
 def _start(t, x, p):
     """The fields of the ``State`` of a run that starts at (t, x, p)."""
-    return t, x, p, 0j, 0.0, 0.0, 0.0, 0, _FULL
+    return t, x, p, 0j, 0.0, 0.0, 0.0, 0, _FULL, 0, 0.0, _NO_ROWS
 
 
-def steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps):
+def steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps, watch=None):
     """The compiled loop as a generator, from the start (t, x, p): yields
-    the accepted steps in blocks of up to ``_ROWS`` like
-    ``integrator._dopri``, (t, z) with z's rows x and p, each block in
-    buffers of its own, and returns its stop reason, or, when a step has
-    to be redone in Python, the state (t, x, p, kp, h_mag, facold,
-    accepted, i) at the start of that step, (p, kp) being the field
-    there: dx/dt is p itself; h_mag is 0 at a run handed back at its
-    start."""
+    its rows in blocks like ``integrator._dopri``, (t, (x, p), dmax), each
+    column of a block an array of its own, and returns its stop
+    reason, or, when a step has to be redone in Python, the state (t, x,
+    p, kp, h_mag, facold, accepted, i) at the start of that step, (p, kp)
+    being the field there: dx/dt is p itself; h_mag is 0 at a run handed
+    back at its start.
+
+    ``watch`` is the tail of the ``Run`` record, ``integrate``'s events
+    (see ``_dopri5.c``), or None.  A watched run's rows are the
+    rows it keeps, its refined end last, its stop reason names its event,
+    and dmax is the running maximum of the squared distance to the start
+    after the block; a row left to the caller's event tests comes alone,
+    with dmax None, and the run goes on from it when asked for its next
+    block.  An unwatched run yields dmax None."""
     kernel = _library().dopri5_steps
-    stops = np.array(stops, dtype=float)
-    run = _RUN.pack(stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps)
-    state = np.array([_start(t, x, p)], dtype=_STATE)
-    status, addresses = state["status"], (stops.ctypes.data, state.ctypes.data)
-    while True:
-        ts = np.empty(_ROWS)
-        zs = np.empty((2, _ROWS), dtype=complex)
-        n = kernel(record, run, *addresses, ts.ctypes.data, zs.ctypes.data, _ROWS)
-        if n:
-            yield ts[:n], zs[:, :n]
-        if status[0] != _FULL:
-            break
-    t, x, p, kp, h_mag, facold, accepted, i, stop = state.item()
+    stops = np.asarray(stops, dtype=float)
+    run = _RUN.pack(stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps, *(watch or _NO_WATCH))
+    stops = stops.tobytes()  # read as a record
+    try:
+        state, columns, addresses = _runs.pop()
+    except IndexError:
+        state, rows = np.empty(1, dtype=_STATE), np.empty(5 * _ROWS)
+        # the float64 t, then the complex128 x and p, _ROWS rows each
+        columns = rows[:_ROWS], *rows[_ROWS:].view(complex).reshape(2, _ROWS)
+        addresses = state.ctypes.data, rows.ctypes.data, rows.ctypes.data + 8 * _ROWS
+    try:
+        state[0] = _start(t, x, p)
+        while True:
+            n = kernel(record, run, stops, *addresses, _ROWS)
+            fields = state.item()
+            stop, dmax = fields[8], (fields[10] if watch else None)
+            # each block in arrays of its own, one a column, so that a
+            # column's blocks are freed once it is assembled
+            ts, xs, ps = (column[:n].copy() for column in columns)
+            # a row left to the caller's tests, the last, comes alone
+            k = n - 1 if stop & _AT_EVENT else n
+            if k:
+                yield ts[:k], (xs[:k], ps[:k]), dmax
+            if k < n:
+                yield ts[k:], (xs[k:], ps[k:]), None
+            stop &= ~_AT_EVENT
+            if stop != _FULL:
+                break
+    finally:
+        _runs.append((state, columns, addresses))
     if stop == _HAND_BACK:
-        return t, x, p, kp, h_mag, facold, int(accepted), i
+        return (*fields[:6], int(fields[6]), fields[7])
     return _STOP_REASONS[stop]
 
 
@@ -221,7 +260,7 @@ def land(record, t, x, p, t_target, polish):
     ``dopri5_steps`` call that keeps no rows: (x, p) at t_target, bit for
     bit as the Python path computes them; None when the library cannot
     mirror the run, which Python then redoes whole."""
-    run = _RUN.pack(t_target, 1.0 if t_target > t else -1.0, *polish, math.inf)
+    run = _RUN.pack(t_target, 1.0 if t_target > t else -1.0, *polish, math.inf, *_NO_WATCH)
     try:
         state, address = _land_states.pop()
     except IndexError:
@@ -229,9 +268,9 @@ def land(record, t, x, p, t_target, polish):
         address = state.ctypes.data
     state[0] = _start(t, x, p)
     _library().dopri5_steps(record, run, None, address, None, None, 0)
-    _, x, p, *_, stop = state.item()
+    fields = state.item()
     _land_states.append((state, address))
-    return (x, p) if stop == _HORIZON else None
+    return fields[1:3] if fields[8] == _HORIZON else None
 
 
 def energy_columns(model, x, p, with_scale=True):

@@ -172,7 +172,7 @@ def verify_pt_symmetry(traj: Trajectory, *, config: IntegratorConfig | None = No
         cfg,
         EventSpec(closure=False, escape=False),
         t_final=-tau[-1].item(),
-        t_checkpoints=(-tau).tolist(),
+        t_checkpoints=-tau,
     )
     # the sample times both runs reach, each once
     _, mine, back_rows = np.intersect1d(-tau, back.t, return_indices=True)

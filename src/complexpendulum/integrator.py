@@ -35,22 +35,22 @@ body, which saves CPython's per-call overhead on every step.
 The order of its complex expressions is frozen, since the bundled
 scenario outputs are reproduced byte for byte (see ``_dopri``).
 It hands over the states (t, x, p) of its accepted steps in blocks of
-arrays.  ``integrate`` scans each block for the events above with
-elementwise array tests (the overflow guard, the escape radius and the
-closure rule's dips), with the last two rows carried across blocks: they
-head the next block, so the rows an event is refined from and its cut
-sit in one array, and rows are settled only up to the last two.  It
-takes the rows before the first event as they are, and visits Python
-only at the rows the tests flag.  Event polishing (``locate_return``,
-``_locate_escape``) re-integrates short spans with the same stepper from
-state rows, under one polish record (rel_tol, abs_tol, max_step,
-min_step); a landing run returns only its landed x and p, and
-``locate_return`` evaluates the field itself where it needs it.
+arrays.  ``integrate`` scans each block of the Python loop for the
+events above with elementwise array tests (the overflow guard, the
+escape radius and the closure rule's dips), each block headed by the
+last two rows before it, from which an event is refined and which its
+cut may drop.  It takes the rows before the first event as they are,
+and visits Python only at the rows the tests flag.  Event polishing
+(``locate_return``, ``_locate_escape``) re-integrates short spans with
+the same stepper from state rows, under one polish record (rel_tol,
+abs_tol, max_step, min_step); a landing run returns only its landed x
+and p, and ``locate_return`` evaluates the field itself where it needs
+it.
 
 Trajectories store their samples as columns (float64 t, complex128 x
 and p), which the analyses and the CSV writer read directly; the
 ``PhaseState`` list ``Trajectory.samples`` is built only when asked
-for.  ``integrate`` copies the settled block pieces into the columns
+for.  ``integrate`` copies the kept block pieces into the columns
 one column at a time, so a run never holds all its rows twice.  How a
 run ended is stored once, as its ``termination``; the classification
 comes from one table, and ``period`` or ``escape_time`` is the time to
@@ -66,10 +66,16 @@ runs the same loop in C (``_dopri5.c``, loaded by ``_dopri5``), which
 mirrors CPython's complex arithmetic operation for operation and so gives
 the same steps bit for bit.  The kernel has one stepping entry point,
 and it starts each run itself: the field and ``_initial_step`` at the
-start are computed there.  It hands over accepted states in blocks of
-512 through the same generator protocol, and the events stay here.  A
-polishing run needs only its landed state, so ``_advance`` takes it
-from one kernel call that keeps no rows (``_dopri5.land``); a run the
+start are computed there.  It also watches a main run's events itself,
+with the tests of ``integrate`` in their order, and polishes an escape
+or a return as ``_locate_escape`` and ``locate_return`` do, each landing
+run a direct call: the run stops at its event, takes no step past it,
+and hands over through the same generator protocol only the rows the
+trajectory keeps, its refined end last.  Where the kernel cannot mirror
+a polish, or one of the polishing functions here is rebound (see
+``_MIRRORED``), it stops at the flagged row and the scan above takes
+it.  A polishing run needs only its landed state, so ``_advance`` takes
+it from one kernel call that keeps no rows (``_dopri5.land``); a run the
 library cannot finish as Python would is redone whole on this path.
 A step the kernel cannot mirror (a non-finite stage or result, a stage
 with |Im x| past 708.396..., where ``cmath.sinh`` switches formula, or an
@@ -246,7 +252,8 @@ class Trajectory:
 
     termination names the event that stopped the run ("closure",
     "escape", "horizon", "max_steps", "step_underflow", "overflow",
-    "non_finite"; "" for samples that no run produced), and everything
+    "non_finite"; "" for samples that no run produced, the only ending
+    a trajectory without samples may have), and everything
     else about the ending is read from it: ``classification``, and
     ``period`` or ``escape_time``, the time from the first sample to the
     last (the refined return or crossing), set exactly when the run
@@ -259,6 +266,8 @@ class Trajectory:
         self.t = np.asarray(t, dtype=float)
         self.x = np.asarray(x, dtype=complex)
         self.p = np.asarray(p, dtype=complex)
+        if termination and not len(self.t):
+            raise ValueError(f"termination {termination!r} needs samples")
         self.termination = termination
         self.model = model
 
@@ -335,6 +344,8 @@ class Trajectory:
         integration error rather than float cancellation.  Meaningful
         for autonomous models, where H is conserved exactly.
         """
+        if not len(self.t):
+            raise ValueError("trajectory has no samples")
         h, scale = self._energy_columns
         if scale is None:
             # a driven model's: built for this call, not kept
@@ -416,23 +427,30 @@ def _reject_h(h, err):
     return h / min(_FAC_SHRINK, err**_EXPO1 / _SAFE)
 
 
-def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf):
+def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf, watch=None):
     """The adaptive stepping loop shared by every integration run.
 
     Steps the flow of ``model`` from (t, x, p), landing exactly on each
     time of ``stops`` in turn; the last one ends the run.  The compiled
     kernel starts its runs itself: the field and ``_initial_step`` at the
     start are computed here only where it does not run or hands back there.
-    Yields the accepted steps in blocks (t, z): t the float64 array of
-    their times and z the complex128 array of two rows, x and p.  The
+    Yields the accepted steps in blocks (t, z, dmax): t the float64 array
+    of their times and z their x and p, two complex128 rows.  The
     field at each new state feeds the next step and is not handed over.
     Returns why it stopped:
     "horizon", "max_steps", "step_underflow" (the controller wants steps
     below min_step, or the first step underflows to 0) or "non_finite"
-    (halving a step with non-finite stages went below min_step).  Callers
-    watch for events and may stop early; the steps of a block past an
-    event are then wasted, so the Python loop hands over ``_BLOCK`` steps
-    at a time, the compiled kernel 512.
+    (halving a step with non-finite stages went below min_step).
+
+    ``watch``, the tail of the kernel's run record that ``integrate``
+    builds, has the compiled kernel watch its events (see
+    ``_dopri5.steps``): its blocks then hold the rows the run keeps, each
+    block with dmax, the running maximum of the squared distance to the
+    start after it, and its stop reason may name an event.  The blocks
+    of the Python loop have dmax None: the caller watches for events in
+    them and may stop early, so it hands over ``_BLOCK`` steps at a
+    time, and a row the kernel leaves to the caller's tests comes the
+    same way.
 
     One fused sweep: the seven stages, the finiteness screen and the
     mixed-tolerance RMS error norm over the four real components are
@@ -450,7 +468,7 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
     field = model.field
     isfinite = math.isfinite
     sqrt = math.sqrt
-    t_end = stops[-1]
+    t_end = float(stops[-1])
     direction = 1.0 if t_end > t else -1.0
     h_mag = 0.0  # 0 until the run has started
     accepted = 0
@@ -459,7 +477,7 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
     record = _dopri5.model_params(model)
     if record is not None:
         stop = yield from _dopri5.steps(
-            record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps
+            record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps, watch
         )
         if isinstance(stop, str):
             return stop
@@ -467,6 +485,7 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
         # built-in model's field returns p itself as dx/dt
         t, x, p, k1p, h_mag, facold, accepted, i = stop
         k1x = p
+    stops = np.asarray(stops, dtype=float).tolist()  # Python floats, as the loop's arithmetic needs
     if h_mag == 0.0:
         k1x, k1p = field(t, x, p)
         h_mag = _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_step)
@@ -549,7 +568,7 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
         times.append(t)
         rows.append((x, p))
         if len(times) == _BLOCK:
-            yield np.array(times), np.array(rows).T
+            yield np.array(times), np.array(rows).T, None
             times, rows = [], []
         accepted += 1
 
@@ -566,7 +585,7 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
     else:
         stop = "horizon"
     if times:
-        yield np.array(times), np.array(rows).T
+        yield np.array(times), np.array(rows).T, None
     return stop
 
 
@@ -583,8 +602,8 @@ def _advance(model, row, t_target, polish):
         landed = None if record is None else _dopri5.land(record, t, x, p, t_target, polish)
         if landed is not None:
             return landed
-        for ts, z in _dopri(model, t, x, p, [t_target], *polish):
-            t, x, p = ts[-1].item(), z[0, -1].item(), z[1, -1].item()
+        for ts, (xs, ps), _ in _dopri(model, t, x, p, [t_target], *polish):
+            t, x, p = ts[-1].item(), xs[-1].item(), ps[-1].item()
     if t != t_target:
         raise ArithmeticError(f"event polishing stopped at t={t!r} short of {t_target!r}")
     return x, p
@@ -714,6 +733,21 @@ def _locate_escape(model, a, tb, radius, polish):
     return hi, x, p
 
 
+# the event polishing the kernel mirrors; with any of them rebound (a spy,
+# a tracer's wrapper) the kernel leaves each escape and closure to Python
+_MIRRORED = (locate_return, _locate_escape, _advance)
+
+
+def _drop_rows(pieces, k):
+    """Drops the last k rows of the (t, x, p) column pieces."""
+    while k:
+        t, x, p = pieces.pop()
+        if len(t) > k:
+            pieces.append((t[:-k], x[:-k], p[:-k]))
+            return
+        k -= len(t)
+
+
 def integrate(
     model: HamiltonianModel,
     start: PhaseState,
@@ -728,9 +762,15 @@ def integrate(
     The run ends at the first terminal event (see the module docstring)
     or at ``t_final`` (default: start time plus ``config.max_time``;
     values before the start time integrate backward).  ``t_checkpoints``
-    is any iterable of times (a list, a numpy array) the stepper must
-    land on exactly; they appear among the samples, making runs
-    comparable across step-size settings.
+    is any one-dimensional iterable of finite times (a list, a numpy
+    array), read as one float64 array, that the stepper must land on
+    exactly; they appear among the samples, making runs comparable
+    across step-size settings.
+
+    On the compiled kernel the events are watched and polished inside
+    the run (see the module docstring), which stops at its event; the
+    scan here runs only on the blocks of the Python loop and on a row the
+    kernel leaves to it.
     """
     cfg = config if config is not None else IntegratorConfig()
     ev = events if events is not None else EventSpec()
@@ -754,10 +794,17 @@ def integrate(
         raise ValueError("start lies at or beyond the escape radius")
     watch_closure = ev.closure and model.autonomous
 
-    cps = [] if t_checkpoints is None else sorted(map(float, t_checkpoints), reverse=direction < 0)
-    if not all(map(math.isfinite, cps)):
-        raise ValueError("t_checkpoints must be finite")
-    cps = [c for c in cps if (c - t0) * direction > 0.0 and (t_end - c) * direction > 0.0]
+    stops = [t_end]
+    if t_checkpoints is not None:
+        cps = t_checkpoints if isinstance(t_checkpoints, (np.ndarray, list, tuple)) else list(t_checkpoints)
+        cps = np.asarray(cps, dtype=float)
+        if cps.ndim != 1:
+            raise ValueError("t_checkpoints must be a one-dimensional sequence of times")
+        # in the run's direction, equal times in their given order, as sorted() leaves them
+        cps = cps[np.argsort(cps if direction > 0 else -cps, kind="stable")]
+        if not np.isfinite(cps).all():
+            raise ValueError("t_checkpoints must be finite")
+        stops = np.append(cps[((cps - t0) * direction > 0.0) & ((t_end - cps) * direction > 0.0)], t_end)
 
     if not _finite(*map(complex, model.field(t0, x0, p0))):
         raise ValueError("vector field is not finite at the start state")
@@ -765,35 +812,49 @@ def integrate(
     # polish runs use a slightly tighter tolerance so event times are not
     # limited by the refinement itself
     polish = max(cfg.rel_tol * 0.1, 1e-14), max(cfg.abs_tol * 0.1, 1e-16), cfg.max_step, cfg.min_step
+    # the events the kernel watches, in the tail of its run record; it
+    # polishes them only while the polishing here is the code it mirrors
+    watch = (
+        _dopri5.WATCH_OVERFLOW
+        | _dopri5.WATCH_ESCAPE * watch_escape
+        | _dopri5.WATCH_CLOSURE * watch_closure
+        | _dopri5.WATCH_POLISH * ((locate_return, _locate_escape, _advance) == _MIRRORED),
+        cfg.overflow_guard, cfg.escape_radius, ev.closure_tol, ev.min_period,
+        t0, x0.real, x0.imag, p0.real, p0.imag, *polish,
+    )
 
     steps = _dopri(
-        model, t0, x0, p0, cps + [t_end], cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps
+        model, t0, x0, p0, stops, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps, watch
     )
     guard = cfg.overflow_guard
     radius = cfg.escape_radius
     origin = t0, x0, p0
-    # settled samples as (t, x, p) column pieces, and the rows that can
-    # still take part in an event: the start at first, then the last two
-    # rows of each block, joined to the head of the next block
-    pieces = []
-    carry = np.array([t0]), np.array([x0]), np.array([p0])
+    # the run's rows as (t, x, p) column pieces, the start first
+    pieces = [(np.array([t0]), np.array([x0]), np.array([p0]))]
     dmax_sq = 0.0
-    end = ()  # the refined (t, x, p) of an escape or a return, the last row
     termination = None
     while termination is None:
         try:
-            t, z = next(steps)
+            t, z, dmax = next(steps)
         except StopIteration as stop:
             termination = stop.value
-            pieces.append(carry)
             break
-        c = len(carry[0])
-        t, x, p = (np.concatenate((a, b)) for a, b in zip(carry, (t, z[0], z[1])))
+        if dmax is not None:
+            # rows the kernel has watched: rows the run keeps
+            pieces.append((t, z[0], z[1]))
+            dmax_sq = dmax
+            continue
+        # a block of the Python loop, or a row the kernel left to the tests
+        # here, with the two rows before it (the start alone at first),
+        # from which an event is refined and which its cut may drop
+        tail = [np.concatenate([piece[k][-2:] for piece in pieces[-2:]])[-2:] for k in range(3)]
+        c = len(tail[0])
+        t, x, p = (np.concatenate((a, b)) for a, b in zip(tail, (t, z[0], z[1])))
 
         # every row that may end the run, tested elementwise; the loop
         # below visits them in order, each row's tests in the order
-        # overflow, escape, closure.  The carried rows were tested in
-        # their own block, and the start is not tested against the guard.
+        # overflow, escape, closure.  The tail rows were tested before,
+        # and the start is not tested against the guard.
         over = (np.abs(x.real) > guard) | (np.abs(x.imag) > guard) | (np.abs(p.real) > guard) | (np.abs(p.imag) > guard)
         out = np.abs(x.imag) >= radius if watch_escape else np.zeros(len(t), bool)
         over[:c] = out[:c] = False
@@ -808,7 +869,8 @@ def integrate(
         def row(j):
             return t[j].item(), x[j].item(), p[j].item(), d2[j].item()
 
-        kept = len(t) - 2
+        kept = len(t)
+        end = ()  # the refined (t, x, p) of an escape or a return, the last row
         for r in np.flatnonzero(events).tolist():
             if over[r]:
                 kept = r + 1
@@ -828,13 +890,15 @@ def integrate(
                 end = t_star, x_star, p_star
                 termination = "closure"
                 break
-        pieces.append((t[:kept], x[:kept], p[:kept]))
-        carry = t[kept:], x[kept:], p[kept:]
+        if kept < c:
+            _drop_rows(pieces, c - kept)
+        elif kept > c:
+            pieces.append((t[c:kept], x[c:kept], p[c:kept]))
+        if end:
+            pieces.append([[v] for v in end])
         if watch_closure:
             dmax_sq = dmax[-1].item()
 
-    if end:
-        pieces.append([[v] for v in end])
     # one column at a time, each column's pieces dropped once copied, so
     # that the run never holds its rows twice
     t, x, p = zip(*pieces)

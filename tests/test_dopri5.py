@@ -608,6 +608,167 @@ def test_random_runs_match_the_python_loop(library, model, x, p, t0, span, fract
         assert run_outcome(run) == fast
 
 
+# Events on the kernel.  A main run of ``integrate`` tests each of its
+# rows in the kernel (the overflow guard, the escape radius, the closure
+# dip), polishes an escape or a return there as ``_locate_escape`` and
+# ``locate_return`` do, and yields only the rows the trajectory keeps, its
+# refined end last; a closure candidate the acceptance test rejects runs
+# on.  A row it leaves to the Python tests comes alone, with dmax None.
+
+
+def kernel_run(run):
+    """run()'s outcome on the library path, the rows its kernel runs
+    yielded, the rows they left to the Python tests and whether a run was
+    handed back to the Python loop."""
+    yielded, left, handed_back = [], [], []
+    steps = _dopri5.steps
+
+    def spy(*args):
+        handed_back.append(False)
+        gen = steps(*args)
+        try:
+            while True:
+                t, z, dmax = next(gen)
+                (left if dmax is None else yielded).append(len(t))
+                yield t, z, dmax
+        except StopIteration as stop:
+            handed_back[-1] = not isinstance(stop.value, str)
+            return stop.value
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "steps", spy)
+        outcome = run_outcome(run)
+    assert handed_back, "the compiled stepper did not run"
+    return outcome, sum(yielded), sum(left), any(handed_back)
+
+
+def python_returns(run):
+    """run()'s outcome on the Python loop, and for each return it refines
+    whether the refined time comes before the sampled minimum's, so that
+    a closure there drops that row.  Every refined return but a closing
+    run's last is a candidate the acceptance test rejected."""
+    before_b = []
+    locate_return = integrator.locate_return
+
+    def spy(model, start, a, b, c, scale, polish):
+        result = locate_return(model, start, a, b, c, scale, polish)
+        before_b.append((result[0] - b[0]) * (c[0] - a[0]) < 0.0)
+        return result
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda model: None)
+        m.setattr(integrator, "locate_return", spy)
+        return run_outcome(run), before_b
+
+
+def cubic_closes_after_two_near_misses():
+    # a loose closure tolerance: two sampled returns are refined and
+    # rejected before a third closes
+    return integrate(
+        ImaginaryCubic(), PhaseState(0.76 + 0.29j, 0.62 + 0.78j), IntegratorConfig(max_time=40.0), EventSpec(closure_tol=0.03)
+    )
+
+
+def harmonic_closure_backward():
+    return integrate(Harmonic(), PhaseState(1 + 1j, 0.5 - 0.3j), t_final=-10.0)
+
+
+def harmonic_dip_at_min_period():
+    # the sampled minimum is the checkpoint row at exactly min_period
+    return integrate(Harmonic(), PhaseState(1 + 1j, 0.5 - 0.3j), events=EventSpec(min_period=6.2832), t_checkpoints=[6.2832])
+
+
+def dip_rows_511_512_513_cut_at_512(events=None):
+    # rows 511 and 512 are pending when the kernel's first call returns,
+    # and the refined return comes before row 512, which the cut drops
+    return dip_across_blocks(0.0123, events)
+
+
+# each run's termination, and for each return the Python loop refines,
+# whether the refined time comes before the sampled minimum's: every
+# refined return but a closing run's last is a rejected candidate
+EVENT_ENDINGS = {
+    pendulum_closure: ("closure", [False]),
+    cubic_closure: ("closure", [True]),
+    cubic_closes_after_two_near_misses: ("closure", [True, True, False]),
+    harmonic_checkpoints: ("closure", [False]),
+    harmonic_closure_backward: ("closure", [True]),
+    harmonic_dip_at_min_period: ("closure", [True]),
+    harmonic_dips_that_do_not_close: ("horizon", [False, False, False]),
+    dip_rows_511_512_513: ("closure", [False]),
+    dip_rows_511_512_513_cut_at_512: ("closure", [True]),
+    pendulum_escape: ("escape", []),
+    driven_escape: ("escape", []),
+    escape_on_row_0: ("escape", []),
+    overflow_on_row_0: ("overflow", []),
+    pendulum_max_steps: ("max_steps", [False, False]),
+    pendulum_i_backward: ("horizon", []),
+}
+
+
+@pytest.mark.parametrize("run", EVENT_ENDINGS, ids=lambda f: f.__name__)
+def test_events_end_in_the_kernel(library, run):
+    """Each ending on both paths, bit for bit, with the kernel's run
+    stopping at its event: it leaves no row to the Python tests and
+    yields the rows the trajectory keeps but the start, its refined end
+    included, so it takes no step past the event."""
+    fast, yielded, left, handed_back = kernel_run(run)
+    slow, before_b = python_returns(run)
+    assert fast == slow
+    assert (left, handed_back) == (0, False)
+    assert yielded == len(fast[0]) - 1
+    assert (fast[2], before_b) == EVENT_ENDINGS[run]
+
+
+def test_rebound_polishing_is_left_to_python(library, monkeypatch):
+    """With ``locate_return`` or ``_locate_escape`` rebound, the kernel
+    stops at each candidate, yields it alone and runs on once the Python
+    code has refined and rejected it; the trajectory is the same."""
+    want = {run: fingerprint(run()) for run in (cubic_closes_after_two_near_misses, pendulum_escape)}
+    for name in ("locate_return", "_locate_escape"):
+        original = getattr(integrator, name)
+        monkeypatch.setattr(integrator, name, lambda *args, original=original: original(*args))
+    for run, outcome in want.items():
+        got, yielded, left, handed_back = kernel_run(run)
+        assert got == outcome
+        assert (left, handed_back) == ({cubic_closes_after_two_near_misses: 3, pendulum_escape: 1}[run], False)
+        assert yielded + left == len(got[0]) - 1  # each left row is dropped for its refined end
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    built_in_models,
+    st.builds(complex, st.floats(-4.0, 4.0), st.floats(-2.5, 2.5) | st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])),
+    st.floats(0.5, 25.0) | st.floats(-25.0, -0.5),
+    st.lists(st.floats(0.0, 1.0), max_size=3),
+    st.sampled_from([1e-7, 1e-3, 3e-2]),
+    st.sampled_from([0.0, 0.1, 1.0]),
+    st.booleans(),
+    st.sampled_from([3.0, 5.0, 30.0]),
+    st.sampled_from([5.0, 50.0, 1e12]),
+    st.sampled_from([1_000_000, 60]),
+)
+def test_random_events_match_the_python_loop(
+    library, model, x, p, span, fractions, closure_tol, min_period, escape, radius, guard, max_steps
+):
+    """Runs drawn to end in every way (a closure, a rejected candidate and
+    a later one, an escape, an overflow, max_steps or the horizon),
+    forward and backward, some with checkpoints: the same samples,
+    termination and refined end on both paths, and a kernel run that
+    stops at its event."""
+    config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, escape_radius=radius, overflow_guard=guard, max_steps=max_steps)
+    events = EventSpec(closure_tol=closure_tol, min_period=min_period, escape=escape)
+
+    def run():
+        return integrate(model, PhaseState(x, p), config, events, t_final=span, t_checkpoints=[span * f for f in fractions])
+
+    fast, yielded, left, handed_back = kernel_run(run)
+    assert python_returns(run)[0] == fast
+    if isinstance(fast, tuple) and not (handed_back or left):
+        assert yielded == len(fast[0]) - 1
+
+
 # The landing runs of event polishing.  ``integrator._advance`` runs each
 # one in the library as one ``dopri5_steps`` call that keeps no rows
 # (``_dopri5.land``), initial step included; with ``model_params``
@@ -659,7 +820,7 @@ def python_steps(model, row, t_target):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_dopri5, "model_params", lambda model: None)
         blocks = integrator._dopri(model, t, x, p, [t_target], *POLISH)
-        return sum(len(ts) for ts, _ in blocks)
+        return sum(len(ts) for ts, *_ in blocks)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

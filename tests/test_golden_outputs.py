@@ -17,11 +17,13 @@ another libm may round ``cmath.sin``/``cos`` differently.
 
 The hashes cannot tell which path wrote the bytes, so the default-path
 run also watches every way back to Python: with the library built, no
-scenario may leave a step, a landing run, an integral, a branch guide or
-an energy row to the Python code.
+scenario may leave a step, a landing run, an event, an integral, a
+branch guide or an energy row to the Python code, and no main run may
+step past its event.
 """
 import collections
 import hashlib
+import sys
 
 import pytest
 
@@ -110,16 +112,34 @@ def watch_fallbacks(monkeypatch):
     ``_reject_h``), None from the rowless landing call ``_dopri5.land``
     or from ``_dopri5.operation``, branch guides built in Python
     (``quadrature._guide``), and energy rows ``_dopri5.energy_columns``
-    did not fill."""
+    did not fill; and for ``integrate``'s events, rows the kernel left
+    to its Python tests, event polishing in Python (``locate_return``,
+    ``_locate_escape``) and landing runs made inside ``integrate``, and
+    the rows a kernel run yielded past what its trajectory keeps (the
+    start aside), that is steps taken past its event.  The polishing
+    spies are declared mirrored (``integrator._MIRRORED``): they pass
+    each call on, so the kernel still polishes in their place."""
     calls, fallbacks = collections.Counter(), collections.Counter()
     steps, energy_columns = _dopri5.steps, _dopri5.energy_columns
 
     def steps_spy(*args):
         calls["steps"] += 1
-        stop = yield from steps(*args)
-        if not isinstance(stop, str):
-            fallbacks["steps hand-back"] += 1
-        return stop
+        gen = steps(*args)
+        try:
+            while True:
+                t, z, dmax = next(gen)
+                calls["rows yielded"] += len(t)
+                fallbacks["events left to Python"] += dmax is None
+                yield t, z, dmax
+        except StopIteration as stop:
+            if not isinstance(stop.value, str):
+                fallbacks["steps hand-back"] += 1
+            return stop.value
+
+    class Kept(integrator.Trajectory):
+        def __init__(self, t, x, p, termination="", model=None):
+            super().__init__(t, x, p, termination, model)
+            calls["rows kept"] += len(self) - 1  # the start is no step
 
     def energy_spy(model, x, p, *with_scale):
         calls["energy_columns"] += 1
@@ -134,9 +154,18 @@ def watch_fallbacks(monkeypatch):
             calls[name] += 1
             result = original(*args)
             fallbacks[name] += result is None
+            fallbacks[f"{name} inside integrate"] += inside_integrate()
             return result
 
         return spy
+
+    def inside_integrate():
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not integrate_code:
+            frame = frame.f_back
+        return frame is not None
+
+    integrate_code = integrator.integrate.__code__
 
     def in_python(module, name):
         original = getattr(module, name)
@@ -158,9 +187,12 @@ def watch_fallbacks(monkeypatch):
     monkeypatch.setattr(_dopri5, "steps", steps_spy)
     monkeypatch.setattr(_dopri5, "energy_columns", energy_spy)
     monkeypatch.setattr(_dopri5, "land", declined("land"))
+    monkeypatch.setattr(integrator, "Trajectory", Kept)
     python_loop = [(integrator, name) for name in ("_initial_step", "_next_h", "_reject_h")]
-    for module, name in [*python_loop, (quadrature, "_guide")]:
+    polishing = [(integrator, name) for name in ("locate_return", "_locate_escape")]
+    for module, name in [*python_loop, *polishing, (quadrature, "_guide")]:
         monkeypatch.setattr(module, name, in_python(module, name))
+    monkeypatch.setattr(integrator, "_MIRRORED", (integrator.locate_return, integrator._locate_escape, integrator._advance))
     return calls, fallbacks
 
 
@@ -171,6 +203,7 @@ def test_outputs_match_recorded_hashes(monkeypatch, tmp_path, scenario):
     if _dopri5._library() is not None:
         assert calls["steps"] > 0 and calls["energy_columns"] > 0
         assert (calls["integral operation"] > 0) == (scenario in QUADRATURE_SCENARIOS)
+        assert calls["rows yielded"] == calls["rows kept"]
         assert +fallbacks == {}
 
 

@@ -208,6 +208,10 @@ class TestConservation:
         with pytest.raises(ValueError):
             Trajectory([0.0], [0j], [0j], "horizon").energy_drift()
 
+    def test_drift_requires_samples(self):
+        with pytest.raises(ValueError, match="^trajectory has no samples$"):
+            Trajectory([], [], [], model=Harmonic()).energy_drift()
+
 
 class TestReversibility:
     def test_backward_run_recovers_the_start(self):
@@ -260,6 +264,35 @@ class TestCheckpoints:
         got = integrate(model, start, events=NO_EVENTS, t_final=5.0, t_checkpoints=cps)
         for column in ("t", "x", "p"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+    @pytest.mark.parametrize("t_final", [5.0, -5.0], ids=["forward", "backward"])
+    @pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0]], ids=["plus-first", "minus-first"])
+    def test_equal_checkpoints_land_on_the_first_given(self, t_final, zeros):
+        """Equal times keep their given order, as ``sorted`` keeps them in
+        either direction, so the run lands on the signed zero listed first."""
+        model, start = pendulum_start(0.2j)
+        start = PhaseState(start.x, start.p, -math.copysign(1.0, t_final))
+        traj = integrate(model, start, events=NO_EVENTS, t_final=t_final, t_checkpoints=np.array(zeros))
+        (landed,) = [t for t in traj.t.tolist() if t == 0.0]
+        assert math.copysign(1.0, landed) == math.copysign(1.0, zeros[0])
+
+    @pytest.mark.parametrize("t_final", [5.0, -5.0], ids=["forward", "backward"])
+    def test_a_list_and_an_array_give_the_same_run(self, t_final):
+        """The checkpoints are read as one float64 array: a list and a 1-D
+        array, unsorted, with a repeat, a signed zero and times outside the
+        span, give one trajectory bit for bit, forward and backward."""
+        model, start = pendulum_start(0.2j)
+        cps = [2.5, -1.0, 1.0, 0.0, -0.0, 4.0, -2.5, 2.5, 7.0, -4.0, 1]
+        runs = [integrate(model, start, events=NO_EVENTS, t_final=t_final, t_checkpoints=c) for c in (cps, np.array(cps))]
+        assert runs[0].t[-1] == t_final
+        assert {c * math.copysign(1.0, t_final) for c in (1.0, 2.5, 4.0)} <= set(runs[0].t.tolist())
+        for column in ("t", "x", "p"):
+            assert getattr(runs[0], column).tobytes() == getattr(runs[1], column).tobytes()
+
+    def test_a_two_dimensional_array_is_rejected(self):
+        model, start = pendulum_start(0.2j)
+        with pytest.raises(ValueError, match="t_checkpoints"):
+            integrate(model, start, events=NO_EVENTS, t_final=5.0, t_checkpoints=np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 class TestFailureModes:
@@ -378,6 +411,15 @@ class TestColumns:
         assert (unfinished.classification, unfinished.period, unfinished.escape_time) == ("", None, None)
         with pytest.raises(ValueError, match="unknown termination 'open'"):
             Trajectory(t, x, p, "open")
+
+    @pytest.mark.parametrize("termination", ["closure", "escape", "horizon"])
+    def test_an_ending_needs_samples(self, termination):
+        """Only samples that no run produced may be empty: a period or an
+        escape time is read from the first and last samples."""
+        empty = Trajectory([], [], [])
+        assert (len(empty), empty.classification, empty.period, empty.escape_time) == (0, "", None, None)
+        with pytest.raises(ValueError, match=f"^termination '{termination}' needs samples$"):
+            Trajectory([], [], [], termination)
 
     def test_integrate_builds_no_phase_state_per_step(self, monkeypatch):
         from complexpendulum import integrator

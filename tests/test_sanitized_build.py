@@ -6,8 +6,9 @@ runtime preloaded:
 
 - the 14 bundled scenarios through ``run_scenario``, each output file
   checked against ``test_golden_outputs.GOLDEN``, which runs every entry
-  point: ``dopri5_steps`` (main runs, which it starts itself, and
-  landing runs that keep no rows), ``energy_rows`` (with and without the
+  point: ``dopri5_steps`` (main runs, which it starts itself and whose
+  events it polishes, and landing runs that keep no rows),
+  ``energy_rows`` (with and without the
   scale column), ``csv_rows`` and ``quad_op``, each reading the model
   record;
 - ``csv_rows`` writing each of ``test_csv_writer.longest_rows()`` into
@@ -32,7 +33,13 @@ runtime preloaded:
   before its first step, whose trial step underflows, a landing run the
   rowless call lands, one it hands back, and one whose start field
   overflows, each compared with the Python loop, and each hand-back
-  checked.
+  checked;
+- main runs whose events the kernel watches and polishes: a closure,
+  rejected candidates before one, a cut that drops a row the kernel kept
+  pending across its calls, an escape, an overflow and a run to
+  ``max_steps``; and, with ``locate_return`` and ``_locate_escape``
+  rebound, runs whose kernel leaves each candidate to Python and goes on
+  from it, each compared with the Python loop.
 
 A bad memory access, a record laid out otherwise in Python and in C, or
 undefined behaviour fails the replay.  The interpreter allocates with
@@ -58,7 +65,7 @@ from pathlib import Path
 
 sys.path.insert(0, sys.argv[2])
 from complexpendulum import Harmonic, ImaginaryCubic, IntegratorConfig, Pendulum, PhaseState, _dopri5, integrate
-from complexpendulum import contour_integral, escape_time, quadrature
+from complexpendulum import contour_integral, escape_time, integrator, quadrature
 from complexpendulum import escape_time_real_form, period_contour, refine_root, turning, turning_points
 from complexpendulum.cli import run_scenario
 
@@ -181,6 +188,27 @@ landing = (Pendulum(g=1e-307), (0.0, 0.3 + 708.0j, 2j), 0.3)
 assert on_both_paths(lambda: test_dopri5.advance_outcome(*landing))[1] is False
 overflow = (Pendulum(g=1.0), (0.0, 0.3 + 711.0j, 1j), 0.2)
 assert on_both_paths(lambda: test_dopri5.advance_outcome(*overflow)) == ("OverflowError: math range error", False)
+
+# events on the kernel: each kind, rejected candidates before a closure,
+# a cut that drops a row pending across the kernel's calls, and, with
+# the polishing rebound, each candidate left to Python and run on from
+events = (
+    test_dopri5.pendulum_closure,
+    test_dopri5.cubic_closes_after_two_near_misses,
+    test_dopri5.dip_rows_511_512_513_cut_at_512,
+    test_dopri5.pendulum_escape,
+    test_dopri5.overflow_on_row_0,
+    test_dopri5.pendulum_max_steps,
+)
+for run in events:
+    returns.clear()
+    on_both_paths(lambda: test_dopri5.fingerprint(run()))
+    assert len(returns) == 1 and returns[0] == run().termination, returns
+mirrored = integrator.locate_return, integrator._locate_escape
+integrator.locate_return, integrator._locate_escape = (lambda *args, f=f: f(*args) for f in mirrored)
+for run in (test_dopri5.cubic_closes_after_two_near_misses, test_dopri5.pendulum_escape):
+    on_both_paths(lambda: test_dopri5.fingerprint(run()))
+integrator.locate_return, integrator._locate_escape = mirrored
 print("replayed")
 """
 
