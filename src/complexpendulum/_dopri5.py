@@ -48,7 +48,7 @@ address is taken once.  No ctypes type is used, so no call builds one.
 ``cli._write_trajectory_csv`` formats its rows with ``csv_formatter``
 where floats print in the 'short' repr style: each value is the shortest
 round-trip digits, found by ``_csv.c``'s own Schubfach conversion and
-laid out as ``repr`` lays them out, so the file is the Python writer's,
+laid out as ``repr`` lays them out, so the file is the Python formatter's,
 byte for byte, for every model.
 
 The library is compiled once, at the first run or CSV that can use it,
@@ -342,7 +342,7 @@ def csv_formatter():
     'short' repr style the formatter mirrors.  Contiguous float64 and
     complex128 columns are read in place.  A driven row whose Re x is not
     finite is handed back after the rows before it: ``cell_index`` raises
-    on it, as in the Python writer."""
+    on it, as in the Python formatter."""
     lib = _library() if sys.float_repr_style == "short" else None
     if lib is None:
         return None

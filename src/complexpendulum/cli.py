@@ -17,8 +17,8 @@ Output is deterministic: rows carry full round-trip precision and no
 timestamps, so re-running a scenario reproduces files byte for byte.
 Each value is written as its Python ``repr``; the compiled library
 (``_dopri5``, ``_csv.c``) formats the rows in blocks and gives the
-same bytes as the Python writer, which runs when the library is
-unavailable.
+same bytes as the Python formatter, which runs without the library;
+``_write_output`` writes every file.
 
 Subcommands::
 
@@ -551,6 +551,15 @@ def _starting_states(scn: Scenario) -> tuple[list | None, list[PhaseState]]:
     return roots, states
 
 
+def _write_output(path: Path, *parts) -> None:
+    """Replace ``path`` with the chunks of bytes of ``parts``.  The file is
+    truncated first, so a chunk that raises leaves exactly the bytes before
+    it, and a process killed mid-write leaves a short file, never an old
+    run's tail."""
+    with open(path, "wb") as fh:
+        fh.writelines(chunk for chunks in parts for chunk in chunks)
+
+
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Write one row per sample: t, x, p and H = p^2/2 + V(x) as the
     repr of each real part (round-trip exact; never needs CSV quoting),
@@ -558,32 +567,22 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
     The energy column is the trajectory's ``energy``, shared with
     ``energy_drift``.  The compiled library formats the rows from the
-    columns (``_dopri5.csv_formatter``).  Where it cannot,
-    ``_write_rows_in_python`` writes the same bytes."""
+    columns (``_dopri5.csv_formatter``); where it cannot, ``_rows_in_python``
+    gives the same bytes.  Either raises at a row with no cell."""
     driven = not traj.model.autonomous
-    header = "t,re_x,im_x,re_p,im_p,re_E,im_E,cell\n" if driven else "t,re_x,im_x,re_p,im_p,re_E,im_E\n"
-    columns = traj.t, traj.x, traj.p, traj.energy
-    rows = _dopri5.csv_formatter()
-    if rows is None:
-        with open(path, "w", newline="") as fh:
-            fh.write(header)
-            _write_rows_in_python(fh, *columns, driven)
-        return
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.writelines(rows(*columns, driven))
+    header = b"t,re_x,im_x,re_p,im_p,re_E,im_E,cell\n" if driven else b"t,re_x,im_x,re_p,im_p,re_E,im_E\n"
+    rows = _dopri5.csv_formatter() or _rows_in_python
+    _write_output(path, [header], rows(traj.t, traj.x, traj.p, traj.energy, driven))
 
 
-def _write_rows_in_python(fh, t, x, p, e, driven: bool) -> None:
-    """The CSV rows as f-strings of ``repr``s, a block of
-    ``_dopri5._ROWS`` rows at a time: the reference the compiled
-    formatter must match byte for byte."""
-    write = fh.write
+def _rows_in_python(t, x, p, e, driven: bool):
+    """The CSV rows as bytes, one at a time, from ``repr``s of the columns
+    read ``_dopri5._ROWS`` rows at a time: the compiled formatter's reference."""
     for i in range(0, len(t), _dopri5._ROWS):
         block = (column[i : i + _dopri5._ROWS].tolist() for column in (t, x, p, e))
         for tk, xk, pk, ek in zip(*block):
             row = f"{tk!r},{xk.real!r},{xk.imag!r},{pk.real!r},{pk.imag!r},{ek.real!r},{ek.imag!r}"
-            write(f"{row},{cell_index(xk)}\n" if driven else row + "\n")
+            yield (f"{row},{cell_index(xk)}\n" if driven else row + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +740,9 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> in
             "trajectories": records,
             "quadrature": quad,
         }
-        # strict JSON: a non-finite value raises here, before the file is written
-        text = json.dumps(summary, indent=2, allow_nan=False, default=_json_form)
         summary_path = scn.out_dir / "summary.json"
-        with open(summary_path, "w") as fh:
-            fh.write(text + "\n")
+        # strict JSON: a non-finite value raises here, before the file is written
+        _write_output(summary_path, [json.dumps(summary, indent=2, allow_nan=False, default=_json_form).encode(), b"\n"])
         if not quiet:
             print(f"summary: {summary_path}")
     except OSError as exc:

@@ -8,9 +8,10 @@ Python integers, and the formatter is checked against ``repr`` value by
 value: random bit patterns, every binary exponent's extreme significands,
 the subnormals, the powers of ten and the switch points of ``repr``'s
 layout, each with its neighbours.  Then the whole writer is checked
-against its Python loop, ``cli._write_rows_in_python``, byte for byte on
+against its Python loop, ``cli._rows_in_python``, byte for byte on
 trajectories outside the bundled scenarios (which ``test_golden_outputs``
-covers).
+covers), and each writer's file is checked to hold the rows before one
+that raises, also when it rewrites a longer file.
 """
 import cmath
 import io
@@ -30,6 +31,7 @@ from complexpendulum import (
     IntegratorConfig,
     Pendulum,
     PhaseState,
+    Trajectory,
     _dopri5,
     cli,
     integrate,
@@ -227,13 +229,13 @@ def python_api_model():
 def test_compiled_writer_matches_the_python_writer(monkeypatch, tmp_path, rows, run):
     model, traj = run()
     python_calls = []
-    write_rows_in_python = cli._write_rows_in_python
+    rows_in_python = cli._rows_in_python
 
     def spy(*args):
         python_calls.append(args)
-        return write_rows_in_python(*args)
+        return rows_in_python(*args)
 
-    monkeypatch.setattr(cli, "_write_rows_in_python", spy)
+    monkeypatch.setattr(cli, "_rows_in_python", spy)
     cli._write_trajectory_csv(tmp_path / "compiled.csv", traj)
     assert python_calls == []
     monkeypatch.setattr(_dopri5, "csv_formatter", lambda: None)
@@ -274,13 +276,34 @@ def test_a_row_with_no_cell_raises_alike_in_both_writers(rows, re_x, at):
     t, x = np.arange(700.0), np.full(700, 0.5 + 0.1j)
     x[at] = complex(re_x, 0.2)
     p, e = np.full(700, 0.3 - 0.2j), np.full(700, -0.2 + 0.1j)
-    compiled, python = io.BytesIO(), io.StringIO()
+    compiled, python = io.BytesIO(), io.BytesIO()
     with pytest.raises((ValueError, OverflowError)) as raised:
         for block in rows(t, x, p, e, True):
             compiled.write(bytes(block))
     with pytest.raises((ValueError, OverflowError)) as want:
-        cli._write_rows_in_python(python, t, x, p, e, True)
+        python.writelines(cli._rows_in_python(t, x, p, e, True))
     assert (type(raised.value), str(raised.value)) == (type(want.value), str(want.value))
     assert type(want.value) is (ValueError if math.isnan(re_x) else OverflowError)
-    assert compiled.getvalue() == python.getvalue().encode()
+    assert compiled.getvalue() == python.getvalue()
     assert compiled.getvalue().count(b"\n") == at
+
+
+@pytest.mark.parametrize("formatter", ["compiled", "python"])
+@pytest.mark.parametrize("at", [0, 600], ids=["first-row", "second-block"])
+def test_a_file_holds_the_rows_before_one_that_raises(monkeypatch, tmp_path, rows, formatter, at):
+    """A driven row with no cell raises in ``_write_trajectory_csv``, and
+    the file it replaces holds exactly the header and the rows
+    before it, with nothing of the longer file it replaces."""
+    if formatter == "python":
+        monkeypatch.setattr(_dopri5, "csv_formatter", lambda: None)
+    model = DrivenPendulum(g=1.0, epsilon=0.5, omega=1.0)
+    t, x, p = np.arange(700.0), np.full(700, 0.5 + 0.1j), np.full(700, 0.3 - 0.2j)
+    cli._write_trajectory_csv(tmp_path / "whole.csv", Trajectory(t, x, p, "horizon", model))
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"x" * 200_000)
+    x[at] = complex(math.nan, 0.2)
+    with pytest.raises(ValueError):
+        cli._write_trajectory_csv(path, Trajectory(t, x, p, "horizon", model))
+    # the header and the rows before the one with no cell
+    want = (tmp_path / "whole.csv").read_bytes().splitlines(keepends=True)[: at + 1]
+    assert path.read_bytes() == b"".join(want)

@@ -344,15 +344,19 @@ def test_subclasses_use_the_python_loop(kernel_spy):
 def test_failed_build_falls_back_to_the_python_loop(monkeypatch, tmp_path, caplog, compiler, flag, reason):
     """Without a working build the run logs one record naming why and
     still reproduces the bundled outputs, on the Python loop, with every
-    CSV written by the Python writer."""
+    CSV formatted by the Python formatter."""
     python_csvs = []
-    write_rows_in_python = cli._write_rows_in_python
+    rows_in_python, write_trajectory_csv = cli._rows_in_python, cli._write_trajectory_csv
 
-    def spy(fh, *args):
-        python_csvs.append(Path(fh.name).name)
-        return write_rows_in_python(fh, *args)
+    def spy(path, traj):
+        calls = len(python_rows)
+        write_trajectory_csv(path, traj)
+        if len(python_rows) == calls + 1:
+            python_csvs.append(path.name)
 
-    monkeypatch.setattr(cli, "_write_rows_in_python", spy)
+    python_rows = []
+    monkeypatch.setattr(cli, "_rows_in_python", lambda *args: python_rows.append(args) or rows_in_python(*args))
+    monkeypatch.setattr(cli, "_write_trajectory_csv", spy)
     if flag is None:
         compiler = str(tmp_path / compiler)
     else:

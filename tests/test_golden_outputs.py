@@ -10,7 +10,9 @@ whose escaping start's closure ``return_distance`` is now written as
 run here twice: with the compiled stepper, energy column and CSV
 formatter (about 2 s), and with the library patched out so that the
 Python stepping loop, energy column and writer, the references, make
-every byte (about 4 s).  fig10-12
+every byte (about 4 s).  Each is also rewritten over its own files, on
+both formatters, and a shorter run over a full one's leaves no stale
+tail.  fig10-12
 cover the driven ``cell`` column, and fig9 runs event polishing inside a
 suspended main run.  The hashes hold for CPython 3.11 on x86-64 Linux;
 another libm may round ``cmath.sin``/``cos`` differently.
@@ -212,3 +214,30 @@ def test_python_references_match_recorded_hashes(monkeypatch, tmp_path, scenario
     monkeypatch.setattr(_dopri5, "model_params", lambda model: None)
     monkeypatch.setattr(_dopri5, "csv_formatter", lambda: None)
     assert_outputs_match(tmp_path, scenario)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_outputs_rewritten_over_themselves_match_recorded_hashes(monkeypatch, tmp_path, scenario):
+    """A second run into the same directory, as the CLI's default
+    ``out/<name>`` makes it, rewrites every file to the same bytes: the
+    compiled formatter over its own files, the Python formatter over
+    those, and the compiled one again."""
+    assert_outputs_match(tmp_path, scenario)
+    with monkeypatch.context() as m:
+        m.setattr(_dopri5, "csv_formatter", lambda: None)
+        assert_outputs_match(tmp_path, scenario)
+    assert_outputs_match(tmp_path, scenario)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_a_shorter_rerun_leaves_no_stale_tail(tmp_path, scenario):
+    """A run with a shorter horizon over a full run's files writes what it
+    writes into an empty directory, in every CSV and in summary.json."""
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    assert run_scenario(scenario, out=over, quiet=True) == 0
+    before = {f.name: f.stat().st_size for f in over.iterdir()}
+    assert run_scenario(scenario, out=over, horizon=0.5, quiet=True) == 0
+    assert run_scenario(scenario, out=fresh, horizon=0.5, quiet=True) == 0
+    after = {f.name: f.read_bytes() for f in over.iterdir()}
+    assert after == {f.name: f.read_bytes() for f in fresh.iterdir()}
+    assert any(len(after[name]) < size for name, size in before.items() if name.endswith(".csv"))
