@@ -39,7 +39,9 @@
  * its refined end as the run's last row: the rows written are the rows
  * kept.  A polish the kernel cannot mirror, or one the Python side asks
  * for, is left to Python: the run stops at the event's row, the last one
- * written, and can go on from there.
+ * written, and can go on from there.  locate_return's ends (a g of 0 at a
+ * sampled row) and its parabolic vertex (no sign change of g across the
+ * dip) are Python-only: the kernel leaves such a return to Python.
  *
  * energy_rows computes Trajectory's energy columns, H and (where asked)
  * energy_drift's local scale, the same way, each row's V(x) a local, and
@@ -54,7 +56,9 @@
  * panel's midpoint evaluated once for both rules.  cmath.acos, cmath.log,
  * cmath.exp and cmath.sqrt are written out as CPython computes them.  It
  * runs Python's success path only, and hands the whole operation back
- * wherever Python would raise, warn or take a path not mirrored here.
+ * wherever Python would raise, warn or take a path not mirrored here;
+ * adaptive_quad over an empty interval, which no path here has, is
+ * Python-only.
  * Its integrals' potential evaluations keep the last trig pair of Re x
  * and of Im x (see Trig): the same double in gives the same libm result
  * out, so reusing them is exact.
@@ -190,7 +194,9 @@ static inline int is_finite(cplx z)
 
 /* V'(x) as the model's gradient computes it: x, 3j * x * x or, for the
  * pendulum kinds, g * cmath.sin(x) with sin(x) = -i sinh(i x); returns 0
- * where CPython would take another path.  inline: force() is the
+ * where CPython would take another path.  Below the switch |sinh| and
+ * |cosh| stay under DBL_MAX / 8, so the sine is finite and cmath raises no
+ * OverflowError.  inline: force() is the
  * stepping loop's inner call, and with this out of line the loop ran
  * 10-15% slower (gcc 12, -O2). */
 static inline int gradient(const Model *m, cplx x, cplx *grad)
@@ -213,8 +219,6 @@ static inline int gradient(const Model *m, cplx x, cplx *grad)
             return 0;
         s.re = cos(si) * sinh(sr);
         s.im = sin(si) * cosh(sr);
-        if (isinf(s.re) || isinf(s.im))
-            return 0;
         cplx sin_x = {s.im, -s.re};
         *grad = mul(m->g, sin_x);
         return 1;
@@ -308,16 +312,11 @@ static double initial_step(const Model *model, const Run *run, double t, cplx x,
 int dopri5_steps(const Model *model, const Run *run, const double *stops, State *st, double *ts, cplx *zs, int cap);
 
 /* integrator._advance from row to target under the run's polish record:
- * (x, p) at target from one rowless run, as _dopri5.land runs it, or the
- * row itself where target is its time; 0 where that run does not land,
- * which Python then redoes. */
+ * (x, p) at target from one rowless run, as _dopri5.land runs it (at the
+ * row's own time, the row itself: a run that takes no step); 0 where that
+ * run does not land, which Python then redoes. */
 static int advance(const Model *model, const Run *run, const Row *row, double target, cplx *x, cplx *p)
 {
-    if (target == row->t) {
-        *x = row->x;
-        *p = row->p;
-        return 1;
-    }
     const Run landing = {.t_end = target, .direction = target > row->t ? 1.0 : -1.0, .rel_tol = run->polish[0],
                          .abs_tol = run->polish[1], .max_step = run->polish[2], .min_step = run->polish[3],
                          .max_steps = INFINITY};
@@ -365,84 +364,61 @@ static int state_at(const Model *model, const Run *run, const Row *a, const Row 
     return advance(model, run, base, tau, x, p) && force(model, tau, *x, kp);
 }
 
-/* v ** 2 for a float v, as float_pow takes it: pow(|v|, 2.0); 0 where
- * Python raises OverflowError */
-static int py_square(double v, double *square)
-{
-    volatile double two = 2.0;  /* see energy_rows */
-    *square = pow(fabs(v), two);
-    return !(isinf(*square) && isfinite(v));
-}
-
-/* integrator.locate_return from the rows a, b, c around a sampled dip at
- * b: end is the refined return, dist its distance to the start over
- * scale, and aligned whether the flow there runs along the flow at the
- * start.  0 where Python would raise or a landing is not mirrored. */
-static int locate_return(const Model *model, const Run *run, const Row *a, const Row *b, const Row *c, double scale,
-                         Row *end, double *dist, int *aligned)
+/* integrator.locate_return from the rows a and c around a sampled dip:
+ * end is the refined return, dist its distance to the start over scale,
+ * and aligned whether the flow there runs along the flow at the start.
+ * Only a sign change of g from a to c is refined here, by Illinois false
+ * position; a g of 0 at a or c and the parabolic vertex taken without a
+ * sign change are left to Python.  0 where Python would raise, g does not
+ * change sign or a landing is not mirrored. */
+static int locate_return(const Model *model, const Run *run, const Row *a, const Row *c, double scale, Row *end,
+                         double *dist, int *aligned)
 {
     cplx ka, kc, kp, k0p;
-    double t_star;
     if (!force(model, a->t, a->x, &ka) || !force(model, c->t, c->x, &kc))
         return 0;
     double g_lo = g_of(run, a->x, a->p, ka), g_hi = g_of(run, c->x, c->p, kc);
-    if (g_lo == 0.0) {
-        t_star = a->t;
-    } else if (g_hi == 0.0) {
-        t_star = c->t;
-    } else if ((g_lo < 0.0) == (g_hi < 0.0)) {
-        /* the parabolic vertex through the three squared distances */
-        double sa, sc;
-        if (!py_square(b->t - a->t, &sa) || !py_square(b->t - c->t, &sc))
+    if (!((g_lo < 0.0 && g_hi > 0.0) || (g_lo > 0.0 && g_hi < 0.0)))
+        return 0;
+    double lo = a->t, g_a = g_lo, hi = c->t, g_b = g_hi, widest = 1.0;
+    int side = 0;
+    if (fabs(a->t) > widest)
+        widest = fabs(a->t);
+    if (fabs(c->t) > widest)
+        widest = fabs(c->t);
+    double t_res = 4.0 * DBL_EPSILON * widest;
+    for (int k = 0; k < 60; k++) {
+        if (fabs(hi - lo) <= t_res)
+            break;
+        double den = g_b - g_a;
+        double mid = den == 0.0 ? 0.5 * (lo + hi) : (lo * g_b - hi * g_a) / den;
+        if (!((hi < lo ? hi : lo) < mid && mid < (hi > lo ? hi : lo)))
+            mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi)
+            break;
+        cplx xm, pm;
+        if (!state_at(model, run, a, c, mid, &xm, &pm, &kp))
             return 0;
-        double num = sa * (b->d2 - c->d2) - sc * (b->d2 - a->d2);
-        double den = (b->t - a->t) * (b->d2 - c->d2) - (b->t - c->t) * (b->d2 - a->d2);
-        double t_hat = den == 0.0 ? b->t : b->t - 0.5 * num / den;
-        double lo_t = a->t < c->t ? a->t : c->t, hi_t = a->t < c->t ? c->t : a->t;
-        t_star = lo_t > t_hat ? lo_t : t_hat;
-        t_star = hi_t < t_star ? hi_t : t_star;
-    } else {
-        /* Illinois false position on the sign change of g */
-        double lo = a->t, g_a = g_lo, hi = c->t, g_b = g_hi, widest = 1.0;
-        int side = 0;
-        if (fabs(a->t) > widest)
-            widest = fabs(a->t);
-        if (fabs(c->t) > widest)
-            widest = fabs(c->t);
-        double t_res = 4.0 * DBL_EPSILON * widest;
-        for (int k = 0; k < 60; k++) {
-            if (fabs(hi - lo) <= t_res)
-                break;
-            double den = g_b - g_a;
-            double mid = den == 0.0 ? 0.5 * (lo + hi) : (lo * g_b - hi * g_a) / den;
-            if (!((hi < lo ? hi : lo) < mid && mid < (hi > lo ? hi : lo)))
-                mid = 0.5 * (lo + hi);
-            if (mid == lo || mid == hi)
-                break;
-            cplx xm, pm;
-            if (!state_at(model, run, a, c, mid, &xm, &pm, &kp))
-                return 0;
-            double gm = g_of(run, xm, pm, kp);
-            if (gm == 0.0) {
-                lo = hi = mid;
-                break;
-            }
-            if ((gm < 0.0) == (g_a < 0.0)) {
-                lo = mid;
-                g_a = gm;
-                if (side == -1)
-                    g_b *= 0.5;
-                side = -1;
-            } else {
-                hi = mid;
-                g_b = gm;
-                if (side == 1)
-                    g_a *= 0.5;
-                side = 1;
-            }
+        double gm = g_of(run, xm, pm, kp);
+        if (gm == 0.0) {
+            lo = hi = mid;
+            break;
         }
-        t_star = 0.5 * (lo + hi);
+        if ((gm < 0.0) == (g_a < 0.0)) {
+            lo = mid;
+            g_a = gm;
+            if (side == -1)
+                g_b *= 0.5;
+            side = -1;
+        } else {
+            hi = mid;
+            g_b = gm;
+            if (side == 1)
+                g_a *= 0.5;
+            side = 1;
+        }
     }
+    double t_star = 0.5 * (lo + hi);
     if (!state_at(model, run, a, c, t_star, &end->x, &end->p, &kp) || !force(model, run->t0, run->x0, &k0p))
         return 0;
     end->t = t_star;
@@ -506,7 +482,7 @@ static int watch_row(const Model *model, const Run *run, State *st, Row *row, do
         int aligned = 0;
         /* a cut may drop either row before this one: both must be pending */
         event = !(run->watch & WATCH_POLISH) || st->pending != 2 ||
-                !locate_return(model, run, a, b, row, sqrt(dmax), &end, &dist, &aligned);
+                !locate_return(model, run, a, row, sqrt(dmax), &end, &dist, &aligned);
         if (!event && dist <= run->closure_tol && aligned) {
             /* the rows before the refined return stay */
             int before = ((a->t - end.t) * run->direction < 0.0) + ((b->t - end.t) * run->direction < 0.0);
@@ -722,8 +698,9 @@ static inline uint64_t bits(double v)
 
 /* V(x) as the model's potential computes it: -g * cmath.cos(x), as
  * neg_g times the cosine, 0.5 * x * x or 1j * x * x * x, each product a
- * full complex one, with cmath.cos(x) = cosh(-Im x + i Re x).  Returns 0
- * where cmath would take another path or raise. */
+ * full complex one, with cmath.cos(x) = cosh(-Im x + i Re x), finite below
+ * the switch as the sine in gradient().  Returns 0 where cmath would take
+ * another path. */
 static int potential(const Model *m, cplx x, cplx *v, Trig *trig)
 {
     const cplx half = {0.5, 0.0}, i1 = {0.0, 1.0};
@@ -751,8 +728,6 @@ static int potential(const Model *m, cplx x, cplx *v, Trig *trig)
             trig->sinh_im = sinh(cr);
         }
         cplx c = {trig->cos_re * trig->cosh_im, trig->sin_re * trig->sinh_im};
-        if (isinf(c.re) || isinf(c.im))
-            return 0;
         *v = mul(m->neg_g, c);
         return 1;
     }
@@ -817,15 +792,14 @@ typedef struct {
     Trig trig;
 } Integrand;
 
-/* cmath.exp(z) for finite z; 0 where cmath takes another path or raises */
-static int py_exp(cplx z, cplx *r)
+/* cmath.exp(z) for the finite z the library takes it of, each with |Re z|
+ * far below LOG_LARGE_DOUBLE: a cap's exp(i phi) and the cubic's seeds,
+ * whose Re z is a logarithm over 3 */
+static cplx py_exp(cplx z)
 {
-    if (!is_finite(z) || z.re > LOG_LARGE_DOUBLE)
-        return 0;
     double l = exp(z.re);
-    r->re = l * cos(z.im);
-    r->im = l * sin(z.im);
-    return !isinf(r->re) && !isinf(r->im);
+    cplx r = {l * cos(z.im), l * sin(z.im)};
+    return r;
 }
 
 /* cmath.sqrt(z); 0 for a non-finite z and where |Re z| and |Im z| are
@@ -892,25 +866,22 @@ static cplx quot(cplx a, cplx b)
  *   ray   c0 + c1 * (s * s), c2 * s;
  *   edge  c0 + c1 * s, c1;
  *   cap   c0 + c1 * e, c2 * e, with e = cmath.exp(1j * (phi0 + math.pi * s)). */
-static int piece_at(const Piece *p, double s, cplx *z, cplx *dz)
+static void piece_at(const Piece *p, double s, cplx *z, cplx *dz)
 {
     switch (p->kind) {
     case RAY:
         *z = add(p->c0, scale(s * s, p->c1));
         *dz = scale(s, p->c2);
-        return 1;
+        return;
     case EDGE:
         *z = add(p->c0, scale(s, p->c1));
         *dz = p->c1;
-        return 1;
+        return;
     default: {
         const cplx i1 = {0.0, 1.0};
-        cplx e;
-        if (!py_exp(scale(p->phi0 + M_PI * s, i1), &e))
-            return 0;
+        cplx e = py_exp(scale(p->phi0 + M_PI * s, i1));
         *z = add(p->c0, mul(p->c1, e));
         *dz = mul(p->c2, e);
-        return 1;
     }
     }
 }
@@ -920,15 +891,16 @@ static int piece_at(const Piece *p, double s, cplx *z, cplx *dz)
 static int root_at(Integrand *f, const Piece *p, double s, cplx *w, cplx *dz)
 {
     cplx z, v;
-    return piece_at(p, s, &z, dz) && potential(f->model, z, &v, &f->trig) &&
-           py_sqrt(scale(2.0, sub(f->energy, v)), w);
+    piece_at(p, s, &z, dz);
+    return potential(f->model, z, &v, &f->trig) && py_sqrt(scale(2.0, sub(f->energy, v)), w);
 }
 
 /* quadrature._near: r turned to the root nearer ref, -r where
  * abs(-r - ref) < abs(r - ref), each abs a hypot.  Squared distances that
  * are normal and differ by far more than their rounding order the two
- * hypots alike; the hypots decide only the near ties. */
-static int near(cplx r, cplx ref, cplx *out)
+ * hypots alike; the hypots decide only the near ties.  r and ref are
+ * square roots, below sqrt(DBL_MAX), so no hypot overflows. */
+static cplx near(cplx r, cplx ref)
 {
     cplx away = {-r.re - ref.re, -r.im - ref.im}, kept = {r.re - ref.re, r.im - ref.im};
     double sa = away.re * away.re + away.im * away.im, sk = kept.re * kept.re + kept.im * kept.im;
@@ -937,14 +909,10 @@ static int near(cplx r, cplx ref, cplx *out)
         (sa < sk * (1.0 - 1e-12) || sk < sa * (1.0 - 1e-12))) {
         flip = sa < sk;
     } else {
-        double da = hypot(away.re, away.im), dk = hypot(kept.re, kept.im);
-        if (!isfinite(da) || !isfinite(dk))
-            return 0;
-        flip = da < dk;
+        flip = hypot(away.re, away.im) < hypot(kept.re, kept.im);
     }
-    out->re = flip ? -r.re : r.re;
-    out->im = flip ? -r.im : r.im;
-    return 1;
+    cplx out = {flip ? -r.re : r.re, flip ? -r.im : r.im};
+    return out;
 }
 
 /* The branch integrand at s: w turned to the root nearer its entry
@@ -961,9 +929,9 @@ static int branch_term(Integrand *f, double s, cplx *out)
     if (!(fabs(cell) < 1e15))
         return 0;
     long j = p->first + (long)cell;
-    if (j < 0 || j >= f->n_guide || !near(r, f->guide[j], &r))
+    if (j < 0 || j >= f->n_guide)
         return 0;
-    *out = mul(quot(one, r), dz);
+    *out = mul(quot(one, near(r, f->guide[j])), dz);
     return is_finite(*out);
 }
 
@@ -972,7 +940,8 @@ static int branch_term(Integrand *f, double s, cplx *out)
 static int real_form_term(Integrand *f, double u, double *out)
 {
     cplx z, dz, v;
-    if (!piece_at(f->piece, u, &z, &dz) || !potential(f->model, z, &v, &f->trig))
+    piece_at(f->piece, u, &z, &dz);
+    if (!potential(f->model, z, &v, &f->trig))
         return 0;
     cplx q = scale(2.0, sub(v, f->energy));
     double size = hypot(q.re, q.im);
@@ -1101,9 +1070,7 @@ static int build_guide(Integrand *f, Piece *pieces, long n, int closed, long cel
         long k = 0;
         for (long i = 0; i < n; i++) {
             for (long j = 0; j < pieces[i].cells; j++) {
-                cplx r;
-                if (!near(pieces[i].roots[j], prev, &r))
-                    goto out;
+                cplx r = near(pieces[i].roots[j], prev);
                 if (apart(r, prev, cosine)) {
                     coarse[i] = 1;
                     if (j == 0 && i > 0)
@@ -1113,8 +1080,7 @@ static int build_guide(Integrand *f, Piece *pieces, long n, int closed, long cel
             }
         }
         if (closed) {
-            if (!near(seed, prev, &back))
-                goto out;
+            back = near(seed, prev);
             if (apart(back, prev, cosine))
                 coarse[n - 1] = 1;
         }
@@ -1204,12 +1170,10 @@ static int refine(Integrand *f, double a, double b, double tol, long max_panels,
     cplx total = {0.0, 0.0};
     double toterr = 0.0, err;
     long n = 0, counter = 0, panels = 8;
-    if (!(tol > 0.0 && isfinite(tol)))
-        return 0;  /* Python raises ValueError */
-    if (a == b) {
-        *value = total;
-        return 1;
-    }
+    /* Python raises ValueError, or, over an empty interval (no piece has
+     * one), returns 0j */
+    if (!(tol > 0.0 && isfinite(tol)) || a == b)
+        return 0;
     for (int i = 0; i < 8; i++) {
         Entry e = {0.0, counter++, a + (b - a) * i / 8.0, a + (b - a) * (i + 1) / 8.0, {0.0, 0.0}};
         if (!quad_panel(f, e.lo, e.hi, &e.value, &err))
@@ -1354,14 +1318,14 @@ static int py_acos(cplx z, cplx *r)
 static long cubic_seeds(cplx energy, cplx seeds[3])
 {
     const cplx neg_i = {-0.0, -1.0}, two_i = {0.0, 2.0}, pi = {M_PI, 0.0}, three = {3.0, 0.0};
-    cplx log_e, base, rot;
+    cplx log_e;
     if (energy.re == 0.0 && energy.im == 0.0) {
         seeds[0] = (cplx){0.0, 0.0};
         return 1;
     }
-    if (!py_log(mul(neg_i, energy), &log_e) || !py_exp(quot(log_e, three), &base) ||
-        !py_exp(quot(mul(two_i, pi), three), &rot))
+    if (!py_log(mul(neg_i, energy), &log_e))
         return -1;
+    const cplx base = py_exp(quot(log_e, three)), rot = py_exp(quot(mul(two_i, pi), three));
     seeds[0] = base;
     seeds[1] = mul(base, rot);
     seeds[2] = mul(seeds[1], rot);

@@ -33,7 +33,10 @@ builds each path piece of an ``operation`` as its one description in
 cannot mirror goes back to Python: a run from the first step the kernel
 cannot take, or from its start, an event from its flagged row, a
 landing run or an operation whole, and the energy rows from the first
-it cannot compute.
+it cannot compute.  Two paths are Python-only: ``locate_return``'s ends
+and parabolic vertex (a return whose g is 0 at a sampled row or has no
+sign change is left to Python) and ``adaptive_quad`` over an empty
+interval.
 The kernel keeps only dp/dt of the field: for these models dx/dt is p
 itself, so ``steps`` hands the field back as (p, kp).
 

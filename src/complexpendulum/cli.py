@@ -14,7 +14,9 @@ only, so every key is validated, defaulted and named in errors the
 same way.
 
 Output is deterministic: rows carry full round-trip precision and no
-timestamps, so re-running a scenario reproduces files byte for byte.
+timestamps, so re-running a scenario reproduces files byte for byte.  A
+run into a directory of an earlier one removes the ``traj_NN.csv`` files
+its summary does not name, and no other file.
 Each value is written as its Python ``repr``; the compiled library
 (``_dopri5``, ``_csv.c``) formats the rows in blocks and gives the
 same bytes as the Python formatter, which runs without the library;
@@ -743,6 +745,11 @@ def run_scenario(source, *, out=None, tol=None, horizon=None, quiet=False) -> in
         summary_path = scn.out_dir / "summary.json"
         # strict JSON: a non-finite value raises here, before the file is written
         _write_output(summary_path, [json.dumps(summary, indent=2, allow_nan=False, default=_json_form).encode(), b"\n"])
+        # the trajectory files of an earlier run that this summary does not name go
+        named = {record["file"] for record in records}
+        for name in os.listdir(scn.out_dir):
+            if name not in named and re.fullmatch(r"traj_\d{2,}\.csv", name):
+                os.unlink(scn.out_dir / name)
         if not quiet:
             print(f"summary: {summary_path}")
     except OSError as exc:

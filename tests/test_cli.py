@@ -176,6 +176,25 @@ class TestRunScenario:
         for name in ("traj_00.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_a_run_with_fewer_starts_removes_the_earlier_trajectory_files(self, tmp_path):
+        """The directory holds the files the summary names, and every file
+        that is not one of the runner's own."""
+        three = TINY_SCENARIO.replace('starts:\n', 'starts:\n  - x: "0.5"\n    p: "0.2i"\n  - x: "2"\n    p: "0"\n')
+        out = tmp_path / "out"
+        assert main(["run", str(write_scenario(tmp_path, three)), "--out", str(out), "--quiet"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["summary.json", "traj_00.csv", "traj_01.csv", "traj_02.csv"]
+        foreign = ["notes.txt", "traj_a.csv", "traj_01.csv.bak", "traj_1.csv"]
+        for name in foreign:
+            (out / name).write_text("kept\n")
+        assert main(["run", str(write_scenario(tmp_path, TINY_SCENARIO)), "--out", str(out), "--quiet"]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["run", str(write_scenario(tmp_path, TINY_SCENARIO)), "--out", str(fresh), "--quiet"]) == 0
+        assert [rec["file"] for rec in strict_json(out / "summary.json")["trajectories"]] == ["traj_00.csv"]
+        assert sorted(f.name for f in out.iterdir()) == sorted(["summary.json", "traj_00.csv", *foreign])
+        for name in ("summary.json", "traj_00.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert all((out / name).read_text() == "kept\n" for name in foreign)
+
     def test_driven_csv_has_cell_column(self, tmp_path):
         cfg = write_scenario(tmp_path, DRIVEN_SCENARIO)
         out = tmp_path / "out"

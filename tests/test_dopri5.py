@@ -9,6 +9,7 @@ The energy columns (H and ``energy_drift``'s local scale) are compared
 the same way against the Python expressions of ``Trajectory``; rows with
 p = 0, where H is V(x), compare the library's potential itself.
 """
+import contextlib
 import ctypes
 import gc
 import hashlib
@@ -155,13 +156,11 @@ CASES = [
 ]
 
 
-@pytest.fixture
-def kernel_spy(monkeypatch):
+@contextlib.contextmanager
+def kernel_returns():
     """One entry per compiled run begun: what it returned, a stop reason
     or the state handed back to the Python loop, or None while it has not
     returned (a run left at its event never does)."""
-    if _dopri5._library() is None:
-        pytest.skip("the compiled stepper could not be built here")
     returns = []
     steps = _dopri5.steps
 
@@ -171,8 +170,17 @@ def kernel_spy(monkeypatch):
         returns[k] = yield from steps(*args)
         return returns[k]
 
-    monkeypatch.setattr(_dopri5, "steps", spy)
-    return returns
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "steps", spy)
+        yield returns
+
+
+@pytest.fixture
+def kernel_spy():
+    if _dopri5._library() is None:
+        pytest.skip("the compiled stepper could not be built here")
+    with kernel_returns() as returns:
+        yield returns
 
 
 def python_loop(monkeypatch, run):
@@ -773,6 +781,198 @@ def test_random_events_match_the_python_loop(
         assert yielded == len(fast[0]) - 1
 
 
+def test_the_running_maximum_is_the_maximum_of_the_kept_rows(library):
+    """A watched run's dmax after its last block is np.fmax.reduce of
+    ``_dist2`` over the rows it kept, bit for bit, d2 summed in Python's
+    order: a closure tolerance below rounding keeps every row."""
+    blocks = []
+    steps = _dopri5.steps
+
+    def spy(*args):
+        gen = steps(*args)
+        try:
+            while True:
+                block = next(gen)
+                blocks.append(block)
+                yield block
+        except StopIteration as stop:
+            return stop.value
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "steps", spy)
+        traj = harmonic_dips_that_do_not_close()
+    assert traj.termination == "horizon" and blocks[-1][2] is not None
+    x = np.concatenate([xs for _, (xs, _), _ in blocks])
+    p = np.concatenate([ps for _, (_, ps), _ in blocks])
+    assert len(x) == len(traj) - 1
+    assert blocks[-1][2].hex() == np.fmax.reduce(integrator._dist2(x, p, 1 + 1j, 0.5 - 0.3j)).hex()
+
+
+# Runs that reach the kernel's rarer exits, each on both paths, bit for
+# bit: the starts it hands back, a rejected step below min_step, landings
+# of event polishing that stop short, and dips whose squared distances are
+# subnormal.  ``parity_replay.py`` replays them on the sanitized and the
+# coverage builds.
+
+
+def start_past_the_float_range():
+    # _initial_step's trial step x + h0 p leaves the float range
+    return integrate(Harmonic(), PhaseState(1.79e308 + 0j, 1.79e308 + 0j), IntegratorConfig(max_steps=50))
+
+
+def tolerances_below_a_square():
+    # a component of _initial_step's norm squares past the float range
+    return integrate(Harmonic(), PhaseState(1 + 0j, 1 + 0j), IntegratorConfig(rel_tol=1e-300, abs_tol=1e-300, max_steps=50))
+
+
+def tolerance_below_a_quotient():
+    # x / (abs_tol + rel_tol |x|) itself is past the float range
+    config = IntegratorConfig(rel_tol=1e-320, abs_tol=1e-10, max_time=1.0)
+    return integrate(Pendulum(g=1.0), PhaseState(1e300 + 0j, 0j), config)
+
+
+def drive_past_the_float_range():
+    # omega t overflows at t = 1.8: a stage's drive is not finite
+    model = DrivenPendulum(g=1.0, epsilon=1e-300, omega=1e308)
+    return integrate(model, PhaseState(0.5 + 0j, 0j, 1.0), IntegratorConfig(max_time=2.0))
+
+
+def rejected_step_underflows():
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, max_step=0.1, min_step=0.05, max_time=5.0)
+    events = EventSpec(closure=False, escape=False)
+    return integrate(Pendulum(g=0.6 + 0.8j), PhaseState(-1.08 + 0j, -0.88 + 0.28j), config, events)
+
+
+def escape_polish_stops_short():
+    # a landing of the escape's bisection rejects a step below min_step
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, max_step=0.5, min_step=0.05, escape_radius=3.0, max_time=30.0)
+    return integrate(Pendulum(g=1.0), PhaseState(-1.04 - 0.55j, -1.02 + 0j), config)
+
+
+def closure_polish_stops_short():
+    # a landing of the return's false position rejects a step below min_step
+    config = IntegratorConfig(max_step=0.1, min_step=0.01, max_time=30.0)
+    return integrate(Harmonic(), PhaseState(-1.96 + 0j, -0.91 + 0.17j), config)
+
+
+def subnormal_dip_tied_with_the_next_row():
+    # amplitude 1e-160: d2 is subnormal, and the first dip, d2 = 0, ties
+    # the row after it; g changes sign across it, and the kernel closes
+    return integrate(Harmonic(), PhaseState(1e-160 + 0j, 0j), IntegratorConfig(max_step=0.02, max_time=20.0))
+
+
+def subnormal_dip_without_a_sign_change():
+    # g has one sign across this dip: Python takes the parabolic vertex
+    return integrate(Harmonic(), PhaseState(1e-161 + 0j, 0j), IntegratorConfig(max_step=0.1, max_time=20.0))
+
+
+# each run, and how its kernel run ends: handed back at its start or
+# later, at a stop reason, or with a row left to Python's event tests
+RARE_RUNS = {
+    start_past_the_float_range: "start",
+    tolerances_below_a_square: "start",
+    tolerance_below_a_quotient: "start",
+    drive_past_the_float_range: "handed back",
+    rejected_step_underflows: "step_underflow",
+    escape_polish_stops_short: "left",
+    closure_polish_stops_short: "left",
+    subnormal_dip_tied_with_the_next_row: "closure",
+    subnormal_dip_without_a_sign_change: "left",
+}
+
+
+@pytest.mark.parametrize("run,end", RARE_RUNS.items(), ids=[f.__name__ for f in RARE_RUNS])
+def test_rare_runs_match_the_python_loop(library, run, end):
+    fast, yielded, left, handed_back = kernel_run(run)
+    assert python_returns(run)[0] == fast
+    if end in ("start", "handed back"):
+        assert handed_back and (yielded == left == 0) == (end == "start")
+    elif end == "left":
+        assert left and not handed_back
+    else:
+        assert fast[2] == end and not (handed_back or left)
+
+
+def test_a_dip_tied_with_the_next_row_is_a_dip_on_both_paths(library):
+    """The first candidate's d2 equals the next row's, 0.0 each, and both
+    paths take it: Python's _is_dip keeps d <= d_after, so the kernel's
+    test must too."""
+    locate_return = integrator.locate_return
+    outcomes = []
+    for params in (_dopri5.model_params, lambda model: None):
+        d2 = []
+
+        def spy(model, start, a, b, c, scale, polish):
+            d2.append((a[3], b[3], c[3]))
+            return locate_return(model, start, a, b, c, scale, polish)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_dopri5, "model_params", params)
+            m.setattr(integrator, "locate_return", spy)
+            outcomes.append((d2, fingerprint(subnormal_dip_tied_with_the_next_row())))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0] == (1e-323, 0.0, 0.0)
+
+
+# (model, x, p, t_end, rel_tol, abs_tol, max_step, min_step, max_steps) of
+# a ``_dopri`` loop from (0, x, p) whose kernel hands a step back at one
+# screen of dopri5_steps, each found by a random search aimed at it over
+# extreme magnitudes, tolerances and step bounds: a stage past cmath's
+# switch (the third, the sixth), a non-finite new state, error estimate
+# or error norm
+SCREENS = {
+    "stage-3": (
+        Pendulum(g=1j), 3.8807451186281214e244 + 197.97650979833267j, 1.1153715723026738e16 + 0j,
+        0.9309651689504249, 1.2212062565399183e-105, 1.4045395425675926e-33, 0.004526544001948191,
+        6.835341147626394e-82, 50,
+    ),
+    "stage-6": (
+        Pendulum(g=1j), -1.0040114366070454e223 + 1.0811210755937908e-07j,
+        1.2202318588583584e88 + 7.968610915321928e39j, 74.93376472119851, 2.4686990153750935e-19,
+        1.3023024377775401e-188, 0.0727765705519094, 1.1509200135941491e-120, 50,
+    ),
+    "new-state": (
+        Pendulum(g=6.705674623274922e49), 6.136894812655825e-221j, -5.87144520119058e-193 - 1.1681929090347294e-284j,
+        0.1850833245439354, 8.276190492664734e-54, 0.00011986949395455343, 1.0382057648562637e168,
+        3.518260025957782e-65, 3,
+    ),
+    "error-estimate": (
+        Harmonic(), -573924809316648 + 3.949573245762652j, 1.5615507573531278 - 695.301641852826j,
+        47567623.34730019, 74.80585329228602, 0.43076671882188605, 6.295310244367944e121,
+        3.9718736066060165e-184, 50,
+    ),
+    "error-norm": (
+        Pendulum(g=4.0644710397589e124), 5.287730711128634e-153 + 0j, 0j, 1616039.0716024812,
+        1.5780508199306686e-177, 9.745070759484109e-43, 1.986115467467984e249, 7.106876995650692e-177, 1,
+    ),
+}
+
+
+def loop_outcome(model, x, p, t_end, *settings):
+    """The rows of ``integrator._dopri`` from (0, x, p) as hex strings and
+    its stop reason, or the error it raises."""
+    blocks = integrator._dopri(model, 0.0, x, p, [t_end], *settings)
+    rows = []
+    try:
+        while True:
+            ts, (xs, ps), _ = next(blocks)
+            rows += [as_floats((t, x, p)) for t, x, p in zip(ts.tolist(), xs.tolist(), ps.tolist())]
+    except StopIteration as stop:
+        return [[v.hex() for v in row] for row in rows], stop.value
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("loop", SCREENS.values(), ids=list(SCREENS))
+def test_each_screen_of_a_step_hands_it_back(library, kernel_spy, loop):
+    fast = loop_outcome(*loop)
+    (state,) = kernel_spy
+    assert not isinstance(state, str) and state[4] > 0.0  # handed back after its start
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dopri5, "model_params", lambda model: None)
+        assert loop_outcome(*loop) == fast
+
+
 # The landing runs of event polishing.  ``integrator._advance`` runs each
 # one in the library as one ``dopri5_steps`` call that keeps no rows
 # (``_dopri5.land``), initial step included; with ``model_params``
@@ -879,30 +1079,34 @@ def test_concurrent_landing_runs_keep_their_own_state(library):
     assert got == {k: want for k in range(6)}
 
 
+# landing runs the library hands back: (model, row, t_target, polish, outcome)
+HANDED_BACK_LANDINGS = [
+    # a stage past |Im x| = 708.396..., where cmath.sinh switches formula
+    (Pendulum(g=1e-307), (0.0, 0.3 + 708.0j, 2j), 0.3, POLISH, "landed"),
+    # the field at the start overflows in cmath.sin
+    (Pendulum(g=1.0), (0.0, 0.3 + 711.0j, 1j), 0.2, POLISH, "OverflowError: math range error"),
+    # the field at the start is finite past the switch; _initial_step's h0 underflows to 0
+    (
+        Pendulum(g=1.0),
+        (0.0, 0.3 + 709.0j, 1j),
+        0.2,
+        POLISH,
+        "ArithmeticError: event polishing stopped at t=0.0 short of 0.2",
+    ),
+    # the controller wants steps below min_step after some accepted ones
+    (
+        Harmonic(),
+        (0.0, 1 + 0j, 0j),
+        5.0,
+        (1e-11, 1e-13, 0.25, 0.2),
+        "ArithmeticError: event polishing stopped at t=0.0011486983549970347 short of 5.0",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "model,row,t_target,polish,outcome",
-    [
-        # a stage past |Im x| = 708.396..., where cmath.sinh switches formula
-        (Pendulum(g=1e-307), (0.0, 0.3 + 708.0j, 2j), 0.3, POLISH, "landed"),
-        # the field at the start overflows in cmath.sin
-        (Pendulum(g=1.0), (0.0, 0.3 + 711.0j, 1j), 0.2, POLISH, "OverflowError: math range error"),
-        # the field at the start is finite past the switch; _initial_step's h0 underflows to 0
-        (
-            Pendulum(g=1.0),
-            (0.0, 0.3 + 709.0j, 1j),
-            0.2,
-            POLISH,
-            "ArithmeticError: event polishing stopped at t=0.0 short of 0.2",
-        ),
-        # the controller wants steps below min_step after some accepted ones
-        (
-            Harmonic(),
-            (0.0, 1 + 0j, 0j),
-            5.0,
-            (1e-11, 1e-13, 0.25, 0.2),
-            "ArithmeticError: event polishing stopped at t=0.0011486983549970347 short of 5.0",
-        ),
-    ],
+    HANDED_BACK_LANDINGS,
     ids=["stage-past-cmath-switch", "start-field-overflows", "start-past-cmath-switch", "min-step-underflow"],
 )
 def test_landing_runs_the_library_hands_back(library, model, row, t_target, polish, outcome):

@@ -406,6 +406,48 @@ def test_each_error_keeps_its_type_and_message(call, error, message, made_by):
     assert made_by in made
 
 
+def corner_stadium():
+    """(energy, pair, offset) of a stadium around the pendulum's roots -a
+    and a whose closing corner passes 1e-2 from the root a - 2 pi, just
+    outside it: the guide's last value and its seed are apart."""
+    a = PI * math.cos(0.5) * cmath.exp(-0.5j)
+    return -cmath.cos(a), (-a, a), 2.0 * PI * math.sin(0.5) - 1e-2
+
+
+FAR = 2.0 * PI * 10**15  # a root by the check's rounding: cell 10^15, moved onto V' = 0
+
+# calls that reach the library's rarer paths: (call, the library
+# operation made and whether the library ran it)
+RARE = [
+    (lambda: contour_integral(Pendulum(g=1.0), *corner_stadium()), (_dopri5.OP_CONTOUR, True)),
+    # the pair in reverse (Re, Im) order
+    (lambda: period_contour(Harmonic(), 0.5, (1.0, -1.0)), (_dopri5.OP_CONTOUR, True)),
+    # |V'| at the seed past the float range; |V - E| past it
+    (lambda: refine_root(Pendulum(g=1e308), 0.0, complex(PI / 2, 1.2)), (_dopri5.OP_REFINE, False)),
+    (lambda: refine_root(Pendulum(g=1e308), 0.0, 1 + 2j), (_dopri5.OP_REFINE, False)),
+    (lambda: refine_root(Pendulum(g=1.0), complex(1.7e308, 1.7e308), 1 + 1j), (_dopri5.OP_REFINE, False)),
+    # -E/g past the range of cmath.acos's mirror
+    (lambda: turning_points(Pendulum(g=1e-300), 1e10, (-7.0, 7.0, -1.0, 1.0)), (_dopri5.OP_TURNING, False)),
+    # near 1e9 both seeds of a cell round to one double: a tie in the sort
+    (lambda: turning_points(Pendulum(g=1.0), -(1.0 - 2.0**-53), (1e9, 1e9 + 10.0, -1.0, 1.0)), (_dopri5.OP_TURNING, True)),
+    # a root past cmath.cos's switch; a ray shorter than its start's rounding
+    (lambda: escape_time(Pendulum(g=1.0), COSH1, PI + 710j), (_dopri5.OP_ESCAPE, False)),
+    (lambda: escape_time(Harmonic(), 0.5, BELOW_ONE, 1e-30, direction=1), (_dopri5.OP_ESCAPE, False)),
+    # a root 2^52 cells out, and one whose move to cell 0 lands on V' = 0
+    (lambda: escape_time(Pendulum(g=1.0), COSH1, 3e16 + 1j), (_dopri5.OP_ESCAPE, False)),
+    (lambda: escape_time(Pendulum(g=1.0), -math.cos(FAR), complex(FAR, 0.0)), (_dopri5.OP_ESCAPE, False)),
+    (lambda: escape_time(Pendulum(g=1.0), COSH1, PI + 1j, tol=0.0), (_dopri5.OP_ESCAPE, False)),
+    (lambda: escape_time_real_form(Pendulum(g=1.0), COSH1, PI + 1j, 720.0), (_dopri5.OP_REAL_FORM, False)),
+    (lambda: contour_integral(Harmonic(), 0.5, (1.0, 1.0)), (_dopri5.OP_CONTOUR, False)),
+]
+
+
+@pytest.mark.parametrize("call,made_by", RARE)
+def test_rare_paths_match_the_python_path(call, made_by):
+    _, made = on_both_paths(call)
+    assert made_by in made
+
+
 def test_a_ray_past_the_cosh_switch_is_handed_back():
     # nodes past |Im x| = 708.4, where cmath.cos takes its other formula
     (value, _), made = on_both_paths(lambda: escape_time(Pendulum(g=1.0), COSH1, PI + 1j, 709.5))
