@@ -41,7 +41,7 @@ ALLOWED = {
         "the field at a and c was computed when the kernel accepted those rows"
     ),
     ("locate_return", "if (!state_at(model, run, a, c, t_star, &end->x, &end->p, &kp) || !force(model, run->t0, run->x0, &k0p))", "return 0;"): (
-        "a landing at t* that stops short after the false position's landings reached: none in 2e5 runs drawn"
+        "a landing at t* that stops short after the false position's landings reached: none in 5e5 runs drawn"
         " to make the polish's landings stop short"
     ),
     ("branch_term", "if (!(fabs(cell) < 1e15))", "return 0;"): "a node lies on its piece: its cell is at most the piece's cell count",
