@@ -28,7 +28,7 @@
  * event polishing, integrator._advance, whose only stop is t_end.
  *
  * A main run of integrator.integrate watches each accepted row for the
- * run's events with integrate's tests in integrate's order: the overflow
+ * run's events by the rule of integrator._dopri's watch_row: the overflow
  * guard, the escape radius, then the closure rule's dip of the squared
  * distance to the start against its running maximum.  Where one fires the
  * run stops there and is polished here, as integrator._locate_escape and
@@ -196,7 +196,7 @@ static inline int is_finite(cplx z)
  * pendulum kinds, g * cmath.sin(x) with sin(x) = -i sinh(i x); returns 0
  * where CPython would take another path.  Below the switch |sinh| and
  * |cosh| stay under DBL_MAX / 8, so the sine is finite and cmath raises no
- * OverflowError.  inline: force() is the
+ * OverflowError.  inline: pull() is the
  * stepping loop's inner call, and with this out of line the loop ran
  * 10-15% slower (gcc 12, -O2). */
 static inline int gradient(const Model *m, cplx x, cplx *grad)
@@ -226,23 +226,30 @@ static inline int gradient(const Model *m, cplx x, cplx *grad)
     }
 }
 
-/* dp/dt at (t, x): -V'(x), plus the drive for the driven pendulum;
- * returns 0 where CPython would take another path */
-static int force(const Model *m, double t, cplx x, cplx *kp)
+/* the drive f at t, eps sin(omega t) or 0.0; 0 where omega t is not finite */
+static inline int drive(const Model *m, double t, double *f)
+{
+    double arg = m->omega * t;
+    *f = m->kind == DRIVEN_PENDULUM && isfinite(arg) ? m->epsilon * sin(arg) : 0.0;
+    return m->kind != DRIVEN_PENDULUM || isfinite(arg);
+}
+
+/* dp/dt at x under the drive f, -V'(x) + f; 0 where cmath goes otherwise */
+static inline int pull(const Model *m, double f, cplx x, cplx *kp)
 {
     cplx grad;
-    double f = 0.0;
     if (!gradient(m, x, &grad))
         return 0;
-    if (m->kind == DRIVEN_PENDULUM) {
-        double arg = m->omega * t;
-        if (!isfinite(arg))
-            return 0;
-        f = m->epsilon * sin(arg);
-    }
     kp->re = -grad.re + f;
     kp->im = -grad.im + 0.0;
     return 1;
+}
+
+/* dp/dt at (t, x) */
+static int force(const Model *m, double t, cplx x, cplx *kp)
+{
+    double f;
+    return drive(m, t, &f) && pull(m, f, x, kp);
 }
 
 /* one error-norm term: e / (abs_tol + rel_tol * max(|old|, |new|)) */
@@ -444,7 +451,7 @@ static void flush(State *st, double *ts, cplx *zs, int cap, int *n)
     st->pending = 0;
 }
 
-/* The accepted row of a main run: integrate's tests of it, in its order,
+/* The accepted row of a main run: _dopri's watch_row tests, in its order,
  * the overflow guard, the escape radius, then a dip at the row before it
  * (_is_dip against the running maximum of d2, min_period after the start),
  * and the event's polish.  Returns 0 where the run goes on, with the row
@@ -586,7 +593,8 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
         xs = add(x, scale(h, add(add(add(add(scale(A61, p), scale(A62, k2x)), scale(A63, k3x)),
                                      scale(A64, k4x)),
                                  scale(A65, k5x))));
-        if (!is_finite(k6x) || !force(model, t + h, xs, &k6p))
+        double f;  /* the drive at t + h, of stage 6 and of the new state */
+        if (!is_finite(k6x) || !drive(model, t + h, &f) || !pull(model, f, xs, &k6p))
             goto hand_back;
         cplx x1 = add(x, scale(h, add(add(add(add(scale(B1, p), scale(B3, k3x)), scale(B4, k4x)),
                                           scale(B5, k5x)),
@@ -594,7 +602,7 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
         cplx p1 = add(p, scale(h, add(add(add(add(scale(B1, k1p), scale(B3, k3p)), scale(B4, k4p)),
                                           scale(B5, k5p)),
                                       scale(B6, k6p))));
-        if (!is_finite(x1) || !is_finite(p1) || !force(model, t + h, x1, &k7p))
+        if (!is_finite(x1) || !is_finite(p1) || !pull(model, f, x1, &k7p))
             goto hand_back;
         cplx ex = scale(h, add(add(add(add(add(scale(E1, p), scale(E3, k3x)), scale(E4, k4x)),
                                        scale(E5, k5x)),

@@ -34,13 +34,9 @@ the finiteness screen and the error norm are written out in its loop
 body, which saves CPython's per-call overhead on every step.
 The order of its complex expressions is frozen, since the bundled
 scenario outputs are reproduced byte for byte (see ``_dopri``).
-It hands over the states (t, x, p) of its accepted steps in blocks of
-arrays.  ``integrate`` scans each block of the Python loop for the
-events above with elementwise array tests (the overflow guard, the
-escape radius and the closure rule's dips), each block headed by the
-last two rows before it, from which an event is refined and which its
-cut may drop.  It takes the rows before the first event as they are,
-and visits Python only at the rows the tests flag.  Event polishing
+It watches the events above by one rule for each accepted row, the
+kernel's (see ``_dopri``), and hands over in blocks of arrays only the
+states (t, x, p) the run keeps, its refined end last.  Event polishing
 (``locate_return``, ``_locate_escape``) re-integrates short spans with
 the same stepper from state rows, under one polish record (rel_tol,
 abs_tol, max_step, min_step); a landing run returns only its landed x
@@ -66,17 +62,14 @@ runs the same loop in C (``_dopri5.c``, loaded by ``_dopri5``), which
 mirrors CPython's complex arithmetic operation for operation and so gives
 the same steps bit for bit.  The kernel has one stepping entry point,
 and it starts each run itself: the field and ``_initial_step`` at the
-start are computed there.  It also watches a main run's events itself,
-with the tests of ``integrate`` in their order, and polishes an escape
-or a return as ``_locate_escape`` and ``locate_return`` do, each landing
-run a direct call: the run stops at its event, takes no step past it,
-and hands over through the same generator protocol only the rows the
-trajectory keeps, its refined end last.  Where the kernel cannot mirror
-a polish, or one of the polishing functions here is rebound (see
-``_MIRRORED``), it stops at the flagged row and the scan above takes
-it.  A polishing run needs only its landed state, so ``_advance`` takes
-it from one kernel call that keeps no rows (``_dopri5.land``); a run the
-library cannot finish as Python would is redone whole on this path.
+start are computed there.  It watches a main run's events by the same
+rule and polishes them as ``_locate_escape`` and ``locate_return`` do,
+each landing run a direct call, so the run takes no step past its
+event; a polish it cannot mirror, or one rebound here (see
+``_MIRRORED``), it leaves to ``_dopri`` at the flagged row.  A polishing
+run needs only its landed state, so ``_advance`` takes it from one
+kernel call that keeps no rows (``_dopri5.land``); a run the library
+cannot finish as Python would is redone whole on this path.
 A step the kernel cannot mirror (a non-finite stage or result, a stage
 with |Im x| past 708.396..., where ``cmath.sinh`` switches formula, or an
 overflowing sine) is handed back: the Python loop below resumes from the
@@ -391,7 +384,8 @@ def _scaled_norm(x, p, xref, pref, abs_tol, rel_tol):
 def _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_step):
     """Automatic first step: trial value from state/slope norms, bounded by
     a one-Euler-step probe of the local derivative change; 0.0 when the
-    slope is so large that the trial value underflows."""
+    slope is so large that the trial value underflows, or the step is not
+    finite (norms past the float range)."""
     d0 = _scaled_norm(x, p, x, p, abs_tol, rel_tol)
     d1 = _scaled_norm(k1x, k1p, x, p, abs_tol, rel_tol)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -410,7 +404,8 @@ def _initial_step(field, t, x, p, k1x, k1p, direction, abs_tol, rel_tol, max_ste
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / dm) ** 0.2
-    return min(100.0 * h0, h1, max_step)
+    h = min(100.0 * h0, h1, max_step)
+    return h if math.isfinite(h) else 0.0
 
 
 def _next_h(h, err, facold):
@@ -427,30 +422,34 @@ def _reject_h(h, err):
     return h / min(_FAC_SHRINK, err**_EXPO1 / _SAFE)
 
 
-def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf, watch=None):
+def _columns(rows):
+    """The (t, x, p) columns of the rows (t, x, p, ...)."""
+    t, x, p = list(zip(*rows))[:3]
+    return np.array(t), np.array(x, dtype=complex), np.array(p, dtype=complex)
+
+
+def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_steps=math.inf, watch=_dopri5._NO_WATCH):
     """The adaptive stepping loop shared by every integration run.
 
     Steps the flow of ``model`` from (t, x, p), landing exactly on each
     time of ``stops`` in turn; the last one ends the run.  The compiled
     kernel starts its runs itself: the field and ``_initial_step`` at the
     start are computed here only where it does not run or hands back there.
-    Yields the accepted steps in blocks (t, z, dmax): t the float64 array
-    of their times and z their x and p, two complex128 rows.  The
-    field at each new state feeds the next step and is not handed over.
-    Returns why it stopped:
-    "horizon", "max_steps", "step_underflow" (the controller wants steps
-    below min_step, or the first step underflows to 0) or "non_finite"
-    (halving a step with non-finite stages went below min_step).
+    Yields the rows the run keeps in blocks of columns (t, x, p), float64
+    and complex128.  Returns why it stopped: "horizon", "max_steps",
+    "step_underflow" (the controller wants steps below min_step, or the
+    first step underflows to 0), "non_finite" (halving a step with
+    non-finite stages went below min_step), or the event that ended it.
 
-    ``watch``, the tail of the kernel's run record that ``integrate``
-    builds, has the compiled kernel watch its events (see
-    ``_dopri5.steps``): its blocks then hold the rows the run keeps, each
-    block with dmax, the running maximum of the squared distance to the
-    start after it, and its stop reason may name an event.  The blocks
-    of the Python loop have dmax None: the caller watches for events in
-    them and may stop early, so it hands over ``_BLOCK`` steps at a
-    time, and a row the kernel leaves to the caller's tests comes the
-    same way.
+    ``watch`` is the tail of the kernel's run record that ``integrate``
+    packs (see ``_dopri5.steps``), no events by default.  Each accepted
+    row goes through one rule, ``watch_row``, the kernel's line for line:
+    the overflow guard, the escape radius (polished by ``_locate_escape``),
+    then a dip of d2, the squared distance to the start, at the row before
+    (polished by ``locate_return``).  A closure drops the rows from its
+    refined return on, at most the last two, so those stay pending: every
+    row handed over is kept.  Where the kernel leaves a row to this rule,
+    or hands the run back, the two rows it wrote before pend here again.
 
     One fused sweep: the seven stages, the finiteness screen and the
     mixed-tolerance RMS error norm over the four real components are
@@ -470,16 +469,84 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
     sqrt = math.sqrt
     t_end = float(stops[-1])
     direction = 1.0 if t_end > t else -1.0
+    bits, guard, radius, closure_tol, min_period, t0, x0r, x0i, p0r, p0i, *polish = watch
+    origin = t0, x0, p0 = t0, complex(x0r, x0i), complex(p0r, p0i)
+    over, escape, closure = (bits & flag for flag in (_dopri5.WATCH_OVERFLOW, _dopri5.WATCH_ESCAPE, _dopri5.WATCH_CLOSURE))
+    first = (t, x, p, 0.0)  # the start as a row (t, x, p, d2)
+    dmax = 0.0  # the running maximum of d2
+    out = []  # the rows not yet handed over, the last two pending
+
+    def d2_of(x, p):
+        dx = x - x0
+        dp = p - p0
+        return dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
+
+    def rows_of(ts, xs, ps):
+        return [(t, x, p, d2_of(x, p)) for t, x, p in zip(ts.tolist(), xs.tolist(), ps.tolist())]
+
+    def watch_row(t, x, p):
+        """The run's end at the row (t, x, p), or None, the row kept."""
+        nonlocal dmax
+        a, b = out[-2:] if len(out) > 1 else (first, first, *out)[-2:]
+        d2 = d2_of(x, p) if closure else 0.0
+        dmax = d2 if d2 > dmax else dmax
+        row = t, x, p, d2
+        if over and (abs(x.real) > guard or abs(x.imag) > guard or abs(p.real) > guard or abs(p.imag) > guard):
+            out.append(row)
+            return "overflow"
+        if escape and abs(x.imag) >= radius:
+            out.append(_locate_escape(model, b, t, radius, polish))
+            return "escape"
+        if closure and b[3] < a[3] and b[3] <= d2 and b[3] < 0.25 * dmax and (b[0] - t0) * direction >= min_period:
+            t_star, x_star, p_star, dist_scaled, aligned = locate_return(model, origin, a, b, row, sqrt(dmax), polish)
+            if dist_scaled <= closure_tol and aligned:
+                # the rows a and b stay where they come before the return
+                del out[len(out) - 2 + ((a[0] - t_star) * direction < 0.0) + ((b[0] - t_star) * direction < 0.0) :]
+                out.append((t_star, x_star, p_star))
+                return "closure"
+        out.append(row)
+
+    def release(held=None):  # hands over held, then out
+        if held:
+            yield held
+        if out:
+            yield _columns(out)
+            out.clear()
+
     h_mag = 0.0  # 0 until the run has started
     accepted = 0
     i = 0
-    times, rows = [], []
     record = _dopri5.model_params(model)
     if record is not None:
-        stop = yield from _dopri5.steps(
-            record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps, watch
-        )
+        blocks = _dopri5.steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps, watch)
+        held = stop = None  # held: the kernel's last block of two rows or more, which ``out`` follows
+        while stop is None:
+            try:
+                ts, (xs, ps), block_dmax = next(blocks)
+            except StopIteration as end:
+                stop = end.value
+                if isinstance(stop, str):
+                    break
+            else:
+                if block_dmax is not None and len(ts) > 1:
+                    yield from release(held)
+                    held, dmax = (ts, xs, ps), block_dmax
+                    continue
+            if held:  # its last rows, before ``out``, are pending again
+                k = len(held[0]) - max(0, 2 - len(out))
+                if k:
+                    yield tuple(column[:k] for column in held)
+                out[:0] = rows_of(*(column[k:] for column in held))
+                held = None
+            if stop is not None:  # handed back
+                break
+            if block_dmax is not None:  # one row, after a row left to watch_row
+                dmax = block_dmax
+                out += rows_of(ts, xs, ps)
+            else:
+                stop = watch_row(ts[0].item(), xs[0].item(), ps[0].item())
         if isinstance(stop, str):
+            yield from release(held)
             return stop
         # the kernel handed back: the loop below redoes the next step; a
         # built-in model's field returns p itself as dx/dt
@@ -565,27 +632,29 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
 
         t = stops[i] if landed else t + h
         x, p, k1x, k1p = x1, p1, k7x, k7p
-        times.append(t)
-        rows.append((x, p))
-        if len(times) == _BLOCK:
-            yield np.array(times), np.array(rows).T, None
-            times, rows = [], []
         accepted += 1
 
         hnew = abs(_next_h(h, err, facold))
         facold = max(err, 1e-4)
+        underflow = False
         if not (landed or abs(h) < h_mag):
             # clipped steps say nothing about the error-optimal size
             h_mag = min(hnew, max_step)
-            if h_mag < min_step:
-                # the controller itself wants sub-floor steps: the local
-                # timescale has collapsed (approaching a singularity)
-                stop = "step_underflow"
-                break
+            # the controller itself wants sub-floor steps: the local
+            # timescale has collapsed (approaching a singularity)
+            underflow = h_mag < min_step
+        stop = watch_row(t, x, p)
+        if stop:
+            break
+        if underflow:
+            stop = "step_underflow"
+            break
+        if len(out) >= _BLOCK + 2:
+            yield _columns(out[:-2])
+            del out[:-2]
     else:
         stop = "horizon"
-    if times:
-        yield np.array(times), np.array(rows).T, None
+    yield from release()
     return stop
 
 
@@ -602,7 +671,7 @@ def _advance(model, row, t_target, polish):
         landed = None if record is None else _dopri5.land(record, t, x, p, t_target, polish)
         if landed is not None:
             return landed
-        for ts, (xs, ps), _ in _dopri(model, t, x, p, [t_target], *polish):
+        for ts, xs, ps in _dopri(model, t, x, p, [t_target], *polish):
             t, x, p = ts[-1].item(), xs[-1].item(), ps[-1].item()
     if t != t_target:
         raise ArithmeticError(f"event polishing stopped at t={t!r} short of {t_target!r}")
@@ -738,16 +807,6 @@ def _locate_escape(model, a, tb, radius, polish):
 _MIRRORED = (locate_return, _locate_escape, _advance)
 
 
-def _drop_rows(pieces, k):
-    """Drops the last k rows of the (t, x, p) column pieces."""
-    while k:
-        t, x, p = pieces.pop()
-        if len(t) > k:
-            pieces.append((t[:-k], x[:-k], p[:-k]))
-            return
-        k -= len(t)
-
-
 def integrate(
     model: HamiltonianModel,
     start: PhaseState,
@@ -767,10 +826,8 @@ def integrate(
     exactly; they appear among the samples, making runs comparable
     across step-size settings.
 
-    On the compiled kernel the events are watched and polished inside
-    the run (see the module docstring), which stops at its event; the
-    scan here runs only on the blocks of the Python loop and on a row the
-    kernel leaves to it.
+    The events are watched and polished inside the run (see ``_dopri``),
+    which hands over only the rows it keeps.
     """
     cfg = config if config is not None else IntegratorConfig()
     ev = events if events is not None else EventSpec()
@@ -810,8 +867,8 @@ def integrate(
         raise ValueError("vector field is not finite at the start state")
 
     # polish runs use a slightly tighter tolerance so event times are not
-    # limited by the refinement itself
-    polish = max(cfg.rel_tol * 0.1, 1e-14), max(cfg.abs_tol * 0.1, 1e-16), cfg.max_step, cfg.min_step
+    # limited by the refinement itself, and a step floor as much lower
+    polish = max(cfg.rel_tol * 0.1, 1e-14), max(cfg.abs_tol * 0.1, 1e-16), cfg.max_step, cfg.min_step * 0.1
     # the events the kernel watches, in the tail of its run record; it
     # polishes them only while the polishing here is the code it mirrors
     watch = (
@@ -823,81 +880,15 @@ def integrate(
         t0, x0.real, x0.imag, p0.real, p0.imag, *polish,
     )
 
-    steps = _dopri(
-        model, t0, x0, p0, stops, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps, watch
-    )
-    guard = cfg.overflow_guard
-    radius = cfg.escape_radius
-    origin = t0, x0, p0
+    steps = _dopri(model, t0, x0, p0, stops, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step, cfg.max_steps, watch)
     # the run's rows as (t, x, p) column pieces, the start first
     pieces = [(np.array([t0]), np.array([x0]), np.array([p0]))]
-    dmax_sq = 0.0
-    termination = None
-    while termination is None:
+    while True:
         try:
-            t, z, dmax = next(steps)
+            pieces.append(next(steps))
         except StopIteration as stop:
             termination = stop.value
             break
-        if dmax is not None:
-            # rows the kernel has watched: rows the run keeps
-            pieces.append((t, z[0], z[1]))
-            dmax_sq = dmax
-            continue
-        # a block of the Python loop, or a row the kernel left to the tests
-        # here, with the two rows before it (the start alone at first),
-        # from which an event is refined and which its cut may drop
-        tail = [np.concatenate([piece[k][-2:] for piece in pieces[-2:]])[-2:] for k in range(3)]
-        c = len(tail[0])
-        t, x, p = (np.concatenate((a, b)) for a, b in zip(tail, (t, z[0], z[1])))
-
-        # every row that may end the run, tested elementwise; the loop
-        # below visits them in order, each row's tests in the order
-        # overflow, escape, closure.  The tail rows were tested before,
-        # and the start is not tested against the guard.
-        over = (np.abs(x.real) > guard) | (np.abs(x.imag) > guard) | (np.abs(p.real) > guard) | (np.abs(p.imag) > guard)
-        out = np.abs(x.imag) >= radius if watch_escape else np.zeros(len(t), bool)
-        over[:c] = out[:c] = False
-        events = over | out
-        d2 = _dist2(x, p, x0, p0) if watch_closure else np.zeros(len(t))
-        if watch_closure:
-            dmax = np.fmax.accumulate(np.concatenate(([dmax_sq], d2)))[1:]
-            # row j >= 2 is a candidate when row j - 1 is a dip between
-            # its neighbours, late enough after the start
-            events[2:] |= _is_dip(d2[:-2], d2[1:-1], d2[2:], dmax[2:]) & ((t[1:-1] - t0) * direction >= ev.min_period)
-
-        def row(j):
-            return t[j].item(), x[j].item(), p[j].item(), d2[j].item()
-
-        kept = len(t)
-        end = ()  # the refined (t, x, p) of an escape or a return, the last row
-        for r in np.flatnonzero(events).tolist():
-            if over[r]:
-                kept = r + 1
-                termination = "overflow"
-                break
-            if out[r]:
-                end = _locate_escape(model, row(r - 1), t[r].item(), radius, polish)
-                kept = r
-                termination = "escape"
-                break
-            t_star, x_star, p_star, dist_scaled, aligned = locate_return(
-                model, origin, row(r - 2), row(r - 1), row(r), math.sqrt(dmax[r]), polish
-            )
-            if dist_scaled <= ev.closure_tol and aligned:
-                # the refined return lies in [t[r - 2], t[r]]
-                kept = r - 2 + np.count_nonzero((t[r - 2 : r] - t_star) * direction < 0.0)
-                end = t_star, x_star, p_star
-                termination = "closure"
-                break
-        if kept < c:
-            _drop_rows(pieces, c - kept)
-        elif kept > c:
-            pieces.append((t[c:kept], x[c:kept], p[c:kept]))
-        if end:
-            pieces.append([[v] for v in end])
-        if watch_closure:
-            dmax_sq = dmax[-1].item()
 
     # one column at a time, each column's pieces dropped once copied, so
     # that the run never holds its rows twice

@@ -681,6 +681,17 @@ def cubic_closes_after_two_near_misses():
     )
 
 
+def pendulum_closes_two_rows_after_a_left_dip():
+    # steps of about a quarter period: the dip at the half period is a
+    # candidate whose g does not change sign, which the kernel leaves to
+    # Python, where it is rejected; the return's dip two rows later finds
+    # one row pending in the kernel, which leaves it too, and the refined
+    # return comes before its sampled minimum, so the cut drops a row the
+    # kernel has already written
+    config = IntegratorConfig(rel_tol=3e-3, abs_tol=3e-3, max_step=0.314, max_time=4.0)
+    return integrate(Pendulum(g=25.0), PhaseState(0.1 + 0j, 0j), config, EventSpec(closure_tol=0.2))
+
+
 def harmonic_closure_backward():
     return integrate(Harmonic(), PhaseState(1 + 1j, 0.5 - 0.3j), t_final=-10.0)
 
@@ -745,6 +756,41 @@ def test_rebound_polishing_is_left_to_python(library, monkeypatch):
         assert got == outcome
         assert (left, handed_back) == ({cubic_closes_after_two_near_misses: 3, pendulum_escape: 1}[run], False)
         assert yielded + left == len(got[0]) - 1  # each left row is dropped for its refined end
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        cubic_closes_after_two_near_misses,
+        pendulum_closes_two_rows_after_a_left_dip,
+        pendulum_escape,
+        escape_on_row_0,
+        overflow_on_row_0,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_one_rule_watches_every_row(library, monkeypatch, run):
+    """The kernel's watch, the same rule in ``_dopri`` for each row the
+    kernel leaves to it (with the polishing rebound, every candidate and
+    escape) and the pure Python loop give the same run bit for bit."""
+    polished = fingerprint(run())
+    for name in ("locate_return", "_locate_escape"):
+        original = getattr(integrator, name)
+        monkeypatch.setattr(integrator, name, lambda *args, original=original: original(*args))
+    assert fingerprint(run()) == polished
+    assert fingerprint(python_loop(monkeypatch, run)) == polished
+
+
+def test_a_closure_cuts_a_row_the_kernel_wrote(library):
+    """The kernel leaves both candidates to the rule in ``_dopri``, the
+    second with one row pending, and the return refined there drops the
+    row before it, which the kernel wrote with the first; the kernel's
+    polishing, rebound or not, changes nothing (above)."""
+    fast, yielded, left, handed_back = kernel_run(pendulum_closes_two_rows_after_a_left_dip)
+    slow, before_b = python_returns(pendulum_closes_two_rows_after_a_left_dip)
+    assert fast == slow and fast[2] == "closure"
+    assert (left, handed_back, before_b) == (2, False, [False, True])
+    assert yielded + left == len(fast[0])  # the refined end for the last, one row dropped, the start
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -843,16 +889,35 @@ def rejected_step_underflows():
     return integrate(Pendulum(g=0.6 + 0.8j), PhaseState(-1.08 + 0j, -0.88 + 0.28j), config, events)
 
 
-def escape_polish_stops_short():
-    # a landing of the escape's bisection rejects a step below min_step
+def escape_near_the_step_floor():
+    # the main run steps near min_step; its polish runs, ten times tighter,
+    # have a floor ten times lower
     config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, max_step=0.5, min_step=0.05, escape_radius=3.0, max_time=30.0)
     return integrate(Pendulum(g=1.0), PhaseState(-1.04 - 0.55j, -1.02 + 0j), config)
 
 
-def closure_polish_stops_short():
-    # a landing of the return's false position rejects a step below min_step
+def closure_near_the_step_floor():
     config = IntegratorConfig(max_step=0.1, min_step=0.01, max_time=30.0)
     return integrate(Harmonic(), PhaseState(-1.96 + 0j, -0.91 + 0.17j), config)
+
+
+def every_step_on_a_checkpoint(spacing, n):
+    # the main run lands each step on a checkpoint, so its step size, the
+    # first one, is never checked against min_step; a polish run, which has
+    # no checkpoints, wants steps below its floor
+    return [spacing * k for k in range(1, n)]
+
+
+def escape_polish_stops_short():
+    # a landing of the escape's bisection stops short
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6, max_step=1.0, min_step=0.5, escape_radius=3.0, max_time=5.0)
+    return integrate(Pendulum(g=1j), PhaseState(-0.035 - 0.133j, 1.06 - 0.83j), config, t_checkpoints=every_step_on_a_checkpoint(0.05, 100))
+
+
+def closure_polish_stops_short():
+    # a landing of the return's false position stops short
+    config = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, max_step=1.0, min_step=0.5, max_time=5.0)
+    return integrate(ImaginaryCubic(), PhaseState(2.09 - 0.757j, -1.71 + 0.6j), config, t_checkpoints=every_step_on_a_checkpoint(0.02, 250))
 
 
 def subnormal_dip_tied_with_the_next_row():
@@ -874,6 +939,8 @@ RARE_RUNS = {
     tolerance_below_a_quotient: "start",
     drive_past_the_float_range: "handed back",
     rejected_step_underflows: "step_underflow",
+    escape_near_the_step_floor: "escape",
+    closure_near_the_step_floor: "closure",
     escape_polish_stops_short: "left",
     closure_polish_stops_short: "left",
     subnormal_dip_tied_with_the_next_row: "closure",
@@ -891,6 +958,15 @@ def test_rare_runs_match_the_python_loop(library, run, end):
         assert left and not handed_back
     else:
         assert fast[2] == end and not (handed_back or left)
+
+
+def test_polish_runs_step_below_the_main_runs_floor(library):
+    """Polish runs tighten the tolerances tenfold and lower min_step as
+    much, so runs that step near their floor end at their events, on
+    both paths (above), where they raised ArithmeticError."""
+    closed, escaped = closure_near_the_step_floor(), escape_near_the_step_floor()
+    assert (closed.classification, repr(closed.period)) == ("closed", "6.28318530717706")
+    assert escaped.classification == "escaped" and abs(escaped.x[-1].imag) == pytest.approx(3.0)
 
 
 def test_a_dip_tied_with_the_next_row_is_a_dip_on_both_paths(library):
@@ -955,7 +1031,7 @@ def loop_outcome(model, x, p, t_end, *settings):
     rows = []
     try:
         while True:
-            ts, (xs, ps), _ = next(blocks)
+            ts, xs, ps = next(blocks)
             rows += [as_floats((t, x, p)) for t, x, p in zip(ts.tolist(), xs.tolist(), ps.tolist())]
     except StopIteration as stop:
         return [[v.hex() for v in row] for row in rows], stop.value

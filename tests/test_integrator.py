@@ -1,5 +1,9 @@
 """Adaptive integration: closure, escape, conservation, reversibility."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from complexpendulum import (
     Trajectory,
     detect_closure,
     integrate,
+    integrator,
 )
 
 PI = math.pi
@@ -304,6 +309,20 @@ class TestFailureModes:
         traj = integrate(ImaginaryCubic(), PhaseState(1j, 0j), cfg, NO_EVENTS, t_final=10.0)
         assert traj.classification == TRUNCATED
         assert traj.termination == "step_underflow"
+
+    def test_a_first_step_that_is_not_finite_truncates(self):
+        # both norms of the initial step are inf, so its trial step is NaN:
+        # the run ends at its start instead of halving a NaN step for ever,
+        # which a child process with a timeout turns into a failure
+        code = (
+            "from complexpendulum import Harmonic, IntegratorConfig, PhaseState, integrate\n"
+            "config = IntegratorConfig(rel_tol=1e-320, abs_tol=1e-300, max_steps=50)\n"
+            "traj = integrate(Harmonic(), PhaseState(1e300 + 0j, 0j), config)\n"
+            "print(traj.termination, len(traj))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(integrator.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "step_underflow 1\n"), proc.stderr
 
     def test_cubic_blowup_detected(self):
         # from the turning point at x = i the cubic trajectory runs off to
