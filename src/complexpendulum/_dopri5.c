@@ -37,11 +37,15 @@
  * two rows stay pending in the State, unwritten, because a closure cuts
  * the rows after its refined return, and an escape or a closure writes
  * its refined end as the run's last row: the rows written are the rows
- * kept.  A polish the kernel cannot mirror, or one the Python side asks
- * for, is left to Python: the run stops at the event's row, the last one
- * written, and can go on from there.  locate_return's ends (a g of 0 at a
- * sampled row) and its parabolic vertex (no sign change of g across the
- * dip) are Python-only: the kernel leaves such a return to Python.
+ * kept.  An escape or a candidate return that the kernel does not polish
+ * (the Python side asks for its own polishing, locate_return needs a path
+ * only Python has, or a landing run cannot finish) is handed back like a
+ * step the kernel cannot take: the run stops at the state before the step
+ * that found it, its pending rows unwritten in the State, and the Python
+ * loop redoes that step, watches its row and finishes the run: the
+ * kernel returns to Python no other way.  locate_return's ends (a g of 0
+ * at a sampled row) and its parabolic vertex (no sign change of g across
+ * the dip) are Python-only.
  *
  * energy_rows computes Trajectory's energy columns, H and (where asked)
  * energy_drift's local scale, the same way, each row's V(x) a local, and
@@ -89,9 +93,6 @@ enum {
     DOPRI5_OVERFLOW = 5,   /* the events that end a watched run */
     DOPRI5_ESCAPE = 6,
     DOPRI5_CLOSURE = 7,
-    /* a flag: the last row written is an event left to Python, and the
-     * other bits tell how the run goes on, DOPRI5_FULL to call again */
-    DOPRI5_AT_EVENT = 8,
 };
 
 /* Run.watch: what a main run watches (none, 0, for a landing run) */
@@ -376,7 +377,7 @@ static int state_at(const Model *model, const Run *run, const Row *a, const Row 
  * and aligned whether the flow there runs along the flow at the start.
  * Only a sign change of g from a to c is refined here, by Illinois false
  * position; a g of 0 at a or c and the parabolic vertex taken without a
- * sign change are left to Python.  0 where Python would raise, g does not
+ * sign change are handed back.  0 where Python would raise, g does not
  * change sign or a landing is not mirrored. */
 static int locate_return(const Model *model, const Run *run, const Row *a, const Row *c, double scale, Row *end,
                          double *dist, int *aligned)
@@ -455,14 +456,17 @@ static void flush(State *st, double *ts, cplx *zs, int cap, int *n)
  * the overflow guard, the escape radius, then a dip at the row before it
  * (_is_dip against the running maximum of d2, min_period after the start),
  * and the event's polish.  Returns 0 where the run goes on, with the row
- * pending and the oldest pending row written once two are, else the
- * status the run stops with, its kept rows and refined end written. */
+ * pending and the oldest pending row written once two are;
+ * DOPRI5_HAND_BACK, st untouched, for an escape or a candidate return it
+ * does not polish; else the status the run stops with, its kept rows and
+ * refined end written.  A dip's a has a d2 above b's, so it is no start,
+ * whose d2 is 0: both rows are pending. */
 static int watch_row(const Model *model, const Run *run, State *st, Row *row, double *ts, cplx *zs, int cap, int *n)
 {
     const Row *a = &st->rows[0], *b = &st->rows[1];
     const double guard = run->guard;
+    const int polish = run->watch & WATCH_POLISH;
     double dmax = st->dmax;
-    int event = 0;
     if (run->watch & WATCH_CLOSURE) {
         cplx dx = sub(row->x, run->x0), dp = sub(row->p, run->p0);
         row->d2 = dx.re * dx.re + dx.im * dx.im + dp.re * dp.re + dp.im * dp.im;
@@ -476,21 +480,20 @@ static int watch_row(const Model *model, const Run *run, State *st, Row *row, do
     }
     if ((run->watch & WATCH_ESCAPE) && fabs(row->x.im) >= run->radius) {
         Row end;
-        if ((run->watch & WATCH_POLISH) && locate_escape(model, run, b, row->t, &end)) {
-            flush(st, ts, zs, cap, n);
-            put(&end, ts, zs, cap, n);
-            return DOPRI5_ESCAPE;
-        }
-        event = 1;
-    } else if ((run->watch & WATCH_CLOSURE) && b->d2 < a->d2 && b->d2 <= row->d2 && b->d2 < 0.25 * dmax &&
-               (b->t - run->t0) * run->direction >= run->min_period) {
+        if (!polish || !locate_escape(model, run, b, row->t, &end))
+            return DOPRI5_HAND_BACK;
+        flush(st, ts, zs, cap, n);
+        put(&end, ts, zs, cap, n);
+        return DOPRI5_ESCAPE;
+    }
+    if ((run->watch & WATCH_CLOSURE) && b->d2 < a->d2 && b->d2 <= row->d2 && b->d2 < 0.25 * dmax &&
+        (b->t - run->t0) * run->direction >= run->min_period) {
         Row end;
         double dist = 0.0;
         int aligned = 0;
-        /* a cut may drop either row before this one: both must be pending */
-        event = !(run->watch & WATCH_POLISH) || st->pending != 2 ||
-                !locate_return(model, run, a, row, sqrt(dmax), &end, &dist, &aligned);
-        if (!event && dist <= run->closure_tol && aligned) {
+        if (!polish || !locate_return(model, run, a, row, sqrt(dmax), &end, &dist, &aligned))
+            return DOPRI5_HAND_BACK;
+        if (dist <= run->closure_tol && aligned) {
             /* the rows before the refined return stay */
             int before = ((a->t - end.t) * run->direction < 0.0) + ((b->t - end.t) * run->direction < 0.0);
             for (int k = 0; k < before; k++)
@@ -500,17 +503,13 @@ static int watch_row(const Model *model, const Run *run, State *st, Row *row, do
             return DOPRI5_CLOSURE;
         }
     }
-    if (event)  /* left to Python: the rows up to this one are written */
-        flush(st, ts, zs, cap, n);
-    else if (st->pending == 2)
+    if (st->pending == 2)
         put(a, ts, zs, cap, n);
     st->rows[0] = st->rows[1];
     st->rows[1] = *row;
-    st->pending = event ? 0 : st->pending < 2 ? st->pending + 1 : 2;
+    st->pending += st->pending < 2;
     st->dmax = dmax;
-    if (event)
-        put(row, ts, zs, cap, n);
-    return event ? DOPRI5_AT_EVENT : 0;
+    return 0;
 }
 
 /* Steps from st, landing on each of the stops (the last is run->t_end),
@@ -521,10 +520,10 @@ static int watch_row(const Model *model, const Run *run, State *st, Row *row, do
  * st with h_mag == 0 starts the run: the field, _initial_step and facold
  * at its start, as _dopri sets them, or a hand-back with h_mag still 0
  * where they cannot be mirrored.  The last two accepted rows stay pending
- * (see watch_row) until the run stops, and a call returns with room for
- * three rows, the most one step writes, left.  With ts NULL the call
- * keeps no rows and runs on to the run's end, and with stops NULL its
- * only stop is t_end.  Returns the number of rows written; the reason for
+ * (see watch_row) until the run stops, unwritten at a hand-back, and a
+ * call returns with room for three rows, the most one step writes, left.
+ * With ts NULL the call keeps no rows and runs on to the run's end, and
+ * with stops NULL its only stop is t_end.  Returns the number of rows written; the reason for
  * returning is left in st->status. */
 int dopri5_steps(const Model *model, const Run *run, const double *stops, State *st, double *ts, cplx *zs, int cap)
 {
@@ -632,7 +631,12 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
             continue;
         }
 
-        t = landed ? stops[st->i] : t + h;
+        /* the new row, which the watch may hand back untaken */
+        Row row = {landed ? stops[st->i] : t + h, x1, p1, 0.0};
+        int event = ts != NULL ? watch_row(model, run, st, &row, ts, zs, cap, &n) : 0;
+        if (event == DOPRI5_HAND_BACK)
+            goto hand_back;
+        t = row.t;
         x = x1;
         p = p1;
         k1p = k7p;
@@ -653,15 +657,9 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
             st->h_mag = run->max_step < hnew ? run->max_step : hnew;
             underflow = st->h_mag < run->min_step;
         }
-        if (ts != NULL) {
-            Row row = {t, x, p, 0.0};
-            int event = watch_row(model, run, st, &row, ts, zs, cap, &n);
-            if (event == DOPRI5_AT_EVENT)
-                event |= underflow ? DOPRI5_STEP_UNDERFLOW : DOPRI5_FULL;
-            if (event) {
-                st->status = event;
-                goto out;
-            }
+        if (event) {
+            st->status = event;
+            goto out;
         }
         if (underflow) {
             st->status = DOPRI5_STEP_UNDERFLOW;
@@ -674,7 +672,7 @@ int dopri5_steps(const Model *model, const Run *run, const double *stops, State 
 hand_back:
     st->status = DOPRI5_HAND_BACK;
 out:
-    if (ts != NULL && st->status != DOPRI5_FULL)
+    if (ts != NULL && st->status != DOPRI5_FULL && st->status != DOPRI5_HAND_BACK)
         flush(st, ts, zs, cap, &n);
     st->t = t;
     st->x = x;

@@ -30,13 +30,12 @@ CPython before 3.14 (whose mixed float/complex arithmetic the kernel
 does not mirror); other models run on the Python path.  The library
 builds each path piece of an ``operation`` as its one description in
 ``quadrature._pieces``, (kind, c0, c1, c2, phi0).  What the library
-cannot mirror goes back to Python: a run from the first step the kernel
-cannot take, or from its start, an event from its flagged row, a
-landing run or an operation whole, and the energy rows from the first
-it cannot compute.  Two paths are Python-only: ``locate_return``'s ends
-and parabolic vertex (a return whose g is 0 at a sampled row or has no
-sign change is left to Python) and ``adaptive_quad`` over an empty
-interval.
+cannot mirror goes back to Python: a run from its start or from the
+step it cannot take or whose event it does not polish, a landing run or
+an operation whole, and the energy rows from the first it cannot
+compute.  Two paths are Python-only: ``locate_return``'s ends and
+parabolic vertex (a return whose g is 0 at a sampled row or has no sign
+change is handed back) and ``adaptive_quad`` over an empty interval.
 The kernel keeps only dp/dt of the field: for these models dx/dt is p
 itself, so ``steps`` hands the field back as (p, kp).
 
@@ -95,9 +94,8 @@ _CSV_ROW_BYTES = 512  # bound on one CSV row's length (see _csv.c)
 # the models the kernel runs, by exact type: none on CPython 3.14 or
 # later, whose mixed float/complex arithmetic the kernel does not mirror
 _KINDS = {Pendulum: 0, Harmonic: 1, ImaginaryCubic: 2, DrivenPendulum: 3} if sys.version_info < (3, 14) else {}
-# status codes of dopri5_steps (see _dopri5.c), and the flag of a row
-# left to the caller's event tests
-_FULL, _HORIZON, _HAND_BACK, _AT_EVENT = 0, 1, 4, 8
+# status codes of dopri5_steps (see _dopri5.c)
+_FULL, _HORIZON, _HAND_BACK = 0, 1, 4
 _STOP_REASONS = {_HORIZON: "horizon", 2: "max_steps", 3: "step_underflow", 5: "overflow", 6: "escape", 7: "closure"}
 # the bits of Run.watch: the events a main run watches, and whether the
 # kernel polishes escapes and closures itself
@@ -205,25 +203,26 @@ def _start(t, x, p):
     return t, x, p, 0j, 0.0, 0.0, 0.0, 0, _FULL, 0, 0.0, _NO_ROWS
 
 
-def steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps, watch=None):
+def steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps, watch=_NO_WATCH):
     """The compiled loop as a generator, from the start (t, x, p): yields
-    its rows in blocks like ``integrator._dopri``, (t, (x, p), dmax), each
-    column of a block an array of its own, and returns its stop
-    reason, or, when a step has to be redone in Python, the state (t, x,
-    p, kp, h_mag, facold, accepted, i) at the start of that step, (p, kp)
+    its rows in blocks like ``integrator._dopri``, (t, x, p), each column
+    an array of its own, and returns its stop reason, or, when a step has
+    to be redone in Python, the state (t, x, p, kp, h_mag, facold,
+    accepted, i, pending, dmax, rows) at the start of that step, (p, kp)
     being the field there: dx/dt is p itself; h_mag is 0 at a run handed
     back at its start.
 
     ``watch`` is the tail of the ``Run`` record, ``integrate``'s events
-    (see ``_dopri5.c``), or None.  A watched run's rows are the
-    rows it keeps, its refined end last, its stop reason names its event,
-    and dmax is the running maximum of the squared distance to the start
-    after the block; a row left to the caller's event tests comes alone,
-    with dmax None, and the run goes on from it when asked for its next
-    block.  An unwatched run yields dmax None."""
+    (see ``_dopri5.c``), none by default.  A watched run's rows are the
+    rows it keeps, its refined end last, and its stop reason names its
+    event.  An escape or a candidate return the kernel does not polish is
+    handed back at the step that found it.  A hand-back carries the watch's
+    memory: the last two rows (t, x, p, d2), the newest last, of which the
+    newest ``pending`` were not yielded, and dmax, the running maximum of
+    the squared distance to the start."""
     kernel = _library().dopri5_steps
     stops = np.asarray(stops, dtype=float)
-    run = _RUN.pack(stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps, *(watch or _NO_WATCH))
+    run = _RUN.pack(stops[-1], direction, rel_tol, abs_tol, max_step, min_step, max_steps, *watch)
     stops = stops.tobytes()  # read as a record
     try:
         state, columns, addresses = _runs.pop()
@@ -236,24 +235,18 @@ def steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_ste
         state[0] = _start(t, x, p)
         while True:
             n = kernel(record, run, stops, *addresses, _ROWS)
-            fields = state.item()
-            stop, dmax = fields[8], (fields[10] if watch else None)
-            # each block in arrays of its own, one a column, so that a
-            # column's blocks are freed once it is assembled
-            ts, xs, ps = (column[:n].copy() for column in columns)
-            # a row left to the caller's tests, the last, comes alone
-            k = n - 1 if stop & _AT_EVENT else n
-            if k:
-                yield ts[:k], (xs[:k], ps[:k]), dmax
-            if k < n:
-                yield ts[k:], (xs[k:], ps[k:]), None
-            stop &= ~_AT_EVENT
+            if n:
+                # each block in arrays of its own, one a column, so that a
+                # column's blocks are freed once it is assembled
+                yield tuple(column[:n].copy() for column in columns)
+            t, x, p, kp, h_mag, facold, accepted, i, stop, pending, dmax, rows = state.item()
             if stop != _FULL:
                 break
+        rows = rows.tolist()  # read before the next run reuses the record it views
     finally:
         _runs.append((state, columns, addresses))
     if stop == _HAND_BACK:
-        return (*fields[:6], int(fields[6]), fields[7])
+        return t, x, p, kp, h_mag, facold, int(accepted), i, pending, dmax, rows
     return _STOP_REASONS[stop]
 
 

@@ -53,7 +53,7 @@ from .analysis import cell_escape_summary, detect_closure, fit_ellipse, verify_p
 from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate
 from .models import DrivenPendulum, HamiltonianModel, Harmonic, ImaginaryCubic, PhaseState, Pendulum, cell_index
 from .quadrature import _real_part, contour_integral, elliptic_K, escape_time, escape_time_real_form, period_contour
-from .turning import refine_root, turning_points
+from .turning import NonConvergence, refine_root, turning_points
 
 __all__ = [
     "ConfigError",
@@ -549,6 +549,8 @@ def _starting_states(scn: Scenario) -> tuple[list | None, list[PhaseState]]:
                 p = scn.model.momentum_from_energy(item["x"], scn.energy, branch=item["branch"])
             except (ArithmeticError, ValueError) as exc:
                 raise ConfigError(f"key 'starts[{i}]': no momentum from the energy: {type(exc).__name__}: {exc}") from None
+            if not cmath.isfinite(p):
+                raise ConfigError(f"key 'starts[{i}]': the momentum from the energy is not finite: {p!r}")
             states.append(PhaseState(item["x"], p, 0.0))
     return roots, states
 
@@ -834,7 +836,11 @@ def _cmd_period(args) -> int:
         seeds = args.pair.split(";")
         if len(seeds) != 2:
             raise ConfigError("key 'pair': expected 'z1;z2'")
-        pair = tuple(refine_root(model, energy, _coerce(_finite_complex, s, "pair")).x0 for s in seeds)
+        seeds = [_coerce(_finite_complex, s, "pair") for s in seeds]
+        try:
+            pair = tuple(refine_root(model, energy, s).x0 for s in seeds)
+        except (NonConvergence, ValueError) as exc:
+            raise ConfigError(f"key 'pair': {exc}") from None
     else:
         # the adjacent pair nearest the origin
         span = 1.5 * math.pi

@@ -65,16 +65,17 @@ and it starts each run itself: the field and ``_initial_step`` at the
 start are computed there.  It watches a main run's events by the same
 rule and polishes them as ``_locate_escape`` and ``locate_return`` do,
 each landing run a direct call, so the run takes no step past its
-event; a polish it cannot mirror, or one rebound here (see
-``_MIRRORED``), it leaves to ``_dopri`` at the flagged row.  A polishing
-run needs only its landed state, so ``_advance`` takes it from one
-kernel call that keeps no rows (``_dopri5.land``); a run the library
-cannot finish as Python would is redone whole on this path.
-A step the kernel cannot mirror (a non-finite stage or result, a stage
-with |Im x| past 708.396..., where ``cmath.sinh`` switches formula, or an
-overflowing sine) is handed back: the Python loop below resumes from the
-state at the start of that step and redoes it; a run handed back at its
-start gets its field and ``_initial_step`` there from Python.
+event.  A polishing run needs only its landed state, so ``_advance``
+takes it from one kernel call that keeps no rows (``_dopri5.land``); a
+run the library cannot finish as Python would is redone whole on this
+path.  The kernel returns to Python one way, a hand-back: at a step it
+cannot mirror (a non-finite stage or result, a stage with |Im x| past
+708.396..., where ``cmath.sinh`` switches formula, or an overflowing
+sine), and at an escape or a candidate return it does not polish (one
+whose polish it cannot mirror, or whose polishing is rebound here, see
+``_MIRRORED``), the Python loop below resumes from the state at the
+start of that step, redoes it and finishes the run; a run handed back at
+its start gets its field and ``_initial_step`` there from Python.
 Subclasses, models of the Python API, later interpreters and a failed
 build (logged once) use the Python loop throughout; it stays the
 reference.
@@ -448,8 +449,9 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
     then a dip of d2, the squared distance to the start, at the row before
     (polished by ``locate_return``).  A closure drops the rows from its
     refined return on, at most the last two, so those stay pending: every
-    row handed over is kept.  Where the kernel leaves a row to this rule,
-    or hands the run back, the two rows it wrote before pend here again.
+    row handed over is kept.  Where the kernel hands the run back, the
+    rule goes on from the kernel's last two rows, the newest ``pending``
+    of them not yet handed over.
 
     One fused sweep: the seven stages, the finiteness screen and the
     mixed-tolerance RMS error norm over the four real components are
@@ -472,23 +474,20 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
     bits, guard, radius, closure_tol, min_period, t0, x0r, x0i, p0r, p0i, *polish = watch
     origin = t0, x0, p0 = t0, complex(x0r, x0i), complex(p0r, p0i)
     over, escape, closure = (bits & flag for flag in (_dopri5.WATCH_OVERFLOW, _dopri5.WATCH_ESCAPE, _dopri5.WATCH_CLOSURE))
-    first = (t, x, p, 0.0)  # the start as a row (t, x, p, d2)
+    seed = [(t, x, p, 0.0)] * 2  # the rows before ``out``: the start as a row (t, x, p, d2)
     dmax = 0.0  # the running maximum of d2
     out = []  # the rows not yet handed over, the last two pending
-
-    def d2_of(x, p):
-        dx = x - x0
-        dp = p - p0
-        return dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
-
-    def rows_of(ts, xs, ps):
-        return [(t, x, p, d2_of(x, p)) for t, x, p in zip(ts.tolist(), xs.tolist(), ps.tolist())]
 
     def watch_row(t, x, p):
         """The run's end at the row (t, x, p), or None, the row kept."""
         nonlocal dmax
-        a, b = out[-2:] if len(out) > 1 else (first, first, *out)[-2:]
-        d2 = d2_of(x, p) if closure else 0.0
+        a, b = out[-2:] if len(out) > 1 else (*seed, *out)[-2:]
+        if closure:
+            dx = x - x0
+            dp = p - p0
+            d2 = dx.real * dx.real + dx.imag * dx.imag + dp.real * dp.real + dp.imag * dp.imag
+        else:
+            d2 = 0.0
         dmax = d2 if d2 > dmax else dmax
         row = t, x, p, d2
         if over and (abs(x.real) > guard or abs(x.imag) > guard or abs(p.real) > guard or abs(p.imag) > guard):
@@ -506,51 +505,18 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
                 return "closure"
         out.append(row)
 
-    def release(held=None):  # hands over held, then out
-        if held:
-            yield held
-        if out:
-            yield _columns(out)
-            out.clear()
-
     h_mag = 0.0  # 0 until the run has started
     accepted = 0
     i = 0
     record = _dopri5.model_params(model)
     if record is not None:
-        blocks = _dopri5.steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps, watch)
-        held = stop = None  # held: the kernel's last block of two rows or more, which ``out`` follows
-        while stop is None:
-            try:
-                ts, (xs, ps), block_dmax = next(blocks)
-            except StopIteration as end:
-                stop = end.value
-                if isinstance(stop, str):
-                    break
-            else:
-                if block_dmax is not None and len(ts) > 1:
-                    yield from release(held)
-                    held, dmax = (ts, xs, ps), block_dmax
-                    continue
-            if held:  # its last rows, before ``out``, are pending again
-                k = len(held[0]) - max(0, 2 - len(out))
-                if k:
-                    yield tuple(column[:k] for column in held)
-                out[:0] = rows_of(*(column[k:] for column in held))
-                held = None
-            if stop is not None:  # handed back
-                break
-            if block_dmax is not None:  # one row, after a row left to watch_row
-                dmax = block_dmax
-                out += rows_of(ts, xs, ps)
-            else:
-                stop = watch_row(ts[0].item(), xs[0].item(), ps[0].item())
+        stop = yield from _dopri5.steps(record, t, x, p, stops, direction, rel_tol, abs_tol, max_step, min_step, max_steps, watch)
         if isinstance(stop, str):
-            yield from release(held)
             return stop
         # the kernel handed back: the loop below redoes the next step; a
         # built-in model's field returns p itself as dx/dt
-        t, x, p, k1p, h_mag, facold, accepted, i = stop
+        t, x, p, k1p, h_mag, facold, accepted, i, pending, dmax, rows = stop
+        seed, out[:] = rows[: 2 - pending], rows[2 - pending :]
         k1x = p
     stops = np.asarray(stops, dtype=float).tolist()  # Python floats, as the loop's arithmetic needs
     if h_mag == 0.0:
@@ -654,7 +620,8 @@ def _dopri(model, t, x, p, stops, rel_tol, abs_tol, max_step, min_step, max_step
             del out[:-2]
     else:
         stop = "horizon"
-    yield from release()
+    if out:
+        yield _columns(out)
     return stop
 
 
@@ -803,7 +770,7 @@ def _locate_escape(model, a, tb, radius, polish):
 
 
 # the event polishing the kernel mirrors; with any of them rebound (a spy,
-# a tracer's wrapper) the kernel leaves each escape and closure to Python
+# a tracer's wrapper) the kernel hands back each escape and candidate
 _MIRRORED = (locate_return, _locate_escape, _advance)
 
 

@@ -26,11 +26,11 @@ interpreter, the inputs the parity tests compare with the Python path:
   the reused result buffer holds, with a pendulum window at the seed
   budget ``_MAX_SEEDS`` and just past it;
 - ``test_dopri5``'s runs: the cases, the events the kernel watches and
-  polishes (and, with the polishing rebound, leaves to Python), runs at
-  the edges of its row buffer, landing runs it lands and hands back,
-  energy rows past cmath's switch, the kernel's rarer exits
-  (``RARE_RUNS``, ``SCREENS``), the dip tied with the next row and the
-  running maximum.
+  polishes (and, with the polishing rebound, hands back), a closure after
+  a dip handed back, runs at the edges of its row buffer, landing runs it
+  lands and hands back, energy rows past cmath's switch, the kernel's
+  rarer exits (``RARE_RUNS``, ``SCREENS``), the pending rows of a
+  hand-back, the dip tied with the next row and the running maximum.
 
 It prints "replayed" at the end.  ``test_sanitized_build`` replays it
 under AddressSanitizer and UBSan, where a bad memory access, a record
@@ -150,12 +150,15 @@ def runs():
             t.test_events_at_block_edges_match_the_python_loop(m, spy, run)
     for run in t.EVENT_ENDINGS:
         t.test_events_end_in_the_kernel(None, run)
-    # with the polishing rebound, the kernel leaves each candidate to
-    # Python and goes on from it
+    # with the polishing rebound, the kernel hands the run back at its
+    # first candidate
     with pytest.MonkeyPatch.context() as m:
         t.test_rebound_polishing_is_left_to_python(None, m)
+    t.test_a_closure_after_a_handed_back_dip_matches_python(None)
     with t.kernel_returns() as spy:
         t.test_hand_back_at_the_cmath_sinh_switch(spy)
+    with t.kernel_returns() as spy:
+        t.test_a_hand_back_carries_its_pending_rows_unwritten(spy)
     with t.kernel_returns() as spy, pytest.MonkeyPatch.context() as m:
         t.test_a_first_step_that_underflows_truncates_the_run(m, spy)
     for run, end in t.RARE_RUNS.items():
@@ -164,7 +167,8 @@ def runs():
         with t.kernel_returns() as spy:
             t.test_each_screen_of_a_step_hands_it_back(None, spy, loop)
     t.test_a_dip_tied_with_the_next_row_is_a_dip_on_both_paths(None)
-    t.test_the_running_maximum_is_the_maximum_of_the_kept_rows(None)
+    with pytest.MonkeyPatch.context() as m:
+        t.test_the_running_maximum_is_the_maximum_of_the_kept_rows(None, m)
     for model, row, t_target, polish, outcome in t.HANDED_BACK_LANDINGS:
         t.test_landing_runs_the_library_hands_back(None, model, row, t_target, polish, outcome)
     landing = (t.Pendulum(g=0.6 + 0.8j), (0.5, 0.3 + 0.2j, 0.4 - 0.1j), 2.0)

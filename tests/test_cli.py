@@ -445,6 +445,24 @@ integrator:
         assert "key 'starts[1]': no momentum from the energy: OverflowError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_start_with_a_non_finite_momentum_names_the_start(self, tmp_path, capsys):
+        # 2 (E - V(0)) overflows: p = sqrt(inf) is inf+nanj, which no run starts from
+        text = """\
+name: infinite-momentum
+description: branch start at an energy past the float range's half
+model:
+  kind: pendulum
+  g: 1
+energy: 1e308
+starts:
+  - x: 0
+    branch: '+'
+"""
+        cfg = write_scenario(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "key 'starts[0]': the momentum from the energy is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_engine_failures_are_recorded_not_fatal(self, tmp_path):
         # start 0 lies past the escape radius, and PT reflection needs a
         # real or purely imaginary g: both are recorded, the run exits 0
@@ -600,6 +618,7 @@ class TestMathSubcommands:
             (["turning-points", "pendulum", "1", "1,0,-1,1"], "key 'window'"),
             (["turning-points", "pendulum:g=0", "1", "0,1,-1,1"], "key 'model': g "),
             (["period", "pendulum:g=0", "1"], "key 'model': g "),
+            (["period", "pendulum", "0.5", "--pair", "100+100i;3"], "key 'pair': no root reached from seed"),
             (["turning-points", "pendulum", "1", "-1e12,1e12,-2,2"], "key 'window': window needs"),
         ],
     )

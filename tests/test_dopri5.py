@@ -160,7 +160,7 @@ CASES = [
 def kernel_returns():
     """One entry per compiled run begun: what it returned, a stop reason
     or the state handed back to the Python loop, or None while it has not
-    returned (a run left at its event never does)."""
+    returned."""
     returns = []
     steps = _dopri5.steps
 
@@ -220,6 +220,9 @@ def test_cases_cover_every_outcome(kernel_spy):
 
 
 def test_dips_are_polished_inside_a_suspended_run(monkeypatch, kernel_spy):
+    """With ``locate_return`` rebound, the kernel hands the run back at
+    its first candidate, at the sampled minimum, and the Python loop
+    polishes that one and every later one."""
     polished = []
     locate_return = integrator.locate_return
 
@@ -230,19 +233,32 @@ def test_dips_are_polished_inside_a_suspended_run(monkeypatch, kernel_spy):
     monkeypatch.setattr(integrator, "locate_return", spy)
     traj = harmonic_dips_that_do_not_close()
     assert [round(t / math.pi) for t in polished] == [2, 4, 6]
-    assert len(traj.samples) > 512  # the main run refilled its buffer
-    assert all(isinstance(r, str) for r in kernel_spy)
+    assert len(traj.samples) > 512  # the Python loop went on past a block
+    (state,) = kernel_spy
+    assert state[0] == polished[0]
 
 
 def test_hand_back_at_the_cmath_sinh_switch(kernel_spy):
     traj = past_cmath_sinh_switch()
     handed_back = [r for r in kernel_spy if isinstance(r, tuple)]
     assert len(handed_back) == 1
-    t, x, p, kp, h_mag, facold, accepted, i = handed_back[0]
+    t, x, p, kp, h_mag, facold, accepted, i, pending, dmax, rows = handed_back[0]
     assert accepted == 11687
     assert len(traj.samples) == accepted + 1
     assert 708.0 < x.imag < 708.3964185322641
     assert (t, x, p) == (traj.samples[-1].t, traj.samples[-1].x, traj.samples[-1].p)
+
+
+def test_a_hand_back_carries_its_pending_rows_unwritten(kernel_spy):
+    """The kernel hands the run back mid-run with its last two rows
+    pending: it yielded every row but those and the start, and the newer
+    is the state it hands back, which the Python loop goes on from."""
+    fast, yielded, handed_back = kernel_run(past_cmath_sinh_switch)
+    (state,) = kernel_spy
+    t, x, p, *_, pending, dmax, rows = state
+    assert handed_back and pending == 2
+    assert rows[1][:3] == (t, x, p)
+    assert yielded == len(fast[0]) - 3
 
 
 # Events at the edges of the stepper's blocks.  The kernel hands over
@@ -625,14 +641,14 @@ def test_random_runs_match_the_python_loop(library, model, x, p, t0, span, fract
 # dip), polishes an escape or a return there as ``_locate_escape`` and
 # ``locate_return`` do, and yields only the rows the trajectory keeps, its
 # refined end last; a closure candidate the acceptance test rejects runs
-# on.  A row it leaves to the Python tests comes alone, with dmax None.
+# on.  An escape or a candidate it does not polish is handed back at the
+# step that found it, which the Python loop redoes.
 
 
 def kernel_run(run):
     """run()'s outcome on the library path, the rows its kernel runs
-    yielded, the rows they left to the Python tests and whether a run was
-    handed back to the Python loop."""
-    yielded, left, handed_back = [], [], []
+    yielded and whether a run was handed back to the Python loop."""
+    yielded, handed_back = [], []
     steps = _dopri5.steps
 
     def spy(*args):
@@ -640,9 +656,9 @@ def kernel_run(run):
         gen = steps(*args)
         try:
             while True:
-                t, z, dmax = next(gen)
-                (left if dmax is None else yielded).append(len(t))
-                yield t, z, dmax
+                block = next(gen)
+                yielded.append(len(block[0]))
+                yield block
         except StopIteration as stop:
             handed_back[-1] = not isinstance(stop.value, str)
             return stop.value
@@ -651,7 +667,7 @@ def kernel_run(run):
         m.setattr(_dopri5, "steps", spy)
         outcome = run_outcome(run)
     assert handed_back, "the compiled stepper did not run"
-    return outcome, sum(yielded), sum(left), any(handed_back)
+    return outcome, sum(yielded), any(handed_back)
 
 
 def python_returns(run):
@@ -681,13 +697,11 @@ def cubic_closes_after_two_near_misses():
     )
 
 
-def pendulum_closes_two_rows_after_a_left_dip():
+def pendulum_closes_two_rows_after_a_handed_back_dip():
     # steps of about a quarter period: the dip at the half period is a
-    # candidate whose g does not change sign, which the kernel leaves to
-    # Python, where it is rejected; the return's dip two rows later finds
-    # one row pending in the kernel, which leaves it too, and the refined
-    # return comes before its sampled minimum, so the cut drops a row the
-    # kernel has already written
+    # candidate whose g does not change sign, which the kernel hands back
+    # to Python, where it is rejected; the return's dip two rows later is
+    # refined before its sampled minimum, so the cut drops the row before
     config = IntegratorConfig(rel_tol=3e-3, abs_tol=3e-3, max_step=0.314, max_time=4.0)
     return integrate(Pendulum(g=25.0), PhaseState(0.1 + 0j, 0j), config, EventSpec(closure_tol=0.2))
 
@@ -735,34 +749,43 @@ def test_events_end_in_the_kernel(library, run):
     stopping at its event: it leaves no row to the Python tests and
     yields the rows the trajectory keeps but the start, its refined end
     included, so it takes no step past the event."""
-    fast, yielded, left, handed_back = kernel_run(run)
+    fast, yielded, handed_back = kernel_run(run)
     slow, before_b = python_returns(run)
     assert fast == slow
-    assert (left, handed_back) == (0, False)
+    assert not handed_back
     assert yielded == len(fast[0]) - 1
     assert (fast[2], before_b) == EVENT_ENDINGS[run]
 
 
 def test_rebound_polishing_is_left_to_python(library, monkeypatch):
     """With ``locate_return`` or ``_locate_escape`` rebound, the kernel
-    stops at each candidate, yields it alone and runs on once the Python
-    code has refined and rejected it; the trajectory is the same."""
+    hands the run back once, at the row before its first candidate or its
+    escape, and the Python loop refines that one and every later one; the
+    trajectory is the same."""
     want = {run: fingerprint(run()) for run in (cubic_closes_after_two_near_misses, pendulum_escape)}
-    for name in ("locate_return", "_locate_escape"):
+    before = []  # the time of the row before each event's row
+    for name, k in (("locate_return", 3), ("_locate_escape", 1)):
         original = getattr(integrator, name)
-        monkeypatch.setattr(integrator, name, lambda *args, original=original: original(*args))
+
+        def rebound(*args, original=original, k=k):
+            before.append(args[k][0])
+            return original(*args)
+
+        monkeypatch.setattr(integrator, name, rebound)
     for run, outcome in want.items():
-        got, yielded, left, handed_back = kernel_run(run)
-        assert got == outcome
-        assert (left, handed_back) == ({cubic_closes_after_two_near_misses: 3, pendulum_escape: 1}[run], False)
-        assert yielded + left == len(got[0]) - 1  # each left row is dropped for its refined end
+        before.clear()
+        with kernel_returns() as returns:
+            got, yielded, handed_back = kernel_run(run)
+        assert got == outcome and handed_back
+        (state,) = returns
+        assert state[0] == before[0] and len(before) == {cubic_closes_after_two_near_misses: 3, pendulum_escape: 1}[run]
 
 
 @pytest.mark.parametrize(
     "run",
     [
         cubic_closes_after_two_near_misses,
-        pendulum_closes_two_rows_after_a_left_dip,
+        pendulum_closes_two_rows_after_a_handed_back_dip,
         pendulum_escape,
         escape_on_row_0,
         overflow_on_row_0,
@@ -770,9 +793,9 @@ def test_rebound_polishing_is_left_to_python(library, monkeypatch):
     ids=lambda f: f.__name__,
 )
 def test_one_rule_watches_every_row(library, monkeypatch, run):
-    """The kernel's watch, the same rule in ``_dopri`` for each row the
-    kernel leaves to it (with the polishing rebound, every candidate and
-    escape) and the pure Python loop give the same run bit for bit."""
+    """The kernel's watch, the same rule in ``_dopri`` after the kernel
+    hands the run back (with the polishing rebound, at its first candidate
+    or escape) and the pure Python loop give the same run bit for bit."""
     polished = fingerprint(run())
     for name in ("locate_return", "_locate_escape"):
         original = getattr(integrator, name)
@@ -781,16 +804,14 @@ def test_one_rule_watches_every_row(library, monkeypatch, run):
     assert fingerprint(python_loop(monkeypatch, run)) == polished
 
 
-def test_a_closure_cuts_a_row_the_kernel_wrote(library):
-    """The kernel leaves both candidates to the rule in ``_dopri``, the
-    second with one row pending, and the return refined there drops the
-    row before it, which the kernel wrote with the first; the kernel's
-    polishing, rebound or not, changes nothing (above)."""
-    fast, yielded, left, handed_back = kernel_run(pendulum_closes_two_rows_after_a_left_dip)
-    slow, before_b = python_returns(pendulum_closes_two_rows_after_a_left_dip)
+def test_a_closure_after_a_handed_back_dip_matches_python(library):
+    """The kernel hands the run back at its first candidate, which the
+    rule in ``_dopri`` rejects; the return refined two rows later drops
+    the row before it, on both paths the same."""
+    fast, yielded, handed_back = kernel_run(pendulum_closes_two_rows_after_a_handed_back_dip)
+    slow, before_b = python_returns(pendulum_closes_two_rows_after_a_handed_back_dip)
     assert fast == slow and fast[2] == "closure"
-    assert (left, handed_back, before_b) == (2, False, [False, True])
-    assert yielded + left == len(fast[0])  # the refined end for the last, one row dropped, the start
+    assert (handed_back, before_b) == (True, [False, True])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -821,18 +842,18 @@ def test_random_events_match_the_python_loop(
     def run():
         return integrate(model, PhaseState(x, p), config, events, t_final=span, t_checkpoints=[span * f for f in fractions])
 
-    fast, yielded, left, handed_back = kernel_run(run)
+    fast, yielded, handed_back = kernel_run(run)
     assert python_returns(run)[0] == fast
-    if isinstance(fast, tuple) and not (handed_back or left):
+    if isinstance(fast, tuple) and not handed_back:
         assert yielded == len(fast[0]) - 1
 
 
-def test_the_running_maximum_is_the_maximum_of_the_kept_rows(library):
-    """A watched run's dmax after its last block is np.fmax.reduce of
-    ``_dist2`` over the rows it kept, bit for bit, d2 summed in Python's
-    order: a closure tolerance below rounding keeps every row."""
+def test_the_running_maximum_is_the_maximum_of_the_kept_rows(library, monkeypatch):
+    """A watched run's dmax at a hand-back is np.fmax.reduce of ``_dist2``
+    over the rows it kept, those it yielded and those pending, bit for
+    bit, d2 summed in Python's order: with ``locate_return`` rebound, the
+    run is handed back at its first candidate."""
     blocks = []
-    steps = _dopri5.steps
 
     def spy(*args):
         gen = steps(*args)
@@ -844,14 +865,19 @@ def test_the_running_maximum_is_the_maximum_of_the_kept_rows(library):
         except StopIteration as stop:
             return stop.value
 
-    with pytest.MonkeyPatch.context() as m:
+    locate_return = integrator.locate_return
+    monkeypatch.setattr(integrator, "locate_return", lambda *args: locate_return(*args))
+    with kernel_returns() as returns, pytest.MonkeyPatch.context() as m:
+        steps = _dopri5.steps
         m.setattr(_dopri5, "steps", spy)
         traj = harmonic_dips_that_do_not_close()
-    assert traj.termination == "horizon" and blocks[-1][2] is not None
-    x = np.concatenate([xs for _, (xs, _), _ in blocks])
-    p = np.concatenate([ps for _, (_, ps), _ in blocks])
-    assert len(x) == len(traj) - 1
-    assert blocks[-1][2].hex() == np.fmax.reduce(integrator._dist2(x, p, 1 + 1j, 0.5 - 0.3j)).hex()
+    (state,) = returns
+    *_, pending, dmax, rows = state
+    assert traj.termination == "horizon" and pending == 2
+    x = np.concatenate([xs for _, xs, _ in blocks] + [[row[1] for row in rows]])
+    p = np.concatenate([ps for _, _, ps in blocks] + [[row[2] for row in rows]])
+    assert x[-1] == state[1] and len(x) > 2
+    assert dmax.hex() == np.fmax.reduce(integrator._dist2(x, p, 1 + 1j, 0.5 - 0.3j)).hex()
 
 
 # Runs that reach the kernel's rarer exits, each on both paths, bit for
@@ -932,7 +958,7 @@ def subnormal_dip_without_a_sign_change():
 
 
 # each run, and how its kernel run ends: handed back at its start or
-# later, at a stop reason, or with a row left to Python's event tests
+# later, or at a stop reason
 RARE_RUNS = {
     start_past_the_float_range: "start",
     tolerances_below_a_square: "start",
@@ -941,23 +967,21 @@ RARE_RUNS = {
     rejected_step_underflows: "step_underflow",
     escape_near_the_step_floor: "escape",
     closure_near_the_step_floor: "closure",
-    escape_polish_stops_short: "left",
-    closure_polish_stops_short: "left",
+    escape_polish_stops_short: "handed back",
+    closure_polish_stops_short: "handed back",
     subnormal_dip_tied_with_the_next_row: "closure",
-    subnormal_dip_without_a_sign_change: "left",
+    subnormal_dip_without_a_sign_change: "handed back",
 }
 
 
 @pytest.mark.parametrize("run,end", RARE_RUNS.items(), ids=[f.__name__ for f in RARE_RUNS])
 def test_rare_runs_match_the_python_loop(library, run, end):
-    fast, yielded, left, handed_back = kernel_run(run)
+    fast, yielded, handed_back = kernel_run(run)
     assert python_returns(run)[0] == fast
     if end in ("start", "handed back"):
-        assert handed_back and (yielded == left == 0) == (end == "start")
-    elif end == "left":
-        assert left and not handed_back
+        assert handed_back and (yielded == 0) == (end == "start")
     else:
-        assert fast[2] == end and not (handed_back or left)
+        assert fast[2] == end and not handed_back
 
 
 def test_polish_runs_step_below_the_main_runs_floor(library):
@@ -1200,7 +1224,7 @@ def test_a_first_step_that_underflows_truncates_the_run(monkeypatch, kernel_spy)
     h_mag still 0, and the run stops there, on both paths."""
     run = (Pendulum(g=1.0), PhaseState(0.3 + 709.0j, 1j), IntegratorConfig(escape_radius=800.0))
     fast = integrate(*run)
-    assert [(t, h_mag, accepted) for t, _, _, _, h_mag, _, accepted, _ in kernel_spy] == [(0.0, 0.0, 0)]
+    assert [(t, h_mag, accepted) for t, _, _, _, h_mag, _, accepted, *_ in kernel_spy] == [(0.0, 0.0, 0)]
     monkeypatch.setattr(_dopri5, "model_params", lambda model: None)
     slow = integrate(*run)
     for traj in (fast, slow):

@@ -13,8 +13,8 @@ Python stepping loop, energy column and writer, the references, make
 every byte (about 4 s).  Each is also rewritten over its own files, on
 both formatters, and a shorter run over a full one's leaves no stale
 tail.  fig10-12
-cover the driven ``cell`` column, and fig9 runs event polishing inside a
-suspended main run.  The hashes hold for CPython 3.11 on x86-64 Linux;
+cover the driven ``cell`` column, and fig9 refines and rejects a closure
+candidate inside its main run.  The hashes hold for CPython 3.11 on x86-64 Linux;
 another libm may round ``cmath.sin``/``cos`` differently.
 
 The hashes cannot tell which path wrote the bytes, so the default-path
@@ -114,13 +114,13 @@ def watch_fallbacks(monkeypatch):
     ``_reject_h``), None from the rowless landing call ``_dopri5.land``
     or from ``_dopri5.operation``, branch guides built in Python
     (``quadrature._guide``), and energy rows ``_dopri5.energy_columns``
-    did not fill; and for ``integrate``'s events, rows the kernel left
-    to its Python tests, event polishing in Python (``locate_return``,
-    ``_locate_escape``) and landing runs made inside ``integrate``, and
-    the rows a kernel run yielded past what its trajectory keeps (the
-    start aside), that is steps taken past its event.  The polishing
-    spies are declared mirrored (``integrator._MIRRORED``): they pass
-    each call on, so the kernel still polishes in their place."""
+    did not fill; and for ``integrate``'s events, event polishing in
+    Python (``locate_return``, ``_locate_escape``) and landing runs made
+    inside ``integrate``, and the rows a kernel run yielded past what its
+    trajectory keeps (the start aside), that is steps taken past its
+    event.  An event the kernel does not polish is a hand-back.  The
+    polishing spies are declared mirrored (``integrator._MIRRORED``): they
+    pass each call on, so the kernel still polishes in their place."""
     calls, fallbacks = collections.Counter(), collections.Counter()
     steps, energy_columns = _dopri5.steps, _dopri5.energy_columns
 
@@ -129,10 +129,9 @@ def watch_fallbacks(monkeypatch):
         gen = steps(*args)
         try:
             while True:
-                t, z, dmax = next(gen)
-                calls["rows yielded"] += len(t)
-                fallbacks["events left to Python"] += dmax is None
-                yield t, z, dmax
+                block = next(gen)
+                calls["rows yielded"] += len(block[0])
+                yield block
         except StopIteration as stop:
             if not isinstance(stop.value, str):
                 fallbacks["steps hand-back"] += 1
